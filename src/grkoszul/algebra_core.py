@@ -29,10 +29,10 @@ from .errors import InputFormatError, InternalCheckError, check, require
 from .exactlin import (
     FieldSpec,
     MatrixExact,
+    Subspace,
     in_span,
     intersect_spaces,
     rank_kernel,
-    reduce_vector,
     row_space,
     solve,
     span_coordinates,
@@ -684,7 +684,7 @@ def presentation_from_concrete(
     rad2_gen = [
         conc.multiply(x, y) for x in rad_space for y in rad_space
     ]
-    rad2_space, rad2_piv = row_space(f, rad2_gen, conc.dim)
+    rad2_space, _ = row_space(f, rad2_gen, conc.dim)
 
     # choose arrow representatives block by block
     arrows: list[tuple[str, str, str]] = []
@@ -692,24 +692,12 @@ def presentation_from_concrete(
     counter = itertools.count()
     for u in vertex_order:
         for v in vertex_order:
-            chosen_rows = list(rad2_space)
-            chosen_piv: list[int] = list(rad2_piv)
-
-            def try_add(vec) -> bool:
-                res = reduce_vector(f, chosen_rows, tuple(chosen_piv), vec)
-                lead = next((j for j, a in enumerate(res) if a), None)
-                if lead is None:
-                    return False
-                inv = f.inv(res[lead])
-                chosen_rows.append([f.mul(inv, a) for a in res])
-                chosen_piv.append(lead)
-                return True
-
+            chosen = Subspace(f, conc.dim, rad2_space)
             for name, src, dst, vec in preferred:
                 if (src, dst) != (u, v):
                     continue
                 bvec = _block_project(conc, u, v, vec)
-                if try_add(bvec):
+                if chosen.add(bvec):
                     arrows.append((name, u, v))
                     arrow_vectors[name] = bvec
             block_rows, _ = row_space(
@@ -718,7 +706,7 @@ def presentation_from_concrete(
                 conc.dim,
             )
             for vec in block_rows:
-                if try_add(vec):
+                if chosen.add(vec):
                     name = f"q{next(counter)}"
                     arrows.append((name, u, v))
                     arrow_vectors[name] = vec
@@ -846,20 +834,7 @@ def gr_algebra(algebra: FiniteDimAlgebra, cap: int = DEFAULT_PATH_CAP) -> Graded
     grades = algebra.grades()
     adapted: list[tuple[int, list]] = []
     for power in range(len(chain) - 1):
-        nxt_rows, nxt_piv = row_space(f, chain[power + 1], algebra.dim)
-        chosen_rows = list(nxt_rows)
-        chosen_piv = list(nxt_piv)
-
-        def try_add(vec) -> bool:
-            res = reduce_vector(f, chosen_rows, tuple(chosen_piv), vec)
-            lead = next((j for j, a in enumerate(res) if a), None)
-            if lead is None:
-                return False
-            inv = f.inv(res[lead])
-            chosen_rows.append([f.mul(inv, a) for a in res])
-            chosen_piv.append(lead)
-            return True
-
+        chosen = Subspace(f, algebra.dim, chain[power + 1])
         if power == 0:
             candidates = [
                 algebra.basis_vector(algebra.vertex_index[v])
@@ -872,10 +847,10 @@ def gr_algebra(algebra: FiniteDimAlgebra, cap: int = DEFAULT_PATH_CAP) -> Graded
                 if grades[i] == power
             ]
         for vec in candidates:
-            if try_add(vec):
+            if chosen.add(vec):
                 adapted.append((power, vec))
         for vec in chain[power]:
-            if try_add(vec):
+            if chosen.add(vec):
                 adapted.append((power, vec))
     check(len(adapted) == algebra.dim, "adapted basis has wrong size")
 

@@ -1077,10 +1077,17 @@ def _write_output(path: str, text: str) -> None:
         raise InputFormatError("cannot write %s: %s" % (path, exc)) from exc
 
 
+def positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the report to this file")
-    common.add_argument("--jobs", type=int, default=1,
+    common.add_argument("--jobs", type=positive_int, default=1,
                         help="accepted for compatibility; runs single-threaded")
 
     parser = argparse.ArgumentParser(
@@ -1217,7 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    require(args.jobs >= 1, "--jobs must be at least 1")
     try:
         report = args.handler(args)
         text = report.render()

@@ -3,15 +3,17 @@
 Scalars are `fractions.Fraction` instances over Q and plain ints reduced to
 [0, p) over F_p.  No floats anywhere.  Matrices are dense row lists.
 
-Pivoting rule: echelon reduction always selects the leftmost nonzero entry of
-the first unreduced row (no magnitude heuristics), then removes that column
-from the remaining rows.  The reduced row echelon form returned by `echelon`
-is fully normalized (pivots 1, pivot columns cleared, rows sorted by pivot
-column), hence canonical for the row space.
+Pivoting rule: echelon reduction (`Subspace.add`, which `echelon` and
+`row_space` run row by row) always selects the leftmost nonzero entry of the
+reduced row (no magnitude heuristics), then removes that column from the
+rows kept so far.  The reduced row echelon form is fully normalized (pivots
+1, pivot columns cleared, rows sorted by pivot column), hence canonical for
+the row space.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -45,8 +47,12 @@ class FieldSpec:
     # -- scalar construction ------------------------------------------------
 
     def coerce(self, value) -> object:
+        """The canonical scalar equal to value: a Fraction over Q, an int in
+        [0, p) over F_p.  A value already in that form is returned as is."""
         if self.char == 0:
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
+        if type(value) is int and 0 <= value < self.char:
+            return value
         if isinstance(value, Fraction):
             num = value.numerator % self.char
             den = value.denominator % self.char
@@ -194,13 +200,13 @@ class MatrixExact:
         if len(vec) != self.ncols:
             raise InputFormatError("vector length does not match column count")
         f = self.field
-        vec = [f.coerce(x) for x in vec]
+        support = [(j, f.coerce(x)) for j, x in enumerate(vec) if x]
         out = []
         for row in self.rows:
             s = f.zero
-            for a, x in zip(row, vec):
-                if a and x:
-                    s = f.add(s, f.mul(a, x))
+            for j, x in support:
+                if row[j]:
+                    s = f.add(s, f.mul(row[j], x))
             out.append(s)
         return out
 
@@ -219,35 +225,80 @@ class MatrixExact:
         return f"MatrixExact({self.field.describe()}, {self.rows})"
 
 
+def _minus_multiple(char: int, vec: list, c, row: list) -> list:
+    """vec - c*row over Q (char 0) or F_char, skipping zero entries of row."""
+    if char:
+        return [(a - c * b) % char if b else a for a, b in zip(vec, row)]
+    return [a - c * b if b else a for a, b in zip(vec, row)]
+
+
+class Subspace:
+    """A subspace of field^ambient grown one vector at a time.
+
+    `rows` and `pivots` always hold the canonical RREF of the vectors added
+    so far (pivots 1, pivot columns cleared, rows sorted by pivot column).
+    Because the rows are fully reduced, the coordinates of a member are its
+    entries at the pivot columns.
+    """
+
+    __slots__ = ("field", "ambient", "rows", "pivots")
+
+    def __init__(self, field: FieldSpec, ambient: int, vectors=()):
+        self.field = field
+        self.ambient = ambient
+        self.rows: list[list] = []
+        self.pivots: list[int] = []
+        for vec in vectors:
+            self.add(vec)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: list) -> list:
+        """Residual of vec after clearing its entries at the pivot columns."""
+        if len(vec) != self.ambient:
+            raise InputFormatError("vector length does not match the ambient dimension")
+        coerce, char = self.field.coerce, self.field.char
+        vec = [coerce(x) for x in vec]
+        for row, col in zip(self.rows, self.pivots):
+            c = vec[col]
+            if c:
+                vec = _minus_multiple(char, vec, c, row)
+        return vec
+
+    def contains(self, vec: list) -> bool:
+        return not any(self.reduce(vec))
+
+    def coords(self, vec: list) -> list | None:
+        """Coordinates of vec in `rows`, or None when vec is outside."""
+        if any(self.reduce(vec)):
+            return None
+        coerce = self.field.coerce
+        return [coerce(vec[col]) for col in self.pivots]
+
+    def add(self, vec: list) -> bool:
+        """Extend the span by vec; False (and no change) if it is inside."""
+        res = self.reduce(vec)
+        lead = next((j for j, a in enumerate(res) if a), None)
+        if lead is None:
+            return False
+        f = self.field
+        if res[lead] != 1:
+            inv = f.inv(res[lead])
+            res = [f.mul(inv, a) if a else a for a in res]
+        for i, row in enumerate(self.rows):
+            if row[lead]:
+                self.rows[i] = _minus_multiple(f.char, row, row[lead], res)
+        at = bisect_left(self.pivots, lead)
+        self.rows.insert(at, res)
+        self.pivots.insert(at, lead)
+        return True
+
+
 def echelon(m: MatrixExact) -> tuple[MatrixExact, tuple[int, ...]]:
     """Canonical reduced row echelon form and its pivot columns."""
-    f = m.field
-    rows = [row[:] for row in m.rows]
-    pivots: list[tuple[int, int]] = []  # (pivot column, row index in `kept`)
-    kept: list[list] = []
-    for row in rows:
-        # reduce against the pivots found so far
-        for col, idx in pivots:
-            if row[col]:
-                factor = row[col]
-                krow = kept[idx]
-                row[:] = [f.sub(a, f.mul(factor, b)) for a, b in zip(row, krow)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is None:
-            continue
-        inv = f.inv(row[lead])
-        row[:] = [f.mul(inv, a) for a in row]
-        # clear the new pivot column from earlier rows
-        for krow in kept:
-            if krow[lead]:
-                factor = krow[lead]
-                krow[:] = [f.sub(a, f.mul(factor, b)) for a, b in zip(krow, row)]
-        pivots.append((lead, len(kept)))
-        kept.append(row)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i][0])
-    out_rows = [kept[pivots[i][1]] for i in order]
-    out_pivots = tuple(pivots[i][0] for i in order)
-    return MatrixExact(f, out_rows, m.ncols), out_pivots
+    space = Subspace(m.field, m.ncols, m.rows)
+    return MatrixExact(m.field, space.rows, m.ncols), tuple(space.pivots)
 
 
 def rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
@@ -301,8 +352,8 @@ def solve(a: MatrixExact, b: list) -> list | None:
 
 def row_space(field: FieldSpec, vectors: list[list], ambient: int):
     """Canonical basis (RREF rows, pivots) of the span of `vectors`."""
-    red, pivots = echelon(MatrixExact(field, vectors, ambient))
-    return red.rows, pivots
+    space = Subspace(field, ambient, vectors)
+    return space.rows, tuple(space.pivots)
 
 
 def reduce_vector(field: FieldSpec, space_rows: list[list], pivots, vec: list) -> list:
@@ -356,7 +407,7 @@ def intersect_spaces(field: FieldSpec, rows_a: list[list], rows_b: list[list], a
 
 
 def determinant(m: MatrixExact):
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
+    """Determinant by exact Gaussian elimination."""
     if m.nrows != m.ncols:
         raise InputFormatError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
     f = m.field

@@ -19,6 +19,7 @@ from .errors import InputFormatError, PreconditionError, check, require
 from .exactlin import (
     FieldSpec,
     MatrixExact,
+    Subspace,
     determinant,
     in_span,
     intersect_spaces,
@@ -239,36 +240,36 @@ def dual_rep(rep: Representation, op_algebra: FiniteDimAlgebra) -> Representatio
 # -- submodules and quotients ---------------------------------------------------------
 
 
-def _split_rows_by_vertex(rep: Representation, rows: list[list]) -> dict[str, list[list]]:
-    """Split a subspace's spanning rows into per-vertex block bases.
+def _split_rows_by_vertex(rep: Representation, rows: list[list]) -> dict[str, Subspace]:
+    """Split a subspace's spanning rows into per-vertex block subspaces.
 
     The span must be closed under the vertex idempotents: every blockwise
     truncation of a spanning row has to stay inside the span.
     """
     f = rep.algebra.field
-    span_rows, piv = row_space(f, rows, rep.total_dim)
-    out: dict[str, list[list]] = {}
+    span = Subspace(f, rep.total_dim, rows)
+    out: dict[str, Subspace] = {}
     for v in rep.vertices:
         block_rows = []
-        for r in span_rows:
+        for r in span.rows:
             blocked = [f.zero] * rep.total_dim
             start = rep.offset(v)
             blocked[start : start + rep.dims[v]] = r[start : start + rep.dims[v]]
             if any(x != f.zero for x in blocked):
-                if not in_span(f, span_rows, piv, blocked):
+                if not span.contains(blocked):
                     raise InputFormatError(
                         "rows are not closed under the vertex idempotents"
                     )
                 block_rows.append(rep.block(blocked, v))
-        out[v], _ = row_space(f, block_rows, rep.dims[v])
+        out[v] = Subspace(f, rep.dims[v], block_rows)
     return out
 
 
-def _ordered_sub_rows(rep: Representation, per_vertex: dict[str, list[list]]) -> list[list]:
+def _ordered_sub_rows(rep: Representation, per_vertex: dict[str, Subspace]) -> list[list]:
     f = rep.algebra.field
     out = []
     for v in rep.vertices:
-        for br in per_vertex[v]:
+        for br in per_vertex[v].rows:
             vec = [f.zero] * rep.total_dim
             start = rep.offset(v)
             vec[start : start + rep.dims[v]] = br
@@ -287,27 +288,15 @@ def sub_rep(rep: Representation, rows: list[list]) -> tuple[Representation, Matr
     per_vertex = _split_rows_by_vertex(rep, rows)
     dims = {v: len(per_vertex[v]) for v in rep.vertices}
     ordered = _ordered_sub_rows(rep, per_vertex)
-    span_rows, piv = row_space(f, ordered, rep.total_dim)
-    basis_matrix = MatrixExact(f, ordered, rep.total_dim).transpose() if ordered else None
-    offsets = {}
-    acc = 0
-    for v in rep.vertices:
-        offsets[v] = acc
-        acc += dims[v]
     action = {}
     for name, src, dst in rep.algebra.presentation.arrows:
+        # each block basis is an RREF, so coords also proves membership
         cols = []
-        for br in per_vertex[src]:
-            img = rep.action[name].apply(br)
-            full = [f.zero] * rep.total_dim
-            start = rep.offset(dst)
-            full[start : start + rep.dims[dst]] = img
-            nonzero = any(x != f.zero for x in full)
-            if nonzero and not in_span(f, span_rows, piv, full):
+        for br in per_vertex[src].rows:
+            coords = per_vertex[dst].coords(rep.action[name].apply(br))
+            if coords is None:
                 raise InputFormatError("rows do not span an action-closed subspace")
-            coords = solve(basis_matrix, full) if basis_matrix is not None else []
-            check(coords is not None, "failed to express an action image in the sub basis")
-            cols.append(coords[offsets[dst] : offsets[dst] + dims[dst]])
+            cols.append(coords)
         action[name] = MatrixExact(f, cols, dims[dst]).transpose()
     sub = Representation(rep.algebra, dims, action)
     incl = (
@@ -325,35 +314,23 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
     """
     f = rep.algebra.field
     per_vertex = _split_rows_by_vertex(rep, rows)
-    span_rows, piv = row_space(f, rows, rep.total_dim)
-    for v in rep.vertices:
-        for br in per_vertex[v]:
-            for name, src, dst in rep.algebra.presentation.arrows:
-                if src != v:
-                    continue
-                img = rep.action[name].apply(br)
-                full = [f.zero] * rep.total_dim
-                start = rep.offset(dst)
-                full[start : start + rep.dims[dst]] = img
-                if any(x != f.zero for x in full) and not in_span(f, span_rows, piv, full):
-                    raise InputFormatError("rows do not span an action-closed subspace")
-    qdims = {}
-    qmaps = {}
-    for v in rep.vertices:
-        srows, spiv = row_space(f, per_vertex[v], rep.dims[v])
-        free = [j for j in range(rep.dims[v]) if j not in spiv]
-        qdims[v] = len(free)
-        qmaps[v] = (srows, spiv, free)
+    for name, src, dst in rep.algebra.presentation.arrows:
+        for br in per_vertex[src].rows:
+            if not per_vertex[dst].contains(rep.action[name].apply(br)):
+                raise InputFormatError("rows do not span an action-closed subspace")
+    free = {
+        v: [j for j in range(rep.dims[v]) if j not in per_vertex[v].pivots]
+        for v in rep.vertices
+    }
+    qdims = {v: len(free[v]) for v in rep.vertices}
 
     def project(v, block_vec):
-        srows, spiv, free = qmaps[v]
-        red = reduce_vector(f, srows, spiv, block_vec)
-        return [red[j] for j in free]
+        red = per_vertex[v].reduce(block_vec)
+        return [red[j] for j in free[v]]
 
     def lift(v, qvec):
-        srows, spiv, free = qmaps[v]
         out = [f.zero] * rep.dims[v]
-        for val, j in zip(qvec, free):
+        for val, j in zip(qvec, free[v]):
             out[j] = val
         return out
 
@@ -389,12 +366,13 @@ def radical_rows(rep: Representation) -> list[list]:
     """Spanning rows of M rad A, the sum of the arrow images."""
     f = rep.algebra.field
     vectors = []
-    for name in rep.action:
-        mat = rep.total_action(name)
-        for j in range(rep.total_dim):
-            col = [mat.rows[i][j] for i in range(rep.total_dim)]
-            if any(x != f.zero for x in col):
-                vectors.append(col)
+    for name, mat in rep.action.items():
+        start = rep.offset(rep.algebra.presentation.arrow_endpoints(name)[1])
+        for col in mat.transpose().rows:
+            if any(col):
+                vec = [f.zero] * rep.total_dim
+                vec[start : start + len(col)] = col
+                vectors.append(vec)
     rows, _ = row_space(f, vectors, rep.total_dim)
     return rows
 
@@ -461,10 +439,9 @@ def layer_dims(rep: Representation) -> list[dict[str, int]]:
 
 
 def head_multiplicities(rep: Representation) -> dict[str, int]:
-    layers = layer_dims(rep)
-    if not layers:
-        return {v: 0 for v in rep.vertices}
-    return layers[0]
+    """Per-vertex dimensions of the head M / M rad A (the top layer only)."""
+    rad = _split_rows_by_vertex(rep, radical_rows(rep))
+    return {v: rep.dims[v] - len(rad[v]) for v in rep.vertices}
 
 
 def filtration_slice(rep: Representation, r: int, s: int | None = None) -> Representation:
@@ -551,19 +528,12 @@ def _slice_data(rep: Representation, series: list[list[list]]):
     triples (vertex, grade, block row) in the flat order of the graded
     module built on the slices.
     """
-    f = rep.algebra.field
     slices: dict[tuple[str, int], list[list]] = {}
     for g in range(len(series) - 1):
         top = _split_rows_by_vertex(rep, series[g])
         bot = _split_rows_by_vertex(rep, series[g + 1])
         for v in rep.vertices:
-            crows, cpiv = row_space(f, bot[v], rep.dims[v])
-            chosen = []
-            for cand in top[v]:
-                if not in_span(f, crows, cpiv, cand):
-                    chosen.append(cand)
-                    crows, cpiv = row_space(f, crows + [cand], rep.dims[v])
-            slices[(v, g)] = chosen
+            slices[(v, g)] = [cand for cand in top[v].rows if bot[v].add(cand)]
     dims = {}
     grades = {}
     piece_order = []
@@ -587,7 +557,7 @@ def _express_in_slice(rep, series, slices, dst, g, img_block):
     f = rep.algebra.field
     slice_rows = slices.get((dst, g), [])
     lower = series[g + 1] if g + 1 < len(series) else []
-    lower_block = _split_rows_by_vertex(rep, lower)[dst] if lower else []
+    lower_block = _split_rows_by_vertex(rep, lower)[dst].rows if lower else []
     stacked = slice_rows + lower_block
     if not stacked:
         check(
@@ -853,18 +823,13 @@ def graded_is_isomorphic(m: GradedRepresentation, n: GradedRepresentation,
 def _head_generators(rep: Representation, graded: GradedRepresentation | None = None):
     """Vertices (and grades, if graded) of a head basis chosen from unit vectors."""
     f = rep.algebra.field
-    rad = radical_rows(rep)
-    rad_split = (
-        _split_rows_by_vertex(rep, rad) if rad else {v: [] for v in rep.vertices}
-    )
+    rad_split = _split_rows_by_vertex(rep, radical_rows(rep))
     summands = []
     grades = []
     for v in rep.vertices:
-        crows, cpiv = row_space(f, rad_split[v], rep.dims[v])
         for j in range(rep.dims[v]):
             unit = [f.one if i == j else f.zero for i in range(rep.dims[v])]
-            if not in_span(f, crows, cpiv, unit):
-                crows, cpiv = row_space(f, crows + [unit], rep.dims[v])
+            if rad_split[v].add(unit):
                 summands.append((v, j))
                 if graded is not None:
                     grades.append(graded.grades[v][j])
@@ -1516,12 +1481,11 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
     piece_rows = []
     piece_grades = []
     for g in range(len(sub_series) - 1):
-        crows, cpiv = row_space(f, sub_series[g + 1], n)
+        below = Subspace(f, n, sub_series[g + 1])
         for cand in sub_series[g]:
-            if not in_span(f, crows, cpiv, cand):
+            if below.add(cand):
                 piece_rows.append(cand)
                 piece_grades.append(g)
-                crows, cpiv = row_space(f, crows + [cand], n)
     check(len(piece_rows) == n, "graded pieces miscount the restricted module")
     gr_acts = []
     for b_idx, bvec in enumerate(emb.basis_rows):

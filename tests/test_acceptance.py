@@ -1,14 +1,17 @@
 """Acceptance battery: one test per shipped criterion.
 
 The battery itself lives in grkoszul.selftest and is shared with the
-`grkoszul selftest` subcommand; it is run once per session here.  Runtime
+`grkoszul selftest` subcommand; it is run once per session here.  CPU-time
 budgets are pinned inside the battery (criterion 1: 1 s, criterion 3: 1 s,
 criterion 5: 60 s, criterion 7: 120 s, whole battery: 300 s) and a budget
 overrun fails the criterion itself.
 """
 
+import time
+
 import pytest
 
+from grkoszul import selftest
 from grkoszul.selftest import run_selftest
 
 
@@ -63,3 +66,22 @@ def test_criterion_9_koszulity_transfer_pipeline(battery):
 def test_full_battery_runtime_budget(battery):
     total = sum(res.seconds for res in battery.values())
     assert total < 300.0, "battery took %.1f s, budget is 300 s" % total
+
+
+def test_budget_counts_cpu_time_not_waiting(monkeypatch):
+    def waits():
+        time.sleep(0.3)
+        return True, []
+
+    def spins():
+        end = time.process_time() + 0.3
+        while time.process_time() < end:
+            pass
+        return True, []
+
+    monkeypatch.setattr(selftest, "CRITERIA", ((1, "waits", waits), (3, "spins", spins)))
+    monkeypatch.setattr(selftest, "_BUDGET_SECONDS", {1: 0.2, 3: 0.2})
+    waited, spun = run_selftest()
+    assert waited.passed and waited.details == []
+    assert not spun.passed
+    assert spun.details[-1].startswith("runtime_budget_exceeded=")

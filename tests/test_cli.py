@@ -217,6 +217,14 @@ def test_jobs_flag_is_accepted(b5_path, capsys):
     assert status == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_flag_rejects_bad_values_with_exit_2(b5_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["algebra", "build", str(b5_path), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 # -- pinned command examples --------------------------------------------------------------
 
 

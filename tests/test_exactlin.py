@@ -11,16 +11,26 @@ from grkoszul.exactlin import (
     FieldSpec,
     MatrixExact,
     QQ,
+    Subspace,
     echelon,
     in_span,
     intersect_spaces,
     rank_kernel,
+    reduce_vector,
     row_space,
     solve,
     span_coordinates,
 )
 
+try:  # sympy is an optional, independent elimination oracle
+    from sympy import GF
+    from sympy import QQ as SYMPY_QQ
+    from sympy.polys.matrices import DomainMatrix
+except ImportError:
+    DomainMatrix = None
+
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 
 
@@ -167,3 +177,85 @@ def test_determinant_zero_iff_singular(rows):
         assert determinant(m) != 0
     else:
         assert determinant(m) == 0
+
+
+# -- canonical scalars -------------------------------------------------------------
+
+
+def test_coerce_returns_canonical_scalars_unchanged():
+    x = Fraction(3, 7)
+    assert QQ.coerce(x) is x
+    assert F5.coerce(4) == 4 and type(F5.coerce(4)) is int
+
+
+def test_coerce_still_converts_other_input():
+    assert QQ.coerce(2) == 2 and type(QQ.coerce(2)) is Fraction
+    assert type(QQ.coerce(True)) is Fraction
+    assert F5.coerce(7) == 2
+    assert F5.coerce(-1) == 4
+    assert F5.coerce(True) == 1 and type(F5.coerce(True)) is int
+    assert F5.coerce(Fraction(1, 2)) == 3
+    assert F5.coerce(Fraction(10, 2)) == 0
+    with pytest.raises(InputFormatError):
+        F5.coerce(Fraction(1, 5))
+
+
+# -- incremental subspaces ---------------------------------------------------------
+
+
+def spans(field):
+    """(field, ambient, spanning vectors, probe vectors)."""
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.just(field),
+            st.just(n),
+            st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5),
+            st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3),
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(spans))
+def test_subspace_agrees_with_row_space_and_span_queries(case):
+    f, n, vectors, probes = case
+    space = Subspace(f, n)
+    for k, vec in enumerate(vectors):
+        grew = space.add(vec)
+        assert grew == (not in_span(f, *row_space(f, vectors[:k], n), vec))
+        rows, pivots = row_space(f, vectors[: k + 1], n)
+        assert (space.rows, tuple(space.pivots)) == (rows, pivots)
+    rows, pivots = row_space(f, vectors, n)
+    assert Subspace(f, n, vectors).rows == rows
+    combination = [sum(col) for col in zip(*vectors)] if vectors else [0] * n
+    for vec in probes + vectors + [combination]:
+        assert space.contains(vec) == in_span(f, rows, pivots, vec)
+        assert space.coords(vec) == span_coordinates(f, rows, pivots, vec)
+        assert space.reduce(vec) == reduce_vector(f, rows, pivots, vec)
+    assert space.coords(combination) is not None
+
+
+@pytest.mark.skipif(DomainMatrix is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(spans))
+def test_subspace_matches_sympy_rref(case):
+    f, n, vectors, _ = case
+    space = Subspace(f, n, vectors)
+    if not vectors:
+        assert space.rows == [] and space.pivots == []
+        return
+    red, pivots = DomainMatrix.from_list(vectors, GF(f.char) if f.char else SYMPY_QQ).rref()
+    rows = red.to_list()[: len(pivots)]
+    if f.char:
+        expected = [[int(x) % f.char for x in row] for row in rows]
+    else:
+        expected = [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
+    assert (space.rows, tuple(space.pivots)) == (expected, tuple(pivots))
+
+
+def test_subspace_rejects_wrong_length():
+    space = Subspace(QQ, 3, [[1, 0, 0]])
+    with pytest.raises(InputFormatError):
+        space.add([1, 0])
+    with pytest.raises(InputFormatError):
+        space.coords([1, 0, 0, 0])

@@ -9,6 +9,8 @@ Delta(2) = P(2), and the costandard ones are Nabla(1) = L(1) and
 Nabla(2) = P(1)/rad^2.
 """
 
+from itertools import product as iter_product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -630,6 +632,36 @@ def test_resolution_invariants_hold(alg):
     euler = sum((-1) ** i * t.total_dim for i, t in enumerate(res.terms))
     tail = res.syzygies[-1].total_dim if res.syzygies else 0
     assert euler + ((-1) ** len(res.terms)) * tail == k.total_dim
+
+
+@st.composite
+def monomial_two_vertex_algebra(draw):
+    """Arrows a: 1 -> 2, b: 2 -> 1 and a loop c at 1; every path of length 3
+    is zero and so is a random set of the length-2 paths."""
+    arrows = [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1")]
+    ends = {name: (src, dst) for name, src, dst in arrows}
+
+    def paths(length):
+        return [
+            p for p in iter_product(ends, repeat=length)
+            if all(ends[x][1] == ends[y][0] for x, y in zip(p, p[1:]))
+        ]
+
+    chosen = draw(st.sets(st.sampled_from(paths(2))))
+    field = draw(st.sampled_from([QQ, F2, FieldSpec(3)]))
+    relations = [[(1, p)] for p in paths(3) + sorted(chosen)]
+    return build_algebra(QuiverPresentation(field, ["1", "2"], arrows, relations))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(monomial_two_loop_algebra(), monomial_two_vertex_algebra()))
+def test_head_is_the_top_radical_layer(alg):
+    for v in alg.presentation.vertices:
+        res = minimal_resolution(simple_rep(alg, v), 2)
+        for m in res.terms + res.syzygies:
+            layers = layer_dims(m)
+            top = layers[0] if layers else {u: 0 for u in m.vertices}
+            assert head_multiplicities(m) == top
 
 
 @settings(max_examples=10, deadline=None)
