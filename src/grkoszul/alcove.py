@@ -15,15 +15,22 @@ and its dot action on a weight is lam -> element(lam + rho) - rho.  The base
 cell is the antidominant one, bounded by the walls (x, alpha_i^v) = 0 for
 simple alpha_i and (x, alpha_0^v) = -e for the maximal short root alpha_0;
 lengths are counts of arrangement hyperplanes (x, alpha^v) = e*m strictly
-separating a point from the interior of the base cell.  All arithmetic is
-exact (integers and Fractions).
+separating a point from the interior of the base cell.
+
+Integer coordinates.  Geometry runs in the rho-shifted space scaled by the
+Coxeter number h: the interior point (-e/h, ..., -e/h) of the base cell
+becomes (-e, ..., -e), an element sends a scaled point X to
+finite_part*X + h*translation, and the hyperplane (x, alpha^v) = e*m becomes
+(X, alpha^v) = e*h*m, so every pairing and every hyperplane count is integer
+floor division.  Simple-root coordinates of weights are carried as integers
+scaled by the least common denominator of the inverse Cartan matrix.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
-from math import ceil, floor
+from math import lcm
 
 from .errors import InputFormatError, check, require
 
@@ -198,6 +205,25 @@ class RootDatum:
     def _coroot_table(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         return {root: self._coroot(root) for root in self.positive_roots}
 
+    @cached_property
+    def _coroot_heights(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(coroot, height) per positive root; the scaled base point
+        (-e, ..., -e) pairs to -e*height against the coroot."""
+        return tuple((cv, sum(cv)) for cv in map(self._coroot_table.get, self.positive_roots))
+
+    @cached_property
+    def _root_lattice(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, d * inverse Cartan) with d the least common denominator of the
+        inverse Cartan matrix: simple-root coordinates times d, as integers."""
+        inv = self.inverse_cartan
+        d = lcm(*(x.denominator for row in inv for x in row))
+        return d, tuple(tuple(int(x * d) for x in row) for row in inv)
+
+    @cached_property
+    def _root_weights(self) -> tuple[tuple[int, ...], ...]:
+        """Positive roots in fundamental-weight coordinates."""
+        return tuple(self.root_weight(root).coordinates for root in self.positive_roots)
+
     def root_norm(self, root: tuple[int, ...]) -> int:
         total = 0
         for i in range(self.rank):
@@ -277,6 +303,12 @@ def _mat_mul(a, b):
 
 def _mat_vec(m, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+
+
+def _affine_product(a, b):
+    """(finite part, translation) of a after b, both given as such pairs."""
+    (ma, ta), (mb, tb) = a, b
+    return _mat_mul(ma, mb), tuple(x + t for x, t in zip(_mat_vec(ma, tb), ta))
 
 
 def _identity_matrix(rank: int) -> tuple[tuple[int, ...], ...]:
@@ -403,8 +435,8 @@ def weyl_orbit(rd: RootDatum, weight: Weight) -> tuple[Weight, ...]:
 def is_regular(rd: RootDatum, e: int, weight: Weight) -> bool:
     """e-regularity: no pairing of weight + rho with a coroot is divisible by e."""
     require(e >= 1, "e must be a positive integer")
-    shifted = weight + rd.rho
-    return all(rd.pairing(shifted, root) % e != 0 for root in rd.positive_roots)
+    shifted = [c + 1 for c in weight.coordinates]
+    return all(sum(c * x for c, x in zip(cv, shifted)) % e != 0 for cv, _ in rd._coroot_heights)
 
 
 @dataclass
@@ -446,12 +478,16 @@ def base_interior_point(rd: RootDatum, e: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(-e, rd.coxeter_number) for _ in range(rd.rank))
 
 
-def _multiples_strictly_between(lo, hi, e: int) -> int:
+def _multiples_strictly_between(lo: int, hi: int, step: int) -> int:
     if lo > hi:
         lo, hi = hi, lo
-    first = floor(Fraction(lo, e)) + 1
-    last = ceil(Fraction(hi, e)) - 1
-    return max(0, last - first + 1)
+    return max(0, -(-hi // step) - lo // step - 1)
+
+
+def _scaled_base_image(rd: RootDatum, e: int, finite_part, translation) -> tuple[int, ...]:
+    """Image of the scaled base point (-e, ..., -e)."""
+    h = rd.coxeter_number
+    return tuple(h * t - e * sum(row) for row, t in zip(finite_part, translation))
 
 
 def hyperplane_length(rd: RootDatum, e: int,
@@ -460,13 +496,25 @@ def hyperplane_length(rd: RootDatum, e: int,
     """Number of hyperplanes (x, alpha^v) = e*m separating the base cell
     from its image under x -> finite_part*x + translation."""
     require(e >= 1, "e must be a positive integer")
-    u = base_interior_point(rd, e)
-    v = tuple(x + t for x, t in zip(_mat_vec(finite_part, u), translation))
+    image = _scaled_base_image(rd, e, finite_part, translation)
+    step = e * rd.coxeter_number
     total = 0
-    for root in rd.positive_roots:
-        total += _multiples_strictly_between(rd.shifted_pairing(u, root),
-                                             rd.shifted_pairing(v, root), e)
+    for cv, height in rd._coroot_heights:
+        total += _multiples_strictly_between(-e * height,
+                                             sum(c * x for c, x in zip(cv, image)), step)
     return total
+
+
+def left_descent_walls(rd: RootDatum, e: int, finite_part, translation) -> frozenset[int]:
+    """Walls of the base cell (indexed as in wall_reflections) separating it
+    from the image cell: exactly the walls whose reflection, applied after
+    the element, lowers its length by one (all others raise it by one)."""
+    image = _scaled_base_image(rd, e, finite_part, translation)
+    walls = {i for i, x in enumerate(image) if x > 0}
+    cv = rd.coroot(rd.max_short_root)
+    if sum(c * x for c, x in zip(cv, image)) < -e * rd.coxeter_number:
+        walls.add(rd.rank)
+    return frozenset(walls)
 
 
 @dataclass(frozen=True)
@@ -489,8 +537,9 @@ class AffineWeylElement:
 
     def separation_length(self, rd: RootDatum, e: int) -> int:
         """Recount the separating hyperplanes and assert the cached length."""
-        t_coords = rd.to_root_coords(Weight(self.translation))
-        require(all(c.denominator == 1 and c % e == 0 for c in t_coords),
+        d, adjugate = rd._root_lattice
+        require(all(sum(a * t for a, t in zip(row, self.translation)) % (d * e) == 0
+                    for row in adjugate),
                 "translation must lie in e times the root lattice")
         count = hyperplane_length(rd, e, self.finite_part, self.translation)
         check(count == self.length, "cached length must match the hyperplane count")
@@ -521,9 +570,7 @@ def wall_reflections(rd: RootDatum, e: int) -> tuple[AffineWeylElement, ...]:
 def compose(rd: RootDatum, e: int, a: AffineWeylElement,
             b: AffineWeylElement) -> AffineWeylElement:
     """a after b, with the length recomputed from hyperplane counts."""
-    mat = _mat_mul(a.finite_part, b.finite_part)
-    trans = tuple(x + t for x, t in zip(_mat_vec(a.finite_part, b.translation),
-                                        a.translation))
+    mat, trans = _affine_product((a.finite_part, a.translation), (b.finite_part, b.translation))
     return AffineWeylElement(mat, trans, hyperplane_length(rd, e, mat, trans))
 
 
@@ -579,11 +626,11 @@ def linkage(rd: RootDatum, e: int, weight: Weight) -> LinkageResult:
     facet.sort()
     regular = not facet
 
-    u = base_interior_point(rd, e)
+    h = rd.coxeter_number
     strict = 0
-    for root in rd.positive_roots:
-        strict += _multiples_strictly_between(rd.shifted_pairing(u, root),
-                                              rd.shifted_pairing(shifted, root), e)
+    for cv, height in rd._coroot_heights:
+        strict += _multiples_strictly_between(
+            -e * height, h * sum(c * x for c, x in zip(cv, shifted)), e * h)
 
     walls = wall_reflections(rd, e)
     alpha0 = rd.max_short_root
@@ -602,8 +649,7 @@ def linkage(rd: RootDatum, e: int, weight: Weight) -> LinkageResult:
         point = refl.apply_shifted(point)
         # w = w o refl accumulates the inverse of the fold (reflections are
         # involutions), so w carries lambda_minus back to the weight.
-        w_trans = tuple(x + t for x, t in zip(_mat_vec(w_mat, refl.translation), w_trans))
-        w_mat = _mat_mul(w_mat, refl.finite_part)
+        w_mat, w_trans = _affine_product((w_mat, w_trans), (refl.finite_part, refl.translation))
         steps += 1
     check(all(c <= 0 for c in point), "fold must land in the closed base cell")
     check(rd.shifted_pairing(point, alpha0) >= -e, "fold must land in the closed base cell")
@@ -615,10 +661,8 @@ def linkage(rd: RootDatum, e: int, weight: Weight) -> LinkageResult:
 
     depth = None
     if regular:
-        depth = 0
-        for root in rd.positive_roots:
-            value = rd.shifted_pairing(shifted, root)
-            depth += floor(Fraction(value, e))
+        depth = sum(sum(c * x for c, x in zip(cv, shifted)) // e
+                    for cv, _ in rd._coroot_heights)
     return LinkageResult(
         weight=weight,
         lambda_minus=lambda_minus,
@@ -633,32 +677,47 @@ def linkage(rd: RootDatum, e: int, weight: Weight) -> LinkageResult:
 def _closure_set(rd: RootDatum, e: int, generators, regular_only: bool) -> tuple[Weight, ...]:
     """All dominant weights below a generator: breadth-first subtraction of
     simple roots, pruning states with a negative simple-root coordinate
-    (every path to a dominant weight keeps those coordinates non-negative)."""
+    (every path to a dominant weight keeps those coordinates non-negative).
+    Simple-root coordinates are carried scaled by d (see _root_lattice)."""
+    d, adjugate = rd._root_lattice
+    simple = [rd.simple_root(i).coordinates for i in range(rd.rank)]
     seen: set[tuple[int, ...]] = set()
-    frontier: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = []
+    frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for gen in generators:
         if not gen.is_dominant:
             raise InputFormatError(f"ideal generators must be dominant, got {gen.coordinates}")
-        if gen.coordinates not in seen:
-            seen.add(gen.coordinates)
-            frontier.append((gen.coordinates, rd.to_root_coords(gen)))
-    while frontier:
-        grown = []
-        for v, c in frontier:
-            for i in range(rd.rank):
-                if c[i] < 1:
-                    continue
-                image = tuple(v[k] - rd.cartan[k][i] for k in range(rd.rank))
-                if image in seen:
-                    continue
-                seen.add(image)
-                grown.append((image, tuple(x - (1 if k == i else 0)
-                                           for k, x in enumerate(c))))
-        frontier = grown
-    collected = [Weight(v) for v in seen if all(x >= 0 for x in v)]
+        v = gen.coordinates
+        if v not in seen:
+            seen.add(v)
+            frontier.append((v, tuple(sum(a * x for a, x in zip(row, v)) for row in adjugate)))
+    for v, c in frontier:  # breadth-first: the list grows while it is walked
+        for i, alpha in enumerate(simple):
+            if c[i] >= d:
+                image = tuple(x - a for x, a in zip(v, alpha))
+                if image not in seen:
+                    seen.add(image)
+                    frontier.append((image, c[:i] + (c[i] - d,) + c[i + 1:]))
+    collected = [Weight(v) for v in seen if min(v) >= 0]
     if regular_only:
         collected = [w for w in collected if is_regular(rd, e, w)]
     return tuple(sorted(collected, key=lambda w: w.coordinates))
+
+
+def _positive_root_closure(rd: RootDatum, weights) -> set[tuple[int, ...]]:
+    """Dominant weights reachable by subtracting positive roots while staying
+    dominant.  By Stembridge (The partial order of dominant weights, Adv.
+    Math. 136, 1998) covers between dominant weights differ by a positive
+    root, so this is the order ideal generated, found independently of the
+    simple-root walk in _closure_set."""
+    seen = {w.coordinates for w in weights}
+    frontier = list(seen)
+    for v in frontier:  # breadth-first: the list grows while it is walked
+        for beta in rd._root_weights:
+            image = tuple(x - b for x, b in zip(v, beta))
+            if min(image) >= 0 and image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -687,11 +746,13 @@ class WeightIdealSet:
                 raise InputFormatError(
                     f"weight {w.coordinates} is singular in a regular-only set")
         if self.closed:
-            closure = _closure_set(self.datum, self.e, normalized, self.regular_only)
-            if closure != normalized:
-                missing = sorted(set(closure) - set(normalized), key=lambda w: w.coordinates)
+            present = {w.coordinates for w in normalized}
+            missing = sorted(
+                v for v in _positive_root_closure(self.datum, normalized) - present
+                if not self.regular_only or is_regular(self.datum, self.e, Weight(v)))
+            if missing:
                 raise InputFormatError(
-                    f"set marked closed is not an order ideal; missing {[w.coordinates for w in missing]}")
+                    f"set marked closed is not an order ideal; missing {missing}")
 
     @cached_property
     def _index(self) -> frozenset:

@@ -172,12 +172,6 @@ class RewriteSystem:
         self.rules[lead] = rest
         return True
 
-    def rule_poly(self, lead) -> dict:
-        poly = {lead: self.field.one}
-        for p, c in self.rules[lead].items():
-            poly[p] = self.field.neg(c)
-        return poly
-
     def complete(self) -> None:
         f = self.field
         changed = True
@@ -226,14 +220,6 @@ class RewriteSystem:
                         diff.pop(p, None)
                 if self.add_polynomial(diff):
                     changed = True
-
-    def is_normal_path(self, path: tuple[str, ...]) -> bool:
-        for lead in self.rules:
-            ll = len(lead)
-            for start in range(len(path) - ll + 1):
-                if path[start : start + ll] == lead:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -333,16 +319,6 @@ class FiniteDimAlgebra:
                 for k, c in self.mult_basis(i, j):
                     out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
         return out
-
-    def left_mult_matrix(self, x: list) -> MatrixExact:
-        cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
-        rows = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        return MatrixExact(self.field, rows, self.dim)
-
-    def right_mult_matrix(self, x: list) -> MatrixExact:
-        cols = [self.multiply(self.basis_vector(j), x) for j in range(self.dim)]
-        rows = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        return MatrixExact(self.field, rows, self.dim)
 
     # -- radical ----------------------------------------------------------------
 

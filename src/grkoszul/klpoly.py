@@ -11,8 +11,11 @@ Radical-layer predictions read the coefficient of t^(l(lam) - l(nu) - n) in
 the inverse polynomial of the pair of minimal carriers; character formulas
 alternate Weyl characters of the dominant dot-images against KL values at 1.
 Tables are cached on disk per (type, rank, e, length bound) when
-GRKOSZUL_CACHE_DIR is set, keyed by a content hash that includes the table
-format version.
+GRKOSZUL_CACHE_DIR is set, under a name hashed from those keys and the table
+format version.  Each file carries a SHA-256 digest of its payload; on load
+the digest, the constant-term and degree checks and verify_inversion run
+again, and a file failing any of them is rebuilt as if it were corrupt, so
+the cache never changes a result.
 """
 
 import hashlib
@@ -22,25 +25,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import check, require
+from .errors import InternalCheckError, check, require
 from .alcove import (
     AffineWeylElement,
     RootDatum,
     Weight,
     WeightIdealSet,
+    _affine_product,
     _closure_set,
-    _mat_mul,
-    _mat_vec,
-    compose,
     dominant_conjugate,
-    element_inverse,
     identity_element,
+    left_descent_walls,
     linkage,
     wall_reflections,
     weyl_orbit,
 )
 
-_TABLE_VERSION = 1
+_TABLE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -141,47 +142,53 @@ def _to_t_poly(classical: dict) -> LaurentPoly:
     return LaurentPoly.from_dict({2 * e: c for e, c in classical.items()})
 
 
-def _element_sort_key(elem: AffineWeylElement):
-    return (elem.length, elem.finite_part, elem.translation)
-
-
-def _is_reflection(rd: RootDatum, elem: AffineWeylElement) -> bool:
-    """Order-2 elements whose finite part fixes a hyperplane are exactly the
-    reflections in arrangement hyperplanes (roots are primitive, so the
-    translation part of an involution is an integer multiple of the root)."""
-    m = elem.finite_part
-    if _mat_mul(m, m) != tuple(tuple(1 if i == j else 0 for j in range(rd.rank))
-                               for i in range(rd.rank)):
-        return False
-    if sum(m[i][i] for i in range(rd.rank)) != rd.rank - 2:
-        return False
-    doubled = tuple(x + t for x, t in zip(_mat_vec(m, elem.translation),
-                                          elem.translation))
-    return all(x == 0 for x in doubled)
-
-
 @dataclass(eq=False)
 class CoxeterTable:
     """Shelled enumeration of W ltimes eZPhi up to a length bound.
 
-    elements is sorted by (length, matrix, translation); words holds one
-    reduced word per element over wall indices (simple walls 0..rank-1, the
-    affine wall last), recorded in composition order, first letter applied
-    last.  lower_sets[i] is the set of indices Bruhat-below elements[i],
-    built from reflection covers and closed transitively.
+    elements is sorted by (length, matrix, translation); left_mult[i][s]
+    and right_mult[i][s] are the indices of s*w and w*s for w = elements[i],
+    or -1 past the length bound.  The rest is read off these tables: the
+    left and right descent sets; words, one reduced word per element over
+    wall indices (simple walls 0..rank-1, the affine wall last) in
+    composition order, first letter applied last, the first one found
+    shell by shell along right multiplication; and lower_sets[i], the
+    indices Bruhat-below elements[i], by the lifting property: for a right
+    descent s of w, [e, w] = [e, ws] united with [e, ws]*s.
     """
 
     datum: RootDatum
     e: int
     max_length: int
     elements: tuple[AffineWeylElement, ...]
-    words: tuple[tuple[int, ...], ...]
-    left_descents: tuple[frozenset[int], ...]
-    right_descents: tuple[frozenset[int], ...]
-    lower_sets: tuple[frozenset[int], ...]
+    left_mult: tuple[tuple[int, ...], ...]
+    right_mult: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         self.index = {elem: i for i, elem in enumerate(self.elements)}
+        lengths = [elem.length for elem in self.elements]
+
+        def descents(mult):
+            return tuple(frozenset(s for s, j in enumerate(row)
+                                   if j >= 0 and lengths[j] < lengths[i])
+                         for i, row in enumerate(mult))
+
+        self.left_descents = descents(self.left_mult)
+        self.right_descents = descents(self.right_mult)
+        words: list = [()] + [None] * (len(lengths) - 1)
+        lower = [frozenset({0})]
+        for wi, row in enumerate(self.right_mult):  # sorted by length: shells in order
+            if wi:
+                check(self.right_descents[wi],
+                      "every non-identity element must have a right descent")
+                s = min(self.right_descents[wi])
+                below = lower[row[s]]
+                lower.append(below | frozenset(self.right_mult[x][s] for x in below))
+            for s, x in enumerate(row):
+                if x >= 0 and words[x] is None:
+                    words[x] = words[wi] + (s,)
+        self.words = tuple(words)
+        self.lower_sets = tuple(lower)
 
     def element_count_by_length(self) -> tuple[int, ...]:
         counts = [0] * (self.max_length + 1)
@@ -189,90 +196,69 @@ class CoxeterTable:
             counts[elem.length] += 1
         return tuple(counts)
 
-    def bruhat_leq(self, x: AffineWeylElement, w: AffineWeylElement) -> bool:
-        xi = self.index.get(x)
-        wi = self.index.get(w)
-        require(xi is not None and wi is not None, "elements must be in the table")
-        return xi in self.lower_sets[wi]
-
     def word_label(self, i: int) -> str:
         word = self.words[i]
         return ".".join(str(k) for k in word) if word else "e"
-
-
-def _bfs_elements(rd: RootDatum, e: int, max_length: int, side: str):
-    walls = wall_reflections(rd, e)
-    start = identity_element(rd.rank)
-    words: dict[AffineWeylElement, tuple[int, ...]] = {start: ()}
-    shell = [start]
-    shells = [[start]]
-    while shell and shells[-1][0].length < max_length:
-        found: dict[AffineWeylElement, tuple[int, ...]] = {}
-        for elem in shell:
-            for i, s in enumerate(walls):
-                cand = compose(rd, e, elem, s) if side == "right" else compose(rd, e, s, elem)
-                check(abs(cand.length - elem.length) == 1,
-                      "a wall reflection must change length by exactly one")
-                if cand.length == elem.length + 1 and cand not in words and cand not in found:
-                    found[cand] = (words[elem] + (i,)) if side == "right" else ((i,) + words[elem])
-        if not found:
-            break
-        shell = sorted(found, key=_element_sort_key)
-        shells.append(shell)
-        words.update(found)
-    return words, shells
 
 
 def coxeter_enumerate(rd: RootDatum, e: int, max_length: int) -> CoxeterTable:
     """Enumerate all elements up to the length bound with descents and
     Bruhat order.
 
-    Elements are grown by right multiplication; an independent left
-    multiplication pass must reproduce exactly the same set.  Covers are
-    detected as reflection quotients with length difference one, and the
-    Bruhat order is their transitive closure, which refines length by
-    construction.
+    Elements are grown shell by shell by left multiplication with the wall
+    reflections, the length going up or down by the sign of one wall
+    pairing (left_descent_walls).  Every element's length is then verified
+    by a hyperplane count, and every product with a wall on either side is
+    checked to change the length by exactly one and to be in the table
+    whenever the bound allows, so the set is closed on both sides.
     """
     require(e >= 1, "e must be a positive integer")
     require(max_length >= 0, "the length bound must be non-negative")
-    words_right, _ = _bfs_elements(rd, e, max_length, "right")
-    words_left, _ = _bfs_elements(rd, e, max_length, "left")
-    check(set(words_right) == set(words_left),
-          "left and right enumerations must agree element by element")
+    walls = [(s.finite_part, s.translation) for s in wall_reflections(rd, e)]
+    start = (identity_element(rd.rank).finite_part, (0,) * rd.rank)
+    length_of = {start: 0}
+    shell = [start]
+    for length in range(max_length):
+        grown = []
+        for key in shell:
+            down = left_descent_walls(rd, e, *key)
+            for s, wall in enumerate(walls):
+                if s not in down:
+                    cand = _affine_product(wall, key)
+                    if cand not in length_of:
+                        length_of[cand] = length + 1
+                        grown.append(cand)
+        shell = grown
 
-    elements = tuple(sorted(words_right, key=_element_sort_key))
-    index = {elem: i for i, elem in enumerate(elements)}
-    words = tuple(words_right[elem] for elem in elements)
-
-    walls = wall_reflections(rd, e)
-    left, right = [], []
-    for elem in elements:
-        left.append(frozenset(i for i, s in enumerate(walls)
-                              if compose(rd, e, s, elem).length < elem.length))
-        right.append(frozenset(i for i, s in enumerate(walls)
-                               if compose(rd, e, elem, s).length < elem.length))
-
-    inverses = [element_inverse(rd, e, elem) for elem in elements]
-    lower: list[frozenset[int]] = []
-    by_length: dict[int, list[int]] = {}
-    for i, elem in enumerate(elements):
-        below = {i}
-        for xi in by_length.get(elem.length - 1, []):
-            quotient = compose(rd, e, elem, inverses[xi])
-            if _is_reflection(rd, quotient):
-                below.update(lower[xi])
-        lower.append(frozenset(below))
-        by_length.setdefault(elem.length, []).append(i)
+    keys = sorted(length_of, key=lambda k: (length_of[k], k))
+    index = {key: i for i, key in enumerate(keys)}
+    elements = tuple(AffineWeylElement(*key, length_of[key]) for key in keys)
+    lengths = [elem.length for elem in elements]
+    left_mult, right_mult = [], []
+    for key, elem in zip(keys, elements):
+        length = elem.separation_length(rd, e)
+        down = left_descent_walls(rd, e, *key)
+        left, right = [], []
+        for s, wall in enumerate(walls):
+            expected = length - 1 if s in down else length + 1
+            j = index.get(_affine_product(wall, key), -1)
+            check(expected > max_length if j < 0 else lengths[j] == expected,
+                  "a left wall reflection must change length by exactly one")
+            left.append(j)
+            j = index.get(_affine_product(key, wall), -1)
+            check(length == max_length if j < 0 else abs(lengths[j] - length) == 1,
+                  "a right wall reflection must change length by exactly one")
+            right.append(j)
+        left_mult.append(tuple(left))
+        right_mult.append(tuple(right))
 
     return CoxeterTable(
         datum=rd,
         e=e,
         max_length=max_length,
         elements=elements,
-        words=words,
-        left_descents=tuple(left),
-        right_descents=tuple(right),
-        lower_sets=tuple(lower),
+        left_mult=tuple(left_mult),
+        right_mult=tuple(right_mult),
     )
 
 
@@ -332,24 +318,29 @@ def _mu(classical: dict, lw: int, lz: int) -> int:
     return classical.get((lw - lz - 1) // 2, 0)
 
 
+def _check_shape(poly: dict, gap: int, name: str) -> None:
+    """Constant term 1 and degree below half the length gap (the diagonal,
+    gap 0, is exactly 1)."""
+    check(poly.get(0) == 1, "%s polynomials must have constant term 1" % name)
+    check(max(poly) * 2 <= gap - 1 if gap else poly == {0: 1},
+          "%s polynomial degree must respect the length gap" % name)
+
+
 def kl_and_inverse_tables(table: CoxeterTable) -> KlTables:
     """Fill the KL polynomials by the left-descent recursion, invert the
     sign-twisted matrix, and verify the inversion identity on every
     interval, both ways round."""
-    rd, e = table.datum, table.e
-    walls = wall_reflections(rd, e)
     elements = table.elements
-    index = table.index
+    left_mult = table.left_mult
     lengths = [elem.length for elem in elements]
 
     kl: dict[tuple[int, int], dict[int, int]] = {}
-    for wi, w in enumerate(elements):
+    for wi in range(len(elements)):
         if lengths[wi] == 0:
             kl[(wi, wi)] = {0: 1}
             continue
         s = min(table.left_descents[wi])
-        v = compose(rd, e, walls[s], w)
-        vi = index[v]
+        vi = left_mult[wi][s]
         z_corrections = []
         for zi in table.lower_sets[vi]:
             if s in table.left_descents[zi]:
@@ -360,10 +351,8 @@ def kl_and_inverse_tables(table: CoxeterTable) -> KlTables:
             if xi == wi:
                 kl[(xi, wi)] = {0: 1}
                 continue
-            x = elements[xi]
-            sx = compose(rd, e, walls[s], x)
-            sxi = index[sx]
-            c = 1 if sx.length < x.length else 0
+            sxi = left_mult[xi][s]
+            c = 1 if lengths[sxi] < lengths[xi] else 0
             value = _padd(_pshift(kl.get((sxi, vi), {}), 1 - c),
                           _pshift(kl.get((xi, vi), {}), c))
             for zi, mu in z_corrections:
@@ -372,9 +361,7 @@ def kl_and_inverse_tables(table: CoxeterTable) -> KlTables:
                     value = _padd(value, _pshift(_pscale(contribution, mu),
                                                  (lengths[wi] - lengths[zi]) // 2),
                                   sign=-1)
-            check(value.get(0) == 1, "KL polynomials must have constant term 1")
-            check(max(value) * 2 <= lengths[wi] - lengths[xi] - 1,
-                  "KL polynomial degree must respect the length gap")
+            _check_shape(value, lengths[wi] - lengths[xi], "KL")
             kl[(xi, wi)] = value
 
     inverse: dict[tuple[int, int], dict[int, int]] = {}
@@ -390,9 +377,7 @@ def kl_and_inverse_tables(table: CoxeterTable) -> KlTables:
                 sign = -1 if (lengths[wi] - lengths[vi]) % 2 else 1
                 total = _padd(total, _pscale(_pmul(inverse[(xi, vi)], kl[(vi, wi)]), sign))
             value = _pscale(total, -1)
-            check(value.get(0) == 1, "inverse polynomials must have constant term 1")
-            check(max(value) * 2 <= lengths[wi] - lengths[xi] - 1,
-                  "inverse polynomial degree must respect the length gap")
+            _check_shape(value, lengths[wi] - lengths[xi], "inverse")
             inverse[(xi, wi)] = value
 
     tables = KlTables(table=table, kl=kl, inverse=inverse, intervals_verified=0)
@@ -425,14 +410,12 @@ def verify_inversion(tables: KlTables) -> int:
             check(right == expected, "flipped inversion identity must hold on every interval")
             count += 1
 
-    rd, e = table.datum, table.e
-    walls = wall_reflections(rd, e)
     for wi in range(len(table.elements)):
         for s in table.left_descents[wi]:
             for xi in table.lower_sets[wi]:
-                sx = compose(rd, e, walls[s], table.elements[xi])
-                if sx.length > lengths[xi]:
-                    sxi = table.index[sx]
+                sxi = table.left_mult[xi][s]
+                check(sxi >= 0, "left wall products below w must be in the table")
+                if lengths[sxi] > lengths[xi]:
                     check(tables.kl.get((sxi, wi), {}) == tables.kl[(xi, wi)],
                           "KL polynomials must be invariant under left descents")
     return count
@@ -448,9 +431,14 @@ def _cache_path(rd: RootDatum, e: int, max_length: int) -> Path | None:
     return Path(root) / ("kl_%s.json" % digest)
 
 
+def _payload_digest(payload: dict) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _serialize_tables(tables: KlTables) -> dict:
     t = tables.table
-    return {
+    payload = {
         "version": _TABLE_VERSION,
         "cartan_type": t.datum.cartan_type,
         "rank": t.datum.rank,
@@ -458,52 +446,62 @@ def _serialize_tables(tables: KlTables) -> dict:
         "max_length": t.max_length,
         "elements": [
             [list(map(list, elem.finite_part)), list(elem.translation), elem.length,
-             list(t.words[i]), sorted(t.left_descents[i]), sorted(t.right_descents[i]),
-             sorted(t.lower_sets[i])]
+             list(t.left_mult[i]), list(t.right_mult[i])]
             for i, elem in enumerate(t.elements)],
         "kl": [[xi, wi, sorted(map(list, poly.items()))]
                for (xi, wi), poly in sorted(tables.kl.items())],
         "inverse": [[xi, wi, sorted(map(list, poly.items()))]
                     for (xi, wi), poly in sorted(tables.inverse.items())],
-        "intervals_verified": tables.intervals_verified,
     }
+    payload["digest"] = _payload_digest(payload)
+    return payload
 
 
-def _deserialize_tables(rd: RootDatum, payload: dict) -> KlTables:
-    elements, words, left, right, lower = [], [], [], [], []
-    for row in payload["elements"]:
-        matrix = tuple(tuple(r) for r in row[0])
-        elements.append(AffineWeylElement(matrix, tuple(row[1]), row[2]))
-        words.append(tuple(row[3]))
-        left.append(frozenset(row[4]))
-        right.append(frozenset(row[5]))
-        lower.append(frozenset(row[6]))
+def _deserialize_tables(rd: RootDatum, e: int, max_length: int, payload: dict) -> KlTables:
+    """Rebuild tables from a cache payload and verify them: the digest, the
+    datum and bound, the polynomial shapes and the inversion identity.  Any
+    failure raises."""
+    digest = payload.pop("digest")
+    check(digest == _payload_digest(payload), "cache digest must match its payload")
+    check((payload["version"], payload["cartan_type"], payload["rank"], payload["e"],
+           payload["max_length"]) == (_TABLE_VERSION, rd.cartan_type, rd.rank, e, max_length),
+          "cache file must hold the requested table")
+    rows = payload["elements"]
     table = CoxeterTable(
-        datum=rd, e=payload["e"], max_length=payload["max_length"],
-        elements=tuple(elements), words=tuple(words),
-        left_descents=tuple(left), right_descents=tuple(right),
-        lower_sets=tuple(lower))
-    kl = {(xi, wi): {e: c for e, c in poly} for xi, wi, poly in payload["kl"]}
-    inverse = {(xi, wi): {e: c for e, c in poly} for xi, wi, poly in payload["inverse"]}
-    return KlTables(table=table, kl=kl, inverse=inverse,
-                    intervals_verified=payload["intervals_verified"])
+        datum=rd, e=e, max_length=max_length,
+        elements=tuple(AffineWeylElement(tuple(map(tuple, m)), tuple(t), length)
+                       for m, t, length, _, _ in rows),
+        left_mult=tuple(tuple(row[3]) for row in rows),
+        right_mult=tuple(tuple(row[4]) for row in rows))
+    kl = {(xi, wi): dict(poly) for xi, wi, poly in payload["kl"]}
+    inverse = {(xi, wi): dict(poly) for xi, wi, poly in payload["inverse"]}
+    pairs = {(xi, wi) for wi, below in enumerate(table.lower_sets) for xi in below}
+    for store, name in ((kl, "KL"), (inverse, "inverse")):
+        check(set(store) == pairs, "cached polynomials must cover exactly the intervals")
+        for (xi, wi), poly in store.items():
+            _check_shape(poly, table.elements[wi].length - table.elements[xi].length, name)
+    tables = KlTables(table=table, kl=kl, inverse=inverse, intervals_verified=0)
+    tables.intervals_verified = verify_inversion(tables)
+    return tables
 
 
 def load_or_build_tables(rd: RootDatum, e: int, max_length: int) -> KlTables:
-    """Cached entry point; any unreadable cache file is rebuilt in place."""
+    """Cached entry point.  A cache file is used only after its digest and
+    the table checks pass; any unreadable or failing file is rebuilt in
+    place."""
     path = _cache_path(rd, e, max_length)
     if path is not None and path.exists():
         try:
-            payload = json.loads(path.read_text())
-            if payload.get("version") == _TABLE_VERSION:
-                return _deserialize_tables(rd, payload)
-        except (OSError, ValueError, KeyError, IndexError, TypeError):
+            return _deserialize_tables(rd, e, max_length, json.loads(path.read_text()))
+        except (InternalCheckError, OSError, ValueError, KeyError, IndexError, TypeError,
+                AttributeError):
             pass
     tables = kl_and_inverse_tables(coxeter_enumerate(rd, e, max_length))
     if path is not None:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
+            # one temp name per process, so concurrent writers never share one
+            tmp = path.with_name("%s.%d.tmp" % (path.stem, os.getpid()))
             tmp.write_text(json.dumps(_serialize_tables(tables), sort_keys=True,
                                       separators=(",", ":")))
             tmp.replace(path)

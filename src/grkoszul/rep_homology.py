@@ -21,7 +21,6 @@ from .exactlin import (
     MatrixExact,
     Subspace,
     determinant,
-    in_span,
     intersect_spaces,
     rank_kernel,
     reduce_vector,
@@ -1472,7 +1471,7 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
     amb_series = radical_series(m)
     agrees = len(amb_series) == len(sub_series) and all(
         len(a) == len(b)
-        and all(in_span(f, *row_space(f, a, n), vec) for vec in b)
+        and all(map(Subspace(f, n, a).contains, b))
         for a, b in zip(amb_series, sub_series)
     )
     # gr(M|a): slices of the subalgebra radical series, with the graded

@@ -30,8 +30,12 @@ weight (1, 1) has shifted pairings (2, 2, 4), crossing walls m = 0 of both
 simple roots and m = 0, 1 of the highest root: length 4, depth 1.
 """
 
-import pytest
+import re
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,11 +56,13 @@ from grkoszul.alcove import (
     fe_image,
     gamma_res,
     gamma_res_reg,
+    _closure_set,
     hyperplane_length,
     ideal_closure,
     identity_element,
     is_regular,
     jantzen_region,
+    left_descent_walls,
     linkage,
     partition_translate,
     restricted_weights,
@@ -460,3 +466,115 @@ class TestInteriorPoint:
         # shifted interior point sits at -5/2, its image at 15/2, crossing
         # m = 0 and m = 1: exactly 2.
         assert hyperplane_length(a1, 5, ((1,),), (10,)) == 2
+
+
+# -- differential tests against the unscaled Fraction geometry ----------------------------
+
+_DATA = {name: root_datum_build(name[0], int(name[1:]))
+         for name in ("A1", "A2", "B2", "G2", "A3")}
+
+
+def _reference_between(lo, hi, e):
+    if lo > hi:
+        lo, hi = hi, lo
+    return max(0, (ceil(Fraction(hi) / e) - 1) - (floor(Fraction(lo) / e) + 1) + 1)
+
+
+def _reference_length(rd, e, finite_part, translation):
+    """Hyperplane count in the unscaled rho-shifted space, in Fractions."""
+    u = base_interior_point(rd, e)
+    v = tuple(sum(Fraction(m) * x for m, x in zip(row, u)) + t
+              for row, t in zip(finite_part, translation))
+    return sum(_reference_between(rd.shifted_pairing(u, root),
+                                  rd.shifted_pairing(v, root), e)
+               for root in rd.positive_roots)
+
+
+class TestIntegerGeometry:
+    @given(name=st.sampled_from(sorted(_DATA)), e=st.integers(1, 7),
+           word=st.lists(st.integers(0, 3), max_size=8))
+    @settings(max_examples=120, deadline=None)
+    def test_length_matches_fraction_reference(self, name, e, word):
+        rd = _DATA[name]
+        walls = wall_reflections(rd, e)
+        elem = identity_element(rd.rank)
+        for letter in word:
+            elem = compose(rd, e, elem, walls[letter % len(walls)])
+        assert elem.length == _reference_length(rd, e, elem.finite_part, elem.translation)
+        assert elem.length <= len(word) and (len(word) - elem.length) % 2 == 0
+
+    @given(name=st.sampled_from(sorted(_DATA)), e=st.integers(1, 7),
+           word=st.lists(st.integers(0, 3), max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_reduced_growth_matches_word_length(self, name, e, word):
+        rd = _DATA[name]
+        walls = wall_reflections(rd, e)
+        elem = identity_element(rd.rank)
+        grown = 0
+        for letter in word:
+            s = letter % len(walls)
+            if s not in left_descent_walls(rd, e, elem.finite_part, elem.translation):
+                elem = compose(rd, e, walls[s], elem)
+                grown += 1
+        assert elem.length == grown
+        assert elem.length == _reference_length(rd, e, elem.finite_part, elem.translation)
+
+    @given(name=st.sampled_from(sorted(_DATA)), e=st.integers(1, 7),
+           coords=st.lists(st.integers(-4, 12), min_size=3, max_size=3))
+    @settings(max_examples=120, deadline=None)
+    def test_linkage_matches_fraction_reference(self, name, e, coords):
+        rd = _DATA[name]
+        weight = Weight(tuple(coords[:rd.rank]))
+        res = linkage(rd, e, weight)
+        shifted = tuple(c + 1 for c in weight.coordinates)
+        u = base_interior_point(rd, e)
+        strict = sum(_reference_between(rd.shifted_pairing(u, root),
+                                        rd.shifted_pairing(shifted, root), e)
+                     for root in rd.positive_roots)
+        assert res.length == strict
+        if res.regular:
+            assert res.depth == sum(floor(Fraction(rd.shifted_pairing(shifted, root), e))
+                                    for root in rd.positive_roots)
+
+
+class TestClosureOracles:
+    @given(name=st.sampled_from(["A1", "A2", "B2", "G2"]),
+           coords=st.lists(st.integers(0, 4), min_size=2, max_size=2),
+           regular=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_closure_matches_brute_force(self, name, coords, regular):
+        rd = _DATA[name]
+        gen = Weight(tuple(coords[:rd.rank]))
+        bound = rd.pairing(gen, rd.max_short_root)
+        brute = sorted(
+            (Weight(v) for v in product(range(bound + 1), repeat=rd.rank)
+             if dominance_leq(rd, Weight(v), gen)
+             and (not regular or is_regular(rd, 5, Weight(v)))),
+            key=lambda x: x.coordinates)
+        assert list(_closure_set(rd, 5, [gen], regular)) == brute
+
+    def test_closed_check_rejects_one_missing_weight(self):
+        rd = _DATA["B2"]
+        ideal = ideal_closure(rd, 5, [w(3, 2)])
+        assert len(ideal) > 2
+        for drop in ideal.weights:
+            if drop == w(3, 2):
+                continue
+            kept = tuple(x for x in ideal.weights if x != drop)
+            with pytest.raises(InputFormatError, match=re.escape(str(drop.coordinates))):
+                WeightIdealSet(rd, 5, kept, closed=True)
+
+    def test_closed_check_rejects_one_missing_regular_weight(self):
+        rd = _DATA["A2"]
+        assert is_regular(rd, 5, w(3, 2))
+        ideal = ideal_closure(rd, 5, [w(3, 2)], regular_only=True)
+        assert len(ideal) > 2
+        for drop in ideal.weights:
+            if drop == w(3, 2):
+                continue
+            kept = tuple(x for x in ideal.weights if x != drop)
+            with pytest.raises(InputFormatError, match=re.escape(str(drop.coordinates))):
+                WeightIdealSet(rd, 5, kept, closed=True, regular_only=True)
+        # the regular ideal skips the singular weights below (3, 2)
+        assert all(is_regular(rd, 5, x) for x in ideal.weights)
+        assert len(ideal) < len(ideal_closure(rd, 5, [w(3, 2)]))

@@ -5,6 +5,7 @@ plus raw-byte determinism.  Exit statuses: 0 ok, 2 malformed input,
 3 failed precondition, 4 violated internal invariant.
 """
 
+import hashlib
 import subprocess
 import sys
 
@@ -338,3 +339,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "criterion.3=pass" in proc.stdout
+
+
+# SHA-256 of whole reports (header included), recorded before the alcove and
+# KL engines moved to integer coordinates and a wall-multiplication table.
+GOLDEN_REPORTS = [
+    (["kl", "table", "--type", "A", "--rank", "2", "--e", "5", "--max-length", "8"],
+     "1c04d0141d4afbd849128a26d488995e6861dfaabf3010f4c0dd934d816edf8f"),
+    (["kl", "inverse", "--type", "A", "--rank", "2", "--e", "5", "--max-length", "8"],
+     "2a1159500720cdea1ed2d770c4f8f755d967d48b0aa91c70236d7566cd1df0cc"),
+    (["kl", "table", "--type", "B", "--rank", "2", "--e", "5", "--max-length", "8"],
+     "4a07e49d8e01fa7aa8c7731622e7e87a9832af72a6cfee6a48f1a25cf5c4f836"),
+    (["kl", "inverse", "--type", "B", "--rank", "2", "--e", "5", "--max-length", "8"],
+     "4692504f0a9e20a2d8113bfd9c4a2e7b9df44e5efe95655275ae9b5dd6299b09"),
+    (["kl", "table", "--type", "G", "--rank", "2", "--e", "7", "--max-length", "6"],
+     "58addc0e4b674e1b930e70d2e303eedf1e6a6208de63ddc0bb01395acba65d84"),
+    (["kl", "inverse", "--type", "G", "--rank", "2", "--e", "7", "--max-length", "6"],
+     "95966bad63e05f47df4f798aab606367ab9abea7e59e16a4eb733e09a4d766ab"),
+    (["kl", "lcf", "--type", "A", "--rank", "2", "--e", "7", "--lambda", "5,5"],
+     "1b0f20b44f023c359edd56991eef0d1389109a7a2331cf702229a6c160266162"),
+    (["alcove", "linkage", "--type", "A", "--rank", "2", "--e", "7", "--lambda", "1,1"],
+     "ab184f72af87bd750640f253c50a625d77d0aa9174ce3962d8a60d6ea2742b3c"),
+    (["alcove", "bounds", "--type", "A", "--rank", "2", "--e", "7", "--lambda", "1,1",
+      "--m-max", "2"],
+     "4b5275c3e95b492bee1aa40cceb8c0291ae5b7244f4d166fc11affae6929c967"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_REPORTS,
+                         ids=["-".join(a[:2] + a[3:6:2]) for a, _ in GOLDEN_REPORTS])
+def test_golden_report_digest(args, digest, monkeypatch, capsys):
+    monkeypatch.delenv("GRKOSZUL_CACHE_DIR", raising=False)
+    status, out = run_cli(args, capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

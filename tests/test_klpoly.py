@@ -33,8 +33,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grkoszul import klpoly
 from grkoszul.errors import InternalCheckError, PreconditionError
-from grkoszul.alcove import Weight, gamma_res_reg, ideal_closure, linkage, root_datum_build
+from grkoszul.alcove import (
+    Weight,
+    _mat_mul,
+    _mat_vec,
+    compose,
+    element_inverse,
+    gamma_res_reg,
+    ideal_closure,
+    linkage,
+    root_datum_build,
+    wall_reflections,
+)
 from grkoszul.klpoly import (
     CharacterVector,
     LaurentPoly,
@@ -158,7 +170,7 @@ def _small_a2_table(rd):
 
 
 def _subword_reachable(table, xi, wi):
-    from grkoszul.alcove import compose, identity_element, wall_reflections
+    from grkoszul.alcove import identity_element
 
     rd, e = table.datum, table.e
     walls = wall_reflections(rd, e)
@@ -224,6 +236,81 @@ class TestKlPolynomials:
         assert all(" p=" in line and " q=" in line for line in lines)
 
 
+def _is_reflection(rd, elem):
+    """Order-2 elements whose finite part fixes a hyperplane are exactly the
+    reflections in arrangement hyperplanes (roots are primitive, so the
+    translation part of an involution is an integer multiple of the root)."""
+    m = elem.finite_part
+    if _mat_mul(m, m) != tuple(tuple(1 if i == j else 0 for j in range(rd.rank))
+                               for i in range(rd.rank)):
+        return False
+    if sum(m[i][i] for i in range(rd.rank)) != rd.rank - 2:
+        return False
+    doubled = tuple(x + t for x, t in zip(_mat_vec(m, elem.translation), elem.translation))
+    return all(x == 0 for x in doubled)
+
+
+def _reflection_cover_lower_sets(table):
+    """Bruhat order as the transitive closure of reflection covers: x is
+    covered by w when w x^-1 is a reflection and l(x) = l(w) - 1."""
+    rd, e = table.datum, table.e
+    inverses = [element_inverse(rd, e, elem) for elem in table.elements]
+    lower, by_length = [], {}
+    for i, elem in enumerate(table.elements):
+        below = {i}
+        for xi in by_length.get(elem.length - 1, []):
+            if _is_reflection(rd, compose(rd, e, elem, inverses[xi])):
+                below.update(lower[xi])
+        lower.append(frozenset(below))
+        by_length.setdefault(elem.length, []).append(i)
+    return lower
+
+
+_ORACLE_TABLES = [("A", 1, 5, 8), ("A", 2, 3, 6), ("B", 2, 5, 5), ("G", 2, 7, 5)]
+
+
+class TestTableOracles:
+    @pytest.mark.parametrize("kind,rank,e,bound", _ORACLE_TABLES)
+    def test_lifting_lower_sets_match_reflection_covers(self, kind, rank, e, bound):
+        table = coxeter_enumerate(root_datum_build(kind, rank), e, bound)
+        assert list(table.lower_sets) == _reflection_cover_lower_sets(table)
+
+    @pytest.mark.parametrize("kind,rank,e,bound", _ORACLE_TABLES)
+    def test_multiplication_table_matches_compose(self, kind, rank, e, bound):
+        rd = root_datum_build(kind, rank)
+        table = coxeter_enumerate(rd, e, bound)
+        walls = wall_reflections(rd, e)
+        for i, elem in enumerate(table.elements):
+            for s, wall in enumerate(walls):
+                for product, mult, descents in (
+                        (compose(rd, e, wall, elem), table.left_mult, table.left_descents),
+                        (compose(rd, e, elem, wall), table.right_mult, table.right_descents)):
+                    j = mult[i][s]
+                    if product.length <= bound:
+                        assert table.elements[j] == product
+                    else:
+                        assert j == -1
+                    assert (s in descents[i]) == (product.length < elem.length)
+
+    @pytest.mark.parametrize("kind,rank,e,bound", _ORACLE_TABLES)
+    def test_wall_products_are_involutive(self, kind, rank, e, bound):
+        table = coxeter_enumerate(root_datum_build(kind, rank), e, bound)
+        checked = 0
+        for mult in (table.left_mult, table.right_mult):
+            for i, row in enumerate(mult):
+                for s, j in enumerate(row):
+                    if j >= 0:
+                        assert mult[j][s] == i
+                        checked += 1
+        assert checked > len(table.elements)
+
+
+def _cache_file(tmp_path):
+    files = list(tmp_path.glob("kl_*.json"))
+    assert len(files) == 1
+    return files[0]
+
+
 class TestCaching:
     def test_cache_roundtrip(self, a1, tmp_path, monkeypatch):
         monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
@@ -235,6 +322,9 @@ class TestCaching:
         assert second.inverse == first.inverse
         assert second.table.elements == first.table.elements
         assert second.table.words == first.table.words
+        assert second.table.left_mult == first.table.left_mult
+        assert second.table.right_descents == first.table.right_descents
+        assert second.intervals_verified == first.intervals_verified
 
     def test_corrupt_cache_is_rebuilt(self, a1, tmp_path, monkeypatch):
         monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
@@ -244,6 +334,67 @@ class TestCaching:
         second = load_or_build_tables(a1, 5, 3)
         assert second.kl == first.kl
         assert json.loads(path.read_text())["e"] == 5
+
+    @pytest.mark.parametrize("forged", [[[0, 7]], [[0, 1], [1, 1]]],
+                             ids=["constant_term", "inversion_identity"])
+    def test_tampered_coefficient_is_rebuilt(self, a1, tmp_path, monkeypatch, forged):
+        # [0, 7] breaks the constant term; 1 + q keeps constant term and
+        # degree bound on a gap of 3 and is caught by the inversion identity.
+        monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
+        load_or_build_tables(a1, 5, 4)
+        path = _cache_file(tmp_path)
+        payload = json.loads(path.read_text())
+        lengths = [row[2] for row in payload["elements"]]
+        row = next(r for r in payload["kl"] if lengths[r[1]] - lengths[r[0]] == 3)
+        row[2] = forged
+        # a consistent digest alone must not make the forged table acceptable
+        del payload["digest"]
+        payload["digest"] = klpoly._payload_digest(payload)
+        path.write_text(json.dumps(payload))
+        reloaded = load_or_build_tables(a1, 5, 4)
+        fresh = kl_and_inverse_tables(coxeter_enumerate(a1, 5, 4))
+        assert reloaded.kl == fresh.kl and reloaded.inverse == fresh.inverse
+        assert reloaded.dump_lines() == fresh.dump_lines()
+        assert json.loads(path.read_text())["kl"] != payload["kl"]
+
+    def test_tampered_digest_is_rebuilt(self, a1, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
+        load_or_build_tables(a1, 5, 4)
+        path = _cache_file(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["digest"] = "0" * 64
+        path.write_text(json.dumps(payload))
+        loads = []
+        real = klpoly.verify_inversion
+        monkeypatch.setattr(klpoly, "verify_inversion",
+                            lambda tables: loads.append(1) or real(tables))
+        reloaded = load_or_build_tables(a1, 5, 4)
+        fresh = kl_and_inverse_tables(coxeter_enumerate(a1, 5, 4))
+        assert reloaded.dump_lines() == fresh.dump_lines()
+        assert json.loads(path.read_text())["digest"] != "0" * 64
+        # the digest mismatch is caught before any table check runs: the
+        # rebuild and the fresh tables account for the only two verifications
+        assert len(loads) == 2
+
+    def test_writers_use_distinct_temp_names(self, a1, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
+        written = []
+        real_write = klpoly.Path.write_text
+
+        def record(self, text, *args, **kwargs):
+            written.append(self.name)
+            return real_write(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(klpoly.Path, "write_text", record)
+        for pid in (101, 202):
+            monkeypatch.setattr(klpoly.os, "getpid", lambda pid=pid: pid)
+            for f in tmp_path.glob("kl_*"):
+                f.unlink()
+            load_or_build_tables(a1, 5, 2)
+        assert len(written) == 2 and written[0] != written[1]
+        stem = _cache_file(tmp_path).stem
+        assert written == ["%s.101.tmp" % stem, "%s.202.tmp" % stem]
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_no_cache_dir_means_no_files(self, a1, tmp_path, monkeypatch):
         monkeypatch.delenv("GRKOSZUL_CACHE_DIR", raising=False)

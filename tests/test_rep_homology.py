@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grkoszul import rep_homology
 from grkoszul.errors import InputFormatError, PreconditionError
 from grkoszul.exactlin import QQ, FieldSpec, MatrixExact
 from grkoszul.algebra_core import (
@@ -520,6 +521,22 @@ def test_restrict_to_whole_algebra(cycle, cycle_mods):
     assert report.restriction_iso_gr
     assert report.restricts_projectively
     assert report.n_characters == 2
+
+
+def test_restrict_detects_a_disagreeing_layer(cycle, cycle_mods, monkeypatch):
+    # Same layer sizes, different layer 2: the ambient series is replaced by
+    # one whose second radical layer is another line in P(1).
+    units = MatrixExact.identity(QQ, 5).rows
+    whole = subalgebra_from_generators(cycle, [units[0], units[2], units[3]])
+    real = rep_homology.radical_series
+
+    def moved(module):
+        series = real(module)
+        return series[:2] + [[[QQ.zero, QQ.zero, QQ.one]]] + series[3:]
+
+    assert real(cycle_mods["P1"])[2] == [[QQ.zero, QQ.one, QQ.zero]]
+    monkeypatch.setattr(rep_homology, "radical_series", moved)
+    assert not restrict_iso_check(cycle_mods["P1"], whole).filtration_agrees
 
 
 def test_restrict_to_glued_idempotent_subalgebra(cycle, cycle_mods):
