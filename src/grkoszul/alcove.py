@@ -198,6 +198,18 @@ class RootDatum:
     w0_matrix: tuple[tuple[int, ...], ...]
 
     @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def memoized(self, key, build):
+        """build(), computed once per key for the life of this datum; for
+        frozen results that depend on the datum and the key alone."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    @cached_property
     def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
         return _fraction_inverse([list(row) for row in self.cartan])
 
@@ -780,13 +792,15 @@ def restricted_weights(rd: RootDatum, e: int) -> tuple[Weight, ...]:
 
 def gamma_res(rd: RootDatum, e: int) -> WeightIdealSet:
     """Order ideal generated by the e-restricted weights."""
-    return ideal_closure(rd, e, restricted_weights(rd, e))
+    return rd.memoized(("gamma_res", e),
+                       lambda: ideal_closure(rd, e, restricted_weights(rd, e)))
 
 
 def gamma_res_reg(rd: RootDatum, e: int) -> WeightIdealSet:
     """e-regular members of the restricted-generated ideal, as an ideal in
     the regular universe."""
-    return ideal_closure(rd, e, restricted_weights(rd, e), regular_only=True)
+    return rd.memoized(("gamma_res_reg", e), lambda: ideal_closure(
+        rd, e, restricted_weights(rd, e), regular_only=True))
 
 
 def jantzen_region(rd: RootDatum, p: int) -> WeightIdealSet:
@@ -842,12 +856,13 @@ class FattenReport:
 
 
 def fatten(rd: RootDatum, e: int, psi: WeightIdealSet, n: int) -> FattenReport:
-    """Iterated fattening: stage -1 is the ideal closure of psi, stage k the
-    ideal generated by the fattening images of stage k-1."""
+    """Iterated fattening: stage -1 is the ideal closure of psi (psi itself
+    when it is closed, which its construction verified), stage k the ideal
+    generated by the fattening images of stage k-1."""
     require(n >= -1, "fattening depth must be at least -1")
     require(psi.datum == rd and psi.e == e, "ideal set must match the root datum and e")
     require(len(psi.weights) > 0, "fattening is defined for nonempty sets")
-    stage = ideal_closure(rd, e, psi.weights, psi.regular_only)
+    stage = psi if psi.closed else ideal_closure(rd, e, psi.weights, psi.regular_only)
     stages = [stage]
     for _ in range(n + 1):
         gens = []

@@ -585,11 +585,9 @@ def tight_grading_check(algebra: FiniteDimAlgebra,
         )
     # positive part equals radical
     pos_rows = [v for g in by_grade if g > 0 for v in grade_rows(g)]
-    pos_space, ppiv = row_space(f, pos_rows, algebra.dim)
-    rad_space, rpiv = row_space(f, rad_rows, algebra.dim)
-    positive_part_is_radical = len(pos_space) == len(rad_space) and all(
-        in_span(f, rad_space, rpiv, v) for v in pos_space
-    )
+    # canonical RREFs are equal exactly when the spans are
+    positive_part_is_radical = (row_space(f, pos_rows, algebra.dim)
+                                == row_space(f, rad_rows, algebra.dim))
     if not positive_part_is_radical:
         failures.append("positive part does not equal the radical")
     # tightness: A_n = (A_1)^n
@@ -601,11 +599,8 @@ def tight_grading_check(algebra: FiniteDimAlgebra,
             for one in grade_rows(1):
                 nxt.append(algebra.multiply(row, one))
         power_rows, _ = row_space(f, nxt, algebra.dim)
-        expected, epiv = row_space(f, grade_rows(n), algebra.dim)
-        same = len(power_rows) == len(expected) and all(
-            in_span(f, expected, epiv, v) for v in power_rows
-        )
-        if not same:
+        expected, _ = row_space(f, grade_rows(n), algebra.dim)
+        if power_rows != expected:
             tight = False
             failures.append(
                 f"grade {n} has dim {len(expected)} but (grade 1)^{n} has "
@@ -1036,11 +1031,7 @@ class SubalgebraEmbedding:
         ]
         left = [self.ambient.multiply(x, b) for x in aug for b in ambient_basis]
         right = [self.ambient.multiply(b, x) for x in aug for b in ambient_basis]
-        lrows, lpiv = row_space(f, left, self.ambient.dim)
-        rrows, rpiv = row_space(f, right, self.ambient.dim)
-        return len(lrows) == len(rrows) and all(
-            in_span(f, rrows, rpiv, v) for v in lrows
-        )
+        return row_space(f, left, self.ambient.dim) == row_space(f, right, self.ambient.dim)
 
     def grades(self) -> list[int] | None:
         """Grades of the subalgebra basis from the ambient radical filtration,
@@ -1100,12 +1091,8 @@ def radical_generation_check(emb: SubalgebraEmbedding) -> RadicalGenerationRepor
     left = sub_rad  # (rad a)^n as spanning rows
     for power in range(1, algebra.radical_length + 1):
         prods = [algebra.multiply(x, b) for x in left for b in ambient_basis]
-        prows, ppiv = row_space(f, prods, algebra.dim)
-        target, tpiv = row_space(f, algebra.radical_rows(power), algebra.dim)
-        same = len(prows) == len(target) and all(
-            in_span(f, target, tpiv, v) for v in prows
-        )
-        per_power.append(same)
+        per_power.append(row_space(f, prods, algebra.dim)
+                         == row_space(f, algebra.radical_rows(power), algebra.dim))
         nxt = [algebra.multiply(x, y) for x in left for y in sub_rad]
         left, _ = row_space(f, nxt, algebra.dim)
     generates = per_power[0] if per_power else True
@@ -1158,8 +1145,7 @@ def tight_subalgebra_check(emb: SubalgebraEmbedding) -> tuple[bool, list[int] | 
                 nxt.append(prod)
         cur, _ = row_space(f, nxt, dim)
         want = [[f.one if k == i else f.zero for k in range(dim)] for i in by_grade.get(n, [])]
-        wrows, wpiv = row_space(f, want, dim)
-        if not (len(cur) == len(wrows) and all(in_span(f, wrows, wpiv, v) for v in cur)):
+        if cur != row_space(f, want, dim)[0]:
             failures.append(f"subalgebra grade {n} is not (grade 1)^{n}")
     return (not failures, grades, failures)
 

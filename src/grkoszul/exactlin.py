@@ -1,7 +1,9 @@
 """Exact linear algebra over Q and over prime fields F_p.
 
-Scalars are `fractions.Fraction` instances over Q and plain ints reduced to
-[0, p) over F_p.  No floats anywhere.  Matrices are dense row lists.
+Scalars over Q are plain ints when integral and `fractions.Fraction`
+instances with denominator > 1 otherwise, so 0/1 matrices never leave machine
+integers; over F_p they are ints reduced to [0, p).  No floats anywhere.
+Matrices are dense row lists.
 
 Pivoting rule: echelon reduction (`Subspace.add`, which `echelon` and
 `row_space` run row by row) always selects the leftmost nonzero entry of the
@@ -34,6 +36,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integral_as_int(x):
+    """A rational as a canonical Q scalar: an integral Fraction becomes its int."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The coefficient field: char == 0 means Q, otherwise F_char."""
@@ -47,10 +54,13 @@ class FieldSpec:
     # -- scalar construction ------------------------------------------------
 
     def coerce(self, value) -> object:
-        """The canonical scalar equal to value: a Fraction over Q, an int in
-        [0, p) over F_p.  A value already in that form is returned as is."""
+        """The canonical scalar equal to value: over Q an int when value is
+        integral and otherwise a Fraction with denominator > 1, over F_p an
+        int in [0, p).  A value already in that form is returned as is."""
         if self.char == 0:
-            return value if type(value) is Fraction else Fraction(value)
+            if type(value) is int:
+                return value
+            return _integral_as_int(value if type(value) is Fraction else Fraction(value))
         if type(value) is int and 0 <= value < self.char:
             return value
         if isinstance(value, Fraction):
@@ -61,24 +71,32 @@ class FieldSpec:
             return num * pow(den, -1, self.char) % self.char
         return int(value) % self.char
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+    def coerce_row(self, row) -> list:
+        """[coerce(x) for x in row] as a new list.  A row of canonical ints is
+        recognised by C-level scans; coerce runs only on the other entries."""
+        p = self.char
+        if _INT_ONLY.issuperset(map(type, row)) and (
+            not p or not row or (min(row) >= 0 and max(row) < p)
+        ):
+            return list(row)
+        coerce = self.coerce
+        if p:
+            return [x if type(x) is int and 0 <= x < p else coerce(x) for x in row]
+        return [x if type(x) is int else coerce(x) for x in row]
 
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
+    zero = 0
+    one = 1
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic (results are canonical scalars) ---------------------------
 
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        return (a + b) % self.char if self.char else _integral_as_int(a + b)
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        return (a - b) % self.char if self.char else _integral_as_int(a - b)
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        return (a * b) % self.char if self.char else _integral_as_int(a * b)
 
     def neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
@@ -86,7 +104,7 @@ class FieldSpec:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inversion of zero field element")
-        return 1 / a if self.char == 0 else pow(a, -1, self.char)
+        return pow(a, -1, self.char) if self.char else _integral_as_int(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -97,7 +115,7 @@ class FieldSpec:
         token = token.strip()
         try:
             if self.char == 0:
-                return Fraction(token)
+                return self.coerce(Fraction(token))
             if "/" in token:
                 num, den = token.split("/", 1)
                 return self.coerce(Fraction(int(num), int(den)))
@@ -113,6 +131,7 @@ class FieldSpec:
 
 
 QQ = FieldSpec(0)
+_INT_ONLY = frozenset((int,))
 
 
 class MatrixExact:
@@ -122,7 +141,7 @@ class MatrixExact:
 
     def __init__(self, field: FieldSpec, rows: list[list], ncols: int | None = None):
         self.field = field
-        self.rows = [[field.coerce(x) for x in row] for row in rows]
+        self.rows = [field.coerce_row(row) for row in rows]
         self.nrows = len(self.rows)
         if self.rows:
             widths = {len(r) for r in self.rows}
@@ -140,8 +159,7 @@ class MatrixExact:
 
     @classmethod
     def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "MatrixExact":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatrixExact":
@@ -149,9 +167,6 @@ class MatrixExact:
         for i in range(n):
             m.rows[i][i] = field.one
         return m
-
-    def copy(self) -> "MatrixExact":
-        return MatrixExact(self.field, [row[:] for row in self.rows], self.ncols)
 
     def transpose(self) -> "MatrixExact":
         rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
@@ -200,7 +215,7 @@ class MatrixExact:
         if len(vec) != self.ncols:
             raise InputFormatError("vector length does not match column count")
         f = self.field
-        support = [(j, f.coerce(x)) for j, x in enumerate(vec) if x]
+        support = [(j, x) for j, x in enumerate(f.coerce_row(vec)) if x]
         out = []
         for row in self.rows:
             s = f.zero
@@ -226,10 +241,26 @@ class MatrixExact:
 
 
 def _minus_multiple(char: int, vec: list, c, row: list) -> list:
-    """vec - c*row over Q (char 0) or F_char, skipping zero entries of row."""
+    """vec - c*row over Q (char 0) or F_char, skipping zero entries of row;
+    over Q it may hold integral Fractions until `coerce_row` is applied."""
     if char:
         return [(a - c * b) % char if b else a for a, b in zip(vec, row)]
     return [a - c * b if b else a for a, b in zip(vec, row)]
+
+
+def _eliminate(field: FieldSpec, rows: list[list], pivots, vec: list, coeffs=None) -> list:
+    """Clear vec at each pivot column with that pivot's row, in order, and
+    return the residual (not yet canonical over Q).  The multipliers used are
+    appended to coeffs when it is a list."""
+    char = field.char
+    vec = field.coerce_row(vec)
+    for row, col in zip(rows, pivots):
+        c = vec[col]
+        if coeffs is not None:
+            coeffs.append(c)
+        if c:
+            vec = _minus_multiple(char, vec, c, row)
+    return vec
 
 
 class Subspace:
@@ -254,27 +285,24 @@ class Subspace:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: list) -> list:
-        """Residual of vec after clearing its entries at the pivot columns."""
+    def _residual(self, vec: list, coeffs=None) -> list:
         if len(vec) != self.ambient:
             raise InputFormatError("vector length does not match the ambient dimension")
-        coerce, char = self.field.coerce, self.field.char
-        vec = [coerce(x) for x in vec]
-        for row, col in zip(self.rows, self.pivots):
-            c = vec[col]
-            if c:
-                vec = _minus_multiple(char, vec, c, row)
-        return vec
+        return _eliminate(self.field, self.rows, self.pivots, vec, coeffs)
+
+    def reduce(self, vec: list) -> list:
+        """Residual of vec after clearing its entries at the pivot columns."""
+        return self.field.coerce_row(self._residual(vec))
 
     def contains(self, vec: list) -> bool:
-        return not any(self.reduce(vec))
+        return not any(self._residual(vec))
 
     def coords(self, vec: list) -> list | None:
         """Coordinates of vec in `rows`, or None when vec is outside."""
-        if any(self.reduce(vec)):
+        coeffs = []
+        if any(self._residual(vec, coeffs)):
             return None
-        coerce = self.field.coerce
-        return [coerce(vec[col]) for col in self.pivots]
+        return self.field.coerce_row(coeffs)
 
     def add(self, vec: list) -> bool:
         """Extend the span by vec; False (and no change) if it is inside."""
@@ -288,7 +316,7 @@ class Subspace:
             res = [f.mul(inv, a) if a else a for a in res]
         for i, row in enumerate(self.rows):
             if row[lead]:
-                self.rows[i] = _minus_multiple(f.char, row, row[lead], res)
+                self.rows[i] = f.coerce_row(_minus_multiple(f.char, row, row[lead], res))
         at = bisect_left(self.pivots, lead)
         self.rows.insert(at, res)
         self.pivots.insert(at, lead)
@@ -340,7 +368,7 @@ def solve(a: MatrixExact, b: list) -> list | None:
     x = [f.zero] * a.ncols
     for rowidx, pcol in enumerate(pivots):
         x[pcol] = red.rows[rowidx][a.ncols]
-    check(a.apply(x) == [f.coerce(v) for v in b], "solve produced a non-solution")
+    check(a.apply(x) == f.coerce_row(b), "solve produced a non-solution")
     return x
 
 
@@ -358,52 +386,31 @@ def row_space(field: FieldSpec, vectors: list[list], ambient: int):
 
 def reduce_vector(field: FieldSpec, space_rows: list[list], pivots, vec: list) -> list:
     """Residual of vec after subtracting its projection onto the row space."""
-    f = field
-    vec = [f.coerce(x) for x in vec]
-    for row, pcol in zip(space_rows, pivots):
-        c = vec[pcol]
-        if c:
-            vec = [f.sub(a, f.mul(c, b)) for a, b in zip(vec, row)]
-    return vec
+    return field.coerce_row(_eliminate(field, space_rows, pivots, vec))
 
 
 def in_span(field: FieldSpec, space_rows: list[list], pivots, vec: list) -> bool:
-    return not any(reduce_vector(field, space_rows, pivots, vec))
+    return not any(_eliminate(field, space_rows, pivots, vec))
 
 
 def span_coordinates(field: FieldSpec, space_rows, pivots, vec):
     """Coordinates of vec in the RREF basis, or None if not in the span."""
-    f = field
-    vec = [f.coerce(x) for x in vec]
-    coords = []
-    for row, pcol in zip(space_rows, pivots):
-        c = vec[pcol]
-        coords.append(c)
-        if c:
-            vec = [f.sub(a, f.mul(c, b)) for a, b in zip(vec, row)]
-    if any(vec):
+    coeffs = []
+    if any(_eliminate(field, space_rows, pivots, vec, coeffs)):
         return None
-    return coords
+    return field.coerce_row(coeffs)
 
 
 def intersect_spaces(field: FieldSpec, rows_a: list[list], rows_b: list[list], ambient: int):
-    """Canonical basis of the intersection of two spans (Zassenhaus-style)."""
+    """Canonical basis of the intersection of two spans (Zassenhaus): in the
+    RREF of the rows (a | a) and (b | 0), the rows with a pivot in the right
+    half are 0 on the left and their right halves are the RREF of the meet."""
     if not rows_a or not rows_b:
         return []
-    stacked = MatrixExact(field, list(rows_a) + list(rows_b), ambient)
-    _, kernel = rank_kernel(stacked.transpose())
-    # kernel rows are coefficient vectors (c_a | c_b) with sum_a c_a a = sum_b -c_b b
-    f = field
-    na = len(rows_a)
-    vectors = []
-    for coeffs in kernel.rows:
-        vec = [f.zero] * ambient
-        for c, arow in zip(coeffs[:na], rows_a):
-            if c:
-                vec = [f.add(v, f.mul(c, a)) for v, a in zip(vec, arow)]
-        vectors.append(vec)
-    rows, _ = row_space(field, vectors, ambient)
-    return rows
+    pad = [0] * ambient
+    joint = Subspace(field, 2 * ambient,
+                     [list(a) + list(a) for a in rows_a] + [list(b) + pad for b in rows_b])
+    return [row[ambient:] for row, col in zip(joint.rows, joint.pivots) if col >= ambient]
 
 
 def determinant(m: MatrixExact):

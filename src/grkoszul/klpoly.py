@@ -654,18 +654,14 @@ class CharacterVector:
                    for w, m in self.dominant_multiplicities)
 
 
-_character_cache: dict[tuple[str, int, tuple[int, ...]], CharacterVector] = {}
-
-
 def weyl_character(rd: RootDatum, lam: Weight) -> CharacterVector:
     """Weight multiplicities of the Weyl character by Freudenthal's formula,
-    cross-checked against the Weyl dimension product."""
+    cross-checked against the Weyl dimension product; kept on the datum."""
     require(lam.is_dominant, "Weyl characters are indexed by dominant weights")
-    key = (rd.cartan_type, rd.rank, lam.coordinates)
-    cached = _character_cache.get(key)
-    if cached is not None:
-        return cached
+    return rd.memoized(("weyl_character", lam.coordinates), lambda: _freudenthal(rd, lam))
 
+
+def _freudenthal(rd: RootDatum, lam: Weight) -> CharacterVector:
     domain = _closure_set(rd, 1, [lam], False)
     order = sorted(domain, key=lambda w: (sum(rd.to_root_coords(w)), w.coordinates),
                    reverse=True)
@@ -706,7 +702,6 @@ def weyl_character(rd: RootDatum, lam: Weight) -> CharacterVector:
         expected *= Fraction(rd.pairing(lam_rho, root), rd.pairing(rd.rho, root))
     check(vector.dimension == expected,
           "Freudenthal dimension must match the Weyl product formula")
-    _character_cache[key] = vector
     return vector
 
 

@@ -365,6 +365,30 @@ class TestFattening:
         report = fatten(a1, 5, gamma_res(a1, 5), -1)
         assert len(report.stages) == 1
 
+    @given(a=st.integers(0, 6), b=st.integers(0, 6), regular=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_fatten_starts_from_a_closed_ideal_itself(self, a, b, regular):
+        rd = root_datum_build("A", 2)
+        if regular and not is_regular(rd, 5, w(a, b)):
+            return
+        psi = ideal_closure(rd, 5, [w(a, b)], regular_only=regular)
+        open_psi = WeightIdealSet(rd, 5, psi.weights + (w(a, b),), closed=False,
+                                  regular_only=regular)
+        stage = fatten(rd, 5, psi, -1).stages[0]
+        assert stage is psi
+        assert fatten(rd, 5, open_psi, -1).stages[0] == psi
+        assert stage == ideal_closure(rd, 5, psi.weights, regular_only=regular)
+
+    def test_restricted_ideals_are_kept_per_datum(self):
+        rd, other = root_datum_build("A", 2), root_datum_build("A", 2)
+        assert gamma_res(rd, 5) is gamma_res(rd, 5)
+        assert gamma_res_reg(rd, 5) is gamma_res_reg(rd, 5)
+        assert gamma_res(rd, 5) is not gamma_res_reg(rd, 5)
+        assert gamma_res(rd, 5) is not gamma_res(rd, 4)
+        assert gamma_res(other, 5) is not gamma_res(rd, 5)
+        assert gamma_res(other, 5) == gamma_res(rd, 5)
+        assert gamma_res(rd, 4) == ideal_closure(rd, 4, restricted_weights(rd, 4))
+
     @given(a=st.integers(0, 8), b=st.integers(0, 8))
     @settings(max_examples=40, deadline=None)
     def test_fattening_preserves_regularity(self, a, b):

@@ -34,6 +34,27 @@ arrow x v v
 relation 1*x*x*x
 """
 
+# a Q algebra whose relation and module have non-integral coefficients
+FRACTIONAL_QALG = """\
+field Q
+vertex v length=0
+arrow x v v
+arrow y v v
+relation 1*x*y + -3/2*y*x
+relation 1*x*x
+relation 1*y*y
+"""
+
+FRACTIONAL_QREP = """\
+vertexdim v 2
+matrix x
+0 0
+3/2 0
+matrix y
+0 0
+1 0
+"""
+
 DELTA2_QREP = """\
 vertexdim 1 1
 vertexdim 2 1
@@ -373,3 +394,49 @@ def test_golden_report_digest(args, digest, monkeypatch, capsys):
     status, out = run_cli(args, capsys)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def body_digest(text):
+    """SHA-256 of a report without its `arg.` lines (which name temp paths)."""
+    body = [line for line in text.splitlines() if not line.startswith("arg.")]
+    return hashlib.sha256("\n".join(body).encode()).hexdigest()
+
+
+# Body digests of representation-side reports, recorded before integral
+# scalars over Q became plain ints; the "emit" entry digests the written file.
+GOLDEN_BODIES = {
+    "module-resolve":
+        "adb4822e34d7a2de99ad728bc56d62085834c82781fc004b38cac6c42490fed0",
+    "module-ext":
+        "eeae6c4db1a7af8ed9e10cca4cc78e8041f75097259cb53b6394132f246e39a7",
+    "algebra-gr":
+        "6f494b229efe9ae22c881e38a284156911b951df74916b8dff1ee7d7955c51be",
+    "algebra-gr-emit":
+        "0deea47f12dd95a7cc5e9b50396fd31c46b483024cf80cdc33c3a33cb40a03fb",
+    "qha-standard":
+        "59d8601a384e12436d53f1a6228ce79369e468665d1b2e82f1cabf403dde39a8",
+    "qha-pipeline":
+        "3ebeb22f25b83010157675234a46f2001f79f9eada0ac0818d00642801897093",
+}
+
+
+def test_golden_representation_digests(b5_path, tmp_path, capsys):
+    alg = tmp_path / "frac.qalg"
+    alg.write_text(FRACTIONAL_QALG)
+    rep = tmp_path / "frac.qrep"
+    rep.write_text(FRACTIONAL_QREP)
+    emit = tmp_path / "gr.qalg"
+    runs = {
+        "module-resolve": ["module", "resolve", alg, rep, "--max-degree", "4"],
+        "module-ext": ["module", "ext", alg, rep, "--max-degree", "4"],
+        "algebra-gr": ["algebra", "gr", alg, "--emit", emit],
+        "qha-standard": ["qha", "standard", b5_path],
+        "qha-pipeline": ["qha", "pipeline", b5_path],
+    }
+    digests = {}
+    for name, args in runs.items():
+        status, out = run_cli(args, capsys)
+        assert status == 0, name
+        digests[name] = body_digest(out)
+    digests["algebra-gr-emit"] = hashlib.sha256(emit.read_bytes()).hexdigest()
+    assert digests == GOLDEN_BODIES

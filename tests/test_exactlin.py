@@ -189,8 +189,10 @@ def test_coerce_returns_canonical_scalars_unchanged():
 
 
 def test_coerce_still_converts_other_input():
-    assert QQ.coerce(2) == 2 and type(QQ.coerce(2)) is Fraction
-    assert type(QQ.coerce(True)) is Fraction
+    assert QQ.coerce(2) == 2 and type(QQ.coerce(2)) is int
+    assert QQ.coerce(True) == 1 and type(QQ.coerce(True)) is int
+    assert QQ.coerce(Fraction(6, 3)) == 2 and type(QQ.coerce(Fraction(6, 3))) is int
+    assert QQ.coerce("3/4") == Fraction(3, 4)
     assert F5.coerce(7) == 2
     assert F5.coerce(-1) == 4
     assert F5.coerce(True) == 1 and type(F5.coerce(True)) is int
@@ -259,3 +261,179 @@ def test_subspace_rejects_wrong_length():
         space.add([1, 0])
     with pytest.raises(InputFormatError):
         space.coords([1, 0, 0, 0])
+
+
+# -- the scalar contract: ints when integral, Fractions otherwise ------------------
+
+rational = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+def rational_matrices(min_dim=1):
+    return st.integers(min_value=min_dim, max_value=4).flatmap(
+        lambda n: st.integers(min_value=1, max_value=4).flatmap(
+            lambda m: st.lists(
+                st.lists(rational, min_size=m, max_size=m), min_size=n, max_size=n
+            )
+        )
+    )
+
+
+def is_canonical_q(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def all_canonical(rows):
+    return all(is_canonical_q(x) for row in rows for x in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(), st.data())
+def test_q_outputs_hold_only_ints_and_proper_fractions(rows, data):
+    m = MatrixExact(QQ, rows)
+    assert all_canonical(m.rows)
+    assert all_canonical(echelon(m)[0].rows)
+    assert all_canonical(rank_kernel(m)[1].rows)
+    assert all_canonical(m.transpose().rows)
+    assert all_canonical(m.mul(m.transpose()).rows)
+    b = data.draw(st.lists(rational, min_size=m.nrows, max_size=m.nrows))
+    x = solve(m, b)
+    assert x is None or all_canonical([x])
+    x = solve(m, m.apply([1] * m.ncols))
+    assert x is not None and all_canonical([x])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=1, max_size=4))
+def test_integer_input_forms_agree(rows):
+    forms = [
+        rows,
+        [[Fraction(x) for x in row] for row in rows],
+        [[QQ.parse_scalar(str(x)) for x in row] for row in rows],
+        [[QQ.parse_scalar("%d/1" % x) for x in row] for row in rows],
+    ]
+    reduced = [echelon(MatrixExact(QQ, form))[0].rows for form in forms]
+    texts = [[[QQ.format_scalar(x) for x in row] for row in red] for red in reduced]
+    assert all(red == reduced[0] for red in reduced)
+    assert all(text == texts[0] for text in texts)
+    assert all(MatrixExact(QQ, form).rows == rows for form in forms)
+
+
+@pytest.mark.skipif(DomainMatrix is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_echelon_with_non_unit_pivots_matches_sympy(rows):
+    red, pivots = echelon(MatrixExact(QQ, rows))
+    sym_red, sym_pivots = DomainMatrix.from_list(rows, SYMPY_QQ).rref()
+    expected = [
+        [QQ.coerce(Fraction(int(x.numerator), int(x.denominator))) for x in row]
+        for row in sym_red.to_list()[: len(sym_pivots)]
+    ]
+    assert (red.rows, pivots) == (expected, tuple(sym_pivots))
+
+
+def test_integral_results_of_fraction_arithmetic_become_ints():
+    half = Fraction(1, 2)
+    red, _ = echelon(MatrixExact(QQ, [[1, half], [0, 1]]))
+    assert red.rows == [[1, 0], [0, 1]] and all_canonical(red.rows)
+    space = Subspace(QQ, 3, [[2, 1, 0], [0, half, 3]])
+    assert all_canonical(space.rows)
+    assert space.rows == [[1, 0, -3], [0, 1, 6]]
+    residual = space.reduce([half, 1, half])
+    assert residual == [0, 0, -4] and all_canonical([residual])
+    assert space.coords([2, 3, 12]) == [2, 3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(rational, min_size=3, max_size=3), max_size=4),
+       st.lists(rational, min_size=3, max_size=3))
+def test_subspace_queries_over_q_return_canonical_scalars(vectors, probe):
+    space = Subspace(QQ, 3, vectors)
+    assert all_canonical(space.rows)
+    assert all_canonical([space.reduce(probe)])
+    member = [sum(col) for col in zip(*vectors)] if vectors else [0, 0, 0]
+    assert all_canonical([space.coords(member)])
+    assert all_canonical([reduce_vector(QQ, space.rows, space.pivots, probe)])
+
+
+def test_q_inverse_is_exact():
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.div(3, 6) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_q_arithmetic_returns_canonical_scalars():
+    half = Fraction(1, 2)
+    assert type(QQ.add(half, half)) is int
+    assert type(QQ.sub(Fraction(3, 2), half)) is int
+    assert type(QQ.mul(2, half)) is int
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+
+
+def _coerce_or_error(field, x):
+    try:
+        return field.coerce(x)
+    except InputFormatError:
+        return InputFormatError
+
+
+scalar_input = st.one_of(
+    st.booleans(),
+    st.integers(-20, 20),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-6, 6).map(Fraction),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]), st.lists(scalar_input, max_size=6))
+def test_coerce_row_agrees_with_coerce(f, row):
+    expected = [_coerce_or_error(f, x) for x in row]
+    if InputFormatError in expected:
+        with pytest.raises(InputFormatError):
+            f.coerce_row(row)
+        return
+    got = f.coerce_row(row)
+    assert got == expected and got is not row
+    assert [type(x) for x in got] == [type(x) for x in expected]
+
+
+@pytest.mark.parametrize("f", [F2, F3])
+def test_coerce_row_rejects_denominators_divisible_by_p(f):
+    with pytest.raises(InputFormatError):
+        f.coerce_row([1, Fraction(1, f.char)])
+    with pytest.raises(InputFormatError):
+        f.coerce_row([Fraction(5, 2 * f.char)])
+    assert f.coerce_row([True, -1, f.char, f.char + 1]) == [1, f.char - 1, 0, 1]
+
+
+def _kernel_meet(f, rows_a, rows_b, n):
+    """Test-only intersection oracle: combinations sum c_a a = -sum c_b b read
+    off the right kernel of the stacked spanning rows."""
+    _, kernel = rank_kernel(MatrixExact(f, list(rows_a) + list(rows_b), n).transpose())
+    vectors = [
+        [sum(c * a for c, a in zip(coeffs, col)) for col in zip(*rows_a)]
+        for coeffs in (row[: len(rows_a)] for row in kernel.rows)
+    ]
+    return row_space(f, vectors, n)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(spans), st.data())
+def test_intersect_spaces_matches_kernel_oracle(case, data):
+    f, n, vectors, _ = case
+    others = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    meet = intersect_spaces(f, vectors, others, n)
+    if vectors and others:
+        assert meet == _kernel_meet(f, vectors, others, n)
+    else:
+        assert meet == []
+    assert (meet, tuple(row.index(1) for row in meet)) == row_space(f, meet, n)
+    both = Subspace(f, n, vectors), Subspace(f, n, others)
+    assert all(space.contains(v) for v in meet for space in both)

@@ -494,6 +494,17 @@ class TestWeylCharacters:
         assert weyl_character(rd, w(1, 0)).dimension == 5
         assert weyl_character(rd, w(0, 1)).dimension == 4
 
+    def test_characters_are_kept_on_the_datum_not_the_module(self):
+        import grkoszul.klpoly as klpoly
+
+        rd, other = root_datum_build("A", 2), root_datum_build("A", 2)
+        assert weyl_character(rd, w(2, 1)) is weyl_character(rd, w(2, 1))
+        assert weyl_character(other, w(2, 1)) is not weyl_character(rd, w(2, 1))
+        assert (weyl_character(other, w(2, 1)).dominant_multiplicities
+                == weyl_character(rd, w(2, 1)).dominant_multiplicities)
+        assert not [name for name, value in vars(klpoly).items()
+                    if isinstance(value, dict) and not name.startswith("__")]
+
     @given(a=st.integers(0, 3), b=st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
     def test_dimension_positive(self, a, b):
