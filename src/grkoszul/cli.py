@@ -64,7 +64,6 @@ from .algebra_core import (
     tight_subalgebra_check,
 )
 from .errors import (
-    GrkoszulError,
     InputFormatError,
     InternalCheckError,
     PreconditionError,
@@ -100,7 +99,6 @@ from .rep_homology import (
     layer_dims,
     make_representation,
     minimal_resolution,
-    radical_series,
     restrict_iso_check,
     socle_series,
     sub_rep,
@@ -1216,6 +1214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = groups.add_parser("selftest", parents=[common])
     p.set_defaults(handler=_cmd_selftest)
     p.add_argument("--criterion", type=int, action="append", default=None,
+                   choices=[number for number, _, _ in selftest_battery.CRITERIA],
                    help="run one criterion (repeatable); default all")
 
     return parser

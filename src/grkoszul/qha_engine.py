@@ -13,7 +13,7 @@ assumed.  Every "check" here recomputes both sides of an identity from
 independent routes and raises InternalCheckError on disagreement.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import InputFormatError, check, require
 from .exactlin import MatrixExact, in_span, reduce_vector, row_space, solve, span_coordinates
@@ -32,10 +32,8 @@ from .algebra_core import (
 from .rep_homology import (
     GradedRepresentation,
     Representation,
-    _head_generators,
     direct_sum,
     dual_rep,
-    ext1_bruteforce,
     ext_groups,
     filtration_slice,
     gr_rep,
@@ -50,12 +48,11 @@ from .rep_homology import (
     projective_rep,
     quotient_rep,
     radical_series,
-    restrict_action,
     restrict_iso_check,
+    restricts_projectively,
     simple_rep,
     socle_series,
     sub_rep,
-    subalgebra_characters,
 )
 
 
@@ -736,9 +733,8 @@ def parity_checks(h: HighestWeightStructure, lengths: dict[str, int]) -> ParityR
         for ga, standards, label in sides:
             for lam in h.poset.elements:
                 res = graded_minimal_resolution(gr_rep(standards[lam], ga), bound)
-                for n, term in enumerate(res.terms):
-                    gens, grades = _head_generators(term.rep, term)
-                    for (mu, _), g in zip(gens, grades):
+                for n, heads in enumerate(res.heads):
+                    for mu, g in heads:
                         if g != n or (n - lengths[lam] + lengths[mu]) % 2:
                             graded_kl = False
                             failures.append(
@@ -871,20 +867,6 @@ def _embedded_algebra(emb: SubalgebraEmbedding) -> FiniteDimAlgebra:
     conc = ConcreteAlgebra(f, emb.dim, mult, idem, rad_coords)
     _, rebuilt, _, _ = presentation_from_concrete(conc, list(idem))
     return rebuilt
-
-
-def _restricts_projectively(m: Representation, emb: SubalgebraEmbedding) -> bool:
-    """Is the restriction projective?  Ext^1 into every simple character of
-    the subalgebra must vanish (the ambient algebra is basic, so subalgebra
-    simples are one-dimensional characters)."""
-    f = emb.ambient.field
-    acts = restrict_action(m, emb)
-    table = emb.structure_constants()
-    for char in subalgebra_characters(emb):
-        simple = [MatrixExact(f, [[c]], 1) for c in char]
-        if ext1_bruteforce(f, table, acts, simple):
-            return False
-    return True
 
 
 # -- the hypothesis-to-conclusion pipeline ---------------------------------------------
@@ -1031,7 +1013,7 @@ def pipeline_checks(h: HighestWeightStructure, sub: SubalgebraEmbedding,
 
     def vertex_restricts(v: str) -> bool:
         if v not in proj_over_sub:
-            proj_over_sub[v] = _restricts_projectively(h.projectives[v], sub)
+            proj_over_sub[v] = restricts_projectively(h.projectives[v], sub)
         return proj_over_sub[v]
 
     projectives_restrict = {v: vertex_restricts(v) for v in kept}
@@ -1134,7 +1116,7 @@ def pipeline_checks(h: HighestWeightStructure, sub: SubalgebraEmbedding,
         bsub_koszul = _sub_koszul_verdict(bsub, notes, "of the truncation")
     radgen_b = radical_generation_check(bsub).generates
     regular = direct_sum(*[hb.projectives[v] for v in kept])
-    regular_restricts = _restricts_projectively(regular, bsub)
+    regular_restricts = restricts_projectively(regular, bsub)
     kp_implied = bsub_koszul is True and radgen_b and regular_restricts
     koszul_pipeline = KoszulPipelineReport(
         bsub_koszul, radgen_b, regular_restricts, kp_implied, gr_koszul,

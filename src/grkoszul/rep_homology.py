@@ -74,6 +74,13 @@ class Representation:
         start = self.offset(vertex)
         return vec[start : start + self.dims[vertex]]
 
+    def embed(self, vertex: str, block_vec: list) -> list:
+        """The total-space vector with block_vec at the vertex, zero elsewhere."""
+        vec = [self.algebra.field.zero] * self.total_dim
+        start = self.offset(vertex)
+        vec[start : start + self.dims[vertex]] = block_vec
+        return vec
+
     def unit(self, vertex: str, k: int) -> list:
         f = self.algebra.field
         vec = [f.zero] * self.total_dim
@@ -265,15 +272,7 @@ def _split_rows_by_vertex(rep: Representation, rows: list[list]) -> dict[str, Su
 
 
 def _ordered_sub_rows(rep: Representation, per_vertex: dict[str, Subspace]) -> list[list]:
-    f = rep.algebra.field
-    out = []
-    for v in rep.vertices:
-        for br in per_vertex[v].rows:
-            vec = [f.zero] * rep.total_dim
-            start = rep.offset(v)
-            vec[start : start + rep.dims[v]] = br
-            out.append(vec)
-    return out
+    return [rep.embed(v, br) for v in rep.vertices for br in per_vertex[v].rows]
 
 
 def sub_rep(rep: Representation, rows: list[list]) -> tuple[Representation, MatrixExact]:
@@ -363,38 +362,40 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
 
 def radical_rows(rep: Representation) -> list[list]:
     """Spanning rows of M rad A, the sum of the arrow images."""
-    f = rep.algebra.field
     vectors = []
     for name, mat in rep.action.items():
-        start = rep.offset(rep.algebra.presentation.arrow_endpoints(name)[1])
-        for col in mat.transpose().rows:
-            if any(col):
-                vec = [f.zero] * rep.total_dim
-                vec[start : start + len(col)] = col
-                vectors.append(vec)
-    rows, _ = row_space(f, vectors, rep.total_dim)
+        dst = rep.algebra.presentation.arrow_endpoints(name)[1]
+        vectors += [rep.embed(dst, col) for col in mat.transpose().rows if any(col)]
+    rows, _ = row_space(rep.algebra.field, vectors, rep.total_dim)
     return rows
 
 
-def radical_series(rep: Representation) -> list[list[list]]:
-    """[M, rad M, rad^2 M, ..., 0] as lists of spanning rows."""
-    f = rep.algebra.field
-    n = rep.total_dim
-    series = [MatrixExact.identity(f, n).rows]
+def _series(field: FieldSpec, mats: list[MatrixExact], n: int) -> list[list[list]]:
+    """[V, VJ, VJ^2, ..., 0] in field^n, J the span of the acting matrices.
+
+    Every term is a canonical RREF, so two chains are equal exactly when
+    their row lists are.
+    """
+    series = [MatrixExact.identity(field, n).rows]
     current = series[0]
     while current:
         vectors = []
-        for name in rep.action:
-            mat = rep.total_action(name)
+        for mat in mats:
             for r in current:
                 vec = mat.apply(r)
-                if any(x != f.zero for x in vec):
+                if any(x != field.zero for x in vec):
                     vectors.append(vec)
-        nxt, _ = row_space(f, vectors, n)
+        nxt, _ = row_space(field, vectors, n)
         check(len(nxt) < len(current), "radical series stalled: action not nilpotent")
         series.append(nxt)
         current = nxt
     return series
+
+
+def radical_series(rep: Representation) -> list[list[list]]:
+    """[M, rad M, rad^2 M, ..., 0] as lists of spanning rows."""
+    mats = [rep.total_action(name) for name in rep.action]
+    return _series(rep.algebra.field, mats, rep.total_dim)
 
 
 def socle_series(rep: Representation) -> list[list[list]]:
@@ -509,64 +510,60 @@ class GradedRepresentation:
             self.rep, {v: [g + r for g in gs] for v, gs in self.grades.items()}
         )
 
-    def generation_grades(self) -> list[int]:
-        """Sorted multiset of grades of a head basis."""
-        _, grades = _head_generators(self.rep, self)
-        return sorted(grades)
-
 
 def grade_zero_graded(rep: Representation) -> GradedRepresentation:
     """The trivial grading; valid only when no arrow acts (semisimple M)."""
     return GradedRepresentation(rep, {v: [0] * rep.dims[v] for v in rep.vertices})
 
 
-def _slice_data(rep: Representation, series: list[list[list]]):
-    """Per-grade complement bases for a decreasing chain of submodules.
+class _Slices:
+    """Graded coordinates for a chain V_0 >= V_1 >= ... >= V_L = 0 in field^n.
 
-    Returns (dims, grades, piece_order, slices) where piece_order lists
-    triples (vertex, grade, block row) in the flat order of the graded
-    module built on the slices.
+    `pieces` lists (g, row) in flat order, grade by grade: the rows of V_g
+    that complete V_(g+1) to it.  vector(g, vec) writes a vector of V_g by
+    its slice-g coordinates modulo V_(g+1), placed at their flat positions;
+    one reduction against V_(g+1) and the slice rows finds them, each slice
+    row carrying a unit tag that collects its coefficient.
     """
-    slices: dict[tuple[str, int], list[list]] = {}
-    for g in range(len(series) - 1):
-        top = _split_rows_by_vertex(rep, series[g])
-        bot = _split_rows_by_vertex(rep, series[g + 1])
-        for v in rep.vertices:
-            slices[(v, g)] = [cand for cand in top[v].rows if bot[v].add(cand)]
-    dims = {}
-    grades = {}
-    piece_order = []
-    for v in rep.vertices:
-        gs = []
-        for g in range(len(series) - 1):
-            for r in slices[(v, g)]:
-                gs.append(g)
-                piece_order.append((v, g, r))
-        grades[v] = gs
-        dims[v] = len(gs)
-    return dims, grades, piece_order, slices
+
+    def __init__(self, field: FieldSpec, n: int, chain: list[list[list]]):
+        self.field = field
+        self.n = n
+        self.pieces: list[tuple[int, list]] = []
+        self._starts: list[int] = []
+        self._tagged: list[Subspace] = []
+        for g in range(len(chain) - 1):
+            below = Subspace(field, n, chain[g + 1])
+            rows = [cand for cand in chain[g] if below.add(cand)]
+            self._starts.append(len(self.pieces))
+            self.pieces += [(g, r) for r in rows]
+            tags = MatrixExact.identity(field, len(rows)).rows
+            zero = [field.zero] * len(rows)
+            self._tagged.append(Subspace(
+                field, n + len(rows),
+                [r + zero for r in chain[g + 1]] + [r + t for r, t in zip(rows, tags)],
+            ))
+        self.grades = [g for g, _ in self.pieces]
+
+    def vector(self, g: int, vec: list) -> list:
+        f = self.field
+        out = [f.zero] * len(self.pieces)
+        if g >= len(self._tagged):
+            check(not any(vec), "filtration image escaped the expected layer")
+            return out
+        space = self._tagged[g]
+        red = space.reduce(list(vec) + [f.zero] * (space.ambient - self.n))
+        check(not any(red[: self.n]), "filtration image escaped the expected layer")
+        for k, val in enumerate(red[self.n :]):
+            out[self._starts[g] + k] = f.neg(val)
+        return out
 
 
-def _express_in_slice(rep, series, slices, dst, g, img_block):
-    """Coordinates of a block vector on the grade-g slice at dst, mod series[g+1].
-
-    The vector must lie in series[g]; escaping the filtration is an internal
-    error because callers only feed filtration-compatible images.
-    """
+def _slice_data(rep: Representation, series: list[list[list]]) -> dict[str, _Slices]:
+    """Graded coordinates of each vertex block for a decreasing chain of submodules."""
     f = rep.algebra.field
-    slice_rows = slices.get((dst, g), [])
-    lower = series[g + 1] if g + 1 < len(series) else []
-    lower_block = _split_rows_by_vertex(rep, lower)[dst].rows if lower else []
-    stacked = slice_rows + lower_block
-    if not stacked:
-        check(
-            all(x == f.zero for x in img_block),
-            "filtration image escaped the expected layer",
-        )
-        return []
-    sol = solve(MatrixExact(f, stacked, rep.dims[dst]).transpose(), img_block)
-    check(sol is not None, "filtration image escaped the expected layer")
-    return sol[: len(slice_rows)]
+    splits = [_split_rows_by_vertex(rep, rows) for rows in series]
+    return {v: _Slices(f, rep.dims[v], [s[v].rows for s in splits]) for v in rep.vertices}
 
 
 def _gr_from_series(rep: Representation, graded: GradedAlgebra,
@@ -577,27 +574,18 @@ def _gr_from_series(rep: Representation, graded: GradedAlgebra,
         target.presentation.vertices == rep.algebra.presentation.vertices,
         "graded algebra has a different vertex set",
     )
-    dims, grades, piece_order, slices = _slice_data(rep, series)
+    slices = _slice_data(rep, series)
+    dims = {v: len(slices[v].pieces) for v in rep.vertices}
     action = {}
     for name, src, dst in target.presentation.arrows:
         lift_total = rep.element_total(graded.arrow_reps[name])
         cols = []
-        for v, g, brow in piece_order:
-            if v != src:
-                continue
-            full = [f.zero] * rep.total_dim
-            start = rep.offset(src)
-            full[start : start + rep.dims[src]] = brow
-            img_block = rep.block(lift_total.apply(full), dst)
-            coords = _express_in_slice(rep, series, slices, dst, g + 1, img_block)
-            col = [f.zero] * dims[dst]
-            base = sum(1 for gg in grades[dst] if gg < g + 1)
-            for k, val in enumerate(coords):
-                col[base + k] = val
-            cols.append(col)
+        for g, brow in slices[src].pieces:
+            img = lift_total.apply(rep.embed(src, brow))
+            cols.append(slices[dst].vector(g + 1, rep.block(img, dst)))
         action[name] = MatrixExact(f, cols, dims[dst]).transpose()
     out = make_representation(target, dims, action)
-    return GradedRepresentation(out, grades)
+    return GradedRepresentation(out, {v: slices[v].grades for v in rep.vertices})
 
 
 def gr_rep(rep: Representation, graded: GradedAlgebra) -> GradedRepresentation:
@@ -645,23 +633,14 @@ def gr_of_surjection(m: Representation, n: Representation, proj: MatrixExact,
         graded = gr_algebra(m.algebra)
     gm = gr_rep(m, graded)
     gn = gr_rep(n, graded)
-    n_series = radical_series(n)
-    _, n_grades, _, n_slices = _slice_data(n, n_series)
-    _, _, m_pieces, _ = _slice_data(m, radical_series(m))
+    n_slices = _slice_data(n, radical_series(n))
+    m_slices = _slice_data(m, radical_series(m))
     cols = []
-    for v, g, brow in m_pieces:
-        full = [f.zero] * m.total_dim
-        start = m.offset(v)
-        full[start : start + m.dims[v]] = brow
-        img_vec = proj.apply(full)
-        col = [f.zero] * gn.rep.total_dim
-        for u in n.vertices:
-            block = n.block(img_vec, u)
-            coords = _express_in_slice(n, n_series, n_slices, u, g, block)
-            base = gn.rep.offset(u) + sum(1 for gg in n_grades[u] if gg < g)
-            for k, val in enumerate(coords):
-                col[base + k] = val
-        cols.append(col)
+    for v in m.vertices:
+        for g, brow in m_slices[v].pieces:
+            img_vec = proj.apply(m.embed(v, brow))
+            cols.append([x for u in n.vertices
+                         for x in n_slices[u].vector(g, n.block(img_vec, u))])
     mat = MatrixExact(f, cols, gn.rep.total_dim).transpose()
     rank, _ = rank_kernel(mat)
     return gm, gn, mat, rank == gn.rep.total_dim
@@ -819,20 +798,17 @@ def graded_is_isomorphic(m: GradedRepresentation, n: GradedRepresentation,
 # -- projective covers and minimal resolutions -----------------------------------------
 
 
-def _head_generators(rep: Representation, graded: GradedRepresentation | None = None):
-    """Vertices (and grades, if graded) of a head basis chosen from unit vectors."""
+def _head_generators(rep: Representation) -> list[tuple[str, int]]:
+    """(vertex, index) of a head basis chosen from unit vectors, vertex-major."""
     f = rep.algebra.field
     rad_split = _split_rows_by_vertex(rep, radical_rows(rep))
-    summands = []
-    grades = []
+    generators = []
     for v in rep.vertices:
         for j in range(rep.dims[v]):
             unit = [f.one if i == j else f.zero for i in range(rep.dims[v])]
             if rad_split[v].add(unit):
-                summands.append((v, j))
-                if graded is not None:
-                    grades.append(graded.grades[v][j])
-    return summands, grades
+                generators.append((v, j))
+    return generators
 
 
 @dataclass
@@ -842,13 +818,18 @@ class Cover:
     syzygy: Representation
     syzygy_inclusion: MatrixExact  # (dim P x dim Omega)
     head: dict[str, int]
-    summands: list[str]  # cover-summand vertices, in order
+    generators: list[tuple[str, int]]  # (vertex, index in M) per summand, in order
+
+    @property
+    def summands(self) -> list[str]:
+        """Cover-summand vertices, in order."""
+        return [v for v, _ in self.generators]
 
 
 def projective_cover(rep: Representation) -> Cover:
     """P -> M with P the sum of P(v) over a head basis, kernel the syzygy."""
     f = rep.algebra.field
-    generators = _head_generators(rep)[0]
+    generators = _head_generators(rep)
     summands = [v for v, _ in generators]
     head = {v: summands.count(v) for v in rep.vertices}
     parts = [projective_rep(rep.algebra, v) for v in summands]
@@ -873,7 +854,7 @@ def projective_cover(rep: Representation) -> Cover:
     _, kernel = rank_kernel(nu)
     omega, incl = sub_rep(proj, list(kernel.rows))
     check(head_multiplicities(proj) == head, "cover does not induce a head isomorphism")
-    return Cover(proj, nu, omega, incl, head, summands)
+    return Cover(proj, nu, omega, incl, head, generators)
 
 
 @dataclass
@@ -973,17 +954,17 @@ def graded_projective_cover(grep: GradedRepresentation):
 
     Each summand P(v) is shifted so its generator sits at the grade of the
     head vector it covers; the syzygy inherits a grading, with every basis
-    vector checked to be homogeneous.
+    vector checked to be homogeneous.  Returns (heads, P, syzygy) with
+    heads the (vertex, grade) of each summand's generator.
     """
     rep = grep.rep
     alg = rep.algebra
     cov = projective_cover(rep)
-    generators, gen_grades = _head_generators(rep, grep)
-    check(len(gen_grades) == len(cov.summands), "graded cover lost a generator")
+    heads = [(v, grep.grades[v][j]) for v, j in cov.generators]
     alg_grades = alg.grades()
     grades: dict[str, list[int]] = {v: [] for v in rep.vertices}
     for u in rep.vertices:
-        for (v, _), g in zip(generators, gen_grades):
+        for v, g in heads:
             for i, bp in enumerate(alg.basis):
                 if bp.src == v and bp.dst == u:
                     grades[u].append(g + alg_grades[i])
@@ -1004,7 +985,7 @@ def graded_projective_cover(grep: GradedRepresentation):
             check(len(gset) == 1, "syzygy basis vector is not homogeneous")
             syz_grades[v].append(gset.pop())
     gsyz = GradedRepresentation(cov.syzygy, syz_grades)
-    return cov, gproj, gsyz
+    return heads, gproj, gsyz
 
 
 @dataclass
@@ -1013,7 +994,7 @@ class GradedResolution:
     terms: list[GradedRepresentation]
     generation: list[list[int]]  # sorted head grades of each term
     syzygies: list[GradedRepresentation]
-    summand_vertices: list[list[str]]
+    heads: list[list[tuple[str, int]]]  # (vertex, grade) per summand of each term
     finite: bool
     projective_dimension: int | None
 
@@ -1023,20 +1004,20 @@ def graded_minimal_resolution(grep: GradedRepresentation, n_max: int) -> GradedR
     terms = []
     generation = []
     syzygies = []
-    summand_vertices = []
+    heads = []
     current = grep
     for _ in range(n_max + 1):
         if current.rep.total_dim == 0:
             break
-        cov, gproj, gsyz = graded_projective_cover(current)
+        term_heads, gproj, gsyz = graded_projective_cover(current)
         terms.append(gproj)
-        generation.append(gproj.generation_grades())
-        summand_vertices.append(cov.summands)
+        generation.append(sorted(g for _, g in term_heads))
+        heads.append(term_heads)
         syzygies.append(gsyz)
         current = gsyz
     finite = current.rep.total_dim == 0
     pd = len(terms) - 1 if finite else None
-    return GradedResolution(grep, terms, generation, syzygies, summand_vertices, finite, pd)
+    return GradedResolution(grep, terms, generation, syzygies, heads, finite, pd)
 
 
 # -- Ext tables --------------------------------------------------------------------------
@@ -1082,14 +1063,10 @@ def ext_table(m: Representation, n_max: int, graded: bool = False) -> ExtTable:
     entries = {}
     graded_entries: dict[tuple[str, int, int], int] = {}
     for i in range(n_max + 1):
-        if i < len(gres.terms):
-            pairs, grades_list = _head_generators(gres.terms[i].rep, gres.terms[i])
-            verts = [v for v, _ in pairs]
-        else:
-            verts, grades_list = [], []
+        heads = gres.heads[i] if i < len(gres.heads) else []
         for v in m.vertices:
-            entries[(v, i)] = verts.count(v)
-        for v, g in zip(verts, grades_list):
+            entries[(v, i)] = sum(1 for u, _ in heads if u == v)
+        for v, g in heads:
             key = (v, i, g)
             graded_entries[key] = graded_entries.get(key, 0) + 1
     sums: dict[tuple[str, int], int] = {}
@@ -1124,6 +1101,41 @@ def _structure_table(algebra: FiniteDimAlgebra) -> list[list[list]]:
 def restrict_action(rep: Representation, emb: SubalgebraEmbedding) -> list[MatrixExact]:
     """Action matrices of the subalgebra basis on the restricted module."""
     return [rep.element_total(list(b)) for b in emb.basis_rows]
+
+
+def _delta0(field: FieldSpec, act_m: list[MatrixExact],
+            act_n: list[MatrixExact]) -> MatrixExact:
+    """The map F -> (F R_M(b_i) - R_N(b_i) F)_i on matrices F: M -> N.
+
+    Row r*dim_m + c is the image of the matrix unit E_(r, c), flattened at
+    position (i*dim_n + r)*dim_m + c.  Its left kernel is Hom(M, N) over the
+    acting basis and its row space the coboundaries B^1.
+    """
+    k = len(act_m)
+    dim_m = act_m[0].ncols if act_m else 0
+    dim_n = act_n[0].ncols if act_n else 0
+    width = k * dim_n * dim_m
+
+    def pos(i, r, c):
+        return (i * dim_n + r) * dim_m + c
+
+    rows = []
+    for r0 in range(dim_n):
+        for c0 in range(dim_m):
+            vec = [field.zero] * width
+            for i in range(k):
+                for t in range(dim_m):
+                    val = act_m[i].rows[c0][t]
+                    if val:
+                        idx = pos(i, r0, t)
+                        vec[idx] = field.add(vec[idx], val)
+                for t in range(dim_n):
+                    val = act_n[i].rows[t][r0]
+                    if val:
+                        idx = pos(i, t, c0)
+                        vec[idx] = field.sub(vec[idx], val)
+            rows.append(vec)
+    return MatrixExact(field, rows, width)
 
 
 def _cocycle_data(field, table, act_m, act_n):
@@ -1171,24 +1183,7 @@ def _cocycle_data(field, table, act_m, act_n):
         z_basis = list(kernel.rows)
     else:
         z_basis = MatrixExact.identity(field, width).rows
-    b_vectors = []
-    for r0 in range(dim_n):
-        for c0 in range(dim_m):
-            # the coboundary of the matrix unit E_(r0, c0)
-            vec = [field.zero] * width
-            for i in range(k):
-                for t in range(dim_m):
-                    val = act_m[i].rows[c0][t]
-                    if val:
-                        idx = pos(i, r0, t)
-                        vec[idx] = field.add(vec[idx], val)
-                for t in range(dim_n):
-                    val = act_n[i].rows[t][r0]
-                    if val:
-                        idx = pos(i, t, c0)
-                        vec[idx] = field.sub(vec[idx], val)
-            b_vectors.append(vec)
-    b_basis, _ = row_space(field, b_vectors, width)
+    b_basis, _ = row_space(field, _delta0(field, act_m, act_n).rows, width)
     return z_basis, b_basis, width
 
 
@@ -1382,65 +1377,32 @@ class RestrictionReport:
     n_characters: int
 
 
-def _abstract_radical_series(f, acts, rad_coords, n):
-    """Radical series of an abstract module from subalgebra-radical actions."""
-    series = [MatrixExact.identity(f, n).rows]
-    current = series[0]
-    while current:
-        vectors = []
-        for coords in rad_coords:
-            mat = MatrixExact.zero(f, n, n)
-            for c, a in zip(coords, acts):
-                if c:
-                    mat = mat.add(a.scale(c))
-            for r in current:
-                img = mat.apply(r)
-                if any(x != f.zero for x in img):
-                    vectors.append(img)
-        nxt, _ = row_space(f, vectors, n)
-        check(len(nxt) < len(current), "subalgebra radical does not act nilpotently")
-        series.append(nxt)
-        current = nxt
-    return series
+def restricts_projectively(m: Representation, emb: SubalgebraEmbedding) -> bool:
+    """Is the restriction projective?  Ext^1 into every simple character of
+    the subalgebra must vanish (the ambient algebra is basic, so subalgebra
+    simples are one-dimensional characters)."""
+    f = emb.ambient.field
+    acts = restrict_action(m, emb)
+    table = emb.structure_constants()
+    for char in subalgebra_characters(emb):
+        simple = [MatrixExact(f, [[c]], 1) for c in char]
+        if ext1_bruteforce(f, table, acts, simple):
+            return False
+    return True
 
 
-def _abstract_is_isomorphic(f, act_m, act_n, rad_coords) -> bool:
-    """Isomorphism of two modules given by action-matrix lists over one basis."""
-    n = act_m[0].ncols if act_m else 0
-    if n != (act_n[0].ncols if act_n else 0):
-        return False
-
-    def series_dims(acts):
-        return [len(rows) for rows in _abstract_radical_series(f, acts, rad_coords, n)]
-
-    if series_dims(act_m) != series_dims(act_n):
-        return False
-    width = n * n
-    rows = []
-    for am, an in zip(act_m, act_n):
-        # F am - an F = 0, one row per matrix entry (r, c)
-        for r in range(n):
-            for c in range(n):
-                row = [f.zero] * width
-                for t in range(n):
-                    val = am.rows[t][c]
-                    if val:
-                        row[r * n + t] = f.add(row[r * n + t], val)
-                for t in range(n):
-                    val = an.rows[r][t]
-                    if val:
-                        row[t * n + c] = f.sub(row[t * n + c], val)
-                if any(x != f.zero for x in row):
-                    rows.append(row)
-    if rows:
-        _, kernel = rank_kernel(MatrixExact(f, rows, width))
-        homs = [
-            MatrixExact(f, [[vec[r * n + c] for c in range(n)] for r in range(n)], n)
-            for vec in kernel.rows
-        ]
-    else:
-        homs = [MatrixExact.identity(f, n)] if n else []
-    return _invertible_combination(f, homs, n) is not None
+def _has_invertible_hom(field: FieldSpec, act_m: list[MatrixExact],
+                        act_n: list[MatrixExact]) -> bool:
+    """Is some invertible F a module map, F R_M(b) = R_N(b) F for every b?"""
+    n = act_m[0].ncols
+    delta = _delta0(field, act_m, act_n)
+    if delta.is_zero():
+        # then every b acts on both sides by one scalar: the identity is a witness
+        return True
+    _, kernel = rank_kernel(delta.transpose())
+    homs = [MatrixExact(field, [vec[r * n : (r + 1) * n] for r in range(n)], n)
+            for vec in kernel.rows]
+    return _invertible_combination(field, homs, n) is not None
 
 
 def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> RestrictionReport:
@@ -1467,57 +1429,34 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
     ]
     check(all(c is not None for c in rad_coords), "subalgebra radical left the subalgebra")
     n = m.total_dim
-    sub_series = _abstract_radical_series(f, acts, rad_coords, n)
-    amb_series = radical_series(m)
-    agrees = len(amb_series) == len(sub_series) and all(
-        len(a) == len(b)
-        and all(map(Subspace(f, n, a).contains, b))
-        for a, b in zip(amb_series, sub_series)
-    )
-    # gr(M|a): slices of the subalgebra radical series, with the graded
-    # action of each homogeneous basis element landing one filtration step
-    # per unit of its grade
-    piece_rows = []
-    piece_grades = []
-    for g in range(len(sub_series) - 1):
-        below = Subspace(f, n, sub_series[g + 1])
-        for cand in sub_series[g]:
-            if below.add(cand):
-                piece_rows.append(cand)
-                piece_grades.append(g)
-    check(len(piece_rows) == n, "graded pieces miscount the restricted module")
-    gr_acts = []
-    for b_idx, bvec in enumerate(emb.basis_rows):
-        g_b = sub_grades[b_idx]
-        bmat = m.element_total(list(bvec))
-        mat = [[f.zero] * n for _ in range(n)]
-        for col, (g, rvec) in enumerate(zip(piece_grades, piece_rows)):
-            img = bmat.apply(rvec)
-            if not any(x != f.zero for x in img):
-                continue
-            target = [
-                (row_i, prow)
-                for row_i, (gg, prow) in enumerate(zip(piece_grades, piece_rows))
-                if gg == g + g_b
-            ]
-            lower_idx = g + g_b + 1
-            lower = sub_series[lower_idx] if lower_idx < len(sub_series) else []
-            stacked = [prow for _, prow in target] + list(lower)
-            sol = solve(MatrixExact(f, stacked, n).transpose(), img) if stacked else None
-            check(sol is not None, "graded restriction action left the filtration")
-            for (row_i, _), val in zip(target, sol[: len(target)]):
-                mat[row_i][col] = val
-        gr_acts.append(MatrixExact(f, mat, n))
-    iso = _abstract_is_isomorphic(f, acts, gr_acts, rad_coords)
-    table = emb.structure_constants()
-    characters = subalgebra_characters(emb)
-    projective = True
-    for char in characters:
-        act_l = [MatrixExact(f, [[c]], 1) for c in char]
-        if ext1_bruteforce(f, table, acts, act_l) != 0:
-            projective = False
-            break
-    return RestrictionReport(agrees, iso, projective, len(characters))
+
+    def radical_actions(basis_acts):
+        # the radical rows of a, acting through the actions of the a-basis
+        out = []
+        for coords in rad_coords:
+            mat = MatrixExact.zero(f, n, n)
+            for c, a in zip(coords, basis_acts):
+                if c:
+                    mat = mat.add(a.scale(c))
+            out.append(mat)
+        return out
+
+    sub_series = _series(f, radical_actions(acts), n)
+    agrees = radical_series(m) == sub_series
+    # gr(M|a) on the slices of the subalgebra radical series: a basis element
+    # of grade g_b sends slice g to slice g + g_b
+    slices = _Slices(f, n, sub_series)
+    check(len(slices.pieces) == n, "graded pieces miscount the restricted module")
+    gr_acts = [
+        MatrixExact(f, [slices.vector(g + g_b, act.apply(row)) for g, row in slices.pieces],
+                    n).transpose()
+        for act, g_b in zip(acts, sub_grades)
+    ]
+    gr_series = _series(f, radical_actions(gr_acts), n)
+    iso = ([len(t) for t in sub_series] == [len(t) for t in gr_series]
+           and _has_invertible_hom(f, acts, gr_acts))
+    projective = restricts_projectively(m, emb)
+    return RestrictionReport(agrees, iso, projective, len(subalgebra_characters(emb)))
 
 
 # -- Koszulity ----------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 
 from .alcove import (
-    RootDatum,
     Weight,
     bounds_report,
     ideal_closure,

@@ -175,6 +175,14 @@ def test_grading_with_gap_is_not_tight():
     assert not report.passed
 
 
+def test_tightness_compares_spaces_not_dimensions():
+    # K[x]/(x^4) with x^2 in grade 3 and x^3 in grade 2: (grade 1)^2 = <x^2>
+    # has the dimension of grade 2 = <x^3> but is a different line
+    alg = build_algebra(truncated_polynomial(4))
+    assert [len(bp.arrows) for bp in alg.basis] == [0, 1, 2, 3]
+    assert tight_grading_check(alg, [0, 1, 3, 2]).tight is False
+
+
 def nonhomogeneous_presentation():
     """A path of length 2 equal to a parallel path of length 3.
 

@@ -343,6 +343,14 @@ def test_selftest_single_criterion(capsys):
     assert pairs["selftest"] == "pass"
 
 
+@pytest.mark.parametrize("number", ["0", "12"])
+def test_selftest_rejects_unknown_criterion_with_exit_2(capsys, number):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--criterion", number])
+    assert exc.value.code == 2
+    assert "--criterion" in capsys.readouterr().err
+
+
 def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path / "cache"))
     _, out1 = run_cli(["kl", "table", "--type", "A", "--rank", "2",
@@ -417,10 +425,28 @@ GOLDEN_BODIES = {
         "59d8601a384e12436d53f1a6228ce79369e468665d1b2e82f1cabf403dde39a8",
     "qha-pipeline":
         "3ebeb22f25b83010157675234a46f2001f79f9eada0ac0818d00642801897093",
+    # recorded before the subalgebra restriction moved onto the module code
+    "module-restrict-frac":
+        "6c3788f5479286b88f15d183754e8f8a1327474d7d18b0c7ccf1fc8a7681a44f",
+    "module-restrict-b5":
+        "e868db066126d79cd1d2d2671ebfa5b9514118f363f85da19be08f3b70d35042",
+    "module-grcompare-frac":
+        "938c0b82c157a6381533b15659d6d99c58d60bbc245b8716889c1bb6f39dfc1e",
+    "module-grcompare-b5":
+        "054e3a6a74ff162df1aca00d1dac6782d4d468ea1567285c155f8fc2bfd3f4ab",
+    "module-ext-graded":
+        "c5d660cd02f63d547dc4d7ffd4cced5a90f4e5bb3fde9a9119bee50eb13802e1",
+    "koszul-check-b5":
+        "41824acfbabd071f5991b8f81e8cfe4079bce6b8a632eb57fb2d4367ae976d29",
+    "koszul-check-cubic":
+        "80beb2dc3a050dc72c9f430a11bfa14ac3648b61f85710f6eddd485a9e3d5559",
+    "qha-parity":
+        "2a627947dbbc9503e3e16abf435b4b5bf0023e47afcd2079c664e396d564a3b6",
 }
 
 
-def test_golden_representation_digests(b5_path, tmp_path, capsys):
+def test_golden_representation_digests(b5_path, cubic_path, delta2_path, tmp_path,
+                                       capsys):
     alg = tmp_path / "frac.qalg"
     alg.write_text(FRACTIONAL_QALG)
     rep = tmp_path / "frac.qrep"
@@ -432,6 +458,14 @@ def test_golden_representation_digests(b5_path, tmp_path, capsys):
         "algebra-gr": ["algebra", "gr", alg, "--emit", emit],
         "qha-standard": ["qha", "standard", b5_path],
         "qha-pipeline": ["qha", "pipeline", b5_path],
+        "module-restrict-frac": ["module", "restrict", alg, rep],
+        "module-restrict-b5": ["module", "restrict", b5_path, delta2_path],
+        "module-grcompare-frac": ["module", "grcompare", alg, rep],
+        "module-grcompare-b5": ["module", "grcompare", b5_path, delta2_path],
+        "module-ext-graded": ["module", "ext", alg, rep, "--graded"],
+        "koszul-check-b5": ["algebra", "koszul-check", b5_path],
+        "koszul-check-cubic": ["algebra", "koszul-check", cubic_path],
+        "qha-parity": ["qha", "parity", b5_path],
     }
     digests = {}
     for name, args in runs.items():

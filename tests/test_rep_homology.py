@@ -9,6 +9,8 @@ Delta(2) = P(2), and the costandard ones are Nabla(1) = L(1) and
 Nabla(2) = P(1)/rad^2.
 """
 
+import hashlib
+from itertools import combinations
 from itertools import product as iter_product
 
 import pytest
@@ -16,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grkoszul import rep_homology
-from grkoszul.errors import InputFormatError, PreconditionError
-from grkoszul.exactlin import QQ, FieldSpec, MatrixExact
+from grkoszul.errors import GrkoszulError, InputFormatError, PreconditionError
+from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, rank_kernel, row_space
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -26,6 +28,7 @@ from grkoszul.algebra_core import (
     subalgebra_from_generators,
 )
 from grkoszul.rep_homology import (
+    GradedRepresentation,
     _invertible_combination,
     _structure_table,
     direct_sum,
@@ -53,7 +56,9 @@ from grkoszul.rep_homology import (
     projective_rep,
     quotient_rep,
     radical_series,
+    restrict_action,
     restrict_iso_check,
+    restricts_projectively,
     simple_rep,
     socle_sub,
     sub_rep,
@@ -559,6 +564,138 @@ def test_restrict_rejects_nongenerating_subalgebra():
         restrict_iso_check(simple_rep(alg, "1"), emb)
 
 
+def test_restricts_projectively_over_the_whole_algebra(cycle, cycle_mods):
+    # over the whole algebra every simple is a character: projective exactly
+    # when Ext^1 into each simple vanishes, and L(1) fails only at L(2)
+    whole = whole_algebra(cycle)
+    simples = [cycle_mods["L1"], cycle_mods["L2"]]
+    for m in list(cycle_mods.values()) + [nabla2(cycle, cycle_mods)]:
+        expected = all(ext_groups(m, s, 1)[1] == 0 for s in simples)
+        assert restricts_projectively(m, whole) is expected
+    assert [ext_groups(cycle_mods["L1"], s, 1)[1] for s in simples] == [0, 1]
+
+
+def test_restrict_to_the_scalars_keeps_the_identity_witness():
+    # a = k.1 acts on k^3 by scalars, so the map delta0 is zero; the identity
+    # is the isomorphism M|a = gr(M|a), found without searching all 3x3 matrices
+    alg = build_algebra(QuiverPresentation(QQ, ["v"], [], []))
+    m = direct_sum(*[simple_rep(alg, "v")] * 3)
+    scalars = subalgebra_from_generators(alg, [])
+    assert scalars.dim == 1 and m.total_dim == 3
+    report = restrict_iso_check(m, scalars)
+    assert report.restriction_iso_gr
+    assert report.filtration_agrees and report.restricts_projectively
+
+
+def commuting_loops(field):
+    return QuiverPresentation(
+        field, ["1"], [("x", "1", "1"), ("y", "1", "1")],
+        [[(1, ("x", "x"))], [(1, ("y", "y"))], [(1, ("y", "x")), (-1, ("x", "y"))]],
+    )
+
+
+@st.composite
+def modules_over_q_or_f2(draw):
+    """(algebra, M, N) with M and N drawn from the simples, projectives,
+    radical powers and truncations of a small algebra over Q or F_2; M is
+    sometimes a sum of two of them."""
+    field = draw(st.sampled_from([QQ, F2]))
+    maker = draw(st.sampled_from([two_vertex_cycle, commuting_loops,
+                                  lambda f: truncated_polynomial(3, f)]))
+    alg = build_algebra(maker(field))
+    mods = []
+    for v in alg.presentation.vertices:
+        proj = projective_rep(alg, v)
+        loewy = len(radical_series(proj)) - 1
+        mods += [simple_rep(alg, v), proj]
+        mods += [filtration_slice(proj, r) for r in range(1, loewy)]
+        mods += [filtration_slice(proj, 0, r) for r in range(2, loewy)]
+    m = draw(st.sampled_from(mods))
+    if draw(st.booleans()):
+        m = direct_sum(m, draw(st.sampled_from(mods)))
+    return alg, m, draw(st.sampled_from(mods))
+
+
+def whole_algebra(alg):
+    return subalgebra_from_generators(alg, MatrixExact.identity(alg.field, alg.dim).rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(modules_over_q_or_f2())
+def test_delta0_kernel_is_hom_over_the_whole_algebra(case):
+    alg, m, n = case
+    whole = whole_algebra(alg)
+    delta = rep_homology._delta0(alg.field, restrict_action(m, whole),
+                                 restrict_action(n, whole))
+    _, kernel = rank_kernel(delta.transpose())
+    homs = hom_space(m, n)
+    assert kernel.nrows == len(homs)
+    # the same space, not only the same dimension: F flattened row by row
+    flat = [[x for row in h.rows for x in row] for h in homs]
+    assert kernel.rows == row_space(alg.field, flat, n.total_dim * m.total_dim)[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(modules_over_q_or_f2())
+def test_series_of_the_radical_rows_is_the_radical_series(case):
+    alg, m, _ = case
+    mats = [m.element_total(list(r)) for r in whole_algebra(alg).radical_rows()]
+    assert rep_homology._series(alg.field, mats, m.total_dim) == radical_series(m)
+
+
+def restriction_battery():
+    """One line per (field, algebra, module, subalgebra, call): the result's
+    repr, or the error class and message.
+
+    Modules are the simples, the projectives and every P/rad^r P with
+    0 < r < Loewy length of P; subalgebras are all those generated by at
+    most two basis vectors (none gives k.1).
+    """
+    lines = []
+    for field in (QQ, F2):
+        for alg_name, pres in (("cycle", two_vertex_cycle(field)),
+                               ("x^3", truncated_polynomial(3, field))):
+            alg = build_algebra(pres)
+            modules = []
+            for v in alg.presentation.vertices:
+                modules.append((f"L{v}", simple_rep(alg, v)))
+            for v in alg.presentation.vertices:
+                proj = projective_rep(alg, v)
+                modules.append((f"P{v}", proj))
+                for r in range(1, len(radical_series(proj)) - 1):
+                    modules.append((f"P{v}/rad^{r}", filtration_slice(proj, 0, r)))
+            units = MatrixExact.identity(field, alg.dim).rows
+            for k in range(3):
+                for gens in combinations(range(alg.dim), k):
+                    emb = subalgebra_from_generators(alg, [units[i] for i in gens])
+                    for mod_name, m in modules:
+                        for call_name, call in (
+                            ("restrict", lambda: restrict_iso_check(m, emb)),
+                            ("grcompare", lambda: gr_ext1_compare(m, sub=emb)),
+                        ):
+                            try:
+                                out = repr(call())
+                            except GrkoszulError as exc:
+                                out = f"{type(exc).__name__}: {exc}"
+                            lines.append(f"{field.char} {alg_name} {gens} {mod_name}"
+                                         f" {call_name} {out}")
+    return lines
+
+
+def test_restriction_battery_digest():
+    # recorded before the restriction moved onto the shared module code
+    lines = restriction_battery()
+    assert len(lines) == RESTRICTION_BATTERY_SIZE
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RESTRICTION_BATTERY_DIGEST
+
+
+RESTRICTION_BATTERY_SIZE = 560
+RESTRICTION_BATTERY_DIGEST = (
+    "acfb107f50ecb9dbedfb24304e472d24929c2366174c1f71b073b25f3c30da7f"
+)
+
+
 # -- Koszulity --------------------------------------------------------------------------------
 
 
@@ -609,6 +746,22 @@ def test_graded_resolution_generation_grades(cycle_mods):
     res = graded_minimal_resolution(graded, 5)
     assert res.generation == [[0], [1], [2]]
     assert res.finite and res.projective_dimension == 2
+
+
+def test_graded_resolution_records_the_cover_heads(cycle, cycle_mods):
+    res = graded_minimal_resolution(grade_zero_graded(cycle_mods["L2"]), 5)
+    assert res.heads == [[("2", 0)], [("1", 1)], [("2", 2)]]
+    res = graded_minimal_resolution(gr_rep(cycle_mods["P1"], gr_algebra(cycle)), 3)
+    assert res.heads == [[("1", 0)]]
+    for heads, term in zip(res.heads, res.terms):
+        counts = {v: sum(u == v for u, _ in heads) for v in term.rep.vertices}
+        assert head_multiplicities(term.rep) == counts
+    # gr P(1) + L(1) with L(1) in grade 3: the second generator at vertex 1
+    # is its third coordinate, after the radical vector a*b of grade 2
+    gp1 = gr_rep(cycle_mods["P1"], gr_algebra(cycle))
+    summed = direct_sum(gp1.rep, simple_rep(gp1.rep.algebra, "1"))
+    graded = GradedRepresentation(summed, {"1": gp1.grades["1"] + [3], "2": gp1.grades["2"]})
+    assert graded_minimal_resolution(graded, 0).heads == [[("1", 0), ("1", 3)]]
 
 
 # -- property tests over random monomial algebras ----------------------------------------------
