@@ -38,6 +38,7 @@ GRKOSZUL_CACHE_DIR enables the polynomial table cache.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -1082,6 +1083,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+class _CriterionNumbers:
+    """The numbers in `selftest.CRITERIA`, read each time argparse checks or
+    lists a `--criterion` value, so a reused parser follows the battery."""
+
+    def __iter__(self):  # `in` falls back to iteration
+        return iter([number for number, _, _ in selftest_battery.CRITERIA])
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the report to this file")
@@ -1214,15 +1223,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = groups.add_parser("selftest", parents=[common])
     p.set_defaults(handler=_cmd_selftest)
     p.add_argument("--criterion", type=int, action="append", default=None,
-                   choices=[number for number, _, _ in selftest_battery.CRITERIA],
+                   choices=_CriterionNumbers(),
                    help="run one criterion (repeatable); default all")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first `main` call (not at import), then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
         text = report.render()

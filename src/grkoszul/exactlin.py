@@ -11,6 +11,13 @@ reduced row (no magnitude heuristics), then removes that column from the
 rows kept so far.  The reduced row echelon form is fully normalized (pivots
 1, pivot columns cleared, rows sorted by pivot column), hence canonical for
 the row space.
+
+Scalars are canonicalised at the boundary only: the public `MatrixExact(...)`
+constructor, the scalar parsers and every vector given to a `Subspace` run
+`coerce_row`.  Producers whose output is canonical by construction (`zero`,
+`identity`, `transpose`, `mul`, `add`, `scale`, `echelon`, the kernel rows of
+`rank_kernel`) build it with `MatrixExact.trusted`; rows already in canonical
+RREF become a `Subspace` through `Subspace.from_rref`, not reduced again.
 """
 
 from __future__ import annotations
@@ -153,24 +160,36 @@ class MatrixExact:
         else:
             self.ncols = 0 if ncols is None else ncols
 
+    @classmethod
+    def trusted(cls, field: FieldSpec, rows: list[list], ncols: int) -> "MatrixExact":
+        """The matrix of rows of canonical scalars, each of length ncols, that
+        it then owns: no coercion and no copy, for internal producers only."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
     @classmethod
     def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "MatrixExact":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
+        return cls.trusted(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatrixExact":
-        m = cls.zero(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
+        one, zero = field.one, field.zero
+        return cls.trusted(field, [[one if i == j else zero for j in range(n)]
+                                   for i in range(n)], n)
 
     def transpose(self) -> "MatrixExact":
-        rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return MatrixExact(self.field, rows, self.nrows)
+        if not self.nrows:
+            return MatrixExact.zero(self.field, self.ncols, 0)
+        return MatrixExact.trusted(self.field, [list(col) for col in zip(*self.rows)],
+                                   self.nrows)
 
     def mul(self, other: "MatrixExact") -> "MatrixExact":
         if self.ncols != other.nrows:
@@ -195,8 +214,8 @@ class MatrixExact:
         if self.shape != other.shape:
             raise InputFormatError("shape mismatch in sum")
         f = self.field
-        return MatrixExact(
-            self.field,
+        return MatrixExact.trusted(
+            f,
             [
                 [f.add(a, b) for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
@@ -207,7 +226,7 @@ class MatrixExact:
     def scale(self, scalar) -> "MatrixExact":
         f = self.field
         c = f.coerce(scalar)
-        return MatrixExact(
+        return MatrixExact.trusted(
             f, [[f.mul(c, a) for a in row] for row in self.rows], self.ncols
         )
 
@@ -282,6 +301,15 @@ class Subspace:
         for vec in vectors:
             self.add(vec)
 
+    @classmethod
+    def from_rref(cls, field: FieldSpec, ambient: int, rows: list[list], pivots) -> "Subspace":
+        """The span of rows that already form a canonical RREF with these
+        pivot columns; takes them as they are, with no elimination."""
+        space = cls(field, ambient)
+        space.rows = list(rows)
+        space.pivots = list(pivots)
+        return space
+
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -326,7 +354,7 @@ class Subspace:
 def echelon(m: MatrixExact) -> tuple[MatrixExact, tuple[int, ...]]:
     """Canonical reduced row echelon form and its pivot columns."""
     space = Subspace(m.field, m.ncols, m.rows)
-    return MatrixExact(m.field, space.rows, m.ncols), tuple(space.pivots)
+    return MatrixExact.trusted(m.field, space.rows, m.ncols), tuple(space.pivots)
 
 
 def rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
@@ -345,7 +373,7 @@ def rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
             if coeff:
                 vec[pcol] = f.neg(coeff)
         kernel_rows.append(vec)
-    kernel = MatrixExact(f, kernel_rows, m.ncols)
+    kernel = MatrixExact.trusted(f, kernel_rows, m.ncols)
     kernel_rref, _ = echelon(kernel)
     check(
         m.mul(kernel_rref.transpose()).is_zero() if kernel_rows else True,
@@ -361,7 +389,7 @@ def solve(a: MatrixExact, b: list) -> list | None:
         raise InputFormatError("right-hand side length does not match row count")
     f = a.field
     aug_rows = [row + [f.coerce(x)] for row, x in zip(a.rows, b)]
-    aug = MatrixExact(f, aug_rows, a.ncols + 1)
+    aug = MatrixExact.trusted(f, aug_rows, a.ncols + 1)
     red, pivots = echelon(aug)
     if a.ncols in pivots:
         return None

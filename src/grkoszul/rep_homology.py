@@ -53,22 +53,23 @@ class Representation:
 
     def __post_init__(self):
         self._cache: dict = {}
+        # the block layout; dims is never changed after construction
+        self._offsets: dict[str, int] = {}
+        total = 0
+        for v in self.vertices:
+            self._offsets[v] = total
+            total += self.dims[v]
+        self.total_dim = total
 
     @property
     def vertices(self) -> list[str]:
         return self.algebra.presentation.vertices
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims[v] for v in self.vertices)
-
     def offset(self, vertex: str) -> int:
-        out = 0
-        for v in self.vertices:
-            if v == vertex:
-                return out
-            out += self.dims[v]
-        raise InputFormatError(f"unknown vertex {vertex!r}")
+        try:
+            return self._offsets[vertex]
+        except KeyError:
+            raise InputFormatError(f"unknown vertex {vertex!r}") from None
 
     def block(self, vec: list, vertex: str) -> list:
         start = self.offset(vertex)
@@ -101,7 +102,7 @@ class Representation:
         for i in range(small.nrows):
             for j in range(small.ncols):
                 mat[ro + i][co + j] = small.rows[i][j]
-        out = MatrixExact(f, mat, n)
+        out = MatrixExact.trusted(f, mat, n)
         self._cache[key] = out
         return out
 
@@ -229,7 +230,7 @@ def direct_sum(*reps: Representation) -> Representation:
                     mat[ro + i][co + j] = small.rows[i][j]
             ro += r.dims[dst]
             co += r.dims[src]
-        action[name] = MatrixExact(f, mat, dims[src])
+        action[name] = MatrixExact.trusted(f, mat, dims[src])
     return Representation(algebra, dims, action)
 
 
@@ -249,30 +250,33 @@ def dual_rep(rep: Representation, op_algebra: FiniteDimAlgebra) -> Representatio
 def _split_rows_by_vertex(rep: Representation, rows: list[list]) -> dict[str, Subspace]:
     """Split a subspace's spanning rows into per-vertex block subspaces.
 
-    The span must be closed under the vertex idempotents: every blockwise
-    truncation of a spanning row has to stay inside the span.
+    The span W must be closed under the vertex idempotents e_v, which holds
+    exactly when every row of its canonical RREF lies inside one vertex block:
+    - if W is closed, it is the direct sum of the W e_v, and the union of
+      their RREFs is a reduced echelon basis of W (rows of different blocks
+      share no column), so by uniqueness it is the RREF of W;
+    - if every RREF row lies in one block, w e_v is the combination of the
+      block-v rows with w's coefficients, so it lies in W.
+    A row lies in the block of its pivot iff it is zero past that block's
+    end; cut to the block, those rows are the canonical RREF of W e_v.
     """
     f = rep.algebra.field
     span = Subspace(f, rep.total_dim, rows)
     out: dict[str, Subspace] = {}
+    at = 0  # RREF rows are sorted by pivot, and blocks by vertex order
     for v in rep.vertices:
-        block_rows = []
-        for r in span.rows:
-            blocked = [f.zero] * rep.total_dim
-            start = rep.offset(v)
-            blocked[start : start + rep.dims[v]] = r[start : start + rep.dims[v]]
-            if any(x != f.zero for x in blocked):
-                if not span.contains(blocked):
-                    raise InputFormatError(
-                        "rows are not closed under the vertex idempotents"
-                    )
-                block_rows.append(rep.block(blocked, v))
-        out[v] = Subspace(f, rep.dims[v], block_rows)
+        start = rep.offset(v)
+        end = start + rep.dims[v]
+        block_rows, block_pivots = [], []
+        while at < len(span.pivots) and span.pivots[at] < end:
+            row = span.rows[at]
+            if any(row[end:]):
+                raise InputFormatError("rows are not closed under the vertex idempotents")
+            block_rows.append(row[start:end])
+            block_pivots.append(span.pivots[at] - start)
+            at += 1
+        out[v] = Subspace.from_rref(f, rep.dims[v], block_rows, block_pivots)
     return out
-
-
-def _ordered_sub_rows(rep: Representation, per_vertex: dict[str, Subspace]) -> list[list]:
-    return [rep.embed(v, br) for v in rep.vertices for br in per_vertex[v].rows]
 
 
 def sub_rep(rep: Representation, rows: list[list]) -> tuple[Representation, MatrixExact]:
@@ -285,7 +289,7 @@ def sub_rep(rep: Representation, rows: list[list]) -> tuple[Representation, Matr
     f = rep.algebra.field
     per_vertex = _split_rows_by_vertex(rep, rows)
     dims = {v: len(per_vertex[v]) for v in rep.vertices}
-    ordered = _ordered_sub_rows(rep, per_vertex)
+    ordered = [rep.embed(v, br) for v in rep.vertices for br in per_vertex[v].rows]
     action = {}
     for name, src, dst in rep.algebra.presentation.arrows:
         # each block basis is an RREF, so coords also proves membership
@@ -295,13 +299,9 @@ def sub_rep(rep: Representation, rows: list[list]) -> tuple[Representation, Matr
             if coords is None:
                 raise InputFormatError("rows do not span an action-closed subspace")
             cols.append(coords)
-        action[name] = MatrixExact(f, cols, dims[dst]).transpose()
+        action[name] = MatrixExact.trusted(f, cols, dims[dst]).transpose()
     sub = Representation(rep.algebra, dims, action)
-    incl = (
-        MatrixExact(f, ordered, rep.total_dim).transpose()
-        if ordered
-        else MatrixExact.zero(f, rep.total_dim, 0)
-    )
+    incl = MatrixExact.trusted(f, ordered, rep.total_dim).transpose()
     return sub, incl
 
 
@@ -326,35 +326,19 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
         red = per_vertex[v].reduce(block_vec)
         return [red[j] for j in free[v]]
 
-    def lift(v, qvec):
-        out = [f.zero] * rep.dims[v]
-        for val, j in zip(qvec, free[v]):
-            out[j] = val
-        return out
-
     action = {}
     for name, src, dst in rep.algebra.presentation.arrows:
-        cols = []
-        for k in range(qdims[src]):
-            unit = [f.one if i == k else f.zero for i in range(qdims[src])]
-            cols.append(project(dst, rep.action[name].apply(lift(src, unit))))
-        action[name] = MatrixExact(f, cols, qdims[dst]).transpose()
+        # the quotient basis at src is the images of the units at free[src]
+        cols = rep.action[name].transpose().rows
+        action[name] = MatrixExact.trusted(
+            f, [project(dst, cols[j]) for j in free[src]], qdims[dst]).transpose()
     quot = Representation(rep.algebra, qdims, action)
     proj_rows = []
     for v in rep.vertices:
-        for k in range(qdims[v]):
-            row = [f.zero] * rep.total_dim
-            start = rep.offset(v)
-            for j in range(rep.dims[v]):
-                unit = [f.one if i == j else f.zero for i in range(rep.dims[v])]
-                row[start + j] = project(v, unit)[k]
-            proj_rows.append(row)
-    proj = (
-        MatrixExact(f, proj_rows, rep.total_dim)
-        if proj_rows
-        else MatrixExact.zero(f, 0, rep.total_dim)
-    )
-    return quot, proj
+        units = MatrixExact.identity(f, rep.dims[v]).rows
+        block = MatrixExact.trusted(f, [project(v, e) for e in units], qdims[v]).transpose()
+        proj_rows += [rep.embed(v, row) for row in block.rows]
+    return quot, MatrixExact.trusted(f, proj_rows, rep.total_dim)
 
 
 # -- radical and socle filtrations ----------------------------------------------------
@@ -804,8 +788,7 @@ def _head_generators(rep: Representation) -> list[tuple[str, int]]:
     rad_split = _split_rows_by_vertex(rep, radical_rows(rep))
     generators = []
     for v in rep.vertices:
-        for j in range(rep.dims[v]):
-            unit = [f.one if i == j else f.zero for i in range(rep.dims[v])]
+        for j, unit in enumerate(MatrixExact.identity(f, rep.dims[v]).rows):
             if rad_split[v].add(unit):
                 generators.append((v, j))
     return generators
@@ -844,11 +827,7 @@ def projective_cover(rep: Representation) -> Cover:
                 if bp.src != v or bp.dst != u:
                     continue
                 cols.append(rep.path_total(bp.arrows).apply(gen) if bp.arrows else gen)
-    nu = (
-        MatrixExact(f, cols, rep.total_dim).transpose()
-        if cols
-        else MatrixExact.zero(f, rep.total_dim, 0)
-    )
+    nu = MatrixExact.trusted(f, cols, rep.total_dim).transpose()
     img, _ = row_space(f, [list(c) for c in cols], rep.total_dim)
     check(len(img) == rep.total_dim, "cover map is not surjective")
     _, kernel = rank_kernel(nu)

@@ -6,11 +6,14 @@ plus raw-byte determinism.  Exit statuses: 0 ok, 2 malformed input,
 """
 
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import grkoszul
 from grkoszul import cli, selftest
 from grkoszul.algebra_core import build_algebra
 from grkoszul.exactlin import QQ, FieldSpec
@@ -54,6 +57,15 @@ matrix y
 0 0
 1 0
 """
+
+def cube_qalg(field_line):
+    """k<x,y>/(all eight cubes) over the given field."""
+    words = [(a, b, c) for a in "xy" for b in "xy" for c in "xy"]
+    return "\n".join([field_line, "vertex v", "arrow x v v", "arrow y v v"]
+                     + ["relation 1*%s" % "*".join(w) for w in words]) + "\n"
+
+
+CUBE_SIMPLE_QREP = "vertexdim v 1\nmatrix x\n0\nmatrix y\n0\n"
 
 DELTA2_QREP = """\
 vertexdim 1 1
@@ -351,6 +363,41 @@ def test_selftest_rejects_unknown_criterion_with_exit_2(capsys, number):
     assert "--criterion" in capsys.readouterr().err
 
 
+def fresh_process(args):
+    """(exit status, stdout, stderr) of one command in a new interpreter."""
+    src = str(Path(grkoszul.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "grkoszul", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call_in_a_process(cubic_path, tmp_path, capsys):
+    simple = tmp_path / "simple.qrep"
+    simple.write_text("vertexdim v 1\nmatrix x\n0\n")
+    resolve = ["module", "resolve", cubic_path, simple, "--max-degree", "3"]
+    for args in (["selftest", "--criterion", "3"], resolve,
+                 ["selftest", "--criterion", "12"], resolve):
+        try:
+            status = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == fresh_process(args), args
+
+
+def test_reused_parser_follows_the_criteria_table(monkeypatch, capsys):
+    cli.main(["selftest", "--criterion", "3", "--out", os.devnull])
+    monkeypatch.setattr(selftest, "CRITERIA", ((12, "extra", lambda: (True, [])),))
+    status, out = run_cli(["selftest", "--criterion", "12"], capsys)
+    assert status == 0 and report_map(out)["criterion.12"] == "pass"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--criterion", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 3 (choose from 12)" in capsys.readouterr().err
+
+
 def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path / "cache"))
     _, out1 = run_cli(["kl", "table", "--type", "A", "--rank", "2",
@@ -442,6 +489,15 @@ GOLDEN_BODIES = {
         "80beb2dc3a050dc72c9f430a11bfa14ac3648b61f85710f6eddd485a9e3d5559",
     "qha-parity":
         "2a627947dbbc9503e3e16abf435b4b5bf0023e47afcd2079c664e396d564a3b6",
+    # recorded before the cover path took internal matrices without coercion
+    # and split rows by their RREF blocks; the report names no field, so
+    # F_2 and F_3 agree
+    "module-resolve-cube-f2":
+        "8be2cd800ce9ce9fa10fcd6d8cb98e49bda0053b65fa6c8b8083d5296adbdc40",
+    "module-resolve-cube-f3":
+        "8be2cd800ce9ce9fa10fcd6d8cb98e49bda0053b65fa6c8b8083d5296adbdc40",
+    "module-resolve-cube-q":
+        "1ee77368266354f7a2beb484662e2c501d1edfc3d306e425e162e5ca30d69a87",
 }
 
 
@@ -452,6 +508,12 @@ def test_golden_representation_digests(b5_path, cubic_path, delta2_path, tmp_pat
     rep = tmp_path / "frac.qrep"
     rep.write_text(FRACTIONAL_QREP)
     emit = tmp_path / "gr.qalg"
+    cube = {}
+    for name, field_line in (("f2", "field F 2"), ("f3", "field F 3"), ("q", "field Q")):
+        cube[name] = tmp_path / ("cube-%s.qalg" % name)
+        cube[name].write_text(cube_qalg(field_line))
+    simple = tmp_path / "cube-simple.qrep"
+    simple.write_text(CUBE_SIMPLE_QREP)
     runs = {
         "module-resolve": ["module", "resolve", alg, rep, "--max-degree", "4"],
         "module-ext": ["module", "ext", alg, rep, "--max-degree", "4"],
@@ -466,6 +528,9 @@ def test_golden_representation_digests(b5_path, cubic_path, delta2_path, tmp_pat
         "koszul-check-b5": ["algebra", "koszul-check", b5_path],
         "koszul-check-cubic": ["algebra", "koszul-check", cubic_path],
         "qha-parity": ["qha", "parity", b5_path],
+        "module-resolve-cube-f2": ["module", "resolve", cube["f2"], simple, "--max-degree", "3"],
+        "module-resolve-cube-f3": ["module", "resolve", cube["f3"], simple, "--max-degree", "3"],
+        "module-resolve-cube-q": ["module", "resolve", cube["q"], simple, "--max-degree", "4"],
     }
     digests = {}
     for name, args in runs.items():

@@ -437,3 +437,109 @@ def test_intersect_spaces_matches_kernel_oracle(case, data):
     assert (meet, tuple(row.index(1) for row in meet)) == row_space(f, meet, n)
     both = Subspace(f, n, vectors), Subspace(f, n, others)
     assert all(space.contains(v) for v in meet for space in both)
+
+
+# -- canonical output of the trusted producers --------------------------------------
+#
+# zero, identity, transpose, mul, add, scale, echelon and rank_kernel build
+# their matrices without a coercion pass (`MatrixExact.trusted`); these tests
+# are the check that what they build is canonical all the same.
+
+
+def is_canonical(field, x):
+    """Over Q an int or a Fraction with denominator > 1; over F_p an int in [0, p)."""
+    if field.char == 0:
+        return is_canonical_q(x)
+    return type(x) is int and 0 <= x < field.char
+
+
+def canonical_rows(field, rows):
+    return all(is_canonical(field, x) for row in rows for x in row)
+
+
+def raw_entries(field):
+    """Scalars as a caller may pass them: bools, negatives, values >= p and,
+    over Q, integral and proper Fractions."""
+    if field.char == 0:
+        return scalar_input
+    return st.one_of(st.booleans(), st.integers(-20, 20))
+
+
+def raw_matrices(field):
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.integers(min_value=1, max_value=4).flatmap(
+            lambda m: st.lists(
+                st.lists(raw_entries(field), min_size=m, max_size=m), min_size=n, max_size=n
+            )
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, F2, F3, F5]).flatmap(
+    lambda f: st.tuples(st.just(f), raw_matrices(f), raw_entries(f))))
+def test_trusted_producers_return_canonical_scalars(case):
+    f, rows, scalar = case
+    m = MatrixExact(f, rows)
+    assert canonical_rows(f, m.rows)
+    t = m.transpose()
+    assert t.shape == (m.ncols, m.nrows) and t.transpose() == m
+    produced = {
+        "zero": MatrixExact.zero(f, m.nrows, m.ncols),
+        "identity": MatrixExact.identity(f, m.ncols),
+        "transpose": t,
+        "mul": m.mul(t),
+        "mul-t": t.mul(m),
+        "add": m.add(m),
+        "scale": m.scale(scalar),
+        "echelon": echelon(m)[0],
+        "kernel": rank_kernel(m)[1],
+        "kernel-t": rank_kernel(t)[1],
+    }
+    for name, out in produced.items():
+        assert canonical_rows(f, out.rows), name
+        assert all(len(row) == out.ncols for row in out.rows) and len(out.rows) == out.nrows
+    # a trusted product owns fresh rows: writing to it leaves its inputs alone
+    before = [list(row) for row in m.rows]
+    for out in produced.values():
+        for row in out.rows:
+            row[:] = [f.zero] * len(row)
+    assert m.rows == before
+
+
+def test_trusted_transpose_keeps_empty_shapes():
+    empty = MatrixExact(QQ, [], 3)
+    assert empty.transpose().shape == (3, 0)
+    assert empty.transpose().transpose().shape == (0, 3)
+    assert MatrixExact.zero(F2, 2, 0).transpose().shape == (0, 2)
+
+
+def test_public_constructor_still_canonicalises():
+    m = MatrixExact(QQ, [[Fraction(6, 3), True, Fraction(1, 2), -4]])
+    assert m.rows == [[2, 1, Fraction(1, 2), -4]]
+    assert [type(x) for x in m.rows[0]] == [int, int, Fraction, int]
+    for f in (F2, F3, F5):
+        m = MatrixExact(f, [[-1, f.char, f.char + 1, True, Fraction(f.char + 1, 1)]])
+        assert m.rows == [[f.char - 1, 0, 1, 1, 1]]
+        assert all(type(x) is int for x in m.rows[0])
+    with pytest.raises(InputFormatError):
+        MatrixExact(QQ, [[1, 2], [3]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(spans))
+def test_subspace_from_rref_equals_the_eliminated_subspace(case):
+    f, n, vectors, probes = case
+    built = Subspace(f, n, vectors)
+    rows, pivots = list(built.rows), list(built.pivots)
+    given_rows, given_pivots = list(rows), list(pivots)
+    taken = Subspace.from_rref(f, n, rows, pivots)
+    assert (taken.rows, taken.pivots) == (built.rows, built.pivots)
+    assert canonical_rows(f, taken.rows)
+    for vec in probes:
+        assert taken.contains(vec) == built.contains(vec)
+        assert taken.coords(vec) == built.coords(vec)
+        assert taken.add(vec) == built.add(vec)
+        assert (taken.rows, taken.pivots) == (built.rows, built.pivots)
+    # growing the taken space leaves the lists it was given alone
+    assert (rows, pivots) == (given_rows, given_pivots)

@@ -10,6 +10,7 @@ Nabla(2) = P(1)/rad^2.
 """
 
 import hashlib
+from fractions import Fraction
 from itertools import combinations
 from itertools import product as iter_product
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from grkoszul import rep_homology
 from grkoszul.errors import GrkoszulError, InputFormatError, PreconditionError
-from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, rank_kernel, row_space
+from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, Subspace, rank_kernel, row_space
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -854,3 +855,164 @@ def test_gr_of_canonical_quotients_stays_surjective(alg):
         quot, proj = quotient_rep(reg, series[cut])
         _, _, _, surjective = gr_of_surjection(reg, quot, proj, graded)
         assert surjective
+
+
+# -- the vertex split and the canonical cover path ------------------------------------
+
+
+def split_by_contains(rep, rows):
+    """Test-only oracle: the vertex split as decided before the single-block
+    RREF test, by asking `Subspace.contains` for every blockwise truncation
+    of every RREF row and eliminating each block again."""
+    f = rep.algebra.field
+    span = Subspace(f, rep.total_dim, rows)
+    out = {}
+    for v in rep.vertices:
+        block_rows = []
+        for r in span.rows:
+            blocked = [f.zero] * rep.total_dim
+            start = rep.offset(v)
+            blocked[start : start + rep.dims[v]] = r[start : start + rep.dims[v]]
+            if any(x != f.zero for x in blocked):
+                if not span.contains(blocked):
+                    raise InputFormatError(
+                        "rows are not closed under the vertex idempotents"
+                    )
+                block_rows.append(rep.block(blocked, v))
+        out[v] = Subspace(f, rep.dims[v], block_rows)
+    return out
+
+
+def three_vertex_line(field):
+    return QuiverPresentation(field, ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")], [])
+
+
+def blank_module(pres, dims):
+    """A module with the given vertex dimensions on which every arrow acts by 0."""
+    alg = build_algebra(pres)
+    action = {name: MatrixExact.zero(alg.field, dims[dst], dims[src])
+              for name, src, dst in pres.arrows}
+    return make_representation(alg, dims, action)
+
+
+def raw_scalars(field):
+    if field.char == 0:
+        return st.one_of(st.integers(-3, 3),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    return st.integers(-4, 4)
+
+
+@st.composite
+def split_cases(draw):
+    """(module, rows, closed): when closed is True the rows are vectors
+    supported in one vertex block and sums of them, in random order, so
+    their span is idempotent-closed; otherwise they are arbitrary
+    total-space vectors."""
+    field = draw(st.sampled_from([QQ, F2, FieldSpec(3)]))
+    pres = draw(st.sampled_from([two_vertex_cycle, three_vertex_line]))(field)
+    dims = {v: draw(st.integers(0, 3)) for v in pres.vertices}
+    m = blank_module(pres, dims)
+    n = m.total_dim
+    scalars = raw_scalars(field)
+    closed = draw(st.booleans())
+    if not closed or n == 0:
+        rows = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), max_size=5))
+        return m, rows, closed
+    filled = [v for v in m.vertices if dims[v]]
+    block_vectors = [
+        m.embed(v, draw(st.lists(scalars, min_size=dims[v], max_size=dims[v])))
+        for v in draw(st.lists(st.sampled_from(filled), max_size=5))
+    ]
+    sums = []
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(scalars, min_size=len(block_vectors),
+                               max_size=len(block_vectors)))
+        sums.append([sum((c * vec[j] for c, vec in zip(coeffs, block_vectors)), 0)
+                     for j in range(n)])
+    return m, draw(st.permutations(block_vectors + sums)), closed
+
+
+def split_outcome(split, m, rows):
+    try:
+        out = split(m, rows)
+    except InputFormatError as exc:
+        return "error", str(exc)
+    return "split", {v: (space.rows, space.pivots) for v, space in out.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_cases())
+def test_vertex_split_agrees_with_the_contains_oracle(case):
+    m, rows, closed = case
+    got = split_outcome(rep_homology._split_rows_by_vertex, m, rows)
+    assert got == split_outcome(split_by_contains, m, rows)
+    if closed:
+        assert got[0] == "split"
+
+
+def test_vertex_split_rejects_a_row_across_two_blocks():
+    m = blank_module(two_vertex_cycle(FieldSpec(3)), {"1": 1, "2": 2})
+    for split in (rep_homology._split_rows_by_vertex, split_by_contains):
+        with pytest.raises(InputFormatError, match="closed under the vertex idempotents"):
+            split(m, [[1, 0, 2]])
+    # the same row with its block parts also in the span is fine
+    out = rep_homology._split_rows_by_vertex(m, [[1, 0, 2], [0, 0, 1]])
+    assert {v: (s.rows, s.pivots) for v, s in out.items()} == \
+        {"1": ([[1]], [0]), "2": ([[0, 1]], [1])}
+
+
+def is_canonical(field, x):
+    if field.char == 0:
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+    return type(x) is int and 0 <= x < field.char
+
+
+def assert_canonical(field, rows, what):
+    assert all(is_canonical(field, x) for row in rows for x in row), what
+
+
+def fractional_module():
+    """A 2-dimensional module over the commuting loops on which x acts by 3/2."""
+    alg = build_algebra(commuting_loops(QQ))
+    action = {"x": MatrixExact(QQ, [[0, 0], [Fraction(3, 2), 0]]),
+              "y": MatrixExact(QQ, [[0, 0], [1, 0]])}
+    return make_representation(alg, {"1": 2}, action)
+
+
+def assert_cover_path_canonical(m):
+    f = m.algebra.field
+    for rows in radical_series(m):
+        for v, space in rep_homology._split_rows_by_vertex(m, rows).items():
+            assert_canonical(f, space.rows, "block rows")
+            assert (space.rows, space.pivots) == \
+                (Subspace(f, m.dims[v], space.rows).rows, list(space.pivots))
+        sub, incl = sub_rep(m, rows)
+        assert_canonical(f, incl.rows, "inclusion")
+        assert incl.shape == (m.total_dim, sub.total_dim)
+        for name, mat in sub.action.items():
+            assert_canonical(f, mat.rows, "sub action " + name)
+    cov = projective_cover(m)
+    assert_canonical(f, cov.map.rows, "cover map")
+    assert_canonical(f, cov.syzygy_inclusion.rows, "syzygy inclusion")
+    for part in (cov.projective, cov.syzygy):
+        for name, mat in part.action.items():
+            assert_canonical(f, mat.rows, "cover action " + name)
+            assert_canonical(f, part.total_action(name).rows, "total action " + name)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(monomial_two_loop_algebra(), monomial_two_vertex_algebra()))
+def test_cover_path_outputs_are_canonical(alg):
+    for v in alg.presentation.vertices:
+        res = minimal_resolution(simple_rep(alg, v), 2)
+        for m in res.terms + res.syzygies:
+            assert_cover_path_canonical(m)
+        assert all(is_canonical(alg.field, x) for mat in res.maps
+                   for row in mat.rows for x in row)
+
+
+def test_cover_path_keeps_proper_fractions():
+    m = fractional_module()
+    assert_cover_path_canonical(m)
+    cov = projective_cover(m)
+    assert Fraction(3, 2) in [x for row in cov.map.rows for x in row]
