@@ -263,6 +263,15 @@ class FiniteDimAlgebra:
         self._mult: dict[tuple[int, int], tuple[tuple[int, object], ...]] = {}
         self._rad_chain: list[list[list]] | None = None
         self._grades: list[int] | None = None
+        self._memo: dict = {}
+
+    def memoized(self, key, build):
+        """build(), computed once per key for the life of this algebra; for
+        results that depend on the algebra and the key alone."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     # -- vectors --------------------------------------------------------------
 

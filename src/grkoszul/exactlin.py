@@ -18,6 +18,8 @@ constructor, the scalar parsers and every vector given to a `Subspace` run
 `identity`, `transpose`, `mul`, `add`, `scale`, `echelon`, the kernel rows of
 `rank_kernel`) build it with `MatrixExact.trusted`; rows already in canonical
 RREF become a `Subspace` through `Subspace.from_rref`, not reduced again.
+`MatrixExact.apply` takes its vector as it is (every program caller passes a
+canonical one) and canonicalises its output once.
 """
 
 from __future__ import annotations
@@ -196,19 +198,17 @@ class MatrixExact:
             raise InputFormatError(
                 f"shape mismatch in product: {self.shape} * {other.shape}"
             )
-        f = self.field
-        out = MatrixExact.zero(f, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            row = self.rows[i]
-            orow = out.rows[i]
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                brow = other.rows[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        orow[j] = f.add(orow[j], f.mul(a, b))
-        return out
+        # row i of the product combines the rows of other over row i's
+        # nonzero entries; each row is canonicalised once, at the end
+        f, char = self.field, self.field.char
+        rows = []
+        for row in self.rows:
+            acc = [0] * other.ncols
+            for a, brow in zip(row, other.rows):
+                if a:
+                    acc = [s + a * b if b else s for s, b in zip(acc, brow)]
+            rows.append([s % char for s in acc] if char else f.coerce_row(acc))
+        return MatrixExact.trusted(f, rows, other.ncols)
 
     def add(self, other: "MatrixExact") -> "MatrixExact":
         if self.shape != other.shape:
@@ -233,16 +233,15 @@ class MatrixExact:
     def apply(self, vec: list) -> list:
         if len(vec) != self.ncols:
             raise InputFormatError("vector length does not match column count")
-        f = self.field
-        support = [(j, x) for j, x in enumerate(f.coerce_row(vec)) if x]
+        support = [(j, x) for j, x in enumerate(vec) if x]
         out = []
         for row in self.rows:
-            s = f.zero
+            s = 0
             for j, x in support:
                 if row[j]:
-                    s = f.add(s, f.mul(row[j], x))
+                    s += row[j] * x
             out.append(s)
-        return out
+        return self.field.coerce_row(out)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.rows for x in row)
@@ -302,12 +301,15 @@ class Subspace:
             self.add(vec)
 
     @classmethod
-    def from_rref(cls, field: FieldSpec, ambient: int, rows: list[list], pivots) -> "Subspace":
+    def from_rref(cls, field: FieldSpec, ambient: int, rows: list[list],
+                  pivots=None) -> "Subspace":
         """The span of rows that already form a canonical RREF with these
-        pivot columns; takes them as they are, with no elimination."""
+        pivot columns (by default each row's leading column); takes them as
+        they are, with no elimination."""
         space = cls(field, ambient)
         space.rows = list(rows)
-        space.pivots = list(pivots)
+        space.pivots = (list(pivots) if pivots is not None
+                        else [next(j for j, a in enumerate(r) if a) for r in rows])
         return space
 
     def __len__(self) -> int:

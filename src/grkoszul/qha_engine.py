@@ -302,13 +302,9 @@ def _delta_filtration(h: HighestWeightStructure, m: Representation) -> list[str]
         if delta.dims[mu] != 1:
             continue
         count = m.dims[mu]
-        rows = []
-        for j in range(count):
-            gen = m.unit(mu, j)
-            for bp in h.algebra.basis:
-                if bp.src != mu:
-                    continue
-                rows.append(m.path_total(bp.arrows).apply(gen) if bp.arrows else gen)
+        units = MatrixExact.identity(h.algebra.field, count).rows
+        rows = [m.embed(h.algebra.basis[i].dst, block) for unit in units
+                for i, block in m.path_images(mu, unit).items()]
         bottom, _ = sub_rep(m, rows)
         if bottom.total_dim != count * delta.total_dim:
             continue

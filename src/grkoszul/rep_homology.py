@@ -21,6 +21,7 @@ from .exactlin import (
     MatrixExact,
     Subspace,
     determinant,
+    echelon,
     intersect_spaces,
     rank_kernel,
     reduce_vector,
@@ -82,12 +83,6 @@ class Representation:
         vec[start : start + self.dims[vertex]] = block_vec
         return vec
 
-    def unit(self, vertex: str, k: int) -> list:
-        f = self.algebra.field
-        vec = [f.zero] * self.total_dim
-        vec[self.offset(vertex) + k] = f.one
-        return vec
-
     def total_action(self, name: str) -> MatrixExact:
         """The arrow's action on the full space (other blocks mapped to 0)."""
         key = ("arrow", name)
@@ -99,19 +94,10 @@ class Representation:
         mat = [[f.zero] * n for _ in range(n)]
         small = self.action[name]
         ro, co = self.offset(dst), self.offset(src)
-        for i in range(small.nrows):
-            for j in range(small.ncols):
-                mat[ro + i][co + j] = small.rows[i][j]
+        for i, row in enumerate(small.rows):
+            mat[ro + i][co : co + small.ncols] = row
         out = MatrixExact.trusted(f, mat, n)
         self._cache[key] = out
-        return out
-
-    def vertex_projection(self, vertex: str) -> MatrixExact:
-        f = self.algebra.field
-        out = MatrixExact.zero(f, self.total_dim, self.total_dim)
-        start = self.offset(vertex)
-        for i in range(self.dims[vertex]):
-            out.rows[start + i][start + i] = f.one
         return out
 
     def path_total(self, path: tuple[str, ...]) -> MatrixExact:
@@ -135,8 +121,26 @@ class Representation:
         for c, bp in zip(coords, self.algebra.basis):
             if not c:
                 continue
-            mat = self.vertex_projection(bp.src) if not bp.arrows else self.path_total(bp.arrows)
-            out = out.add(mat.scale(c))
+            if bp.arrows:
+                out = out.add(self.path_total(bp.arrows).scale(c))
+                continue
+            start = self.offset(bp.src)  # e_v acts as the projection to its block
+            for k in range(start, start + self.dims[bp.src]):
+                out.rows[k][k] = f.add(out.rows[k][k], f.coerce(c))
+        return out
+
+    def path_images(self, vertex: str, block_vec: list) -> dict[int, list]:
+        """x.p for x = block_vec at the vertex and every basis path p from it,
+        as {basis index: block vector at the end of p}, in basis order.  The
+        basis lists each path's prefix before it (`build_algebra` grows it by
+        length), so each image is one step from the prefix's by the small
+        `action` block of the last arrow."""
+        images, out = {}, {}
+        for i, bp in enumerate(self.algebra.basis):
+            if bp.src == vertex:
+                p = bp.arrows
+                out[i] = images[p] = (self.action[p[-1]].apply(images[p[:-1]]) if p
+                                      else block_vec)
         return out
 
 
@@ -173,9 +177,7 @@ def make_representation(algebra: FiniteDimAlgebra, dims: dict[str, int],
 def zero_rep(algebra: FiniteDimAlgebra) -> Representation:
     f = algebra.field
     dims = {v: 0 for v in algebra.presentation.vertices}
-    action = {}
-    for name, src, dst in algebra.presentation.arrows:
-        action[name] = MatrixExact.zero(f, 0, 0)
+    action = {name: MatrixExact.zero(f, 0, 0) for name, _, _ in algebra.presentation.arrows}
     return Representation(algebra, dims, action)
 
 
@@ -225,9 +227,8 @@ def direct_sum(*reps: Representation) -> Representation:
         ro = co = 0
         for r in reps:
             small = r.action[name]
-            for i in range(small.nrows):
-                for j in range(small.ncols):
-                    mat[ro + i][co + j] = small.rows[i][j]
+            for i, row in enumerate(small.rows):
+                mat[ro + i][co : co + small.ncols] = row
             ro += r.dims[dst]
             co += r.dims[src]
         action[name] = MatrixExact.trusted(f, mat, dims[src])
@@ -247,8 +248,11 @@ def dual_rep(rep: Representation, op_algebra: FiniteDimAlgebra) -> Representatio
 # -- submodules and quotients ---------------------------------------------------------
 
 
-def _split_rows_by_vertex(rep: Representation, rows: list[list]) -> dict[str, Subspace]:
+def _split_rows_by_vertex(rep: Representation, rows) -> dict[str, Subspace]:
     """Split a subspace's spanning rows into per-vertex block subspaces.
+
+    rows is a list of spanning rows, eliminated here once, or a `Subspace`
+    that already holds their canonical RREF, taken as it is.
 
     The span W must be closed under the vertex idempotents e_v, which holds
     exactly when every row of its canonical RREF lies inside one vertex block:
@@ -261,7 +265,7 @@ def _split_rows_by_vertex(rep: Representation, rows: list[list]) -> dict[str, Su
     end; cut to the block, those rows are the canonical RREF of W e_v.
     """
     f = rep.algebra.field
-    span = Subspace(f, rep.total_dim, rows)
+    span = rows if isinstance(rows, Subspace) else Subspace(f, rep.total_dim, rows)
     out: dict[str, Subspace] = {}
     at = 0  # RREF rows are sorted by pivot, and blocks by vertex order
     for v in rep.vertices:
@@ -279,8 +283,15 @@ def _split_rows_by_vertex(rep: Representation, rows: list[list]) -> dict[str, Su
     return out
 
 
-def sub_rep(rep: Representation, rows: list[list]) -> tuple[Representation, MatrixExact]:
-    """The submodule spanned by the given total-space rows.
+def _block_images(mat: MatrixExact, rows: list[list]) -> list[list]:
+    """mat applied to each row, as the rows of (rows) * mat^T: each is the
+    combination of mat's columns over the row's nonzero entries."""
+    return MatrixExact.trusted(mat.field, rows, mat.ncols).mul(mat.transpose()).rows
+
+
+def sub_rep(rep: Representation, rows) -> tuple[Representation, MatrixExact]:
+    """The submodule spanned by the given total-space rows (or `Subspace`,
+    see `_split_rows_by_vertex`).
 
     Returns (S, incl) with incl of shape (dim M x dim S) embedding the
     chosen basis of S back into M.  Rows not closed under the action are
@@ -294,8 +305,8 @@ def sub_rep(rep: Representation, rows: list[list]) -> tuple[Representation, Matr
     for name, src, dst in rep.algebra.presentation.arrows:
         # each block basis is an RREF, so coords also proves membership
         cols = []
-        for br in per_vertex[src].rows:
-            coords = per_vertex[dst].coords(rep.action[name].apply(br))
+        for img in _block_images(rep.action[name], per_vertex[src].rows):
+            coords = per_vertex[dst].coords(img)
             if coords is None:
                 raise InputFormatError("rows do not span an action-closed subspace")
             cols.append(coords)
@@ -313,8 +324,8 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
     f = rep.algebra.field
     per_vertex = _split_rows_by_vertex(rep, rows)
     for name, src, dst in rep.algebra.presentation.arrows:
-        for br in per_vertex[src].rows:
-            if not per_vertex[dst].contains(rep.action[name].apply(br)):
+        for img in _block_images(rep.action[name], per_vertex[src].rows):
+            if not per_vertex[dst].contains(img):
                 raise InputFormatError("rows do not span an action-closed subspace")
     free = {
         v: [j for j in range(rep.dims[v]) if j not in per_vertex[v].pivots]
@@ -344,14 +355,13 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
 # -- radical and socle filtrations ----------------------------------------------------
 
 
-def radical_rows(rep: Representation) -> list[list]:
-    """Spanning rows of M rad A, the sum of the arrow images."""
+def radical_space(rep: Representation) -> Subspace:
+    """M rad A, the sum of the arrow images, as the canonical RREF."""
     vectors = []
     for name, mat in rep.action.items():
         dst = rep.algebra.presentation.arrow_endpoints(name)[1]
         vectors += [rep.embed(dst, col) for col in mat.transpose().rows if any(col)]
-    rows, _ = row_space(rep.algebra.field, vectors, rep.total_dim)
-    return rows
+    return Subspace(rep.algebra.field, rep.total_dim, vectors)
 
 
 def _series(field: FieldSpec, mats: list[MatrixExact], n: int) -> list[list[list]]:
@@ -424,7 +434,7 @@ def layer_dims(rep: Representation) -> list[dict[str, int]]:
 
 def head_multiplicities(rep: Representation) -> dict[str, int]:
     """Per-vertex dimensions of the head M / M rad A (the top layer only)."""
-    rad = _split_rows_by_vertex(rep, radical_rows(rep))
+    rad = _split_rows_by_vertex(rep, radical_space(rep))
     return {v: rep.dims[v] - len(rad[v]) for v in rep.vertices}
 
 
@@ -448,15 +458,6 @@ def filtration_slice(rep: Representation, r: int, s: int | None = None) -> Repre
         inner.append(sol)
     quot, _ = quotient_rep(sub, inner)
     return quot
-
-
-def socle_sub(rep: Representation, i: int) -> Representation:
-    """soc_i M as a representation (i = 1 is the socle)."""
-    require(i >= 0, "socle index must be non-negative")
-    series = socle_series(rep)
-    rows = series[min(i, len(series) - 1)]
-    sub, _ = sub_rep(rep, rows)
-    return sub
 
 
 # -- graded modules -------------------------------------------------------------------
@@ -782,18 +783,6 @@ def graded_is_isomorphic(m: GradedRepresentation, n: GradedRepresentation,
 # -- projective covers and minimal resolutions -----------------------------------------
 
 
-def _head_generators(rep: Representation) -> list[tuple[str, int]]:
-    """(vertex, index) of a head basis chosen from unit vectors, vertex-major."""
-    f = rep.algebra.field
-    rad_split = _split_rows_by_vertex(rep, radical_rows(rep))
-    generators = []
-    for v in rep.vertices:
-        for j, unit in enumerate(MatrixExact.identity(f, rep.dims[v]).rows):
-            if rad_split[v].add(unit):
-                generators.append((v, j))
-    return generators
-
-
 @dataclass
 class Cover:
     projective: Representation
@@ -809,30 +798,43 @@ class Cover:
         return [v for v, _ in self.generators]
 
 
+def _projective_with_head(algebra: FiniteDimAlgebra, vertex: str):
+    """(P(vertex), head_multiplicities(P(vertex))), built once per algebra."""
+    def build():
+        proj = projective_rep(algebra, vertex)
+        return proj, head_multiplicities(proj)
+    return algebra.memoized(("projective with head", vertex), build)
+
+
 def projective_cover(rep: Representation) -> Cover:
-    """P -> M with P the sum of P(v) over a head basis, kernel the syzygy."""
+    """P -> M with P the sum of P(v) over a head basis, kernel the syzygy.
+
+    Surjectivity is read from the rank of the map, whose kernel (a canonical
+    RREF) is the syzygy.  The head check compares sum_i head P(v_i), which
+    is head P since rad P = sum_i rad P(v_i), with the head of M.
+    """
     f = rep.algebra.field
-    generators = _head_generators(rep)
+    # (vertex, index) of a head basis chosen from unit vectors, vertex-major
+    rad_split = _split_rows_by_vertex(rep, radical_space(rep))
+    units = {v: MatrixExact.identity(f, rep.dims[v]).rows for v in rep.vertices}
+    generators = [(v, j) for v in rep.vertices for j, unit in enumerate(units[v])
+                  if rad_split[v].add(unit)]
     summands = [v for v, _ in generators]
     head = {v: summands.count(v) for v in rep.vertices}
-    parts = [projective_rep(rep.algebra, v) for v in summands]
-    proj = direct_sum(*parts) if parts else zero_rep(rep.algebra)
+    parts = [_projective_with_head(rep.algebra, v) for v in summands]
+    proj = direct_sum(*(p for p, _ in parts)) if parts else zero_rep(rep.algebra)
     # columns follow the direct-sum layout: vertex blocks outermost, then
     # summands, then each summand's basis paths in algebra order
-    cols = []
-    for u in rep.vertices:
-        for v, j in generators:
-            gen = rep.unit(v, j)
-            for bp in rep.algebra.basis:
-                if bp.src != v or bp.dst != u:
-                    continue
-                cols.append(rep.path_total(bp.arrows).apply(gen) if bp.arrows else gen)
+    images = [rep.path_images(v, units[v][j]) for v, j in generators]
+    basis = rep.algebra.basis
+    cols = [rep.embed(u, block) for u in rep.vertices for img in images
+            for i, block in img.items() if basis[i].dst == u]
     nu = MatrixExact.trusted(f, cols, rep.total_dim).transpose()
-    img, _ = row_space(f, [list(c) for c in cols], rep.total_dim)
-    check(len(img) == rep.total_dim, "cover map is not surjective")
-    _, kernel = rank_kernel(nu)
-    omega, incl = sub_rep(proj, list(kernel.rows))
-    check(head_multiplicities(proj) == head, "cover does not induce a head isomorphism")
+    rank, kernel = rank_kernel(nu)
+    check(rank == rep.total_dim, "cover map is not surjective")
+    omega, incl = sub_rep(proj, Subspace.from_rref(f, proj.total_dim, kernel.rows))
+    check({v: sum(h[v] for _, h in parts) for v in rep.vertices} == head,
+          "cover does not induce a head isomorphism")
     return Cover(proj, nu, omega, incl, head, generators)
 
 
@@ -874,20 +876,19 @@ def minimal_resolution(rep: Representation, n_max: int) -> ResolutionData:
 
 
 def _check_exactness(rep, terms, maps):
+    """maps[0] is onto M, and at each interior term the maps compose to zero
+    with rank(in) + rank(out) = dim, so image = kernel; one echelon per map."""
     if not terms:
         return
-    f = rep.algebra.field
-    img, _ = row_space(f, [list(r) for r in maps[0].transpose().rows], rep.total_dim)
-    check(len(img) == rep.total_dim, "resolution is not exact at the target")
+    ranks = [len(echelon(m)[1]) for m in maps]
+    check(ranks[0] == rep.total_dim, "resolution is not exact at the target")
     for i in range(1, len(terms)):
         check(
             maps[i - 1].mul(maps[i]).is_zero(),
             "consecutive resolution maps do not compose to zero",
         )
-        rank_i, _ = rank_kernel(maps[i])
-        rank_prev, _ = rank_kernel(maps[i - 1])
         check(
-            rank_i + rank_prev == terms[i - 1].total_dim,
+            ranks[i] + ranks[i - 1] == terms[i - 1].total_dim,
             "resolution is not exact at an interior term",
         )
 

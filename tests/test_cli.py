@@ -220,6 +220,40 @@ def test_exit_4_on_internal_failure(monkeypatch, capsys):
     assert report_map(out)["selftest"] == "fail"
 
 
+@pytest.mark.parametrize("attribute, message", [
+    ("map", "resolution is not exact at an interior term"),
+    ("syzygy_inclusion", "consecutive resolution maps do not compose to zero"),
+])
+def test_exit_4_when_a_resolution_map_is_perturbed(monkeypatch, tmp_path, capsys,
+                                                   attribute, message):
+    from grkoszul import rep_homology
+
+    real = rep_homology.projective_cover
+    covers = []
+
+    def perturbed(rep):
+        # the second cover's map, or the first syzygy inclusion, with its
+        # (0, 0) entry zeroed or raised by one
+        cov = real(rep)
+        if len(covers) == (1 if attribute == "map" else 0):
+            mat = getattr(cov, attribute)
+            rows = [list(row) for row in mat.rows]
+            rows[0][0] = 0 if attribute == "map" else rows[0][0] + 1
+            setattr(cov, attribute, type(mat)(mat.field, rows, mat.ncols))
+        covers.append(cov)
+        return cov
+
+    monkeypatch.setattr(rep_homology, "projective_cover", perturbed)
+    cube = tmp_path / "cube.qalg"
+    cube.write_text(cube_qalg("field Q"))
+    simple = tmp_path / "simple.qrep"
+    simple.write_text(CUBE_SIMPLE_QREP)
+    status = cli.main(["module", "resolve", str(cube), str(simple), "--max-degree", "3"])
+    captured = capsys.readouterr()
+    assert status == 4 and captured.out == ""
+    assert captured.err == "error (internal invariant): %s\n" % message
+
+
 # -- report conventions -----------------------------------------------------------------
 
 

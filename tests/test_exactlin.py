@@ -543,3 +543,91 @@ def test_subspace_from_rref_equals_the_eliminated_subspace(case):
         assert (taken.rows, taken.pivots) == (built.rows, built.pivots)
     # growing the taken space leaves the lists it was given alone
     assert (rows, pivots) == (given_rows, given_pivots)
+
+
+def test_subspace_from_rref_reads_the_leading_columns():
+    built = Subspace(F3, 4, [[0, 2, 1, 0], [1, 1, 0, 0], [0, 0, 0, 2]])
+    taken = Subspace.from_rref(F3, 4, built.rows)
+    assert (taken.rows, taken.pivots) == (built.rows, built.pivots) == (built.rows, [0, 1, 3])
+    assert Subspace.from_rref(QQ, 3, []).pivots == []
+
+
+# -- apply and mul without an input coercion pass ------------------------------------
+
+
+def apply_inputs(field):
+    """(canonical matrix, a vector in caller form): integral Fractions, bools,
+    negatives and values >= p, never a proper fraction over F_p."""
+    if field.char == 0:
+        entry = scalar_input
+    else:
+        entry = st.one_of(st.booleans(), st.integers(-20, 20),
+                          st.integers(-20, 20).map(lambda n: Fraction(n, 1)))
+    return raw_matrices(field).flatmap(lambda rows: st.tuples(
+        st.just(MatrixExact(field, rows)),
+        st.lists(entry, min_size=len(rows[0]), max_size=len(rows[0]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(
+    lambda f: st.tuples(st.just(f), apply_inputs(f))))
+def test_apply_without_coercion_matches_canonical_input(case):
+    f, (m, vec) = case
+    out = m.apply(vec)
+    assert out == m.apply(f.coerce_row(vec))
+    assert canonical_rows(f, [out])
+    # the definition, entry by entry on the canonical vector
+    canon = f.coerce_row(vec)
+    expected = []
+    for row in m.rows:
+        s = f.zero
+        for a, x in zip(row, canon):
+            s = f.add(s, f.mul(a, x))
+        expected.append(s)
+    assert out == expected
+
+
+def test_apply_on_the_listed_caller_forms():
+    m = MatrixExact(QQ, [[1, Fraction(1, 2)], [3, 0]])
+    assert m.apply([Fraction(2, 1), True]) == m.apply([2, 1]) == [Fraction(5, 2), 6]
+    assert [type(x) for x in m.apply([Fraction(4, 1), -6])] == [int, int]
+    for f in (F2, F3):
+        m = MatrixExact(f, [[1, 1], [0, 1]])
+        p = f.char
+        assert m.apply([Fraction(p + 1, 1), -1]) == m.apply([1, p - 1]) == [0, p - 1]
+        assert m.apply([True, p]) == m.apply([1, 0]) == [1, 0]
+
+
+def naive_product(a, b):
+    f = a.field
+    return [[_dot(f, row, [brow[j] for brow in b.rows]) for j in range(b.ncols)]
+            for row in a.rows]
+
+
+def _dot(f, xs, ys):
+    s = f.zero
+    for x, y in zip(xs, ys):
+        s = f.add(s, f.mul(x, y))
+    return s
+
+
+def product_pairs(field):
+    """Raw (a, b) with a of shape n x k and b of shape k x m."""
+    def sized(n, k, m):
+        return st.tuples(
+            st.lists(st.lists(raw_entries(field), min_size=k, max_size=k), min_size=n, max_size=n),
+            st.lists(st.lists(raw_entries(field), min_size=m, max_size=m), min_size=k, max_size=k))
+    dims = st.integers(min_value=1, max_value=4)
+    return st.tuples(dims, dims, dims).flatmap(lambda nkm: sized(*nkm))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, F2, F3, F5]).flatmap(
+    lambda f: st.tuples(st.just(f), product_pairs(f))))
+def test_mul_matches_the_entrywise_definition(case):
+    f, (rows_a, rows_b) = case
+    a, b = MatrixExact(f, rows_a), MatrixExact(f, rows_b)
+    product = a.mul(b)
+    assert product.shape == (a.nrows, b.ncols)
+    assert product.rows == naive_product(a, b)
+    assert canonical_rows(f, product.rows)

@@ -19,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grkoszul import rep_homology
-from grkoszul.errors import GrkoszulError, InputFormatError, PreconditionError
+from grkoszul.errors import (
+    GrkoszulError,
+    InputFormatError,
+    InternalCheckError,
+    PreconditionError,
+)
 from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, Subspace, rank_kernel, row_space
 from grkoszul.algebra_core import (
     QuiverPresentation,
@@ -61,7 +66,7 @@ from grkoszul.rep_homology import (
     restrict_iso_check,
     restricts_projectively,
     simple_rep,
-    socle_sub,
+    socle_series,
     sub_rep,
     zero_rep,
 )
@@ -151,7 +156,7 @@ def test_zero_and_simple(cycle):
 def test_submodule_closure_enforced(cycle_mods):
     p1 = cycle_mods["P1"]
     # the line through e_1 is not action-closed (e_1 . a = a)
-    e1_row = p1.unit("1", 0)
+    e1_row = p1.embed("1", [1, 0])
     with pytest.raises(InputFormatError):
         sub_rep(p1, [e1_row])
     with pytest.raises(InputFormatError):
@@ -168,6 +173,13 @@ def test_filtration_slice_bounds(cycle_mods):
     assert layer_dims(rad) == [{"1": 0, "2": 1}, {"1": 1, "2": 0}]
     top = filtration_slice(p1, 0, 1)
     assert layer_dims(top) == [{"1": 1, "2": 0}]
+
+
+def socle_sub(rep, i):
+    """soc_i M as a representation (i = 1 is the socle); test-only."""
+    series = socle_series(rep)
+    sub, _ = sub_rep(rep, series[min(i, len(series) - 1)])
+    return sub
 
 
 def test_socle_of_uniserial(cycle_mods):
@@ -644,6 +656,18 @@ def test_series_of_the_radical_rows_is_the_radical_series(case):
     assert rep_homology._series(alg.field, mats, m.total_dim) == radical_series(m)
 
 
+def truncations(alg):
+    """(name, module) for the simples, the projectives and every P/rad^r P
+    with 0 < r < Loewy length of P."""
+    modules = [(f"L{v}", simple_rep(alg, v)) for v in alg.presentation.vertices]
+    for v in alg.presentation.vertices:
+        proj = projective_rep(alg, v)
+        modules.append((f"P{v}", proj))
+        for r in range(1, len(radical_series(proj)) - 1):
+            modules.append((f"P{v}/rad^{r}", filtration_slice(proj, 0, r)))
+    return modules
+
+
 def restriction_battery():
     """One line per (field, algebra, module, subalgebra, call): the result's
     repr, or the error class and message.
@@ -657,14 +681,7 @@ def restriction_battery():
         for alg_name, pres in (("cycle", two_vertex_cycle(field)),
                                ("x^3", truncated_polynomial(3, field))):
             alg = build_algebra(pres)
-            modules = []
-            for v in alg.presentation.vertices:
-                modules.append((f"L{v}", simple_rep(alg, v)))
-            for v in alg.presentation.vertices:
-                proj = projective_rep(alg, v)
-                modules.append((f"P{v}", proj))
-                for r in range(1, len(radical_series(proj)) - 1):
-                    modules.append((f"P{v}/rad^{r}", filtration_slice(proj, 0, r)))
+            modules = truncations(alg)
             units = MatrixExact.identity(field, alg.dim).rows
             for k in range(3):
                 for gens in combinations(range(alg.dim), k):
@@ -694,6 +711,50 @@ def test_restriction_battery_digest():
 RESTRICTION_BATTERY_SIZE = 560
 RESTRICTION_BATTERY_DIGEST = (
     "acfb107f50ecb9dbedfb24304e472d24929c2366174c1f71b073b25f3c30da7f"
+)
+
+
+def all_cubes(field):
+    """k<x,y>/(all eight cubes)."""
+    cubes = [(a, b, c) for a in "xy" for b in "xy" for c in "xy"]
+    return QuiverPresentation(field, ["1"], [("x", "1", "1"), ("y", "1", "1")],
+                              [[(1, p)] for p in cubes])
+
+
+def resolution_battery():
+    """One line per resolution fact: the reprs of every map, syzygy action
+    and syzygy inclusion of `minimal_resolution`, with the summand vertices,
+    over the two-vertex cycle, k[x]/(x^3) and the cube algebra."""
+    lines = []
+    for field in (QQ, F2, FieldSpec(3)):
+        for alg_name, pres, degree in (("cycle", two_vertex_cycle(field), 4),
+                                       ("x^3", truncated_polynomial(3, field), 4),
+                                       ("cubes", all_cubes(field), 3)):
+            alg = build_algebra(pres)
+            for mod_name, m in truncations(alg):
+                res = minimal_resolution(m, degree)
+                head = f"{field.char} {alg_name} {mod_name}"
+                lines.append(f"{head} {res.summand_vertices} {res.finite}"
+                             f" {res.projective_dimension}")
+                lines += [f"{head} map {i} {mat!r}" for i, mat in enumerate(res.maps)]
+                for i, (source, syz) in enumerate(zip([m] + res.syzygies, res.syzygies)):
+                    lines.append(f"{head} syzygy {i} {syz.dims} {syz.action!r}")
+                    incl = projective_cover(source).syzygy_inclusion
+                    lines.append(f"{head} inclusion {i} {incl!r}")
+    return lines
+
+
+def test_resolution_battery_digest():
+    # recorded before the cover step handed its RREFs on
+    lines = resolution_battery()
+    assert len(lines) == RESOLUTION_BATTERY_SIZE
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RESOLUTION_BATTERY_DIGEST
+
+
+RESOLUTION_BATTERY_SIZE = 441
+RESOLUTION_BATTERY_DIGEST = (
+    "65f370ca8fae4eff724e83f0f1374c5a1c5e5861307e62b0728f473a806ceec5"
 )
 
 
@@ -1016,3 +1077,161 @@ def test_cover_path_keeps_proper_fractions():
     assert_cover_path_canonical(m)
     cov = projective_cover(m)
     assert Fraction(3, 2) in [x for row in cov.map.rows for x in row]
+
+
+# -- one elimination per matrix on the cover step ---------------------------------------
+
+
+def cover_columns_by_path_total(rep, generators):
+    """Test-only oracle: the cover columns as built before the arrow-block
+    walker, by applying the dense total-space matrix of every basis path to
+    each generator, in the direct-sum layout."""
+    f = rep.algebra.field
+    cols = []
+    for u in rep.vertices:
+        for v, j in generators:
+            gen = rep.embed(v, MatrixExact.identity(f, rep.dims[v]).rows[j])
+            for bp in rep.algebra.basis:
+                if bp.src != v or bp.dst != u:
+                    continue
+                cols.append(rep.path_total(bp.arrows).apply(gen) if bp.arrows else gen)
+    return cols
+
+
+@st.composite
+def monomial_quiver_algebra(draw):
+    """Two or three vertices and one to four arrows between random ends
+    (loops allowed); every path of length 3 is zero and so is a random set
+    of the length-2 paths."""
+    field = draw(st.sampled_from([QQ, F2, FieldSpec(3)]))
+    vertices = ["1", "2", "3"][: draw(st.integers(2, 3))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         min_size=1, max_size=4))
+    arrows = [(f"a{i}", src, dst) for i, (src, dst) in enumerate(ends)]
+
+    def paths(length):
+        return [p for p in iter_product([a for a, _, _ in arrows], repeat=length)
+                if all(arrows[int(x[1:])][2] == arrows[int(y[1:])][1] for x, y in zip(p, p[1:]))]
+
+    chosen = draw(st.sets(st.sampled_from(paths(2)))) if paths(2) else set()
+    relations = [[(1, p)] for p in paths(3) + sorted(chosen)]
+    return build_algebra(QuiverPresentation(field, vertices, arrows, relations))
+
+
+def cover_path_modules(alg, degree=2):
+    """Projectives, simples and the terms and syzygies of their resolutions."""
+    out = []
+    for v in alg.presentation.vertices:
+        res = minimal_resolution(simple_rep(alg, v), degree)
+        out += [projective_rep(alg, v), simple_rep(alg, v)] + res.terms + res.syzygies
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_quiver_algebra(), st.data())
+def test_cover_columns_match_the_path_total_oracle(alg, data):
+    f = alg.field
+    for m in cover_path_modules(alg):
+        cov = projective_cover(m)
+        cols = cover_columns_by_path_total(m, cov.generators)
+        assert cov.map == MatrixExact.trusted(f, cols, m.total_dim).transpose()
+        # the walker on an arbitrary vector of one block, not only on units
+        filled = [v for v in m.vertices if m.dims[v]]
+        if not filled:
+            continue
+        v = data.draw(st.sampled_from(filled))
+        block = data.draw(st.lists(st.integers(-3, 3), min_size=m.dims[v],
+                                   max_size=m.dims[v]).map(f.coerce_row))
+        images = m.path_images(v, block)
+        assert list(images) == [i for i, bp in enumerate(alg.basis) if bp.src == v]
+        for i, img in images.items():
+            bp = alg.basis[i]
+            whole = m.path_total(bp.arrows).apply(m.embed(v, block)) if bp.arrows \
+                else m.embed(v, block)
+            assert m.embed(bp.dst, img) == whole
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_quiver_algebra(), st.data())
+def test_head_of_a_direct_sum_is_the_sum_of_the_heads(alg, data):
+    modules = cover_path_modules(alg, degree=1)
+    picked = data.draw(st.lists(st.sampled_from(modules), min_size=1, max_size=3))
+    heads = [head_multiplicities(m) for m in picked]
+    assert head_multiplicities(direct_sum(*picked)) == \
+        {v: sum(h[v] for h in heads) for v in alg.presentation.vertices}
+
+
+def test_projectives_and_heads_are_memoised_on_the_algebra():
+    alg = build_algebra(two_vertex_cycle())
+    first = rep_homology._projective_with_head(alg, "1")
+    assert rep_homology._projective_with_head(alg, "1") is first
+    assert first[1] == {"1": 1, "2": 0}
+    other = build_algebra(two_vertex_cycle())
+    assert rep_homology._projective_with_head(other, "1") is not first
+    # a cover hands out a fresh direct sum, never the memoised P(v) itself
+    assert projective_cover(simple_rep(alg, "1")).projective is not first[0]
+    assert not [name for name, value in vars(rep_homology).items()
+                if isinstance(value, dict) and not name.startswith("__")]
+
+
+def test_cover_with_a_missing_generator_fails_surjectivity(monkeypatch):
+    alg = build_algebra(two_vertex_cycle())
+    m = direct_sum(simple_rep(alg, "1"), simple_rep(alg, "2"))
+    real = rep_homology.radical_space
+
+    def swollen(rep):
+        # the radical of m with its first head vector added, so that the
+        # cover leaves that generator out
+        space = real(rep)
+        if rep is m:
+            space.add(m.embed("1", [1]))
+        return space
+
+    monkeypatch.setattr(rep_homology, "radical_space", swollen)
+    with pytest.raises(InternalCheckError, match="cover map is not surjective"):
+        projective_cover(m)
+
+
+def test_tampered_memoised_head_fails_the_head_check():
+    alg = build_algebra(two_vertex_cycle())
+    projective_cover(simple_rep(alg, "1"))
+    _, head = rep_homology._projective_with_head(alg, "1")
+    head["2"] = 1
+    with pytest.raises(InternalCheckError, match="head isomorphism"):
+        projective_cover(simple_rep(alg, "1"))
+    # a cover that does not use P(1) is untouched
+    assert projective_cover(simple_rep(alg, "2")).head == {"1": 0, "2": 1}
+
+
+def perturb_cover(monkeypatch, index, attribute, how):
+    """Make the index-th cover of every later resolution hand out a changed
+    map or syzygy inclusion: entry (0, 0) set to zero or raised by one."""
+    covers = []
+    real = rep_homology.projective_cover
+
+    def perturbed(rep):
+        cov = real(rep)
+        if len(covers) == index:
+            mat = getattr(cov, attribute)
+            rows = [list(row) for row in mat.rows]
+            rows[0][0] = 0 if how == "zero" else rows[0][0] + 1
+            setattr(cov, attribute, MatrixExact(mat.field, rows, mat.ncols))
+        covers.append(cov)
+        return cov
+
+    monkeypatch.setattr(rep_homology, "projective_cover", perturbed)
+
+
+EXACTNESS_PERTURBATIONS = [
+    (0, "map", "zero", "not exact at the target"),
+    (0, "syzygy_inclusion", "add", "do not compose to zero"),
+    (1, "map", "zero", "not exact at an interior term"),
+]
+
+
+@pytest.mark.parametrize("index, attribute, how, message", EXACTNESS_PERTURBATIONS)
+def test_perturbed_cover_fails_exactness(monkeypatch, index, attribute, how, message):
+    alg = build_algebra(all_cubes(QQ))
+    perturb_cover(monkeypatch, index, attribute, how)
+    with pytest.raises(InternalCheckError, match=message):
+        minimal_resolution(simple_rep(alg, "1"), 3)
