@@ -408,13 +408,6 @@ def root_datum_build(cartan_type: str, rank: int) -> RootDatum:
     return datum
 
 
-def dominance_leq(rd: RootDatum, lower: Weight, upper: Weight) -> bool:
-    """Whether lower <= upper: the difference is in Z>=0 . simple roots."""
-    diff = upper - lower
-    coords = rd.to_root_coords(diff)
-    return all(c.denominator == 1 and c >= 0 for c in coords)
-
-
 def dominant_conjugate(rd: RootDatum, weight: Weight) -> Weight:
     """The dominant representative of the finite Weyl group orbit."""
     point = list(weight.coordinates)
@@ -483,11 +476,6 @@ def dominance_and_regularity(rd: RootDatum, e: int, weight: Weight) -> WeightRep
         quotient_part=quotient_part,
         star=rd.star(weight),
     )
-
-
-def base_interior_point(rd: RootDatum, e: int) -> tuple[Fraction, ...]:
-    """A rho-shifted point interior to the base (antidominant) cell."""
-    return tuple(Fraction(-e, rd.coxeter_number) for _ in range(rd.rank))
 
 
 def _multiples_strictly_between(lo: int, hi: int, step: int) -> int:
@@ -583,18 +571,6 @@ def compose(rd: RootDatum, e: int, a: AffineWeylElement,
             b: AffineWeylElement) -> AffineWeylElement:
     """a after b, with the length recomputed from hyperplane counts."""
     mat, trans = _affine_product((a.finite_part, a.translation), (b.finite_part, b.translation))
-    return AffineWeylElement(mat, trans, hyperplane_length(rd, e, mat, trans))
-
-
-def element_inverse(rd: RootDatum, e: int, a: AffineWeylElement) -> AffineWeylElement:
-    inv_rows = _fraction_inverse([list(row) for row in a.finite_part])
-    mat = []
-    for row in inv_rows:
-        for x in row:
-            check(x.denominator == 1, "finite part must be integrally invertible")
-        mat.append(tuple(int(x) for x in row))
-    mat = tuple(mat)
-    trans = tuple(-x for x in _mat_vec(mat, a.translation))
     return AffineWeylElement(mat, trans, hyperplane_length(rd, e, mat, trans))
 
 
@@ -801,20 +777,6 @@ def gamma_res_reg(rd: RootDatum, e: int) -> WeightIdealSet:
     the regular universe."""
     return rd.memoized(("gamma_res_reg", e), lambda: ideal_closure(
         rd, e, restricted_weights(rd, e), regular_only=True))
-
-
-def jantzen_region(rd: RootDatum, p: int) -> WeightIdealSet:
-    """Dominant weights with (x + rho, alpha_0^v) <= p(p - h + 2)."""
-    require(p >= 1, "p must be a positive integer")
-    bound = p * (p - rd.coxeter_number + 2)
-    cv = rd.coroot(rd.max_short_root)
-    rho_pairing = sum(cv)
-    if bound < rho_pairing:
-        return WeightIdealSet(rd, p, (), closed=True)
-    ranges = [range((bound - rho_pairing) // cv[i] + 1) for i in range(rd.rank)]
-    weights = [Weight(v) for v in iter_product(*ranges)
-               if sum((x + 1) * c for x, c in zip(v, cv)) <= bound]
-    return WeightIdealSet(rd, p, tuple(weights), closed=True)
 
 
 def fe_image(rd: RootDatum, e: int, xi: Weight) -> Weight:

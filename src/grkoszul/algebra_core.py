@@ -996,10 +996,83 @@ class SubalgebraEmbedding:
     basis_rows: list[list]
     pivots: tuple[int, ...]
     augmentation_rows: list[list] | None = None
+    _algebra: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis_rows)
+
+    def as_algebra(self) -> tuple[FiniteDimAlgebra, dict[str, list[str]], dict[str, list]]:
+        """The subalgebra as a based algebra in its own right, built once per
+        embedding: (algebra, vertex classes, arrow vectors).
+
+        Its vertices are classes of ambient vertices that no subalgebra element
+        separates on idempotent coordinates, labelled by their '+'-joined
+        members; the class indicator sums must lie in the subalgebra, which
+        holds whenever the degree-0 part sits inside the span of the ambient
+        idempotents.  Each arrow's vector is its representative in ambient
+        coordinates.
+        """
+        if self._algebra is None:
+            self._algebra = self._build_algebra()
+        return self._algebra
+
+    def _build_algebra(self):
+        ambient = self.ambient
+        f = ambient.field
+        classes: list[list[str]] = []
+        for v in ambient.presentation.vertices:
+            pos = ambient.vertex_index[v]
+            for cls in classes:
+                ref = ambient.vertex_index[cls[0]]
+                if all(row[pos] == row[ref] for row in self.basis_rows):
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+
+        def coordinates(vec):
+            return span_coordinates(f, self.basis_rows, self.pivots, vec)
+
+        idem = {}
+        for cls in classes:
+            vec = ambient.zero_vector()
+            for v in cls:
+                vec[ambient.vertex_index[v]] = f.one
+            coords = coordinates(vec)
+            require(coords is not None,
+                    "subalgebra does not contain its vertex class idempotents")
+            idem["+".join(cls)] = list(coords)
+        rad_coords = []
+        for r in self.radical_rows():
+            coords = coordinates(r)
+            check(coords is not None, "subalgebra radical escaped the subalgebra")
+            rad_coords.append(list(coords))
+        table = self.structure_constants()
+
+        def mult(x: list, y: list) -> list:
+            out = [f.zero] * self.dim
+            for i, a in enumerate(x):
+                if not a:
+                    continue
+                for j, b in enumerate(y):
+                    if not b:
+                        continue
+                    for k, c in enumerate(table[i][j]):
+                        if c:
+                            out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
+            return out
+
+        conc = ConcreteAlgebra(f, self.dim, mult, idem, rad_coords)
+        _, rebuilt, _, sub_arrows = presentation_from_concrete(conc, list(idem))
+        arrows = {}
+        for name, coords in sub_arrows.items():
+            vec = ambient.zero_vector()
+            for c, row in zip(coords, self.basis_rows):
+                if c:
+                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
+            arrows[name] = vec
+        return rebuilt, dict(zip(idem, classes)), arrows
 
     def contains(self, vec: list) -> bool:
         return in_span(self.ambient.field, self.basis_rows, self.pivots, vec)
@@ -1157,35 +1230,3 @@ def tight_subalgebra_check(emb: SubalgebraEmbedding) -> tuple[bool, list[int] | 
         if cur != row_space(f, want, dim)[0]:
             failures.append(f"subalgebra grade {n} is not (grade 1)^{n}")
     return (not failures, grades, failures)
-
-
-# -- characteristic-0 radical from a raw multiplication table ---------------------
-
-
-def radical_from_trace_form(field: FieldSpec, dim: int, multiply) -> list[list]:
-    """Radical of an associative algebra from the trace bilinear form.
-
-    Valid in characteristic 0 only (raises otherwise): the radical is the
-    kernel of (x, y) -> trace(L_x L_y) on the regular representation.
-    """
-    require(field.char == 0, "trace-form radical is only valid in characteristic 0")
-    basis = [[field.one if k == i else field.zero for k in range(dim)] for i in range(dim)]
-
-    def left_matrix(x):
-        cols = [multiply(x, basis[j]) for j in range(dim)]
-        return [[cols[j][i] for j in range(dim)] for i in range(dim)]
-
-    mats = [left_matrix(b) for b in basis]
-    gram = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            # trace(L_i L_j)
-            t = field.zero
-            for r in range(dim):
-                for s in range(dim):
-                    t = field.add(t, field.mul(mats[i][r][s], mats[j][s][r]))
-            row.append(t)
-        gram.append(row)
-    _, kernel = rank_kernel(MatrixExact(field, gram, dim))
-    return kernel.rows

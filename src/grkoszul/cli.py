@@ -317,20 +317,6 @@ def parse_qrep(text: str, algebra: FiniteDimAlgebra,
         raise InputFormatError("%s: %s" % (source, exc)) from exc
 
 
-def write_qrep(rep: Representation) -> str:
-    """Render a module so that parse_qrep returns an equal value."""
-    field = rep.algebra.field
-    pres = rep.algebra.presentation
-    out = ["vertexdim %s %d" % (v, rep.dims[v]) for v in pres.vertices]
-    for name, src, dst in pres.arrows:
-        out.append("matrix %s" % name)
-        mat = rep.action[name]
-        if mat.nrows and mat.ncols:
-            out.extend(" ".join(field.format_scalar(x) for x in row)
-                       for row in mat.rows)
-    return "\n".join(out) + "\n"
-
-
 def parse_weight_list(text: str, rank: int, source: str = "<weights>") -> list[Weight]:
     """One weight per line, whitespace-separated fundamental coordinates."""
     out = []

@@ -301,9 +301,6 @@ class KlTables:
                              _dense_coeffs(self.inverse[(xi, wi)])))
         return rows
 
-    def dump_lines(self) -> list[str]:
-        return ["x=%s w=%s p=%s q=%s" % row for row in self.pair_rows()]
-
 
 def _dense_coeffs(classical: dict) -> str:
     if not classical:

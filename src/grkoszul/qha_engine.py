@@ -16,7 +16,7 @@ independent routes and raises InternalCheckError on disagreement.
 from dataclasses import dataclass
 
 from .errors import InputFormatError, check, require
-from .exactlin import MatrixExact, in_span, reduce_vector, row_space, solve, span_coordinates
+from .exactlin import MatrixExact, in_span, reduce_vector, row_space, solve
 from .algebra_core import (
     ConcreteAlgebra,
     FiniteDimAlgebra,
@@ -806,65 +806,6 @@ def category_kl_and_dual(h: HighestWeightStructure, lengths: dict[str, int]) -> 
     )
 
 
-# -- subalgebra helpers ----------------------------------------------------------------
-
-
-def _embedded_algebra(emb: SubalgebraEmbedding) -> FiniteDimAlgebra:
-    """The subalgebra as a based algebra in its own right.
-
-    Its vertices are classes of ambient vertices that no subalgebra element
-    separates on idempotent coordinates; the class indicator sums must lie
-    in the subalgebra, which holds whenever the degree-0 part sits inside
-    the span of the ambient idempotents.
-    """
-    ambient = emb.ambient
-    f = ambient.field
-    classes: list[list[str]] = []
-    for v in ambient.presentation.vertices:
-        pos = ambient.vertex_index[v]
-        for cls in classes:
-            ref = ambient.vertex_index[cls[0]]
-            if all(row[pos] == row[ref] for row in emb.basis_rows):
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    idem = {}
-    for cls in classes:
-        vec = ambient.zero_vector()
-        for v in cls:
-            vec[ambient.vertex_index[v]] = f.one
-        coords = span_coordinates(f, emb.basis_rows, emb.pivots, vec)
-        require(
-            coords is not None,
-            "subalgebra does not contain its vertex class idempotents",
-        )
-        idem["+".join(cls)] = list(coords)
-    rad_coords = []
-    for r in emb.radical_rows():
-        coords = span_coordinates(f, emb.basis_rows, emb.pivots, r)
-        check(coords is not None, "subalgebra radical escaped the subalgebra")
-        rad_coords.append(list(coords))
-    table = emb.structure_constants()
-
-    def mult(x: list, y: list) -> list:
-        out = [f.zero] * emb.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                for k, c in enumerate(table[i][j]):
-                    if c:
-                        out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
-        return out
-
-    conc = ConcreteAlgebra(f, emb.dim, mult, idem, rad_coords)
-    _, rebuilt, _, _ = presentation_from_concrete(conc, list(idem))
-    return rebuilt
-
-
 # -- the hypothesis-to-conclusion pipeline ---------------------------------------------
 
 
@@ -955,7 +896,7 @@ def _sub_koszul_verdict(emb: SubalgebraEmbedding, notes: list[str],
             "grading with semisimple degree 0"
         )
         return None
-    return koszul_check(_embedded_algebra(emb)).verdict
+    return koszul_check(emb.as_algebra()[0]).verdict
 
 
 def pipeline_checks(h: HighestWeightStructure, sub: SubalgebraEmbedding,

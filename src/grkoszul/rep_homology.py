@@ -1057,25 +1057,130 @@ def ext_table(m: Representation, n_max: int, graded: bool = False) -> ExtTable:
     return ExtTable(entries, graded_entries, gres.finite, gres.projective_dimension)
 
 
-# -- brute-force Ext^1 from module-structure equations -----------------------------------
-#
-# Works over any unital basis with structure constants; used both as an
-# independent oracle on small algebras and for Ext over subalgebras, where
-# no quiver presentation is available.
+# -- the gr-construction Ext^1 comparison -----------------------------------------------
 
 
-def _structure_table(algebra: FiniteDimAlgebra) -> list[list[list]]:
-    f = algebra.field
-    table = []
-    for i in range(algebra.dim):
-        row = []
-        for j in range(algebra.dim):
-            dense = [f.zero] * algebra.dim
-            for k, c in algebra.mult_basis(i, j):
-                dense[k] = c
-            row.append(dense)
-        table.append(row)
-    return table
+@dataclass
+class Ext1Row:
+    vertex: str
+    dim_ambient: int
+    dim_graded: int
+    equal: bool
+    dim_sub: int | None = None
+
+
+@dataclass
+class GrExt1Report:
+    rows: list[Ext1Row]
+    all_equal: bool
+    quotient_of_projective: bool
+    pullback: tuple[int, int, int] | None  # (dim from M, dim from rad^(r-1) M, rank)
+    pullback_injective: bool | None
+
+
+def _head_and_ext1(rep: Representation) -> tuple[dict[str, int], dict[str, int]]:
+    """(h, e) with h[v] = dim Hom(M, L_v), the head multiplicity of M, and
+    e[v] = dim Ext^1(M, L_v), that of its syzygy: the cover is minimal."""
+    cov = projective_cover(rep)
+    return cov.head, head_multiplicities(cov.syzygy)
+
+
+def gr_ext1_compare(m: Representation, sub: SubalgebraEmbedding | None = None,
+                    graded: GradedAlgebra | None = None) -> GrExt1Report:
+    """Compare Ext^1 over the algebra with Ext^1 of gr M over gr A, per simple.
+
+    The graded dimension always dominates (the comparison map is injective);
+    equality certifies the gr-construction loses nothing here, and is
+    asserted when M is a radical truncation of its projective cover.  For
+    truncations the pullback of Ext^1 to the last radical layer is asserted
+    injective as a rank condition.  With a subalgebra whose radical generates
+    the ambient radical, dim Ext^1_A(M, L) <= dim Ext^1_a(M, L) is asserted
+    per simple.  Every Ext^1 is read off the head of a minimal cover's
+    syzygy; over a, off the cover of the restriction `restrict_rep`.
+    """
+    if graded is None:
+        graded = gr_algebra(m.algebra)
+    gm = gr_rep(m, graded)
+    cov = projective_cover(m)
+    amb = head_multiplicities(cov.syzygy)
+    grd = _head_and_ext1(gm.rep)[1]
+    sub_dims: dict[str, int] = {}
+    if sub is not None:
+        if not radical_generation_check(sub).generates:
+            raise PreconditionError(
+                "the subalgebra comparison needs (rad a)A = rad A"
+            )
+        # the simple L_v restricts to the simple at the vertex class of v
+        ext_sub = _head_and_ext1(restrict_rep(m, sub))[1]
+        sub_dims = {v: ext_sub[c] for c, members in sub.as_algebra()[1].items()
+                    for v in members}
+    rows = []
+    for v in m.vertices:
+        da, dg = amb[v], grd[v]
+        check(da <= dg, "gr-construction comparison lost an extension")
+        row = Ext1Row(v, da, dg, da == dg)
+        if sub is not None:
+            row.dim_sub = sub_dims[v]
+            check(da <= sub_dims[v], "restriction to the subalgebra lost an extension")
+        rows.append(row)
+    all_equal = all(r.equal for r in rows)
+    # is M the radical truncation P/rad^r P of its projective cover?
+    series = radical_series(m)
+    r = len(series) - 1
+    truncation = False
+    if m.total_dim:
+        p_series = radical_series(cov.projective)
+        cut = p_series[r] if r < len(p_series) else []
+        candidate, _ = quotient_rep(cov.projective, cut)
+        truncation, _ = is_isomorphic(m, candidate)
+    pullback = None
+    pb_injective = None
+    if m.total_dim and r >= 1:
+        # rank(Ext^1(M, L_v) -> Ext^1(S, L_v)) for S = rad^(r-1) M, from the
+        # long exact sequence of 0 -> S -> M -> M/S -> 0 in Hom(-, L_v) and
+        # Ext^1(-, L_v): e(M) - e(M/S) + h(S) - h(M) + h(M/S), with h and e
+        # as in _head_and_ext1
+        h_s, e_s = _head_and_ext1(sub_rep(m, series[r - 1])[0])
+        h_q, e_q = _head_and_ext1(quotient_rep(m, series[r - 1])[0])
+        ranks = {v: amb[v] - e_q[v] + h_s[v] - cov.head[v] + h_q[v] for v in m.vertices}
+        check(all(0 <= ranks[v] <= min(amb[v], e_s[v]) for v in m.vertices),
+              "pullback rank exceeds its Ext^1 dimensions")
+        pullback = (sum(amb.values()), sum(e_s.values()), sum(ranks.values()))
+        pb_injective = pullback[2] == pullback[0]
+        if truncation:
+            check(all_equal, "gr comparison must be an isomorphism for P/rad^r P")
+            check(pb_injective, "pullback to the last radical layer must be injective")
+    return GrExt1Report(rows, all_equal, truncation, pullback, pb_injective)
+
+
+# -- restriction to a subalgebra ---------------------------------------------------------
+
+
+def restrict_rep(m: Representation, emb: SubalgebraEmbedding) -> Representation:
+    """M|a as a module over the subalgebra's own quiver algebra (`as_algebra`).
+
+    A vertex class's block is the concatenation of M's blocks at its
+    vertices, and an arrow acts by the class-block slice of the action of
+    its ambient vector; make_representation checks the relations.
+    """
+    require(m.algebra is emb.ambient, "restriction needs a module over the ambient algebra")
+    sub_algebra, classes, arrow_vectors = emb.as_algebra()
+    coords = {c: [m.offset(v) + k for v in members for k in range(m.dims[v])]
+              for c, members in classes.items()}
+    action = {}
+    for name, src, dst in sub_algebra.presentation.arrows:
+        total = m.element_total(arrow_vectors[name]).rows
+        action[name] = MatrixExact(m.algebra.field,
+                                   [[total[i][j] for j in coords[src]] for i in coords[dst]],
+                                   len(coords[src]))
+    return make_representation(sub_algebra, {c: len(ks) for c, ks in coords.items()}, action)
+
+
+def restricts_projectively(m: Representation, emb: SubalgebraEmbedding) -> bool:
+    """Is the restriction M|a projective?  Exactly when the syzygy of its
+    minimal cover vanishes, that is when Ext^1_a into every simple of a, one
+    per vertex of `as_algebra`, vanishes."""
+    return projective_cover(restrict_rep(m, emb)).syzygy.total_dim == 0
 
 
 def restrict_action(rep: Representation, emb: SubalgebraEmbedding) -> list[MatrixExact]:
@@ -1118,257 +1223,12 @@ def _delta0(field: FieldSpec, act_m: list[MatrixExact],
     return MatrixExact(field, rows, width)
 
 
-def _cocycle_data(field, table, act_m, act_n):
-    """Bases of Z^1 and B^1 for extensions 0 -> N -> E -> M -> 0.
-
-    A cocycle assigns each basis element b_i a matrix C_i: M -> N subject to
-    C(b_i b_j) = R_N(b_j) C_i + C_j R_M(b_i); coboundaries are F R_M - R_N F.
-    Flat layout: position (i, r, c) = (i*dim_n + r)*dim_m + c.
-    """
-    k = len(table)
-    dim_m = act_m[0].ncols if act_m else 0
-    dim_n = act_n[0].ncols if act_n else 0
-    width = k * dim_n * dim_m
-    if width == 0:
-        return [], [], 0
-
-    def pos(i, r, c):
-        return (i * dim_n + r) * dim_m + c
-
-    rows = []
-    for i in range(k):
-        for j in range(k):
-            coeffs = table[i][j]
-            for r in range(dim_n):
-                for c in range(dim_m):
-                    row = [field.zero] * width
-                    for s, coeff in enumerate(coeffs):
-                        if coeff:
-                            idx = pos(s, r, c)
-                            row[idx] = field.add(row[idx], coeff)
-                    for t in range(dim_n):
-                        val = act_n[j].rows[r][t]
-                        if val:
-                            idx = pos(i, t, c)
-                            row[idx] = field.sub(row[idx], val)
-                    for t in range(dim_m):
-                        val = act_m[i].rows[t][c]
-                        if val:
-                            idx = pos(j, r, t)
-                            row[idx] = field.sub(row[idx], val)
-                    if any(x != field.zero for x in row):
-                        rows.append(row)
-    if rows:
-        _, kernel = rank_kernel(MatrixExact(field, rows, width))
-        z_basis = list(kernel.rows)
-    else:
-        z_basis = MatrixExact.identity(field, width).rows
-    b_basis, _ = row_space(field, _delta0(field, act_m, act_n).rows, width)
-    return z_basis, b_basis, width
-
-
-def ext1_bruteforce(field: FieldSpec, table: list[list[list]],
-                    act_m: list[MatrixExact], act_n: list[MatrixExact]) -> int:
-    """dim Ext^1 by classifying extensions directly on the structure constants."""
-    z_basis, b_basis, width = _cocycle_data(field, table, act_m, act_n)
-    if width == 0:
-        return 0
-    dim_z = len(z_basis)
-    dim_b = len(b_basis)
-    check(dim_z >= dim_b, "cocycle space smaller than its coboundaries")
-    return dim_z - dim_b
-
-
-def ext1_pullback_rank(field, table, act_m, act_n, act_s, incl: MatrixExact):
-    """Rank data of the map Ext^1(M, N) -> Ext^1(S, N) induced by S -> M.
-
-    incl has shape (dim M x dim S).  Returns (dim Ext^1(M, N),
-    dim Ext^1(S, N), rank of the induced map).
-    """
-    z_m, b_m, width_m = _cocycle_data(field, table, act_m, act_n)
-    z_s, b_s, width_s = _cocycle_data(field, table, act_s, act_n)
-    ext_m = len(z_m) - len(b_m) if width_m else 0
-    ext_s = len(z_s) - len(b_s) if width_s else 0
-    if width_m == 0 or width_s == 0:
-        return ext_m, ext_s, 0
-    k = len(table)
-    dim_m = act_m[0].ncols
-    dim_n = act_n[0].ncols
-    dim_s = act_s[0].ncols
-
-    def pull(flat):
-        out = [field.zero] * width_s
-        for i in range(k):
-            block = MatrixExact(
-                field,
-                [
-                    [flat[(i * dim_n + r) * dim_m + c] for c in range(dim_m)]
-                    for r in range(dim_n)
-                ],
-                dim_m,
-            )
-            pulled = block.mul(incl)
-            for r in range(dim_n):
-                for c in range(dim_s):
-                    out[(i * dim_n + r) * dim_s + c] = pulled.rows[r][c]
-        return out
-
-    images = [pull(z) for z in z_m]
-    base_rows, _ = row_space(field, list(b_s), width_s)
-    stacked, _ = row_space(field, list(b_s) + images, width_s)
-    return ext_m, ext_s, len(stacked) - len(base_rows)
-
-
-# -- the gr-construction Ext^1 comparison -----------------------------------------------
-
-
-@dataclass
-class Ext1Row:
-    vertex: str
-    dim_ambient: int
-    dim_graded: int
-    equal: bool
-    dim_sub: int | None = None
-
-
-@dataclass
-class GrExt1Report:
-    rows: list[Ext1Row]
-    all_equal: bool
-    quotient_of_projective: bool
-    pullback: tuple[int, int, int] | None  # (dim from M, dim from rad^(r-1) M, rank)
-    pullback_injective: bool | None
-
-
-def gr_ext1_compare(m: Representation, sub: SubalgebraEmbedding | None = None,
-                    graded: GradedAlgebra | None = None) -> GrExt1Report:
-    """Compare Ext^1 over the algebra with Ext^1 of gr M over gr A, per simple.
-
-    The graded dimension always dominates (the comparison map is injective);
-    equality certifies the gr-construction loses nothing here, and is
-    asserted when M is a radical truncation of its projective cover.  For
-    truncations the pullback of Ext^1 to the last radical layer is asserted
-    injective as a rank condition.  With a subalgebra whose radical generates
-    the ambient radical, dim Ext^1_A(M, L) <= dim Ext^1_a(M, L) is asserted
-    per simple.
-    """
-    algebra = m.algebra
-    f = algebra.field
-    if graded is None:
-        graded = gr_algebra(algebra)
-    gm = gr_rep(m, graded)
-    cov = projective_cover(m)
-    amb = (
-        head_multiplicities(cov.syzygy)
-        if cov.syzygy.total_dim
-        else {v: 0 for v in m.vertices}
-    )
-    gcov = projective_cover(gm.rep)
-    grd = (
-        head_multiplicities(gcov.syzygy)
-        if gcov.syzygy.total_dim
-        else {v: 0 for v in m.vertices}
-    )
-    sub_dims: dict[str, int] = {}
-    if sub is not None:
-        if not radical_generation_check(sub).generates:
-            raise PreconditionError(
-                "the subalgebra comparison needs (rad a)A = rad A"
-            )
-        table = sub.structure_constants()
-        act_m = restrict_action(m, sub)
-        for v in m.vertices:
-            act_l = restrict_action(simple_rep(algebra, v), sub)
-            sub_dims[v] = ext1_bruteforce(f, table, act_m, act_l)
-    rows = []
-    for v in m.vertices:
-        da, dg = amb.get(v, 0), grd.get(v, 0)
-        check(da <= dg, "gr-construction comparison lost an extension")
-        row = Ext1Row(v, da, dg, da == dg)
-        if sub is not None:
-            row.dim_sub = sub_dims[v]
-            check(da <= sub_dims[v], "restriction to the subalgebra lost an extension")
-        rows.append(row)
-    all_equal = all(r.equal for r in rows)
-    # is M the radical truncation P/rad^r P of its projective cover?
-    series = radical_series(m)
-    r = len(series) - 1
-    truncation = False
-    if m.total_dim:
-        p_series = radical_series(cov.projective)
-        cut = p_series[r] if r < len(p_series) else []
-        candidate, _ = quotient_rep(cov.projective, cut)
-        truncation, _ = is_isomorphic(m, candidate)
-    pullback = None
-    pb_injective = None
-    if m.total_dim and r >= 1:
-        table_full = _structure_table(algebra)
-        full_basis = MatrixExact.identity(f, algebra.dim).rows
-        act_m_full = [m.element_total(b) for b in full_basis]
-        last_layer, incl = sub_rep(m, series[r - 1])
-        act_s_full = [last_layer.element_total(b) for b in full_basis]
-        total_m = total_s = total_rank = 0
-        for v in m.vertices:
-            act_l = [simple_rep(algebra, v).element_total(b) for b in full_basis]
-            em, es, rk = ext1_pullback_rank(
-                f, table_full, act_m_full, act_l, act_s_full, incl
-            )
-            total_m += em
-            total_s += es
-            total_rank += rk
-        pullback = (total_m, total_s, total_rank)
-        pb_injective = total_rank == total_m
-        if truncation:
-            check(all_equal, "gr comparison must be an isomorphism for P/rad^r P")
-            check(pb_injective, "pullback to the last radical layer must be injective")
-    return GrExt1Report(rows, all_equal, truncation, pullback, pb_injective)
-
-
-# -- restriction to a subalgebra ---------------------------------------------------------
-
-
-def subalgebra_characters(emb: SubalgebraEmbedding) -> list[list]:
-    """The distinct vertex characters of the subalgebra (its simple modules).
-
-    Over a basic ambient algebra every subalgebra basis vector is a
-    combination of vertex idempotents plus a radical part, so a/rad a is
-    split semisimple with one-dimensional simples given by the distinct
-    characters b -> (coefficient of e_v in b).
-    """
-    algebra = emb.ambient
-    seen = []
-    for v in algebra.presentation.vertices:
-        idx = algebra.vertex_index[v]
-        vec = tuple(b[idx] for b in emb.basis_rows)
-        if vec not in seen:
-            seen.append(vec)
-    check(
-        len(seen) == emb.dim - len(emb.radical_rows()),
-        "vertex characters do not exhaust the semisimple quotient",
-    )
-    return [list(c) for c in seen]
-
-
 @dataclass
 class RestrictionReport:
     filtration_agrees: bool  # subalgebra radical series of M = ambient series
     restriction_iso_gr: bool  # M|a isomorphic to gr(M|a) as a-modules
     restricts_projectively: bool  # Ext^1_a(M|a, simple) = 0 for all a-simples
-    n_characters: int
-
-
-def restricts_projectively(m: Representation, emb: SubalgebraEmbedding) -> bool:
-    """Is the restriction projective?  Ext^1 into every simple character of
-    the subalgebra must vanish (the ambient algebra is basic, so subalgebra
-    simples are one-dimensional characters)."""
-    f = emb.ambient.field
-    acts = restrict_action(m, emb)
-    table = emb.structure_constants()
-    for char in subalgebra_characters(emb):
-        simple = [MatrixExact(f, [[c]], 1) for c in char]
-        if ext1_bruteforce(f, table, acts, simple):
-            return False
-    return True
+    n_characters: int  # the simples of a: vertices of its quiver (`as_algebra`)
 
 
 def _has_invertible_hom(field: FieldSpec, act_m: list[MatrixExact],
@@ -1436,7 +1296,7 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
     iso = ([len(t) for t in sub_series] == [len(t) for t in gr_series]
            and _has_invertible_hom(f, acts, gr_acts))
     projective = restricts_projectively(m, emb)
-    return RestrictionReport(agrees, iso, projective, len(subalgebra_characters(emb)))
+    return RestrictionReport(agrees, iso, projective, len(emb.as_algebra()[1]))
 
 
 # -- Koszulity ----------------------------------------------------------------------------

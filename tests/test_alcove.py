@@ -45,23 +45,21 @@ from grkoszul.alcove import (
     Weight,
     WeightIdealSet,
     a1_value,
-    base_interior_point,
     bounds_report,
     compose,
     dominance_and_regularity,
-    dominance_leq,
     dominant_conjugate,
-    element_inverse,
     fatten,
     fe_image,
     gamma_res,
     gamma_res_reg,
     _closure_set,
+    _fraction_inverse,
+    _mat_vec,
     hyperplane_length,
     ideal_closure,
     identity_element,
     is_regular,
-    jantzen_region,
     left_descent_walls,
     linkage,
     partition_translate,
@@ -84,6 +82,42 @@ def a2():
 
 def w(*coords):
     return Weight(tuple(coords))
+
+
+# -- test-only helpers: dominance order, inverses, the Jantzen region --------------
+
+
+def dominance_leq(rd, lower, upper):
+    """Whether lower <= upper: the difference is in Z>=0 . simple roots."""
+    coords = rd.to_root_coords(upper - lower)
+    return all(c.denominator == 1 and c >= 0 for c in coords)
+
+
+def base_interior_point(rd, e):
+    """A rho-shifted point interior to the base (antidominant) cell."""
+    return tuple(Fraction(-e, rd.coxeter_number) for _ in range(rd.rank))
+
+
+def element_inverse(rd, e, a):
+    inv_rows = _fraction_inverse([list(row) for row in a.finite_part])
+    assert all(x.denominator == 1 for row in inv_rows for x in row), \
+        "finite part must be integrally invertible"
+    mat = tuple(tuple(int(x) for x in row) for row in inv_rows)
+    trans = tuple(-x for x in _mat_vec(mat, a.translation))
+    return AffineWeylElement(mat, trans, hyperplane_length(rd, e, mat, trans))
+
+
+def jantzen_region(rd, p):
+    """Dominant weights with (x + rho, alpha_0^v) <= p(p - h + 2)."""
+    bound = p * (p - rd.coxeter_number + 2)
+    cv = rd.coroot(rd.max_short_root)
+    rho_pairing = sum(cv)
+    if bound < rho_pairing:
+        return WeightIdealSet(rd, p, (), closed=True)
+    ranges = [range((bound - rho_pairing) // cv[i] + 1) for i in range(rd.rank)]
+    weights = [Weight(v) for v in product(*ranges)
+               if sum((x + 1) * c for x, c in zip(v, cv)) <= bound]
+    return WeightIdealSet(rd, p, tuple(weights), closed=True)
 
 
 class TestRootData:

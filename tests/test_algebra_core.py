@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grkoszul.errors import InputFormatError
-from grkoszul.exactlin import QQ, FieldSpec
+from grkoszul.errors import InputFormatError, PreconditionError
+from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, in_span, rank_kernel, row_space
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
     gr_algebra,
     grades_from_arrow_degrees,
     opposite_algebra,
-    radical_from_trace_form,
     radical_generation_check,
     subalgebra_from_generators,
     tight_grading_check,
@@ -314,6 +313,30 @@ def test_subalgebra_custom_augmentation_must_be_an_ideal_of_it():
     assert len(emb.augmentation()) == 2
 
 
+def test_embedded_algebra_is_built_once_per_embedding():
+    alg = build_algebra(truncated_polynomial(3))
+    xsq = [QQ.zero, QQ.zero, QQ.one]
+    emb = subalgebra_from_generators(alg, [xsq])
+    first = emb.as_algebra()
+    sub_alg, classes, arrows = first
+    assert emb.as_algebra() is first
+    other = subalgebra_from_generators(alg, [xsq])
+    assert other.as_algebra() is not first and other == emb
+    assert classes == {"1": ["1"]}
+    assert sub_alg.dim == 2
+    assert list(arrows.values()) == [xsq]
+
+
+def test_embedded_algebra_glues_vertices_no_element_separates():
+    alg = build_algebra(two_vertex_cycle())
+    arrows = [alg.basis_vector(alg.arrow_index[name]) for name in ("a", "b")]
+    glued = subalgebra_from_generators(alg, arrows)
+    sub_alg, classes, _ = glued.as_algebra()
+    assert classes == {"1+2": ["1", "2"]}
+    assert sub_alg.presentation.vertices == ["1+2"]
+    assert sub_alg.dim == glued.dim == 4
+
+
 # -- duality data ------------------------------------------------------------------
 
 
@@ -344,20 +367,46 @@ def test_duality_must_preserve_relations():
 # -- characteristic-0 radical oracle -----------------------------------------------
 
 
+def radical_from_trace_form(field, dim, multiply):
+    """Radical of an associative algebra from the trace bilinear form.
+
+    Valid in characteristic 0 only (raises otherwise): the radical is the
+    kernel of (x, y) -> trace(L_x L_y) on the regular representation.
+    """
+    if field.char != 0:
+        raise PreconditionError("trace-form radical is only valid in characteristic 0")
+    basis = [[field.one if k == i else field.zero for k in range(dim)] for i in range(dim)]
+
+    def left_matrix(x):
+        cols = [multiply(x, basis[j]) for j in range(dim)]
+        return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+
+    mats = [left_matrix(b) for b in basis]
+    gram = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            # trace(L_i L_j)
+            t = field.zero
+            for r in range(dim):
+                for s in range(dim):
+                    t = field.add(t, field.mul(mats[i][r][s], mats[j][s][r]))
+            row.append(t)
+        gram.append(row)
+    _, kernel = rank_kernel(MatrixExact(field, gram, dim))
+    return kernel.rows
+
+
 def test_trace_form_radical_matches_arrow_ideal():
     alg = build_algebra(two_vertex_cycle())
     rows = radical_from_trace_form(QQ, alg.dim, alg.multiply)
     assert len(rows) == len(alg.radical_rows(1))
-    from grkoszul.exactlin import row_space, in_span
-
     rad, piv = row_space(QQ, alg.radical_rows(1), alg.dim)
     assert all(in_span(QQ, rad, piv, r) for r in rows)
 
 
 def test_trace_form_requires_characteristic_zero():
     alg = build_algebra(two_vertex_cycle(field=F2))
-    from grkoszul.errors import PreconditionError
-
     with pytest.raises(PreconditionError):
         radical_from_trace_form(F2, alg.dim, alg.multiply)
 

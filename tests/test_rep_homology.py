@@ -36,10 +36,8 @@ from grkoszul.algebra_core import (
 from grkoszul.rep_homology import (
     GradedRepresentation,
     _invertible_combination,
-    _structure_table,
     direct_sum,
     dual_rep,
-    ext1_bruteforce,
     ext_groups,
     ext_table,
     filtration_slice,
@@ -64,6 +62,7 @@ from grkoszul.rep_homology import (
     radical_series,
     restrict_action,
     restrict_iso_check,
+    restrict_rep,
     restricts_projectively,
     simple_rep,
     socle_series,
@@ -451,10 +450,123 @@ def test_ext_table_graded_needs_tight_algebra():
 
 
 # -- brute-force Ext^1 oracle ------------------------------------------------------------
+#
+# Test-only: Ext^1 by classifying extensions on the structure constants of
+# any unital basis, a second route independent of projective covers.
+
+
+def structure_table(algebra):
+    f = algebra.field
+    table = []
+    for i in range(algebra.dim):
+        row = []
+        for j in range(algebra.dim):
+            dense = [f.zero] * algebra.dim
+            for k, c in algebra.mult_basis(i, j):
+                dense[k] = c
+            row.append(dense)
+        table.append(row)
+    return table
+
+
+def cocycle_data(field, table, act_m, act_n):
+    """Bases of Z^1 and B^1 for extensions 0 -> N -> E -> M -> 0.
+
+    A cocycle assigns each basis element b_i a matrix C_i: M -> N subject to
+    C(b_i b_j) = R_N(b_j) C_i + C_j R_M(b_i); coboundaries are F R_M - R_N F.
+    Flat layout: position (i, r, c) = (i*dim_n + r)*dim_m + c.
+    """
+    k = len(table)
+    dim_m = act_m[0].ncols if act_m else 0
+    dim_n = act_n[0].ncols if act_n else 0
+    width = k * dim_n * dim_m
+    if width == 0:
+        return [], [], 0
+
+    def pos(i, r, c):
+        return (i * dim_n + r) * dim_m + c
+
+    rows = []
+    for i in range(k):
+        for j in range(k):
+            coeffs = table[i][j]
+            for r in range(dim_n):
+                for c in range(dim_m):
+                    row = [field.zero] * width
+                    for s, coeff in enumerate(coeffs):
+                        if coeff:
+                            idx = pos(s, r, c)
+                            row[idx] = field.add(row[idx], coeff)
+                    for t in range(dim_n):
+                        val = act_n[j].rows[r][t]
+                        if val:
+                            idx = pos(i, t, c)
+                            row[idx] = field.sub(row[idx], val)
+                    for t in range(dim_m):
+                        val = act_m[i].rows[t][c]
+                        if val:
+                            idx = pos(j, r, t)
+                            row[idx] = field.sub(row[idx], val)
+                    if any(x != field.zero for x in row):
+                        rows.append(row)
+    if rows:
+        _, kernel = rank_kernel(MatrixExact(field, rows, width))
+        z_basis = list(kernel.rows)
+    else:
+        z_basis = MatrixExact.identity(field, width).rows
+    b_basis, _ = row_space(field, rep_homology._delta0(field, act_m, act_n).rows, width)
+    return z_basis, b_basis, width
+
+
+def ext1_bruteforce(field, table, act_m, act_n):
+    """dim Ext^1 by classifying extensions directly on the structure constants."""
+    z_basis, b_basis, width = cocycle_data(field, table, act_m, act_n)
+    if width == 0:
+        return 0
+    assert len(z_basis) >= len(b_basis)
+    return len(z_basis) - len(b_basis)
+
+
+def ext1_pullback_rank(field, table, act_m, act_n, act_s, incl):
+    """Rank data of the map Ext^1(M, N) -> Ext^1(S, N) induced by S -> M.
+
+    incl has shape (dim M x dim S).  Returns (dim Ext^1(M, N),
+    dim Ext^1(S, N), rank of the induced map).
+    """
+    z_m, b_m, width_m = cocycle_data(field, table, act_m, act_n)
+    z_s, b_s, width_s = cocycle_data(field, table, act_s, act_n)
+    ext_m = len(z_m) - len(b_m) if width_m else 0
+    ext_s = len(z_s) - len(b_s) if width_s else 0
+    if width_m == 0 or width_s == 0:
+        return ext_m, ext_s, 0
+    k = len(table)
+    dim_m = act_m[0].ncols
+    dim_n = act_n[0].ncols
+    dim_s = act_s[0].ncols
+
+    def pull(flat):
+        out = [field.zero] * width_s
+        for i in range(k):
+            block = MatrixExact(
+                field,
+                [[flat[(i * dim_n + r) * dim_m + c] for c in range(dim_m)]
+                 for r in range(dim_n)],
+                dim_m,
+            )
+            pulled = block.mul(incl)
+            for r in range(dim_n):
+                for c in range(dim_s):
+                    out[(i * dim_n + r) * dim_s + c] = pulled.rows[r][c]
+        return out
+
+    images = [pull(z) for z in z_m]
+    base_rows, _ = row_space(field, list(b_s), width_s)
+    stacked, _ = row_space(field, list(b_s) + images, width_s)
+    return ext_m, ext_s, len(stacked) - len(base_rows)
 
 
 def all_pairs_ext1_agree(alg, modules):
-    table = _structure_table(alg)
+    table = structure_table(alg)
     basis = MatrixExact.identity(alg.field, alg.dim).rows
     simples = [simple_rep(alg, v) for v in alg.presentation.vertices]
     for m in modules:
@@ -900,7 +1012,7 @@ def test_head_is_the_top_radical_layer(alg):
 @given(monomial_two_loop_algebra())
 def test_bruteforce_ext1_matches_resolution_ext1(alg):
     k = simple_rep(alg, "1")
-    table = _structure_table(alg)
+    table = structure_table(alg)
     basis = MatrixExact.identity(alg.field, alg.dim).rows
     act = [k.element_total(b) for b in basis]
     assert ext1_bruteforce(alg.field, table, act, act) == ext_groups(k, k, 1)[1]
@@ -1235,3 +1347,178 @@ def test_perturbed_cover_fails_exactness(monkeypatch, index, attribute, how, mes
     perturb_cover(monkeypatch, index, attribute, how)
     with pytest.raises(InternalCheckError, match=message):
         minimal_resolution(simple_rep(alg, "1"), 3)
+
+
+# -- Ext^1 over a subalgebra from the cover of the restriction ------------------------
+
+
+def character_simple(emb, vertex):
+    """The simple of the vertex's class as an a-module: the scalars by which
+    the basis of a acts on L(vertex)."""
+    idx = emb.ambient.vertex_index[vertex]
+    return [MatrixExact(emb.ambient.field, [[b[idx]]], 1) for b in emb.basis_rows]
+
+
+def ext1_over_sub_by_oracle(m, emb):
+    """{vertex class: dim Ext^1_a(M|a, simple)} from the cocycle equations."""
+    table = emb.structure_constants()
+    acts = restrict_action(m, emb)
+    return {c: ext1_bruteforce(emb.ambient.field, table, acts, character_simple(emb, members[0]))
+            for c, members in emb.as_algebra()[1].items()}
+
+
+def ext1_over_sub(m, emb):
+    return head_multiplicities(projective_cover(restrict_rep(m, emb)).syzygy)
+
+
+@st.composite
+def modules_and_subalgebras(draw):
+    """(M, a): a generated by at most three basis vectors of a small algebra
+    over Q, F_2 or F_3, M a truncation or a sum of two."""
+    field = draw(st.sampled_from([QQ, F2, FieldSpec(3)]))
+    maker = draw(st.sampled_from([two_vertex_cycle, commuting_loops, all_cubes,
+                                  lambda f: truncated_polynomial(3, f)]))
+    alg = build_algebra(maker(field))
+    units = MatrixExact.identity(field, alg.dim).rows
+    gens = draw(st.lists(st.integers(0, alg.dim - 1), max_size=3, unique=True))
+    modules = [m for _, m in truncations(alg)]
+    m = draw(st.sampled_from(modules))
+    if draw(st.booleans()):
+        m = direct_sum(m, draw(st.sampled_from(modules)))
+    return m, subalgebra_from_generators(alg, [units[i] for i in gens])
+
+
+@settings(max_examples=100, deadline=None)
+@given(modules_and_subalgebras())
+def test_ext1_over_a_subalgebra_matches_the_cocycle_oracle(case):
+    m, emb = case
+    ext1 = ext1_over_sub(m, emb)
+    assert ext1 == ext1_over_sub_by_oracle(m, emb)
+    assert restricts_projectively(m, emb) is not any(ext1.values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(monomial_quiver_algebra(), st.data())
+def test_ext1_over_random_quiver_subalgebras_matches_the_cocycle_oracle(alg, data):
+    units = MatrixExact.identity(alg.field, alg.dim).rows
+    gens = data.draw(st.lists(st.integers(0, alg.dim - 1), max_size=3, unique=True))
+    emb = subalgebra_from_generators(alg, [units[i] for i in gens])
+    for _, m in truncations(alg):
+        assert ext1_over_sub(m, emb) == ext1_over_sub_by_oracle(m, emb)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, FieldSpec(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("maker", [two_vertex_cycle, commuting_loops, all_cubes,
+                                   lambda f: truncated_polynomial(3, f)],
+                         ids=["cycle", "loops", "cubes", "x^3"])
+def test_pullback_rank_matches_the_cocycle_oracle(maker, field):
+    # the long exact sequence count in gr_ext1_compare against the rank of
+    # the pulled-back cocycles, summed over the simples
+    alg = build_algebra(maker(field))
+    table = structure_table(alg)
+    basis = MatrixExact.identity(field, alg.dim).rows
+    simples = [[simple_rep(alg, v).element_total(b) for b in basis]
+               for v in alg.presentation.vertices]
+    for name, m in truncations(alg):
+        series = radical_series(m)
+        last, incl = sub_rep(m, series[-2])
+        act_m = [m.element_total(b) for b in basis]
+        act_s = [last.element_total(b) for b in basis]
+        per_simple = [ext1_pullback_rank(field, table, act_m, act_l, act_s, incl)
+                      for act_l in simples]
+        expected = tuple(sum(col) for col in zip(*per_simple))
+        assert gr_ext1_compare(m).pullback == expected, name
+
+
+def test_restriction_needs_the_vertex_class_idempotents():
+    # span{1, e1 + a} in k(1 -> 2) separates the two vertices on idempotent
+    # coordinates but contains neither e1 nor e2
+    alg = build_algebra(QuiverPresentation(QQ, ["1", "2"], [("a", "1", "2")], []))
+    e1 = alg.basis_vector(alg.vertex_index["1"])
+    a = alg.basis_vector(alg.arrow_index["a"])
+    emb = subalgebra_from_generators(alg, [[x + y for x, y in zip(e1, a)]])
+    assert emb.dim == 2
+    for _, m in truncations(alg):
+        with pytest.raises(PreconditionError,
+                           match="subalgebra does not contain its vertex class idempotents"):
+            restricts_projectively(m, emb)
+
+
+def test_restriction_concatenates_the_blocks_of_a_vertex_class(cycle, cycle_mods):
+    # span{1, a, b, a*b}: one vertex class {1, 2} with two loops
+    units = MatrixExact.identity(QQ, 5).rows
+    glued = subalgebra_from_generators(cycle, [units[2], units[3]])
+    restricted = restrict_rep(cycle_mods["P1"], glued)
+    assert restricted.dims == {"1+2": 3}
+    assert len(restricted.action) == 2
+    assert head_multiplicities(restricted) == {"1+2": 1}
+    # over the whole algebra the restriction keeps every radical layer
+    whole = whole_algebra(cycle)
+    for m in list(cycle_mods.values()) + [nabla2(cycle, cycle_mods)]:
+        assert layer_dims(restrict_rep(m, whole)) == layer_dims(m)
+
+
+def test_restriction_checks_the_relations():
+    # x acting by 1 + x breaks x^3 = 0, so the restricted action is refused
+    alg = build_algebra(truncated_polynomial(3))
+    whole = whole_algebra(alg)
+    _, _, arrows = whole.as_algebra()
+    (name,) = arrows
+    arrows[name] = [x + y for x, y in zip(arrows[name], alg.unit_vector())]
+    with pytest.raises(InputFormatError, match="does not satisfy a defining relation"):
+        restrict_rep(projective_rep(alg, "1"), whole)
+
+
+# -- the A1 chain family -----------------------------------------------------------------
+
+
+def a1_chain(n, field=QQ):
+    """The Auslander algebra of k[x]/(x^n): the double chain 1 <-> ... <-> n
+    with a_i: i -> i+1, b_i: i+1 -> i, a1*b1 = 0 and a_i*b_i = b_(i-1)*a_(i-1);
+    its dimension is n(n+1)(2n+1)/6."""
+    vertices = [str(i) for i in range(1, n + 1)]
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    arrows += [(f"b{i}", str(i + 1), str(i)) for i in range(1, n)]
+    relations = [[(1, ("a1", "b1"))]]
+    relations += [[(1, (f"a{i}", f"b{i}")), (-1, (f"b{i - 1}", f"a{i - 1}"))]
+                  for i in range(2, n)]
+    return build_algebra(QuiverPresentation(field, vertices, arrows, relations))
+
+
+@pytest.mark.parametrize("n, dim", [(3, 14), (4, 30), (5, 55)])
+def test_a1_chain_restricts_projectively_over_the_whole_algebra(n, dim):
+    alg = a1_chain(n)
+    assert alg.dim == dim
+    whole = whole_algebra(alg)
+    vertices = alg.presentation.vertices
+    projectives = [projective_rep(alg, v) for v in vertices]
+    assert all(restricts_projectively(p, whole) for p in projectives)
+    assert restricts_projectively(direct_sum(*projectives), whole)
+    assert not any(restricts_projectively(simple_rep(alg, v), whole) for v in vertices)
+
+
+def test_a1_chain_ext1_matches_the_cocycle_oracle():
+    alg = a1_chain(3)
+    whole = whole_algebra(alg)
+    vertices = alg.presentation.vertices
+    for v in vertices:
+        for m in (projective_rep(alg, v), simple_rep(alg, v)):
+            ext1 = ext1_over_sub(m, whole)
+            assert ext1 == ext1_over_sub_by_oracle(m, whole)
+            assert ext1 == {u: ext_groups(m, simple_rep(alg, u), 1)[1] for u in vertices}
+
+
+@pytest.fixture(scope="module")
+def chain3():
+    return a1_chain(3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(0, 13), max_size=3, unique=True))
+def test_ext1_over_a1_chain_subalgebras_matches_the_cocycle_oracle(chain3, gens):
+    units = MatrixExact.identity(QQ, chain3.dim).rows
+    emb = subalgebra_from_generators(chain3, [units[i] for i in gens])
+    for v in chain3.presentation.vertices:
+        for m in (projective_rep(chain3, v), simple_rep(chain3, v)):
+            assert ext1_over_sub(m, emb) == ext1_over_sub_by_oracle(m, emb)
+
