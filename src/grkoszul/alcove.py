@@ -567,13 +567,6 @@ def wall_reflections(rd: RootDatum, e: int) -> tuple[AffineWeylElement, ...]:
     return tuple(out)
 
 
-def compose(rd: RootDatum, e: int, a: AffineWeylElement,
-            b: AffineWeylElement) -> AffineWeylElement:
-    """a after b, with the length recomputed from hyperplane counts."""
-    mat, trans = _affine_product((a.finite_part, a.translation), (b.finite_part, b.translation))
-    return AffineWeylElement(mat, trans, hyperplane_length(rd, e, mat, trans))
-
-
 @dataclass
 class LinkageResult:
     """Antidominant representative and minimal carrier of a weight.

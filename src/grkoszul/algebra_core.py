@@ -30,12 +30,10 @@ from .exactlin import (
     FieldSpec,
     MatrixExact,
     Subspace,
-    in_span,
     intersect_spaces,
     rank_kernel,
     row_space,
     solve,
-    span_coordinates,
 )
 
 DEFAULT_PATH_CAP = 32
@@ -235,7 +233,20 @@ class BasisPath:
         return len(self.arrows)
 
 
-class FiniteDimAlgebra:
+class _Memoized:
+    """Results computed once per key for the life of the object, kept in its
+    `_memo` dict."""
+
+    def memoized(self, key, build):
+        """build(), computed once per key; for results that depend on the
+        object and the key alone."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+
+class FiniteDimAlgebra(_Memoized):
     """Quotient of a path algebra by an admissible relation ideal.
 
     The basis consists of the relation-irreducible ("normal") paths, vertex
@@ -261,17 +272,7 @@ class FiniteDimAlgebra:
             b.arrows[0]: i for i, b in enumerate(basis) if len(b.arrows) == 1
         }
         self._mult: dict[tuple[int, int], tuple[tuple[int, object], ...]] = {}
-        self._rad_chain: list[list[list]] | None = None
-        self._grades: list[int] | None = None
         self._memo: dict = {}
-
-    def memoized(self, key, build):
-        """build(), computed once per key for the life of this algebra; for
-        results that depend on the algebra and the key alone."""
-        memo = self._memo
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
 
     # -- vectors --------------------------------------------------------------
 
@@ -331,27 +332,24 @@ class FiniteDimAlgebra:
 
     # -- radical ----------------------------------------------------------------
 
-    def radical_chain(self) -> list[list[list]]:
-        """[rad^0 rows, rad^1 rows, ...] down to the zero space (RREF rows)."""
-        if self._rad_chain is not None:
-            return self._rad_chain
+    def radical_chain(self) -> list[Subspace]:
+        """[rad^0, rad^1, ...] down to the zero space."""
+        return self.memoized("radical chain", self._radical_chain)
+
+    def _radical_chain(self) -> list[Subspace]:
         f = self.field
-        full = MatrixExact.identity(f, self.dim).rows
         arrow_rows = [
             self.basis_vector(i) for i, b in enumerate(self.basis) if b.arrows
         ]
         # The arrow-ideal span: relations only involve paths of length >= 2,
         # so normal forms of length >= 1 paths stay in this coordinate span.
-        rad_rows, _ = row_space(f, arrow_rows, self.dim)
-        chain = [full, rad_rows]
+        chain = [Subspace.whole(f, self.dim), row_space(f, arrow_rows, self.dim)]
+        # J^(k+1) = J^k J is spanned by J^k times the arrows: a path of length
+        # k + 1 or more is one of length k or more followed by its last arrow
         while chain[-1]:
             prev = chain[-1]
-            products = []
-            for row in prev:
-                for arow in arrow_rows:
-                    products.append(self.multiply(row, arow))
-                    products.append(self.multiply(arow, row))
-            nxt, _ = row_space(f, products, self.dim)
+            nxt = row_space(f, [self.multiply(row, arow) for row in prev.rows
+                                for arow in arrow_rows], self.dim)
             if len(nxt) == len(prev):
                 raise InputFormatError(
                     "arrow ideal is not nilpotent: presentation is not admissible"
@@ -359,38 +357,30 @@ class FiniteDimAlgebra:
             chain.append(nxt)
             if len(chain) > self.dim + 2:
                 raise InternalCheckError("radical chain failed to terminate")
-        self._rad_chain = chain
         return chain
 
-    def radical_rows(self, power: int = 1) -> list[list]:
+    def radical(self, power: int = 1) -> Subspace:
+        """rad^power A; the zero space from the radical length on."""
         chain = self.radical_chain()
-        return chain[power] if power < len(chain) else []
+        return chain[min(power, len(chain) - 1)]
 
     @property
     def radical_length(self) -> int:
         """Least r with rad^r = 0."""
         return len(self.radical_chain()) - 1
 
+    def grade_of(self, vec: list) -> int:
+        """The largest g with vec in rad^g among the nonzero powers."""
+        chain = self.radical_chain()
+        g = 0
+        while chain[g + 1] and chain[g + 1].contains(vec):
+            g += 1
+        return g
+
     def grades(self) -> list[int]:
         """grade(b) = max g with b in rad^g, for each basis element."""
-        if self._grades is None:
-            chain = self.radical_chain()
-            out = []
-            for i in range(self.dim):
-                vec = self.basis_vector(i)
-                g = 0
-                for power in range(1, len(chain)):
-                    rows = chain[power]
-                    pivots = tuple(
-                        next(j for j, a in enumerate(r) if a) for r in rows
-                    )
-                    if rows and in_span(self.field, rows, pivots, vec):
-                        g = power
-                    else:
-                        break
-                out.append(g)
-            self._grades = out
-        return self._grades
+        return self.memoized("grades", lambda: [self.grade_of(self.basis_vector(i))
+                                                for i in range(self.dim)])
 
     def graded_dims(self) -> list[int]:
         chain = self.radical_chain()
@@ -580,11 +570,8 @@ def tight_grading_check(algebra: FiniteDimAlgebra,
     # degree-0 semisimple: for a basic algebra this means A_0 meets the
     # radical trivially and has one dimension per vertex
     zero_rows = grade_rows(0)
-    rad_rows = algebra.radical_rows(1)
-    meet_dim = 0
-    if zero_rows and rad_rows:
-        stacked, _ = row_space(f, zero_rows + rad_rows, algebra.dim)
-        meet_dim = len(zero_rows) + len(rad_rows) - len(stacked)
+    stacked = algebra.radical().copy()
+    meet_dim = sum(not stacked.add(row) for row in zero_rows)
     nverts = len(algebra.presentation.vertices)
     degree_zero_semisimple = meet_dim == 0 and len(zero_rows) == nverts
     if not degree_zero_semisimple:
@@ -595,26 +582,23 @@ def tight_grading_check(algebra: FiniteDimAlgebra,
     # positive part equals radical
     pos_rows = [v for g in by_grade if g > 0 for v in grade_rows(g)]
     # canonical RREFs are equal exactly when the spans are
-    positive_part_is_radical = (row_space(f, pos_rows, algebra.dim)
-                                == row_space(f, rad_rows, algebra.dim))
+    positive_part_is_radical = row_space(f, pos_rows, algebra.dim) == algebra.radical()
     if not positive_part_is_radical:
         failures.append("positive part does not equal the radical")
     # tightness: A_n = (A_1)^n
     tight = True
     power_rows = grade_rows(1)
     for n in range(2, top + 1):
-        nxt = []
-        for row in power_rows:
-            for one in grade_rows(1):
-                nxt.append(algebra.multiply(row, one))
-        power_rows, _ = row_space(f, nxt, algebra.dim)
-        expected, _ = row_space(f, grade_rows(n), algebra.dim)
-        if power_rows != expected:
+        power = row_space(f, [algebra.multiply(row, one) for row in power_rows
+                              for one in grade_rows(1)], algebra.dim)
+        expected = row_space(f, grade_rows(n), algebra.dim)
+        if power != expected:
             tight = False
             failures.append(
                 f"grade {n} has dim {len(expected)} but (grade 1)^{n} has "
-                f"dim {len(power_rows)}"
+                f"dim {len(power)}"
             )
+        power_rows = power.rows
     return TightGradingReport(
         multiplicative, degree_zero_semisimple, positive_part_is_radical, tight,
         failures,
@@ -660,11 +644,8 @@ def presentation_from_concrete(
     """
     f = conc.field
     preferred = preferred_arrows or []
-    rad_space, rad_piv = row_space(f, conc.radical_rows, conc.dim)
-    rad2_gen = [
-        conc.multiply(x, y) for x in rad_space for y in rad_space
-    ]
-    rad2_space, _ = row_space(f, rad2_gen, conc.dim)
+    rad = row_space(f, conc.radical_rows, conc.dim)
+    rad2 = row_space(f, [conc.multiply(x, y) for x in rad.rows for y in rad.rows], conc.dim)
 
     # choose arrow representatives block by block
     arrows: list[tuple[str, str, str]] = []
@@ -672,7 +653,7 @@ def presentation_from_concrete(
     counter = itertools.count()
     for u in vertex_order:
         for v in vertex_order:
-            chosen = Subspace(f, conc.dim, rad2_space)
+            chosen = rad2.copy()
             for name, src, dst, vec in preferred:
                 if (src, dst) != (u, v):
                     continue
@@ -680,19 +661,15 @@ def presentation_from_concrete(
                 if chosen.add(bvec):
                     arrows.append((name, u, v))
                     arrow_vectors[name] = bvec
-            block_rows, _ = row_space(
-                f,
-                [_block_project(conc, u, v, r) for r in rad_space],
-                conc.dim,
-            )
-            for vec in block_rows:
+            block = row_space(f, [_block_project(conc, u, v, r) for r in rad.rows], conc.dim)
+            for vec in block.rows:
                 if chosen.add(vec):
                     name = f"q{next(counter)}"
                     arrows.append((name, u, v))
                     arrow_vectors[name] = vec
 
     check(
-        len(rad_space) - len(rad2_space) == len(arrows),
+        len(rad) - len(rad2) == len(arrows),
         "arrow selection does not span rad/rad^2",
     )
 
@@ -704,10 +681,20 @@ def presentation_from_concrete(
     arrow_ends = {name: (src, dst) for name, src, dst in arrows}
     kept_paths: list[tuple[tuple[str, ...], str, str]] = []
     kept_vectors: list[list] = []
+    kept_index = {}
+    # each kept vector beside its unit tag: a vector in their span reduces to
+    # (0 | minus its coordinates in the kept vectors), which are independent
+    n = conc.dim
+    tagged = Subspace(f, 2 * n)
+
+    def keep(path, src, dst, vec):
+        tagged.add(vec + [f.one if k == len(kept_paths) else f.zero for k in range(n)])
+        kept_index[path] = len(kept_paths)
+        kept_paths.append((path, src, dst))
+        kept_vectors.append(vec)
+
     for name, src, dst in arrows:
-        kept_paths.append(((name,), src, dst))
-        kept_vectors.append(arrow_vectors[name])
-    kept_index = {path: i for i, (path, _, _) in enumerate(kept_paths)}
+        keep((name,), src, dst, arrow_vectors[name])
     frontier = list(kept_paths)
     length = 1
     while frontier:
@@ -732,19 +719,13 @@ def presentation_from_concrete(
         candidates.sort(key=lambda c: c[0])
         new_frontier = []
         for new_path, src, dst, vec in candidates:
-            span = MatrixExact(f, kept_vectors, conc.dim).transpose()
-            coords = solve(span, vec)
-            if coords is None:
-                kept_paths.append((new_path, src, dst))
-                kept_vectors.append(vec)
-                kept_index[new_path] = len(kept_paths) - 1
+            residual = tagged.reduce(vec + [f.zero] * n)
+            if any(residual[:n]):
+                keep(new_path, src, dst, vec)
                 new_frontier.append((new_path, src, dst))
             else:
-                rel = [(f.one, new_path)]
-                for i, c in enumerate(coords):
-                    if c:
-                        rel.append((f.neg(c), kept_paths[i][0]))
-                relations.append(rel)
+                relations.append([(f.one, new_path)] + [
+                    (c, kept_paths[i][0]) for i, c in enumerate(residual[n:]) if c])
                 dead.add(new_path)
         frontier = new_frontier
 
@@ -801,7 +782,8 @@ class GradedAlgebra:
 
 
 def gr_algebra(algebra: FiniteDimAlgebra, cap: int = DEFAULT_PATH_CAP) -> GradedAlgebra:
-    """The associated graded algebra of the radical filtration.
+    """The associated graded algebra of the radical filtration, built once per
+    algebra and cap.
 
     An adapted basis of the source is chosen (vertex idempotents in grade 0,
     unit basis paths preferred in higher grades), the graded multiplication is
@@ -809,12 +791,16 @@ def gr_algebra(algebra: FiniteDimAlgebra, cap: int = DEFAULT_PATH_CAP) -> Graded
     and a fresh quiver presentation of the result is reconstructed; path
     length is then the grade.
     """
+    return algebra.memoized(("gr", cap), lambda: _gr_algebra(algebra, cap))
+
+
+def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
     f = algebra.field
     chain = algebra.radical_chain()
     grades = algebra.grades()
     adapted: list[tuple[int, list]] = []
     for power in range(len(chain) - 1):
-        chosen = Subspace(f, algebra.dim, chain[power + 1])
+        chosen = chain[power + 1].copy()
         if power == 0:
             candidates = [
                 algebra.basis_vector(algebra.vertex_index[v])
@@ -829,23 +815,25 @@ def gr_algebra(algebra: FiniteDimAlgebra, cap: int = DEFAULT_PATH_CAP) -> Graded
         for vec in candidates:
             if chosen.add(vec):
                 adapted.append((power, vec))
-        for vec in chain[power]:
+        for vec in chain[power].rows:
             if chosen.add(vec):
                 adapted.append((power, vec))
     check(len(adapted) == algebra.dim, "adapted basis has wrong size")
 
-    adapted_rows = [vec for _, vec in adapted]
-    adapted_matrix = MatrixExact(f, adapted_rows, algebra.dim).transpose()
+    # the adapted rows A beside the identity reduce to (I | A^-1), and the
+    # adapted coordinates of a vector v are v A^-1
+    n = algebra.dim
+    inverse = Subspace(f, 2 * n, [vec + unit for (_, vec), unit
+                                  in zip(adapted, MatrixExact.identity(f, n).rows)])
+    check(inverse.pivots == list(range(n)), "adapted vectors are not a basis")
+    to_adapted = MatrixExact.trusted(f, [row[n:] for row in inverse.rows], n).transpose()
     coord_cache = {}
 
     def adapted_coords(vec):
         key = tuple(vec)
-        got = coord_cache.get(key)
-        if got is None:
-            got = solve(adapted_matrix, list(vec))
-            check(got is not None, "vector outside adapted basis span")
-            coord_cache[key] = got
-        return got
+        if key not in coord_cache:
+            coord_cache[key] = to_adapted.apply(vec)
+        return coord_cache[key]
 
     def gr_multiply(x: list, y: list) -> list:
         # bilinear over the adapted coordinates, keeping only the expected grade
@@ -982,25 +970,22 @@ def opposite_algebra(algebra: FiniteDimAlgebra,
 
 
 @dataclass
-class SubalgebraEmbedding:
-    """A unital subalgebra given by an RREF basis inside the ambient algebra.
+class SubalgebraEmbedding(_Memoized):
+    """A unital subalgebra, held as the subspace it spans in the ambient algebra.
 
     radical() is a ∩ rad A: the ambient algebra is basic, so a/(a ∩ rad A)
     embeds in a product of copies of the base field and is semisimple over
     the perfect fields Q and F_p; no separate radical algorithm is needed.
-    The augmentation ideal defaults to that radical and may be overridden
-    when the subalgebra carries a different augmentation.
+    The basis of the subalgebra is the canonical RREF of `space`.
     """
 
     ambient: FiniteDimAlgebra
-    basis_rows: list[list]
-    pivots: tuple[int, ...]
-    augmentation_rows: list[list] | None = None
-    _algebra: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
+    space: Subspace
+    _memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.basis_rows)
+        return len(self.space)
 
     def as_algebra(self) -> tuple[FiniteDimAlgebra, dict[str, list[str]], dict[str, list]]:
         """The subalgebra as a based algebra in its own right, built once per
@@ -1013,39 +998,35 @@ class SubalgebraEmbedding:
         idempotents.  Each arrow's vector is its representative in ambient
         coordinates.
         """
-        if self._algebra is None:
-            self._algebra = self._build_algebra()
-        return self._algebra
+        return self.memoized("algebra", self._build_algebra)
 
     def _build_algebra(self):
         ambient = self.ambient
         f = ambient.field
+        basis = self.space.rows
         classes: list[list[str]] = []
         for v in ambient.presentation.vertices:
             pos = ambient.vertex_index[v]
             for cls in classes:
                 ref = ambient.vertex_index[cls[0]]
-                if all(row[pos] == row[ref] for row in self.basis_rows):
+                if all(row[pos] == row[ref] for row in basis):
                     cls.append(v)
                     break
             else:
                 classes.append([v])
-
-        def coordinates(vec):
-            return span_coordinates(f, self.basis_rows, self.pivots, vec)
 
         idem = {}
         for cls in classes:
             vec = ambient.zero_vector()
             for v in cls:
                 vec[ambient.vertex_index[v]] = f.one
-            coords = coordinates(vec)
+            coords = self.space.coords(vec)
             require(coords is not None,
                     "subalgebra does not contain its vertex class idempotents")
             idem["+".join(cls)] = list(coords)
         rad_coords = []
-        for r in self.radical_rows():
-            coords = coordinates(r)
+        for r in self.radical().rows:
+            coords = self.space.coords(r)
             check(coords is not None, "subalgebra radical escaped the subalgebra")
             rad_coords.append(list(coords))
         table = self.structure_constants()
@@ -1068,46 +1049,32 @@ class SubalgebraEmbedding:
         arrows = {}
         for name, coords in sub_arrows.items():
             vec = ambient.zero_vector()
-            for c, row in zip(coords, self.basis_rows):
+            for c, row in zip(coords, basis):
                 if c:
                     vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
             arrows[name] = vec
         return rebuilt, dict(zip(idem, classes)), arrows
 
-    def contains(self, vec: list) -> bool:
-        return in_span(self.ambient.field, self.basis_rows, self.pivots, vec)
-
-    def radical_rows(self) -> list[list]:
-        return intersect_spaces(
-            self.ambient.field,
-            self.basis_rows,
-            self.ambient.radical_rows(1),
-            self.ambient.dim,
-        )
-
-    def augmentation(self) -> list[list]:
-        if self.augmentation_rows is not None:
-            return self.augmentation_rows
-        return self.radical_rows()
+    def radical(self) -> Subspace:
+        return intersect_spaces(self.space, self.ambient.radical())
 
     def structure_constants(self):
         """Multiplication table in the subalgebra basis."""
-        f = self.ambient.field
         table = []
-        for x in self.basis_rows:
+        for x in self.space.rows:
             row = []
-            for y in self.basis_rows:
-                prod = self.ambient.multiply(x, y)
-                coords = span_coordinates(f, self.basis_rows, self.pivots, prod)
+            for y in self.space.rows:
+                coords = self.space.coords(self.ambient.multiply(x, y))
                 check(coords is not None, "subalgebra not closed under product")
                 row.append(coords)
             table.append(row)
         return table
 
     def is_normal(self) -> bool:
-        """Whether a+ A = A a+ as subspaces."""
+        """Whether a+ A = A a+ as subspaces, for the augmentation ideal
+        a+ = rad a."""
         f = self.ambient.field
-        aug = self.augmentation()
+        aug = self.radical().rows
         ambient_basis = [
             self.ambient.basis_vector(i) for i in range(self.ambient.dim)
         ]
@@ -1115,42 +1082,24 @@ class SubalgebraEmbedding:
         right = [self.ambient.multiply(b, x) for x in aug for b in ambient_basis]
         return row_space(f, left, self.ambient.dim) == row_space(f, right, self.ambient.dim)
 
-    def grades(self) -> list[int] | None:
-        """Grades of the subalgebra basis from the ambient radical filtration,
-        or None if the basis is not adapted to it (then no canonical tight
-        grading exists for this embedding)."""
-        f = self.ambient.field
-        chain = self.ambient.radical_chain()
-        out = []
-        for vec in self.basis_rows:
-            g = 0
-            for power in range(1, len(chain)):
-                rows = chain[power]
-                piv = tuple(next(j for j, a in enumerate(r) if a) for r in rows)
-                if rows and in_span(f, rows, piv, vec):
-                    g = power
-                else:
-                    break
-            out.append(g)
-        # the assignment is a grading only if products respect it; caller
-        # checks via tight_subalgebra_check
-        return out
+    def grades(self) -> list[int]:
+        """Grades of the subalgebra basis from the ambient radical filtration;
+        they grade the subalgebra only if products respect them, which
+        tight_subalgebra_check decides."""
+        return [self.ambient.grade_of(vec) for vec in self.space.rows]
 
 
 def subalgebra_from_generators(algebra: FiniteDimAlgebra,
                                generators: list[list]) -> SubalgebraEmbedding:
-    """Smallest unital subalgebra containing the generators."""
-    f = algebra.field
-    vectors = [algebra.unit_vector()] + [
-        [f.coerce(x) for x in g] for g in generators
-    ]
-    rows, pivots = row_space(f, vectors, algebra.dim)
-    while True:
-        products = [algebra.multiply(x, y) for x in rows for y in rows]
-        new_rows, new_pivots = row_space(f, rows + products, algebra.dim)
-        if len(new_rows) == len(rows):
-            return SubalgebraEmbedding(algebra, new_rows, new_pivots)
-        rows, pivots = new_rows, new_pivots
+    """Smallest unital subalgebra containing the generators: their span with
+    the unit, grown by the products of its basis until none is new."""
+    space = row_space(algebra.field, [algebra.unit_vector()] + list(generators), algebra.dim)
+    grown = True
+    while grown:
+        basis = list(space.rows)
+        # a list, not a generator: every product is added in this round
+        grown = any([space.add(algebra.multiply(x, y)) for x in basis for y in basis])
+    return SubalgebraEmbedding(algebra, space)
 
 
 @dataclass
@@ -1164,19 +1113,23 @@ class RadicalGenerationReport:
 
 
 def radical_generation_check(emb: SubalgebraEmbedding) -> RadicalGenerationReport:
-    """Does (rad a) A = rad A?  Also verifies rad^n A = (rad a)^n A for all n."""
+    """Does (rad a) A = rad A?  Also verifies rad^n A = (rad a)^n A for all n.
+    Decided once per embedding."""
+    return emb.memoized("radical generation", lambda: _radical_generation(emb))
+
+
+def _radical_generation(emb: SubalgebraEmbedding) -> RadicalGenerationReport:
     algebra = emb.ambient
     f = algebra.field
-    sub_rad = emb.radical_rows()
+    sub_rad = emb.radical().rows
     ambient_basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
     per_power = []
     left = sub_rad  # (rad a)^n as spanning rows
     for power in range(1, algebra.radical_length + 1):
         prods = [algebra.multiply(x, b) for x in left for b in ambient_basis]
-        per_power.append(row_space(f, prods, algebra.dim)
-                         == row_space(f, algebra.radical_rows(power), algebra.dim))
+        per_power.append(row_space(f, prods, algebra.dim) == algebra.radical(power))
         nxt = [algebra.multiply(x, y) for x in left for y in sub_rad]
-        left, _ = row_space(f, nxt, algebra.dim)
+        left = row_space(f, nxt, algebra.dim).rows
     generates = per_power[0] if per_power else True
     return RadicalGenerationReport(generates, per_power)
 
@@ -1186,8 +1139,12 @@ def tight_subalgebra_check(emb: SubalgebraEmbedding) -> tuple[bool, list[int] | 
 
     Uses the grade assignment a_i = (chosen basis graded by ambient rad
     powers); requires the basis to decompose the subalgebra multiplicatively.
-    Returns (verdict, grades, failures).
+    Returns (verdict, grades, failures), decided once per embedding.
     """
+    return emb.memoized("tight", lambda: _tight_subalgebra(emb))
+
+
+def _tight_subalgebra(emb: SubalgebraEmbedding) -> tuple[bool, list[int], list[str]]:
     f = emb.ambient.field
     grades = emb.grades()
     failures: list[str] = []
@@ -1204,29 +1161,21 @@ def tight_subalgebra_check(emb: SubalgebraEmbedding) -> tuple[bool, list[int] | 
     for i, g in enumerate(grades):
         by_grade.setdefault(g, []).append(i)
     # a_0 semisimple: a_0 must meet rad A trivially (then it embeds into K^n)
-    zero_rows = [emb.basis_rows[i] for i in by_grade.get(0, [])]
-    rad_rows = emb.ambient.radical_rows(1)
-    if zero_rows and rad_rows:
-        stacked, _ = row_space(f, zero_rows + rad_rows, emb.ambient.dim)
-        if len(stacked) != len(zero_rows) + len(rad_rows):
-            failures.append("degree-0 part of subalgebra meets the radical")
+    stacked = emb.ambient.radical().copy()
+    if not all(stacked.add(emb.space.rows[i]) for i in by_grade.get(0, [])):
+        failures.append("degree-0 part of subalgebra meets the radical")
     # tight: a_n = a_1^n, computed inside subalgebra coordinates
     dim = emb.dim
     top = max(grades) if grades else 0
-    cur = [[f.one if k == i else f.zero for k in range(dim)] for i in by_grade.get(1, [])]
+    unit = MatrixExact.identity(f, dim).rows
+    # right multiplication by each grade-1 basis element
+    right = [MatrixExact.trusted(f, [table[a][i] for a in range(dim)], dim)
+             for i in by_grade.get(1, [])]
+    cur = [unit[i] for i in by_grade.get(1, [])]
     for n in range(2, top + 1):
-        nxt = []
-        for x in cur:
-            for i in by_grade.get(1, []):
-                prod = [f.zero] * dim
-                for a, xa in enumerate(x):
-                    if xa:
-                        for k, c in enumerate(table[a][i]):
-                            if c:
-                                prod[k] = f.add(prod[k], f.mul(xa, c))
-                nxt.append(prod)
-        cur, _ = row_space(f, nxt, dim)
-        want = [[f.one if k == i else f.zero for k in range(dim)] for i in by_grade.get(n, [])]
-        if cur != row_space(f, want, dim)[0]:
+        power = row_space(f, [row for mat in right
+                              for row in MatrixExact.trusted(f, cur, dim).mul(mat).rows], dim)
+        if power != row_space(f, [unit[i] for i in by_grade.get(n, [])], dim):
             failures.append(f"subalgebra grade {n} is not (grade 1)^{n}")
+        cur = power.rows
     return (not failures, grades, failures)

@@ -12,6 +12,11 @@ rows kept so far.  The reduced row echelon form is fully normalized (pivots
 1, pivot columns cleared, rows sorted by pivot column), hence canonical for
 the row space.
 
+Every span is a `Subspace`, which holds the canonical RREF of its vectors:
+`row_space` builds one, `intersect_spaces` meets two, and membership,
+coordinates and residues are its methods.  Two spans are equal exactly when
+their RREFs are, which `Subspace.__eq__` compares.
+
 Scalars are canonicalised at the boundary only: the public `MatrixExact(...)`
 constructor, the scalar parsers and every vector given to a `Subspace` run
 `coerce_row`.  Producers whose output is canonical by construction (`zero`,
@@ -312,8 +317,23 @@ class Subspace:
                         else [next(j for j, a in enumerate(r) if a) for r in rows])
         return space
 
+    @classmethod
+    def whole(cls, field: FieldSpec, ambient: int) -> "Subspace":
+        """field^ambient itself, with the unit vectors as its RREF."""
+        return cls.from_rref(field, ambient, MatrixExact.identity(field, ambient).rows,
+                             range(ambient))
+
+    def copy(self) -> "Subspace":
+        """The same span, to grow on its own without eliminating again."""
+        return Subspace.from_rref(self.field, self.ambient, self.rows, self.pivots)
+
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        """Canonical RREFs are equal exactly when the spans are."""
+        return (isinstance(other, Subspace) and self.field == other.field
+                and self.ambient == other.ambient and self.rows == other.rows)
 
     def _residual(self, vec: list, coeffs=None) -> list:
         if len(vec) != self.ambient:
@@ -402,45 +422,22 @@ def solve(a: MatrixExact, b: list) -> list | None:
     return x
 
 
-# -- row-space utilities built on the canonical RREF -------------------------
-#
-# A "space" below is the pair (rref_rows, pivots) over a common ambient
-# dimension; rref_rows is a plain list of scalar lists.
+def row_space(field: FieldSpec, vectors: list[list], ambient: int) -> Subspace:
+    """The span of `vectors` in field^ambient, held as its canonical RREF."""
+    return Subspace(field, ambient, vectors)
 
 
-def row_space(field: FieldSpec, vectors: list[list], ambient: int):
-    """Canonical basis (RREF rows, pivots) of the span of `vectors`."""
-    space = Subspace(field, ambient, vectors)
-    return space.rows, tuple(space.pivots)
-
-
-def reduce_vector(field: FieldSpec, space_rows: list[list], pivots, vec: list) -> list:
-    """Residual of vec after subtracting its projection onto the row space."""
-    return field.coerce_row(_eliminate(field, space_rows, pivots, vec))
-
-
-def in_span(field: FieldSpec, space_rows: list[list], pivots, vec: list) -> bool:
-    return not any(_eliminate(field, space_rows, pivots, vec))
-
-
-def span_coordinates(field: FieldSpec, space_rows, pivots, vec):
-    """Coordinates of vec in the RREF basis, or None if not in the span."""
-    coeffs = []
-    if any(_eliminate(field, space_rows, pivots, vec, coeffs)):
-        return None
-    return field.coerce_row(coeffs)
-
-
-def intersect_spaces(field: FieldSpec, rows_a: list[list], rows_b: list[list], ambient: int):
-    """Canonical basis of the intersection of two spans (Zassenhaus): in the
-    RREF of the rows (a | a) and (b | 0), the rows with a pivot in the right
-    half are 0 on the left and their right halves are the RREF of the meet."""
-    if not rows_a or not rows_b:
-        return []
-    pad = [0] * ambient
-    joint = Subspace(field, 2 * ambient,
-                     [list(a) + list(a) for a in rows_a] + [list(b) + pad for b in rows_b])
-    return [row[ambient:] for row, col in zip(joint.rows, joint.pivots) if col >= ambient]
+def intersect_spaces(a: Subspace, b: Subspace) -> Subspace:
+    """The meet of two spans in one ambient space (Zassenhaus): in the RREF of
+    the rows (a | a) and (b | 0), the rows with a pivot in the right half are
+    0 on the left and their right halves are the RREF of the meet."""
+    n = a.ambient
+    if not a.rows or not b.rows:
+        return Subspace(a.field, n)
+    pad = [0] * n
+    joint = Subspace(a.field, 2 * n, [r + r for r in a.rows] + [r + pad for r in b.rows])
+    meet = [(row[n:], col - n) for row, col in zip(joint.rows, joint.pivots) if col >= n]
+    return Subspace.from_rref(a.field, n, [r for r, _ in meet], [c for _, c in meet])
 
 
 def determinant(m: MatrixExact):

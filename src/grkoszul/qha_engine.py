@@ -16,7 +16,7 @@ independent routes and raises InternalCheckError on disagreement.
 from dataclasses import dataclass
 
 from .errors import InputFormatError, check, require
-from .exactlin import MatrixExact, in_span, reduce_vector, row_space, solve
+from .exactlin import MatrixExact, Subspace, row_space, solve
 from .algebra_core import (
     ConcreteAlgebra,
     FiniteDimAlgebra,
@@ -238,8 +238,7 @@ def standard_modules(algebra: FiniteDimAlgebra, poset: WeightPosetIdeal,
     costandards = {v: dual_rep(op_standards[v], algebra) for v in poset.elements}
     injectives = {v: dual_rep(op_projectives[v], algebra) for v in poset.elements}
     for lam in poset.elements:
-        soc_rows = socle_series(costandards[lam])[1]
-        soc, _ = sub_rep(costandards[lam], soc_rows)
+        soc, _ = sub_rep(costandards[lam], socle_series(costandards[lam])[1])
         check(
             soc.dims == {v: 1 if v == lam else 0 for v in soc.vertices},
             f"costandard module at {lam!r} lost its simple socle",
@@ -275,7 +274,7 @@ def dualize(h: HighestWeightStructure, rep: Representation) -> Representation:
 class HeredityStep:
     weight: str
     ideal_dim: int
-    rows: list[list]
+    ideal: Subspace
 
 
 @dataclass
@@ -342,11 +341,11 @@ def _heredity_chain(h: HighestWeightStructure) -> list[HeredityStep]:
             for j, bj in enumerate(algebra.basis):
                 if bj.src == bi.dst:
                     products.append(algebra.multiply(vi, algebra.basis_vector(j)))
-        rows, _ = row_space(f, products, algebra.dim)
-        squares = [algebra.multiply(x, y) for x in rows for y in rows]
-        check(row_space(f, squares, algebra.dim)[0] == rows,
+        ideal = row_space(f, products, algebra.dim)
+        squares = [algebra.multiply(x, y) for x in ideal.rows for y in ideal.rows]
+        check(row_space(f, squares, algebra.dim) == ideal,
               f"trace ideal at {mu!r} is not idempotent")
-        steps.append(HeredityStep(mu, len(rows), rows))
+        steps.append(HeredityStep(mu, len(ideal), ideal))
     return steps
 
 
@@ -482,12 +481,12 @@ def _truncation(h: HighestWeightStructure, gamma: list[str]) -> _Truncation:
             for j, bj in enumerate(algebra.basis):
                 if bj.src == mu:
                     products.append(algebra.multiply(vi, algebra.basis_vector(j)))
-    jrows, jpiv = row_space(f, products, algebra.dim)
-    keep_pos = [k for k in range(algebra.dim) if k not in set(jpiv)]
+    ideal = row_space(f, products, algebra.dim)
+    keep_pos = [k for k in range(algebra.dim) if k not in set(ideal.pivots)]
     dim_b = len(keep_pos)
 
     def project(vec: list) -> list:
-        red = reduce_vector(f, jrows, jpiv, vec)
+        red = ideal.reduce(vec)
         return [red[k] for k in keep_pos]
 
     def lift(coords: list) -> list:
@@ -509,7 +508,7 @@ def _truncation(h: HighestWeightStructure, gamma: list[str]) -> _Truncation:
         check(not any(gone), f"dropped idempotent at {mu!r} survived its own trace ideal")
 
     # rad(A/J) is the image of rad(A) for any ideal J of a f.d. algebra
-    rad_b = [project(r) for r in algebra.radical_rows(1)]
+    rad_b = [project(r) for r in algebra.radical().rows]
     preferred = []
     for name, u, v in algebra.presentation.arrows:
         if u in kept_set and v in kept_set:
@@ -877,20 +876,20 @@ class PipelineReport:
     notes: list[str]
 
 
+def _tight_with_idempotent_degree_zero(emb: SubalgebraEmbedding) -> bool:
+    """Is the subalgebra tightly graded with its degree-0 part inside the span
+    of the ambient vertex idempotents (so semisimple)?"""
+    tight, grades, _ = tight_subalgebra_check(emb)
+    ambient = emb.ambient
+    idempotents = row_space(ambient.field, [ambient.basis_vector(i)
+                                            for i in ambient.vertex_index.values()], ambient.dim)
+    return tight and all(idempotents.contains(row)
+                         for row, g in zip(emb.space.rows, grades) if g == 0)
+
+
 def _sub_koszul_verdict(emb: SubalgebraEmbedding, notes: list[str],
                         where: str) -> bool | None:
-    tight, grades, _ = tight_subalgebra_check(emb)
-    semisimple_zero = False
-    if tight:
-        ambient = emb.ambient
-        f = ambient.field
-        idem_rows = [ambient.basis_vector(i) for i in ambient.vertex_index.values()]
-        irows, ipiv = row_space(f, idem_rows, ambient.dim)
-        semisimple_zero = all(
-            in_span(f, irows, ipiv, row)
-            for row, g in zip(emb.basis_rows, grades) if g == 0
-        )
-    if not (tight and semisimple_zero):
+    if not _tight_with_idempotent_degree_zero(emb):
         notes.append(
             f"Koszulity of the subalgebra {where} not evaluated: no tight "
             "grading with semisimple degree 0"
@@ -922,18 +921,11 @@ def pipeline_checks(h: HighestWeightStructure, sub: SubalgebraEmbedding,
 
     # hypotheses on the pair (ambient algebra, subalgebra)
     ambient_qha = qha_check(h).passed
-    sub_tight, sub_grades, tight_failures = tight_subalgebra_check(sub)
+    sub_tight, _, tight_failures = tight_subalgebra_check(sub)
     notes.extend(tight_failures)
     sub_normal = sub.is_normal()
     radgen = radical_generation_check(sub).generates
-    degree_zero = False
-    if sub_tight:
-        idem_rows = [algebra.basis_vector(i) for i in algebra.vertex_index.values()]
-        irows, ipiv = row_space(f, idem_rows, algebra.dim)
-        degree_zero = all(
-            in_span(f, irows, ipiv, row)
-            for row, g in zip(sub.basis_rows, sub_grades) if g == 0
-        )
+    degree_zero = _tight_with_idempotent_degree_zero(sub)
     pair = PairHypothesisReport(
         ambient_qha, sub_tight, sub_normal, radgen, degree_zero,
         passed=ambient_qha and sub_tight and sub_normal and radgen and degree_zero,
@@ -1046,10 +1038,9 @@ def pipeline_checks(h: HighestWeightStructure, sub: SubalgebraEmbedding,
     else:
         image = [
             _project_vector(f, row, trunc.proj_coords, hb.algebra.dim)
-            for row in sub.basis_rows
+            for row in sub.space.rows
         ]
-        rows, piv = row_space(f, image, hb.algebra.dim)
-        bsub = SubalgebraEmbedding(hb.algebra, rows, piv)
+        bsub = SubalgebraEmbedding(hb.algebra, row_space(f, image, hb.algebra.dim))
         bsub_koszul = _sub_koszul_verdict(bsub, notes, "of the truncation")
     radgen_b = radical_generation_check(bsub).generates
     regular = direct_sum(*[hb.projectives[v] for v in kept])

@@ -24,10 +24,8 @@ from .exactlin import (
     echelon,
     intersect_spaces,
     rank_kernel,
-    reduce_vector,
     row_space,
     solve,
-    span_coordinates,
 )
 from .algebra_core import (
     FiniteDimAlgebra,
@@ -364,60 +362,57 @@ def radical_space(rep: Representation) -> Subspace:
     return Subspace(rep.algebra.field, rep.total_dim, vectors)
 
 
-def _series(field: FieldSpec, mats: list[MatrixExact], n: int) -> list[list[list]]:
+def _series(field: FieldSpec, mats: list[MatrixExact], n: int) -> list[Subspace]:
     """[V, VJ, VJ^2, ..., 0] in field^n, J the span of the acting matrices.
 
     Every term is a canonical RREF, so two chains are equal exactly when
-    their row lists are.
+    their terms are.
     """
-    series = [MatrixExact.identity(field, n).rows]
-    current = series[0]
-    while current:
+    series = [Subspace.whole(field, n)]
+    while series[-1]:
+        current = series[-1]
         vectors = []
         for mat in mats:
-            for r in current:
+            for r in current.rows:
                 vec = mat.apply(r)
                 if any(x != field.zero for x in vec):
                     vectors.append(vec)
-        nxt, _ = row_space(field, vectors, n)
+        nxt = row_space(field, vectors, n)
         check(len(nxt) < len(current), "radical series stalled: action not nilpotent")
         series.append(nxt)
-        current = nxt
     return series
 
 
-def radical_series(rep: Representation) -> list[list[list]]:
-    """[M, rad M, rad^2 M, ..., 0] as lists of spanning rows."""
+def radical_series(rep: Representation) -> list[Subspace]:
+    """[M, rad M, rad^2 M, ..., 0]."""
     mats = [rep.total_action(name) for name in rep.action]
     return _series(rep.algebra.field, mats, rep.total_dim)
 
 
-def socle_series(rep: Representation) -> list[list[list]]:
-    """[0, soc M, soc_2 M, ..., M] as lists of spanning rows."""
+def socle_series(rep: Representation) -> list[Subspace]:
+    """[0, soc M, soc_2 M, ..., M]."""
     f = rep.algebra.field
     n = rep.total_dim
-    series: list[list[list]] = [[]]
-    current: list[list] = []
-    while len(current) < n:
-        crows, cpiv = row_space(f, current, n)
+    units = MatrixExact.identity(f, n).rows
+    series = [Subspace(f, n)]
+    while len(series[-1]) < n:
+        current = series[-1]
         # rows of the maps x -> (x.a mod current term), stacked over arrows a
         stacked = []
-        units = MatrixExact.identity(f, n).rows
         for name in rep.action:
             mat = rep.total_action(name)
-            cols = [reduce_vector(f, crows, cpiv, mat.apply(u)) for u in units]
+            cols = [current.reduce(mat.apply(u)) for u in units]
             for i in range(n):
                 row = [cols[j][i] for j in range(n)]
                 if any(x != f.zero for x in row):
                     stacked.append(row)
         if stacked:
-            _, kernel = rank_kernel(MatrixExact(f, stacked, n))
-            nxt, _ = row_space(f, list(kernel.rows), n)
+            # the kernel rows of rank_kernel are already its canonical RREF
+            nxt = Subspace.from_rref(f, n, rank_kernel(MatrixExact(f, stacked, n))[1].rows)
         else:
-            nxt, _ = row_space(f, units, n)
+            nxt = Subspace.whole(f, n)
         check(len(nxt) > len(current), "socle series stalled: action not nilpotent")
         series.append(nxt)
-        current = nxt
     return series
 
 
@@ -444,15 +439,15 @@ def filtration_slice(rep: Representation, r: int, s: int | None = None) -> Repre
     require(s is None or s >= r, "filtration needs r <= s")
     series = radical_series(rep)
 
-    def rows_at(k):
-        return series[k] if k < len(series) else []
+    def term(k):
+        return series[min(k, len(series) - 1)]
 
-    sub, incl = sub_rep(rep, rows_at(r))
-    if s is None or not rows_at(s):
+    sub, incl = sub_rep(rep, term(r))
+    if s is None or not term(s):
         return sub
     # re-express the lower power inside the sub coordinates
     inner = []
-    for vec in rows_at(s):
+    for vec in term(s).rows:
         sol = solve(incl, vec)
         check(sol is not None, "radical powers are not nested")
         inner.append(sol)
@@ -511,23 +506,26 @@ class _Slices:
     row carrying a unit tag that collects its coefficient.
     """
 
-    def __init__(self, field: FieldSpec, n: int, chain: list[list[list]]):
+    def __init__(self, field: FieldSpec, n: int, chain: list[Subspace]):
         self.field = field
         self.n = n
         self.pieces: list[tuple[int, list]] = []
         self._starts: list[int] = []
         self._tagged: list[Subspace] = []
         for g in range(len(chain) - 1):
-            below = Subspace(field, n, chain[g + 1])
-            rows = [cand for cand in chain[g] if below.add(cand)]
+            below = chain[g + 1]
+            grown = below.copy()
+            rows = [cand for cand in chain[g].rows if grown.add(cand)]
             self._starts.append(len(self.pieces))
             self.pieces += [(g, r) for r in rows]
             tags = MatrixExact.identity(field, len(rows)).rows
             zero = [field.zero] * len(rows)
-            self._tagged.append(Subspace(
-                field, n + len(rows),
-                [r + zero for r in chain[g + 1]] + [r + t for r, t in zip(rows, tags)],
-            ))
+            # V_(g+1) padded with zeros is already in RREF; the tagged rows join it
+            tagged = Subspace.from_rref(field, n + len(rows),
+                                        [r + zero for r in below.rows], below.pivots)
+            for r, t in zip(rows, tags):
+                tagged.add(r + t)
+            self._tagged.append(tagged)
         self.grades = [g for g, _ in self.pieces]
 
     def vector(self, g: int, vec: list) -> list:
@@ -544,15 +542,15 @@ class _Slices:
         return out
 
 
-def _slice_data(rep: Representation, series: list[list[list]]) -> dict[str, _Slices]:
+def _slice_data(rep: Representation, series: list[Subspace]) -> dict[str, _Slices]:
     """Graded coordinates of each vertex block for a decreasing chain of submodules."""
     f = rep.algebra.field
-    splits = [_split_rows_by_vertex(rep, rows) for rows in series]
-    return {v: _Slices(f, rep.dims[v], [s[v].rows for s in splits]) for v in rep.vertices}
+    splits = [_split_rows_by_vertex(rep, term) for term in series]
+    return {v: _Slices(f, rep.dims[v], [s[v] for s in splits]) for v in rep.vertices}
 
 
 def _gr_from_series(rep: Representation, graded: GradedAlgebra,
-                    series: list[list[list]]) -> GradedRepresentation:
+                    series: list[Subspace]) -> GradedRepresentation:
     f = rep.algebra.field
     target = graded.algebra
     check(
@@ -581,17 +579,12 @@ def gr_rep(rep: Representation, graded: GradedAlgebra) -> GradedRepresentation:
 def gr_sharp(rep: Representation, sub_rows: list[list],
              graded: GradedAlgebra) -> GradedRepresentation:
     """gr# L for a submodule L of M: pieces (L n rad^s M)/(L n rad^(s+1) M)."""
-    f = rep.algebra.field
-    lrows, _ = row_space(f, sub_rows, rep.total_dim)
-    sub_rep(rep, lrows)  # validates closure under the action
-    series = []
-    for rows in radical_series(rep):
-        series.append(intersect_spaces(f, lrows, rows, rep.total_dim) if rows else [])
+    lspace = row_space(rep.algebra.field, sub_rows, rep.total_dim)
+    sub_rep(rep, lspace)  # validates closure under the action
+    series = [intersect_spaces(lspace, term) for term in radical_series(rep)]
     # drop trailing repeats so the chain is strictly decreasing to zero
     while len(series) >= 2 and len(series[-1]) == len(series[-2]):
         series.pop()
-    if not series or series[-1]:
-        series.append([])
     return _gr_from_series(rep, graded, series)
 
 
@@ -611,8 +604,7 @@ def gr_of_surjection(m: Representation, n: Representation, proj: MatrixExact,
         rhs = n.total_action(name).mul(proj)
         if lhs != rhs:
             raise InputFormatError("matrix is not a module homomorphism")
-    img, _ = row_space(f, [list(r) for r in proj.transpose().rows], n.total_dim)
-    if len(img) != n.total_dim:
+    if len(row_space(f, proj.transpose().rows, n.total_dim)) != n.total_dim:
         raise InputFormatError("map is not surjective")
     if graded is None:
         graded = gr_algebra(m.algebra)
@@ -907,14 +899,13 @@ def ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
             ranks.append(0)
             continue
         cur_flat = [[x for row in h.rows for x in row] for h in basis_cur]
-        crows, cpiv = row_space(f, cur_flat, len(cur_flat[0]))
+        cur = row_space(f, cur_flat, len(cur_flat[0]))
         mat_rows = []
         for h in basis_prev:
-            flat = [x for row in h.mul(res.maps[i]).rows for x in row]
-            coords = span_coordinates(f, crows, cpiv, flat)
+            coords = cur.coords([x for row in h.mul(res.maps[i]).rows for x in row])
             check(coords is not None, "hom image left the hom space")
             mat_rows.append(coords)
-        rank, _ = rank_kernel(MatrixExact(f, mat_rows, len(crows)))
+        rank, _ = rank_kernel(MatrixExact(f, mat_rows, len(cur)))
         ranks.append(rank)
     out = []
     for i in range(n_max + 1):
@@ -1185,7 +1176,7 @@ def restricts_projectively(m: Representation, emb: SubalgebraEmbedding) -> bool:
 
 def restrict_action(rep: Representation, emb: SubalgebraEmbedding) -> list[MatrixExact]:
     """Action matrices of the subalgebra basis on the restricted module."""
-    return [rep.element_total(list(b)) for b in emb.basis_rows]
+    return [rep.element_total(list(b)) for b in emb.space.rows]
 
 
 def _delta0(field: FieldSpec, act_m: list[MatrixExact],
@@ -1263,10 +1254,7 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
             + "; ".join(fails)
         )
     acts = restrict_action(m, emb)
-    rad_coords = [
-        span_coordinates(f, emb.basis_rows, emb.pivots, list(rv))
-        for rv in emb.radical_rows()
-    ]
+    rad_coords = [emb.space.coords(rv) for rv in emb.radical().rows]
     check(all(c is not None for c in rad_coords), "subalgebra radical left the subalgebra")
     n = m.total_dim
 

@@ -46,13 +46,13 @@ from grkoszul.alcove import (
     WeightIdealSet,
     a1_value,
     bounds_report,
-    compose,
     dominance_and_regularity,
     dominant_conjugate,
     fatten,
     fe_image,
     gamma_res,
     gamma_res_reg,
+    _affine_product,
     _closure_set,
     _fraction_inverse,
     _mat_vec,
@@ -84,7 +84,7 @@ def w(*coords):
     return Weight(tuple(coords))
 
 
-# -- test-only helpers: dominance order, inverses, the Jantzen region --------------
+# -- test-only helpers: dominance order, products, inverses, the Jantzen region ------
 
 
 def dominance_leq(rd, lower, upper):
@@ -96,6 +96,12 @@ def dominance_leq(rd, lower, upper):
 def base_interior_point(rd, e):
     """A rho-shifted point interior to the base (antidominant) cell."""
     return tuple(Fraction(-e, rd.coxeter_number) for _ in range(rd.rank))
+
+
+def compose(rd, e, a, b):
+    """a after b, with the length recomputed from hyperplane counts."""
+    mat, trans = _affine_product((a.finite_part, a.translation), (b.finite_part, b.translation))
+    return AffineWeylElement(mat, trans, hyperplane_length(rd, e, mat, trans))
 
 
 def element_inverse(rd, e, a):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grkoszul.errors import InputFormatError, PreconditionError
-from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, in_span, rank_kernel, row_space
+from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, echelon, rank_kernel, row_space
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -274,7 +274,7 @@ def test_subalgebra_of_truncated_polynomial():
     xsq = [QQ.zero, QQ.zero, QQ.one]
     emb = subalgebra_from_generators(alg, [xsq])
     assert emb.dim == 2
-    assert emb.radical_rows() == [xsq]
+    assert emb.radical().rows == [xsq]
     assert emb.is_normal()
     report = radical_generation_check(emb)
     assert not report.generates
@@ -306,11 +306,11 @@ def test_non_normal_subalgebra_detected():
     assert not emb.is_normal()
 
 
-def test_subalgebra_custom_augmentation_must_be_an_ideal_of_it():
+def test_subalgebra_radical_is_its_meet_with_the_ambient_radical():
     alg = build_algebra(truncated_polynomial(3))
     x = [QQ.zero, QQ.one, QQ.zero]
     emb = subalgebra_from_generators(alg, [x])
-    assert len(emb.augmentation()) == 2
+    assert len(emb.radical()) == 2 and emb.radical() == alg.radical()
 
 
 def test_embedded_algebra_is_built_once_per_embedding():
@@ -325,6 +325,20 @@ def test_embedded_algebra_is_built_once_per_embedding():
     assert classes == {"1": ["1"]}
     assert sub_alg.dim == 2
     assert list(arrows.values()) == [xsq]
+
+
+def test_gr_algebra_and_the_embedding_checks_are_built_once():
+    alg = build_algebra(two_vertex_cycle())
+    graded = gr_algebra(alg)
+    assert gr_algebra(alg) is graded and gr_algebra(alg, cap=16) is not graded
+    assert gr_algebra(alg, cap=16).graded_dims() == graded.graded_dims()
+    emb = subalgebra_from_generators(alg, [alg.basis_vector(2)])
+    radgen, tight = radical_generation_check(emb), tight_subalgebra_check(emb)
+    assert radical_generation_check(emb) is radgen
+    assert tight_subalgebra_check(emb) is tight
+    other = subalgebra_from_generators(alg, [alg.basis_vector(2)])
+    assert other == emb and radical_generation_check(other) is not radgen
+    assert radical_generation_check(other) == radgen and tight_subalgebra_check(other) == tight
 
 
 def test_embedded_algebra_glues_vertices_no_element_separates():
@@ -400,15 +414,48 @@ def radical_from_trace_form(field, dim, multiply):
 def test_trace_form_radical_matches_arrow_ideal():
     alg = build_algebra(two_vertex_cycle())
     rows = radical_from_trace_form(QQ, alg.dim, alg.multiply)
-    assert len(rows) == len(alg.radical_rows(1))
-    rad, piv = row_space(QQ, alg.radical_rows(1), alg.dim)
-    assert all(in_span(QQ, rad, piv, r) for r in rows)
+    assert len(rows) == len(alg.radical())
+    assert all(alg.radical().contains(r) for r in rows)
 
 
 def test_trace_form_requires_characteristic_zero():
     alg = build_algebra(two_vertex_cycle(field=F2))
     with pytest.raises(PreconditionError):
         radical_from_trace_form(F2, alg.dim, alg.multiply)
+
+
+def re_echelon_subalgebra(algebra, generators):
+    """Test oracle: the span of the unit and the generators, eliminated again
+    together with all products of its basis on every round until its
+    dimension stops growing."""
+    f, n = algebra.field, algebra.dim
+    rows = echelon(MatrixExact(f, [algebra.unit_vector()] + generators, n))[0].rows
+    while True:
+        products = [algebra.multiply(x, y) for x in rows for y in rows]
+        grown = echelon(MatrixExact(f, rows + products, n))[0].rows
+        if len(grown) == len(rows):
+            return grown
+        rows = grown
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, F2, FieldSpec(3)]), st.sampled_from(["cycle", "x^4", "loops"]),
+       st.data())
+def test_subalgebra_from_generators_matches_the_re_echelon_loop(field, kind, data):
+    presentation = {
+        "cycle": two_vertex_cycle,
+        "x^4": lambda field: truncated_polynomial(4, field),
+        "loops": lambda field: QuiverPresentation(
+            field, ["1"], [("x", "1", "1"), ("y", "1", "1")],
+            [[(1, p)] for p in [("x", "x"), ("y", "y"), ("x", "y", "x"), ("y", "x", "y")]]),
+    }[kind](field)
+    alg = build_algebra(presentation)
+    vector = st.lists(st.integers(min_value=-2, max_value=2), min_size=alg.dim,
+                      max_size=alg.dim)
+    generators = data.draw(st.lists(vector, max_size=3))
+    emb = subalgebra_from_generators(alg, generators)
+    assert emb.space.rows == re_echelon_subalgebra(alg, generators)
+    assert emb.space == row_space(field, emb.space.rows, alg.dim)
 
 
 # -- property tests over random monomial algebras ----------------------------------

@@ -13,13 +13,10 @@ from grkoszul.exactlin import (
     QQ,
     Subspace,
     echelon,
-    in_span,
     intersect_spaces,
     rank_kernel,
-    reduce_vector,
     row_space,
     solve,
-    span_coordinates,
 )
 
 try:  # sympy is an optional, independent elimination oracle
@@ -86,12 +83,13 @@ def test_identity_and_mul():
 
 
 def test_span_utilities():
-    rows, pivots = row_space(QQ, [[1, 1, 0], [0, 0, 1]], 3)
-    assert in_span(QQ, rows, pivots, [2, 2, 7])
-    assert not in_span(QQ, rows, pivots, [1, 0, 0])
-    assert span_coordinates(QQ, rows, pivots, [3, 3, 1]) == [Fraction(3), Fraction(1)]
-    meet = intersect_spaces(QQ, [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]], 3)
-    assert meet == [[Fraction(0), Fraction(1), Fraction(0)]]
+    space = row_space(QQ, [[1, 1, 0], [0, 0, 1]], 3)
+    assert space.contains([2, 2, 7])
+    assert not space.contains([1, 0, 0])
+    assert space.coords([3, 3, 1]) == [Fraction(3), Fraction(1)]
+    meet = intersect_spaces(row_space(QQ, [[1, 0, 0], [0, 1, 0]], 3),
+                            row_space(QQ, [[0, 1, 0], [0, 0, 1]], 3))
+    assert meet.rows == [[Fraction(0), Fraction(1), Fraction(0)]] and meet.pivots == [1]
 
 
 entry = st.integers(min_value=-6, max_value=6)
@@ -224,17 +222,38 @@ def test_subspace_agrees_with_row_space_and_span_queries(case):
     space = Subspace(f, n)
     for k, vec in enumerate(vectors):
         grew = space.add(vec)
-        assert grew == (not in_span(f, *row_space(f, vectors[:k], n), vec))
-        rows, pivots = row_space(f, vectors[: k + 1], n)
-        assert (space.rows, tuple(space.pivots)) == (rows, pivots)
-    rows, pivots = row_space(f, vectors, n)
-    assert Subspace(f, n, vectors).rows == rows
+        assert grew == (not row_space(f, vectors[:k], n).contains(vec))
+        grown = row_space(f, vectors[: k + 1], n)
+        assert (space.rows, space.pivots) == (grown.rows, grown.pivots)
+    assert Subspace(f, n, vectors) == space
+    # the RREF rows are independent, so a solution of (rows)^T x = vec is
+    # unique: it is the coordinate vector, found by elimination of the
+    # augmented matrix instead of reduction against the rows
+    basis = MatrixExact(f, space.rows, n).transpose()
     combination = [sum(col) for col in zip(*vectors)] if vectors else [0] * n
     for vec in probes + vectors + [combination]:
-        assert space.contains(vec) == in_span(f, rows, pivots, vec)
-        assert space.coords(vec) == span_coordinates(f, rows, pivots, vec)
-        assert space.reduce(vec) == reduce_vector(f, rows, pivots, vec)
+        coords = solve(basis, vec)
+        assert space.contains(vec) == (coords is not None)
+        assert space.coords(vec) == coords
+        residual = space.reduce(vec)
+        assert not any(residual[j] for j in space.pivots)
+        assert space.contains([f.sub(a, b) for a, b in zip(f.coerce_row(vec), residual)])
     assert space.coords(combination) is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(spans), st.data())
+def test_subspace_equality_is_mutual_containment(case, data):
+    f, n, vectors, probes = case
+    others = probes + (vectors if data.draw(st.booleans()) else [])
+    a, b = Subspace(f, n, vectors), Subspace(f, n, others)
+    mutual = all(b.contains(v) for v in vectors) and all(a.contains(v) for v in others)
+    assert (a == b) == mutual == (b == a)
+    # consecutive sums and the last vector, in reverse order, span the same space
+    same = [[x + y for x, y in zip(v, w)] for v, w in zip(vectors, vectors[1:])] + vectors[-1:]
+    assert Subspace(f, n, same[::-1]) == a
+    assert a == a.copy() and a != Subspace(f, n + 1) and a != a.rows
+    assert Subspace(f, n, [[1] + [0] * (n - 1)]) != Subspace(F5, n, [[1] + [0] * (n - 1)])
 
 
 @pytest.mark.skipif(DomainMatrix is None, reason="sympy is not installed")
@@ -355,7 +374,6 @@ def test_subspace_queries_over_q_return_canonical_scalars(vectors, probe):
     assert all_canonical([space.reduce(probe)])
     member = [sum(col) for col in zip(*vectors)] if vectors else [0, 0, 0]
     assert all_canonical([space.coords(member)])
-    assert all_canonical([reduce_vector(QQ, space.rows, space.pivots, probe)])
 
 
 def test_q_inverse_is_exact():
@@ -421,7 +439,7 @@ def _kernel_meet(f, rows_a, rows_b, n):
         [sum(c * a for c, a in zip(coeffs, col)) for col in zip(*rows_a)]
         for coeffs in (row[: len(rows_a)] for row in kernel.rows)
     ]
-    return row_space(f, vectors, n)[0]
+    return row_space(f, vectors, n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -429,14 +447,16 @@ def _kernel_meet(f, rows_a, rows_b, n):
 def test_intersect_spaces_matches_kernel_oracle(case, data):
     f, n, vectors, _ = case
     others = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
-    meet = intersect_spaces(f, vectors, others, n)
+    both = Subspace(f, n, vectors), Subspace(f, n, others)
+    meet = intersect_spaces(*both)
     if vectors and others:
         assert meet == _kernel_meet(f, vectors, others, n)
     else:
-        assert meet == []
-    assert (meet, tuple(row.index(1) for row in meet)) == row_space(f, meet, n)
-    both = Subspace(f, n, vectors), Subspace(f, n, others)
-    assert all(space.contains(v) for v in meet for space in both)
+        assert meet == Subspace(f, n)
+    again = row_space(f, meet.rows, n)
+    assert (meet.rows, meet.pivots) == (again.rows, again.pivots)
+    assert meet.pivots == [row.index(1) for row in meet.rows]
+    assert all(space.contains(v) for v in meet.rows for space in both)
 
 
 # -- canonical output of the trusted producers --------------------------------------

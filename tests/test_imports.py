@@ -43,3 +43,36 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+# The paper's two gr# constructions: the README advertises them as entry
+# points, though no command calls them.
+ADVERTISED_ENTRY_POINTS = {"gr_sharp", "gr_of_surjection"}
+
+
+def unreferenced_functions(sources: dict[str, str]) -> list[str]:
+    """module:name of each public module-level function that no module reads,
+    neither by name nor as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}:{name}" for module, name in defined if name not in read]
+
+
+def test_function_detector_flags_only_unread_functions():
+    sources = {"a.py": "def f():\n    return g()\n\ndef g():\n    pass\n\ndef _h():\n    pass\n",
+               "b.py": "import a\n\ndef k():\n    return a.f\n\ndef unused():\n    pass\n"}
+    assert unreferenced_functions(sources) == ["b.py:k", "b.py:unused"]
+
+
+def test_every_public_function_is_called_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = unreferenced_functions(sources)
+    assert sorted(name.split(":")[1] for name in found) == sorted(ADVERTISED_ENTRY_POINTS)

@@ -39,7 +39,6 @@ from grkoszul.alcove import (
     Weight,
     _mat_mul,
     _mat_vec,
-    compose,
     gamma_res_reg,
     ideal_closure,
     linkage,
@@ -58,7 +57,7 @@ from grkoszul.klpoly import (
     weight_polynomials,
     weyl_character,
 )
-from test_alcove import element_inverse
+from test_alcove import compose, element_inverse
 
 
 def dump_lines(tables):
