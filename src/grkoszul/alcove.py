@@ -203,7 +203,8 @@ class RootDatum:
 
     def memoized(self, key, build):
         """build(), computed once per key for the life of this datum; for
-        frozen results that depend on the datum and the key alone."""
+        results that depend on the datum and the key alone and that no
+        caller changes."""
         memo = self._memo
         if key not in memo:
             memo[key] = build()
@@ -465,7 +466,7 @@ def dominance_and_regularity(rd: RootDatum, e: int, weight: Weight) -> WeightRep
     require(e >= 1, "e must be a positive integer")
     coords = weight.coordinates
     restricted_part = Weight(tuple(c % e for c in coords))
-    quotient_part = Weight(tuple((c - c % e) // e for c in coords))
+    quotient_part = Weight(tuple(c // e for c in coords))
     dominant = weight.is_dominant
     return WeightReport(
         weight=weight,
@@ -567,7 +568,7 @@ def wall_reflections(rd: RootDatum, e: int) -> tuple[AffineWeylElement, ...]:
     return tuple(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkageResult:
     """Antidominant representative and minimal carrier of a weight.
 
@@ -594,8 +595,13 @@ def linkage(rd: RootDatum, e: int, weight: Weight) -> LinkageResult:
     The fold reflects through strictly violated walls of the base cell only,
     so it crosses each strictly separating hyperplane exactly once; the
     accumulated element is therefore minimal in its coset even on a facet.
+    Kept on the datum, so each weight is folded and checked once.
     """
     require(e >= 1, "e must be a positive integer")
+    return rd.memoized(("linkage", e, weight.coordinates), lambda: _linkage(rd, e, weight))
+
+
+def _linkage(rd: RootDatum, e: int, weight: Weight) -> LinkageResult:
     rank = rd.rank
     shifted = tuple(c + 1 for c in weight.coordinates)
 
@@ -773,27 +779,28 @@ def gamma_res_reg(rd: RootDatum, e: int) -> WeightIdealSet:
 
 
 def fe_image(rd: RootDatum, e: int, xi: Weight) -> Weight:
-    """The fattening map: 2(e-1)rho + w0(restricted part) + e * quotient part."""
+    """The fattening map: 2(e-1)rho + w0(restricted part) + e * quotient part;
+    kept on the datum."""
     require(e >= 1, "e must be a positive integer")
     require(xi.is_dominant, "the fattening map takes dominant weights")
-    xi0 = Weight(tuple(c % e for c in xi.coordinates))
-    xi1 = Weight(tuple((c - c % e) // e for c in xi.coordinates))
-    image = 2 * (e - 1) * rd.rho + rd.w0(xi0) + e * xi1
-    check(image.is_dominant, "fattening image must be dominant")
-    return image
+
+    def build() -> Weight:
+        xi0 = Weight(tuple(c % e for c in xi.coordinates))
+        xi1 = Weight(tuple(c // e for c in xi.coordinates))
+        image = 2 * (e - 1) * rd.rho + rd.w0(xi0) + e * xi1
+        check(image.is_dominant, "fattening image must be dominant")
+        return image
+
+    return rd.memoized(("fe_image", e, xi.coordinates), build)
 
 
 def a1_value(rd: RootDatum, e: int, weights) -> int:
     """max over the set of the pairing of the e-adic quotient part against
     the maximal short coroot."""
-    alpha0 = rd.max_short_root
-    best = None
-    for w in weights:
-        quotient = Weight(tuple((c - c % e) // e for c in w.coordinates))
-        value = rd.pairing(quotient, alpha0)
-        best = value if best is None else max(best, value)
-    require(best is not None, "a1 of an empty set is undefined")
-    return best
+    cv = rd.coroot(rd.max_short_root)
+    values = [sum(c * (x // e) for c, x in zip(cv, w.coordinates)) for w in weights]
+    require(values, "a1 of an empty set is undefined")
+    return max(values)
 
 
 @dataclass

@@ -31,9 +31,9 @@ from .exactlin import (
     MatrixExact,
     Subspace,
     intersect_spaces,
+    invert,
     rank_kernel,
     row_space,
-    solve,
 )
 
 DEFAULT_PATH_CAP = 32
@@ -820,13 +820,10 @@ def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
                 adapted.append((power, vec))
     check(len(adapted) == algebra.dim, "adapted basis has wrong size")
 
-    # the adapted rows A beside the identity reduce to (I | A^-1), and the
-    # adapted coordinates of a vector v are v A^-1
-    n = algebra.dim
-    inverse = Subspace(f, 2 * n, [vec + unit for (_, vec), unit
-                                  in zip(adapted, MatrixExact.identity(f, n).rows)])
-    check(inverse.pivots == list(range(n)), "adapted vectors are not a basis")
-    to_adapted = MatrixExact.trusted(f, [row[n:] for row in inverse.rows], n).transpose()
+    # the adapted coordinates of a vector v are v A^-1, A the adapted rows
+    inverse = invert(MatrixExact.trusted(f, [vec for _, vec in adapted], algebra.dim))
+    check(inverse is not None, "adapted vectors are not a basis")
+    to_adapted = inverse.transpose()
     coord_cache = {}
 
     def adapted_coords(vec):
@@ -945,14 +942,8 @@ def opposite_algebra(algebra: FiniteDimAlgebra,
         else:
             cols.append(op.path_to_vector(bp.dst, tuple(reversed(bp.arrows))))
     to_op = MatrixExact(f, cols, algebra.dim).transpose()
-    rank, _ = rank_kernel(to_op)
-    check(rank == algebra.dim, "path reversal is not a linear isomorphism")
-    inv_cols = []
-    for j in range(algebra.dim):
-        sol = solve(to_op, op.basis_vector(j))
-        check(sol is not None, "failed to invert path reversal")
-        inv_cols.append(sol)
-    from_op = MatrixExact(f, inv_cols, algebra.dim).transpose()
+    from_op = invert(to_op)
+    check(from_op is not None, "path reversal is not a linear isomorphism")
     # anti-multiplicativity check on all basis pairs
     for i in range(algebra.dim):
         for j in range(algebra.dim):

@@ -20,9 +20,10 @@ their RREFs are, which `Subspace.__eq__` compares.
 Scalars are canonicalised at the boundary only: the public `MatrixExact(...)`
 constructor, the scalar parsers and every vector given to a `Subspace` run
 `coerce_row`.  Producers whose output is canonical by construction (`zero`,
-`identity`, `transpose`, `mul`, `add`, `scale`, `echelon`, the kernel rows of
-`rank_kernel`) build it with `MatrixExact.trusted`; rows already in canonical
-RREF become a `Subspace` through `Subspace.from_rref`, not reduced again.
+`identity`, `transpose`, `mul`, `add`, `scale`, `echelon`, `invert`, the
+kernel rows of `rank_kernel`) build it with `MatrixExact.trusted`; rows
+already in canonical RREF become a `Subspace` through `Subspace.from_rref`,
+not reduced again.
 `MatrixExact.apply` takes its vector as it is (every program caller passes a
 canonical one) and canonicalises its output once.
 """
@@ -420,6 +421,20 @@ def solve(a: MatrixExact, b: list) -> list | None:
         x[pcol] = red.rows[rowidx][a.ncols]
     check(a.apply(x) == f.coerce_row(b), "solve produced a non-solution")
     return x
+
+
+def invert(m: MatrixExact) -> MatrixExact | None:
+    """The inverse of a square matrix, or None when it is singular: one
+    elimination of (m | I), which reduces to (I | m^-1) exactly when its
+    pivots are the columns 0..n-1."""
+    n, f = m.nrows, m.field
+    if m.ncols != n:
+        raise InputFormatError(f"only a square matrix has an inverse, got {m.nrows}x{m.ncols}")
+    joint = Subspace(f, 2 * n, [row + unit for row, unit
+                                in zip(m.rows, MatrixExact.identity(f, n).rows)])
+    if joint.pivots != list(range(n)):
+        return None
+    return MatrixExact.trusted(f, [row[n:] for row in joint.rows], n)
 
 
 def row_space(field: FieldSpec, vectors: list[list], ambient: int) -> Subspace:

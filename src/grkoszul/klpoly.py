@@ -112,30 +112,16 @@ class LaurentPoly:
 # Classical polynomials in q are plain {exponent: coefficient} dicts while
 # the recursion runs; only the public surface doubles exponents into t.
 
-def _padd(a: dict, b: dict, sign: int = 1) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + sign * c
-        if out[e] == 0:
-            del out[e]
-    return out
-
-
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict[int, int] = {}
+def _pmac(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
+    """acc += sign * a * b in place; zero coefficients stay until _nonzero."""
     for e1, c1 in a.items():
+        c1 *= sign
         for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
 
 
-def _pshift(a: dict, k: int) -> dict:
-    return {e + k: c for e, c in a.items()}
-
-
-def _pscale(a: dict, factor: int) -> dict:
-    return {} if factor == 0 else {e: factor * c for e, c in a.items()}
+def _nonzero(acc: dict) -> dict:
+    return {e: c for e, c in acc.items() if c}
 
 
 def _to_t_poly(classical: dict) -> LaurentPoly:
@@ -343,21 +329,20 @@ def kl_and_inverse_tables(table: CoxeterTable) -> KlTables:
             if s in table.left_descents[zi]:
                 mu = _mu(kl[(zi, vi)], lengths[vi], lengths[zi])
                 if mu != 0:
-                    z_corrections.append((zi, mu))
+                    z_corrections.append((zi, {(lengths[wi] - lengths[zi]) // 2: -mu}))
         for xi in table.lower_sets[wi]:
             if xi == wi:
                 kl[(xi, wi)] = {0: 1}
                 continue
             sxi = left_mult[xi][s]
             c = 1 if lengths[sxi] < lengths[xi] else 0
-            value = _padd(_pshift(kl.get((sxi, vi), {}), 1 - c),
-                          _pshift(kl.get((xi, vi), {}), c))
-            for zi, mu in z_corrections:
-                contribution = kl.get((xi, zi), {})
-                if contribution:
-                    value = _padd(value, _pshift(_pscale(contribution, mu),
-                                                 (lengths[wi] - lengths[zi]) // 2),
-                                  sign=-1)
+            # q^(1-c) P(sx, v) + q^c P(x, v) - sum of mu(z, v) q^((l(w)-l(z))/2) P(x, z)
+            value: dict[int, int] = {}
+            _pmac(value, {1 - c: 1}, kl.get((sxi, vi), {}))
+            _pmac(value, {c: 1}, kl.get((xi, vi), {}))
+            for zi, correction in z_corrections:
+                _pmac(value, correction, kl.get((xi, zi), {}))
+            value = _nonzero(value)
             _check_shape(value, lengths[wi] - lengths[xi], "KL")
             kl[(xi, wi)] = value
 
@@ -367,13 +352,13 @@ def kl_and_inverse_tables(table: CoxeterTable) -> KlTables:
             if xi == wi:
                 inverse[(xi, wi)] = {0: 1}
                 continue
-            total: dict[int, int] = {}
+            # the negated alternating sum over x <= v < w
+            value: dict[int, int] = {}
             for vi in table.lower_sets[wi]:
-                if vi == wi or xi not in table.lower_sets[vi]:
-                    continue
-                sign = -1 if (lengths[wi] - lengths[vi]) % 2 else 1
-                total = _padd(total, _pscale(_pmul(inverse[(xi, vi)], kl[(vi, wi)]), sign))
-            value = _pscale(total, -1)
+                if vi != wi and xi in table.lower_sets[vi]:
+                    _pmac(value, inverse[(xi, vi)], kl[(vi, wi)],
+                          1 if (lengths[wi] - lengths[vi]) % 2 else -1)
+            value = _nonzero(value)
             _check_shape(value, lengths[wi] - lengths[xi], "inverse")
             inverse[(xi, wi)] = value
 
@@ -396,12 +381,11 @@ def verify_inversion(tables: KlTables) -> int:
             for vi in table.lower_sets[wi]:
                 if xi not in table.lower_sets[vi]:
                     continue
-                sign = -1 if (lengths[wi] - lengths[vi]) % 2 else 1
-                left = _padd(left, _pscale(_pmul(tables.inverse[(xi, vi)],
-                                                 tables.kl[(vi, wi)]), sign))
-                sign = -1 if (lengths[vi] - lengths[xi]) % 2 else 1
-                right = _padd(right, _pscale(_pmul(tables.kl[(xi, vi)],
-                                                   tables.inverse[(vi, wi)]), sign))
+                _pmac(left, tables.inverse[(xi, vi)], tables.kl[(vi, wi)],
+                      -1 if (lengths[wi] - lengths[vi]) % 2 else 1)
+                _pmac(right, tables.kl[(xi, vi)], tables.inverse[(vi, wi)],
+                      -1 if (lengths[vi] - lengths[xi]) % 2 else 1)
+            left, right = _nonzero(left), _nonzero(right)
             expected = {0: 1} if xi == wi else {}
             check(left == expected, "inversion identity must hold on every interval")
             check(right == expected, "flipped inversion identity must hold on every interval")
@@ -483,9 +467,14 @@ def _deserialize_tables(rd: RootDatum, e: int, max_length: int, payload: dict) -
 
 
 def load_or_build_tables(rd: RootDatum, e: int, max_length: int) -> KlTables:
-    """Cached entry point.  A cache file is used only after its digest and
-    the table checks pass; any unreadable or failing file is rebuilt in
-    place."""
+    """Cached entry point, kept on the datum: one table per (e, length bound).
+    A cache file is used only after its digest and the table checks pass;
+    any unreadable or failing file is rebuilt in place."""
+    return rd.memoized(("kl_tables", e, max_length),
+                       lambda: _load_or_build_tables(rd, e, max_length))
+
+
+def _load_or_build_tables(rd: RootDatum, e: int, max_length: int) -> KlTables:
     path = _cache_path(rd, e, max_length)
     if path is not None and path.exists():
         try:

@@ -16,7 +16,7 @@ independent routes and raises InternalCheckError on disagreement.
 from dataclasses import dataclass
 
 from .errors import InputFormatError, check, require
-from .exactlin import MatrixExact, Subspace, row_space, solve
+from .exactlin import MatrixExact, Subspace, invert, row_space
 from .algebra_core import (
     ConcreteAlgebra,
     FiniteDimAlgebra,
@@ -518,12 +518,9 @@ def _truncation(h: HighestWeightStructure, gamma: list[str]) -> _Truncation:
     conc = ConcreteAlgebra(f, dim_b, mult_b, idem, rad_b)
     _, rebuilt, path_vectors, _ = presentation_from_concrete(conc, kept, preferred)
 
-    to_conc = MatrixExact(f, path_vectors, dim_b).transpose()
-
-    def to_rebuilt(conc_vec: list) -> list:
-        sol = solve(to_conc, conc_vec)
-        check(sol is not None, "quotient element escaped the rebuilt basis span")
-        return sol
+    from_conc = invert(MatrixExact(f, path_vectors, dim_b).transpose())
+    check(from_conc is not None, "the rebuilt paths are not a basis of the quotient")
+    to_rebuilt = from_conc.apply
 
     proj_coords = [
         to_rebuilt(project(algebra.basis_vector(i))) for i in range(algebra.dim)

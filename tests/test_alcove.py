@@ -30,6 +30,7 @@ weight (1, 1) has shifted pairings (2, 2, 4), crossing walls m = 0 of both
 simple roots and m = 0, 1 of the highest root: length 4, depth 1.
 """
 
+import dataclasses
 import re
 from fractions import Fraction
 from itertools import product
@@ -300,6 +301,10 @@ class TestLinkage:
         assert res.w.separation_length(a2, 3) == 4
         assert res.w.dot(a2, res.lambda_minus) == w(1, 1)
 
+    def test_linkage_result_is_frozen(self, a1):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            linkage(a1, 5, w(3)).length = 0
+
     def test_antidominant_weights_have_length_zero(self, a2):
         res = linkage(a2, 3, w(-1, -1))
         assert res.length == 0
@@ -324,6 +329,36 @@ class TestLinkage:
         res = linkage(rd, 3, w(a, b))
         if res.regular:
             assert res.length == res.depth + len(rd.positive_roots)
+
+
+@pytest.fixture(scope="module")
+def shared_data():
+    """One datum per type for a whole property run, so its memos fill up
+    across examples."""
+    return {kind: root_datum_build(*kind) for kind in (("A", 1), ("A", 2), ("B", 2))}
+
+
+class TestPerDatumMemos:
+    @given(kind=st.sampled_from([("A", 1), ("A", 2), ("B", 2)]), e=st.integers(2, 7),
+           coords=st.tuples(st.integers(-4, 12), st.integers(-4, 12)))
+    @settings(max_examples=80, deadline=None)
+    def test_cached_results_match_a_fresh_datum(self, shared_data, kind, e, coords):
+        rd, fresh = shared_data[kind], root_datum_build(*kind)
+        lam = Weight(coords[:rd.rank])
+        assert linkage(rd, e, lam) is linkage(rd, e, lam)
+        assert linkage(rd, e, lam) == linkage(fresh, e, lam)
+        if lam.is_dominant:
+            assert fe_image(rd, e, lam) is fe_image(rd, e, lam)
+            assert fe_image(rd, e, lam) == fe_image(fresh, e, lam)
+
+    def test_memos_are_kept_on_the_datum_not_the_module(self):
+        import grkoszul.alcove as alcove
+
+        rd, other = root_datum_build("A", 2), root_datum_build("A", 2)
+        assert linkage(other, 3, w(1, 1)) is not linkage(rd, 3, w(1, 1))
+        assert fe_image(other, 3, w(1, 1)) is not fe_image(rd, 3, w(1, 1))
+        assert not [name for name, value in vars(alcove).items()
+                    if isinstance(value, dict) and not name.startswith("__")]
 
 
 class TestIdealsAndClosure:

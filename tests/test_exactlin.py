@@ -14,6 +14,7 @@ from grkoszul.exactlin import (
     Subspace,
     echelon,
     intersect_spaces,
+    invert,
     rank_kernel,
     row_space,
     solve,
@@ -144,6 +145,33 @@ def test_solve_recovers_consistent_systems(case):
     got = solve(m, b)
     assert got is not None
     assert m.apply(got) == b
+
+
+def square_matrices(field):
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        .map(lambda rows: MatrixExact(field, rows)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, F2, F5]).flatmap(square_matrices))
+def test_invert_is_a_two_sided_inverse_or_none_when_singular(m):
+    # oracle: one solve per unit vector, the columns of the inverse
+    inv = invert(m)
+    ident = MatrixExact.identity(m.field, m.nrows)
+    columns = [solve(m, unit) for unit in ident.rows]
+    if rank_kernel(m)[0] < m.nrows:
+        assert inv is None
+        return
+    assert m.mul(inv) == ident and inv.mul(m) == ident
+    assert inv == MatrixExact(m.field, columns).transpose()
+    if m.field == QQ:
+        assert all_canonical(inv.rows)
+
+
+def test_invert_rejects_a_non_square_matrix():
+    with pytest.raises(InputFormatError):
+        invert(MatrixExact(QQ, [[1, 2, 3]]))
 
 
 def test_determinant_frozen():

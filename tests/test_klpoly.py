@@ -89,6 +89,30 @@ def w(*coords):
     return Weight(tuple(coords))
 
 
+def _padd(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+        if out[e] == 0:
+            del out[e]
+    return out
+
+
+def _pmul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _pscale(a, factor):
+    return {} if factor == 0 else {e: factor * c for e, c in a.items()}
+
+
+_classical = st.dictionaries(st.integers(-3, 6), st.integers(-4, 4).filter(bool), max_size=5)
+
+
 class TestLaurentPoly:
     def test_canonical_form_drops_zeros(self):
         p = LaurentPoly.from_dict({2: 0, 0: 1, 4: 3})
@@ -105,6 +129,21 @@ class TestLaurentPoly:
         assert p.evaluate(2) == 5
         assert p.degree() == 2 and LaurentPoly.zero().degree() is None
         assert p.even and not p.shifted(1).even
+
+
+class TestFusedAccumulate:
+    @given(acc=_classical, terms=st.lists(st.tuples(_classical, _classical,
+                                                    st.sampled_from([1, -1])), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_add_scale_multiply_composition(self, acc, terms):
+        # oracle: acc + sign * a * b one allocation at a time, zeros dropped
+        # after every step
+        expected = dict(acc)
+        fused = dict(acc)
+        for a, b, sign in terms:
+            expected = _padd(expected, _pscale(_pmul(a, b), sign))
+            klpoly._pmac(fused, a, b, sign)
+        assert klpoly._nonzero(fused) == expected
 
 
 class TestEnumeration:
@@ -215,6 +254,19 @@ class TestKlPolynomials:
         assert a2_tables.intervals_verified == pairs
         assert verify_inversion(a2_tables) == pairs
 
+    @pytest.mark.parametrize("store", ["kl", "inverse"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_tampered_table_in_memory_fails_verification(self, a2, store, delta):
+        tables = kl_and_inverse_tables(coxeter_enumerate(a2, 3, 4))
+        polys = getattr(tables, store)
+        for pair in (min(polys), max(polys), sorted(polys)[len(polys) // 2]):
+            exponent = max(polys[pair])
+            polys[pair][exponent] += delta
+            with pytest.raises(InternalCheckError):
+                verify_inversion(tables)
+            polys[pair][exponent] -= delta
+        assert verify_inversion(tables) == tables.intervals_verified
+
     def test_degree_bound_and_constant_term(self, a2_tables):
         lengths = [elem.length for elem in a2_tables.table.elements]
         for (xi, wi), poly in a2_tables.kl.items():
@@ -309,6 +361,10 @@ class TestTableOracles:
         assert checked > len(table.elements)
 
 
+def fresh_a1():
+    return root_datum_build("A", 1)
+
+
 def _cache_file(tmp_path):
     files = list(tmp_path.glob("kl_*.json"))
     assert len(files) == 1
@@ -316,12 +372,25 @@ def _cache_file(tmp_path):
 
 
 class TestCaching:
-    def test_cache_roundtrip(self, a1, tmp_path, monkeypatch):
+    """Each load from disk runs on a fresh datum: a datum keeps the tables
+    it has built or loaded for the rest of its life."""
+
+    def test_tables_are_kept_on_the_datum(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
-        first = load_or_build_tables(a1, 5, 4)
+        rd = fresh_a1()
+        first = load_or_build_tables(rd, 5, 4)
+        _cache_file(tmp_path).unlink()
+        assert load_or_build_tables(rd, 5, 4) is first
+        assert load_or_build_tables(rd, 5, 3) is not first
+        assert load_or_build_tables(fresh_a1(), 5, 4) is not first
+        assert len(list(tmp_path.glob("kl_*.json"))) == 2
+
+    def test_cache_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
+        first = load_or_build_tables(fresh_a1(), 5, 4)
         files = list(tmp_path.glob("kl_*.json"))
         assert len(files) == 1
-        second = load_or_build_tables(a1, 5, 4)
+        second = load_or_build_tables(fresh_a1(), 5, 4)
         assert second.kl == first.kl
         assert second.inverse == first.inverse
         assert second.table.elements == first.table.elements
@@ -330,12 +399,12 @@ class TestCaching:
         assert second.table.right_descents == first.table.right_descents
         assert second.intervals_verified == first.intervals_verified
 
-    def test_corrupt_cache_is_rebuilt(self, a1, tmp_path, monkeypatch):
+    def test_corrupt_cache_is_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
-        first = load_or_build_tables(a1, 5, 3)
+        first = load_or_build_tables(fresh_a1(), 5, 3)
         path = list(tmp_path.glob("kl_*.json"))[0]
         path.write_text("{not json")
-        second = load_or_build_tables(a1, 5, 3)
+        second = load_or_build_tables(fresh_a1(), 5, 3)
         assert second.kl == first.kl
         assert json.loads(path.read_text())["e"] == 5
 
@@ -345,7 +414,7 @@ class TestCaching:
         # [0, 7] breaks the constant term; 1 + q keeps constant term and
         # degree bound on a gap of 3 and is caught by the inversion identity.
         monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
-        load_or_build_tables(a1, 5, 4)
+        load_or_build_tables(fresh_a1(), 5, 4)
         path = _cache_file(tmp_path)
         payload = json.loads(path.read_text())
         lengths = [row[2] for row in payload["elements"]]
@@ -355,7 +424,7 @@ class TestCaching:
         del payload["digest"]
         payload["digest"] = klpoly._payload_digest(payload)
         path.write_text(json.dumps(payload))
-        reloaded = load_or_build_tables(a1, 5, 4)
+        reloaded = load_or_build_tables(fresh_a1(), 5, 4)
         fresh = kl_and_inverse_tables(coxeter_enumerate(a1, 5, 4))
         assert reloaded.kl == fresh.kl and reloaded.inverse == fresh.inverse
         assert dump_lines(reloaded) == dump_lines(fresh)
@@ -363,7 +432,7 @@ class TestCaching:
 
     def test_tampered_digest_is_rebuilt(self, a1, tmp_path, monkeypatch):
         monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
-        load_or_build_tables(a1, 5, 4)
+        load_or_build_tables(fresh_a1(), 5, 4)
         path = _cache_file(tmp_path)
         payload = json.loads(path.read_text())
         payload["digest"] = "0" * 64
@@ -372,7 +441,7 @@ class TestCaching:
         real = klpoly.verify_inversion
         monkeypatch.setattr(klpoly, "verify_inversion",
                             lambda tables: loads.append(1) or real(tables))
-        reloaded = load_or_build_tables(a1, 5, 4)
+        reloaded = load_or_build_tables(fresh_a1(), 5, 4)
         fresh = kl_and_inverse_tables(coxeter_enumerate(a1, 5, 4))
         assert dump_lines(reloaded) == dump_lines(fresh)
         assert json.loads(path.read_text())["digest"] != "0" * 64
@@ -380,7 +449,7 @@ class TestCaching:
         # rebuild and the fresh tables account for the only two verifications
         assert len(loads) == 2
 
-    def test_writers_use_distinct_temp_names(self, a1, tmp_path, monkeypatch):
+    def test_writers_use_distinct_temp_names(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
         written = []
         real_write = klpoly.Path.write_text
@@ -394,15 +463,15 @@ class TestCaching:
             monkeypatch.setattr(klpoly.os, "getpid", lambda pid=pid: pid)
             for f in tmp_path.glob("kl_*"):
                 f.unlink()
-            load_or_build_tables(a1, 5, 2)
+            load_or_build_tables(fresh_a1(), 5, 2)
         assert len(written) == 2 and written[0] != written[1]
         stem = _cache_file(tmp_path).stem
         assert written == ["%s.101.tmp" % stem, "%s.202.tmp" % stem]
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_no_cache_dir_means_no_files(self, a1, tmp_path, monkeypatch):
+    def test_no_cache_dir_means_no_files(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GRKOSZUL_CACHE_DIR", raising=False)
-        load_or_build_tables(a1, 5, 2)
+        load_or_build_tables(fresh_a1(), 5, 2)
         assert list(tmp_path.iterdir()) == []
 
 
