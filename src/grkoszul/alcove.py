@@ -232,6 +232,11 @@ class RootDatum:
         d = lcm(*(x.denominator for row in inv for x in row))
         return d, tuple(tuple(int(x * d) for x in row) for row in inv)
 
+    def scaled_root_coords(self, weight: Weight) -> tuple[int, ...]:
+        """Simple-root coordinates of weight times d (see _root_lattice)."""
+        return tuple(sum(a * x for a, x in zip(row, weight.coordinates))
+                     for row in self._root_lattice[1])
+
     @cached_property
     def _root_weights(self) -> tuple[tuple[int, ...], ...]:
         """Positive roots in fundamental-weight coordinates."""
@@ -282,15 +287,11 @@ class RootDatum:
                      for i in range(self.rank))
 
     def inner(self, a: Weight, b: Weight) -> Fraction:
-        ca = self.to_root_coords(a)
-        cb = self.to_root_coords(b)
-        total = Fraction(0)
-        for i in range(self.rank):
-            if ca[i] == 0:
-                continue
-            for j in range(self.rank):
-                total += ca[i] * cb[j] * self.symmetrizer[i] * self.cartan[i][j]
-        return total
+        return self.root_inner(self.to_root_coords(a), b)
+
+    def root_inner(self, root: tuple, weight: Weight) -> int | Fraction:
+        """(root, weight), root in simple-root coordinates: (alpha_i, nu) = s_i nu_i."""
+        return sum(r * s * x for r, s, x in zip(root, self.symmetrizer, weight.coordinates))
 
     def w0(self, weight: Weight) -> Weight:
         return Weight(tuple(sum(row[j] * weight.coordinates[j] for j in range(self.rank))
@@ -666,7 +667,7 @@ def _closure_set(rd: RootDatum, e: int, generators, regular_only: bool) -> tuple
     simple roots, pruning states with a negative simple-root coordinate
     (every path to a dominant weight keeps those coordinates non-negative).
     Simple-root coordinates are carried scaled by d (see _root_lattice)."""
-    d, adjugate = rd._root_lattice
+    d = rd._root_lattice[0]
     simple = [rd.simple_root(i).coordinates for i in range(rd.rank)]
     seen: set[tuple[int, ...]] = set()
     frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -676,7 +677,7 @@ def _closure_set(rd: RootDatum, e: int, generators, regular_only: bool) -> tuple
         v = gen.coordinates
         if v not in seen:
             seen.add(v)
-            frontier.append((v, tuple(sum(a * x for a, x in zip(row, v)) for row in adjugate)))
+            frontier.append((v, rd.scaled_root_coords(gen)))
     for v, c in frontier:  # breadth-first: the list grows while it is walked
         for i, alpha in enumerate(simple):
             if c[i] >= d:

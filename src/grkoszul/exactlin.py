@@ -18,14 +18,20 @@ coordinates and residues are its methods.  Two spans are equal exactly when
 their RREFs are, which `Subspace.__eq__` compares.
 
 Scalars are canonicalised at the boundary only: the public `MatrixExact(...)`
-constructor, the scalar parsers and every vector given to a `Subspace` run
-`coerce_row`.  Producers whose output is canonical by construction (`zero`,
-`identity`, `transpose`, `mul`, `add`, `scale`, `echelon`, `invert`, the
-kernel rows of `rank_kernel`) build it with `MatrixExact.trusted`; rows
+constructor, the scalar parsers and every vector given to a public `Subspace`
+method run `coerce_row`.  Producers whose output is canonical by construction
+(`zero`, `identity`, `transpose`, `mul`, `add`, `scale`, `echelon`, `invert`,
+the kernel rows of `rank_kernel`) build it with `MatrixExact.trusted`; rows
 already in canonical RREF become a `Subspace` through `Subspace.from_rref`,
-not reduced again.
+and other canonical vectors enter one through `add_canonical` and
+`coords_canonical`, with no coercion pass.
 `MatrixExact.apply` takes its vector as it is (every program caller passes a
 canonical one) and canonicalises its output once.
+
+`rank_kernel` eliminates once, with the columns reversed, so each pivot is
+its row's last nonzero entry; the kernel vector of each free column j is
+then 1 at j and 0 at every other free column and left of j: together these
+vectors already are the canonical RREF of the kernel.
 """
 
 from __future__ import annotations
@@ -273,11 +279,10 @@ def _minus_multiple(char: int, vec: list, c, row: list) -> list:
 
 
 def _eliminate(field: FieldSpec, rows: list[list], pivots, vec: list, coeffs=None) -> list:
-    """Clear vec at each pivot column with that pivot's row, in order, and
-    return the residual (not yet canonical over Q).  The multipliers used are
-    appended to coeffs when it is a list."""
+    """Clear vec, a row of canonical scalars, at each pivot column with that
+    pivot's row, in order, and return the residual (not yet canonical over
+    Q).  The multipliers used are appended to coeffs when it is a list."""
     char = field.char
-    vec = field.coerce_row(vec)
     for row, col in zip(rows, pivots):
         c = vec[col]
         if coeffs is not None:
@@ -343,13 +348,17 @@ class Subspace:
 
     def reduce(self, vec: list) -> list:
         """Residual of vec after clearing its entries at the pivot columns."""
-        return self.field.coerce_row(self._residual(vec))
+        return self.field.coerce_row(self._residual(self.field.coerce_row(vec)))
 
     def contains(self, vec: list) -> bool:
-        return not any(self._residual(vec))
+        return not any(self._residual(self.field.coerce_row(vec)))
 
     def coords(self, vec: list) -> list | None:
         """Coordinates of vec in `rows`, or None when vec is outside."""
+        return self.coords_canonical(self.field.coerce_row(vec))
+
+    def coords_canonical(self, vec: list) -> list | None:
+        """`coords` of a vector of canonical scalars, taken as it is."""
         coeffs = []
         if any(self._residual(vec, coeffs)):
             return None
@@ -357,11 +366,15 @@ class Subspace:
 
     def add(self, vec: list) -> bool:
         """Extend the span by vec; False (and no change) if it is inside."""
-        res = self.reduce(vec)
+        return self.add_canonical(self.field.coerce_row(vec))
+
+    def add_canonical(self, vec: list) -> bool:
+        """`add` of a vector of canonical scalars, taken as it is (not kept)."""
+        f = self.field
+        res = f.coerce_row(self._residual(vec))
         lead = next((j for j, a in enumerate(res) if a), None)
         if lead is None:
             return False
-        f = self.field
         if res[lead] != 1:
             inv = f.inv(res[lead])
             res = [f.mul(inv, a) if a else a for a in res]
@@ -382,28 +395,23 @@ def echelon(m: MatrixExact) -> tuple[MatrixExact, tuple[int, ...]]:
 
 def rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
     """Rank and a canonical (RREF) basis of the right kernel, as rows."""
-    red, pivots = echelon(m)
-    rank = len(pivots)
-    f = m.field
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(m.ncols) if j not in pivot_set]
+    f, n = m.field, m.ncols
+    mirrored = Subspace(f, n)
+    for row in m.rows:
+        mirrored.add_canonical(row[::-1])
+    pivot_rows = {n - 1 - c: row[::-1] for row, c in zip(mirrored.rows, mirrored.pivots)}
     kernel_rows = []
-    for free in free_cols:
-        vec = [f.zero] * m.ncols
+    for free in (j for j in range(n) if j not in pivot_rows):
+        vec = [f.zero] * n
         vec[free] = f.one
-        for rowidx, pcol in enumerate(pivots):
-            coeff = red.rows[rowidx][free]
-            if coeff:
-                vec[pcol] = f.neg(coeff)
+        for pcol, row in pivot_rows.items():
+            if row[free]:
+                vec[pcol] = f.neg(row[free])
         kernel_rows.append(vec)
-    kernel = MatrixExact.trusted(f, kernel_rows, m.ncols)
-    kernel_rref, _ = echelon(kernel)
-    check(
-        m.mul(kernel_rref.transpose()).is_zero() if kernel_rows else True,
-        "kernel basis fails A*k = 0",
-    )
-    check(rank + kernel_rref.nrows == m.ncols, "rank-nullity violated")
-    return rank, kernel_rref
+    kernel = MatrixExact.trusted(f, kernel_rows, n)
+    check(not kernel_rows or m.mul(kernel.transpose()).is_zero(), "kernel basis fails A*k = 0")
+    check(len(pivot_rows) + kernel.nrows == n, "rank-nullity violated")
+    return len(pivot_rows), kernel
 
 
 def solve(a: MatrixExact, b: list) -> list | None:

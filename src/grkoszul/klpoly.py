@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import InternalCheckError, check, require
@@ -255,7 +254,7 @@ class KlTables:
     kl and inverse map element index pairs (x, w) with x Bruhat-below w to
     classical coefficient dicts in q; the public accessors return the
     even-exponent t versions.  intervals_verified counts the Bruhat
-    intervals on which the two-sided inversion identity was checked.
+    intervals on which the inversion identity was checked.
     """
 
     table: CoxeterTable
@@ -311,8 +310,7 @@ def _check_shape(poly: dict, gap: int, name: str) -> None:
 
 def kl_and_inverse_tables(table: CoxeterTable) -> KlTables:
     """Fill the KL polynomials by the left-descent recursion, invert the
-    sign-twisted matrix, and verify the inversion identity on every
-    interval, both ways round."""
+    sign-twisted matrix, and verify the inversion identity on every interval."""
     elements = table.elements
     left_mult = table.left_mult
     lengths = [elem.length for elem in elements]
@@ -368,27 +366,22 @@ def kl_and_inverse_tables(table: CoxeterTable) -> KlTables:
 
 
 def verify_inversion(tables: KlTables) -> int:
-    """Assert the alternating-sum identity on every Bruhat interval, composing
-    the inverse table against the KL table on both sides, plus the descent
-    invariance of KL polynomials.  Returns the number of intervals checked."""
+    """Assert sum_v (-1)^(l(v)-l(x)) P(x, v) Q(v, w) = delta(x, w) on every
+    Bruhat interval and KL descent invariance; return the interval count.
+    The sums are the entries of K.Q for square unitriangular K, Q on a finite
+    Bruhat-closed set, so K.Q = I makes Q two-sided; each entry enters as +-1."""
     table = tables.table
     lengths = [elem.length for elem in table.elements]
     count = 0
     for wi in range(len(table.elements)):
         for xi in table.lower_sets[wi]:
-            left: dict[int, int] = {}
             right: dict[int, int] = {}
             for vi in table.lower_sets[wi]:
-                if xi not in table.lower_sets[vi]:
-                    continue
-                _pmac(left, tables.inverse[(xi, vi)], tables.kl[(vi, wi)],
-                      -1 if (lengths[wi] - lengths[vi]) % 2 else 1)
-                _pmac(right, tables.kl[(xi, vi)], tables.inverse[(vi, wi)],
-                      -1 if (lengths[vi] - lengths[xi]) % 2 else 1)
-            left, right = _nonzero(left), _nonzero(right)
-            expected = {0: 1} if xi == wi else {}
-            check(left == expected, "inversion identity must hold on every interval")
-            check(right == expected, "flipped inversion identity must hold on every interval")
+                if xi in table.lower_sets[vi]:
+                    _pmac(right, tables.kl[(xi, vi)], tables.inverse[(vi, wi)],
+                          -1 if (lengths[vi] - lengths[xi]) % 2 else 1)
+            check(_nonzero(right) == ({0: 1} if xi == wi else {}),
+                  "inversion identity must hold on every interval")
             count += 1
 
     for wi in range(len(table.elements)):
@@ -648,45 +641,43 @@ def weyl_character(rd: RootDatum, lam: Weight) -> CharacterVector:
 
 
 def _freudenthal(rd: RootDatum, lam: Weight) -> CharacterVector:
+    """Freudenthal on integers: (lam+rho)^2 - (mu+rho)^2 = (lam-mu, lam+mu+2rho)
+    is taken d times, from the d-scaled root coordinates of lam - mu."""
+    d = rd._root_lattice[0]
     domain = _closure_set(rd, 1, [lam], False)
-    order = sorted(domain, key=lambda w: (sum(rd.to_root_coords(w)), w.coordinates),
+    order = sorted(domain, key=lambda w: (sum(rd.scaled_root_coords(w)), w.coordinates),
                    reverse=True)
     lam_rho = lam + rd.rho
-    top_norm = rd.inner(lam_rho, lam_rho)
-    root_weights = [rd.root_weight(root) for root in rd.positive_roots]
     mults: dict[tuple[int, ...], int] = {lam.coordinates: 1}
     for mu in order:
         if mu == lam:
             continue
-        total = Fraction(0)
-        for alpha in root_weights:
+        total = 0
+        for root, alpha in zip(rd.positive_roots, rd._root_weights):
             k = 1
             while True:
-                shifted = Weight(tuple(m + k * a for m, a in
-                                       zip(mu.coordinates, alpha.coordinates)))
-                rep = dominant_conjugate(rd, shifted)
-                m_up = mults.get(rep.coordinates)
+                shifted = Weight(tuple(m + k * a for m, a in zip(mu.coordinates, alpha)))
+                m_up = mults.get(dominant_conjugate(rd, shifted).coordinates)
                 if m_up is None:
                     break
-                total += m_up * rd.inner(shifted, alpha)
+                total += m_up * rd.root_inner(root, shifted)
                 k += 1
-        mu_rho = mu + rd.rho
-        denom = top_norm - rd.inner(mu_rho, mu_rho)
+        denom = rd.root_inner(rd.scaled_root_coords(lam - mu), lam_rho + mu + rd.rho)
         check(denom > 0, "Freudenthal denominator must be positive below the top")
-        value = 2 * total / denom
-        check(value.denominator == 1 and value > 0,
-              "weight multiplicities must be positive integers")
-        mults[mu.coordinates] = int(value)
+        value, rest = divmod(2 * d * total, denom)
+        check(rest == 0 and value > 0, "weight multiplicities must be positive integers")
+        mults[mu.coordinates] = value
 
     vector = CharacterVector(
         datum=rd,
         dominant_multiplicities=tuple(sorted(
             ((Weight(c), m) for c, m in mults.items()),
             key=lambda kv: kv[0].coordinates)))
-    expected = Fraction(1)
+    top = bottom = 1
     for root in rd.positive_roots:
-        expected *= Fraction(rd.pairing(lam_rho, root), rd.pairing(rd.rho, root))
-    check(vector.dimension == expected,
+        top *= rd.pairing(lam_rho, root)
+        bottom *= rd.pairing(rd.rho, root)
+    check(vector.dimension * bottom == top,
           "Freudenthal dimension must match the Weyl product formula")
     return vector
 

@@ -304,7 +304,7 @@ def sub_rep(rep: Representation, rows) -> tuple[Representation, MatrixExact]:
         # each block basis is an RREF, so coords also proves membership
         cols = []
         for img in _block_images(rep.action[name], per_vertex[src].rows):
-            coords = per_vertex[dst].coords(img)
+            coords = per_vertex[dst].coords_canonical(img)
             if coords is None:
                 raise InputFormatError("rows do not span an action-closed subspace")
             cols.append(coords)
@@ -810,7 +810,7 @@ def projective_cover(rep: Representation) -> Cover:
     rad_split = _split_rows_by_vertex(rep, radical_space(rep))
     units = {v: MatrixExact.identity(f, rep.dims[v]).rows for v in rep.vertices}
     generators = [(v, j) for v in rep.vertices for j, unit in enumerate(units[v])
-                  if rad_split[v].add(unit)]
+                  if rad_split[v].add_canonical(unit)]
     summands = [v for v, _ in generators]
     head = {v: summands.count(v) for v in rep.vertices}
     parts = [_projective_with_head(rep.algebra, v) for v in summands]
@@ -834,7 +834,6 @@ def projective_cover(rep: Representation) -> Cover:
 class ResolutionData:
     """A minimal projective resolution up to a homological degree bound."""
 
-    target: Representation
     terms: list[Representation]
     maps: list[MatrixExact]  # maps[0]: P_0 -> M; maps[i]: P_i -> P_(i-1)
     syzygies: list[Representation]
@@ -843,8 +842,19 @@ class ResolutionData:
     projective_dimension: int | None
 
 
+def _content(rep: Representation) -> tuple:
+    """The memo key of a module: dims by vertex, then action rows by arrow."""
+    return (tuple(rep.dims[v] for v in rep.vertices), tuple(
+        tuple(map(tuple, rep.action[a].rows)) for a, _, _ in rep.algebra.presentation.arrows))
+
+
 def minimal_resolution(rep: Representation, n_max: int) -> ResolutionData:
+    """Built and checked once per module content and bound, on the algebra."""
     require(n_max >= 0, "resolution bound must be non-negative")
+    return rep.algebra.memoized(("resolution", _content(rep), n_max), lambda: _resolve(rep, n_max))
+
+
+def _resolve(rep: Representation, n_max: int) -> ResolutionData:
     terms: list[Representation] = []
     maps: list[MatrixExact] = []
     syzygies: list[Representation] = []
@@ -864,7 +874,7 @@ def minimal_resolution(rep: Representation, n_max: int) -> ResolutionData:
     finite = current.total_dim == 0
     pd = len(terms) - 1 if finite else None
     _check_exactness(rep, terms, maps)
-    return ResolutionData(rep, terms, maps, syzygies, summand_vertices, finite, pd)
+    return ResolutionData(terms, maps, syzygies, summand_vertices, finite, pd)
 
 
 def _check_exactness(rep, terms, maps):
@@ -886,8 +896,14 @@ def _check_exactness(rep, terms, maps):
 
 
 def ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
-    """dim Ext^i(M, N) for 0 <= i <= n_max, from the Hom complex."""
+    """dim Ext^i(M, N) for 0 <= i <= n_max, from the Hom complex; memoised."""
     require(n_max >= 0, "ext needs a non-negative bound")
+    require(m.algebra is n.algebra, "ext needs modules over the same algebra")
+    key = ("ext", _content(m), _content(n), n_max)
+    return list(m.algebra.memoized(key, lambda: tuple(_ext_groups(m, n, n_max))))
+
+
+def _ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
     res = minimal_resolution(m, n_max + 1)
     f = m.algebra.field
     hom_bases = [hom_space(p, n) for p in res.terms]
@@ -961,7 +977,6 @@ def graded_projective_cover(grep: GradedRepresentation):
 
 @dataclass
 class GradedResolution:
-    target: GradedRepresentation
     terms: list[GradedRepresentation]
     generation: list[list[int]]  # sorted head grades of each term
     syzygies: list[GradedRepresentation]
@@ -971,7 +986,14 @@ class GradedResolution:
 
 
 def graded_minimal_resolution(grep: GradedRepresentation, n_max: int) -> GradedResolution:
+    """Memoised like `minimal_resolution`, by content, grading and bound."""
     require(n_max >= 0, "resolution bound must be non-negative")
+    grading = tuple(tuple(grep.grades[v]) for v in grep.rep.vertices)
+    key = ("graded resolution", _content(grep.rep), grading, n_max)
+    return grep.rep.algebra.memoized(key, lambda: _graded_resolve(grep, n_max))
+
+
+def _graded_resolve(grep: GradedRepresentation, n_max: int) -> GradedResolution:
     terms = []
     generation = []
     syzygies = []
@@ -988,7 +1010,7 @@ def graded_minimal_resolution(grep: GradedRepresentation, n_max: int) -> GradedR
         current = gsyz
     finite = current.rep.total_dim == 0
     pd = len(terms) - 1 if finite else None
-    return GradedResolution(grep, terms, generation, syzygies, heads, finite, pd)
+    return GradedResolution(terms, generation, syzygies, heads, finite, pd)
 
 
 # -- Ext tables --------------------------------------------------------------------------

@@ -115,6 +115,34 @@ def test_rank_nullity_and_kernel_annihilation(m):
         assert m.mul(kernel.transpose()).is_zero()
 
 
+def _two_echelon_kernel(m):
+    """Reference for `rank_kernel`: eliminate left to right, read a kernel
+    vector off each free column, then echelon those vectors again."""
+    f = m.field
+    red, pivots = echelon(m)
+    kernel_rows = []
+    for free in (j for j in range(m.ncols) if j not in pivots):
+        vec = [f.zero] * m.ncols
+        vec[free] = f.one
+        for row, pcol in zip(red.rows, pivots):
+            if row[free]:
+                vec[pcol] = f.neg(row[free])
+        kernel_rows.append(vec)
+    return len(pivots), echelon(MatrixExact(f, kernel_rows, m.ncols))[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(
+    lambda f: st.tuples(st.just(f), raw_matrices(f))))
+def test_one_sided_kernel_matches_the_two_echelon_construction(case):
+    f, rows = case
+    m = MatrixExact(f, rows)
+    rank, kernel = rank_kernel(m)
+    assert (rank, kernel) == _two_echelon_kernel(m)
+    assert kernel.rows == Subspace(f, m.ncols, kernel.rows).rows
+    assert canonical_rows(f, kernel.rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([QQ, F2, F5]).flatmap(matrices))
 def test_rank_equals_transpose_rank(m):
@@ -513,14 +541,19 @@ def raw_entries(field):
     return st.one_of(st.booleans(), st.integers(-20, 20))
 
 
-def raw_matrices(field):
+def raw_matrices(field, entries=raw_entries):
     return st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.integers(min_value=1, max_value=4).flatmap(
             lambda m: st.lists(
-                st.lists(raw_entries(field), min_size=m, max_size=m), min_size=n, max_size=n
+                st.lists(entries(field), min_size=m, max_size=m), min_size=n, max_size=n
             )
         )
     )
+
+
+def caller_entries(field):
+    """raw_entries plus integral Fractions, which every field accepts."""
+    return st.one_of(raw_entries(field), st.integers(-20, 20).map(Fraction))
 
 
 @settings(max_examples=100, deadline=None)
@@ -591,6 +624,32 @@ def test_subspace_from_rref_equals_the_eliminated_subspace(case):
         assert (taken.rows, taken.pivots) == (built.rows, built.pivots)
     # growing the taken space leaves the lists it was given alone
     assert (rows, pivots) == (given_rows, given_pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(
+    lambda f: st.tuples(st.just(f), raw_matrices(f, caller_entries), st.data())))
+def test_public_subspace_path_coerces_every_input_form(case):
+    """Bools, values >= p, negatives and integral or proper Fractions reach
+    the same RREF and the same answers through the public path as their
+    canonical forms do through the trusted one."""
+    f, rows, data = case
+    n = len(rows[0])
+    canon = [f.coerce_row(row) for row in rows]
+    trusted = Subspace(f, n)
+    for row in canon:
+        trusted.add_canonical(row)
+    built = Subspace(f, n, rows)
+    assert built == trusted == row_space(f, rows, n) == Subspace(f, n, canon)
+    assert canonical_rows(f, built.rows)
+    for probe in data.draw(st.lists(st.lists(caller_entries(f), min_size=n, max_size=n),
+                                    min_size=1, max_size=3)) + rows:
+        probe_canon = f.coerce_row(probe)
+        assert built.contains(probe) == built.contains(probe_canon)
+        assert built.coords(probe) == built.coords(probe_canon) \
+            == trusted.coords_canonical(probe_canon)
+        assert built.reduce(probe) == built.reduce(probe_canon)
+        assert canonical_rows(f, [built.reduce(probe)])
 
 
 def test_subspace_from_rref_reads_the_leading_columns():

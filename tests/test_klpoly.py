@@ -542,6 +542,51 @@ class TestLayerPrediction:
             predict_layers(a1, 5, w(-2), tables=a1_tables)
 
 
+def _inner_fractions(rd, a, b):
+    """(a, b) = sum_ij a_i b_j (alpha_i, alpha_j) over the simple-root
+    coordinates of both weights, with (alpha_i, alpha_j) = s_i C_ij."""
+    ca, cb = rd.to_root_coords(a), rd.to_root_coords(b)
+    return sum(ca[i] * cb[j] * rd.symmetrizer[i] * rd.cartan[i][j]
+               for i in range(rd.rank) for j in range(rd.rank))
+
+
+def _freudenthal_fractions(rd, lam):
+    """Reference for `klpoly._freudenthal`: the same recursion with every
+    pairing taken as a double sum on Fractions and the denominator as a
+    difference of norms.  Returns the dominant multiplicities."""
+    from fractions import Fraction
+
+    from grkoszul.alcove import _closure_set, dominant_conjugate
+
+    domain = _closure_set(rd, 1, [lam], False)
+    order = sorted(domain, key=lambda x: (sum(rd.to_root_coords(x)), x.coordinates),
+                   reverse=True)
+    lam_rho = lam + rd.rho
+    top_norm = _inner_fractions(rd, lam_rho, lam_rho)
+    root_weights = [rd.root_weight(root) for root in rd.positive_roots]
+    mults = {lam.coordinates: 1}
+    for mu in order:
+        if mu == lam:
+            continue
+        total = Fraction(0)
+        for alpha in root_weights:
+            k = 1
+            while True:
+                shifted = Weight(tuple(m + k * a for m, a in
+                                       zip(mu.coordinates, alpha.coordinates)))
+                m_up = mults.get(dominant_conjugate(rd, shifted).coordinates)
+                if m_up is None:
+                    break
+                total += m_up * _inner_fractions(rd, shifted, alpha)
+                k += 1
+        mu_rho = mu + rd.rho
+        value = 2 * total / (top_norm - _inner_fractions(rd, mu_rho, mu_rho))
+        assert value.denominator == 1 and value > 0
+        mults[mu.coordinates] = int(value)
+    return tuple(sorted(((Weight(c), m) for c, m in mults.items()),
+                        key=lambda kv: kv[0].coordinates))
+
+
 class TestWeylCharacters:
     def test_a1_string(self, a1):
         ch = weyl_character(a1, w(3))
@@ -577,6 +622,20 @@ class TestWeylCharacters:
                 == weyl_character(rd, w(2, 1)).dominant_multiplicities)
         assert not [name for name, value in vars(klpoly).items()
                     if isinstance(value, dict) and not name.startswith("__")]
+
+    @pytest.mark.parametrize("cartan_type,rank,weights", [
+        ("A", 1, [(0,), (1,), (4,), (7,)]),
+        ("A", 2, [(0, 0), (1, 1), (2, 1), (3, 0), (2, 3)]),
+        ("B", 2, [(1, 0), (0, 1), (2, 1), (1, 3)]),
+        ("G", 2, [(1, 0), (0, 1), (1, 1), (2, 0)]),
+        ("C", 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)]),
+    ])
+    def test_integer_freudenthal_matches_the_fraction_oracle(self, cartan_type, rank, weights):
+        rd = root_datum_build(cartan_type, rank)
+        for coords in weights:
+            got = klpoly._freudenthal(rd, w(*coords))
+            assert got.dominant_multiplicities == _freudenthal_fractions(rd, w(*coords))
+            assert rd.inner(w(*coords), rd.rho) == _inner_fractions(rd, w(*coords), rd.rho)
 
     @given(a=st.integers(0, 3), b=st.integers(0, 3))
     @settings(max_examples=20, deadline=None)

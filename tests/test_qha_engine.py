@@ -472,6 +472,50 @@ def test_pipeline_three_weight_proper_ideal(weight3, weight3_hw):
     assert report.koszul_pipeline.implied and report.koszul_pipeline.gr_koszul
 
 
+def _module_content(rep):
+    return rep.dims, {name: mat.rows for name, mat in rep.action.items()}
+
+
+def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
+    """Every resolution, graded resolution and Ext list that pipeline_checks
+    memoised, and so shared between its callers, still equals a fresh
+    computation afterwards: no caller changed a shared result."""
+    import grkoszul.rep_homology as rh
+
+    built = []
+
+    def recording(name, real):
+        def call(*args):
+            out = real(*args)
+            built.append((name, args, out))
+            return out
+        return call
+
+    for name in ("_resolve", "_graded_resolve", "_ext_groups"):
+        monkeypatch.setattr(rh, name, recording(name, getattr(rh, name)))
+    weight3 = build_algebra(three_weight_cycle())
+    hw = standard_modules(weight3, WeightPosetIdeal(
+        ["1", "2", "3"], [("1", "2"), ("2", "3")], {"1": 0, "2": 1, "3": 2}),
+        duality=duality_matrix_from_presentation(weight3))
+    assert pipeline_checks(hw, whole_algebra_embedding(weight3), ["1", "2"]).pair.passed
+    monkeypatch.undo()
+    assert {name for name, _, _ in built} == {"_resolve", "_graded_resolve", "_ext_groups"}
+    for name, args, kept in built:
+        fresh = getattr(rh, name)(*args)
+        if name == "_ext_groups":
+            assert kept == fresh
+        elif name == "_resolve":
+            assert (kept.summand_vertices, kept.finite, kept.projective_dimension, kept.maps) \
+                == (fresh.summand_vertices, fresh.finite, fresh.projective_dimension, fresh.maps)
+            assert [_module_content(m) for m in kept.terms + kept.syzygies] \
+                == [_module_content(m) for m in fresh.terms + fresh.syzygies]
+        else:
+            assert (kept.generation, kept.heads, kept.finite, kept.projective_dimension) \
+                == (fresh.generation, fresh.heads, fresh.finite, fresh.projective_dimension)
+            assert [(_module_content(g.rep), g.grades) for g in kept.terms + kept.syzygies] \
+                == [(_module_content(g.rep), g.grades) for g in fresh.terms + fresh.syzygies]
+
+
 def test_pipeline_needs_lengths(cycle, cycle_poset):
     bare = standard_modules(cycle, WeightPosetIdeal(["1", "2"], [("1", "2")]))
     with pytest.raises(PreconditionError):

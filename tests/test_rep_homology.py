@@ -380,6 +380,65 @@ def test_periodic_resolution_over_dual_numbers():
     assert [t.total_dim for t in res.terms] == [2, 2, 2, 2, 2]
 
 
+# -- resolutions and Ext memoised on the algebra ----------------------------------------
+
+
+def _counting(monkeypatch, name):
+    """Wrap the rep_homology builder `name` so that its calls are counted."""
+    calls = []
+    real = getattr(rep_homology, name)
+    monkeypatch.setattr(rep_homology, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _x_module(alg, entry):
+    """The 2-dimensional module of k[x]/(x^3) with x sending e_0 to entry * e_1."""
+    return make_representation(alg, {"1": 2}, {"x": MatrixExact(alg.field, [[0, 0], [entry, 0]])})
+
+
+def test_equal_modules_share_one_resolution_and_ext(monkeypatch):
+    alg = build_algebra(truncated_polynomial(3))
+    resolves = _counting(monkeypatch, "_resolve")
+    exts = _counting(monkeypatch, "_ext_groups")
+    graded = _counting(monkeypatch, "_graded_resolve")
+    a, b = _x_module(alg, 1), _x_module(alg, Fraction(2, 2))
+    assert a is not b
+    assert minimal_resolution(a, 3) is minimal_resolution(b, 3)
+    assert ext_groups(a, simple_rep(alg, "1"), 2) == ext_groups(b, simple_rep(alg, "1"), 2)
+    ga, gb = (GradedRepresentation(m, {"1": [0, 1]}) for m in (a, b))
+    assert graded_minimal_resolution(ga, 2) is graded_minimal_resolution(gb, 2)
+    # one build each; ext resolves a to degree 3, which the first call made
+    assert len(resolves) == len(exts) == len(graded) == 1
+    # a returned Ext list is the caller's own
+    ext_groups(a, simple_rep(alg, "1"), 2).append(7)
+    assert ext_groups(b, simple_rep(alg, "1"), 2) == [1, 1, 1]
+
+
+def test_different_modules_do_not_share_a_resolution(monkeypatch):
+    alg = build_algebra(truncated_polynomial(3))
+    resolves = _counting(monkeypatch, "_resolve")
+    exts = _counting(monkeypatch, "_ext_groups")
+    a, c = _x_module(alg, 1), _x_module(alg, 2)  # isomorphic, one action entry apart
+    other = build_algebra(truncated_polynomial(3))
+    d = _x_module(other, 1)  # the same content over another algebra object
+    results = [minimal_resolution(m, 3) for m in (a, c, d)]
+    assert len(resolves) == 3
+    assert results[0].maps != results[1].maps
+    assert results[0].summand_vertices == results[1].summand_vertices
+    assert results[2].terms[0].algebra is other
+    assert minimal_resolution(a, 2) is not results[0] and len(resolves) == 4
+    for m in (a, c):
+        ext_groups(m, simple_rep(alg, "1"), 1)
+    assert len(exts) == 2
+    with pytest.raises(PreconditionError):
+        ext_groups(a, simple_rep(other, "1"), 1)
+
+
+def test_rep_homology_holds_no_module_level_dict():
+    assert not [name for name, value in vars(rep_homology).items()
+                if isinstance(value, dict) and not name.startswith("__")]
+
+
 # -- Ext ---------------------------------------------------------------------------------
 
 
