@@ -484,11 +484,28 @@ GOLDEN_REPORTS = [
     (["alcove", "bounds", "--type", "A", "--rank", "2", "--e", "7", "--lambda", "1,1",
       "--m-max", "2"],
      "4b5275c3e95b492bee1aa40cceb8c0291ae5b7244f4d166fc11affae6929c967"),
+    # recorded before the reported polynomials became classical dicts in q
+    (["kl", "weightpoly", "--type", "A", "--rank", "2", "--e", "5", "--lambda", "7,7",
+      "--mu", "1,1"],
+     "595dd75e01b17bc595ed616ae14bcf18dd417868eeceaa75dc4844ae499a5d59"),
+    (["kl", "weightpoly", "--type", "A", "--rank", "2", "--e", "5", "--lambda", "7,7",
+      "--mu", "0,0"],
+     "57ff26f90eebcb1ca74b8d706500eac2179339e8d05933e5547cacb60dd833ef"),
+    (["kl", "predict", "--type", "A", "--rank", "2", "--e", "5", "--lambda", "7,7"],
+     "b94d32d9d3be9fbb4080c626b219383ee22a7ce40a0c5385a7c4814b19f71f8e"),
+    (["kl", "predict", "--type", "B", "--rank", "2", "--e", "7", "--lambda", "9,9"],
+     "e90d4813d6f1e0113a89b1e256854ad78218142cf53b9847e50e0507b1ef284f"),
 ]
 
 
+def _golden_id(args):
+    """Command, type and rank; a `--mu` value tells weightpoly pairs apart."""
+    tail = args[args.index("--mu") + 1:] if "--mu" in args else []
+    return "-".join(args[:2] + args[3:6:2] + tail)
+
+
 @pytest.mark.parametrize("args,digest", GOLDEN_REPORTS,
-                         ids=["-".join(a[:2] + a[3:6:2]) for a, _ in GOLDEN_REPORTS])
+                         ids=[_golden_id(a) for a, _ in GOLDEN_REPORTS])
 def test_golden_report_digest(args, digest, monkeypatch, capsys):
     monkeypatch.delenv("GRKOSZUL_CACHE_DIR", raising=False)
     status, out = run_cli(args, capsys)
