@@ -30,9 +30,8 @@ a header echoing the artifact version, the subcommand and every argument,
 so identical requests produce byte-identical reports.  Exit status: 0 on
 success, 2 on malformed input (messages carry file:line locations), 3 on a
 failed mathematical precondition (the clause is named), 4 on a violated
-internal invariant.  `--jobs` is accepted for compatibility; every pipeline
-here runs on the single orchestration thread.  The environment variable
-GRKOSZUL_CACHE_DIR enables the polynomial table cache.
+internal invariant.  Polynomials are printed in t = q^(1/2): the classical
+coefficient of q^k appears on t^(2k).
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ from .errors import (
 )
 from .exactlin import QQ, FieldSpec, MatrixExact
 from .klpoly import (
-    LaurentPoly,
     lcf_character,
     load_or_build_tables,
     predict_layers,
@@ -341,24 +339,23 @@ def _value_text(value) -> str:
         return "none"
     if isinstance(value, Weight):
         return ",".join(str(c) for c in value.coordinates)
-    if isinstance(value, LaurentPoly):
-        return _poly_text(value)
     if isinstance(value, (list, tuple)):
         return ",".join(_value_text(v) for v in value)
     return str(value)
 
 
-def _poly_text(poly: LaurentPoly) -> str:
-    if poly.is_zero:
+def _poly_text(classical: dict[int, int]) -> str:
+    """A classical polynomial in q, written in t = q^(1/2)."""
+    if not classical:
         return "0"
     parts = []
-    for exponent, coeff in poly.terms:
-        if exponent == 0:
+    for k, coeff in sorted(classical.items()):
+        if k == 0:
             body = str(abs(coeff))
         elif abs(coeff) == 1:
-            body = "t^%d" % exponent
+            body = "t^%d" % (2 * k)
         else:
-            body = "%d*t^%d" % (abs(coeff), exponent)
+            body = "%d*t^%d" % (abs(coeff), 2 * k)
         parts.append(("-" if coeff < 0 else ("+" if parts else "")) + body)
     return "".join(parts)
 
@@ -982,8 +979,8 @@ def _cmd_kl_weightpoly(args) -> Report:
     rp.add("same_class", report.same_class)
     rp.add("mu_length", report.nu_length)
     rp.add("lambda_length", report.lam_length)
-    rp.add("p", report.p_poly)
-    rp.add("q", report.q_poly)
+    rp.add("p", _poly_text(report.p_poly))
+    rp.add("q", _poly_text(report.q_poly))
     return rp
 
 
@@ -1007,7 +1004,7 @@ def _cmd_kl_predict(args) -> Report:
         rp.add("layer.%d" % n,
                ";".join("%s:%d" % (_value_text(w), m) for w, m in layer))
     for w, poly in prediction.polynomials:
-        rp.add("qpoly.%s" % _value_text(w), poly)
+        rp.add("qpoly.%s" % _value_text(w), _poly_text(poly))
     return rp
 
 
@@ -1062,13 +1059,6 @@ def _write_output(path: str, text: str) -> None:
         raise InputFormatError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
-
-
 class _CriterionNumbers:
     """The numbers in `selftest.CRITERIA`, read each time argparse checks or
     lists a `--criterion` value, so a reused parser follows the battery."""
@@ -1080,8 +1070,6 @@ class _CriterionNumbers:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the report to this file")
-    common.add_argument("--jobs", type=positive_int, default=1,
-                        help="accepted for compatibility; runs single-threaded")
 
     parser = argparse.ArgumentParser(
         prog="grkoszul",

@@ -1,30 +1,24 @@
 """Kazhdan-Lusztig tables on the affine Weyl group and layer predictions.
 
-Conventions.  Polynomials are exposed in a formal variable t with only even
-exponents: the classical polynomial in q is evaluated at q = t^2.  Group
-elements come from the alcove module; their lengths are always hyperplane
-counts, never word lengths, and reduced words are only carried along as
-labels.  The recursion works with left descents; inverse polynomials come
-from inverting the sign-twisted triangular matrix of KL polynomials, and the
-defining identity is reverified on every Bruhat interval after the fact.
-Radical-layer predictions read the coefficient of t^(l(lam) - l(nu) - n) in
-the inverse polynomial of the pair of minimal carriers; character formulas
+Conventions.  Every polynomial is a classical {exponent: coefficient} dict
+in q with zero coefficients dropped ({} is zero); only the report printer
+writes it in t = q^(1/2), as t^(2k).  Group elements come from the alcove
+module; their lengths are always hyperplane counts, never word lengths, and
+reduced words are only carried along as labels.  The recursion works with
+left descents; inverse polynomials come from inverting the sign-twisted
+triangular matrix of KL polynomials, and the defining identity is reverified
+on every Bruhat interval after the fact.
+Radical-layer predictions read the coefficient of q^((l(lam) - l(nu) - n)/2)
+in the inverse polynomial of the pair of minimal carriers; character formulas
 alternate Weyl characters of the dominant dot-images against KL values at 1.
-Tables are cached on disk per (type, rank, e, length bound) when
-GRKOSZUL_CACHE_DIR is set, under a name hashed from those keys and the table
-format version.  Each file carries a SHA-256 digest of its payload; on load
-the digest, the constant-term and degree checks and verify_inversion run
-again, and a file failing any of them is rebuilt as if it were corrupt, so
-the cache never changes a result.
+Tables are kept on the root datum, one per (e, length bound), for the life
+of the datum; nothing is written to disk, so no earlier run can change a
+result.
 """
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import InternalCheckError, check, require
+from .errors import check, require
 from .alcove import (
     AffineWeylElement,
     RootDatum,
@@ -40,77 +34,6 @@ from .alcove import (
     weyl_orbit,
 )
 
-_TABLE_VERSION = 2
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Integer Laurent polynomial, stored as sorted (exponent, coefficient)
-    pairs with zero coefficients dropped."""
-
-    terms: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def from_dict(coeffs: dict) -> "LaurentPoly":
-        return LaurentPoly(tuple(sorted((e, c) for e, c in coeffs.items() if c != 0)))
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly(())
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly(((0, 1),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exponent: int) -> int:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return 0
-
-    def degree(self) -> int | None:
-        return self.terms[-1][0] if self.terms else None
-
-    def evaluate(self, value: int) -> int:
-        return sum(c * value ** e for e, c in self.terms)
-
-    @property
-    def even(self) -> bool:
-        return all(e % 2 == 0 for e, _ in self.terms)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly.from_dict(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly.from_dict(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly.from_dict(out)
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(tuple((e + k, c) for e, c in self.terms))
-
-    def scaled(self, factor: int) -> "LaurentPoly":
-        return LaurentPoly.from_dict({e: factor * c for e, c in self.terms})
-
-
-# Classical polynomials in q are plain {exponent: coefficient} dicts while
-# the recursion runs; only the public surface doubles exponents into t.
-
 def _pmac(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
     """acc += sign * a * b in place; zero coefficients stay until _nonzero."""
     for e1, c1 in a.items():
@@ -121,10 +44,6 @@ def _pmac(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
 
 def _nonzero(acc: dict) -> dict:
     return {e: c for e, c in acc.items() if c}
-
-
-def _to_t_poly(classical: dict) -> LaurentPoly:
-    return LaurentPoly.from_dict({2 * e: c for e, c in classical.items()})
 
 
 @dataclass(eq=False)
@@ -252,9 +171,10 @@ class KlTables:
     """KL polynomials and their inverses over one CoxeterTable.
 
     kl and inverse map element index pairs (x, w) with x Bruhat-below w to
-    classical coefficient dicts in q; the public accessors return the
-    even-exponent t versions.  intervals_verified counts the Bruhat
-    intervals on which the inversion identity was checked.
+    classical coefficient dicts in q; the accessors return the stored dict
+    ({} off the Bruhat order), which callers must not mutate.
+    intervals_verified counts the Bruhat intervals on which the inversion
+    identity was checked.
     """
 
     table: CoxeterTable
@@ -262,15 +182,15 @@ class KlTables:
     inverse: dict[tuple[int, int], dict[int, int]]
     intervals_verified: int
 
-    def kl_polynomial(self, x: AffineWeylElement, w: AffineWeylElement) -> LaurentPoly:
+    def kl_polynomial(self, x: AffineWeylElement, w: AffineWeylElement) -> dict[int, int]:
         xi, wi = self.table.index.get(x), self.table.index.get(w)
         require(xi is not None and wi is not None, "elements must be in the table")
-        return _to_t_poly(self.kl.get((xi, wi), {}))
+        return self.kl.get((xi, wi), {})
 
-    def inverse_polynomial(self, x: AffineWeylElement, w: AffineWeylElement) -> LaurentPoly:
+    def inverse_polynomial(self, x: AffineWeylElement, w: AffineWeylElement) -> dict[int, int]:
         xi, wi = self.table.index.get(x), self.table.index.get(w)
         require(xi is not None and wi is not None, "elements must be in the table")
-        return _to_t_poly(self.inverse.get((xi, wi), {}))
+        return self.inverse.get((xi, wi), {})
 
     def pair_rows(self) -> list[tuple[str, str, str, str]]:
         """(x word, w word, dense P, dense Q) per pair x <= w, sorted by
@@ -395,98 +315,10 @@ def verify_inversion(tables: KlTables) -> int:
     return count
 
 
-def _cache_path(rd: RootDatum, e: int, max_length: int) -> Path | None:
-    root = os.environ.get("GRKOSZUL_CACHE_DIR")
-    if not root:
-        return None
-    key = "kl-v%d:%s%d:e=%d:L=%d" % (_TABLE_VERSION, rd.cartan_type, rd.rank,
-                                     e, max_length)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return Path(root) / ("kl_%s.json" % digest)
-
-
-def _payload_digest(payload: dict) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _serialize_tables(tables: KlTables) -> dict:
-    t = tables.table
-    payload = {
-        "version": _TABLE_VERSION,
-        "cartan_type": t.datum.cartan_type,
-        "rank": t.datum.rank,
-        "e": t.e,
-        "max_length": t.max_length,
-        "elements": [
-            [list(map(list, elem.finite_part)), list(elem.translation), elem.length,
-             list(t.left_mult[i]), list(t.right_mult[i])]
-            for i, elem in enumerate(t.elements)],
-        "kl": [[xi, wi, sorted(map(list, poly.items()))]
-               for (xi, wi), poly in sorted(tables.kl.items())],
-        "inverse": [[xi, wi, sorted(map(list, poly.items()))]
-                    for (xi, wi), poly in sorted(tables.inverse.items())],
-    }
-    payload["digest"] = _payload_digest(payload)
-    return payload
-
-
-def _deserialize_tables(rd: RootDatum, e: int, max_length: int, payload: dict) -> KlTables:
-    """Rebuild tables from a cache payload and verify them: the digest, the
-    datum and bound, the polynomial shapes and the inversion identity.  Any
-    failure raises."""
-    digest = payload.pop("digest")
-    check(digest == _payload_digest(payload), "cache digest must match its payload")
-    check((payload["version"], payload["cartan_type"], payload["rank"], payload["e"],
-           payload["max_length"]) == (_TABLE_VERSION, rd.cartan_type, rd.rank, e, max_length),
-          "cache file must hold the requested table")
-    rows = payload["elements"]
-    table = CoxeterTable(
-        datum=rd, e=e, max_length=max_length,
-        elements=tuple(AffineWeylElement(tuple(map(tuple, m)), tuple(t), length)
-                       for m, t, length, _, _ in rows),
-        left_mult=tuple(tuple(row[3]) for row in rows),
-        right_mult=tuple(tuple(row[4]) for row in rows))
-    kl = {(xi, wi): dict(poly) for xi, wi, poly in payload["kl"]}
-    inverse = {(xi, wi): dict(poly) for xi, wi, poly in payload["inverse"]}
-    pairs = {(xi, wi) for wi, below in enumerate(table.lower_sets) for xi in below}
-    for store, name in ((kl, "KL"), (inverse, "inverse")):
-        check(set(store) == pairs, "cached polynomials must cover exactly the intervals")
-        for (xi, wi), poly in store.items():
-            _check_shape(poly, table.elements[wi].length - table.elements[xi].length, name)
-    tables = KlTables(table=table, kl=kl, inverse=inverse, intervals_verified=0)
-    tables.intervals_verified = verify_inversion(tables)
-    return tables
-
-
 def load_or_build_tables(rd: RootDatum, e: int, max_length: int) -> KlTables:
-    """Cached entry point, kept on the datum: one table per (e, length bound).
-    A cache file is used only after its digest and the table checks pass;
-    any unreadable or failing file is rebuilt in place."""
+    """Tables kept on the datum: one per (e, length bound)."""
     return rd.memoized(("kl_tables", e, max_length),
-                       lambda: _load_or_build_tables(rd, e, max_length))
-
-
-def _load_or_build_tables(rd: RootDatum, e: int, max_length: int) -> KlTables:
-    path = _cache_path(rd, e, max_length)
-    if path is not None and path.exists():
-        try:
-            return _deserialize_tables(rd, e, max_length, json.loads(path.read_text()))
-        except (InternalCheckError, OSError, ValueError, KeyError, IndexError, TypeError,
-                AttributeError):
-            pass
-    tables = kl_and_inverse_tables(coxeter_enumerate(rd, e, max_length))
-    if path is not None:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # one temp name per process, so concurrent writers never share one
-            tmp = path.with_name("%s.%d.tmp" % (path.stem, os.getpid()))
-            tmp.write_text(json.dumps(_serialize_tables(tables), sort_keys=True,
-                                      separators=(",", ":")))
-            tmp.replace(path)
-        except OSError:
-            pass  # an unwritable cache never blocks the computation
-    return tables
+                       lambda: kl_and_inverse_tables(coxeter_enumerate(rd, e, max_length)))
 
 
 @dataclass
@@ -496,8 +328,8 @@ class WeightPolyReport:
     same_class: bool
     nu_length: int
     lam_length: int
-    p_poly: LaurentPoly
-    q_poly: LaurentPoly
+    p_poly: dict[int, int]
+    q_poly: dict[int, int]
 
 
 def weight_polynomials(rd: RootDatum, e: int, nu: Weight, lam: Weight,
@@ -511,7 +343,7 @@ def weight_polynomials(rd: RootDatum, e: int, nu: Weight, lam: Weight,
     if not same:
         return WeightPolyReport(nu=nu, lam=lam, same_class=False,
                                 nu_length=link_nu.length, lam_length=link_lam.length,
-                                p_poly=LaurentPoly.zero(), q_poly=LaurentPoly.zero())
+                                p_poly={}, q_poly={})
     if tables is None:
         tables = load_or_build_tables(rd, e, max(link_nu.length, link_lam.length))
     return WeightPolyReport(
@@ -538,7 +370,7 @@ class LayerPrediction:
     singular: bool
     support: tuple[Weight, ...]
     layers: tuple[tuple[tuple[Weight, int], ...], ...]
-    polynomials: tuple[tuple[Weight, LaurentPoly], ...]
+    polynomials: tuple[tuple[Weight, dict[int, int]], ...]
 
 
 def predict_layers(rd: RootDatum, e: int, lam: Weight,
@@ -547,10 +379,11 @@ def predict_layers(rd: RootDatum, e: int, lam: Weight,
     """Predict layer multiplicities from inverse KL polynomials.
 
     The multiplicity of nu in layer n is the coefficient of
-    t^(l(lam) - l(nu) - n) in the inverse polynomial of the minimal
+    q^((l(lam) - l(nu) - n)/2) in the inverse polynomial of the minimal
     carriers.  Support weights are the dominant dot-images of elements
-    Bruhat-below the carrier of lam; the sign-twisted reconstruction of the
-    polynomial from the table is asserted equal to the inverse polynomial.
+    Bruhat-below the carrier of lam; each one's entries in the finished
+    layer table are read back into a polynomial and asserted equal to the
+    stored inverse polynomial.
     """
     require(lam.is_dominant, "layer predictions are for dominant weights")
     link = linkage(rd, e, lam)
@@ -573,6 +406,7 @@ def predict_layers(rd: RootDatum, e: int, lam: Weight,
 
     layer_maps: dict[int, dict[Weight, int]] = {}
     polynomials = []
+    gaps: dict[Weight, int] = {}
     for coords in sorted(support):
         nu = support[coords]
         link_nu = linkage(rd, e, nu)
@@ -581,18 +415,14 @@ def predict_layers(rd: RootDatum, e: int, lam: Weight,
         wni = table.index[link_nu.w]
         check(wni in table.lower_sets[wi],
               "minimal carriers of support weights must sit below the carrier")
-        q_poly = _to_t_poly(tables.inverse.get((wni, wi), {}))
+        q_poly = tables.inverse.get((wni, wi), {})
         polynomials.append((nu, q_poly))
-        reconstruction: dict[int, int] = {}
-        for exponent, coeff in q_poly.terms:
-            n = link.length - link_nu.length - exponent
+        gaps[nu] = link.length - link_nu.length
+        for k, coeff in q_poly.items():
+            n = gaps[nu] - 2 * k
             check(n >= 0, "layer indices must be non-negative")
             check(coeff >= 0, "layer multiplicities must be non-negative")
             layer_maps.setdefault(n, {})[nu] = coeff
-            sign = -1 if exponent % 2 else 1
-            reconstruction[exponent] = sign * coeff
-        check(LaurentPoly.from_dict(reconstruction) == q_poly,
-              "sign-twisted layer reconstruction must reproduce the polynomial")
         if gamma is not None:
             check(nu in gamma, "closed ideals must contain the predicted support")
 
@@ -601,6 +431,14 @@ def predict_layers(rd: RootDatum, e: int, lam: Weight,
         tuple(sorted(layer_maps.get(n, {}).items(), key=lambda kv: kv[0].coordinates))
         for n in range(depth + 1))
     check(layers[0] == ((lam, 1),), "layer 0 must be the weight itself, once")
+    read_back: dict[Weight, dict[int, int]] = {}
+    for n, layer in enumerate(layers):
+        for nu, m in layer:
+            k, odd = divmod(gaps[nu] - n, 2)
+            check(not odd, "a layer index must have the parity of its length gap")
+            read_back.setdefault(nu, {})[k] = m
+    check(all(read_back.get(nu) == q_poly for nu, q_poly in polynomials),
+          "the layer table must encode every support weight's inverse polynomial")
     return LayerPrediction(
         weight=lam,
         lambda_minus=link.lambda_minus,

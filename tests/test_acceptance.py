@@ -8,6 +8,7 @@ overrun fails the criterion itself.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +62,24 @@ def test_criterion_8_character_formula_evaluation(battery):
 
 def test_criterion_9_koszulity_transfer_pipeline(battery):
     _assert_criterion(battery, 9)
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.0, Fraction(1, 2)],
+                         ids=["negative", "float", "half"])
+def test_criterion_5_rejects_an_exponent_that_is_not_a_natural_int(monkeypatch, exponent):
+    # a zero coefficient leaves the inversion identity and the shape checks
+    # intact, so only the exponent check can fail
+    real = selftest.load_or_build_tables
+
+    def tampered(rd, e, max_length):
+        tables = real(rd, e, max_length)
+        tables.inverse[(1, 1)] = {0: 1, exponent: 0}
+        return tables
+
+    monkeypatch.setattr(selftest, "load_or_build_tables", tampered)
+    passed, details = selftest.criterion_kl_engine()
+    assert not passed
+    assert all(d.endswith("shape=true parity=false") for d in details)
 
 
 def test_full_battery_runtime_budget(battery):

@@ -291,17 +291,13 @@ def test_byte_identical_repeat_runs(b5_path, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_jobs_flag_is_accepted(b5_path, capsys):
-    status, _ = run_cli(["algebra", "build", b5_path, "--jobs", "2"], capsys)
-    assert status == 0
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+@pytest.mark.parametrize("jobs", ["2", "0", "-1", "two"])
 def test_jobs_flag_rejects_bad_values_with_exit_2(b5_path, capsys, jobs):
+    # the flag is gone, so every value is an unrecognised argument
     with pytest.raises(SystemExit) as exc:
         cli.main(["algebra", "build", str(b5_path), "--jobs", jobs])
     assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert "unrecognized arguments: --jobs %s" % jobs in capsys.readouterr().err
 
 
 # -- pinned command examples --------------------------------------------------------------
@@ -443,14 +439,13 @@ def test_reused_parser_follows_the_criteria_table(monkeypatch, capsys):
     assert "invalid choice: 3 (choose from 12)" in capsys.readouterr().err
 
 
-def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path / "cache"))
-    _, out1 = run_cli(["kl", "table", "--type", "A", "--rank", "2",
-                       "--e", "3", "--max-length", "3"], capsys)
-    assert list((tmp_path / "cache").glob("*.json"))
-    _, out2 = run_cli(["kl", "table", "--type", "A", "--rank", "2",
-                       "--e", "3", "--max-length", "3"], capsys)
-    assert out1 == out2
+def test_cache_dir_variable_changes_nothing(tmp_path, monkeypatch, capsys):
+    args = ["kl", "table", "--type", "A", "--rank", "2", "--e", "3", "--max-length", "3"]
+    monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
+    status, with_var = run_cli(args, capsys)
+    assert status == 0 and list(tmp_path.iterdir()) == []
+    monkeypatch.delenv("GRKOSZUL_CACHE_DIR")
+    assert run_cli(args, capsys) == (0, with_var)
 
 
 def test_module_entry_point():
@@ -506,8 +501,7 @@ def _golden_id(args):
 
 @pytest.mark.parametrize("args,digest", GOLDEN_REPORTS,
                          ids=[_golden_id(a) for a, _ in GOLDEN_REPORTS])
-def test_golden_report_digest(args, digest, monkeypatch, capsys):
-    monkeypatch.delenv("GRKOSZUL_CACHE_DIR", raising=False)
+def test_golden_report_digest(args, digest, capsys):
     status, out = run_cli(args, capsys)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
