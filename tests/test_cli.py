@@ -439,7 +439,7 @@ def test_reused_parser_follows_the_criteria_table(monkeypatch, capsys):
     assert "invalid choice: 3 (choose from 12)" in capsys.readouterr().err
 
 
-def test_cache_dir_variable_changes_nothing(tmp_path, monkeypatch, capsys):
+def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     args = ["kl", "table", "--type", "A", "--rank", "2", "--e", "3", "--max-length", "3"]
     monkeypatch.setenv("GRKOSZUL_CACHE_DIR", str(tmp_path))
     status, with_var = run_cli(args, capsys)

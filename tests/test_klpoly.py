@@ -361,6 +361,12 @@ class TestCaching:
         assert load_or_build_tables(rd, 5, 3) is not first
         assert load_or_build_tables(fresh_a1(), 5, 4) is not first
 
+    def test_no_cache_dir_means_no_files(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GRKOSZUL_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        load_or_build_tables(fresh_a1(), 5, 2)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWeightPolynomials:
     def test_same_class_pair(self, a1, a1_tables):
