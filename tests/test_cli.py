@@ -67,6 +67,20 @@ def cube_qalg(field_line):
 
 CUBE_SIMPLE_QREP = "vertexdim v 1\nmatrix x\n0\nmatrix y\n0\n"
 
+# k^3 with x: e1 -> e2 -> e3 and y: e1 -> e3; y lands two layers down, so gr
+# kills it and the restriction to the whole cube algebra is not gradable
+CUBE_NONGRADABLE_QREP = """\
+vertexdim v 3
+matrix x
+0 0 0
+1 0 0
+0 1 0
+matrix y
+0 0 0
+0 0 0
+1 0 0
+"""
+
 DELTA2_QREP = """\
 vertexdim 1 1
 vertexdim 2 1
@@ -554,6 +568,9 @@ GOLDEN_BODIES = {
         "8be2cd800ce9ce9fa10fcd6d8cb98e49bda0053b65fa6c8b8083d5296adbdc40",
     "module-resolve-cube-q":
         "1ee77368266354f7a2beb484662e2c501d1edfc3d306e425e162e5ca30d69a87",
+    # recorded before the restriction check ran on the restricted module
+    "module-restrict-cube-nongradable":
+        "3786d3a30234792d791447082de6342a0078d71e5e195090395aa173d3c9dcbc",
 }
 
 
@@ -570,6 +587,8 @@ def test_golden_representation_digests(b5_path, cubic_path, delta2_path, tmp_pat
         cube[name].write_text(cube_qalg(field_line))
     simple = tmp_path / "cube-simple.qrep"
     simple.write_text(CUBE_SIMPLE_QREP)
+    nongradable = tmp_path / "cube-nongradable.qrep"
+    nongradable.write_text(CUBE_NONGRADABLE_QREP)
     runs = {
         "module-resolve": ["module", "resolve", alg, rep, "--max-degree", "4"],
         "module-ext": ["module", "ext", alg, rep, "--max-degree", "4"],
@@ -587,6 +606,7 @@ def test_golden_representation_digests(b5_path, cubic_path, delta2_path, tmp_pat
         "module-resolve-cube-f2": ["module", "resolve", cube["f2"], simple, "--max-degree", "3"],
         "module-resolve-cube-f3": ["module", "resolve", cube["f3"], simple, "--max-degree", "3"],
         "module-resolve-cube-q": ["module", "resolve", cube["q"], simple, "--max-degree", "4"],
+        "module-restrict-cube-nongradable": ["module", "restrict", cube["q"], nongradable],
     }
     digests = {}
     for name, args in runs.items():

@@ -24,6 +24,7 @@ from grkoszul.errors import (
     InputFormatError,
     InternalCheckError,
     PreconditionError,
+    check,
 )
 from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, Subspace, rank_kernel, row_space
 from grkoszul.algebra_core import (
@@ -31,10 +32,13 @@ from grkoszul.algebra_core import (
     build_algebra,
     gr_algebra,
     opposite_algebra,
+    radical_generation_check,
     subalgebra_from_generators,
+    tight_subalgebra_check,
 )
 from grkoszul.rep_homology import (
     GradedRepresentation,
+    RestrictionReport,
     _invertible_combination,
     direct_sum,
     dual_rep,
@@ -60,7 +64,7 @@ from grkoszul.rep_homology import (
     projective_rep,
     quotient_rep,
     radical_series,
-    restrict_action,
+    radical_space,
     restrict_iso_check,
     restrict_rep,
     restricts_projectively,
@@ -528,6 +532,46 @@ def structure_table(algebra):
     return table
 
 
+def restrict_action(rep, emb):
+    """Action matrices of the subalgebra basis on the restricted module, in
+    the module's flat coordinates."""
+    return [rep.element_total(list(b)) for b in emb.space.rows]
+
+
+def delta0(field, act_m, act_n):
+    """The map F -> (F R_M(b_i) - R_N(b_i) F)_i on matrices F: M -> N.
+
+    Row r*dim_m + c is the image of the matrix unit E_(r, c), flattened at
+    position (i*dim_n + r)*dim_m + c.  Its left kernel is Hom(M, N) over the
+    acting basis and its row space the coboundaries B^1.
+    """
+    k = len(act_m)
+    dim_m = act_m[0].ncols if act_m else 0
+    dim_n = act_n[0].ncols if act_n else 0
+    width = k * dim_n * dim_m
+
+    def pos(i, r, c):
+        return (i * dim_n + r) * dim_m + c
+
+    rows = []
+    for r0 in range(dim_n):
+        for c0 in range(dim_m):
+            vec = [field.zero] * width
+            for i in range(k):
+                for t in range(dim_m):
+                    val = act_m[i].rows[c0][t]
+                    if val:
+                        idx = pos(i, r0, t)
+                        vec[idx] = field.add(vec[idx], val)
+                for t in range(dim_n):
+                    val = act_n[i].rows[t][r0]
+                    if val:
+                        idx = pos(i, t, c0)
+                        vec[idx] = field.sub(vec[idx], val)
+            rows.append(vec)
+    return MatrixExact(field, rows, width)
+
+
 def cocycle_data(field, table, act_m, act_n):
     """Bases of Z^1 and B^1 for extensions 0 -> N -> E -> M -> 0.
 
@@ -573,7 +617,7 @@ def cocycle_data(field, table, act_m, act_n):
         z_basis = list(kernel.rows)
     else:
         z_basis = MatrixExact.identity(field, width).rows
-    b_basis = row_space(field, rep_homology._delta0(field, act_m, act_n).rows, width).rows
+    b_basis = row_space(field, delta0(field, act_m, act_n).rows, width).rows
     return z_basis, b_basis, width
 
 
@@ -713,14 +757,17 @@ def test_restrict_to_whole_algebra(cycle, cycle_mods):
 
 
 def test_restrict_detects_a_disagreeing_layer(cycle, cycle_mods, monkeypatch):
-    # Same layer sizes, different layer 2: the ambient series is replaced by
-    # one whose second radical layer is another line in P(1).
+    # Same layer sizes, different layer 2: the ambient series of P(1) is
+    # replaced by one whose second radical layer is another line in P(1);
+    # the series of the restriction stays the real one.
     units = MatrixExact.identity(QQ, 5).rows
     whole = subalgebra_from_generators(cycle, [units[0], units[2], units[3]])
     real = rep_homology.radical_series
 
     def moved(module):
         series = real(module)
+        if module is not cycle_mods["P1"]:
+            return series
         return series[:2] + [Subspace(QQ, 3, [[QQ.zero, QQ.zero, QQ.one]])] + series[3:]
 
     assert real(cycle_mods["P1"])[2].rows == [[QQ.zero, QQ.one, QQ.zero]]
@@ -738,6 +785,20 @@ def test_restrict_to_glued_idempotent_subalgebra(cycle, cycle_mods):
     assert report.restriction_iso_gr
     assert not report.restricts_projectively
     assert report.n_characters == 1
+
+
+def test_restrict_detects_a_nongradable_restriction():
+    # k^3 over the cube algebra with x: e1 -> e2 -> e3 and y: e1 -> e3: y
+    # jumps two radical layers, so gr kills it and M|a is not gr(M|a)
+    alg = build_algebra(all_cubes(QQ))
+    zero, one = QQ.zero, QQ.one
+    x = MatrixExact(QQ, [[zero, zero, zero], [one, zero, zero], [zero, one, zero]], 3)
+    y = MatrixExact(QQ, [[zero, zero, zero], [zero, zero, zero], [one, zero, zero]], 3)
+    m = make_representation(alg, {"1": 3}, {"x": x, "y": y})
+    report = restrict_iso_check(m, whole_algebra(alg))
+    assert repr(report) == ("RestrictionReport(filtration_agrees=True, "
+                            "restriction_iso_gr=False, restricts_projectively=False, "
+                            "n_characters=1)")
 
 
 def test_restrict_rejects_nongenerating_subalgebra():
@@ -809,8 +870,7 @@ def whole_algebra(alg):
 def test_delta0_kernel_is_hom_over_the_whole_algebra(case):
     alg, m, n = case
     whole = whole_algebra(alg)
-    delta = rep_homology._delta0(alg.field, restrict_action(m, whole),
-                                 restrict_action(n, whole))
+    delta = delta0(alg.field, restrict_action(m, whole), restrict_action(n, whole))
     _, kernel = rank_kernel(delta.transpose())
     homs = hom_space(m, n)
     assert kernel.nrows == len(homs)
@@ -824,7 +884,7 @@ def test_delta0_kernel_is_hom_over_the_whole_algebra(case):
 def test_series_of_the_radical_rows_is_the_radical_series(case):
     alg, m, _ = case
     mats = [m.element_total(list(r)) for r in whole_algebra(alg).radical().rows]
-    assert rep_homology._series(alg.field, mats, m.total_dim) == radical_series(m)
+    assert radical_row_series(alg.field, mats, m.total_dim) == radical_series(m)
 
 
 def truncations(alg):
@@ -1430,21 +1490,147 @@ def ext1_over_sub(m, emb):
     return head_multiplicities(projective_cover(restrict_rep(m, emb)).syzygy)
 
 
+# -- the action-list reference for the restriction check ----------------------------
+#
+# Test-only: M|a as one dense matrix per basis element of a, in M's flat
+# coordinates, with Hom over that acting basis as the left kernel of delta0.
+
+
+def radical_row_series(field, mats, n):
+    """[V, VJ, VJ^2, ..., 0] in field^n, J the span of the acting matrices;
+    every term a canonical RREF."""
+    series = [Subspace.whole(field, n)]
+    while series[-1]:
+        current = series[-1]
+        vectors = []
+        for mat in mats:
+            for r in current.rows:
+                vec = mat.apply(r)
+                if any(x != field.zero for x in vec):
+                    vectors.append(vec)
+        nxt = row_space(field, vectors, n)
+        check(len(nxt) < len(current), "radical series stalled: action not nilpotent")
+        series.append(nxt)
+    return series
+
+
+def restrict_iso_check_by_oracle(m, emb):
+    """`restrict_iso_check` on action lists: the radical rows of a generate
+    the series, a basis element of grade g_b sends slice g to slice g + g_b,
+    and M|a = gr(M|a) needs an invertible matrix in the kernel of delta0."""
+    f = m.algebra.field
+    if not radical_generation_check(emb).generates:
+        raise PreconditionError("the restriction check needs (rad a)A = rad A")
+    tight, sub_grades, fails = tight_subalgebra_check(emb)
+    if not tight:
+        raise PreconditionError(
+            "the restriction check needs a tightly graded subalgebra basis: "
+            + "; ".join(fails)
+        )
+    acts = restrict_action(m, emb)
+    rad_coords = [emb.space.coords(rv) for rv in emb.radical().rows]
+    n = m.total_dim
+
+    def radical_actions(basis_acts):
+        # the radical rows of a, acting through the actions of the a-basis
+        out = []
+        for coords in rad_coords:
+            mat = MatrixExact.zero(f, n, n)
+            for c, a in zip(coords, basis_acts):
+                if c:
+                    mat = mat.add(a.scale(c))
+            out.append(mat)
+        return out
+
+    def has_invertible_hom(act_m, act_n):
+        delta = delta0(f, act_m, act_n)
+        if delta.is_zero():
+            # every b acts on both sides by one scalar: the identity is a witness
+            return True
+        _, kernel = rank_kernel(delta.transpose())
+        homs = [MatrixExact(f, [vec[r * n : (r + 1) * n] for r in range(n)], n)
+                for vec in kernel.rows]
+        return _invertible_combination(f, homs, n) is not None
+
+    sub_series = radical_row_series(f, radical_actions(acts), n)
+    agrees = radical_series(m) == sub_series
+    slices = rep_homology._Slices(f, n, sub_series)
+    gr_acts = [
+        MatrixExact(f, [slices.vector(g + g_b, act.apply(row)) for g, row in slices.pieces],
+                    n).transpose()
+        for act, g_b in zip(acts, sub_grades)
+    ]
+    gr_series = radical_row_series(f, radical_actions(gr_acts), n)
+    iso = ([len(t) for t in sub_series] == [len(t) for t in gr_series]
+           and has_invertible_hom(acts, gr_acts))
+    projective = restricts_projectively(m, emb)
+    return RestrictionReport(agrees, iso, projective, len(emb.as_algebra()[1]))
+
+
+def outcome(call):
+    """The result's repr, or the error class and message."""
+    try:
+        return repr(call())
+    except GrkoszulError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def combination(field, coeffs, rows, width):
+    """sum_i coeffs[i] * rows[i] in field^width."""
+    if not rows:
+        return [field.zero] * width
+    return MatrixExact(field, [coeffs], len(rows)).mul(MatrixExact(field, rows, width)).rows[0]
+
+
+def quotient_by_element(proj, u):
+    """P/uA for u in P: the quotient by the submodule u generates, spanned
+    by u.p over the basis paths p."""
+    basis = proj.algebra.basis
+    rows = [proj.embed(basis[i].dst, img) for w in proj.vertices
+            for i, img in proj.path_images(w, proj.block(u, w)).items()]
+    return quotient_rep(proj, rows)[0]
+
+
 @st.composite
 def modules_and_subalgebras(draw):
-    """(M, a): a generated by at most three basis vectors of a small algebra
-    over Q, F_2 or F_3, M a truncation or a sum of two."""
+    """(M, a) over a small algebra over Q, F_2 or F_3.  M is a truncation, a
+    quotient P(v)/uA for a random u in rad P(v) (often not gradable), or a
+    sum of two of these.  a is the whole algebra, or generated by at most
+    three vectors, each a basis vector or a random combination of the
+    radical basis paths, which may mix path lengths."""
     field = draw(st.sampled_from([QQ, F2, FieldSpec(3)]))
     maker = draw(st.sampled_from([two_vertex_cycle, commuting_loops, all_cubes,
                                   lambda f: truncated_polynomial(3, f)]))
     alg = build_algebra(maker(field))
+    scalars = st.integers(-2, 2).map(field.coerce)
     units = MatrixExact.identity(field, alg.dim).rows
-    gens = draw(st.lists(st.integers(0, alg.dim - 1), max_size=3, unique=True))
+    radical = [units[i] for i, bp in enumerate(alg.basis) if bp.arrows]
+    mixed = st.lists(scalars, min_size=len(radical), max_size=len(radical)).map(
+        lambda cs: combination(field, cs, radical, alg.dim))
+    gens = draw(st.one_of(st.lists(st.one_of(st.sampled_from(units), mixed), max_size=3),
+                          st.just(units)))
     modules = [m for _, m in truncations(alg)]
-    m = draw(st.sampled_from(modules))
+
+    def draw_module():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(modules))
+        proj = projective_rep(alg, draw(st.sampled_from(alg.presentation.vertices)))
+        rad = radical_space(proj).rows
+        coeffs = draw(st.lists(scalars, min_size=len(rad), max_size=len(rad)))
+        return quotient_by_element(proj, combination(field, coeffs, rad, proj.total_dim))
+
+    m = draw_module()
     if draw(st.booleans()):
-        m = direct_sum(m, draw(st.sampled_from(modules)))
-    return m, subalgebra_from_generators(alg, [units[i] for i in gens])
+        m = direct_sum(m, draw_module())
+    return m, subalgebra_from_generators(alg, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(modules_and_subalgebras())
+def test_restrict_iso_check_matches_the_action_list_oracle(case):
+    m, emb = case
+    expected = outcome(lambda: restrict_iso_check_by_oracle(m, emb))
+    assert outcome(lambda: restrict_iso_check(m, emb)) == expected
 
 
 @settings(max_examples=100, deadline=None)
