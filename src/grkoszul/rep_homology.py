@@ -362,31 +362,28 @@ def radical_space(rep: Representation) -> Subspace:
     return Subspace(rep.algebra.field, rep.total_dim, vectors)
 
 
-def _series(field: FieldSpec, mats: list[MatrixExact], n: int) -> list[Subspace]:
-    """[V, VJ, VJ^2, ..., 0] in field^n, J the span of the acting matrices.
+def radical_series(rep: Representation) -> list[Subspace]:
+    """[M, rad M, rad^2 M, ..., 0].
 
     Every term is a canonical RREF, so two chains are equal exactly when
     their terms are.
     """
-    series = [Subspace.whole(field, n)]
+    f = rep.algebra.field
+    n = rep.total_dim
+    mats = [rep.total_action(name) for name in rep.action]
+    series = [Subspace.whole(f, n)]
     while series[-1]:
         current = series[-1]
         vectors = []
         for mat in mats:
             for r in current.rows:
                 vec = mat.apply(r)
-                if any(x != field.zero for x in vec):
+                if any(x != f.zero for x in vec):
                     vectors.append(vec)
-        nxt = row_space(field, vectors, n)
+        nxt = row_space(f, vectors, n)
         check(len(nxt) < len(current), "radical series stalled: action not nilpotent")
         series.append(nxt)
     return series
-
-
-def radical_series(rep: Representation) -> list[Subspace]:
-    """[M, rad M, rad^2 M, ..., 0]."""
-    mats = [rep.total_action(name) for name in rep.action]
-    return _series(rep.algebra.field, mats, rep.total_dim)
 
 
 def socle_series(rep: Representation) -> list[Subspace]:
@@ -549,10 +546,15 @@ def _slice_data(rep: Representation, series: list[Subspace]) -> dict[str, _Slice
     return {v: _Slices(f, rep.dims[v], [s[v] for s in splits]) for v in rep.vertices}
 
 
-def _gr_from_series(rep: Representation, graded: GradedAlgebra,
+def _gr_from_series(rep: Representation, target: FiniteDimAlgebra, lift,
                     series: list[Subspace]) -> GradedRepresentation:
+    """gr of rep along a decreasing chain of submodules, as a module over
+    target; make_representation checks target's relations.
+
+    lift(name) is the action on rep's total space of a lift of target's
+    arrow, which sends slice g into slice g + 1.
+    """
     f = rep.algebra.field
-    target = graded.algebra
     check(
         target.presentation.vertices == rep.algebra.presentation.vertices,
         "graded algebra has a different vertex set",
@@ -561,7 +563,7 @@ def _gr_from_series(rep: Representation, graded: GradedAlgebra,
     dims = {v: len(slices[v].pieces) for v in rep.vertices}
     action = {}
     for name, src, dst in target.presentation.arrows:
-        lift_total = rep.element_total(graded.arrow_reps[name])
+        lift_total = lift(name)
         cols = []
         for g, brow in slices[src].pieces:
             img = lift_total.apply(rep.embed(src, brow))
@@ -571,9 +573,14 @@ def _gr_from_series(rep: Representation, graded: GradedAlgebra,
     return GradedRepresentation(out, {v: slices[v].grades for v in rep.vertices})
 
 
+def _lift(rep: Representation, graded: GradedAlgebra):
+    """A gr arrow's action through its representative in the filtered algebra."""
+    return lambda name: rep.element_total(graded.arrow_reps[name])
+
+
 def gr_rep(rep: Representation, graded: GradedAlgebra) -> GradedRepresentation:
     """gr M = sum of rad^n M / rad^(n+1) M over the associated graded algebra."""
-    return _gr_from_series(rep, graded, radical_series(rep))
+    return _gr_from_series(rep, graded.algebra, _lift(rep, graded), radical_series(rep))
 
 
 def gr_sharp(rep: Representation, sub_rows: list[list],
@@ -585,7 +592,7 @@ def gr_sharp(rep: Representation, sub_rows: list[list],
     # drop trailing repeats so the chain is strictly decreasing to zero
     while len(series) >= 2 and len(series[-1]) == len(series[-2]):
         series.pop()
-    return _gr_from_series(rep, graded, series)
+    return _gr_from_series(rep, graded.algebra, _lift(rep, graded), series)
 
 
 def gr_of_surjection(m: Representation, n: Representation, proj: MatrixExact,
@@ -1169,6 +1176,13 @@ def gr_ext1_compare(m: Representation, sub: SubalgebraEmbedding | None = None,
 # -- restriction to a subalgebra ---------------------------------------------------------
 
 
+def _class_coords(m: Representation, classes: dict[str, list[str]]) -> dict[str, list[int]]:
+    """M's flat coordinates of each vertex class block of M|a: the blocks of
+    the class's member vertices, concatenated."""
+    return {c: [m.offset(v) + k for v in members for k in range(m.dims[v])]
+            for c, members in classes.items()}
+
+
 def restrict_rep(m: Representation, emb: SubalgebraEmbedding) -> Representation:
     """M|a as a module over the subalgebra's own quiver algebra (`as_algebra`).
 
@@ -1178,8 +1192,7 @@ def restrict_rep(m: Representation, emb: SubalgebraEmbedding) -> Representation:
     """
     require(m.algebra is emb.ambient, "restriction needs a module over the ambient algebra")
     sub_algebra, classes, arrow_vectors = emb.as_algebra()
-    coords = {c: [m.offset(v) + k for v in members for k in range(m.dims[v])]
-              for c, members in classes.items()}
+    coords = _class_coords(m, classes)
     action = {}
     for name, src, dst in sub_algebra.presentation.arrows:
         total = m.element_total(arrow_vectors[name]).rows
@@ -1196,46 +1209,6 @@ def restricts_projectively(m: Representation, emb: SubalgebraEmbedding) -> bool:
     return projective_cover(restrict_rep(m, emb)).syzygy.total_dim == 0
 
 
-def restrict_action(rep: Representation, emb: SubalgebraEmbedding) -> list[MatrixExact]:
-    """Action matrices of the subalgebra basis on the restricted module."""
-    return [rep.element_total(list(b)) for b in emb.space.rows]
-
-
-def _delta0(field: FieldSpec, act_m: list[MatrixExact],
-            act_n: list[MatrixExact]) -> MatrixExact:
-    """The map F -> (F R_M(b_i) - R_N(b_i) F)_i on matrices F: M -> N.
-
-    Row r*dim_m + c is the image of the matrix unit E_(r, c), flattened at
-    position (i*dim_n + r)*dim_m + c.  Its left kernel is Hom(M, N) over the
-    acting basis and its row space the coboundaries B^1.
-    """
-    k = len(act_m)
-    dim_m = act_m[0].ncols if act_m else 0
-    dim_n = act_n[0].ncols if act_n else 0
-    width = k * dim_n * dim_m
-
-    def pos(i, r, c):
-        return (i * dim_n + r) * dim_m + c
-
-    rows = []
-    for r0 in range(dim_n):
-        for c0 in range(dim_m):
-            vec = [field.zero] * width
-            for i in range(k):
-                for t in range(dim_m):
-                    val = act_m[i].rows[c0][t]
-                    if val:
-                        idx = pos(i, r0, t)
-                        vec[idx] = field.add(vec[idx], val)
-                for t in range(dim_n):
-                    val = act_n[i].rows[t][r0]
-                    if val:
-                        idx = pos(i, t, c0)
-                        vec[idx] = field.sub(vec[idx], val)
-            rows.append(vec)
-    return MatrixExact(field, rows, width)
-
-
 @dataclass
 class RestrictionReport:
     filtration_agrees: bool  # subalgebra radical series of M = ambient series
@@ -1244,29 +1217,16 @@ class RestrictionReport:
     n_characters: int  # the simples of a: vertices of its quiver (`as_algebra`)
 
 
-def _has_invertible_hom(field: FieldSpec, act_m: list[MatrixExact],
-                        act_n: list[MatrixExact]) -> bool:
-    """Is some invertible F a module map, F R_M(b) = R_N(b) F for every b?"""
-    n = act_m[0].ncols
-    delta = _delta0(field, act_m, act_n)
-    if delta.is_zero():
-        # then every b acts on both sides by one scalar: the identity is a witness
-        return True
-    _, kernel = rank_kernel(delta.transpose())
-    homs = [MatrixExact(field, [vec[r * n : (r + 1) * n] for r in range(n)], n)
-            for vec in kernel.rows]
-    return _invertible_combination(field, homs, n) is not None
-
-
 def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> RestrictionReport:
     """Restrict M to the subalgebra and compare with gr of the restriction.
 
     Needs (rad a)A = rad A, and a basis of the subalgebra homogeneous and
     multiplicative for the ambient-filtration grades; the subalgebra is then
     its own associated graded algebra and gr(M|a) is again an a-module.
+    Both are representations of `as_algebra`, and gr(M|a) lives on the
+    radical layers of `restrict_rep`.
     """
-    algebra = m.algebra
-    f = algebra.field
+    f = m.algebra.field
     if not radical_generation_check(emb).generates:
         raise PreconditionError("the restriction check needs (rad a)A = rad A")
     tight, sub_grades, fails = tight_subalgebra_check(emb)
@@ -1275,38 +1235,33 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
             "the restriction check needs a tightly graded subalgebra basis: "
             + "; ".join(fails)
         )
-    acts = restrict_action(m, emb)
-    rad_coords = [emb.space.coords(rv) for rv in emb.radical().rows]
-    check(all(c is not None for c in rad_coords), "subalgebra radical left the subalgebra")
-    n = m.total_dim
+    sub_algebra, classes, arrow_vectors = emb.as_algebra()
+    # for a tight basis the grade-0 rows are the class idempotents, so the
+    # block parts of the radical rows are homogeneous and as_algebra's
+    # arrows, chosen off (rad a)^2 = grades >= 2, have grade 1: each arrow's
+    # own action on M|a sends radical layer g into layer g + 1
+    check(all(g == 1 for vec in arrow_vectors.values()
+              for c, g in zip(emb.space.coords(vec), sub_grades) if c),
+          "a subalgebra arrow is not homogeneous of grade 1")
+    res = restrict_rep(m, emb)
+    n = res.total_dim
+    coords = _class_coords(m, classes)
+    # coordinate j of M|a is coordinate order[j] of M
+    order = [i for c in res.vertices for i in coords[c]]
 
-    def radical_actions(basis_acts):
-        # the radical rows of a, acting through the actions of the a-basis
-        out = []
-        for coords in rad_coords:
-            mat = MatrixExact.zero(f, n, n)
-            for c, a in zip(coords, basis_acts):
-                if c:
-                    mat = mat.add(a.scale(c))
-            out.append(mat)
+    def in_m(row):
+        out = [f.zero] * n
+        for j, i in enumerate(order):
+            out[i] = row[j]
         return out
 
-    sub_series = _series(f, radical_actions(acts), n)
-    agrees = radical_series(m) == sub_series
-    # gr(M|a) on the slices of the subalgebra radical series: a basis element
-    # of grade g_b sends slice g to slice g + g_b
-    slices = _Slices(f, n, sub_series)
-    check(len(slices.pieces) == n, "graded pieces miscount the restricted module")
-    gr_acts = [
-        MatrixExact(f, [slices.vector(g + g_b, act.apply(row)) for g, row in slices.pieces],
-                    n).transpose()
-        for act, g_b in zip(acts, sub_grades)
-    ]
-    gr_series = _series(f, radical_actions(gr_acts), n)
-    iso = ([len(t) for t in sub_series] == [len(t) for t in gr_series]
-           and _has_invertible_hom(f, acts, gr_acts))
-    projective = restricts_projectively(m, emb)
-    return RestrictionReport(agrees, iso, projective, len(emb.as_algebra()[1]))
+    series = radical_series(res)
+    agrees = radical_series(m) == [Subspace(f, n, [in_m(r) for r in term.rows])
+                                   for term in series]
+    gr = _gr_from_series(res, sub_algebra, res.total_action, series)
+    iso, _ = is_isomorphic(res, gr.rep)
+    projective = projective_cover(res).syzygy.total_dim == 0
+    return RestrictionReport(agrees, iso, projective, len(classes))
 
 
 # -- Koszulity ----------------------------------------------------------------------------
