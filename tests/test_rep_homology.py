@@ -821,8 +821,8 @@ def test_restricts_projectively_over_the_whole_algebra(cycle, cycle_mods):
 
 
 def test_restrict_to_the_scalars_keeps_the_identity_witness():
-    # a = k.1 acts on k^3 by scalars, so the map delta0 is zero; the identity
-    # is the isomorphism M|a = gr(M|a), found without searching all 3x3 matrices
+    # a = k.1 acts on k^3 by scalars, so M|a is semisimple; the identity is
+    # the isomorphism M|a = gr(M|a), found without searching all 3x3 matrices
     alg = build_algebra(QuiverPresentation(QQ, ["v"], [], []))
     m = direct_sum(*[simple_rep(alg, "v")] * 3)
     scalars = subalgebra_from_generators(alg, [])
