@@ -318,17 +318,16 @@ class FiniteDimAlgebra(_Memoized):
         return out
 
     def multiply(self, x: list, y: list) -> list:
-        f = self.field
-        out = self.zero_vector()
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
+        """x * y over the basis products of the nonzero entries of x and y."""
+        f, char = self.field, self.field.char
+        out = [0] * self.dim
+        ys = [(j, y[j]) for j in itertools.compress(range(self.dim), y)]
+        for i in itertools.compress(range(self.dim), x):
+            a = x[i]
+            for j, b in ys:
                 for k, c in self.mult_basis(i, j):
-                    out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
-        return out
+                    out[k] += a * b * c
+        return [s % char for s in out] if char else f.coerce_row(out)
 
     # -- radical ----------------------------------------------------------------
 

@@ -3,7 +3,11 @@
 Scalars over Q are plain ints when integral and `fractions.Fraction`
 instances with denominator > 1 otherwise, so 0/1 matrices never leave machine
 integers; over F_p they are ints reduced to [0, p).  No floats anywhere.
-Matrices are dense row lists.
+A `MatrixExact` is a list of dense rows; `mul` and `apply` find the nonzero
+entries they combine by C-level `itertools.compress` scans.  A `Subspace`
+keeps its RREF sparse, one {column: scalar} dict of nonzero entries per
+pivot (`sparse_row`, `dense_row` convert), so eliminating a vector touches
+only its nonzero entries and the rows of the pivots among them.
 
 Pivoting rule: echelon reduction (`Subspace.add`, which `echelon` and
 `row_space` run row by row) always selects the leftmost nonzero entry of the
@@ -22,9 +26,10 @@ constructor, the scalar parsers and every vector given to a public `Subspace`
 method run `coerce_row`.  Producers whose output is canonical by construction
 (`zero`, `identity`, `transpose`, `mul`, `add`, `scale`, `echelon`, `invert`,
 the kernel rows of `rank_kernel`) build it with `MatrixExact.trusted`; rows
-already in canonical RREF become a `Subspace` through `Subspace.from_rref`,
-and other canonical vectors enter one through `add_canonical` and
-`coords_canonical`, with no coercion pass.
+already in canonical RREF, dense or sparse, become a `Subspace` through
+`Subspace.from_rref`, and other canonical vectors, dense or sparse, enter one
+through `add_canonical`, `coords_canonical` and `pivot_entries`, with no
+coercion pass.
 `MatrixExact.apply` takes its vector as it is (every program caller passes a
 canonical one) and canonicalises its output once.
 
@@ -36,9 +41,10 @@ vectors already are the canonical RREF of the kernel.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 from .errors import InputFormatError, check
@@ -211,16 +217,18 @@ class MatrixExact:
                 f"shape mismatch in product: {self.shape} * {other.shape}"
             )
         # row i of the product combines the rows of other over row i's
-        # nonzero entries; each row is canonicalised once, at the end
-        f, char = self.field, self.field.char
+        # nonzero entries, each over its own nonzero entries
+        f, char, n = self.field, self.field.char, other.ncols
+        supports = [list(compress(range(n), brow)) for brow in other.rows]
         rows = []
         for row in self.rows:
-            acc = [0] * other.ncols
-            for a, brow in zip(row, other.rows):
-                if a:
-                    acc = [s + a * b if b else s for s, b in zip(acc, brow)]
+            acc = [0] * n
+            for j in compress(range(self.ncols), row):
+                a, brow = row[j], other.rows[j]
+                for k in supports[j]:
+                    acc[k] += a * brow[k]
             rows.append([s % char for s in acc] if char else f.coerce_row(acc))
-        return MatrixExact.trusted(f, rows, other.ncols)
+        return MatrixExact.trusted(f, rows, n)
 
     def add(self, other: "MatrixExact") -> "MatrixExact":
         if self.shape != other.shape:
@@ -245,7 +253,7 @@ class MatrixExact:
     def apply(self, vec: list) -> list:
         if len(vec) != self.ncols:
             raise InputFormatError("vector length does not match column count")
-        support = [(j, x) for j, x in enumerate(vec) if x]
+        support = [(j, vec[j]) for j in compress(range(self.ncols), vec)]
         out = []
         for row in self.rows:
             s = 0
@@ -256,7 +264,7 @@ class MatrixExact:
         return self.field.coerce_row(out)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other) -> bool:
         return (
@@ -270,120 +278,167 @@ class MatrixExact:
         return f"MatrixExact({self.field.describe()}, {self.rows})"
 
 
-def _minus_multiple(char: int, vec: list, c, row: list) -> list:
-    """vec - c*row over Q (char 0) or F_char, skipping zero entries of row;
-    over Q it may hold integral Fractions until `coerce_row` is applied."""
-    if char:
-        return [(a - c * b) % char if b else a for a, b in zip(vec, row)]
-    return [a - c * b if b else a for a, b in zip(vec, row)]
+def sparse_row(row: list) -> dict:
+    """The nonzero entries of a dense row, {column: scalar}, by C-level scans."""
+    return dict(zip(compress(range(len(row)), row), compress(row, row)))
 
 
-def _eliminate(field: FieldSpec, rows: list[list], pivots, vec: list, coeffs=None) -> list:
-    """Clear vec, a row of canonical scalars, at each pivot column with that
-    pivot's row, in order, and return the residual (not yet canonical over
-    Q).  The multipliers used are appended to coeffs when it is a list."""
-    char = field.char
-    for row, col in zip(rows, pivots):
-        c = vec[col]
-        if coeffs is not None:
-            coeffs.append(c)
-        if c:
-            vec = _minus_multiple(char, vec, c, row)
-    return vec
+def dense_row(vec: dict, n: int) -> list:
+    """The dense row of length n with the entries of the sparse vec."""
+    row = [0] * n
+    for j, x in vec.items():
+        row[j] = x
+    return row
+
+
+def add_multiple(char: int, vec: dict, c, row: dict) -> None:
+    """vec += c * row in place over Q (char 0) or F_char for sparse vectors
+    of canonical scalars and c != 0; an entry that cancels is dropped."""
+    get = vec.get
+    for j, b in row.items():
+        x = get(j, 0) + c * b
+        if char:
+            x %= char
+        elif type(x) is not int and x.denominator == 1:
+            x = x.numerator
+        if x:
+            vec[j] = x
+        else:
+            del vec[j]
 
 
 class Subspace:
     """A subspace of field^ambient grown one vector at a time.
 
-    `rows` and `pivots` always hold the canonical RREF of the vectors added
-    so far (pivots 1, pivot columns cleared, rows sorted by pivot column).
-    Because the rows are fully reduced, the coordinates of a member are its
-    entries at the pivot columns.
+    `rref` maps each pivot column of the canonical RREF of the vectors added
+    so far to its row, a dict {column: scalar} of the nonzero entries, and
+    `pivots` lists the pivot columns in increasing order.  The rows are fully
+    reduced, so a member's coordinates are its entries at the pivots.  An
+    `add` replaces the rows it alters, never changing one in place, so a
+    `copy` shares them.  `rows` is the dense view, built on demand.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "rref", "pivots", "_dense")
 
     def __init__(self, field: FieldSpec, ambient: int, vectors=()):
         self.field = field
         self.ambient = ambient
-        self.rows: list[list] = []
+        self.rref: dict[int, dict] = {}
         self.pivots: list[int] = []
+        self._dense = None
         for vec in vectors:
             self.add(vec)
 
     @classmethod
-    def from_rref(cls, field: FieldSpec, ambient: int, rows: list[list],
+    def from_rref(cls, field: FieldSpec, ambient: int, rows: list,
                   pivots=None) -> "Subspace":
-        """The span of rows that already form a canonical RREF with these
-        pivot columns (by default each row's leading column); takes them as
-        they are, with no elimination."""
+        """The span of rows (dense lists or sparse dicts) that already form a
+        canonical RREF with these pivot columns (by default each row's
+        leading column); takes them as they are, with no elimination."""
         space = cls(field, ambient)
-        space.rows = list(rows)
-        space.pivots = (list(pivots) if pivots is not None
-                        else [next(j for j, a in enumerate(r) if a) for r in rows])
+        rows = [row if type(row) is dict else sparse_row(row) for row in rows]
+        space.pivots = list(pivots) if pivots is not None else [min(row) for row in rows]
+        space.rref = dict(zip(space.pivots, rows))
         return space
 
     @classmethod
     def whole(cls, field: FieldSpec, ambient: int) -> "Subspace":
         """field^ambient itself, with the unit vectors as its RREF."""
-        return cls.from_rref(field, ambient, MatrixExact.identity(field, ambient).rows,
+        return cls.from_rref(field, ambient, [{j: field.one} for j in range(ambient)],
                              range(ambient))
 
     def copy(self) -> "Subspace":
         """The same span, to grow on its own without eliminating again."""
-        return Subspace.from_rref(self.field, self.ambient, self.rows, self.pivots)
+        return Subspace.from_rref(self.field, self.ambient,
+                                  [self.rref[p] for p in self.pivots], self.pivots)
+
+    @property
+    def rows(self) -> list[list]:
+        """The dense RREF rows in pivot order; read-only, rebuilt after an `add`."""
+        if self._dense is None:
+            self._dense = [dense_row(self.rref[p], self.ambient) for p in self.pivots]
+        return self._dense
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def __eq__(self, other) -> bool:
         """Canonical RREFs are equal exactly when the spans are."""
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient == other.ambient and self.rows == other.rows)
+                and self.ambient == other.ambient and self.rref == other.rref)
 
-    def _residual(self, vec: list, coeffs=None) -> list:
+    def _sparse(self, vec: list) -> dict:
+        """A dense vector of this ambient space as its sparse canonical entries."""
         if len(vec) != self.ambient:
             raise InputFormatError("vector length does not match the ambient dimension")
-        return _eliminate(self.field, self.rows, self.pivots, vec, coeffs)
+        return sparse_row(self.field.coerce_row(vec))
+
+    def _residual(self, vec: dict) -> dict:
+        """vec minus its entry at each pivot times that pivot's row (vec
+        itself when it meets no pivot); empty exactly for a member."""
+        rref = self.rref
+        hits = [(p, vec[p]) for p in vec if p in rref]
+        if not hits:
+            return vec
+        res = dict(vec)
+        for p, c in hits:
+            add_multiple(self.field.char, res, -c, rref[p])
+        return res
 
     def reduce(self, vec: list) -> list:
         """Residual of vec after clearing its entries at the pivot columns."""
-        return self.field.coerce_row(self._residual(self.field.coerce_row(vec)))
+        return dense_row(self._residual(self._sparse(vec)), self.ambient)
 
     def contains(self, vec: list) -> bool:
-        return not any(self._residual(self.field.coerce_row(vec)))
+        return not self._residual(self._sparse(vec))
 
     def coords(self, vec: list) -> list | None:
         """Coordinates of vec in `rows`, or None when vec is outside."""
-        return self.coords_canonical(self.field.coerce_row(vec))
+        return self.coords_canonical(self._sparse(vec))
 
-    def coords_canonical(self, vec: list) -> list | None:
-        """`coords` of a vector of canonical scalars, taken as it is."""
-        coeffs = []
-        if any(self._residual(vec, coeffs)):
+    def coords_canonical(self, vec) -> list | None:
+        """`coords` of a vector of canonical scalars, a dense list or a
+        sparse dict, taken as it is."""
+        entries = self.pivot_entries(vec if type(vec) is dict else self._sparse(vec))
+        return None if entries is None else [entries.get(p, 0) for p in self.pivots]
+
+    def pivot_entries(self, vec: dict) -> dict | None:
+        """The coordinates of a sparse vector of canonical scalars keyed by
+        pivot column, {pivot: coefficient of its row}, or None when vec is
+        outside: a member's coordinates are its entries at the pivots."""
+        if self._residual(vec):
             return None
-        return self.field.coerce_row(coeffs)
+        rref = self.rref
+        return {p: x for p, x in vec.items() if p in rref}
 
     def add(self, vec: list) -> bool:
         """Extend the span by vec; False (and no change) if it is inside."""
-        return self.add_canonical(self.field.coerce_row(vec))
+        return self.add_canonical(self._sparse(vec))
 
-    def add_canonical(self, vec: list) -> bool:
-        """`add` of a vector of canonical scalars, taken as it is (not kept)."""
-        f = self.field
-        res = f.coerce_row(self._residual(vec))
-        lead = next((j for j, a in enumerate(res) if a), None)
-        if lead is None:
+    def add_canonical(self, vec) -> bool:
+        """`add` of a vector of canonical scalars, a dense list or a sparse
+        dict, taken as it is (not kept)."""
+        vec = vec if type(vec) is dict else self._sparse(vec)
+        res = self._residual(vec)
+        if not res:
             return False
+        f = self.field
+        lead = min(res)
         if res[lead] != 1:
             inv = f.inv(res[lead])
-            res = [f.mul(inv, a) if a else a for a in res]
-        for i, row in enumerate(self.rows):
-            if row[lead]:
-                self.rows[i] = f.coerce_row(_minus_multiple(f.char, row, row[lead], res))
-        at = bisect_left(self.pivots, lead)
-        self.rows.insert(at, res)
-        self.pivots.insert(at, lead)
+            res = {j: f.mul(inv, a) for j, a in res.items()}
+        elif res is vec:
+            res = dict(vec)
+        rref = self.rref
+        for p, row in rref.items():
+            c = row.get(lead)
+            if c:
+                row = dict(row)
+                add_multiple(f.char, row, -c, res)
+                rref[p] = row
+        rref[lead] = res
+        insort(self.pivots, lead)
+        self._dense = None
         return True
 
 
@@ -398,20 +453,19 @@ def rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
     f, n = m.field, m.ncols
     mirrored = Subspace(f, n)
     for row in m.rows:
-        mirrored.add_canonical(row[::-1])
-    pivot_rows = {n - 1 - c: row[::-1] for row, c in zip(mirrored.rows, mirrored.pivots)}
-    kernel_rows = []
-    for free in (j for j in range(n) if j not in pivot_rows):
-        vec = [f.zero] * n
-        vec[free] = f.one
-        for pcol, row in pivot_rows.items():
-            if row[free]:
-                vec[pcol] = f.neg(row[free])
-        kernel_rows.append(vec)
-    kernel = MatrixExact.trusted(f, kernel_rows, n)
-    check(not kernel_rows or m.mul(kernel.transpose()).is_zero(), "kernel basis fails A*k = 0")
-    check(len(pivot_rows) + kernel.nrows == n, "rank-nullity violated")
-    return len(pivot_rows), kernel
+        mirrored.add_canonical(sparse_row(row[::-1]))
+    # the kernel vector of free column j: 1 at j, and minus row[j] at the
+    # pivot of each RREF row; a fully reduced row is 0 at every other pivot
+    pivots = {n - 1 - p for p in mirrored.pivots}
+    kernel = {j: {j: f.one} for j in range(n) if j not in pivots}
+    for p, row in mirrored.rref.items():
+        for j, x in row.items():
+            if j != p:
+                kernel[n - 1 - j][n - 1 - p] = f.neg(x)
+    basis = MatrixExact.trusted(f, [dense_row(kernel[j], n) for j in sorted(kernel)], n)
+    check(not kernel or m.mul(basis.transpose()).is_zero(), "kernel basis fails A*k = 0")
+    check(len(pivots) + len(kernel) == n, "rank-nullity violated")
+    return len(pivots), basis
 
 
 def solve(a: MatrixExact, b: list) -> list | None:

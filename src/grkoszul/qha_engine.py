@@ -301,9 +301,10 @@ def _delta_filtration(h: HighestWeightStructure, m: Representation) -> list[str]
         if delta.dims[mu] != 1:
             continue
         count = m.dims[mu]
-        units = MatrixExact.identity(h.algebra.field, count).rows
-        rows = [m.embed(h.algebra.basis[i].dst, block) for unit in units
-                for i, block in m.path_images(mu, unit).items()]
+        rows = Subspace(h.algebra.field, m.total_dim)
+        for k in range(count):
+            for i, block in m.path_images(mu, {k: h.algebra.field.one}).items():
+                rows.add_canonical(m.place(h.algebra.basis[i].dst, block))
         bottom, _ = sub_rep(m, rows)
         if bottom.total_dim != count * delta.total_dim:
             continue

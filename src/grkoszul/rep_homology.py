@@ -13,19 +13,22 @@ shift M(r) has M(r)_n = M_{n-r}, so it adds r to every grade.
 """
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import compress, islice, product as iter_product
 
 from .errors import InputFormatError, PreconditionError, check, require
 from .exactlin import (
     FieldSpec,
     MatrixExact,
     Subspace,
+    add_multiple,
+    dense_row,
     determinant,
     echelon,
     intersect_spaces,
     rank_kernel,
     row_space,
     solve,
+    sparse_row,
 )
 from .algebra_core import (
     FiniteDimAlgebra,
@@ -81,6 +84,26 @@ class Representation:
         vec[start : start + self.dims[vertex]] = block_vec
         return vec
 
+    def place(self, vertex: str, block: dict) -> dict:
+        """The sparse total-space vector with the sparse block at the vertex."""
+        start = self.offset(vertex)
+        return {start + j: x for j, x in block.items()} if start else block
+
+    def columns(self) -> dict[str, list[dict]]:
+        """Each arrow's action block by sparse columns; kept in `_cache`."""
+        if "columns" not in self._cache:
+            self._cache["columns"] = {a: [sparse_row(col) for col in mat.transpose().rows]
+                                      for a, mat in self.action.items()}
+        return self._cache["columns"]
+
+    def act(self, name: str, vec: dict) -> dict:
+        """x.a for a sparse block vector x at the arrow's source, a sparse
+        block vector at its target."""
+        cols, out = (self._cache.get("columns") or self.columns())[name], {}
+        for j, x in vec.items():
+            add_multiple(self.algebra.field.char, out, x, cols[j])
+        return out
+
     def total_action(self, name: str) -> MatrixExact:
         """The arrow's action on the full space (other blocks mapped to 0)."""
         key = ("arrow", name)
@@ -127,18 +150,17 @@ class Representation:
                 out.rows[k][k] = f.add(out.rows[k][k], f.coerce(c))
         return out
 
-    def path_images(self, vertex: str, block_vec: list) -> dict[int, list]:
-        """x.p for x = block_vec at the vertex and every basis path p from it,
-        as {basis index: block vector at the end of p}, in basis order.  The
-        basis lists each path's prefix before it (`build_algebra` grows it by
-        length), so each image is one step from the prefix's by the small
-        `action` block of the last arrow."""
+    def path_images(self, vertex: str, block_vec: dict) -> dict[int, dict]:
+        """x.p for x = block_vec, a sparse block vector at the vertex, and
+        every basis path p from it, as {basis index: sparse block vector at
+        the end of p}, in basis order.  The basis lists each path's prefix
+        before it (`build_algebra` grows it by length), so each image is one
+        `act` step from the prefix's by the last arrow."""
         images, out = {}, {}
         for i, bp in enumerate(self.algebra.basis):
             if bp.src == vertex:
                 p = bp.arrows
-                out[i] = images[p] = (self.action[p[-1]].apply(images[p[:-1]]) if p
-                                      else block_vec)
+                out[i] = images[p] = self.act(p[-1], images[p[:-1]]) if p else block_vec
         return out
 
 
@@ -219,18 +241,22 @@ def direct_sum(*reps: Representation) -> Representation:
     for r in reps:
         require(r.algebra is algebra, "direct sum needs modules over one algebra")
     dims = {v: sum(r.dims[v] for r in reps) for v in algebra.presentation.vertices}
-    action = {}
+    action, columns = {}, {}
     for name, src, dst in algebra.presentation.arrows:
         mat = [[f.zero] * dims[src] for _ in range(dims[dst])]
         ro = co = 0
+        columns[name] = []
         for r in reps:
             small = r.action[name]
             for i, row in enumerate(small.rows):
                 mat[ro + i][co : co + small.ncols] = row
+            columns[name] += [{ro + i: x for i, x in col.items()} for col in r.columns()[name]]
             ro += r.dims[dst]
             co += r.dims[src]
         action[name] = MatrixExact.trusted(f, mat, dims[src])
-    return Representation(algebra, dims, action)
+    out = Representation(algebra, dims, action)
+    out._cache["columns"] = columns  # the summands' sparse columns, moved into place
+    return out
 
 
 def dual_rep(rep: Representation, op_algebra: FiniteDimAlgebra) -> Representation:
@@ -265,26 +291,20 @@ def _split_rows_by_vertex(rep: Representation, rows) -> dict[str, Subspace]:
     f = rep.algebra.field
     span = rows if isinstance(rows, Subspace) else Subspace(f, rep.total_dim, rows)
     out: dict[str, Subspace] = {}
-    at = 0  # RREF rows are sorted by pivot, and blocks by vertex order
+    pivots, at = span.pivots, 0  # RREF rows are sorted by pivot, blocks by vertex
     for v in rep.vertices:
         start = rep.offset(v)
         end = start + rep.dims[v]
         block_rows, block_pivots = [], []
-        while at < len(span.pivots) and span.pivots[at] < end:
-            row = span.rows[at]
-            if any(row[end:]):
+        while at < len(pivots) and pivots[at] < end:
+            row = span.rref[pivots[at]]
+            if max(row) >= end:
                 raise InputFormatError("rows are not closed under the vertex idempotents")
-            block_rows.append(row[start:end])
-            block_pivots.append(span.pivots[at] - start)
+            block_rows.append({j - start: x for j, x in row.items()} if start else row)
+            block_pivots.append(pivots[at] - start)
             at += 1
         out[v] = Subspace.from_rref(f, rep.dims[v], block_rows, block_pivots)
     return out
-
-
-def _block_images(mat: MatrixExact, rows: list[list]) -> list[list]:
-    """mat applied to each row, as the rows of (rows) * mat^T: each is the
-    combination of mat's columns over the row's nonzero entries."""
-    return MatrixExact.trusted(mat.field, rows, mat.ncols).mul(mat.transpose()).rows
 
 
 def sub_rep(rep: Representation, rows) -> tuple[Representation, MatrixExact]:
@@ -298,20 +318,23 @@ def sub_rep(rep: Representation, rows) -> tuple[Representation, MatrixExact]:
     f = rep.algebra.field
     per_vertex = _split_rows_by_vertex(rep, rows)
     dims = {v: len(per_vertex[v]) for v in rep.vertices}
-    ordered = [rep.embed(v, br) for v in rep.vertices for br in per_vertex[v].rows]
     action = {}
     for name, src, dst in rep.algebra.presentation.arrows:
-        # each block basis is an RREF, so coords also proves membership
-        cols = []
-        for img in _block_images(rep.action[name], per_vertex[src].rows):
-            coords = per_vertex[dst].coords_canonical(img)
+        # each block basis is an RREF, so its pivot entries also prove membership
+        basis, target = per_vertex[src], per_vertex[dst]
+        position = {p: i for i, p in enumerate(target.pivots)}
+        mat = [[f.zero] * dims[src] for _ in range(dims[dst])]
+        for j, p in enumerate(basis.pivots):
+            coords = target.pivot_entries(rep.act(name, basis.rref[p]))
             if coords is None:
                 raise InputFormatError("rows do not span an action-closed subspace")
-            cols.append(coords)
-        action[name] = MatrixExact.trusted(f, cols, dims[dst]).transpose()
+            for q, x in coords.items():
+                mat[position[q]][j] = x
+        action[name] = MatrixExact.trusted(f, mat, dims[src])
     sub = Representation(rep.algebra, dims, action)
-    incl = MatrixExact.trusted(f, ordered, rep.total_dim).transpose()
-    return sub, incl
+    basis = [dense_row(rep.place(v, per_vertex[v].rref[p]), rep.total_dim)
+             for v in rep.vertices for p in per_vertex[v].pivots]
+    return sub, MatrixExact.trusted(f, basis, rep.total_dim).transpose()
 
 
 def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation, MatrixExact]:
@@ -322,8 +345,8 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
     f = rep.algebra.field
     per_vertex = _split_rows_by_vertex(rep, rows)
     for name, src, dst in rep.algebra.presentation.arrows:
-        for img in _block_images(rep.action[name], per_vertex[src].rows):
-            if not per_vertex[dst].contains(img):
+        for row in per_vertex[src].rref.values():
+            if per_vertex[dst].pivot_entries(rep.act(name, row)) is None:
                 raise InputFormatError("rows do not span an action-closed subspace")
     free = {
         v: [j for j in range(rep.dims[v]) if j not in per_vertex[v].pivots]
@@ -355,54 +378,52 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
 
 def radical_space(rep: Representation) -> Subspace:
     """M rad A, the sum of the arrow images, as the canonical RREF."""
-    vectors = []
-    for name, mat in rep.action.items():
-        dst = rep.algebra.presentation.arrow_endpoints(name)[1]
-        vectors += [rep.embed(dst, col) for col in mat.transpose().rows if any(col)]
-    return Subspace(rep.algebra.field, rep.total_dim, vectors)
+    return _arrow_images(rep, Subspace.whole(rep.algebra.field, rep.total_dim))
+
+
+def _arrow_images(rep: Representation, span: Subspace) -> Subspace:
+    """N rad A for a submodule N: the span of the images of its RREF rows
+    under the arrows, since x.a.p = (x.a.p').b for a path p = p'b."""
+    split = _split_rows_by_vertex(rep, span)
+    out = Subspace(rep.algebra.field, rep.total_dim)
+    for name, src, dst in rep.algebra.presentation.arrows:
+        for row in split[src].rref.values():
+            out.add_canonical(rep.place(dst, rep.act(name, row)))
+    return out
 
 
 def radical_series(rep: Representation) -> list[Subspace]:
     """[M, rad M, rad^2 M, ..., 0].
 
     Every term is a canonical RREF, so two chains are equal exactly when
-    their terms are.
+    their terms are.  Kept in the module's `_cache`: each call returns a new
+    list of the same terms, which callers must not grow (grow a `copy`).
     """
-    f = rep.algebra.field
-    n = rep.total_dim
-    mats = [rep.total_action(name) for name in rep.action]
-    series = [Subspace.whole(f, n)]
+    if "radical series" in rep._cache:
+        return list(rep._cache["radical series"])
+    series = [Subspace.whole(rep.algebra.field, rep.total_dim)]
     while series[-1]:
         current = series[-1]
-        vectors = []
-        for mat in mats:
-            for r in current.rows:
-                vec = mat.apply(r)
-                if any(x != f.zero for x in vec):
-                    vectors.append(vec)
-        nxt = row_space(f, vectors, n)
+        nxt = _arrow_images(rep, current)
         check(len(nxt) < len(current), "radical series stalled: action not nilpotent")
         series.append(nxt)
-    return series
+    rep._cache["radical series"] = series
+    return list(series)
 
 
 def socle_series(rep: Representation) -> list[Subspace]:
     """[0, soc M, soc_2 M, ..., M]."""
     f = rep.algebra.field
     n = rep.total_dim
-    units = MatrixExact.identity(f, n).rows
     series = [Subspace(f, n)]
     while len(series[-1]) < n:
         current = series[-1]
-        # rows of the maps x -> (x.a mod current term), stacked over arrows a
+        # rows of the maps x -> (x.a mod current term), stacked over arrows a;
+        # column j of each is unit j's image, column j of a's total action
         stacked = []
         for name in rep.action:
-            mat = rep.total_action(name)
-            cols = [current.reduce(mat.apply(u)) for u in units]
-            for i in range(n):
-                row = [cols[j][i] for j in range(n)]
-                if any(x != f.zero for x in row):
-                    stacked.append(row)
+            cols = [current.reduce(col) for col in rep.total_action(name).transpose().rows]
+            stacked += [list(row) for row in zip(*cols) if any(row)]
         if stacked:
             # the kernel rows of rank_kernel are already its canonical RREF
             nxt = Subspace.from_rref(f, n, rank_kernel(MatrixExact(f, stacked, n))[1].rows)
@@ -705,13 +726,18 @@ def graded_hom_space(m: GradedRepresentation, n: GradedRepresentation,
     return out
 
 
-def _invertible_combination(field: FieldSpec, homs: list[MatrixExact], n: int):
+def _invertible_combination(field: FieldSpec, homs: list[MatrixExact], n: int,
+                            endomorphisms=None):
     """Search the span of homs for an invertible matrix; exact both ways.
 
     det of a combination has degree <= n in each coefficient, so over Q a
     grid of n+1 integer values per coefficient decides whether it vanishes
     identically; over F_p the whole span is enumerated.  Either way a
     returned witness is checked invertible and absence is a proof.
+
+    endomorphisms() may give (dim End(M), dim End(N)) for homs a basis of
+    Hom(M, N): M and N isomorphic forces both to be len(homs), so a
+    difference refutes an isomorphism before the grid.
     """
     if n == 0:
         return MatrixExact.zero(field, 0, 0)
@@ -727,6 +753,8 @@ def _invertible_combination(field: FieldSpec, homs: list[MatrixExact], n: int):
         acc = acc.add(h)
     if determinant(acc) != field.zero:
         return acc
+    if endomorphisms is not None and any(d != k for d in endomorphisms()):
+        return None
     if field.char == 0:
         values = range(n + 1)
         total = (n + 1) ** k
@@ -765,7 +793,8 @@ def is_isomorphic(m: Representation, n: Representation) -> tuple[bool, MatrixExa
         # both semisimple with matching vertex dimensions
         return True, MatrixExact.identity(f, m.total_dim)
     homs = hom_space(m, n)
-    witness = _invertible_combination(m.algebra.field, homs, m.total_dim)
+    witness = _invertible_combination(
+        f, homs, m.total_dim, lambda: (len(hom_space(m, m)), len(hom_space(n, n))))
     return (witness is not None), witness
 
 
@@ -776,7 +805,9 @@ def graded_is_isomorphic(m: GradedRepresentation, n: GradedRepresentation,
     if m.piece_dims() != shifted.piece_dims():
         return False
     homs = graded_hom_space(m, shifted, degree=0)
-    return _invertible_combination(m.rep.algebra.field, homs, m.rep.total_dim) is not None
+    return _invertible_combination(
+        m.rep.algebra.field, homs, m.rep.total_dim,
+        lambda: (len(graded_hom_space(m, m)), len(graded_hom_space(shifted, shifted)))) is not None
 
 
 # -- projective covers and minimal resolutions -----------------------------------------
@@ -813,22 +844,22 @@ def projective_cover(rep: Representation) -> Cover:
     is head P since rad P = sum_i rad P(v_i), with the head of M.
     """
     f = rep.algebra.field
-    # (vertex, index) of a head basis chosen from unit vectors, vertex-major
-    rad_split = _split_rows_by_vertex(rep, radical_space(rep))
-    units = {v: MatrixExact.identity(f, rep.dims[v]).rows for v in rep.vertices}
-    generators = [(v, j) for v in rep.vertices for j, unit in enumerate(units[v])
-                  if rad_split[v].add_canonical(unit)]
+    # (vertex, index) of a head basis chosen from unit vectors, vertex-major:
+    # each unit outside the radical plus the units chosen before it
+    grown = radical_space(rep)
+    generators = [(v, j) for v in rep.vertices for j in range(rep.dims[v])
+                  if grown.add_canonical(rep.place(v, {j: f.one}))]
     summands = [v for v, _ in generators]
     head = {v: summands.count(v) for v in rep.vertices}
     parts = [_projective_with_head(rep.algebra, v) for v in summands]
     proj = direct_sum(*(p for p, _ in parts)) if parts else zero_rep(rep.algebra)
     # columns follow the direct-sum layout: vertex blocks outermost, then
     # summands, then each summand's basis paths in algebra order
-    images = [rep.path_images(v, units[v][j]) for v, j in generators]
-    basis = rep.algebra.basis
-    cols = [rep.embed(u, block) for u in rep.vertices for img in images
+    images = [rep.path_images(v, {j: f.one}) for v, j in generators]
+    basis, n = rep.algebra.basis, rep.total_dim
+    cols = [dense_row(rep.place(u, block), n) for u in rep.vertices for img in images
             for i, block in img.items() if basis[i].dst == u]
-    nu = MatrixExact.trusted(f, cols, rep.total_dim).transpose()
+    nu = MatrixExact.trusted(f, cols, n).transpose()
     rank, kernel = rank_kernel(nu)
     check(rank == rep.total_dim, "cover map is not surjective")
     omega, incl = sub_rep(proj, Subspace.from_rref(f, proj.total_dim, kernel.rows))
@@ -963,19 +994,12 @@ def graded_projective_cover(grep: GradedRepresentation):
                 if bp.src == v and bp.dst == u:
                     grades[u].append(g + alg_grades[i])
     gproj = GradedRepresentation(cov.projective, grades)
+    flat = [g for u in rep.vertices for g in grades[u]]
+    incl_cols = iter(cov.syzygy_inclusion.transpose().rows)
     syz_grades: dict[str, list[int]] = {v: [] for v in rep.vertices}
-    incl_cols = cov.syzygy_inclusion.transpose().rows
-    col_idx = 0
     for v in rep.vertices:
-        for _ in range(cov.syzygy.dims[v]):
-            vec = incl_cols[col_idx]
-            col_idx += 1
-            gset = {
-                grades[u][k]
-                for u in rep.vertices
-                for k, val in enumerate(cov.projective.block(vec, u))
-                if val
-            }
+        for vec in islice(incl_cols, cov.syzygy.dims[v]):
+            gset = {flat[k] for k in compress(range(len(vec)), vec)}
             check(len(gset) == 1, "syzygy basis vector is not homogeneous")
             syz_grades[v].append(gset.pop())
     gsyz = GradedRepresentation(cov.syzygy, syz_grades)

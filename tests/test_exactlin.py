@@ -18,7 +18,10 @@ from grkoszul.exactlin import (
     rank_kernel,
     row_space,
     solve,
+    sparse_row,
 )
+
+from dense_oracle import DenseSubspace, dense_rank_kernel
 
 try:  # sympy is an optional, independent elimination oracle
     from sympy import GF
@@ -738,3 +741,73 @@ def test_mul_matches_the_entrywise_definition(case):
     assert product.shape == (a.nrows, b.ncols)
     assert product.rows == naive_product(a, b)
     assert canonical_rows(f, product.rows)
+
+
+# -- the sparse RREF against the dense oracle ------------------------------------------
+
+
+def oracle_vectors(field, n):
+    """Vectors as callers pass them: dense, or zero but for one or two
+    entries; entries are bools, negatives, values >= p and Fractions."""
+    entries = caller_entries(field)
+    dense = st.lists(entries, min_size=n, max_size=n)
+    sparse = st.dictionaries(st.integers(0, n - 1), entries, max_size=2).map(
+        lambda d: [d.get(j, 0) for j in range(n)])
+    return st.one_of(sparse, dense)
+
+
+def oracle_cases(field):
+    return st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(st.just(field), st.just(n),
+                            st.lists(oracle_vectors(field, n), max_size=7),
+                            st.lists(oracle_vectors(field, n), min_size=1, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(oracle_cases))
+def test_sparse_subspace_matches_the_dense_oracle(case):
+    f, n, vectors, probes = case
+    space, oracle = Subspace(f, n), DenseSubspace(f, n)
+    for vec in vectors:
+        assert space.add(vec) == oracle.add(vec)
+        # the dense view is read after every add, so a stale one shows
+        assert (space.rows, space.pivots, len(space)) == (oracle.rows, oracle.pivots, len(oracle))
+        assert canonical_rows(f, space.rows)
+    grown = space.copy()
+    for vec in probes + vectors:
+        assert space.contains(vec) == oracle.contains(vec)
+        assert space.coords(vec) == oracle.coords(vec)
+        assert space.reduce(vec) == oracle.reduce(vec)
+        canon = f.coerce_row(vec)
+        assert space.coords_canonical(sparse_row(canon)) == space.coords_canonical(canon) \
+            == oracle.coords(vec)
+    other = Subspace(f, n, probes)
+    assert (space == other) == (oracle == DenseSubspace(f, n, probes)) == (other == space)
+    # a copy grows on its own; sparse canonical rows reach the same RREF
+    for vec in probes:
+        grown.add(vec)
+    assert grown.rows == DenseSubspace(f, n, vectors + probes).rows
+    assert (space.rows, space.pivots) == (oracle.rows, oracle.pivots)
+    trusted = Subspace(f, n)
+    for vec in vectors:
+        trusted.add_canonical(sparse_row(f.coerce_row(vec)))
+    assert trusted == space
+
+
+def oracle_matrices(field):
+    return st.integers(min_value=1, max_value=6).flatmap(
+        lambda m: st.lists(oracle_vectors(field, m), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(
+    lambda f: st.tuples(st.just(f), oracle_matrices(f))))
+def test_rank_kernel_matches_the_dense_oracle(case):
+    f, rows = case
+    m = MatrixExact(f, rows)
+    rank, kernel = rank_kernel(m)
+    assert (rank, kernel) == dense_rank_kernel(m)
+    assert canonical_rows(f, kernel.rows)
+    red, pivots = echelon(m)
+    oracle = DenseSubspace(f, m.ncols, m.rows)
+    assert (red.rows, list(pivots)) == (oracle.rows, oracle.pivots)

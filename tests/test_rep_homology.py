@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import DenseSubspace
 from grkoszul import rep_homology
 from grkoszul.errors import (
     GrkoszulError,
@@ -26,7 +27,8 @@ from grkoszul.errors import (
     PreconditionError,
     check,
 )
-from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, Subspace, rank_kernel, row_space
+from grkoszul.exactlin import (QQ, FieldSpec, MatrixExact, Subspace, dense_row, rank_kernel,
+                               row_space, sparse_row)
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -268,6 +270,34 @@ def test_invertible_combination_cap_and_completeness():
             _invertible_combination(QQ, [e11, e12], 2)
     finally:
         rh.ISO_SEARCH_CAP = old
+
+
+def test_hom_dimensions_refute_an_isomorphism_before_the_grid(monkeypatch):
+    """M_0 + L and M_1 + L over k<x,y>/(x,y)^2, with M_t spanned by u and
+    u.x = w, u.y = t w, agree in their vertex and layer dimensions (and, in
+    the grading u in 0, w and L in 1, in their graded pieces), and no single
+    hom or the sum of the basis homs is invertible.  dim Hom(M, N) = 4 and
+    dim End(M) = 5 (graded: 2 and 3) refute an isomorphism with no search,
+    which a cap of 0 determinants would refuse."""
+    alg = build_algebra(QuiverPresentation(
+        QQ, ["1"], [("x", "1", "1"), ("y", "1", "1")],
+        [[(1, p)] for p in (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))]))
+
+    def m(t):
+        return direct_sum(make_representation(
+            alg, {"1": 2}, {"x": MatrixExact(QQ, [[0, 0], [1, 0]]),
+                            "y": MatrixExact(QQ, [[0, 0], [t, 0]])}), simple_rep(alg, "1"))
+
+    m0, m1 = m(0), m(1)
+    assert layer_dims(m0) == layer_dims(m1)
+    assert (len(hom_space(m0, m1)), len(hom_space(m0, m0))) == (4, 5)
+    monkeypatch.setattr(rep_homology, "ISO_SEARCH_CAP", 0)
+    assert is_isomorphic(m0, m1) == (False, None)
+    g0, g1 = (GradedRepresentation(x, {"1": [0, 1, 1]}) for x in (m0, m1))
+    assert (len(graded_hom_space(g0, g1)), len(graded_hom_space(g0, g0))) == (2, 3)
+    assert not graded_is_isomorphic(g0, g1)
+    # an isomorphic pair still finds its witness
+    assert is_isomorphic(m1, m(1))[0]
 
 
 # -- gr of modules ----------------------------------------------------------------------
@@ -1358,6 +1388,65 @@ def cover_path_modules(alg, degree=2):
     return out
 
 
+def sub_rep_by_dense_oracle(m, rows):
+    """(dims in vertex order, inclusion, total action per arrow) of the
+    submodule the rows span, by dense elimination and total-action products,
+    or None when their span is not closed under the idempotents and arrows."""
+    f, n = m.algebra.field, m.total_dim
+    span = DenseSubspace(f, n, rows)
+    for row in span.rows:
+        if not all(span.contains(m.embed(v, m.block(row, v))) for v in m.vertices):
+            return None
+        if not all(span.contains(m.total_action(a).apply(row)) for a in m.action):
+            return None
+    dims = [sum(1 for p in span.pivots if m.offset(v) <= p < m.offset(v) + m.dims[v])
+            for v in m.vertices]
+    incl = MatrixExact(f, span.rows, n).transpose() if span.rows else MatrixExact.zero(f, n, 0)
+    actions = {a: MatrixExact(f, [span.coords(m.total_action(a).apply(row)) for row in span.rows],
+                              len(span)).transpose() if span.rows else MatrixExact.zero(f, 0, 0)
+               for a in m.action}
+    return dims, incl, actions
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_quiver_algebra(), st.data())
+def test_sub_rep_matches_the_dense_oracle(alg, data):
+    """Spans of random vectors (whole, or cut to one vertex block), and the
+    submodules they generate, against the dense oracle: sub_rep and
+    quotient_rep refuse exactly the spans that are not submodules."""
+    f = alg.field
+    m = data.draw(st.sampled_from([x for x in cover_path_modules(alg, degree=1) if x.total_dim]))
+    entries = st.integers(-3, 3).map(f.coerce)
+    vectors = data.draw(st.lists(st.lists(entries, min_size=m.total_dim, max_size=m.total_dim),
+                                 max_size=3))
+    vectors = [m.embed(v, m.block(vec, v)) if data.draw(st.booleans()) else vec
+               for vec in vectors for v in [data.draw(st.sampled_from(m.vertices))]]
+    if data.draw(st.booleans()):
+        vectors = [m.element_total(alg.basis_vector(i)).apply(vec)
+                   for vec in vectors for i in range(alg.dim)]
+    expected = sub_rep_by_dense_oracle(m, vectors)
+    if expected is None:
+        for build in (sub_rep, quotient_rep):
+            with pytest.raises(InputFormatError):
+                build(m, vectors)
+        return
+    dims, incl, actions = expected
+    for rows in (vectors, Subspace(f, m.total_dim, vectors)):
+        sub, got_incl = sub_rep(m, rows)
+        assert ([sub.dims[v] for v in m.vertices], got_incl) == (dims, incl)
+        assert {a: sub.total_action(a) for a in m.action} == actions
+    assert quotient_rep(m, vectors)[0].total_dim == m.total_dim - sum(dims)
+
+
+def test_radical_series_is_kept_on_the_module_and_handed_out_as_a_fresh_list(cycle):
+    p1 = projective_rep(cycle, "1")
+    first = radical_series(p1)
+    first.append(None)
+    second = radical_series(p1)
+    assert second[-1] is not None and second[0] is first[0]
+    assert second == radical_series(make_representation(cycle, p1.dims, p1.action))
+
+
 @settings(max_examples=200, deadline=None)
 @given(monomial_quiver_algebra(), st.data())
 def test_cover_columns_match_the_path_total_oracle(alg, data):
@@ -1373,13 +1462,14 @@ def test_cover_columns_match_the_path_total_oracle(alg, data):
         v = data.draw(st.sampled_from(filled))
         block = data.draw(st.lists(st.integers(-3, 3), min_size=m.dims[v],
                                    max_size=m.dims[v]).map(f.coerce_row))
-        images = m.path_images(v, block)
+        images = m.path_images(v, sparse_row(block))
         assert list(images) == [i for i, bp in enumerate(alg.basis) if bp.src == v]
         for i, img in images.items():
             bp = alg.basis[i]
             whole = m.path_total(bp.arrows).apply(m.embed(v, block)) if bp.arrows \
                 else m.embed(v, block)
-            assert m.embed(bp.dst, img) == whole
+            assert img == sparse_row(m.block(whole, bp.dst))
+            assert m.embed(bp.dst, dense_row(img, m.dims[bp.dst])) == whole
 
 
 @settings(max_examples=30, deadline=None)
@@ -1586,8 +1676,9 @@ def quotient_by_element(proj, u):
     """P/uA for u in P: the quotient by the submodule u generates, spanned
     by u.p over the basis paths p."""
     basis = proj.algebra.basis
-    rows = [proj.embed(basis[i].dst, img) for w in proj.vertices
-            for i, img in proj.path_images(w, proj.block(u, w)).items()]
+    rows = [proj.embed(basis[i].dst, dense_row(img, proj.dims[basis[i].dst]))
+            for w in proj.vertices
+            for i, img in proj.path_images(w, sparse_row(proj.block(u, w))).items()]
     return quotient_rep(proj, rows)[0]
 
 
