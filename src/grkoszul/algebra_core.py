@@ -319,15 +319,15 @@ class FiniteDimAlgebra(_Memoized):
 
     def multiply(self, x: list, y: list) -> list:
         """x * y over the basis products of the nonzero entries of x and y."""
-        f, char = self.field, self.field.char
-        out = [0] * self.dim
-        ys = [(j, y[j]) for j in itertools.compress(range(self.dim), y)]
-        for i in itertools.compress(range(self.dim), x):
-            a = x[i]
-            for j, b in ys:
-                for k, c in self.mult_basis(i, j):
-                    out[k] += a * b * c
-        return [s % char for s in out] if char else f.coerce_row(out)
+        f = self.field
+        out = self.zero_vector()
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                for j, b in ys:
+                    for k, c in self.mult_basis(i, j):
+                        out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
+        return out
 
     # -- radical ----------------------------------------------------------------
 

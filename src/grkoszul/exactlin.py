@@ -279,8 +279,8 @@ class MatrixExact:
 
 
 def sparse_row(row: list) -> dict:
-    """The nonzero entries of a dense row, {column: scalar}, by C-level scans."""
-    return dict(zip(compress(range(len(row)), row), compress(row, row)))
+    """The nonzero entries of a dense row, {column: scalar}; a C-level scan finds them."""
+    return {j: row[j] for j in compress(range(len(row)), row)}
 
 
 def dense_row(vec: dict, n: int) -> list:
@@ -332,11 +332,12 @@ class Subspace:
     @classmethod
     def from_rref(cls, field: FieldSpec, ambient: int, rows: list,
                   pivots=None) -> "Subspace":
-        """The span of rows (dense lists or sparse dicts) that already form a
-        canonical RREF with these pivot columns (by default each row's
+        """The span of rows, all dense lists or all sparse dicts, that already
+        form a canonical RREF with these pivot columns (by default each row's
         leading column); takes them as they are, with no elimination."""
         space = cls(field, ambient)
-        rows = [row if type(row) is dict else sparse_row(row) for row in rows]
+        if rows and type(rows[0]) is not dict:
+            rows = [sparse_row(row) for row in rows]
         space.pivots = list(pivots) if pivots is not None else [min(row) for row in rows]
         space.rref = dict(zip(space.pivots, rows))
         return space

@@ -378,18 +378,11 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
 
 def radical_space(rep: Representation) -> Subspace:
     """M rad A, the sum of the arrow images, as the canonical RREF."""
-    return _arrow_images(rep, Subspace.whole(rep.algebra.field, rep.total_dim))
-
-
-def _arrow_images(rep: Representation, span: Subspace) -> Subspace:
-    """N rad A for a submodule N: the span of the images of its RREF rows
-    under the arrows, since x.a.p = (x.a.p').b for a path p = p'b."""
-    split = _split_rows_by_vertex(rep, span)
-    out = Subspace(rep.algebra.field, rep.total_dim)
-    for name, src, dst in rep.algebra.presentation.arrows:
-        for row in split[src].rref.values():
-            out.add_canonical(rep.place(dst, rep.act(name, row)))
-    return out
+    space = Subspace(rep.algebra.field, rep.total_dim)
+    for name, _, dst in rep.algebra.presentation.arrows:
+        for col in rep.columns()[name]:
+            space.add_canonical(rep.place(dst, col))
+    return space
 
 
 def radical_series(rep: Representation) -> list[Subspace]:
@@ -403,8 +396,13 @@ def radical_series(rep: Representation) -> list[Subspace]:
         return list(rep._cache["radical series"])
     series = [Subspace.whole(rep.algebra.field, rep.total_dim)]
     while series[-1]:
-        current = series[-1]
-        nxt = _arrow_images(rep, current)
+        # rad^(k+1) M is spanned by the arrow images of rad^k M, as x.a.p =
+        # (x.a.p').b for a path p = p'b
+        current, split = series[-1], _split_rows_by_vertex(rep, series[-1])
+        nxt = Subspace(rep.algebra.field, rep.total_dim)
+        for name, src, dst in rep.algebra.presentation.arrows:
+            for row in split[src].rref.values():
+                nxt.add_canonical(rep.place(dst, rep.act(name, row)))
         check(len(nxt) < len(current), "radical series stalled: action not nilpotent")
         series.append(nxt)
     rep._cache["radical series"] = series
@@ -669,22 +667,22 @@ def hom_space(m: Representation, n: Representation) -> list[MatrixExact]:
         return []
     rows = []
     for name, src, dst in m.algebra.presentation.arrows:
-        a_m = m.action[name]
+        a_m = m.columns()[name]
         a_n = n.action[name]
-        # F_dst a_m - a_n F_src = 0, one row per entry (i, j)
+        # F_dst a_m - a_n F_src = 0, one row per entry (i, j), over the
+        # nonzero entries of column j of a_m and of row i of a_n
         for i in range(n.dims[dst]):
             for j in range(m.dims[src]):
                 row = [f.zero] * count
-                for k in range(m.dims[dst]):
-                    idx = pos[(dst, i, k)]
-                    row[idx] = f.add(row[idx], a_m.rows[k][j])
-                for k in range(n.dims[src]):
+                for k, x in a_m[j].items():
+                    row[pos[(dst, i, k)]] = x
+                for k in compress(range(n.dims[src]), a_n.rows[i]):
                     idx = pos[(src, k, j)]
                     row[idx] = f.sub(row[idx], a_n.rows[i][k])
-                if any(x != f.zero for x in row):
+                if any(row):
                     rows.append(row)
     if rows:
-        _, kernel = rank_kernel(MatrixExact(f, rows, count))
+        _, kernel = rank_kernel(MatrixExact.trusted(f, rows, count))
         sols = list(kernel.rows)
     else:
         sols = MatrixExact.identity(f, count).rows
