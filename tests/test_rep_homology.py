@@ -1416,11 +1416,24 @@ def test_sub_rep_matches_the_dense_oracle(alg, data):
     quotient_rep refuse exactly the spans that are not submodules."""
     f = alg.field
     m = data.draw(st.sampled_from([x for x in cover_path_modules(alg, degree=1) if x.total_dim]))
+    # rescale every basis vector, so that the actions hold more than 0 and 1
+    units = st.integers(1, 7).map(f.coerce).filter(bool)
+    scale = {v: data.draw(st.lists(units, min_size=m.dims[v], max_size=m.dims[v]))
+             for v in m.vertices}
+    m = make_representation(alg, m.dims, {
+        a: MatrixExact(f, [[f.mul(f.mul(scale[dst][i], x), f.inv(scale[src][j]))
+                            for j, x in enumerate(row)] for i, row in enumerate(m.action[a].rows)],
+                       m.dims[src])
+        for a, src, dst in alg.presentation.arrows})
     entries = st.integers(-3, 3).map(f.coerce)
     vectors = data.draw(st.lists(st.lists(entries, min_size=m.total_dim, max_size=m.total_dim),
                                  max_size=3))
     vectors = [m.embed(v, m.block(vec, v)) if data.draw(st.booleans()) else vec
                for vec in vectors for v in [data.draw(st.sampled_from(m.vertices))]]
+    for vec in vectors:  # one arrow step on sparse blocks, against the dense action
+        for a, src, dst in alg.presentation.arrows:
+            assert m.act(a, sparse_row(m.block(vec, src))) == \
+                sparse_row(m.block(m.total_action(a).apply(vec), dst))
     if data.draw(st.booleans()):
         vectors = [m.element_total(alg.basis_vector(i)).apply(vec)
                    for vec in vectors for i in range(alg.dim)]
