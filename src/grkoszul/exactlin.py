@@ -6,7 +6,7 @@ integers; over F_p they are ints reduced to [0, p).  No floats anywhere.
 A `MatrixExact` is a list of dense rows; `mul` and `apply` find the nonzero
 entries they combine by C-level `itertools.compress` scans.  A `Subspace`
 keeps its RREF sparse, one {column: scalar} dict of nonzero entries per
-pivot (`sparse_row`, `dense_row` convert), so eliminating a vector touches
+pivot (`_sparse_row`, `_dense_row` convert), so eliminating a vector touches
 only its nonzero entries and the rows of the pivots among them.
 
 Pivoting rule: echelon reduction (`Subspace.add`, which `echelon` and
@@ -278,12 +278,12 @@ class MatrixExact:
         return f"MatrixExact({self.field.describe()}, {self.rows})"
 
 
-def sparse_row(row: list) -> dict:
+def _sparse_row(row: list) -> dict:
     """The nonzero entries of a dense row, {column: scalar}; a C-level scan finds them."""
     return {j: row[j] for j in compress(range(len(row)), row)}
 
 
-def dense_row(vec: dict, n: int) -> list:
+def _dense_row(vec: dict, n: int) -> list:
     """The dense row of length n with the entries of the sparse vec."""
     row = [0] * n
     for j, x in vec.items():
@@ -291,7 +291,7 @@ def dense_row(vec: dict, n: int) -> list:
     return row
 
 
-def add_multiple(char: int, vec: dict, c, row: dict) -> None:
+def _add_multiple(char: int, vec: dict, c, row: dict) -> None:
     """vec += c * row in place over Q (char 0) or F_char for sparse vectors
     of canonical scalars and c != 0; an entry that cancels is dropped."""
     get = vec.get
@@ -337,7 +337,7 @@ class Subspace:
         leading column); takes them as they are, with no elimination."""
         space = cls(field, ambient)
         if rows and type(rows[0]) is not dict:
-            rows = [sparse_row(row) for row in rows]
+            rows = [_sparse_row(row) for row in rows]
         space.pivots = list(pivots) if pivots is not None else [min(row) for row in rows]
         space.rref = dict(zip(space.pivots, rows))
         return space
@@ -357,7 +357,7 @@ class Subspace:
     def rows(self) -> list[list]:
         """The dense RREF rows in pivot order; read-only, rebuilt after an `add`."""
         if self._dense is None:
-            self._dense = [dense_row(self.rref[p], self.ambient) for p in self.pivots]
+            self._dense = [_dense_row(self.rref[p], self.ambient) for p in self.pivots]
         return self._dense
 
     def __len__(self) -> int:
@@ -372,7 +372,7 @@ class Subspace:
         """A dense vector of this ambient space as its sparse canonical entries."""
         if len(vec) != self.ambient:
             raise InputFormatError("vector length does not match the ambient dimension")
-        return sparse_row(self.field.coerce_row(vec))
+        return _sparse_row(self.field.coerce_row(vec))
 
     def _residual(self, vec: dict) -> dict:
         """vec minus its entry at each pivot times that pivot's row (vec
@@ -383,12 +383,12 @@ class Subspace:
             return vec
         res = dict(vec)
         for p, c in hits:
-            add_multiple(self.field.char, res, -c, rref[p])
+            _add_multiple(self.field.char, res, -c, rref[p])
         return res
 
     def reduce(self, vec: list) -> list:
         """Residual of vec after clearing its entries at the pivot columns."""
-        return dense_row(self._residual(self._sparse(vec)), self.ambient)
+        return _dense_row(self._residual(self._sparse(vec)), self.ambient)
 
     def contains(self, vec: list) -> bool:
         return not self._residual(self._sparse(vec))
@@ -435,7 +435,7 @@ class Subspace:
             c = row.get(lead)
             if c:
                 row = dict(row)
-                add_multiple(f.char, row, -c, res)
+                _add_multiple(f.char, row, -c, res)
                 rref[p] = row
         rref[lead] = res
         insort(self.pivots, lead)
@@ -454,7 +454,7 @@ def rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
     f, n = m.field, m.ncols
     mirrored = Subspace(f, n)
     for row in m.rows:
-        mirrored.add_canonical(sparse_row(row[::-1]))
+        mirrored.add_canonical(_sparse_row(row[::-1]))
     # the kernel vector of free column j: 1 at j, and minus row[j] at the
     # pivot of each RREF row; a fully reduced row is 0 at every other pivot
     pivots = {n - 1 - p for p in mirrored.pivots}
@@ -463,7 +463,7 @@ def rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
         for j, x in row.items():
             if j != p:
                 kernel[n - 1 - j][n - 1 - p] = f.neg(x)
-    basis = MatrixExact.trusted(f, [dense_row(kernel[j], n) for j in sorted(kernel)], n)
+    basis = MatrixExact.trusted(f, [_dense_row(kernel[j], n) for j in sorted(kernel)], n)
     check(not kernel or m.mul(basis.transpose()).is_zero(), "kernel basis fails A*k = 0")
     check(len(pivots) + len(kernel) == n, "rank-nullity violated")
     return len(pivots), basis

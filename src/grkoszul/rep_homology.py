@@ -20,15 +20,15 @@ from .exactlin import (
     FieldSpec,
     MatrixExact,
     Subspace,
-    add_multiple,
-    dense_row,
     determinant,
     echelon,
     intersect_spaces,
     rank_kernel,
     row_space,
     solve,
-    sparse_row,
+    _add_multiple,
+    _dense_row,
+    _sparse_row,
 )
 from .algebra_core import (
     FiniteDimAlgebra,
@@ -92,7 +92,7 @@ class Representation:
     def columns(self) -> dict[str, list[dict]]:
         """Each arrow's action block by sparse columns; kept in `_cache`."""
         if "columns" not in self._cache:
-            self._cache["columns"] = {a: [sparse_row(col) for col in mat.transpose().rows]
+            self._cache["columns"] = {a: [_sparse_row(col) for col in mat.transpose().rows]
                                       for a, mat in self.action.items()}
         return self._cache["columns"]
 
@@ -101,7 +101,7 @@ class Representation:
         block vector at its target."""
         cols, out = (self._cache.get("columns") or self.columns())[name], {}
         for j, x in vec.items():
-            add_multiple(self.algebra.field.char, out, x, cols[j])
+            _add_multiple(self.algebra.field.char, out, x, cols[j])
         return out
 
     def total_action(self, name: str) -> MatrixExact:
@@ -332,7 +332,7 @@ def sub_rep(rep: Representation, rows) -> tuple[Representation, MatrixExact]:
                 mat[position[q]][j] = x
         action[name] = MatrixExact.trusted(f, mat, dims[src])
     sub = Representation(rep.algebra, dims, action)
-    basis = [dense_row(rep.place(v, per_vertex[v].rref[p]), rep.total_dim)
+    basis = [_dense_row(rep.place(v, per_vertex[v].rref[p]), rep.total_dim)
              for v in rep.vertices for p in per_vertex[v].pivots]
     return sub, MatrixExact.trusted(f, basis, rep.total_dim).transpose()
 
@@ -855,7 +855,7 @@ def projective_cover(rep: Representation) -> Cover:
     # summands, then each summand's basis paths in algebra order
     images = [rep.path_images(v, {j: f.one}) for v, j in generators]
     basis, n = rep.algebra.basis, rep.total_dim
-    cols = [dense_row(rep.place(u, block), n) for u in rep.vertices for img in images
+    cols = [_dense_row(rep.place(u, block), n) for u in rep.vertices for img in images
             for i, block in img.items() if basis[i].dst == u]
     nu = MatrixExact.trusted(f, cols, n).transpose()
     rank, kernel = rank_kernel(nu)

@@ -18,7 +18,7 @@ from grkoszul.exactlin import (
     rank_kernel,
     row_space,
     solve,
-    sparse_row,
+    _sparse_row,
 )
 
 from dense_oracle import DenseSubspace, dense_rank_kernel
@@ -779,7 +779,7 @@ def test_sparse_subspace_matches_the_dense_oracle(case):
         assert space.coords(vec) == oracle.coords(vec)
         assert space.reduce(vec) == oracle.reduce(vec)
         canon = f.coerce_row(vec)
-        assert space.coords_canonical(sparse_row(canon)) == space.coords_canonical(canon) \
+        assert space.coords_canonical(_sparse_row(canon)) == space.coords_canonical(canon) \
             == oracle.coords(vec)
     other = Subspace(f, n, probes)
     assert (space == other) == (oracle == DenseSubspace(f, n, probes)) == (other == space)
@@ -790,7 +790,7 @@ def test_sparse_subspace_matches_the_dense_oracle(case):
     assert (space.rows, space.pivots) == (oracle.rows, oracle.pivots)
     trusted = Subspace(f, n)
     for vec in vectors:
-        trusted.add_canonical(sparse_row(f.coerce_row(vec)))
+        trusted.add_canonical(_sparse_row(f.coerce_row(vec)))
     assert trusted == space
 
 

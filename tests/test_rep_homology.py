@@ -27,8 +27,8 @@ from grkoszul.errors import (
     PreconditionError,
     check,
 )
-from grkoszul.exactlin import (QQ, FieldSpec, MatrixExact, Subspace, dense_row, rank_kernel,
-                               row_space, sparse_row)
+from grkoszul.exactlin import (QQ, FieldSpec, MatrixExact, Subspace, rank_kernel, row_space,
+                               _dense_row, _sparse_row)
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -1432,8 +1432,8 @@ def test_sub_rep_matches_the_dense_oracle(alg, data):
                for vec in vectors for v in [data.draw(st.sampled_from(m.vertices))]]
     for vec in vectors:  # one arrow step on sparse blocks, against the dense action
         for a, src, dst in alg.presentation.arrows:
-            assert m.act(a, sparse_row(m.block(vec, src))) == \
-                sparse_row(m.block(m.total_action(a).apply(vec), dst))
+            assert m.act(a, _sparse_row(m.block(vec, src))) == \
+                _sparse_row(m.block(m.total_action(a).apply(vec), dst))
     if data.draw(st.booleans()):
         vectors = [m.element_total(alg.basis_vector(i)).apply(vec)
                    for vec in vectors for i in range(alg.dim)]
@@ -1475,14 +1475,14 @@ def test_cover_columns_match_the_path_total_oracle(alg, data):
         v = data.draw(st.sampled_from(filled))
         block = data.draw(st.lists(st.integers(-3, 3), min_size=m.dims[v],
                                    max_size=m.dims[v]).map(f.coerce_row))
-        images = m.path_images(v, sparse_row(block))
+        images = m.path_images(v, _sparse_row(block))
         assert list(images) == [i for i, bp in enumerate(alg.basis) if bp.src == v]
         for i, img in images.items():
             bp = alg.basis[i]
             whole = m.path_total(bp.arrows).apply(m.embed(v, block)) if bp.arrows \
                 else m.embed(v, block)
-            assert img == sparse_row(m.block(whole, bp.dst))
-            assert m.embed(bp.dst, dense_row(img, m.dims[bp.dst])) == whole
+            assert img == _sparse_row(m.block(whole, bp.dst))
+            assert m.embed(bp.dst, _dense_row(img, m.dims[bp.dst])) == whole
 
 
 @settings(max_examples=30, deadline=None)
@@ -1689,9 +1689,9 @@ def quotient_by_element(proj, u):
     """P/uA for u in P: the quotient by the submodule u generates, spanned
     by u.p over the basis paths p."""
     basis = proj.algebra.basis
-    rows = [proj.embed(basis[i].dst, dense_row(img, proj.dims[basis[i].dst]))
+    rows = [proj.embed(basis[i].dst, _dense_row(img, proj.dims[basis[i].dst]))
             for w in proj.vertices
-            for i, img in proj.path_images(w, sparse_row(proj.block(u, w))).items()]
+            for i, img in proj.path_images(w, _sparse_row(proj.block(u, w))).items()]
     return quotient_rep(proj, rows)[0]
 
 
