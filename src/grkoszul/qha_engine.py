@@ -301,17 +301,17 @@ def _delta_filtration(h: HighestWeightStructure, m: Representation) -> list[str]
         if delta.dims[mu] != 1:
             continue
         count = m.dims[mu]
-        rows = Subspace(h.algebra.field, m.total_dim)
+        span = Subspace(h.algebra.field, m.total_dim)
         for k in range(count):
             for i, block in m.path_images(mu, {k: h.algebra.field.one}).items():
-                rows.add_canonical(m.place(h.algebra.basis[i].dst, block))
-        bottom, _ = sub_rep(m, rows)
+                span.add_canonical(m.place(h.algebra.basis[i].dst, block))
+        bottom, _ = sub_rep(m, span)
         if bottom.total_dim != count * delta.total_dim:
             continue
         ok, _ = is_isomorphic(bottom, direct_sum(*([delta] * count)))
         if not ok:
             continue
-        rest = _delta_filtration(h, quotient_rep(m, rows)[0])
+        rest = _delta_filtration(h, quotient_rep(m, span)[0])
         if rest is not None:
             return rest + [mu] * count
     return None

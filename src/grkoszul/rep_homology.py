@@ -332,9 +332,9 @@ def sub_rep(rep: Representation, rows) -> tuple[Representation, MatrixExact]:
                 mat[position[q]][j] = x
         action[name] = MatrixExact.trusted(f, mat, dims[src])
     sub = Representation(rep.algebra, dims, action)
-    basis = [_dense_row(rep.place(v, per_vertex[v].rref[p]), rep.total_dim)
-             for v in rep.vertices for p in per_vertex[v].pivots]
-    return sub, MatrixExact.trusted(f, basis, rep.total_dim).transpose()
+    incl = [_dense_row(rep.place(v, per_vertex[v].rref[p]), rep.total_dim)
+            for v in rep.vertices for p in per_vertex[v].pivots]
+    return sub, MatrixExact.trusted(f, incl, rep.total_dim).transpose()
 
 
 def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation, MatrixExact]:
@@ -417,7 +417,7 @@ def socle_series(rep: Representation) -> list[Subspace]:
     while len(series[-1]) < n:
         current = series[-1]
         # rows of the maps x -> (x.a mod current term), stacked over arrows a;
-        # column j of each is unit j's image, column j of a's total action
+        # the image of unit j under a is column j of a's total action
         stacked = []
         for name in rep.action:
             cols = [current.reduce(col) for col in rep.total_action(name).transpose().rows]
