@@ -286,9 +286,6 @@ class RootDatum:
         return tuple(sum(inv[i][k] * weight.coordinates[k] for k in range(self.rank))
                      for i in range(self.rank))
 
-    def inner(self, a: Weight, b: Weight) -> Fraction:
-        return self.root_inner(self.to_root_coords(a), b)
-
     def root_inner(self, root: tuple, weight: Weight) -> int | Fraction:
         """(root, weight), root in simple-root coordinates: (alpha_i, nu) = s_i nu_i."""
         return sum(r * s * x for r, s, x in zip(root, self.symmetrizer, weight.coordinates))

@@ -29,9 +29,9 @@ Reports consist solely of `key=value` lines and `#` comments and open with
 a header echoing the artifact version, the subcommand and every argument,
 so identical requests produce byte-identical reports.  Exit status: 0 on
 success, 2 on malformed input (messages carry file:line locations), 3 on a
-failed mathematical precondition (the clause is named), 4 on a violated
-internal invariant.  Polynomials are printed in t = q^(1/2): the classical
-coefficient of q^k appears on t^(2k).
+failed mathematical precondition (the clause is named) or when memory runs
+out, 4 on a violated internal invariant.  Polynomials are printed in
+t = q^(1/2): the classical coefficient of q^k appears on t^(2k).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .errors import (
     PreconditionError,
     require,
 )
-from .exactlin import QQ, FieldSpec, MatrixExact
+from .exactlin import QQ, FieldSpec, _sparse_row
 from .klpoly import (
     lcf_character,
     load_or_build_tables,
@@ -258,7 +258,7 @@ def parse_qrep(text: str, algebra: FiniteDimAlgebra,
     pres = algebra.presentation
     field = algebra.field
     dims: dict[str, int] = {}
-    action: dict[str, MatrixExact] = {}
+    action: dict[str, list[dict]] = {}  # sparse columns per arrow
     lines = list(_content_lines(text))
     i = 0
     while i < len(lines):
@@ -289,7 +289,7 @@ def parse_qrep(text: str, algebra: FiniteDimAlgebra,
             nrows, ncols = dims.get(dst, 0), dims.get(src, 0)
             i += 1
             if nrows == 0 or ncols == 0:
-                action[name] = MatrixExact.zero(field, nrows, ncols)
+                action[name] = [{} for _ in range(ncols)]
                 continue
             rows = []
             for k in range(nrows):
@@ -306,7 +306,7 @@ def parse_qrep(text: str, algebra: FiniteDimAlgebra,
                 except InputFormatError as exc:
                     _fail(source, row_number, str(exc))
                 i += 1
-            action[name] = MatrixExact(field, rows, ncols)
+            action[name] = [_sparse_row(col) for col in zip(*rows)]  # by columns
         else:
             _fail(source, number, "unknown directive %r" % tokens[0])
     try:
@@ -1228,6 +1228,10 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print("error (internal invariant): %s" % exc, file=sys.stderr)
         return 4
+    except MemoryError:
+        command = " ".join(filter(None, (args.group, getattr(args, "action", None))))
+        print("error (resources): out of memory in %s" % command, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

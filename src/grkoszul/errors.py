@@ -2,6 +2,7 @@
 
 Each class maps to one process exit status in the CLI:
 InputFormatError -> 2, PreconditionError -> 3, InternalCheckError -> 4.
+The CLI also maps a MemoryError to 3, as exhausted resources.
 """
 
 

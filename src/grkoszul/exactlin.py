@@ -469,23 +469,6 @@ def rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
     return len(pivots), basis
 
 
-def solve(a: MatrixExact, b: list) -> list | None:
-    """One exact solution of a*x = b (free variables set to 0), or None."""
-    if len(b) != a.nrows:
-        raise InputFormatError("right-hand side length does not match row count")
-    f = a.field
-    aug_rows = [row + [f.coerce(x)] for row, x in zip(a.rows, b)]
-    aug = MatrixExact.trusted(f, aug_rows, a.ncols + 1)
-    red, pivots = echelon(aug)
-    if a.ncols in pivots:
-        return None
-    x = [f.zero] * a.ncols
-    for rowidx, pcol in enumerate(pivots):
-        x[pcol] = red.rows[rowidx][a.ncols]
-    check(a.apply(x) == f.coerce_row(b), "solve produced a non-solution")
-    return x
-
-
 def invert(m: MatrixExact) -> MatrixExact | None:
     """The inverse of a square matrix, or None when it is singular: one
     elimination of (m | I), which reduces to (I | m^-1) exactly when its

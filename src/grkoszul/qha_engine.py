@@ -53,6 +53,7 @@ from .rep_homology import (
     simple_rep,
     socle_series,
     sub_rep,
+    _sparse_rows,
 )
 
 
@@ -204,7 +205,7 @@ def _standard_family(algebra: FiniteDimAlgebra, poset: WeightPosetIdeal,
             if poset.leq(mu, lam):
                 continue
             for phi in hom_space(projectives[mu], p):
-                trace.extend(phi.transpose().rows)
+                trace.extend(zip(*phi.rows))  # the images of P(mu)'s basis
         delta, _ = quotient_rep(p, trace)
         check(
             head_multiplicities(delta) == {v: 1 if v == lam else 0 for v in delta.vertices},
@@ -253,18 +254,17 @@ def dualize(h: HighestWeightStructure, rep: Representation) -> Representation:
     """The contravariant self-duality: M* with a acting through duality(a)."""
     require(h.duality is not None, "no duality is attached to this structure")
     algebra = h.algebra
-    f = algebra.field
+    one = algebra.field.one
     dims = dict(rep.dims)
-    action = {}
+    columns = {}
     for name, u, v in algebra.presentation.arrows:
+        # duality(a) runs from v to u; a acts on M* by its transpose, whose
+        # columns are the rows of duality(a)'s block, assembled by columns
         img = h.duality.apply(algebra.basis_vector(algebra.arrow_index[name]))
-        total = rep.element_total(img)
-        block = [
-            [total.rows[rep.offset(u) + i][rep.offset(v) + j] for j in range(dims[v])]
-            for i in range(dims[u])
-        ]
-        action[name] = MatrixExact(f, block, dims[v]).transpose()
-    return make_representation(algebra, dims, action)
+        by_columns = [rep.block(rep.act_element(img, rep.place(v, {j: one})), u)
+                      for j in range(dims[v])]
+        columns[name] = _sparse_rows(by_columns, dims[u])
+    return make_representation(algebra, dims, columns)
 
 
 # -- quasi-heredity ----------------------------------------------------------------
@@ -416,24 +416,21 @@ def _inflate(rep_b: Representation, h: HighestWeightStructure, kept: list[str],
     its ambient basis vector in the truncation.
     """
     algebra = h.algebra
-    f = algebra.field
+    one = algebra.field.one
     kept_set = set(kept)
     dims = {
         v: (rep_b.dims[v] if v in kept_set else 0)
         for v in algebra.presentation.vertices
     }
-    action = {}
+    columns = {}
     for name, u, v in algebra.presentation.arrows:
         if u in kept_set and v in kept_set and dims[u] and dims[v]:
-            total = rep_b.element_total(proj_coords[algebra.arrow_index[name]])
-            rows = [
-                [total.rows[rep_b.offset(v) + i][rep_b.offset(u) + j] for j in range(dims[u])]
-                for i in range(dims[v])
-            ]
-            action[name] = MatrixExact(f, rows, dims[u])
+            coords = proj_coords[algebra.arrow_index[name]]
+            columns[name] = [rep_b.block(rep_b.act_element(coords, rep_b.place(u, {j: one})), v)
+                             for j in range(dims[u])]
         else:
-            action[name] = MatrixExact.zero(f, dims[v], dims[u])
-    return make_representation(algebra, dims, action)
+            columns[name] = [{} for _ in range(dims[u])]
+    return make_representation(algebra, dims, columns)
 
 
 def _verify_truncation(h: HighestWeightStructure, hb: HighestWeightStructure,

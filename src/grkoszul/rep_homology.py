@@ -1,11 +1,13 @@
 """Quiver representations: filtrations, gr, covers, resolutions, Ext.
 
 Modules are right modules matching the path conventions of algebra_core:
-an arrow a: u -> v acts by a matrix of shape (dims[v] x dims[u]) sending
-the vertex-u block to the vertex-v block, and a path acts by composing
-its arrow matrices in traversal order, so m.(p*q) = (m.p).q.  Vectors
-live in a flat total space with blocks ordered by the algebra's vertex
-list; inside P(v) the basis paths keep the algebra's basis order.
+an arrow a: u -> v acts by sparse columns, one per basis vector of the
+vertex-u block, each its image in the vertex-v block as a {row: scalar}
+dict of nonzero entries (read as a matrix, shape dims[v] x dims[u]), and
+a path acts by applying its arrows in traversal order, so m.(p*q) =
+(m.p).q.  Vectors live in a flat total space with blocks ordered by the
+algebra's vertex list, sparse ones as {coordinate: scalar} dicts; inside
+P(v) the basis paths keep the algebra's basis order.
 
 Module gradings are recorded as one grade per coordinate of each vertex
 block.  gr M is graded by radical layers with the head in grade 0; the
@@ -25,7 +27,6 @@ from .exactlin import (
     intersect_spaces,
     rank_kernel,
     row_space,
-    solve,
     _add_multiple,
     _dense_row,
     _sparse_row,
@@ -47,11 +48,17 @@ ISO_SEARCH_CAP = 200_000
 
 @dataclass(eq=False)
 class Representation:
-    """A right module over a path algebra, stored blockwise by vertex."""
+    """A right module over a path algebra, stored blockwise by vertex.
+
+    columns[a] lists, for an arrow a: u -> v, the image x.a of each basis
+    vector x of the vertex-u block, as a sparse vector {row: scalar} of the
+    nonzero entries in the vertex-v block.  Columns are never changed after
+    construction, so modules may share them.
+    """
 
     algebra: FiniteDimAlgebra
     dims: dict[str, int]
-    action: dict[str, MatrixExact]
+    columns: dict[str, list[dict]]
 
     def __post_init__(self):
         self._cache: dict = {}
@@ -67,87 +74,53 @@ class Representation:
     def vertices(self) -> list[str]:
         return self.algebra.presentation.vertices
 
+    @property
+    def action(self) -> dict[str, MatrixExact]:
+        """Each arrow's block as a dense matrix of shape (dims[v] x dims[u]),
+        built from `columns` on each read: a view, never stored."""
+        f = self.algebra.field
+        return {name: MatrixExact.trusted(f, _dense_rows(self.columns[name], self.dims[dst]),
+                                          self.dims[src])
+                for name, src, dst in self.algebra.presentation.arrows}
+
     def offset(self, vertex: str) -> int:
         try:
             return self._offsets[vertex]
         except KeyError:
             raise InputFormatError(f"unknown vertex {vertex!r}") from None
 
-    def block(self, vec: list, vertex: str) -> list:
-        start = self.offset(vertex)
-        return vec[start : start + self.dims[vertex]]
-
-    def embed(self, vertex: str, block_vec: list) -> list:
-        """The total-space vector with block_vec at the vertex, zero elsewhere."""
-        vec = [self.algebra.field.zero] * self.total_dim
-        start = self.offset(vertex)
-        vec[start : start + self.dims[vertex]] = block_vec
-        return vec
-
     def place(self, vertex: str, block: dict) -> dict:
         """The sparse total-space vector with the sparse block at the vertex."""
         start = self.offset(vertex)
         return {start + j: x for j, x in block.items()} if start else block
 
-    def columns(self) -> dict[str, list[dict]]:
-        """Each arrow's action block by sparse columns; kept in `_cache`."""
-        if "columns" not in self._cache:
-            self._cache["columns"] = {a: [_sparse_row(col) for col in mat.transpose().rows]
-                                      for a, mat in self.action.items()}
-        return self._cache["columns"]
+    def block(self, vec: dict, vertex: str) -> dict:
+        """The sparse block at the vertex of a sparse total-space vector."""
+        start = self.offset(vertex)
+        end = start + self.dims[vertex]
+        return {j - start: x for j, x in vec.items() if start <= j < end}
 
     def act(self, name: str, vec: dict) -> dict:
         """x.a for a sparse block vector x at the arrow's source, a sparse
         block vector at its target."""
-        cols, out = (self._cache.get("columns") or self.columns())[name], {}
+        cols, out = self.columns[name], {}
         for j, x in vec.items():
             _add_multiple(self.algebra.field.char, out, x, cols[j])
         return out
 
-    def total_action(self, name: str) -> MatrixExact:
-        """The arrow's action on the full space (other blocks mapped to 0)."""
-        key = ("arrow", name)
-        if key in self._cache:
-            return self._cache[key]
-        f = self.algebra.field
-        n = self.total_dim
-        src, dst = self.algebra.presentation.arrow_endpoints(name)
-        mat = [[f.zero] * n for _ in range(n)]
-        small = self.action[name]
-        ro, co = self.offset(dst), self.offset(src)
-        for i, row in enumerate(small.rows):
-            mat[ro + i][co : co + small.ncols] = row
-        out = MatrixExact.trusted(f, mat, n)
-        self._cache[key] = out
-        return out
-
-    def path_total(self, path: tuple[str, ...]) -> MatrixExact:
-        """Action of a nonempty path, first arrow applied first."""
-        key = ("path", tuple(path))
-        if key in self._cache:
-            return self._cache[key]
-        out = None
-        for name in path:
-            step = self.total_action(name)
-            out = step if out is None else step.mul(out)
-        check(out is not None, "empty path has no total action")
-        self._cache[key] = out
-        return out
-
-    def element_total(self, coords: list) -> MatrixExact:
-        """Action of an algebra element given in algebra coordinates."""
-        f = self.algebra.field
-        n = self.total_dim
-        out = MatrixExact.zero(f, n, n)
-        for c, bp in zip(coords, self.algebra.basis):
-            if not c:
-                continue
-            if bp.arrows:
-                out = out.add(self.path_total(bp.arrows).scale(c))
-                continue
-            start = self.offset(bp.src)  # e_v acts as the projection to its block
-            for k in range(start, start + self.dims[bp.src]):
-                out.rows[k][k] = f.add(out.rows[k][k], f.coerce(c))
+    def act_element(self, coords: list, vec: dict) -> dict:
+        """x.c for a sparse total-space vector x and an algebra element c in
+        basis coordinates: the idempotent e_v keeps the block of v, and a
+        path walks `act` from its source block to its target block."""
+        f, out, blocks = self.algebra.field, {}, {}
+        for c, bp in zip(map(f.coerce, coords), self.algebra.basis):
+            if c:
+                if bp.src not in blocks:
+                    blocks[bp.src] = self.block(vec, bp.src)
+                img = blocks[bp.src]
+                for name in bp.arrows:
+                    img = self.act(name, img)
+                _add_multiple(f.char, out, c, self.place(bp.dst, img))
         return out
 
     def path_images(self, vertex: str, block_vec: dict) -> dict[int, dict]:
@@ -164,109 +137,130 @@ class Representation:
         return out
 
 
+def _dense_rows(columns: list[dict], nrows: int) -> list[list]:
+    """The dense rows of the matrix with these sparse columns."""
+    rows = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def _sparse_rows(columns: list[dict], nrows: int) -> list[dict]:
+    """The sparse rows of the matrix with these sparse columns: its
+    transpose, by columns."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
 def make_representation(algebra: FiniteDimAlgebra, dims: dict[str, int],
-                        action: dict[str, MatrixExact]) -> Representation:
-    """Validate shapes and relations, then build the representation."""
+                        columns: dict[str, list[dict]]) -> Representation:
+    """Validate shapes and relations, then build the representation.
+
+    columns[a] holds one sparse column {row: scalar} per coordinate of the
+    source block of a (see `Representation`); its scalars are canonicalised
+    here.  A relation holds when each basis vector of its source block,
+    walked along the relation's paths by `act`, sums to zero.
+    """
     pres = algebra.presentation
+    f = algebra.field
     full_dims = {}
     for v in pres.vertices:
         d = dims.get(v, 0)
         if d < 0:
             raise InputFormatError(f"negative dimension at vertex {v!r}")
         full_dims[v] = d
+    checked = {}
     for name, src, dst in pres.arrows:
-        mat = action.get(name)
-        if mat is None:
+        cols = columns.get(name)
+        if cols is None:
             raise InputFormatError(f"missing action matrix for arrow {name!r}")
-        if mat.shape != (full_dims[dst], full_dims[src]):
+        rows = range(full_dims[dst])
+        bad = next((i for col in cols for i in col if i not in rows), None)
+        if len(cols) != full_dims[src] or bad is not None:
+            got = f"{len(cols)} columns" if len(cols) != full_dims[src] else f"row index {bad!r}"
             raise InputFormatError(
-                f"arrow {name!r} needs shape ({full_dims[dst]}, {full_dims[src]}),"
-                f" got {mat.shape}"
-            )
-    rep = Representation(algebra, full_dims, dict(action))
-    f = algebra.field
+                f"arrow {name!r} needs shape ({full_dims[dst]}, {full_dims[src]}), got {got}")
+        checked[name] = [{i: x for i, x in zip(col, map(f.coerce, col.values())) if x}
+                         for col in cols]
+    rep = Representation(algebra, full_dims, checked)
     for rel in pres.relations:
-        acc = MatrixExact.zero(f, rep.total_dim, rep.total_dim)
-        for coeff, path in rel:
-            acc = acc.add(rep.path_total(tuple(path)).scale(f.coerce(coeff)))
-        if not acc.is_zero():
-            raise InputFormatError("action does not satisfy a defining relation")
+        terms = [(f.coerce(c), path) for c, path in rel]
+        for j in range(full_dims[pres.path_endpoints(rel[0][1])[0]]):
+            acc = {}
+            for c, path in terms:
+                img = {j: f.one}
+                for name in path:
+                    img = rep.act(name, img)
+                _add_multiple(f.char, acc, c, img)
+            if acc:
+                raise InputFormatError("action does not satisfy a defining relation")
     return rep
 
 
 def zero_rep(algebra: FiniteDimAlgebra) -> Representation:
-    f = algebra.field
     dims = {v: 0 for v in algebra.presentation.vertices}
-    action = {name: MatrixExact.zero(f, 0, 0) for name, _, _ in algebra.presentation.arrows}
-    return Representation(algebra, dims, action)
+    return Representation(algebra, dims, {name: [] for name, _, _ in algebra.presentation.arrows})
 
 
 def simple_rep(algebra: FiniteDimAlgebra, vertex: str) -> Representation:
     if vertex not in algebra.presentation.vertices:
         raise InputFormatError(f"unknown vertex {vertex!r}")
-    f = algebra.field
     dims = {v: 1 if v == vertex else 0 for v in algebra.presentation.vertices}
-    action = {
-        name: MatrixExact.zero(f, dims[dst], dims[src])
-        for name, src, dst in algebra.presentation.arrows
-    }
-    return Representation(algebra, dims, action)
+    columns = {name: [{} for _ in range(dims[src])]
+               for name, src, _ in algebra.presentation.arrows}
+    return Representation(algebra, dims, columns)
 
 
 def projective_rep(algebra: FiniteDimAlgebra, vertex: str) -> Representation:
     """P(vertex): basis is the normal paths starting at the vertex."""
     if vertex not in algebra.presentation.vertices:
         raise InputFormatError(f"unknown vertex {vertex!r}")
-    f = algebra.field
     per_vertex: dict[str, list[int]] = {v: [] for v in algebra.presentation.vertices}
     for i, bp in enumerate(algebra.basis):
         if bp.src == vertex:
             per_vertex[bp.dst].append(i)
     dims = {v: len(per_vertex[v]) for v in algebra.presentation.vertices}
-    action = {}
+    columns = {}
     for name, src, dst in algebra.presentation.arrows:
+        # column i is the product of basis path i with the arrow
         arrow_idx = algebra.arrow_index[name]
-        cols = []
-        for i in per_vertex[src]:
-            dense = {k: c for k, c in algebra.mult_basis(i, arrow_idx)}
-            cols.append([dense.get(j, f.zero) for j in per_vertex[dst]])
-        action[name] = MatrixExact(f, cols, dims[dst]).transpose()
-    return Representation(algebra, dims, action)
+        position = {k: r for r, k in enumerate(per_vertex[dst])}
+        columns[name] = [{position[k]: c for k, c in algebra.mult_basis(i, arrow_idx) if c}
+                         for i in per_vertex[src]]
+    return Representation(algebra, dims, columns)
 
 
 def direct_sum(*reps: Representation) -> Representation:
     require(len(reps) >= 1, "direct sum needs at least one summand")
     algebra = reps[0].algebra
-    f = algebra.field
     for r in reps:
         require(r.algebra is algebra, "direct sum needs modules over one algebra")
     dims = {v: sum(r.dims[v] for r in reps) for v in algebra.presentation.vertices}
-    action, columns = {}, {}
-    for name, src, dst in algebra.presentation.arrows:
-        mat = [[f.zero] * dims[src] for _ in range(dims[dst])]
-        ro = co = 0
+    columns = {}
+    for name, _, dst in algebra.presentation.arrows:
+        # the summands' columns, each moved down by the blocks before it
+        ro = 0
         columns[name] = []
         for r in reps:
-            small = r.action[name]
-            for i, row in enumerate(small.rows):
-                mat[ro + i][co : co + small.ncols] = row
-            columns[name] += [{ro + i: x for i, x in col.items()} for col in r.columns()[name]]
+            columns[name] += [{ro + i: x for i, x in col.items()} for col in r.columns[name]]
             ro += r.dims[dst]
-            co += r.dims[src]
-        action[name] = MatrixExact.trusted(f, mat, dims[src])
-    out = Representation(algebra, dims, action)
-    out._cache["columns"] = columns  # the summands' sparse columns, moved into place
-    return out
+    return Representation(algebra, dims, columns)
 
 
 def dual_rep(rep: Representation, op_algebra: FiniteDimAlgebra) -> Representation:
     """The dual space as a module over the opposite algebra.
 
     op_algebra must present the reversed quiver with the same arrow names
-    (the opposite_algebra output); each arrow then acts by the transpose.
+    (the opposite_algebra output); each arrow then acts by the transpose,
+    whose columns are the sparse rows of the arrow's block.
     """
-    action = {name: rep.action[name].transpose() for name in rep.action}
-    return make_representation(op_algebra, dict(rep.dims), action)
+    columns = {name: _sparse_rows(rep.columns[name], rep.dims[dst])
+               for name, _, dst in rep.algebra.presentation.arrows}
+    return make_representation(op_algebra, dict(rep.dims), columns)
 
 
 # -- submodules and quotients ---------------------------------------------------------
@@ -315,26 +309,22 @@ def sub_rep(rep: Representation, rows) -> tuple[Representation, MatrixExact]:
     chosen basis of S back into M.  Rows not closed under the action are
     an input error.
     """
-    f = rep.algebra.field
     per_vertex = _split_rows_by_vertex(rep, rows)
     dims = {v: len(per_vertex[v]) for v in rep.vertices}
-    action = {}
+    columns = {}
     for name, src, dst in rep.algebra.presentation.arrows:
         # each block basis is an RREF, so its pivot entries also prove membership
         basis, target = per_vertex[src], per_vertex[dst]
         position = {p: i for i, p in enumerate(target.pivots)}
-        mat = [[f.zero] * dims[src] for _ in range(dims[dst])]
-        for j, p in enumerate(basis.pivots):
+        columns[name] = cols = []
+        for p in basis.pivots:
             coords = target.pivot_entries(rep.act(name, basis.rref[p]))
             if coords is None:
                 raise InputFormatError("rows do not span an action-closed subspace")
-            for q, x in coords.items():
-                mat[position[q]][j] = x
-        action[name] = MatrixExact.trusted(f, mat, dims[src])
-    sub = Representation(rep.algebra, dims, action)
-    incl = [_dense_row(rep.place(v, per_vertex[v].rref[p]), rep.total_dim)
-            for v in rep.vertices for p in per_vertex[v].pivots]
-    return sub, MatrixExact.trusted(f, incl, rep.total_dim).transpose()
+            cols.append({position[q]: x for q, x in coords.items()})
+    sub = Representation(rep.algebra, dims, columns)
+    incl = [rep.place(v, per_vertex[v].rref[p]) for v in rep.vertices for p in per_vertex[v].pivots]
+    return sub, MatrixExact.trusted(rep.algebra.field, _dense_rows(incl, rep.total_dim), len(incl))
 
 
 def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation, MatrixExact]:
@@ -355,22 +345,16 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
     qdims = {v: len(free[v]) for v in rep.vertices}
 
     def project(v, block_vec):
-        red = per_vertex[v].reduce(block_vec)
-        return [red[j] for j in free[v]]
+        """The quotient coordinates of a sparse block vector at v, sparse."""
+        red = per_vertex[v].reduce(_dense_row(block_vec, rep.dims[v]))
+        return {k: red[j] for k, j in enumerate(free[v]) if red[j]}
 
-    action = {}
-    for name, src, dst in rep.algebra.presentation.arrows:
-        # the quotient basis at src is the images of the units at free[src]
-        cols = rep.action[name].transpose().rows
-        action[name] = MatrixExact.trusted(
-            f, [project(dst, cols[j]) for j in free[src]], qdims[dst]).transpose()
-    quot = Representation(rep.algebra, qdims, action)
-    proj_rows = []
-    for v in rep.vertices:
-        units = MatrixExact.identity(f, rep.dims[v]).rows
-        block = MatrixExact.trusted(f, [project(v, e) for e in units], qdims[v]).transpose()
-        proj_rows += [rep.embed(v, row) for row in block.rows]
-    return quot, MatrixExact.trusted(f, proj_rows, rep.total_dim)
+    # the quotient basis at src is the images of the units at free[src]
+    columns = {name: [project(dst, rep.columns[name][j]) for j in free[src]]
+               for name, src, dst in rep.algebra.presentation.arrows}
+    quot = Representation(rep.algebra, qdims, columns)
+    proj = [quot.place(v, project(v, {j: f.one})) for v in rep.vertices for j in range(rep.dims[v])]
+    return quot, MatrixExact.trusted(f, _dense_rows(proj, quot.total_dim), rep.total_dim)
 
 
 # -- radical and socle filtrations ----------------------------------------------------
@@ -380,7 +364,7 @@ def radical_space(rep: Representation) -> Subspace:
     """M rad A, the sum of the arrow images, as the canonical RREF."""
     space = Subspace(rep.algebra.field, rep.total_dim)
     for name, _, dst in rep.algebra.presentation.arrows:
-        for col in rep.columns()[name]:
+        for col in rep.columns[name]:
             space.add_canonical(rep.place(dst, col))
     return space
 
@@ -417,11 +401,17 @@ def socle_series(rep: Representation) -> list[Subspace]:
     while len(series[-1]) < n:
         current = series[-1]
         # rows of the maps x -> (x.a mod current term), stacked over arrows a;
-        # the image of unit j under a is column j of a's total action
+        # the image of the unit at coordinate j of the source block is column
+        # j of a's block, and the units of the other blocks map to zero
         stacked = []
-        for name in rep.action:
-            cols = [current.reduce(col) for col in rep.total_action(name).transpose().rows]
-            stacked += [list(row) for row in zip(*cols) if any(row)]
+        for name, src, dst in rep.algebra.presentation.arrows:
+            images = [current.reduce(_dense_row(rep.place(dst, col), n))
+                      for col in rep.columns[name]]
+            start = rep.offset(src)
+            for i in range(n):
+                row = {start + j: img[i] for j, img in enumerate(images) if img[i]}
+                if row:
+                    stacked.append(_dense_row(row, n))
         if stacked:
             # the kernel rows of rank_kernel are already its canonical RREF
             nxt = Subspace.from_rref(f, n, rank_kernel(MatrixExact(f, stacked, n))[1].rows)
@@ -458,15 +448,16 @@ def filtration_slice(rep: Representation, r: int, s: int | None = None) -> Repre
     def term(k):
         return series[min(k, len(series) - 1)]
 
-    sub, incl = sub_rep(rep, term(r))
+    sub, _ = sub_rep(rep, term(r))
     if s is None or not term(s):
         return sub
-    # re-express the lower power inside the sub coordinates
+    # re-express the lower power inside the sub coordinates: the basis of sub
+    # is the RREF of rad^r M split by vertex, so in the order of its pivots
     inner = []
-    for vec in term(s).rows:
-        sol = solve(incl, vec)
-        check(sol is not None, "radical powers are not nested")
-        inner.append(sol)
+    for p in term(s).pivots:
+        coords = term(r).coords_canonical(term(s).rref[p])
+        check(coords is not None, "radical powers are not nested")
+        inner.append(coords)
     quot, _ = quotient_rep(sub, inner)
     return quot
 
@@ -486,13 +477,9 @@ class GradedRepresentation:
             if len(self.grades.get(v, [])) != self.rep.dims[v]:
                 raise InputFormatError(f"grade list at vertex {v!r} has wrong length")
         for name, src, dst in self.rep.algebra.presentation.arrows:
-            mat = self.rep.action[name]
-            for i in range(mat.nrows):
-                for j in range(mat.ncols):
-                    if mat.rows[i][j] and self.grades[dst][i] != self.grades[src][j] + 1:
-                        raise InputFormatError(
-                            f"arrow {name!r} does not raise grades by one"
-                        )
+            for j, col in enumerate(self.rep.columns[name]):
+                if any(self.grades[dst][i] != self.grades[src][j] + 1 for i in col):
+                    raise InputFormatError(f"arrow {name!r} does not raise grades by one")
 
     def piece_dims(self) -> dict[int, dict[str, int]]:
         out: dict[int, dict[str, int]] = {}
@@ -570,31 +557,29 @@ def _gr_from_series(rep: Representation, target: FiniteDimAlgebra, lift,
     """gr of rep along a decreasing chain of submodules, as a module over
     target; make_representation checks target's relations.
 
-    lift(name) is the action on rep's total space of a lift of target's
-    arrow, which sends slice g into slice g + 1.
+    lift(name, x) is x times a lift of target's arrow, for sparse vectors
+    of rep's total space; the lift sends slice g into slice g + 1.
     """
-    f = rep.algebra.field
     check(
         target.presentation.vertices == rep.algebra.presentation.vertices,
         "graded algebra has a different vertex set",
     )
     slices = _slice_data(rep, series)
     dims = {v: len(slices[v].pieces) for v in rep.vertices}
-    action = {}
+    columns = {}
     for name, src, dst in target.presentation.arrows:
-        lift_total = lift(name)
-        cols = []
+        columns[name] = []
         for g, brow in slices[src].pieces:
-            img = lift_total.apply(rep.embed(src, brow))
-            cols.append(slices[dst].vector(g + 1, rep.block(img, dst)))
-        action[name] = MatrixExact(f, cols, dims[dst]).transpose()
-    out = make_representation(target, dims, action)
+            img = rep.block(lift(name, rep.place(src, _sparse_row(brow))), dst)
+            columns[name].append(
+                _sparse_row(slices[dst].vector(g + 1, _dense_row(img, rep.dims[dst]))))
+    out = make_representation(target, dims, columns)
     return GradedRepresentation(out, {v: slices[v].grades for v in rep.vertices})
 
 
 def _lift(rep: Representation, graded: GradedAlgebra):
     """A gr arrow's action through its representative in the filtered algebra."""
-    return lambda name: rep.element_total(graded.arrow_reps[name])
+    return lambda name, vec: rep.act_element(graded.arrow_reps[name], vec)
 
 
 def gr_rep(rep: Representation, graded: GradedAlgebra) -> GradedRepresentation:
@@ -625,12 +610,22 @@ def gr_of_surjection(m: Representation, n: Representation, proj: MatrixExact,
     f = m.algebra.field
     if proj.shape != (n.total_dim, m.total_dim):
         raise InputFormatError("map matrix has the wrong shape")
-    for name in m.action:
-        lhs = proj.mul(m.total_action(name))
-        rhs = n.total_action(name).mul(proj)
-        if lhs != rhs:
-            raise InputFormatError("matrix is not a module homomorphism")
-    if len(row_space(f, proj.transpose().rows, n.total_dim)) != n.total_dim:
+    images = [_sparse_row(col) for col in zip(*proj.rows)] or [{}] * m.total_dim
+
+    def apply(vec):
+        """proj(x) for a sparse vector x of M, sparse."""
+        out = {}
+        for k, x in vec.items():
+            _add_multiple(f.char, out, x, images[k])
+        return out
+
+    # proj(x.a) = proj(x).a for every arrow a and basis vector x of M
+    for name in m.columns:
+        arrow = m.algebra.basis_vector(m.algebra.arrow_index[name])
+        for k in range(m.total_dim):
+            if apply(m.act_element(arrow, {k: f.one})) != n.act_element(arrow, images[k]):
+                raise InputFormatError("matrix is not a module homomorphism")
+    if len(row_space(f, proj.rows, m.total_dim)) != n.total_dim:
         raise InputFormatError("map is not surjective")
     if graded is None:
         graded = gr_algebra(m.algebra)
@@ -641,9 +636,9 @@ def gr_of_surjection(m: Representation, n: Representation, proj: MatrixExact,
     cols = []
     for v in m.vertices:
         for g, brow in m_slices[v].pieces:
-            img_vec = proj.apply(m.embed(v, brow))
-            cols.append([x for u in n.vertices
-                         for x in n_slices[u].vector(g, n.block(img_vec, u))])
+            img = apply(m.place(v, _sparse_row(brow)))
+            cols.append([x for u in n.vertices for x in
+                         n_slices[u].vector(g, _dense_row(n.block(img, u), n.dims[u]))])
     mat = MatrixExact(f, cols, gn.rep.total_dim).transpose()
     rank, _ = rank_kernel(mat)
     return gm, gn, mat, rank == gn.rep.total_dim
@@ -667,8 +662,8 @@ def hom_space(m: Representation, n: Representation) -> list[MatrixExact]:
         return []
     rows = []
     for name, src, dst in m.algebra.presentation.arrows:
-        a_m = m.columns()[name]
-        a_n = n.action[name]
+        a_m = m.columns[name]
+        a_n = _sparse_rows(n.columns[name], n.dims[dst])
         # F_dst a_m - a_n F_src = 0, one row per entry (i, j), over the
         # nonzero entries of column j of a_m and of row i of a_n
         for i in range(n.dims[dst]):
@@ -676,9 +671,9 @@ def hom_space(m: Representation, n: Representation) -> list[MatrixExact]:
                 row = [f.zero] * count
                 for k, x in a_m[j].items():
                     row[pos[(dst, i, k)]] = x
-                for k in compress(range(n.dims[src]), a_n.rows[i]):
+                for k, x in a_n[i].items():
                     idx = pos[(src, k, j)]
-                    row[idx] = f.sub(row[idx], a_n.rows[i][k])
+                    row[idx] = f.sub(row[idx], x)
                 if any(row):
                     rows.append(row)
     if rows:
@@ -855,9 +850,9 @@ def projective_cover(rep: Representation) -> Cover:
     # summands, then each summand's basis paths in algebra order
     images = [rep.path_images(v, {j: f.one}) for v, j in generators]
     basis, n = rep.algebra.basis, rep.total_dim
-    cols = [_dense_row(rep.place(u, block), n) for u in rep.vertices for img in images
+    cols = [rep.place(u, block) for u in rep.vertices for img in images
             for i, block in img.items() if basis[i].dst == u]
-    nu = MatrixExact.trusted(f, cols, n).transpose()
+    nu = MatrixExact.trusted(f, _dense_rows(cols, n), len(cols))
     rank, kernel = rank_kernel(nu)
     check(rank == rep.total_dim, "cover map is not surjective")
     omega, incl = sub_rep(proj, Subspace.from_rref(f, proj.total_dim, kernel.rows))
@@ -879,9 +874,11 @@ class ResolutionData:
 
 
 def _content(rep: Representation) -> tuple:
-    """The memo key of a module: dims by vertex, then action rows by arrow."""
+    """The memo key of a module: dims by vertex, then the sorted entries of
+    each column by arrow, so equal modules give equal keys."""
     return (tuple(rep.dims[v] for v in rep.vertices), tuple(
-        tuple(map(tuple, rep.action[a].rows)) for a, _, _ in rep.algebra.presentation.arrows))
+        tuple(tuple(sorted(col.items())) for col in rep.columns[a])
+        for a, _, _ in rep.algebra.presentation.arrows))
 
 
 def minimal_resolution(rep: Representation, n_max: int) -> ResolutionData:
@@ -1074,7 +1071,7 @@ def ext_table(m: Representation, n_max: int, graded: bool = False) -> ExtTable:
         raise InputFormatError("graded ext table needs a tightly graded algebra")
     graded_alg = gr_algebra(m.algebra)
     gm = gr_rep(m, graded_alg)
-    regraded = make_representation(m.algebra, gm.rep.dims, gm.rep.action)
+    regraded = make_representation(m.algebra, gm.rep.dims, gm.rep.columns)
     gradable, _ = is_isomorphic(m, regraded)
     if not gradable:
         raise InputFormatError(
@@ -1215,13 +1212,15 @@ def restrict_rep(m: Representation, emb: SubalgebraEmbedding) -> Representation:
     require(m.algebra is emb.ambient, "restriction needs a module over the ambient algebra")
     sub_algebra, classes, arrow_vectors = emb.as_algebra()
     coords = _class_coords(m, classes)
-    action = {}
+    one = m.algebra.field.one
+    columns = {}
     for name, src, dst in sub_algebra.presentation.arrows:
-        total = m.element_total(arrow_vectors[name]).rows
-        action[name] = MatrixExact(m.algebra.field,
-                                   [[total[i][j] for j in coords[src]] for i in coords[dst]],
-                                   len(coords[src]))
-    return make_representation(sub_algebra, {c: len(ks) for c, ks in coords.items()}, action)
+        position = {k: i for i, k in enumerate(coords[dst])}
+        columns[name] = [
+            {position[k]: x for k, x in m.act_element(arrow_vectors[name], {j: one}).items()
+             if k in position}
+            for j in coords[src]]
+    return make_representation(sub_algebra, {c: len(ks) for c, ks in coords.items()}, columns)
 
 
 def restricts_projectively(m: Representation, emb: SubalgebraEmbedding) -> bool:
@@ -1280,7 +1279,10 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
     series = radical_series(res)
     agrees = radical_series(m) == [Subspace(f, n, [in_m(r) for r in term.rows])
                                    for term in series]
-    gr = _gr_from_series(res, sub_algebra, res.total_action, series)
+    arrows = {name: sub_algebra.basis_vector(sub_algebra.arrow_index[name])
+              for name, _, _ in sub_algebra.presentation.arrows}
+    gr = _gr_from_series(res, sub_algebra, lambda name, vec: res.act_element(arrows[name], vec),
+                         series)
     iso, _ = is_isomorphic(res, gr.rep)
     projective = projective_cover(res).syzygy.total_dim == 0
     return RestrictionReport(agrees, iso, projective, len(classes))

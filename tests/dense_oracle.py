@@ -1,16 +1,27 @@
-"""The dense-row `Subspace` and `rank_kernel` that `grkoszul.exactlin` ran
-before it kept its RREF sparse, kept as a test oracle.
+"""Dense reference code that the package ran before it went sparse, kept as
+test oracles.
 
-Every vector is a full list of scalars; each `add` clears the new vector at
-every pivot in turn, normalises it and clears its lead column from the rows
-kept so far.  The tests hold the sparse implementation to these results on
-the same inputs.
+- `DenseSubspace` and `dense_rank_kernel`: the dense-row `Subspace` and
+  `rank_kernel` of `grkoszul.exactlin` before it kept its RREF sparse.
+  Every vector is a full list of scalars; each `add` clears the new vector
+  at every pivot in turn, normalises it and clears its lead column from the
+  rows kept so far.
+- `solve`: one solution of a dense linear system by echelon form.
+- `total_action`, `path_total`, `element_total` and `relation_failure`: a
+  module's action as dense total-space matrices, and the relation check of
+  `make_representation` as a sum of path matrices, from before a module
+  stored only its sparse columns.  `embed` and `block` move dense vectors
+  between a vertex block and the total space; `columns_of` turns dense
+  arrow blocks into the sparse columns `make_representation` takes.
+
+The tests hold the sparse implementation to these results on the same
+inputs.
 """
 
 from bisect import bisect_left
 
 from grkoszul.errors import InputFormatError, check
-from grkoszul.exactlin import FieldSpec, MatrixExact
+from grkoszul.exactlin import FieldSpec, MatrixExact, _sparse_row, echelon
 
 
 def _minus_multiple(char: int, vec: list, c, row: list) -> list:
@@ -105,3 +116,96 @@ def dense_rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
     check(all(not f.coerce(sum(a * b for a, b in zip(row, vec)))
               for row in m.rows for vec in kernel_rows), "kernel basis fails A*k = 0")
     return len(pivot_rows), MatrixExact.trusted(f, kernel_rows, n)
+
+
+def solve(a: MatrixExact, b: list) -> list | None:
+    """One exact solution of a*x = b (free variables set to 0), or None."""
+    if len(b) != a.nrows:
+        raise InputFormatError("right-hand side length does not match row count")
+    f = a.field
+    aug_rows = [row + [f.coerce(x)] for row, x in zip(a.rows, b)]
+    aug = MatrixExact.trusted(f, aug_rows, a.ncols + 1)
+    red, pivots = echelon(aug)
+    if a.ncols in pivots:
+        return None
+    x = [f.zero] * a.ncols
+    for rowidx, pcol in enumerate(pivots):
+        x[pcol] = red.rows[rowidx][a.ncols]
+    check(a.apply(x) == f.coerce_row(b), "solve produced a non-solution")
+    return x
+
+
+# -- dense module actions -----------------------------------------------------
+
+
+def columns_of(action: dict[str, MatrixExact]) -> dict[str, list[dict]]:
+    """Dense arrow blocks as sparse columns, {row: scalar} per column."""
+    return {name: [_sparse_row(col) for col in zip(*mat.rows)] if mat.nrows
+            else [{} for _ in range(mat.ncols)] for name, mat in action.items()}
+
+
+def embed(rep, vertex: str, block_vec: list) -> list:
+    """The dense total-space vector with block_vec at the vertex, zero elsewhere."""
+    vec = [rep.algebra.field.zero] * rep.total_dim
+    start = rep.offset(vertex)
+    vec[start : start + rep.dims[vertex]] = block_vec
+    return vec
+
+
+def block(rep, vec: list, vertex: str) -> list:
+    """The dense block at the vertex of a dense total-space vector."""
+    start = rep.offset(vertex)
+    return vec[start : start + rep.dims[vertex]]
+
+
+def total_action(rep, name: str) -> MatrixExact:
+    """The arrow's action on the full space (other blocks mapped to 0)."""
+    f = rep.algebra.field
+    n = rep.total_dim
+    src, dst = rep.algebra.presentation.arrow_endpoints(name)
+    mat = [[f.zero] * n for _ in range(n)]
+    small = rep.action[name]
+    ro, co = rep.offset(dst), rep.offset(src)
+    for i, row in enumerate(small.rows):
+        mat[ro + i][co : co + small.ncols] = row
+    return MatrixExact.trusted(f, mat, n)
+
+
+def path_total(rep, path: tuple[str, ...]) -> MatrixExact:
+    """Action of a nonempty path, first arrow applied first."""
+    out = None
+    for name in path:
+        step = total_action(rep, name)
+        out = step if out is None else step.mul(out)
+    check(out is not None, "empty path has no total action")
+    return out
+
+
+def element_total(rep, coords: list) -> MatrixExact:
+    """Action of an algebra element given in algebra coordinates."""
+    f = rep.algebra.field
+    n = rep.total_dim
+    out = MatrixExact.zero(f, n, n)
+    for c, bp in zip(coords, rep.algebra.basis):
+        if not c:
+            continue
+        if bp.arrows:
+            out = out.add(path_total(rep, bp.arrows).scale(c))
+            continue
+        start = rep.offset(bp.src)  # e_v acts as the projection to its block
+        for k in range(start, start + rep.dims[bp.src]):
+            out.rows[k][k] = f.add(out.rows[k][k], f.coerce(c))
+    return out
+
+
+def relation_failure(rep) -> str | None:
+    """The message `make_representation` gives when rep's action breaks a
+    defining relation, by summing the relation's path matrices; else None."""
+    f = rep.algebra.field
+    for rel in rep.algebra.presentation.relations:
+        acc = MatrixExact.zero(f, rep.total_dim, rep.total_dim)
+        for coeff, path in rel:
+            acc = acc.add(path_total(rep, tuple(path)).scale(f.coerce(coeff)))
+        if not acc.is_zero():
+            return "action does not satisfy a defining relation"
+    return None

@@ -245,6 +245,18 @@ def test_exit_4_on_internal_failure(monkeypatch, capsys):
     assert report_map(out)["selftest"] == "fail"
 
 
+def test_exit_3_when_memory_runs_out(b5_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "koszul_check", exhausted)
+    status = cli.main(["algebra", "koszul-check", str(b5_path)])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert captured.err == "error (resources): out of memory in algebra koszul-check\n"
+
+
 @pytest.mark.parametrize("attribute, message", [
     ("map", "resolution is not exact at an interior term"),
     ("syzygy_inclusion", "consecutive resolution maps do not compose to zero"),

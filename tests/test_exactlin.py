@@ -17,11 +17,10 @@ from grkoszul.exactlin import (
     invert,
     rank_kernel,
     row_space,
-    solve,
     _sparse_row,
 )
 
-from dense_oracle import DenseSubspace, dense_rank_kernel
+from dense_oracle import DenseSubspace, dense_rank_kernel, solve
 
 try:  # sympy is an optional, independent elimination oracle
     from sympy import GF

@@ -528,7 +528,8 @@ class TestWeylCharacters:
         for coords in weights:
             got = klpoly._freudenthal(rd, w(*coords))
             assert got.dominant_multiplicities == _freudenthal_fractions(rd, w(*coords))
-            assert rd.inner(w(*coords), rd.rho) == _inner_fractions(rd, w(*coords), rd.rho)
+            assert rd.root_inner(rd.to_root_coords(w(*coords)), rd.rho) \
+                == _inner_fractions(rd, w(*coords), rd.rho)
 
     @given(a=st.integers(0, 3), b=st.integers(0, 3))
     @settings(max_examples=20, deadline=None)

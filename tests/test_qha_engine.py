@@ -472,6 +472,51 @@ def test_pipeline_three_weight_proper_ideal(weight3, weight3_hw):
     assert report.koszul_pipeline.implied and report.koszul_pipeline.gr_koszul
 
 
+def a1_chain_with_duality(n):
+    """The double chain 1 <-> ... <-> n of the A1 family (a_i: i -> i+1,
+    b_i: i+1 -> i, a1*b1 = 0, a_i*b_i = b_(i-1)*a_(i-1)) with the duality
+    a_i <-> b_i."""
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    arrows += [(f"b{i}", str(i + 1), str(i)) for i in range(1, n)]
+    relations = [[(1, ("a1", "b1"))]]
+    relations += [[(1, (f"a{i}", f"b{i}")), (-1, (f"b{i - 1}", f"a{i - 1}"))]
+                  for i in range(2, n)]
+    duality = [(f"{x}{i}", 1, f"{y}{i}") for i in range(1, n) for x, y in ("ab", "ba")]
+    return QuiverPresentation(QQ, [str(i) for i in range(1, n + 1)], arrows,
+                              relations, duality=duality)
+
+
+def test_pipeline_a1_chain_parity_subalgebra():
+    """n = 3 with the subalgebra generated by e1 + e3, e2, a1 + a2 and
+    b1 + b2: the pair hypotheses hold, P(3) does not restrict projectively,
+    and every Koszul and graded clause still holds."""
+    alg = build_algebra(a1_chain_with_duality(3))
+    poset = WeightPosetIdeal(["1", "2", "3"], [("2", "1"), ("3", "2")],
+                             {"1": 2, "2": 1, "3": 0})
+    h = standard_modules(alg, poset, duality=duality_matrix_from_presentation(alg))
+
+    def element(*names):
+        vec = alg.zero_vector()
+        for name in names:
+            i = alg.vertex_index[name] if name.isdigit() else alg.arrow_index[name]
+            vec[i] = 1
+        return vec
+
+    emb = subalgebra_from_generators(
+        alg, [element("1", "3"), element("2"), element("a1", "a2"), element("b1", "b2")])
+    assert emb.dim == 13
+    report = pipeline_checks(h, emb, ["3", "2"])
+    assert report.pair.passed
+    assert not report.restriction.passed
+    k = report.koszul_pipeline
+    assert (k.sub_koszul, k.radical_generation, k.regular_restricts, k.implied,
+            k.gr_koszul) == (True, True, True, True, True)
+    g = report.graded_structure
+    assert (g.implied, g.gr_qha, g.standards_match, g.standards_restrict_iso, g.holds) \
+        == (False, True, True, {"2": True, "3": True}, True)
+    assert report.notes == []
+
+
 def _module_content(rep):
     return rep.dims, {name: mat.rows for name, mat in rep.action.items()}
 

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import DenseSubspace
+from dense_oracle import (DenseSubspace, block, columns_of, element_total, embed, path_total,
+                          relation_failure, total_action)
 from grkoszul import rep_homology
 from grkoszul.errors import (
     GrkoszulError,
@@ -40,6 +41,7 @@ from grkoszul.algebra_core import (
 )
 from grkoszul.rep_homology import (
     GradedRepresentation,
+    Representation,
     RestrictionReport,
     _invertible_combination,
     direct_sum,
@@ -131,21 +133,21 @@ def test_projective_layers_frozen(cycle_mods):
 
 def test_make_representation_validates(cycle):
     good = projective_rep(cycle, "1")
-    rebuilt = make_representation(cycle, good.dims, good.action)
+    rebuilt = make_representation(cycle, good.dims, good.columns)
     assert rebuilt.total_dim == 3
     with pytest.raises(InputFormatError):
         make_representation(cycle, {"1": 1}, {})
-    bad_shape = dict(good.action)
-    bad_shape["a"] = MatrixExact.zero(QQ, 2, 2)
-    with pytest.raises(InputFormatError):
-        make_representation(cycle, good.dims, bad_shape)
+    # a: 1 -> 2 needs one column per coordinate at 1, with rows below dims["2"] = 1
+    for bad in ([{}], [{1: 1}, {}], [{-1: 1}, {}]):
+        with pytest.raises(InputFormatError, match="arrow 'a' needs shape"):
+            make_representation(cycle, good.dims, dict(good.columns, a=bad))
     # b then a must act by zero; make it not do so on a 1+1 dimensional module
     viol = {
         "a": MatrixExact(QQ, [[QQ.one]], 1),
         "b": MatrixExact(QQ, [[QQ.one]], 1),
     }
     with pytest.raises(InputFormatError):
-        make_representation(cycle, {"1": 1, "2": 1}, viol)
+        make_representation(cycle, {"1": 1, "2": 1}, columns_of(viol))
 
 
 def test_zero_and_simple(cycle):
@@ -161,7 +163,7 @@ def test_zero_and_simple(cycle):
 def test_submodule_closure_enforced(cycle_mods):
     p1 = cycle_mods["P1"]
     # the line through e_1 is not action-closed (e_1 . a = a)
-    e1_row = p1.embed("1", [1, 0])
+    e1_row = embed(p1, "1", [1, 0])
     with pytest.raises(InputFormatError):
         sub_rep(p1, [e1_row])
     with pytest.raises(InputFormatError):
@@ -230,13 +232,13 @@ def test_isomorphism_finds_witness_across_basis_change(cycle, cycle_mods):
     scaled = make_representation(
         cycle,
         p1.dims,
-        {"a": p1.action["a"].scale(QQ.coerce(3)), "b": p1.action["b"]},
+        columns_of({"a": p1.action["a"].scale(QQ.coerce(3)), "b": p1.action["b"]}),
     )
     ok, witness = is_isomorphic(p1, scaled)
     assert ok
     for name in p1.action:
-        lhs = witness.mul(p1.total_action(name))
-        rhs = scaled.total_action(name).mul(witness)
+        lhs = witness.mul(total_action(p1, name))
+        rhs = total_action(scaled, name).mul(witness)
         assert lhs == rhs
 
 
@@ -285,8 +287,9 @@ def test_hom_dimensions_refute_an_isomorphism_before_the_grid(monkeypatch):
 
     def m(t):
         return direct_sum(make_representation(
-            alg, {"1": 2}, {"x": MatrixExact(QQ, [[0, 0], [1, 0]]),
-                            "y": MatrixExact(QQ, [[0, 0], [t, 0]])}), simple_rep(alg, "1"))
+            alg, {"1": 2}, columns_of({"x": MatrixExact(QQ, [[0, 0], [1, 0]]),
+                                       "y": MatrixExact(QQ, [[0, 0], [t, 0]])})),
+            simple_rep(alg, "1"))
 
     m0, m1 = m(0), m(1)
     assert layer_dims(m0) == layer_dims(m1)
@@ -312,7 +315,7 @@ def test_gr_of_projective_frozen(cycle, cycle_mods):
         1: {"1": 0, "2": 1},
         2: {"1": 1, "2": 0},
     }
-    back = make_representation(cycle, g.rep.dims, g.rep.action)
+    back = make_representation(cycle, g.rep.dims, g.rep.columns)
     ok, _ = is_isomorphic(cycle_mods["P1"], back)
     assert ok
 
@@ -345,6 +348,24 @@ def test_gr_preserves_surjections(cycle, cycle_mods):
     not_a_map = MatrixExact.identity(QQ, 3)
     with pytest.raises(InputFormatError):
         gr_of_surjection(p1, p1, not_a_map.scale(QQ.coerce(0)), graded)
+
+
+def test_gr_of_surjection_refuses_exactly_the_non_homomorphisms(cycle, cycle_mods):
+    """The check proj(x.a) = proj(x).a on every basis vector x against the
+    dense proj T_a = T_a proj of the oracle, on every one-entry change of
+    the quotient maps of P(1)."""
+    graded = gr_algebra(cycle)
+    p1 = cycle_mods["P1"]
+    for cut in (1, 2):
+        quot, proj = quotient_rep(p1, radical_series(p1)[cut])
+        for i, j in iter_product(range(proj.nrows), range(proj.ncols)):
+            rows = [list(row) for row in proj.rows]
+            rows[i][j] += 1
+            changed = MatrixExact(QQ, rows, proj.ncols)
+            is_map = all(changed.mul(total_action(p1, a)) == total_action(quot, a).mul(changed)
+                         for a in p1.columns)
+            got = outcome(lambda: gr_of_surjection(p1, quot, changed, graded))
+            assert ("not a module homomorphism" not in got) == is_map
 
 
 def test_graded_hom_space_degrees(cycle, cycle_mods):
@@ -427,7 +448,8 @@ def _counting(monkeypatch, name):
 
 def _x_module(alg, entry):
     """The 2-dimensional module of k[x]/(x^3) with x sending e_0 to entry * e_1."""
-    return make_representation(alg, {"1": 2}, {"x": MatrixExact(alg.field, [[0, 0], [entry, 0]])})
+    return make_representation(alg, {"1": 2},
+                               columns_of({"x": MatrixExact(alg.field, [[0, 0], [entry, 0]])}))
 
 
 def test_equal_modules_share_one_resolution_and_ext(monkeypatch):
@@ -565,7 +587,7 @@ def structure_table(algebra):
 def restrict_action(rep, emb):
     """Action matrices of the subalgebra basis on the restricted module, in
     the module's flat coordinates."""
-    return [rep.element_total(list(b)) for b in emb.space.rows]
+    return [element_total(rep, list(b)) for b in emb.space.rows]
 
 
 def delta0(field, act_m, act_n):
@@ -703,9 +725,9 @@ def all_pairs_ext1_agree(alg, modules):
     basis = MatrixExact.identity(alg.field, alg.dim).rows
     simples = [simple_rep(alg, v) for v in alg.presentation.vertices]
     for m in modules:
-        act_m = [m.element_total(b) for b in basis]
+        act_m = [element_total(m, b) for b in basis]
         for s in simples:
-            act_s = [s.element_total(b) for b in basis]
+            act_s = [element_total(s, b) for b in basis]
             bf = ext1_bruteforce(alg.field, table, act_m, act_s)
             assert bf == ext_groups(m, s, 1)[1]
 
@@ -824,7 +846,7 @@ def test_restrict_detects_a_nongradable_restriction():
     zero, one = QQ.zero, QQ.one
     x = MatrixExact(QQ, [[zero, zero, zero], [one, zero, zero], [zero, one, zero]], 3)
     y = MatrixExact(QQ, [[zero, zero, zero], [zero, zero, zero], [one, zero, zero]], 3)
-    m = make_representation(alg, {"1": 3}, {"x": x, "y": y})
+    m = make_representation(alg, {"1": 3}, columns_of({"x": x, "y": y}))
     report = restrict_iso_check(m, whole_algebra(alg))
     assert repr(report) == ("RestrictionReport(filtration_agrees=True, "
                             "restriction_iso_gr=False, restricts_projectively=False, "
@@ -913,7 +935,7 @@ def test_delta0_kernel_is_hom_over_the_whole_algebra(case):
 @given(modules_over_q_or_f2())
 def test_series_of_the_radical_rows_is_the_radical_series(case):
     alg, m, _ = case
-    mats = [m.element_total(list(r)) for r in whole_algebra(alg).radical().rows]
+    mats = [element_total(m, list(r)) for r in whole_algebra(alg).radical().rows]
     assert radical_row_series(alg.field, mats, m.total_dim) == radical_series(m)
 
 
@@ -1108,7 +1130,7 @@ def test_regular_module_is_gradable(alg):
     reg = projective_rep(alg, "1")
     graded = gr_algebra(alg)
     g = gr_rep(reg, graded)
-    back = make_representation(alg, g.rep.dims, g.rep.action)
+    back = make_representation(alg, g.rep.dims, g.rep.columns)
     ok, _ = is_isomorphic(reg, back)
     assert ok
 
@@ -1163,7 +1185,7 @@ def test_bruteforce_ext1_matches_resolution_ext1(alg):
     k = simple_rep(alg, "1")
     table = structure_table(alg)
     basis = MatrixExact.identity(alg.field, alg.dim).rows
-    act = [k.element_total(b) for b in basis]
+    act = [element_total(k, b) for b in basis]
     assert ext1_bruteforce(alg.field, table, act, act) == ext_groups(k, k, 1)[1]
 
 
@@ -1200,7 +1222,7 @@ def split_by_contains(rep, rows):
                     raise InputFormatError(
                         "rows are not closed under the vertex idempotents"
                     )
-                block_rows.append(rep.block(blocked, v))
+                block_rows.append(block(rep, blocked, v))
         out[v] = Subspace(f, rep.dims[v], block_rows)
     return out
 
@@ -1214,7 +1236,7 @@ def blank_module(pres, dims):
     alg = build_algebra(pres)
     action = {name: MatrixExact.zero(alg.field, dims[dst], dims[src])
               for name, src, dst in pres.arrows}
-    return make_representation(alg, dims, action)
+    return make_representation(alg, dims, columns_of(action))
 
 
 def raw_scalars(field):
@@ -1242,7 +1264,7 @@ def split_cases(draw):
         return m, rows, closed
     filled = [v for v in m.vertices if dims[v]]
     block_vectors = [
-        m.embed(v, draw(st.lists(scalars, min_size=dims[v], max_size=dims[v])))
+        embed(m, v, draw(st.lists(scalars, min_size=dims[v], max_size=dims[v])))
         for v in draw(st.lists(st.sampled_from(filled), max_size=5))
     ]
     sums = []
@@ -1298,7 +1320,7 @@ def fractional_module():
     alg = build_algebra(commuting_loops(QQ))
     action = {"x": MatrixExact(QQ, [[0, 0], [Fraction(3, 2), 0]]),
               "y": MatrixExact(QQ, [[0, 0], [1, 0]])}
-    return make_representation(alg, {"1": 2}, action)
+    return make_representation(alg, {"1": 2}, columns_of(action))
 
 
 def assert_cover_path_canonical(m):
@@ -1319,7 +1341,7 @@ def assert_cover_path_canonical(m):
     for part in (cov.projective, cov.syzygy):
         for name, mat in part.action.items():
             assert_canonical(f, mat.rows, "cover action " + name)
-            assert_canonical(f, part.total_action(name).rows, "total action " + name)
+            assert_canonical(f, total_action(part, name).rows, "total action " + name)
 
 
 @settings(max_examples=15, deadline=None)
@@ -1351,11 +1373,11 @@ def cover_columns_by_path_total(rep, generators):
     cols = []
     for u in rep.vertices:
         for v, j in generators:
-            gen = rep.embed(v, MatrixExact.identity(f, rep.dims[v]).rows[j])
+            gen = embed(rep, v, MatrixExact.identity(f, rep.dims[v]).rows[j])
             for bp in rep.algebra.basis:
                 if bp.src != v or bp.dst != u:
                     continue
-                cols.append(rep.path_total(bp.arrows).apply(gen) if bp.arrows else gen)
+                cols.append(path_total(rep, bp.arrows).apply(gen) if bp.arrows else gen)
     return cols
 
 
@@ -1395,14 +1417,14 @@ def sub_rep_by_dense_oracle(m, rows):
     f, n = m.algebra.field, m.total_dim
     span = DenseSubspace(f, n, rows)
     for row in span.rows:
-        if not all(span.contains(m.embed(v, m.block(row, v))) for v in m.vertices):
+        if not all(span.contains(embed(m, v, block(m, row, v))) for v in m.vertices):
             return None
-        if not all(span.contains(m.total_action(a).apply(row)) for a in m.action):
+        if not all(span.contains(total_action(m, a).apply(row)) for a in m.action):
             return None
     dims = [sum(1 for p in span.pivots if m.offset(v) <= p < m.offset(v) + m.dims[v])
             for v in m.vertices]
     incl = MatrixExact(f, span.rows, n).transpose() if span.rows else MatrixExact.zero(f, n, 0)
-    actions = {a: MatrixExact(f, [span.coords(m.total_action(a).apply(row)) for row in span.rows],
+    actions = {a: MatrixExact(f, [span.coords(total_action(m, a).apply(row)) for row in span.rows],
                               len(span)).transpose() if span.rows else MatrixExact.zero(f, 0, 0)
                for a in m.action}
     return dims, incl, actions
@@ -1420,22 +1442,22 @@ def test_sub_rep_matches_the_dense_oracle(alg, data):
     units = st.integers(1, 7).map(f.coerce).filter(bool)
     scale = {v: data.draw(st.lists(units, min_size=m.dims[v], max_size=m.dims[v]))
              for v in m.vertices}
-    m = make_representation(alg, m.dims, {
+    m = make_representation(alg, m.dims, columns_of({
         a: MatrixExact(f, [[f.mul(f.mul(scale[dst][i], x), f.inv(scale[src][j]))
                             for j, x in enumerate(row)] for i, row in enumerate(m.action[a].rows)],
                        m.dims[src])
-        for a, src, dst in alg.presentation.arrows})
+        for a, src, dst in alg.presentation.arrows}))
     entries = st.integers(-3, 3).map(f.coerce)
     vectors = data.draw(st.lists(st.lists(entries, min_size=m.total_dim, max_size=m.total_dim),
                                  max_size=3))
-    vectors = [m.embed(v, m.block(vec, v)) if data.draw(st.booleans()) else vec
+    vectors = [embed(m, v, block(m, vec, v)) if data.draw(st.booleans()) else vec
                for vec in vectors for v in [data.draw(st.sampled_from(m.vertices))]]
     for vec in vectors:  # one arrow step on sparse blocks, against the dense action
         for a, src, dst in alg.presentation.arrows:
-            assert m.act(a, _sparse_row(m.block(vec, src))) == \
-                _sparse_row(m.block(m.total_action(a).apply(vec), dst))
+            assert m.act(a, _sparse_row(block(m, vec, src))) == \
+                _sparse_row(block(m, total_action(m, a).apply(vec), dst))
     if data.draw(st.booleans()):
-        vectors = [m.element_total(alg.basis_vector(i)).apply(vec)
+        vectors = [element_total(m, alg.basis_vector(i)).apply(vec)
                    for vec in vectors for i in range(alg.dim)]
     expected = sub_rep_by_dense_oracle(m, vectors)
     if expected is None:
@@ -1447,7 +1469,7 @@ def test_sub_rep_matches_the_dense_oracle(alg, data):
     for rows in (vectors, Subspace(f, m.total_dim, vectors)):
         sub, got_incl = sub_rep(m, rows)
         assert ([sub.dims[v] for v in m.vertices], got_incl) == (dims, incl)
-        assert {a: sub.total_action(a) for a in m.action} == actions
+        assert {a: total_action(sub, a) for a in m.action} == actions
     assert quotient_rep(m, vectors)[0].total_dim == m.total_dim - sum(dims)
 
 
@@ -1457,7 +1479,7 @@ def test_radical_series_is_kept_on_the_module_and_handed_out_as_a_fresh_list(cyc
     first.append(None)
     second = radical_series(p1)
     assert second[-1] is not None and second[0] is first[0]
-    assert second == radical_series(make_representation(cycle, p1.dims, p1.action))
+    assert second == radical_series(make_representation(cycle, p1.dims, p1.columns))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1473,16 +1495,16 @@ def test_cover_columns_match_the_path_total_oracle(alg, data):
         if not filled:
             continue
         v = data.draw(st.sampled_from(filled))
-        block = data.draw(st.lists(st.integers(-3, 3), min_size=m.dims[v],
-                                   max_size=m.dims[v]).map(f.coerce_row))
-        images = m.path_images(v, _sparse_row(block))
+        vec = data.draw(st.lists(st.integers(-3, 3), min_size=m.dims[v],
+                                 max_size=m.dims[v]).map(f.coerce_row))
+        images = m.path_images(v, _sparse_row(vec))
         assert list(images) == [i for i, bp in enumerate(alg.basis) if bp.src == v]
         for i, img in images.items():
             bp = alg.basis[i]
-            whole = m.path_total(bp.arrows).apply(m.embed(v, block)) if bp.arrows \
-                else m.embed(v, block)
-            assert img == _sparse_row(m.block(whole, bp.dst))
-            assert m.embed(bp.dst, _dense_row(img, m.dims[bp.dst])) == whole
+            whole = path_total(m, bp.arrows).apply(embed(m, v, vec)) if bp.arrows \
+                else embed(m, v, vec)
+            assert img == _sparse_row(block(m, whole, bp.dst))
+            assert embed(m, bp.dst, _dense_row(img, m.dims[bp.dst])) == whole
 
 
 @settings(max_examples=30, deadline=None)
@@ -1518,7 +1540,7 @@ def test_cover_with_a_missing_generator_fails_surjectivity(monkeypatch):
         # cover leaves that generator out
         space = real(rep)
         if rep is m:
-            space.add(m.embed("1", [1]))
+            space.add(embed(m, "1", [1]))
         return space
 
     monkeypatch.setattr(rep_homology, "radical_space", swollen)
@@ -1689,9 +1711,9 @@ def quotient_by_element(proj, u):
     """P/uA for u in P: the quotient by the submodule u generates, spanned
     by u.p over the basis paths p."""
     basis = proj.algebra.basis
-    rows = [proj.embed(basis[i].dst, _dense_row(img, proj.dims[basis[i].dst]))
+    rows = [embed(proj, basis[i].dst, _dense_row(img, proj.dims[basis[i].dst]))
             for w in proj.vertices
-            for i, img in proj.path_images(w, _sparse_row(proj.block(u, w))).items()]
+            for i, img in proj.path_images(w, _sparse_row(block(proj, u, w))).items()]
     return quotient_rep(proj, rows)[0]
 
 
@@ -1726,6 +1748,47 @@ def modules_and_subalgebras(draw):
         if draw(st.booleans()):
             m = direct_sum(m, draw(st.sampled_from(modules)))
     return m, subalgebra_from_generators(alg, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(modules_and_subalgebras(), st.data())
+def test_sparse_module_path_matches_the_dense_oracle(case, data):
+    """make_representation, act_element, the dense `action` view and the
+    memo key against the dense total-space oracle, on M's own arrow blocks
+    with a few entries redrawn, which often breaks a relation."""
+    m, emb = case
+    alg, f, n = m.algebra, m.algebra.field, m.total_dim
+    scalars = st.integers(-2, 2).map(f.coerce)
+    blocks = {name: [list(row) for row in mat.rows] for name, mat in m.action.items()}
+    for name, src, dst in alg.presentation.arrows:
+        if m.dims[src] and m.dims[dst]:
+            for _ in range(data.draw(st.integers(0, 2))):
+                i = data.draw(st.integers(0, m.dims[dst] - 1))
+                blocks[name][i][data.draw(st.integers(0, m.dims[src] - 1))] = data.draw(scalars)
+    blocks = {name: MatrixExact(f, rows, m.dims[src])
+              for (name, src, _), rows in zip(alg.presentation.arrows, blocks.values())}
+    unchecked = Representation(alg, m.dims, columns_of(blocks))
+    expected = relation_failure(unchecked)
+    try:
+        rep = make_representation(alg, m.dims, columns_of(blocks))
+        assert expected is None
+    except InputFormatError as exc:
+        assert str(exc) == expected
+        rep = unchecked
+    assert rep.action == blocks
+    # equal modules give equal memo keys, whatever the order of their entries
+    reordered = {name: [dict(reversed(col.items())) for col in cols]
+                 for name, cols in rep.columns.items()}
+    assert rep_homology._content(rep) == \
+        rep_homology._content(Representation(alg, m.dims, reordered))
+    elements = [list(b) for b in emb.space.rows] + [
+        data.draw(st.lists(scalars, min_size=alg.dim, max_size=alg.dim))]
+    vectors = [MatrixExact.identity(f, n).rows[k] for k in range(n)] + [
+        data.draw(st.lists(scalars, min_size=n, max_size=n))]
+    for coords in elements:
+        dense = element_total(rep, coords)
+        for vec in vectors:
+            assert _dense_row(rep.act_element(coords, _sparse_row(vec)), n) == dense.apply(vec)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1765,13 +1828,13 @@ def test_pullback_rank_matches_the_cocycle_oracle(maker, field):
     alg = build_algebra(maker(field))
     table = structure_table(alg)
     basis = MatrixExact.identity(field, alg.dim).rows
-    simples = [[simple_rep(alg, v).element_total(b) for b in basis]
+    simples = [[element_total(simple_rep(alg, v), b) for b in basis]
                for v in alg.presentation.vertices]
     for name, m in truncations(alg):
         series = radical_series(m)
         last, incl = sub_rep(m, series[-2])
-        act_m = [m.element_total(b) for b in basis]
-        act_s = [last.element_total(b) for b in basis]
+        act_m = [element_total(m, b) for b in basis]
+        act_s = [element_total(last, b) for b in basis]
         per_simple = [ext1_pullback_rank(field, table, act_m, act_l, act_s, incl)
                       for act_l in simples]
         expected = tuple(sum(col) for col in zip(*per_simple))
