@@ -34,6 +34,8 @@ from .exactlin import (
     invert,
     rank_kernel,
     row_space,
+    _push,
+    _sparse_row,
 )
 
 DEFAULT_PATH_CAP = 32
@@ -337,18 +339,19 @@ class FiniteDimAlgebra(_Memoized):
 
     def _radical_chain(self) -> list[Subspace]:
         f = self.field
-        arrow_rows = [
-            self.basis_vector(i) for i, b in enumerate(self.basis) if b.arrows
-        ]
+        arrows = [i for i, b in enumerate(self.basis) if b.arrows]
         # The arrow-ideal span: relations only involve paths of length >= 2,
         # so normal forms of length >= 1 paths stay in this coordinate span.
-        chain = [Subspace.whole(f, self.dim), row_space(f, arrow_rows, self.dim)]
+        chain = [Subspace.whole(f, self.dim),
+                 Subspace.from_rref(f, self.dim, [{i: f.one} for i in arrows], arrows)]
         # J^(k+1) = J^k J is spanned by J^k times the arrows: a path of length
-        # k + 1 or more is one of length k or more followed by its last arrow
+        # k + 1 or more is one of length k or more followed by its last arrow;
+        # times[a] lists the products b * a of the basis elements b, sparse
+        times = {a: [dict(self.mult_basis(i, a)) for i in range(self.dim)] for a in arrows}
         while chain[-1]:
             prev = chain[-1]
-            nxt = row_space(f, [self.multiply(row, arow) for row in prev.rows
-                                for arow in arrow_rows], self.dim)
+            nxt = Subspace.spanned(f, self.dim, (_push(f.char, times[a], row)
+                                                 for row in prev.rref.values() for a in arrows))
             if len(nxt) == len(prev):
                 raise InputFormatError(
                     "arrow ideal is not nilpotent: presentation is not admissible"
@@ -745,7 +748,7 @@ def presentation_from_concrete(
             for name in bp.arrows[1:]:
                 vec = conc.multiply(vec, arrow_vectors[name])
             path_vectors.append(vec)
-    rankm, _ = rank_kernel(MatrixExact(f, path_vectors, conc.dim))
+    rankm, _ = rank_kernel(f, [_sparse_row(f.coerce_row(vec)) for vec in path_vectors], conc.dim)
     check(rankm == conc.dim, "path evaluation map is not bijective")
     # structure constants must agree
     for i in range(rebuilt.dim):

@@ -3,18 +3,18 @@
 Scalars over Q are plain ints when integral and `fractions.Fraction`
 instances with denominator > 1 otherwise, so 0/1 matrices never leave machine
 integers; over F_p they are ints reduced to [0, p).  No floats anywhere.
-A `MatrixExact` is a list of dense rows; `mul` and `apply` find the nonzero
-entries they combine by C-level `itertools.compress` scans.  A `Subspace`
-keeps its RREF sparse, one {column: scalar} dict of nonzero entries per
-pivot (`_sparse_row`, `_dense_row` convert), so eliminating a vector touches
-only its nonzero entries and the rows of the pivots among them.
+A `MatrixExact` is a list of dense rows; `mul` finds the nonzero entries it
+combines by C-level `itertools.compress` scans.  A `Subspace` keeps its RREF
+sparse, one {column: scalar} dict of nonzero entries per pivot (`_sparse_row`,
+`_dense_row` convert), so eliminating a vector touches only its nonzero
+entries and the rows of the pivots among them.
 
-Pivoting rule: echelon reduction (`Subspace.add`, which `echelon` and
-`row_space` run row by row) always selects the leftmost nonzero entry of the
-reduced row (no magnitude heuristics), then removes that column from the
-rows kept so far.  The reduced row echelon form is fully normalized (pivots
-1, pivot columns cleared, rows sorted by pivot column), hence canonical for
-the row space.
+Pivoting rule: echelon reduction (`Subspace.add`, which `row_space` runs row
+by row, and `Subspace.add_canonical`, which `rank_kernel` runs on its sparse
+rows) always selects the leftmost nonzero entry of the reduced row (no
+magnitude heuristics), then removes that column from the rows kept so far.
+The reduced row echelon form is fully normalized (pivots 1, pivot columns
+cleared, rows sorted by pivot column), hence canonical for the row space.
 
 Every span is a `Subspace`, which holds the canonical RREF of its vectors:
 `row_space` builds one, `intersect_spaces` meets two, and membership,
@@ -24,19 +24,19 @@ their RREFs are, which `Subspace.__eq__` compares.
 Scalars are canonicalised at the boundary only: the public `MatrixExact(...)`
 constructor, the scalar parsers and every vector given to a public `Subspace`
 method run `coerce_row`.  Producers whose output is canonical by construction
-(`zero`, `identity`, `transpose`, `mul`, `add`, `scale`, `echelon`, `invert`,
-the kernel rows of `rank_kernel`) build it with `MatrixExact.trusted`; rows
-already in canonical RREF, dense or sparse, become a `Subspace` through
-`Subspace.from_rref`, and other canonical vectors, dense or sparse, enter one
-through `add_canonical`, `coords_canonical` and `pivot_entries`, with no
-coercion pass.
+(`zero`, `identity`, `transpose`, `mul`, `add`, `scale`, `invert`) build it
+with `MatrixExact.trusted`; rows already in canonical RREF, dense or sparse,
+become a `Subspace` through `Subspace.from_rref`, and other canonical
+vectors, dense or sparse, enter one through `add_canonical`,
+`coords_canonical` and `pivot_entries`, with no coercion pass.
 `MatrixExact.apply` takes its vector as it is (every program caller passes a
 canonical one) and canonicalises its output once.
 
-`rank_kernel` eliminates once, with the columns reversed, so each pivot is
-its row's last nonzero entry; the kernel vector of each free column j is
-then 1 at j and 0 at every other free column and left of j: together these
-vectors already are the canonical RREF of the kernel.
+`rank_kernel` takes a matrix as sparse rows of canonical scalars and
+eliminates them once, with the columns reversed, so each pivot is its row's
+last nonzero entry; the kernel vector of each free column j is then 1 at j
+and 0 at every other free column and left of j: together these vectors
+already are the canonical RREF of the kernel, which it returns sparse.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ class MatrixExact:
     def apply(self, vec: list) -> list:
         if len(vec) != self.ncols:
             raise InputFormatError("vector length does not match column count")
-        support = [(j, vec[j]) for j in compress(range(self.ncols), vec)]
+        support = [(j, x) for j, x in enumerate(vec) if x]
         out = []
         for row in self.rows:
             s = 0
@@ -262,9 +262,6 @@ class MatrixExact:
                     s += row[j] * x
             out.append(s)
         return self.field.coerce_row(out)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
 
     def __eq__(self, other) -> bool:
         return (
@@ -307,6 +304,15 @@ def _add_multiple(char: int, vec: dict, c, row: dict) -> None:
             del vec[j]
 
 
+def _push(char: int, columns, vec: dict) -> dict:
+    """The image of a sparse vector under the map with these sparse columns,
+    over Q (char 0) or F_char: the columns combined with vec's entries."""
+    out = {}
+    for j, x in vec.items():
+        _add_multiple(char, out, x, columns[j])
+    return out
+
+
 class Subspace:
     """A subspace of field^ambient grown one vector at a time.
 
@@ -340,6 +346,15 @@ class Subspace:
             rows = [_sparse_row(row) for row in rows]
         space.pivots = list(pivots) if pivots is not None else [min(row) for row in rows]
         space.rref = dict(zip(space.pivots, rows))
+        return space
+
+    @classmethod
+    def spanned(cls, field: FieldSpec, ambient: int, vectors) -> "Subspace":
+        """The span of vectors of canonical scalars, dense lists or sparse
+        dicts, each taken as it is (`add_canonical`)."""
+        space = cls(field, ambient)
+        for vec in vectors:
+            space.add_canonical(vec)
         return space
 
     @classmethod
@@ -443,28 +458,27 @@ class Subspace:
         return True
 
 
-def echelon(m: MatrixExact) -> tuple[MatrixExact, tuple[int, ...]]:
-    """Canonical reduced row echelon form and its pivot columns."""
-    space = Subspace(m.field, m.ncols, m.rows)
-    return MatrixExact.trusted(m.field, space.rows, m.ncols), tuple(space.pivots)
-
-
-def rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
-    """Rank and a canonical (RREF) basis of the right kernel, as rows."""
-    f, n = m.field, m.ncols
-    mirrored = Subspace(f, n)
-    for row in m.rows:
-        mirrored.add_canonical(_sparse_row(row[::-1]))
+def rank_kernel(field: FieldSpec, rows: list[dict], n: int) -> tuple[int, list[dict]]:
+    """Rank of the matrix with these sparse rows ({column: scalar} of its
+    nonzero entries, canonical scalars, n columns) and the canonical RREF of
+    its right kernel, as sparse rows in pivot order."""
+    mirrored = Subspace.spanned(field, n, ({n - 1 - j: x for j, x in row.items()} for row in rows))
     # the kernel vector of free column j: 1 at j, and minus row[j] at the
     # pivot of each RREF row; a fully reduced row is 0 at every other pivot
     pivots = {n - 1 - p for p in mirrored.pivots}
-    kernel = {j: {j: f.one} for j in range(n) if j not in pivots}
+    kernel = {j: {j: field.one} for j in range(n) if j not in pivots}
     for p, row in mirrored.rref.items():
         for j, x in row.items():
             if j != p:
-                kernel[n - 1 - j][n - 1 - p] = f.neg(x)
-    basis = MatrixExact.trusted(f, [_dense_row(kernel[j], n) for j in sorted(kernel)], n)
-    check(not kernel or m.mul(basis.transpose()).is_zero(), "kernel basis fails A*k = 0")
+                kernel[n - 1 - j][n - 1 - p] = field.neg(x)
+    basis = [kernel[j] for j in sorted(kernel)]
+    # A*k = 0: each row times each kernel vector over their common support,
+    # summed through holding[j] = {t: entry j of kernel vector t}
+    holding = [{} for _ in range(n)]
+    for t, vec in enumerate(basis):
+        for j, x in vec.items():
+            holding[j][t] = x
+    check(not any(_push(field.char, holding, row) for row in rows), "kernel basis fails A*k = 0")
     check(len(pivots) + len(kernel) == n, "rank-nullity violated")
     return len(pivots), basis
 

@@ -301,10 +301,9 @@ def _delta_filtration(h: HighestWeightStructure, m: Representation) -> list[str]
         if delta.dims[mu] != 1:
             continue
         count = m.dims[mu]
-        span = Subspace(h.algebra.field, m.total_dim)
-        for k in range(count):
-            for i, block in m.path_images(mu, {k: h.algebra.field.one}).items():
-                span.add_canonical(m.place(h.algebra.basis[i].dst, block))
+        span = Subspace.spanned(h.algebra.field, m.total_dim, (
+            m.place(h.algebra.basis[i].dst, block) for k in range(count)
+            for i, block in m.path_images(mu, {k: h.algebra.field.one}).items()))
         bottom, _ = sub_rep(m, span)
         if bottom.total_dim != count * delta.total_dim:
             continue

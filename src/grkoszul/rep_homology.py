@@ -9,13 +9,16 @@ a path acts by applying its arrows in traversal order, so m.(p*q) =
 algebra's vertex list, sparse ones as {coordinate: scalar} dicts; inside
 P(v) the basis paths keep the algebra's basis order.
 
+A module map (cover, syzygy inclusion, quotient projection, resolution map)
+is its sparse columns: the image of each source basis vector in the target.
+
 Module gradings are recorded as one grade per coordinate of each vertex
 block.  gr M is graded by radical layers with the head in grade 0; the
 shift M(r) has M(r)_n = M_{n-r}, so it adds r to every grade.
 """
 
 from dataclasses import dataclass
-from itertools import compress, islice, product as iter_product
+from itertools import islice, product as iter_product
 
 from .errors import InputFormatError, PreconditionError, check, require
 from .exactlin import (
@@ -23,12 +26,12 @@ from .exactlin import (
     MatrixExact,
     Subspace,
     determinant,
-    echelon,
     intersect_spaces,
     rank_kernel,
     row_space,
     _add_multiple,
     _dense_row,
+    _push,
     _sparse_row,
 )
 from .algebra_core import (
@@ -78,9 +81,10 @@ class Representation:
     def action(self) -> dict[str, MatrixExact]:
         """Each arrow's block as a dense matrix of shape (dims[v] x dims[u]),
         built from `columns` on each read: a view, never stored."""
-        f = self.algebra.field
-        return {name: MatrixExact.trusted(f, _dense_rows(self.columns[name], self.dims[dst]),
-                                          self.dims[src])
+        f, dims = self.algebra.field, self.dims
+        return {name: MatrixExact.trusted(f, [_dense_row(row, dims[src]) for row
+                                              in _sparse_rows(self.columns[name], dims[dst])],
+                                          dims[src])
                 for name, src, dst in self.algebra.presentation.arrows}
 
     def offset(self, vertex: str) -> int:
@@ -103,10 +107,7 @@ class Representation:
     def act(self, name: str, vec: dict) -> dict:
         """x.a for a sparse block vector x at the arrow's source, a sparse
         block vector at its target."""
-        cols, out = self.columns[name], {}
-        for j, x in vec.items():
-            _add_multiple(self.algebra.field.char, out, x, cols[j])
-        return out
+        return _push(self.algebra.field.char, self.columns[name], vec)
 
     def act_element(self, coords: list, vec: dict) -> dict:
         """x.c for a sparse total-space vector x and an algebra element c in
@@ -135,15 +136,6 @@ class Representation:
                 p = bp.arrows
                 out[i] = images[p] = self.act(p[-1], images[p[:-1]]) if p else block_vec
         return out
-
-
-def _dense_rows(columns: list[dict], nrows: int) -> list[list]:
-    """The dense rows of the matrix with these sparse columns."""
-    rows = [[0] * len(columns) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, x in col.items():
-            rows[i][j] = x
-    return rows
 
 
 def _sparse_rows(columns: list[dict], nrows: int) -> list[dict]:
@@ -301,13 +293,13 @@ def _split_rows_by_vertex(rep: Representation, rows) -> dict[str, Subspace]:
     return out
 
 
-def sub_rep(rep: Representation, rows) -> tuple[Representation, MatrixExact]:
+def sub_rep(rep: Representation, rows) -> tuple[Representation, list[dict]]:
     """The submodule spanned by the given total-space rows (or `Subspace`,
     see `_split_rows_by_vertex`).
 
-    Returns (S, incl) with incl of shape (dim M x dim S) embedding the
-    chosen basis of S back into M.  Rows not closed under the action are
-    an input error.
+    Returns (S, incl) with incl the columns (dim M rows, one per basis
+    vector of S) embedding the chosen basis of S back into M.  Rows not
+    closed under the action are an input error.
     """
     per_vertex = _split_rows_by_vertex(rep, rows)
     dims = {v: len(per_vertex[v]) for v in rep.vertices}
@@ -323,14 +315,15 @@ def sub_rep(rep: Representation, rows) -> tuple[Representation, MatrixExact]:
                 raise InputFormatError("rows do not span an action-closed subspace")
             cols.append({position[q]: x for q, x in coords.items()})
     sub = Representation(rep.algebra, dims, columns)
-    incl = [rep.place(v, per_vertex[v].rref[p]) for v in rep.vertices for p in per_vertex[v].pivots]
-    return sub, MatrixExact.trusted(rep.algebra.field, _dense_rows(incl, rep.total_dim), len(incl))
+    return sub, [rep.place(v, per_vertex[v].rref[p]) for v in rep.vertices
+                 for p in per_vertex[v].pivots]
 
 
-def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation, MatrixExact]:
+def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation, list[dict]]:
     """The quotient by the submodule spanned by rows.
 
-    Returns (Q, proj) with proj of shape (dim Q x dim M).
+    Returns (Q, proj) with proj the columns (dim Q rows, one per basis
+    vector of M) of the projection.
     """
     f = rep.algebra.field
     per_vertex = _split_rows_by_vertex(rep, rows)
@@ -353,8 +346,8 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
     columns = {name: [project(dst, rep.columns[name][j]) for j in free[src]]
                for name, src, dst in rep.algebra.presentation.arrows}
     quot = Representation(rep.algebra, qdims, columns)
-    proj = [quot.place(v, project(v, {j: f.one})) for v in rep.vertices for j in range(rep.dims[v])]
-    return quot, MatrixExact.trusted(f, _dense_rows(proj, quot.total_dim), rep.total_dim)
+    return quot, [quot.place(v, project(v, {j: f.one}))
+                  for v in rep.vertices for j in range(rep.dims[v])]
 
 
 # -- radical and socle filtrations ----------------------------------------------------
@@ -362,11 +355,9 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
 
 def radical_space(rep: Representation) -> Subspace:
     """M rad A, the sum of the arrow images, as the canonical RREF."""
-    space = Subspace(rep.algebra.field, rep.total_dim)
-    for name, _, dst in rep.algebra.presentation.arrows:
-        for col in rep.columns[name]:
-            space.add_canonical(rep.place(dst, col))
-    return space
+    return Subspace.spanned(rep.algebra.field, rep.total_dim, (
+        rep.place(dst, col) for name, _, dst in rep.algebra.presentation.arrows
+        for col in rep.columns[name]))
 
 
 def radical_series(rep: Representation) -> list[Subspace]:
@@ -383,10 +374,9 @@ def radical_series(rep: Representation) -> list[Subspace]:
         # rad^(k+1) M is spanned by the arrow images of rad^k M, as x.a.p =
         # (x.a.p').b for a path p = p'b
         current, split = series[-1], _split_rows_by_vertex(rep, series[-1])
-        nxt = Subspace(rep.algebra.field, rep.total_dim)
-        for name, src, dst in rep.algebra.presentation.arrows:
-            for row in split[src].rref.values():
-                nxt.add_canonical(rep.place(dst, rep.act(name, row)))
+        nxt = Subspace.spanned(rep.algebra.field, rep.total_dim, (
+            rep.place(dst, rep.act(name, row)) for name, src, dst in rep.algebra.presentation.arrows
+            for row in split[src].rref.values()))
         check(len(nxt) < len(current), "radical series stalled: action not nilpotent")
         series.append(nxt)
     rep._cache["radical series"] = series
@@ -405,18 +395,13 @@ def socle_series(rep: Representation) -> list[Subspace]:
         # j of a's block, and the units of the other blocks map to zero
         stacked = []
         for name, src, dst in rep.algebra.presentation.arrows:
-            images = [current.reduce(_dense_row(rep.place(dst, col), n))
-                      for col in rep.columns[name]]
-            start = rep.offset(src)
-            for i in range(n):
-                row = {start + j: img[i] for j, img in enumerate(images) if img[i]}
-                if row:
-                    stacked.append(_dense_row(row, n))
-        if stacked:
-            # the kernel rows of rank_kernel are already its canonical RREF
-            nxt = Subspace.from_rref(f, n, rank_kernel(MatrixExact(f, stacked, n))[1].rows)
-        else:
-            nxt = Subspace.whole(f, n)
+            cols = [{} for _ in range(n)]
+            for j, col in enumerate(rep.columns[name], rep.offset(src)):
+                cols[j] = _sparse_row(current.reduce(_dense_row(rep.place(dst, col), n)))
+            stacked += _sparse_rows(cols, n)
+        # the kernel rows of rank_kernel are already its canonical RREF (with
+        # no rows, the unit vectors of the whole space)
+        nxt = Subspace.from_rref(f, n, rank_kernel(f, stacked, n)[1])
         check(len(nxt) > len(current), "socle series stalled: action not nilpotent")
         series.append(nxt)
     return series
@@ -521,13 +506,12 @@ class _Slices:
             rows = [cand for cand in chain[g].rows if grown.add(cand)]
             self._starts.append(len(self.pieces))
             self.pieces += [(g, r) for r in rows]
-            tags = MatrixExact.identity(field, len(rows)).rows
-            zero = [field.zero] * len(rows)
-            # V_(g+1) padded with zeros is already in RREF; the tagged rows join it
+            # V_(g+1), its sparse rows read in the wider space, is already in
+            # RREF; the rows join it, each tagged with a unit of its own
             tagged = Subspace.from_rref(field, n + len(rows),
-                                        [r + zero for r in below.rows], below.pivots)
-            for r, t in zip(rows, tags):
-                tagged.add(r + t)
+                                        [below.rref[p] for p in below.pivots], below.pivots)
+            for k, r in enumerate(rows):
+                tagged.add_canonical({**_sparse_row(r), n + k: field.one})
             self._tagged.append(tagged)
         self.grades = [g for g, _ in self.pieces]
 
@@ -599,33 +583,28 @@ def gr_sharp(rep: Representation, sub_rows: list[list],
     return _gr_from_series(rep, graded.algebra, _lift(rep, graded), series)
 
 
-def gr_of_surjection(m: Representation, n: Representation, proj: MatrixExact,
+def gr_of_surjection(m: Representation, n: Representation, proj: list[dict],
                      graded: GradedAlgebra | None = None):
-    """Apply gr to a surjective module map M ->> N.
+    """Apply gr to a surjective module map M ->> N, given by its sparse
+    columns (dim N rows, one per basis vector of M, as `quotient_rep`
+    returns them).
 
     Returns (gr M, gr N, matrix of gr proj, surjective flag) with the
     matrix written in the flat coordinates of the two graded modules.
     """
     require(m.algebra is n.algebra, "the map must connect modules over one algebra")
     f = m.algebra.field
-    if proj.shape != (n.total_dim, m.total_dim):
+    if len(proj) != m.total_dim or any(i not in range(n.total_dim) for col in proj for i in col):
         raise InputFormatError("map matrix has the wrong shape")
-    images = [_sparse_row(col) for col in zip(*proj.rows)] or [{}] * m.total_dim
-
-    def apply(vec):
-        """proj(x) for a sparse vector x of M, sparse."""
-        out = {}
-        for k, x in vec.items():
-            _add_multiple(f.char, out, x, images[k])
-        return out
-
+    images = [{i: x for i, x in zip(col, map(f.coerce, col.values())) if x} for col in proj]
     # proj(x.a) = proj(x).a for every arrow a and basis vector x of M
     for name in m.columns:
         arrow = m.algebra.basis_vector(m.algebra.arrow_index[name])
         for k in range(m.total_dim):
-            if apply(m.act_element(arrow, {k: f.one})) != n.act_element(arrow, images[k]):
+            image = _push(f.char, images, m.act_element(arrow, {k: f.one}))
+            if image != n.act_element(arrow, images[k]):
                 raise InputFormatError("matrix is not a module homomorphism")
-    if len(row_space(f, proj.rows, m.total_dim)) != n.total_dim:
+    if len(Subspace.spanned(f, n.total_dim, images)) != n.total_dim:
         raise InputFormatError("map is not surjective")
     if graded is None:
         graded = gr_algebra(m.algebra)
@@ -636,11 +615,11 @@ def gr_of_surjection(m: Representation, n: Representation, proj: MatrixExact,
     cols = []
     for v in m.vertices:
         for g, brow in m_slices[v].pieces:
-            img = apply(m.place(v, _sparse_row(brow)))
+            img = _push(f.char, images, m.place(v, _sparse_row(brow)))
             cols.append([x for u in n.vertices for x in
                          n_slices[u].vector(g, _dense_row(n.block(img, u), n.dims[u]))])
     mat = MatrixExact(f, cols, gn.rep.total_dim).transpose()
-    rank, _ = rank_kernel(mat)
+    rank, _ = rank_kernel(f, [_sparse_row(row) for row in mat.rows], mat.ncols)
     return gm, gn, mat, rank == gn.rep.total_dim
 
 
@@ -658,8 +637,6 @@ def hom_space(m: Representation, n: Representation) -> list[MatrixExact]:
             for j in range(m.dims[v]):
                 pos[(v, i, j)] = count
                 count += 1
-    if count == 0:
-        return []
     rows = []
     for name, src, dst in m.algebra.presentation.arrows:
         a_m = m.columns[name]
@@ -668,24 +645,17 @@ def hom_space(m: Representation, n: Representation) -> list[MatrixExact]:
         # nonzero entries of column j of a_m and of row i of a_n
         for i in range(n.dims[dst]):
             for j in range(m.dims[src]):
-                row = [f.zero] * count
-                for k, x in a_m[j].items():
-                    row[pos[(dst, i, k)]] = x
-                for k, x in a_n[i].items():
-                    idx = pos[(src, k, j)]
-                    row[idx] = f.sub(row[idx], x)
-                if any(row):
+                row = {pos[(dst, i, k)]: x for k, x in a_m[j].items()}
+                _add_multiple(f.char, row, f.neg(f.one),
+                              {pos[(src, k, j)]: x for k, x in a_n[i].items()})
+                if row:
                     rows.append(row)
-    if rows:
-        _, kernel = rank_kernel(MatrixExact.trusted(f, rows, count))
-        sols = list(kernel.rows)
-    else:
-        sols = MatrixExact.identity(f, count).rows
+    _, sols = rank_kernel(f, rows, count)
     out = []
     for sol in sols:
         mat = MatrixExact.zero(f, n.total_dim, m.total_dim)
         for (v, i, j), idx in pos.items():
-            if sol[idx]:
+            if idx in sol:
                 mat.rows[n.offset(v) + i][m.offset(v) + j] = sol[idx]
         out.append(mat)
     return out
@@ -695,8 +665,6 @@ def graded_hom_space(m: GradedRepresentation, n: GradedRepresentation,
                      degree: int = 0) -> list[MatrixExact]:
     """Module maps sending grade g into grade g + degree."""
     homs = hom_space(m.rep, n.rep)
-    if not homs:
-        return []
     f = m.rep.algebra.field
     bad_positions = [
         (n.rep.offset(v) + i, m.rep.offset(v) + j)
@@ -707,14 +675,15 @@ def graded_hom_space(m: GradedRepresentation, n: GradedRepresentation,
     ]
     if not bad_positions:
         return homs
-    conditions = [[h.rows[r][c] for r, c in bad_positions] for h in homs]
-    _, kernel = rank_kernel(MatrixExact(f, conditions, len(bad_positions)).transpose())
+    # one condition per bad position: the combination of the homs is 0 there
+    conditions = [{k: h.rows[r][c] for k, h in enumerate(homs) if h.rows[r][c]}
+                  for r, c in bad_positions]
+    _, kernel = rank_kernel(f, conditions, len(homs))
     out = []
-    for coeffs in kernel.rows:
+    for coeffs in kernel:
         acc = MatrixExact.zero(f, n.rep.total_dim, m.rep.total_dim)
-        for c, h in zip(coeffs, homs):
-            if c:
-                acc = acc.add(h.scale(c))
+        for k, c in coeffs.items():
+            acc = acc.add(homs[k].scale(c))
         out.append(acc)
     return out
 
@@ -809,9 +778,9 @@ def graded_is_isomorphic(m: GradedRepresentation, n: GradedRepresentation,
 @dataclass
 class Cover:
     projective: Representation
-    map: MatrixExact  # (dim M x dim P)
+    map: list[dict]  # columns: dim M rows, one per basis vector of P
     syzygy: Representation
-    syzygy_inclusion: MatrixExact  # (dim P x dim Omega)
+    syzygy_inclusion: list[dict]  # columns: dim P rows, one per basis vector of Omega
     head: dict[str, int]
     generators: list[tuple[str, int]]  # (vertex, index in M) per summand, in order
 
@@ -850,12 +819,11 @@ def projective_cover(rep: Representation) -> Cover:
     # summands, then each summand's basis paths in algebra order
     images = [rep.path_images(v, {j: f.one}) for v, j in generators]
     basis, n = rep.algebra.basis, rep.total_dim
-    cols = [rep.place(u, block) for u in rep.vertices for img in images
-            for i, block in img.items() if basis[i].dst == u]
-    nu = MatrixExact.trusted(f, _dense_rows(cols, n), len(cols))
-    rank, kernel = rank_kernel(nu)
+    nu = [rep.place(u, block) for u in rep.vertices for img in images
+          for i, block in img.items() if basis[i].dst == u]
+    rank, kernel = rank_kernel(f, _sparse_rows(nu, n), len(nu))
     check(rank == rep.total_dim, "cover map is not surjective")
-    omega, incl = sub_rep(proj, Subspace.from_rref(f, proj.total_dim, kernel.rows))
+    omega, incl = sub_rep(proj, Subspace.from_rref(f, proj.total_dim, kernel))
     check({v: sum(h[v] for _, h in parts) for v in rep.vertices} == head,
           "cover does not induce a head isomorphism")
     return Cover(proj, nu, omega, incl, head, generators)
@@ -866,7 +834,7 @@ class ResolutionData:
     """A minimal projective resolution up to a homological degree bound."""
 
     terms: list[Representation]
-    maps: list[MatrixExact]  # maps[0]: P_0 -> M; maps[i]: P_i -> P_(i-1)
+    maps: list[list[dict]]  # columns of maps[0]: P_0 -> M, maps[i]: P_i -> P_(i-1)
     syzygies: list[Representation]
     summand_vertices: list[list[str]]
     finite: bool
@@ -889,7 +857,7 @@ def minimal_resolution(rep: Representation, n_max: int) -> ResolutionData:
 
 def _resolve(rep: Representation, n_max: int) -> ResolutionData:
     terms: list[Representation] = []
-    maps: list[MatrixExact] = []
+    maps: list[list[dict]] = []
     syzygies: list[Representation] = []
     summand_vertices: list[list[str]] = []
     current = rep
@@ -900,7 +868,9 @@ def _resolve(rep: Representation, n_max: int) -> ResolutionData:
         cov = projective_cover(current)
         terms.append(cov.projective)
         summand_vertices.append(cov.summands)
-        maps.append(cov.map if i == 0 else prev_incl.mul(cov.map))
+        # each cover column pushed through the previous syzygy's inclusion
+        maps.append(cov.map if i == 0 else
+                    [_push(rep.algebra.field.char, prev_incl, col) for col in cov.map])
         syzygies.append(cov.syzygy)
         prev_incl = cov.syzygy_inclusion
         current = cov.syzygy
@@ -912,14 +882,18 @@ def _resolve(rep: Representation, n_max: int) -> ResolutionData:
 
 def _check_exactness(rep, terms, maps):
     """maps[0] is onto M, and at each interior term the maps compose to zero
-    with rank(in) + rank(out) = dim, so image = kernel; one echelon per map."""
+    with rank(in) + rank(out) = dim, so image = kernel.  Each rank is the
+    size of a `Subspace` grown from the map's columns, and each composite
+    pushes every column of maps[i] through maps[i - 1]."""
     if not terms:
         return
-    ranks = [len(echelon(m)[1]) for m in maps]
+    f = rep.algebra.field
+    ranks = [len(Subspace.spanned(f, target.total_dim, m))
+             for m, target in zip(maps, [rep] + terms)]
     check(ranks[0] == rep.total_dim, "resolution is not exact at the target")
     for i in range(1, len(terms)):
         check(
-            maps[i - 1].mul(maps[i]).is_zero(),
+            not any(_push(f.char, maps[i - 1], col) for col in maps[i]),
             "consecutive resolution maps do not compose to zero",
         )
         check(
@@ -951,10 +925,12 @@ def _ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
         cur = row_space(f, cur_flat, len(cur_flat[0]))
         mat_rows = []
         for h in basis_prev:
-            coords = cur.coords([x for row in h.mul(res.maps[i]).rows for x in row])
+            # h composed with maps[i], row by row: each row of h times each column
+            coords = cur.coords([sum(row[k] * x for k, x in col.items())
+                                 for row in h.rows for col in res.maps[i]])
             check(coords is not None, "hom image left the hom space")
-            mat_rows.append(coords)
-        rank, _ = rank_kernel(MatrixExact(f, mat_rows, len(cur)))
+            mat_rows.append(_sparse_row(coords))
+        rank, _ = rank_kernel(f, mat_rows, len(cur))
         ranks.append(rank)
     out = []
     for i in range(n_max + 1):
@@ -990,11 +966,11 @@ def graded_projective_cover(grep: GradedRepresentation):
                     grades[u].append(g + alg_grades[i])
     gproj = GradedRepresentation(cov.projective, grades)
     flat = [g for u in rep.vertices for g in grades[u]]
-    incl_cols = iter(cov.syzygy_inclusion.transpose().rows)
+    incl_cols = iter(cov.syzygy_inclusion)
     syz_grades: dict[str, list[int]] = {v: [] for v in rep.vertices}
     for v in rep.vertices:
         for vec in islice(incl_cols, cov.syzygy.dims[v]):
-            gset = {flat[k] for k in compress(range(len(vec)), vec)}
+            gset = {flat[k] for k in vec}
             check(len(gset) == 1, "syzygy basis vector is not homogeneous")
             syz_grades[v].append(gset.pop())
     gsyz = GradedRepresentation(cov.syzygy, syz_grades)

@@ -6,6 +6,11 @@ test oracles.
   Every vector is a full list of scalars; each `add` clears the new vector
   at every pivot in turn, normalises it and clears its lead column from the
   rows kept so far.
+- `echelon` and `is_zero`: the dense canonical RREF of a matrix and its
+  zero test, from before the resolution maps became sparse columns.
+- `kernel_matrix`: `rank_kernel` on a dense matrix, its kernel read back
+  as a dense matrix; `dense_map` is the dense matrix of a module map given
+  by sparse columns.
 - `solve`: one solution of a dense linear system by echelon form.
 - `total_action`, `path_total`, `element_total` and `relation_failure`: a
   module's action as dense total-space matrices, and the relation check of
@@ -21,7 +26,7 @@ inputs.
 from bisect import bisect_left
 
 from grkoszul.errors import InputFormatError, check
-from grkoszul.exactlin import FieldSpec, MatrixExact, _sparse_row, echelon
+from grkoszul.exactlin import FieldSpec, MatrixExact, Subspace, _dense_row, _sparse_row, rank_kernel
 
 
 def _minus_multiple(char: int, vec: list, c, row: list) -> list:
@@ -97,6 +102,32 @@ class DenseSubspace:
         self.rows.insert(at, res)
         self.pivots.insert(at, lead)
         return True
+
+
+def echelon(m: MatrixExact) -> tuple[MatrixExact, tuple[int, ...]]:
+    """Canonical reduced row echelon form and its pivot columns."""
+    space = Subspace(m.field, m.ncols, m.rows)
+    return MatrixExact.trusted(m.field, space.rows, m.ncols), tuple(space.pivots)
+
+
+def is_zero(m: MatrixExact) -> bool:
+    return not any(map(any, m.rows))
+
+
+def kernel_matrix(m: MatrixExact) -> tuple[int, MatrixExact]:
+    """`rank_kernel` of a dense matrix: its rank and the kernel RREF as a
+    dense matrix."""
+    rank, kernel = rank_kernel(m.field, [_sparse_row(row) for row in m.rows], m.ncols)
+    return rank, MatrixExact.trusted(m.field, [_dense_row(k, m.ncols) for k in kernel], m.ncols)
+
+
+def dense_map(field: FieldSpec, columns: list[dict], nrows: int) -> MatrixExact:
+    """The dense matrix, nrows x len(columns), of a map given by sparse columns."""
+    rows = [[field.zero] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return MatrixExact.trusted(field, rows, len(columns))
 
 
 def dense_rank_kernel(m: MatrixExact) -> tuple[int, MatrixExact]:
@@ -206,6 +237,6 @@ def relation_failure(rep) -> str | None:
         acc = MatrixExact.zero(f, rep.total_dim, rep.total_dim)
         for coeff, path in rel:
             acc = acc.add(path_total(rep, tuple(path)).scale(f.coerce(coeff)))
-        if not acc.is_zero():
+        if not is_zero(acc):
             return "action does not satisfy a defining relation"
     return None

@@ -270,13 +270,15 @@ def test_exit_4_when_a_resolution_map_is_perturbed(monkeypatch, tmp_path, capsys
 
     def perturbed(rep):
         # the second cover's map, or the first syzygy inclusion, with its
-        # (0, 0) entry zeroed or raised by one
+        # (0, 0) entry, row 0 of column 0, zeroed or raised by one
         cov = real(rep)
         if len(covers) == (1 if attribute == "map" else 0):
-            mat = getattr(cov, attribute)
-            rows = [list(row) for row in mat.rows]
-            rows[0][0] = 0 if attribute == "map" else rows[0][0] + 1
-            setattr(cov, attribute, type(mat)(mat.field, rows, mat.ncols))
+            cols = [dict(col) for col in getattr(cov, attribute)]
+            if attribute == "map":
+                cols[0].pop(0, None)
+            else:
+                cols[0][0] = cols[0].get(0, 0) + 1
+            setattr(cov, attribute, cols)
         covers.append(cov)
         return cov
 

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grkoszul.errors import InputFormatError
+from grkoszul.errors import InputFormatError, InternalCheckError
 from grkoszul.exactlin import (
     FieldSpec,
     MatrixExact,
     QQ,
     Subspace,
-    echelon,
     intersect_spaces,
     invert,
     rank_kernel,
@@ -20,7 +19,8 @@ from grkoszul.exactlin import (
     _sparse_row,
 )
 
-from dense_oracle import DenseSubspace, dense_rank_kernel, solve
+from dense_oracle import (DenseSubspace, dense_rank_kernel, echelon, is_zero, kernel_matrix,
+                          solve)
 
 try:  # sympy is an optional, independent elimination oracle
     from sympy import GF
@@ -41,14 +41,14 @@ def test_field_spec_rejects_composite_characteristic():
 
 def test_rank_kernel_rational_frozen():
     m = MatrixExact(QQ, [[1, 1], [1, 1]])
-    rank, kernel = rank_kernel(m)
+    rank, kernel = kernel_matrix(m)
     assert rank == 1
     assert kernel.rows == [[Fraction(1), Fraction(-1)]]
 
 
 def test_rank_kernel_mod2_frozen():
     m = MatrixExact(F2, [[1, 1], [1, 1]])
-    rank, kernel = rank_kernel(m)
+    rank, kernel = kernel_matrix(m)
     assert rank == 1
     assert kernel.rows == [[1, 1]]
 
@@ -111,10 +111,10 @@ def matrices(field):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([QQ, F2, F5]).flatmap(matrices))
 def test_rank_nullity_and_kernel_annihilation(m):
-    rank, kernel = rank_kernel(m)
+    rank, kernel = kernel_matrix(m)
     assert rank + kernel.nrows == m.ncols
     if kernel.nrows:
-        assert m.mul(kernel.transpose()).is_zero()
+        assert is_zero(m.mul(kernel.transpose()))
 
 
 def _two_echelon_kernel(m):
@@ -139,7 +139,7 @@ def _two_echelon_kernel(m):
 def test_one_sided_kernel_matches_the_two_echelon_construction(case):
     f, rows = case
     m = MatrixExact(f, rows)
-    rank, kernel = rank_kernel(m)
+    rank, kernel = kernel_matrix(m)
     assert (rank, kernel) == _two_echelon_kernel(m)
     assert kernel.rows == Subspace(f, m.ncols, kernel.rows).rows
     assert canonical_rows(f, kernel.rows)
@@ -148,7 +148,7 @@ def test_one_sided_kernel_matches_the_two_echelon_construction(case):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([QQ, F2, F5]).flatmap(matrices))
 def test_rank_equals_transpose_rank(m):
-    assert rank_kernel(m)[0] == rank_kernel(m.transpose())[0]
+    assert kernel_matrix(m)[0] == kernel_matrix(m.transpose())[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,7 +190,7 @@ def test_invert_is_a_two_sided_inverse_or_none_when_singular(m):
     inv = invert(m)
     ident = MatrixExact.identity(m.field, m.nrows)
     columns = [solve(m, unit) for unit in ident.rows]
-    if rank_kernel(m)[0] < m.nrows:
+    if kernel_matrix(m)[0] < m.nrows:
         assert inv is None
         return
     assert m.mul(inv) == ident and inv.mul(m) == ident
@@ -228,7 +228,7 @@ def test_determinant_zero_iff_singular(rows):
     from grkoszul.exactlin import determinant
 
     m = MatrixExact(QQ, rows)
-    rank, _ = rank_kernel(m)
+    rank, _ = kernel_matrix(m)
     if rank == m.nrows:
         assert determinant(m) != 0
     else:
@@ -372,7 +372,7 @@ def test_q_outputs_hold_only_ints_and_proper_fractions(rows, data):
     m = MatrixExact(QQ, rows)
     assert all_canonical(m.rows)
     assert all_canonical(echelon(m)[0].rows)
-    assert all_canonical(rank_kernel(m)[1].rows)
+    assert all_canonical(kernel_matrix(m)[1].rows)
     assert all_canonical(m.transpose().rows)
     assert all_canonical(m.mul(m.transpose()).rows)
     b = data.draw(st.lists(rational, min_size=m.nrows, max_size=m.nrows))
@@ -492,7 +492,7 @@ def test_coerce_row_rejects_denominators_divisible_by_p(f):
 def _kernel_meet(f, rows_a, rows_b, n):
     """Test-only intersection oracle: combinations sum c_a a = -sum c_b b read
     off the right kernel of the stacked spanning rows."""
-    _, kernel = rank_kernel(MatrixExact(f, list(rows_a) + list(rows_b), n).transpose())
+    _, kernel = kernel_matrix(MatrixExact(f, list(rows_a) + list(rows_b), n).transpose())
     vectors = [
         [sum(c * a for c, a in zip(coeffs, col)) for col in zip(*rows_a)]
         for coeffs in (row[: len(rows_a)] for row in kernel.rows)
@@ -576,8 +576,8 @@ def test_trusted_producers_return_canonical_scalars(case):
         "add": m.add(m),
         "scale": m.scale(scalar),
         "echelon": echelon(m)[0],
-        "kernel": rank_kernel(m)[1],
-        "kernel-t": rank_kernel(t)[1],
+        "kernel": kernel_matrix(m)[1],
+        "kernel-t": kernel_matrix(t)[1],
     }
     for name, out in produced.items():
         assert canonical_rows(f, out.rows), name
@@ -793,20 +793,61 @@ def test_sparse_subspace_matches_the_dense_oracle(case):
     assert trusted == space
 
 
-def oracle_matrices(field):
+def kernel_cases(field):
+    """(n, rows, full): up to six rows of n columns, dense or zero but for one
+    or two entries (so zero rows too), with proper Fractions over Q; no rows
+    at all gives the empty matrix, and full asks for the unit rows of every
+    column to be added, for a matrix of full rank."""
     return st.integers(min_value=1, max_value=6).flatmap(
-        lambda m: st.lists(oracle_vectors(field, m), min_size=1, max_size=6))
+        lambda n: st.tuples(st.just(n), st.lists(oracle_vectors(field, n), max_size=6),
+                            st.booleans()))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([QQ, F2, F3]).flatmap(
-    lambda f: st.tuples(st.just(f), oracle_matrices(f))))
+    lambda f: st.tuples(st.just(f), kernel_cases(f))))
 def test_rank_kernel_matches_the_dense_oracle(case):
-    f, rows = case
-    m = MatrixExact(f, rows)
-    rank, kernel = rank_kernel(m)
-    assert (rank, kernel) == dense_rank_kernel(m)
-    assert canonical_rows(f, kernel.rows)
+    """The one kernel routine, on sparse rows, against the dense mirrored
+    elimination: the same rank and the same RREF rows of the kernel."""
+    f, (n, rows, full) = case
+    m = MatrixExact(f, rows + (MatrixExact.identity(f, n).rows if full else []), n)
+    rank, kernel = rank_kernel(f, [_sparse_row(row) for row in m.rows], n)
+    expected_rank, expected = dense_rank_kernel(m)
+    assert (rank, kernel) == (expected_rank, [_sparse_row(row) for row in expected.rows])
+    assert canonical_rows(f, [list(vec.values()) for vec in kernel])
+    assert not full or (rank, kernel) == (n, [])
+    assert rank_kernel(f, [], 0) == (0, [])
     red, pivots = echelon(m)
     oracle = DenseSubspace(f, m.ncols, m.rows)
     assert (red.rows, list(pivots)) == (oracle.rows, oracle.pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]).flatmap(
+    lambda f: st.tuples(st.just(f), st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.dictionaries(
+            st.integers(0, n - 1), st.integers(1, 20).map(f.coerce).filter(bool),
+            min_size=2, max_size=n))))))
+def test_rank_kernel_refuses_a_changed_kernel_vector(case):
+    """One row with two or more nonzero entries: its elimination stores one
+    RREF row, and raising an entry of that row off its pivot by one changes
+    one entry of one kernel vector, which the A*k = 0 check refuses."""
+    f, (n, row) = case
+    real = Subspace.add_canonical
+
+    def perturbed(space, vec):
+        added = real(space, vec)
+        if added:
+            stored = dict(space.rref[space.pivots[0]])
+            j = max(stored)  # the pivot is the least column, so j is off it
+            stored[j] = f.add(stored[j], f.one)
+            if not stored[j]:
+                del stored[j]
+            space.rref[space.pivots[0]] = stored
+        return added
+
+    assert rank_kernel(f, [row], n)[0] == 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Subspace, "add_canonical", perturbed)
+        with pytest.raises(InternalCheckError, match="kernel basis fails A\\*k = 0"):
+            rank_kernel(f, [row], n)

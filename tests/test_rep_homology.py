@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import (DenseSubspace, block, columns_of, element_total, embed, path_total,
-                          relation_failure, total_action)
+from dense_oracle import (DenseSubspace, block, columns_of, dense_map, element_total, embed,
+                          is_zero, kernel_matrix, path_total, relation_failure, total_action)
 from grkoszul import rep_homology
 from grkoszul.errors import (
     GrkoszulError,
@@ -28,8 +28,8 @@ from grkoszul.errors import (
     PreconditionError,
     check,
 )
-from grkoszul.exactlin import (QQ, FieldSpec, MatrixExact, Subspace, rank_kernel, row_space,
-                               _dense_row, _sparse_row)
+from grkoszul.exactlin import (QQ, FieldSpec, MatrixExact, Subspace, row_space, _dense_row,
+                               _sparse_row)
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -345,9 +345,9 @@ def test_gr_preserves_surjections(cycle, cycle_mods):
         gm, gn, mat, surjective = gr_of_surjection(p1, quot, proj, graded)
         assert surjective
         assert gm.piece_dims()[0] == gn.piece_dims()[0]
-    not_a_map = MatrixExact.identity(QQ, 3)
+    zero_map = [{} for _ in range(p1.total_dim)]
     with pytest.raises(InputFormatError):
-        gr_of_surjection(p1, p1, not_a_map.scale(QQ.coerce(0)), graded)
+        gr_of_surjection(p1, p1, zero_map, graded)
 
 
 def test_gr_of_surjection_refuses_exactly_the_non_homomorphisms(cycle, cycle_mods):
@@ -358,13 +358,15 @@ def test_gr_of_surjection_refuses_exactly_the_non_homomorphisms(cycle, cycle_mod
     p1 = cycle_mods["P1"]
     for cut in (1, 2):
         quot, proj = quotient_rep(p1, radical_series(p1)[cut])
-        for i, j in iter_product(range(proj.nrows), range(proj.ncols)):
-            rows = [list(row) for row in proj.rows]
-            rows[i][j] += 1
-            changed = MatrixExact(QQ, rows, proj.ncols)
+        for i, j in iter_product(range(quot.total_dim), range(p1.total_dim)):
+            cols = [dict(col) for col in proj]
+            cols[j][i] = cols[j].get(i, 0) + 1
+            if not cols[j][i]:
+                del cols[j][i]
+            changed = dense_map(QQ, cols, quot.total_dim)
             is_map = all(changed.mul(total_action(p1, a)) == total_action(quot, a).mul(changed)
                          for a in p1.columns)
-            got = outcome(lambda: gr_of_surjection(p1, quot, changed, graded))
+            got = outcome(lambda: gr_of_surjection(p1, quot, cols, graded))
             assert ("not a module homomorphism" not in got) == is_map
 
 
@@ -665,7 +667,7 @@ def cocycle_data(field, table, act_m, act_n):
                     if any(x != field.zero for x in row):
                         rows.append(row)
     if rows:
-        _, kernel = rank_kernel(MatrixExact(field, rows, width))
+        _, kernel = kernel_matrix(MatrixExact(field, rows, width))
         z_basis = list(kernel.rows)
     else:
         z_basis = MatrixExact.identity(field, width).rows
@@ -923,7 +925,7 @@ def test_delta0_kernel_is_hom_over_the_whole_algebra(case):
     alg, m, n = case
     whole = whole_algebra(alg)
     delta = delta0(alg.field, restrict_action(m, whole), restrict_action(n, whole))
-    _, kernel = rank_kernel(delta.transpose())
+    _, kernel = kernel_matrix(delta.transpose())
     homs = hom_space(m, n)
     assert kernel.nrows == len(homs)
     # the same space, not only the same dimension: F flattened row by row
@@ -1019,10 +1021,13 @@ def resolution_battery():
                 head = f"{field.char} {alg_name} {mod_name}"
                 lines.append(f"{head} {res.summand_vertices} {res.finite}"
                              f" {res.projective_dimension}")
-                lines += [f"{head} map {i} {mat!r}" for i, mat in enumerate(res.maps)]
+                # each map and inclusion printed as the dense matrix of its columns
+                lines += [f"{head} map {i} {dense_map(field, cols, target.total_dim)!r}"
+                          for i, (cols, target) in enumerate(zip(res.maps, [m] + res.terms))]
                 for i, (source, syz) in enumerate(zip([m] + res.syzygies, res.syzygies)):
                     lines.append(f"{head} syzygy {i} {syz.dims} {syz.action!r}")
-                    incl = projective_cover(source).syzygy_inclusion
+                    cov = projective_cover(source)
+                    incl = dense_map(field, cov.syzygy_inclusion, cov.projective.total_dim)
                     lines.append(f"{head} inclusion {i} {incl!r}")
     return lines
 
@@ -1039,6 +1044,16 @@ RESOLUTION_BATTERY_SIZE = 441
 RESOLUTION_BATTERY_DIGEST = (
     "65f370ca8fae4eff724e83f0f1374c5a1c5e5861307e62b0728f473a806ceec5"
 )
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
+def test_cube_simple_resolves_to_degree_6_with_the_monomial_counts(field):
+    # k<x,y>/(all eight cubes) is a monomial algebra, so the terms of the
+    # minimal resolution of its simple have the summand counts of Anick and
+    # Green-Happel-Zacharia, the same in every characteristic
+    res = minimal_resolution(simple_rep(build_algebra(all_cubes(field)), "1"), 6)
+    assert [len(summands) for summands in res.summand_vertices] == [1, 2, 8, 16, 64, 128, 512]
+    assert not res.finite
 
 
 # -- Koszulity --------------------------------------------------------------------------------
@@ -1323,6 +1338,13 @@ def fractional_module():
     return make_representation(alg, {"1": 2}, columns_of(action))
 
 
+def assert_canonical_columns(field, columns, nrows, what):
+    """Sparse columns of canonical nonzero scalars, every row index below nrows."""
+    assert_canonical(field, [list(col.values()) for col in columns], what)
+    assert all(all(col.values()) for col in columns), what
+    assert all(0 <= i < nrows for col in columns for i in col), what
+
+
 def assert_cover_path_canonical(m):
     f = m.algebra.field
     for rows in radical_series(m):
@@ -1331,13 +1353,14 @@ def assert_cover_path_canonical(m):
             assert (space.rows, space.pivots) == \
                 (Subspace(f, m.dims[v], space.rows).rows, list(space.pivots))
         sub, incl = sub_rep(m, rows)
-        assert_canonical(f, incl.rows, "inclusion")
-        assert incl.shape == (m.total_dim, sub.total_dim)
+        assert_canonical_columns(f, incl, m.total_dim, "inclusion")
+        assert len(incl) == sub.total_dim
         for name, mat in sub.action.items():
             assert_canonical(f, mat.rows, "sub action " + name)
     cov = projective_cover(m)
-    assert_canonical(f, cov.map.rows, "cover map")
-    assert_canonical(f, cov.syzygy_inclusion.rows, "syzygy inclusion")
+    assert_canonical_columns(f, cov.map, m.total_dim, "cover map")
+    assert_canonical_columns(f, cov.syzygy_inclusion, cov.projective.total_dim,
+                             "syzygy inclusion")
     for part in (cov.projective, cov.syzygy):
         for name, mat in part.action.items():
             assert_canonical(f, mat.rows, "cover action " + name)
@@ -1351,15 +1374,15 @@ def test_cover_path_outputs_are_canonical(alg):
         res = minimal_resolution(simple_rep(alg, v), 2)
         for m in res.terms + res.syzygies:
             assert_cover_path_canonical(m)
-        assert all(is_canonical(alg.field, x) for mat in res.maps
-                   for row in mat.rows for x in row)
+        assert all(is_canonical(alg.field, x) for cols in res.maps
+                   for col in cols for x in col.values())
 
 
 def test_cover_path_keeps_proper_fractions():
     m = fractional_module()
     assert_cover_path_canonical(m)
     cov = projective_cover(m)
-    assert Fraction(3, 2) in [x for row in cov.map.rows for x in row]
+    assert Fraction(3, 2) in [x for col in cov.map for x in col.values()]
 
 
 # -- one elimination per matrix on the cover step ---------------------------------------
@@ -1423,7 +1446,7 @@ def sub_rep_by_dense_oracle(m, rows):
             return None
     dims = [sum(1 for p in span.pivots if m.offset(v) <= p < m.offset(v) + m.dims[v])
             for v in m.vertices]
-    incl = MatrixExact(f, span.rows, n).transpose() if span.rows else MatrixExact.zero(f, n, 0)
+    incl = [_sparse_row(row) for row in span.rows]
     actions = {a: MatrixExact(f, [span.coords(total_action(m, a).apply(row)) for row in span.rows],
                               len(span)).transpose() if span.rows else MatrixExact.zero(f, 0, 0)
                for a in m.action}
@@ -1489,7 +1512,7 @@ def test_cover_columns_match_the_path_total_oracle(alg, data):
     for m in cover_path_modules(alg):
         cov = projective_cover(m)
         cols = cover_columns_by_path_total(m, cov.generators)
-        assert cov.map == MatrixExact.trusted(f, cols, m.total_dim).transpose()
+        assert cov.map == [_sparse_row(col) for col in cols]
         # the walker on an arbitrary vector of one block, not only on units
         filled = [v for v in m.vertices if m.dims[v]]
         if not filled:
@@ -1561,17 +1584,20 @@ def test_tampered_memoised_head_fails_the_head_check():
 
 def perturb_cover(monkeypatch, index, attribute, how):
     """Make the index-th cover of every later resolution hand out a changed
-    map or syzygy inclusion: entry (0, 0) set to zero or raised by one."""
+    map or syzygy inclusion: entry (0, 0), row 0 of column 0, set to zero
+    (its key deleted) or raised by one."""
     covers = []
     real = rep_homology.projective_cover
 
     def perturbed(rep):
         cov = real(rep)
         if len(covers) == index:
-            mat = getattr(cov, attribute)
-            rows = [list(row) for row in mat.rows]
-            rows[0][0] = 0 if how == "zero" else rows[0][0] + 1
-            setattr(cov, attribute, MatrixExact(mat.field, rows, mat.ncols))
+            cols = [dict(col) for col in getattr(cov, attribute)]
+            if how == "zero":
+                cols[0].pop(0, None)
+            else:
+                cols[0][0] = cols[0].get(0, 0) + 1
+            setattr(cov, attribute, cols)
         covers.append(cov)
         return cov
 
@@ -1669,10 +1695,10 @@ def restrict_iso_check_by_oracle(m, emb):
 
     def has_invertible_hom(act_m, act_n):
         delta = delta0(f, act_m, act_n)
-        if delta.is_zero():
+        if is_zero(delta):
             # every b acts on both sides by one scalar: the identity is a witness
             return True
-        _, kernel = rank_kernel(delta.transpose())
+        _, kernel = kernel_matrix(delta.transpose())
         homs = [MatrixExact(f, [vec[r * n : (r + 1) * n] for r in range(n)], n)
                 for vec in kernel.rows]
         return _invertible_combination(f, homs, n) is not None
@@ -1832,7 +1858,8 @@ def test_pullback_rank_matches_the_cocycle_oracle(maker, field):
                for v in alg.presentation.vertices]
     for name, m in truncations(alg):
         series = radical_series(m)
-        last, incl = sub_rep(m, series[-2])
+        last, cols = sub_rep(m, series[-2])
+        incl = dense_map(field, cols, m.total_dim)
         act_m = [element_total(m, b) for b in basis]
         act_s = [element_total(last, b) for b in basis]
         per_simple = [ext1_pullback_rank(field, table, act_m, act_l, act_s, incl)
