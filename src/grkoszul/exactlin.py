@@ -9,9 +9,9 @@ sparse, one {column: scalar} dict of nonzero entries per pivot (`_sparse_row`,
 `_dense_row` convert), so eliminating a vector touches only its nonzero
 entries and the rows of the pivots among them.
 
-Pivoting rule: echelon reduction (`Subspace.add`, which `row_space` runs row
-by row, and `Subspace.add_canonical`, which `rank_kernel` runs on its sparse
-rows) always selects the leftmost nonzero entry of the reduced row (no
+Pivoting rule: echelon reduction (`Subspace.add`, which `row_space` and
+`echelon` run row by row, and `Subspace.add_canonical`, which `rank_kernel`
+runs on its sparse rows) always selects the leftmost nonzero entry of the reduced row (no
 magnitude heuristics), then removes that column from the rows kept so far.
 The reduced row echelon form is fully normalized (pivots 1, pivot columns
 cleared, rows sorted by pivot column), hence canonical for the row space.
@@ -456,6 +456,12 @@ class Subspace:
         insort(self.pivots, lead)
         self._dense = None
         return True
+
+
+def echelon(m: MatrixExact) -> tuple[MatrixExact, tuple[int, ...]]:
+    """Canonical reduced row echelon form and its pivot columns."""
+    space = Subspace(m.field, m.ncols, m.rows)
+    return MatrixExact.trusted(m.field, space.rows, m.ncols), tuple(space.pivots)
 
 
 def rank_kernel(field: FieldSpec, rows: list[dict], n: int) -> tuple[int, list[dict]]:

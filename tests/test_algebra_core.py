@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import echelon, kernel_matrix
+from dense_oracle import kernel_matrix
 from grkoszul.errors import InputFormatError, PreconditionError
-from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, row_space
+from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, echelon, row_space
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,

@@ -12,6 +12,7 @@ from grkoszul.exactlin import (
     MatrixExact,
     QQ,
     Subspace,
+    echelon,
     intersect_spaces,
     invert,
     rank_kernel,
@@ -19,8 +20,7 @@ from grkoszul.exactlin import (
     _sparse_row,
 )
 
-from dense_oracle import (DenseSubspace, dense_rank_kernel, echelon, is_zero, kernel_matrix,
-                          solve)
+from dense_oracle import DenseSubspace, dense_rank_kernel, is_zero, kernel_matrix, solve
 
 try:  # sympy is an optional, independent elimination oracle
     from sympy import GF
