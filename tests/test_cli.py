@@ -81,6 +81,29 @@ matrix y
 1 0 0
 """
 
+# the A1 double chain at n = 4 (tests/test_qha_engine.py::a1_chain_with_duality)
+# with the order i+1 < i and the lengths 4 - i, as `write_qalg` renders it
+CHAIN4_QALG = """\
+field Q
+vertex 1 length=3
+vertex 2 length=2
+vertex 3 length=1
+vertex 4 length=0
+arrow a1 1 2
+arrow a2 2 3
+arrow a3 3 4
+arrow b1 2 1
+arrow b2 3 2
+arrow b3 4 3
+relation 1*a1*b1
+relation 1*a2*b2 + -1*b1*a1
+relation 1*a3*b3 + -1*b2*a2
+order 2 < 1
+order 3 < 2
+order 4 < 3
+duality a1:b1 b1:a1 a2:b2 b2:a2 a3:b3 b3:a3
+"""
+
 DELTA2_QREP = """\
 vertexdim 1 1
 vertexdim 2 1
@@ -153,6 +176,16 @@ def test_qalg_multi_term_relation_round_trip():
             "relation 1*a*b + -2/3*c*d\n")
     pres = cli.parse_qalg(text)
     assert cli.parse_qalg(cli.write_qalg(pres)) == pres
+
+
+def test_chain4_fixture_is_the_decorated_a1_chain():
+    from test_qha_engine import a1_chain_with_duality
+
+    pres = a1_chain_with_duality(4)
+    pres.order_pairs = [(str(i + 1), str(i)) for i in range(1, 4)]
+    pres.lengths = {str(i): 4 - i for i in range(1, 5)}
+    assert cli.write_qalg(pres) == CHAIN4_QALG
+    assert cli.parse_qalg(CHAIN4_QALG) == pres
 
 
 def write_qrep(rep):
@@ -585,6 +618,18 @@ GOLDEN_BODIES = {
     # recorded before the restriction check ran on the restricted module
     "module-restrict-cube-nongradable":
         "3786d3a30234792d791447082de6342a0078d71e5e195090395aa173d3c9dcbc",
+    # algebra-side reports on the n = 4 chain, recorded before algebra
+    # elements became sparse dicts and algebra maps sparse columns
+    "chain4-qha-dual":
+        "552eece5205f3d3f73d322d7838bd0ecde074b3a679610e90e29e586c48bd155",
+    "chain4-qha-truncate":
+        "b33028a9c2ae1600ae0978ef287e8e199a1695f9e140877868636d71c8d06d8a",
+    "chain4-qha-pipeline":
+        "ecc4368602d6bbd739916a28305962884ef900628258ebb849eb9f04fc2aac86",
+    "chain4-algebra-subalgebra":
+        "f2b1421a89c8a64bb08cbe86e40b60cd17da5a459aad1f8726cd0dc0b17bbe82",
+    "chain4-algebra-radgen":
+        "8f29d758bea6397b30e74bd90025e494df4aa2429823ee557a474f2dedc57510",
 }
 
 
@@ -603,6 +648,8 @@ def test_golden_representation_digests(b5_path, cubic_path, delta2_path, tmp_pat
     simple.write_text(CUBE_SIMPLE_QREP)
     nongradable = tmp_path / "cube-nongradable.qrep"
     nongradable.write_text(CUBE_NONGRADABLE_QREP)
+    chain4 = tmp_path / "chain4.qalg"
+    chain4.write_text(CHAIN4_QALG)
     runs = {
         "module-resolve": ["module", "resolve", alg, rep, "--max-degree", "4"],
         "module-ext": ["module", "ext", alg, rep, "--max-degree", "4"],
@@ -621,6 +668,12 @@ def test_golden_representation_digests(b5_path, cubic_path, delta2_path, tmp_pat
         "module-resolve-cube-f3": ["module", "resolve", cube["f3"], simple, "--max-degree", "3"],
         "module-resolve-cube-q": ["module", "resolve", cube["q"], simple, "--max-degree", "4"],
         "module-restrict-cube-nongradable": ["module", "restrict", cube["q"], nongradable],
+        "chain4-qha-dual": ["qha", "dual", chain4],
+        "chain4-qha-truncate": ["qha", "truncate", chain4, "--keep", "3,4"],
+        "chain4-qha-pipeline": ["qha", "pipeline", chain4, "--keep", "4"],
+        "chain4-algebra-subalgebra": ["algebra", "subalgebra", chain4,
+                                      "--generators", "1,2,3,4,a1,a2,a3,b1,b2,b3"],
+        "chain4-algebra-radgen": ["algebra", "radgen-check", chain4],
     }
     digests = {}
     for name, args in runs.items():
