@@ -14,6 +14,11 @@ Conventions, fixed once for the whole package:
   tuples; the leading term of a relation is its largest path.  Completion of
   the rewriting system (noncommutative Groebner) runs with a hard cap on the
   leading-term length, default 32.
+* An algebra element is a sparse {basis index: scalar} dict of its nonzero
+  canonical scalars.  One routine, `multiply`, takes products, over the
+  basis products `mult_basis` of a based or a concrete algebra; a linear
+  map between algebras is the list of its sparse columns, the image of
+  each basis element, applied by `exactlin._push`.
 
 Only admissible-style presentations are accepted: every path occurring in a
 relation has length >= 2, so the arrow-ideal span is the radical once the
@@ -26,17 +31,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InputFormatError, InternalCheckError, check, require
-from .exactlin import (
-    FieldSpec,
-    MatrixExact,
-    Subspace,
-    intersect_spaces,
-    invert,
-    rank_kernel,
-    row_space,
-    _push,
-    _sparse_row,
-)
+from .exactlin import FieldSpec, Subspace, intersect_spaces, _add_multiple, _push
 
 DEFAULT_PATH_CAP = 32
 
@@ -248,11 +243,28 @@ class _Memoized:
         return memo[key]
 
 
-class FiniteDimAlgebra(_Memoized):
+class _SparseAlgebra:
+    """An algebra on a numbered basis whose elements are sparse
+    {basis index: scalar} dicts of canonical scalars; `mult_basis(i, j)` is
+    the product of basis elements i and j, one such dict."""
+
+    def multiply(self, x: dict, y: dict) -> dict:
+        """x * y over the basis products of the nonzero entries of x and y."""
+        char, mult_basis, out = self.field.char, self.mult_basis, {}
+        for i, a in x.items():
+            for j, b in y.items():
+                prod = mult_basis(i, j)
+                if prod:
+                    _add_multiple(char, out, a * b, prod)
+        return out
+
+
+class FiniteDimAlgebra(_Memoized, _SparseAlgebra):
     """Quotient of a path algebra by an admissible relation ideal.
 
     The basis consists of the relation-irreducible ("normal") paths, vertex
-    idempotents included.  Vectors are plain scalar lists in basis order.
+    idempotents included.  Elements are sparse {basis index: scalar} dicts
+    of canonical scalars, with no zero entries.
     """
 
     def __init__(self, presentation: QuiverPresentation, rewrite: RewriteSystem,
@@ -273,62 +285,39 @@ class FiniteDimAlgebra(_Memoized):
         self.arrow_index = {
             b.arrows[0]: i for i, b in enumerate(basis) if len(b.arrows) == 1
         }
-        self._mult: dict[tuple[int, int], tuple[tuple[int, object], ...]] = {}
+        self._mult: dict[tuple[int, int], dict] = {}
         self._memo: dict = {}
 
-    # -- vectors --------------------------------------------------------------
+    # -- elements -------------------------------------------------------------
 
-    def zero_vector(self) -> list:
-        return [self.field.zero] * self.dim
+    def unit_vector(self) -> dict:
+        return {i: self.field.one for i in self.vertex_index.values()}
 
-    def unit_vector(self) -> list:
-        vec = self.zero_vector()
-        for i in self.vertex_index.values():
-            vec[i] = self.field.one
-        return vec
+    def basis_vector(self, i: int) -> dict:
+        return {i: self.field.one}
 
-    def basis_vector(self, i: int) -> list:
-        vec = self.zero_vector()
-        vec[i] = self.field.one
-        return vec
-
-    def path_to_vector(self, src: str, arrows: tuple[str, ...]) -> list:
-        """Normal form of the path as a coordinate vector."""
+    def path_to_vector(self, src: str, arrows: tuple[str, ...]) -> dict:
+        """Normal form of the path as an element."""
         poly = self.rewrite.normal_form({arrows: self.field.one})
-        vec = self.zero_vector()
-        for p, c in poly.items():
-            vec[self.index[(src, p)]] = c
-        return vec
+        return {self.index[(src, p)]: c for p, c in poly.items()}
 
     # -- multiplication --------------------------------------------------------
 
-    def mult_basis(self, i: int, j: int) -> tuple[tuple[int, object], ...]:
+    def mult_basis(self, i: int, j: int) -> dict:
+        """The product of basis elements i and j, its terms in path order;
+        computed once and shared, so read-only."""
         got = self._mult.get((i, j))
         if got is not None:
             return got
         bi, bj = self.basis[i], self.basis[j]
         if bi.dst != bj.src:
-            out: tuple[tuple[int, object], ...] = ()
+            out = {}
         else:
             poly = self.rewrite.normal_form(
                 {bi.arrows + bj.arrows: self.field.one}
             )
-            out = tuple(
-                (self.index[(bi.src, p)], c) for p, c in sorted(poly.items())
-            )
+            out = {self.index[(bi.src, p)]: c for p, c in sorted(poly.items())}
         self._mult[(i, j)] = out
-        return out
-
-    def multiply(self, x: list, y: list) -> list:
-        """x * y over the basis products of the nonzero entries of x and y."""
-        f = self.field
-        out = self.zero_vector()
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if a:
-                for j, b in ys:
-                    for k, c in self.mult_basis(i, j):
-                        out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
         return out
 
     # -- radical ----------------------------------------------------------------
@@ -345,12 +334,10 @@ class FiniteDimAlgebra(_Memoized):
         chain = [Subspace.whole(f, self.dim),
                  Subspace.from_rref(f, self.dim, [{i: f.one} for i in arrows], arrows)]
         # J^(k+1) = J^k J is spanned by J^k times the arrows: a path of length
-        # k + 1 or more is one of length k or more followed by its last arrow;
-        # times[a] lists the products b * a of the basis elements b, sparse
-        times = {a: [dict(self.mult_basis(i, a)) for i in range(self.dim)] for a in arrows}
+        # k + 1 or more is one of length k or more followed by its last arrow
         while chain[-1]:
             prev = chain[-1]
-            nxt = Subspace.spanned(f, self.dim, (_push(f.char, times[a], row)
+            nxt = Subspace.spanned(f, self.dim, (self.multiply(row, {a: f.one})
                                                  for row in prev.rref.values() for a in arrows))
             if len(nxt) == len(prev):
                 raise InputFormatError(
@@ -371,7 +358,7 @@ class FiniteDimAlgebra(_Memoized):
         """Least r with rad^r = 0."""
         return len(self.radical_chain()) - 1
 
-    def grade_of(self, vec: list) -> int:
+    def grade_of(self, vec: dict) -> int:
         """The largest g with vec in rad^g among the nonzero powers."""
         chain = self.radical_chain()
         g = 0
@@ -476,7 +463,7 @@ def _validate_duality(algebra: FiniteDimAlgebra) -> None:
     # anti-automorphism must preserve the relation ideal
     f = algebra.field
     for rel in pres.relations:
-        vec = algebra.zero_vector()
+        vec = {}
         for coeff, path in rel:
             total_sign = 1
             image_path = []
@@ -486,10 +473,9 @@ def _validate_duality(algebra: FiniteDimAlgebra) -> None:
                 image_path.append(img)
             image_path = tuple(image_path)
             src = pres.arrow_endpoints(image_path[0])[0]
-            term = algebra.path_to_vector(src, image_path)
             c = f.mul(f.coerce(coeff), f.coerce(total_sign))
-            vec = [f.add(v, f.mul(c, t)) for v, t in zip(vec, term)]
-        if any(vec):
+            _add_multiple(f.char, vec, c, algebra.path_to_vector(src, image_path))
+        if vec:
             raise InputFormatError("duality does not preserve the relation ideal")
 
 
@@ -562,7 +548,7 @@ def tight_grading_check(algebra: FiniteDimAlgebra,
         for j in range(algebra.dim):
             prod = algebra.mult_basis(i, j)
             target = grades[i] + grades[j]
-            for k, _ in prod:
+            for k in prod:
                 if grades[k] != target:
                     multiplicative = False
                     failures.append(
@@ -584,23 +570,23 @@ def tight_grading_check(algebra: FiniteDimAlgebra,
     # positive part equals radical
     pos_rows = [v for g in by_grade if g > 0 for v in grade_rows(g)]
     # canonical RREFs are equal exactly when the spans are
-    positive_part_is_radical = row_space(f, pos_rows, algebra.dim) == algebra.radical()
+    positive_part_is_radical = Subspace.spanned(f, algebra.dim, pos_rows) == algebra.radical()
     if not positive_part_is_radical:
         failures.append("positive part does not equal the radical")
     # tightness: A_n = (A_1)^n
     tight = True
     power_rows = grade_rows(1)
     for n in range(2, top + 1):
-        power = row_space(f, [algebra.multiply(row, one) for row in power_rows
-                              for one in grade_rows(1)], algebra.dim)
-        expected = row_space(f, grade_rows(n), algebra.dim)
+        power = Subspace.spanned(f, algebra.dim, [algebra.multiply(row, one) for row in power_rows
+                                                  for one in grade_rows(1)])
+        expected = Subspace.spanned(f, algebra.dim, grade_rows(n))
         if power != expected:
             tight = False
             failures.append(
                 f"grade {n} has dim {len(expected)} but (grade 1)^{n} has "
                 f"dim {len(power)}"
             )
-        power_rows = power.rows
+        power_rows = power.sparse_rows
     return TightGradingReport(
         multiplicative, degree_zero_semisimple, positive_part_is_radical, tight,
         failures,
@@ -611,18 +597,22 @@ def tight_grading_check(algebra: FiniteDimAlgebra,
 
 
 @dataclass
-class ConcreteAlgebra:
-    """An algebra given by coordinates: a multiplication on K^dim plus the
-    idempotent and radical data needed to rebuild a quiver presentation."""
+class ConcreteAlgebra(_SparseAlgebra):
+    """An algebra given by coordinates: the products of its basis elements
+    plus the idempotent and radical data needed to rebuild a quiver
+    presentation.  Elements are sparse, as in FiniteDimAlgebra."""
 
     field: FieldSpec
     dim: int
-    multiply: object  # callable (vec, vec) -> vec
-    vertex_idempotents: dict[str, list]  # label -> orthogonal idempotent vector
-    radical_rows: list[list]
+    products: list[list[dict]]  # [i][j] -> basis element i times basis element j
+    vertex_idempotents: dict[str, dict]  # label -> orthogonal idempotent
+    radical_rows: list[dict]
+
+    def mult_basis(self, i: int, j: int) -> dict:
+        return self.products[i][j]
 
 
-def _block_project(conc: ConcreteAlgebra, u: str, v: str, vec: list) -> list:
+def _block_project(conc: ConcreteAlgebra, u: str, v: str, vec: dict) -> dict:
     eu = conc.vertex_idempotents[u]
     ev = conc.vertex_idempotents[v]
     return conc.multiply(eu, conc.multiply(vec, ev))
@@ -631,27 +621,28 @@ def _block_project(conc: ConcreteAlgebra, u: str, v: str, vec: list) -> list:
 def presentation_from_concrete(
     conc: ConcreteAlgebra,
     vertex_order: list[str],
-    preferred_arrows: list[tuple[str, str, str, list]] | None = None,
+    preferred_arrows: list[tuple[str, str, str, dict]] | None = None,
     cap: int = DEFAULT_PATH_CAP,
-) -> tuple[QuiverPresentation, FiniteDimAlgebra, list[list], dict[str, list]]:
+) -> tuple[QuiverPresentation, FiniteDimAlgebra, list[dict], dict[str, dict]]:
     """Rebuild a quiver presentation of a concrete basic algebra.
 
-    preferred_arrows: candidate (name, src, dst, vector) generators tried
+    preferred_arrows: candidate (name, src, dst, element) generators tried
     first when choosing arrow representatives.  Returns the presentation, the
-    rebuilt algebra, the concrete vector of every normal path (aligned with
-    the rebuilt basis), and the chosen arrow representative vectors.
+    rebuilt algebra, the concrete element of every normal path (aligned with
+    the rebuilt basis), and the chosen arrow representatives.
 
     The linear map sending each normal path to its concrete vector is checked
     to be a bijective algebra homomorphism.
     """
     f = conc.field
     preferred = preferred_arrows or []
-    rad = row_space(f, conc.radical_rows, conc.dim)
-    rad2 = row_space(f, [conc.multiply(x, y) for x in rad.rows for y in rad.rows], conc.dim)
+    rad = Subspace.spanned(f, conc.dim, conc.radical_rows)
+    rad2 = Subspace.spanned(f, conc.dim, [conc.multiply(x, y) for x in rad.sparse_rows
+                                          for y in rad.sparse_rows])
 
     # choose arrow representatives block by block
     arrows: list[tuple[str, str, str]] = []
-    arrow_vectors: dict[str, list] = {}
+    arrow_vectors: dict[str, dict] = {}
     counter = itertools.count()
     for u in vertex_order:
         for v in vertex_order:
@@ -663,8 +654,9 @@ def presentation_from_concrete(
                 if chosen.add(bvec):
                     arrows.append((name, u, v))
                     arrow_vectors[name] = bvec
-            block = row_space(f, [_block_project(conc, u, v, r) for r in rad.rows], conc.dim)
-            for vec in block.rows:
+            block = Subspace.spanned(f, conc.dim, [_block_project(conc, u, v, r)
+                                                   for r in rad.sparse_rows])
+            for vec in block.sparse_rows:
                 if chosen.add(vec):
                     name = f"q{next(counter)}"
                     arrows.append((name, u, v))
@@ -682,7 +674,7 @@ def presentation_from_concrete(
     dead: set[tuple[str, ...]] = set()
     arrow_ends = {name: (src, dst) for name, src, dst in arrows}
     kept_paths: list[tuple[tuple[str, ...], str, str]] = []
-    kept_vectors: list[list] = []
+    kept_vectors: list[dict] = []
     kept_index = {}
     # each kept vector beside its unit tag: a vector in their span reduces to
     # (0 | minus its coordinates in the kept vectors), which are independent
@@ -690,7 +682,7 @@ def presentation_from_concrete(
     tagged = Subspace(f, 2 * n)
 
     def keep(path, src, dst, vec):
-        tagged.add(vec + [f.one if k == len(kept_paths) else f.zero for k in range(n)])
+        tagged.add({**vec, n + len(kept_paths): f.one})
         kept_index[path] = len(kept_paths)
         kept_paths.append((path, src, dst))
         kept_vectors.append(vec)
@@ -721,13 +713,13 @@ def presentation_from_concrete(
         candidates.sort(key=lambda c: c[0])
         new_frontier = []
         for new_path, src, dst, vec in candidates:
-            residual = tagged.reduce(vec + [f.zero] * n)
-            if any(residual[:n]):
+            residual = tagged.reduce(vec)
+            if any(k < n for k in residual):
                 keep(new_path, src, dst, vec)
                 new_frontier.append((new_path, src, dst))
             else:
                 relations.append([(f.one, new_path)] + [
-                    (c, kept_paths[i][0]) for i, c in enumerate(residual[n:]) if c])
+                    (c, kept_paths[k - n][0]) for k, c in sorted(residual.items())])
                 dead.add(new_path)
         frontier = new_frontier
 
@@ -748,15 +740,14 @@ def presentation_from_concrete(
             for name in bp.arrows[1:]:
                 vec = conc.multiply(vec, arrow_vectors[name])
             path_vectors.append(vec)
-    rankm, _ = rank_kernel(f, [_sparse_row(f.coerce_row(vec)) for vec in path_vectors], conc.dim)
-    check(rankm == conc.dim, "path evaluation map is not bijective")
+    # the path elements span, so the map is bijective (the dimensions agree)
+    check(len(Subspace.spanned(f, conc.dim, path_vectors)) == conc.dim,
+          "path evaluation map is not bijective")
     # structure constants must agree
     for i in range(rebuilt.dim):
         for j in range(rebuilt.dim):
             lhs = conc.multiply(path_vectors[i], path_vectors[j])
-            rhs = [f.zero] * conc.dim
-            for k, c in rebuilt.mult_basis(i, j):
-                rhs = [f.add(a, f.mul(c, b)) for a, b in zip(rhs, path_vectors[k])]
+            rhs = _push(f.char, path_vectors, rebuilt.mult_basis(i, j))
             check(lhs == rhs, "rebuilt multiplication disagrees with concrete algebra")
     return pres, rebuilt, path_vectors, arrow_vectors
 
@@ -772,8 +763,8 @@ class GradedAlgebra:
     algebra: FiniteDimAlgebra
     grades: list[int]
     source: FiniteDimAlgebra
-    arrow_reps: dict[str, list]  # gr-arrow name -> representative in source coords
-    adapted_basis: list[tuple[int, list]]  # (grade, vector in source coords)
+    arrow_reps: dict[str, dict]  # gr-arrow name -> representative in the source
+    adapted_basis: list[tuple[int, dict]]  # (grade, element of the source)
 
     def graded_dims(self) -> list[int]:
         top = max(self.grades) if self.grades else 0
@@ -796,11 +787,26 @@ def gr_algebra(algebra: FiniteDimAlgebra, cap: int = DEFAULT_PATH_CAP) -> Graded
     return algebra.memoized(("gr", cap), lambda: _gr_algebra(algebra, cap))
 
 
+def _coordinates_in(field: FieldSpec, basis: list[dict]) -> list[dict] | None:
+    """The map sending an element of field^n to its coordinates in `basis`
+    (n sparse vectors), as sparse columns: the coordinates of each unit
+    vector; None when `basis` is not a basis.  One elimination of the tagged
+    rows (basis_k | e_k), as in `presentation_from_concrete`: their canonical
+    RREF is (I | C) exactly for a basis, and row i of C holds the coordinates
+    of e_i."""
+    n = len(basis)
+    tagged = Subspace.spanned(field, 2 * n, ({**vec, n + k: field.one}
+                                             for k, vec in enumerate(basis)))
+    if tagged.pivots != list(range(n)):
+        return None
+    return [{j - n: x for j, x in tagged.rref[i].items() if j >= n} for i in range(n)]
+
+
 def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
     f = algebra.field
     chain = algebra.radical_chain()
     grades = algebra.grades()
-    adapted: list[tuple[int, list]] = []
+    adapted: list[tuple[int, dict]] = []
     for power in range(len(chain) - 1):
         chosen = chain[power + 1].copy()
         if power == 0:
@@ -817,67 +823,36 @@ def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
         for vec in candidates:
             if chosen.add(vec):
                 adapted.append((power, vec))
-        for vec in chain[power].rows:
+        for vec in chain[power].sparse_rows:
             if chosen.add(vec):
                 adapted.append((power, vec))
     check(len(adapted) == algebra.dim, "adapted basis has wrong size")
 
-    # the adapted coordinates of a vector v are v A^-1, A the adapted rows
-    inverse = invert(MatrixExact.trusted(f, [vec for _, vec in adapted], algebra.dim))
-    check(inverse is not None, "adapted vectors are not a basis")
-    to_adapted = inverse.transpose()
-    coord_cache = {}
-
-    def adapted_coords(vec):
-        key = tuple(vec)
-        if key not in coord_cache:
-            coord_cache[key] = to_adapted.apply(vec)
-        return coord_cache[key]
-
-    def gr_multiply(x: list, y: list) -> list:
-        # bilinear over the adapted coordinates, keeping only the expected grade
-        out = [f.zero] * algebra.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            gi = adapted[i][0]
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                gj = adapted[j][0]
-                prod = algebra.multiply(adapted[i][1], adapted[j][1])
-                coords = adapted_coords(prod)
-                coeff = f.mul(a, b)
-                for k, c in enumerate(coords):
-                    if c and adapted[k][0] == gi + gj:
-                        out[k] = f.add(out[k], f.mul(coeff, c))
-        return out
+    # the adapted coordinates of an element v are its image under to_adapted
+    to_adapted = _coordinates_in(f, [vec for _, vec in adapted])
+    check(to_adapted is not None, "adapted vectors are not a basis")
+    # the graded product of two adapted basis elements: their product in the
+    # source, in adapted coordinates, keeping only the expected grade
+    products = [[{k: c for k, c in _push(f.char, to_adapted, algebra.multiply(x, y)).items()
+                  if adapted[k][0] == gx + gy} for gy, y in adapted]
+                for gx, x in adapted]
 
     idempotents = {}
     for v in algebra.presentation.vertices:
-        vec = [f.zero] * algebra.dim
         target = algebra.basis_vector(algebra.vertex_index[v])
-        for k, (g, avec) in enumerate(adapted):
-            if g == 0 and avec == target:
-                vec[k] = f.one
-        check(any(vec), "vertex idempotent missing from adapted basis")
+        vec = {k: f.one for k, (g, avec) in enumerate(adapted) if g == 0 and avec == target}
+        check(bool(vec), "vertex idempotent missing from adapted basis")
         idempotents[v] = vec
-    rad_rows = [
-        [f.one if k == i else f.zero for k in range(algebra.dim)]
-        for i, (g, _) in enumerate(adapted)
-        if g > 0
-    ]
-    conc = ConcreteAlgebra(f, algebra.dim, gr_multiply, idempotents, rad_rows)
+    rad_rows = [{i: f.one} for i, (g, _) in enumerate(adapted) if g > 0]
+    conc = ConcreteAlgebra(f, algebra.dim, products, idempotents, rad_rows)
     preferred = []
     for name, src, dst in algebra.presentation.arrows:
         idx = algebra.arrow_index.get(name)
         if idx is None:
             continue
-        vec = [f.zero] * algebra.dim
-        for k, (g, avec) in enumerate(adapted):
-            if g == 1 and avec == algebra.basis_vector(idx):
-                vec[k] = f.one
-        if any(vec):
+        target = algebra.basis_vector(idx)
+        vec = {k: f.one for k, (g, avec) in enumerate(adapted) if g == 1 and avec == target}
+        if vec:
             preferred.append((name, src, dst, vec))
     pres, rebuilt, path_vectors, arrow_vecs = presentation_from_concrete(
         conc, list(algebra.presentation.vertices), preferred, cap
@@ -888,15 +863,8 @@ def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
     pres.weights = dict(algebra.presentation.weights)
     new_grades = [len(bp.arrows) for bp in rebuilt.basis]
     # arrow representative back in source coordinates
-    arrow_reps = {}
-    for name, vec in arrow_vecs.items():
-        src_vec = [f.zero] * algebra.dim
-        for k, c in enumerate(vec):
-            if c:
-                src_vec = [
-                    f.add(a, f.mul(c, b)) for a, b in zip(src_vec, adapted[k][1])
-                ]
-        arrow_reps[name] = src_vec
+    source = [vec for _, vec in adapted]
+    arrow_reps = {name: _push(f.char, source, vec) for name, vec in arrow_vecs.items()}
     report = tight_grading_check(rebuilt, new_grades)
     check(report.passed, f"gr algebra is not tightly graded: {report.failures}")
     check(
@@ -910,12 +878,13 @@ def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
 
 
 def opposite_algebra(algebra: FiniteDimAlgebra,
-                     cap: int = DEFAULT_PATH_CAP) -> tuple[FiniteDimAlgebra, MatrixExact, MatrixExact]:
+                     cap: int = DEFAULT_PATH_CAP) -> tuple[FiniteDimAlgebra, list[dict], list[dict]]:
     """The opposite algebra, presented on the reversed quiver.
 
-    Returns (A_op, to_op, from_op) where to_op maps coordinates of A to
-    coordinates of A_op realizing the canonical anti-isomorphism (reverse
-    every path), and from_op is its inverse.
+    Returns (A_op, to_op, from_op) where to_op maps elements of A to
+    elements of A_op realizing the canonical anti-isomorphism (reverse
+    every path), and from_op is its inverse, both as sparse columns: the
+    image of each basis element.
     """
     pres = algebra.presentation
     arrows = [(name, dst, src) for name, src, dst in pres.arrows]
@@ -937,24 +906,19 @@ def opposite_algebra(algebra: FiniteDimAlgebra,
     op = build_algebra(op_pres, cap)
     check(op.dim == algebra.dim, "opposite algebra dimension mismatch")
     f = algebra.field
-    cols = []
+    to_op = []
     for bp in algebra.basis:
         if not bp.arrows:
-            cols.append(op.basis_vector(op.vertex_index[bp.src]))
+            to_op.append(op.basis_vector(op.vertex_index[bp.src]))
         else:
-            cols.append(op.path_to_vector(bp.dst, tuple(reversed(bp.arrows))))
-    to_op = MatrixExact(f, cols, algebra.dim).transpose()
-    from_op = invert(to_op)
+            to_op.append(op.path_to_vector(bp.dst, tuple(reversed(bp.arrows))))
+    from_op = _coordinates_in(f, to_op)
     check(from_op is not None, "path reversal is not a linear isomorphism")
     # anti-multiplicativity check on all basis pairs
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            prod = algebra.multiply(algebra.basis_vector(i), algebra.basis_vector(j))
-            lhs = to_op.apply(prod)
-            rhs = op.multiply(
-                to_op.apply(algebra.basis_vector(j)),
-                to_op.apply(algebra.basis_vector(i)),
-            )
+            lhs = _push(f.char, to_op, algebra.mult_basis(i, j))
+            rhs = op.multiply(to_op[j], to_op[i])
             check(lhs == rhs, "path reversal is not anti-multiplicative")
     return op, to_op, from_op
 
@@ -980,7 +944,7 @@ class SubalgebraEmbedding(_Memoized):
     def dim(self) -> int:
         return len(self.space)
 
-    def as_algebra(self) -> tuple[FiniteDimAlgebra, dict[str, list[str]], dict[str, list]]:
+    def as_algebra(self) -> tuple[FiniteDimAlgebra, dict[str, list[str]], dict[str, dict]]:
         """The subalgebra as a based algebra in its own right, built once per
         embedding: (algebra, vertex classes, arrow vectors).
 
@@ -988,21 +952,30 @@ class SubalgebraEmbedding(_Memoized):
         separates on idempotent coordinates, labelled by their '+'-joined
         members; the class indicator sums must lie in the subalgebra, which
         holds whenever the degree-0 part sits inside the span of the ambient
-        idempotents.  Each arrow's vector is its representative in ambient
-        coordinates.
+        idempotents.  Each arrow's vector is its representative, an element
+        of the ambient algebra.
         """
         return self.memoized("algebra", self._build_algebra)
+
+    def coords(self, vec: dict) -> dict | None:
+        """The coordinates of an ambient element in the basis of the
+        subalgebra, as a sparse element of it, or None when it lies outside."""
+        entries = self.space.pivot_entries(vec)
+        if entries is None:
+            return None
+        position = self.memoized("positions", lambda: {p: k for k, p in enumerate(self.space.pivots)})
+        return {position[p]: x for p, x in sorted(entries.items())}
 
     def _build_algebra(self):
         ambient = self.ambient
         f = ambient.field
-        basis = self.space.rows
+        basis = self.space.sparse_rows
         classes: list[list[str]] = []
         for v in ambient.presentation.vertices:
             pos = ambient.vertex_index[v]
             for cls in classes:
                 ref = ambient.vertex_index[cls[0]]
-                if all(row[pos] == row[ref] for row in basis):
+                if all(row.get(pos) == row.get(ref) for row in basis):
                     cls.append(v)
                     break
             else:
@@ -1010,54 +983,35 @@ class SubalgebraEmbedding(_Memoized):
 
         idem = {}
         for cls in classes:
-            vec = ambient.zero_vector()
-            for v in cls:
-                vec[ambient.vertex_index[v]] = f.one
-            coords = self.space.coords(vec)
+            coords = self.coords({ambient.vertex_index[v]: f.one for v in cls})
             require(coords is not None,
                     "subalgebra does not contain its vertex class idempotents")
-            idem["+".join(cls)] = list(coords)
+            idem["+".join(cls)] = coords
         rad_coords = []
-        for r in self.radical().rows:
-            coords = self.space.coords(r)
+        for r in self.radical().sparse_rows:
+            coords = self.coords(r)
             check(coords is not None, "subalgebra radical escaped the subalgebra")
-            rad_coords.append(list(coords))
-        table = self.structure_constants()
-
-        def mult(x: list, y: list) -> list:
-            out = [f.zero] * self.dim
-            for i, a in enumerate(x):
-                if not a:
-                    continue
-                for j, b in enumerate(y):
-                    if not b:
-                        continue
-                    for k, c in enumerate(table[i][j]):
-                        if c:
-                            out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
-            return out
-
-        conc = ConcreteAlgebra(f, self.dim, mult, idem, rad_coords)
+            rad_coords.append(coords)
+        conc = ConcreteAlgebra(f, self.dim, self.structure_constants(), idem, rad_coords)
         _, rebuilt, _, sub_arrows = presentation_from_concrete(conc, list(idem))
-        arrows = {}
-        for name, coords in sub_arrows.items():
-            vec = ambient.zero_vector()
-            for c, row in zip(coords, basis):
-                if c:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
-            arrows[name] = vec
+        arrows = {name: _push(f.char, basis, coords) for name, coords in sub_arrows.items()}
         return rebuilt, dict(zip(idem, classes)), arrows
 
     def radical(self) -> Subspace:
         return intersect_spaces(self.space, self.ambient.radical())
 
-    def structure_constants(self):
-        """Multiplication table in the subalgebra basis."""
+    def structure_constants(self) -> list[list[dict]]:
+        """Multiplication table in the subalgebra basis: [i][j] is basis
+        element i times basis element j, in sparse coordinates.  Built once
+        per embedding and shared, so read-only."""
+        return self.memoized("table", self._structure_constants)
+
+    def _structure_constants(self) -> list[list[dict]]:
         table = []
-        for x in self.space.rows:
+        for x in self.space.sparse_rows:
             row = []
-            for y in self.space.rows:
-                coords = self.space.coords(self.ambient.multiply(x, y))
+            for y in self.space.sparse_rows:
+                coords = self.coords(self.ambient.multiply(x, y))
                 check(coords is not None, "subalgebra not closed under product")
                 row.append(coords)
             table.append(row)
@@ -1067,29 +1021,31 @@ class SubalgebraEmbedding(_Memoized):
         """Whether a+ A = A a+ as subspaces, for the augmentation ideal
         a+ = rad a."""
         f = self.ambient.field
-        aug = self.radical().rows
+        aug = self.radical().sparse_rows
         ambient_basis = [
             self.ambient.basis_vector(i) for i in range(self.ambient.dim)
         ]
         left = [self.ambient.multiply(x, b) for x in aug for b in ambient_basis]
         right = [self.ambient.multiply(b, x) for x in aug for b in ambient_basis]
-        return row_space(f, left, self.ambient.dim) == row_space(f, right, self.ambient.dim)
+        return (Subspace.spanned(f, self.ambient.dim, left)
+                == Subspace.spanned(f, self.ambient.dim, right))
 
     def grades(self) -> list[int]:
         """Grades of the subalgebra basis from the ambient radical filtration;
         they grade the subalgebra only if products respect them, which
         tight_subalgebra_check decides."""
-        return [self.ambient.grade_of(vec) for vec in self.space.rows]
+        return [self.ambient.grade_of(vec) for vec in self.space.sparse_rows]
 
 
 def subalgebra_from_generators(algebra: FiniteDimAlgebra,
-                               generators: list[list]) -> SubalgebraEmbedding:
-    """Smallest unital subalgebra containing the generators: their span with
-    the unit, grown by the products of its basis until none is new."""
-    space = row_space(algebra.field, [algebra.unit_vector()] + list(generators), algebra.dim)
+                               generators: list[dict]) -> SubalgebraEmbedding:
+    """Smallest unital subalgebra containing the generators, elements of the
+    algebra: their span with the unit, grown by the products of its basis
+    until none is new."""
+    space = Subspace.spanned(algebra.field, algebra.dim, [algebra.unit_vector()] + list(generators))
     grown = True
     while grown:
-        basis = list(space.rows)
+        basis = space.sparse_rows
         # a list, not a generator: every product is added in this round
         grown = any([space.add(algebra.multiply(x, y)) for x in basis for y in basis])
     return SubalgebraEmbedding(algebra, space)
@@ -1114,15 +1070,15 @@ def radical_generation_check(emb: SubalgebraEmbedding) -> RadicalGenerationRepor
 def _radical_generation(emb: SubalgebraEmbedding) -> RadicalGenerationReport:
     algebra = emb.ambient
     f = algebra.field
-    sub_rad = emb.radical().rows
+    sub_rad = emb.radical().sparse_rows
     ambient_basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
     per_power = []
     left = sub_rad  # (rad a)^n as spanning rows
     for power in range(1, algebra.radical_length + 1):
         prods = [algebra.multiply(x, b) for x in left for b in ambient_basis]
-        per_power.append(row_space(f, prods, algebra.dim) == algebra.radical(power))
+        per_power.append(Subspace.spanned(f, algebra.dim, prods) == algebra.radical(power))
         nxt = [algebra.multiply(x, y) for x in left for y in sub_rad]
-        left = row_space(f, nxt, algebra.dim).rows
+        left = Subspace.spanned(f, algebra.dim, nxt).sparse_rows
     generates = per_power[0] if per_power else True
     return RadicalGenerationReport(generates, per_power)
 
@@ -1145,8 +1101,8 @@ def _tight_subalgebra(emb: SubalgebraEmbedding) -> tuple[bool, list[int], list[s
     table = emb.structure_constants()
     for i, gi in enumerate(grades):
         for j, gj in enumerate(grades):
-            for k, c in enumerate(table[i][j]):
-                if c and grades[k] != gi + gj:
+            for k in table[i][j]:
+                if grades[k] != gi + gj:
                     failures.append(
                         f"sub product of grades {gi},{gj} meets grade {grades[k]}"
                     )
@@ -1154,21 +1110,19 @@ def _tight_subalgebra(emb: SubalgebraEmbedding) -> tuple[bool, list[int], list[s
     for i, g in enumerate(grades):
         by_grade.setdefault(g, []).append(i)
     # a_0 semisimple: a_0 must meet rad A trivially (then it embeds into K^n)
+    rows = emb.space.sparse_rows
     stacked = emb.ambient.radical().copy()
-    if not all(stacked.add(emb.space.rows[i]) for i in by_grade.get(0, [])):
+    if not all(stacked.add(rows[i]) for i in by_grade.get(0, [])):
         failures.append("degree-0 part of subalgebra meets the radical")
-    # tight: a_n = a_1^n, computed inside subalgebra coordinates
-    dim = emb.dim
+    # tight: a_n = a_1^n, as spans of ambient elements (the coordinates of
+    # the subalgebra basis carry one span to the other)
+    ambient = emb.ambient
     top = max(grades) if grades else 0
-    unit = MatrixExact.identity(f, dim).rows
-    # right multiplication by each grade-1 basis element
-    right = [MatrixExact.trusted(f, [table[a][i] for a in range(dim)], dim)
-             for i in by_grade.get(1, [])]
-    cur = [unit[i] for i in by_grade.get(1, [])]
+    ones = [rows[i] for i in by_grade.get(1, [])]
+    cur = ones
     for n in range(2, top + 1):
-        power = row_space(f, [row for mat in right
-                              for row in MatrixExact.trusted(f, cur, dim).mul(mat).rows], dim)
-        if power != row_space(f, [unit[i] for i in by_grade.get(n, [])], dim):
+        power = Subspace.spanned(f, ambient.dim, [ambient.multiply(x, y) for x in cur for y in ones])
+        if power != Subspace.spanned(f, ambient.dim, [rows[i] for i in by_grade.get(n, [])]):
             failures.append(f"subalgebra grade {n} is not (grade 1)^{n}")
-        cur = power.rows
+        cur = power.sparse_rows
     return (not failures, grades, failures)

@@ -760,11 +760,10 @@ def _cmd_qha_dual(args) -> Report:
     pres, algebra = _load_algebra(args.input)
     require(bool(pres.duality), "the presentation declares no duality")
     h = _structure(pres, algebra)
-    matrix = h.duality
     rp = Report("qha dual", [("input", args.input)])
     for i, bp in enumerate(algebra.basis):
-        image = matrix.apply(algebra.basis_vector(i))
-        k = next(j for j, c in enumerate(image) if c)
+        image = h.duality[i]
+        k = min(image)
         sign = "-" if image[k] < 0 else ""
         rp.add("dual.%s" % bp.label(), sign + algebra.basis[k].label())
     for v in pres.vertices:

@@ -3,11 +3,13 @@
 Scalars over Q are plain ints when integral and `fractions.Fraction`
 instances with denominator > 1 otherwise, so 0/1 matrices never leave machine
 integers; over F_p they are ints reduced to [0, p).  No floats anywhere.
-A `MatrixExact` is a list of dense rows; `mul` finds the nonzero entries it
-combines by C-level `itertools.compress` scans.  A `Subspace` keeps its RREF
-sparse, one {column: scalar} dict of nonzero entries per pivot (`_sparse_row`,
-`_dense_row` convert), so eliminating a vector touches only its nonzero
-entries and the rows of the pivots among them.
+A `MatrixExact` is a list of dense rows, the form of module homomorphisms
+and of determinants; every other linear map, of modules or of algebras, is
+the list of its sparse columns, {row: scalar} dicts that `_push` combines.
+A `Subspace` keeps its RREF sparse, one {column: scalar} dict of nonzero
+entries per pivot (`_sparse_row`, `_dense_row` convert), so eliminating a
+vector touches only its nonzero entries and the rows of the pivots among
+them.
 
 Pivoting rule: echelon reduction (`Subspace.add`, which `row_space` and
 `echelon` run row by row, and `Subspace.add_canonical`, which `rank_kernel`
@@ -22,15 +24,14 @@ coordinates and residues are its methods.  Two spans are equal exactly when
 their RREFs are, which `Subspace.__eq__` compares.
 
 Scalars are canonicalised at the boundary only: the public `MatrixExact(...)`
-constructor, the scalar parsers and every vector given to a public `Subspace`
-method run `coerce_row`.  Producers whose output is canonical by construction
-(`zero`, `identity`, `transpose`, `mul`, `add`, `scale`, `invert`) build it
-with `MatrixExact.trusted`; rows already in canonical RREF, dense or sparse,
-become a `Subspace` through `Subspace.from_rref`, and other canonical
-vectors, dense or sparse, enter one through `add_canonical`,
-`coords_canonical` and `pivot_entries`, with no coercion pass.
-`MatrixExact.apply` takes its vector as it is (every program caller passes a
-canonical one) and canonicalises its output once.
+constructor, the scalar parsers and every dense vector given to a public
+`Subspace` method run `coerce_row`, while a sparse dict given to one is taken
+as canonical.  Producers whose output is canonical by construction (`zero`,
+`identity`, `transpose`, `add`, `scale`) build it with `MatrixExact.trusted`;
+rows already in canonical RREF, dense or sparse, become a `Subspace` through
+`Subspace.from_rref`, and other canonical vectors, dense or sparse, enter one
+through `add_canonical`, `coords_canonical` and `pivot_entries`, with no
+coercion pass.
 
 `rank_kernel` takes a matrix as sparse rows of canonical scalars and
 eliminates them once, with the columns reversed, so each pivot is its row's
@@ -211,25 +212,6 @@ class MatrixExact:
         return MatrixExact.trusted(self.field, [list(col) for col in zip(*self.rows)],
                                    self.nrows)
 
-    def mul(self, other: "MatrixExact") -> "MatrixExact":
-        if self.ncols != other.nrows:
-            raise InputFormatError(
-                f"shape mismatch in product: {self.shape} * {other.shape}"
-            )
-        # row i of the product combines the rows of other over row i's
-        # nonzero entries, each over its own nonzero entries
-        f, char, n = self.field, self.field.char, other.ncols
-        supports = [list(compress(range(n), brow)) for brow in other.rows]
-        rows = []
-        for row in self.rows:
-            acc = [0] * n
-            for j in compress(range(self.ncols), row):
-                a, brow = row[j], other.rows[j]
-                for k in supports[j]:
-                    acc[k] += a * brow[k]
-            rows.append([s % char for s in acc] if char else f.coerce_row(acc))
-        return MatrixExact.trusted(f, rows, n)
-
     def add(self, other: "MatrixExact") -> "MatrixExact":
         if self.shape != other.shape:
             raise InputFormatError("shape mismatch in sum")
@@ -249,19 +231,6 @@ class MatrixExact:
         return MatrixExact.trusted(
             f, [[f.mul(c, a) for a in row] for row in self.rows], self.ncols
         )
-
-    def apply(self, vec: list) -> list:
-        if len(vec) != self.ncols:
-            raise InputFormatError("vector length does not match column count")
-        support = [(j, x) for j, x in enumerate(vec) if x]
-        out = []
-        for row in self.rows:
-            s = 0
-            for j, x in support:
-                if row[j]:
-                    s += row[j] * x
-            out.append(s)
-        return self.field.coerce_row(out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -365,8 +334,7 @@ class Subspace:
 
     def copy(self) -> "Subspace":
         """The same span, to grow on its own without eliminating again."""
-        return Subspace.from_rref(self.field, self.ambient,
-                                  [self.rref[p] for p in self.pivots], self.pivots)
+        return Subspace.from_rref(self.field, self.ambient, self.sparse_rows, self.pivots)
 
     @property
     def rows(self) -> list[list]:
@@ -374,6 +342,11 @@ class Subspace:
         if self._dense is None:
             self._dense = [_dense_row(self.rref[p], self.ambient) for p in self.pivots]
         return self._dense
+
+    @property
+    def sparse_rows(self) -> list[dict]:
+        """The sparse RREF rows in pivot order; read-only."""
+        return [self.rref[p] for p in self.pivots]
 
     def __len__(self) -> int:
         return len(self.pivots)
@@ -383,8 +356,12 @@ class Subspace:
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.ambient == other.ambient and self.rref == other.rref)
 
-    def _sparse(self, vec: list) -> dict:
-        """A dense vector of this ambient space as its sparse canonical entries."""
+    def _sparse(self, vec) -> dict:
+        """A vector of this ambient space as its sparse canonical entries: a
+        dense list is checked and canonicalised, and a sparse dict of
+        canonical scalars is taken as it is."""
+        if type(vec) is dict:
+            return vec
         if len(vec) != self.ambient:
             raise InputFormatError("vector length does not match the ambient dimension")
         return _sparse_row(self.field.coerce_row(vec))
@@ -401,21 +378,24 @@ class Subspace:
             _add_multiple(self.field.char, res, -c, rref[p])
         return res
 
-    def reduce(self, vec: list) -> list:
-        """Residual of vec after clearing its entries at the pivot columns."""
-        return _dense_row(self._residual(self._sparse(vec)), self.ambient)
+    def reduce(self, vec):
+        """Residual of vec, a dense list or a sparse dict, after clearing its
+        entries at the pivot columns, in vec's own form (a sparse vec that
+        meets no pivot is returned itself)."""
+        res = self._residual(self._sparse(vec))
+        return res if type(vec) is dict else _dense_row(res, self.ambient)
 
-    def contains(self, vec: list) -> bool:
+    def contains(self, vec) -> bool:
         return not self._residual(self._sparse(vec))
 
-    def coords(self, vec: list) -> list | None:
+    def coords(self, vec) -> list | None:
         """Coordinates of vec in `rows`, or None when vec is outside."""
         return self.coords_canonical(self._sparse(vec))
 
     def coords_canonical(self, vec) -> list | None:
         """`coords` of a vector of canonical scalars, a dense list or a
         sparse dict, taken as it is."""
-        entries = self.pivot_entries(vec if type(vec) is dict else self._sparse(vec))
+        entries = self.pivot_entries(self._sparse(vec))
         return None if entries is None else [entries.get(p, 0) for p in self.pivots]
 
     def pivot_entries(self, vec: dict) -> dict | None:
@@ -427,14 +407,14 @@ class Subspace:
         rref = self.rref
         return {p: x for p, x in vec.items() if p in rref}
 
-    def add(self, vec: list) -> bool:
+    def add(self, vec) -> bool:
         """Extend the span by vec; False (and no change) if it is inside."""
         return self.add_canonical(self._sparse(vec))
 
     def add_canonical(self, vec) -> bool:
         """`add` of a vector of canonical scalars, a dense list or a sparse
         dict, taken as it is (not kept)."""
-        vec = vec if type(vec) is dict else self._sparse(vec)
+        vec = self._sparse(vec)
         res = self._residual(vec)
         if not res:
             return False
@@ -489,20 +469,6 @@ def rank_kernel(field: FieldSpec, rows: list[dict], n: int) -> tuple[int, list[d
     return len(pivots), basis
 
 
-def invert(m: MatrixExact) -> MatrixExact | None:
-    """The inverse of a square matrix, or None when it is singular: one
-    elimination of (m | I), which reduces to (I | m^-1) exactly when its
-    pivots are the columns 0..n-1."""
-    n, f = m.nrows, m.field
-    if m.ncols != n:
-        raise InputFormatError(f"only a square matrix has an inverse, got {m.nrows}x{m.ncols}")
-    joint = Subspace(f, 2 * n, [row + unit for row, unit
-                                in zip(m.rows, MatrixExact.identity(f, n).rows)])
-    if joint.pivots != list(range(n)):
-        return None
-    return MatrixExact.trusted(f, [row[n:] for row in joint.rows], n)
-
-
 def row_space(field: FieldSpec, vectors: list[list], ambient: int) -> Subspace:
     """The span of `vectors` in field^ambient, held as its canonical RREF."""
     return Subspace(field, ambient, vectors)
@@ -513,12 +479,11 @@ def intersect_spaces(a: Subspace, b: Subspace) -> Subspace:
     the rows (a | a) and (b | 0), the rows with a pivot in the right half are
     0 on the left and their right halves are the RREF of the meet."""
     n = a.ambient
-    if not a.rows or not b.rows:
-        return Subspace(a.field, n)
-    pad = [0] * n
-    joint = Subspace(a.field, 2 * n, [r + r for r in a.rows] + [r + pad for r in b.rows])
-    meet = [(row[n:], col - n) for row, col in zip(joint.rows, joint.pivots) if col >= n]
-    return Subspace.from_rref(a.field, n, [r for r, _ in meet], [c for _, c in meet])
+    joint = Subspace.spanned(a.field, 2 * n, [{**r, **{n + j: x for j, x in r.items()}}
+                                              for r in a.sparse_rows] + b.sparse_rows)
+    meet = [p for p in joint.pivots if p >= n]
+    return Subspace.from_rref(a.field, n, [{j - n: x for j, x in joint.rref[p].items()}
+                                           for p in meet], [p - n for p in meet])
 
 
 def determinant(m: MatrixExact):

@@ -7,16 +7,19 @@ Conventions.  Weights are the vertex labels of the algebra and modules are
 right modules throughout.  The standard module at a weight is the largest
 quotient of the projective cover whose composition factors are bounded by
 that weight; costandard modules are duals of the standards over the opposite
-algebra.  A duality is an anti-involution of the algebra fixing every vertex
-idempotent, given as a matrix in basis coordinates; it is validated, never
-assumed.  Every "check" here recomputes both sides of an identity from
-independent routes and raises InternalCheckError on disagreement.
+algebra.  Algebra elements are sparse {basis index: scalar} dicts, as in
+algebra_core, and a map between algebras is the list of its sparse
+columns, the image of each basis element.  A duality is an anti-involution
+of the algebra fixing every vertex idempotent, given by such columns; it is
+validated, never assumed.  Every "check" here recomputes both sides of an
+identity from independent routes and raises InternalCheckError on
+disagreement.
 """
 
 from dataclasses import dataclass
 
 from .errors import InputFormatError, check, require
-from .exactlin import MatrixExact, Subspace, invert, row_space
+from .exactlin import Subspace, _push
 from .algebra_core import (
     ConcreteAlgebra,
     FiniteDimAlgebra,
@@ -28,6 +31,7 @@ from .algebra_core import (
     radical_generation_check,
     tight_grading_check,
     tight_subalgebra_check,
+    _coordinates_in,
 )
 from .rep_homology import (
     GradedRepresentation,
@@ -148,32 +152,37 @@ class HighestWeightStructure:
     standards: dict[str, Representation]
     costandards: dict[str, Representation]
     injectives: dict[str, Representation]
-    duality: MatrixExact | None
+    duality: list[dict] | None  # sparse columns
     op_algebra: FiniteDimAlgebra
     op_standards: dict[str, Representation]
     op_projectives: dict[str, Representation]
 
 
-def _validate_duality_matrix(algebra: FiniteDimAlgebra, d: MatrixExact) -> None:
-    if d.shape != (algebra.dim, algebra.dim):
+def _validate_duality_matrix(algebra: FiniteDimAlgebra, d: list[dict]) -> list[dict]:
+    """The duality's sparse columns with canonical scalars, once they pass:
+    d fixes the idempotents, d(d(b)) = b and d(b * c) = d(c) * d(b) for all
+    basis elements b and c."""
+    f, n = algebra.field, algebra.dim
+    if len(d) != n or any(k not in range(n) for col in d for k in col):
         raise InputFormatError("duality matrix has the wrong shape")
+    d = [{k: x for k, x in zip(col, map(f.coerce, col.values())) if x} for col in d]
     for v, i in algebra.vertex_index.items():
-        if d.apply(algebra.basis_vector(i)) != algebra.basis_vector(i):
+        if d[i] != algebra.basis_vector(i):
             raise InputFormatError(f"duality must fix the idempotent at {v!r}")
-    if d.mul(d) != MatrixExact.identity(algebra.field, algebra.dim):
+    if any(_push(f.char, d, col) != algebra.basis_vector(i) for i, col in enumerate(d)):
         raise InputFormatError("duality must square to the identity")
-    for i in range(algebra.dim):
-        vi = algebra.basis_vector(i)
-        for j in range(algebra.dim):
-            vj = algebra.basis_vector(j)
-            lhs = d.apply(algebra.multiply(vi, vj))
-            rhs = algebra.multiply(d.apply(vj), d.apply(vi))
+    for i in range(n):
+        for j in range(n):
+            lhs = _push(f.char, d, algebra.mult_basis(i, j))
+            rhs = algebra.multiply(d[j], d[i])
             if lhs != rhs:
                 raise InputFormatError("duality must reverse products")
+    return d
 
 
-def duality_matrix_from_presentation(algebra: FiniteDimAlgebra) -> MatrixExact:
-    """The duality declared on the presentation, as a basis-coordinates matrix."""
+def duality_matrix_from_presentation(algebra: FiniteDimAlgebra) -> list[dict]:
+    """The duality declared on the presentation, as the sparse columns of its
+    basis-coordinates matrix: the image of each basis element."""
     pres = algebra.presentation
     require(bool(pres.duality), "the presentation declares no duality")
     f = algebra.field
@@ -185,8 +194,8 @@ def duality_matrix_from_presentation(algebra: FiniteDimAlgebra) -> MatrixExact:
         sign, image = apply_duality_to_path(pres, bp.arrows)
         src = pres.path_endpoints(image)[0]
         vec = algebra.path_to_vector(src, image)
-        cols.append([f.mul(f.coerce(sign), c) for c in vec])
-    return MatrixExact(f, cols, algebra.dim).transpose()
+        cols.append({k: f.mul(f.coerce(sign), c) for k, c in vec.items()})
+    return cols
 
 
 def _standard_family(algebra: FiniteDimAlgebra, poset: WeightPosetIdeal,
@@ -220,16 +229,17 @@ def _standard_family(algebra: FiniteDimAlgebra, poset: WeightPosetIdeal,
 
 
 def standard_modules(algebra: FiniteDimAlgebra, poset: WeightPosetIdeal,
-                     duality: MatrixExact | None = None) -> HighestWeightStructure:
+                     duality: list[dict] | None = None) -> HighestWeightStructure:
     """Simples, projectives, standards and their duals for a weight poset.
 
-    The poset labels must coincide with the vertex set.  A supplied duality
-    matrix is validated as an anti-involution fixing the idempotents.
+    The poset labels must coincide with the vertex set.  A supplied duality,
+    given by the sparse columns of its matrix, is validated as an
+    anti-involution fixing the idempotents.
     """
     if sorted(poset.elements) != sorted(algebra.presentation.vertices):
         raise InputFormatError("weight poset labels differ from the vertex set")
     if duality is not None:
-        _validate_duality_matrix(algebra, duality)
+        duality = _validate_duality_matrix(algebra, duality)
     simples = {v: simple_rep(algebra, v) for v in poset.elements}
     projectives = {v: projective_rep(algebra, v) for v in poset.elements}
     standards = _standard_family(algebra, poset, projectives)
@@ -260,7 +270,7 @@ def dualize(h: HighestWeightStructure, rep: Representation) -> Representation:
     for name, u, v in algebra.presentation.arrows:
         # duality(a) runs from v to u; a acts on M* by its transpose, whose
         # columns are the rows of duality(a)'s block, assembled by columns
-        img = h.duality.apply(algebra.basis_vector(algebra.arrow_index[name]))
+        img = h.duality[algebra.arrow_index[name]]
         by_columns = [rep.block(rep.act_element(img, rep.place(v, {j: one})), u)
                       for j in range(dims[v])]
         columns[name] = _sparse_rows(by_columns, dims[u])
@@ -337,13 +347,13 @@ def _heredity_chain(h: HighestWeightStructure) -> list[HeredityStep]:
         for i, bi in enumerate(algebra.basis):
             if bi.dst not in absorbed:
                 continue
-            vi = algebra.basis_vector(i)
             for j, bj in enumerate(algebra.basis):
                 if bj.src == bi.dst:
-                    products.append(algebra.multiply(vi, algebra.basis_vector(j)))
-        ideal = row_space(f, products, algebra.dim)
-        squares = [algebra.multiply(x, y) for x in ideal.rows for y in ideal.rows]
-        check(row_space(f, squares, algebra.dim) == ideal,
+                    products.append(algebra.mult_basis(i, j))
+        ideal = Subspace.spanned(f, algebra.dim, products)
+        rows = ideal.sparse_rows
+        squares = [algebra.multiply(x, y) for x in rows for y in rows]
+        check(Subspace.spanned(f, algebra.dim, squares) == ideal,
               f"trace ideal at {mu!r} is not idempotent")
         steps.append(HeredityStep(mu, len(ideal), ideal))
     return steps
@@ -392,23 +402,12 @@ def qha_check(h: HighestWeightStructure) -> QhaReport:
 class _Truncation:
     structure: HighestWeightStructure
     kept: list[str]
-    proj_coords: list[list]  # ambient basis index -> coordinates in the truncation
+    proj_coords: list[dict]  # the projection's columns: ambient basis index -> element
     full: bool
 
 
-def _project_vector(f, vec: list, proj_coords: list[list], dim_b: int) -> list:
-    out = [f.zero] * dim_b
-    for i, c in enumerate(vec):
-        if not c:
-            continue
-        for k, d in enumerate(proj_coords[i]):
-            if d:
-                out[k] = f.add(out[k], f.mul(c, d))
-    return out
-
-
 def _inflate(rep_b: Representation, h: HighestWeightStructure, kept: list[str],
-             proj_coords: list[list]) -> Representation:
+             proj_coords: list[dict]) -> Representation:
     """Pull a module over the truncation back to the ambient algebra.
 
     Dropped weights act by zero; a surviving arrow acts through the image of
@@ -433,7 +432,7 @@ def _inflate(rep_b: Representation, h: HighestWeightStructure, kept: list[str],
 
 
 def _verify_truncation(h: HighestWeightStructure, hb: HighestWeightStructure,
-                       kept: list[str], proj_coords: list[list]) -> None:
+                       kept: list[str], proj_coords: list[dict]) -> None:
     # the embedding of the truncated category must not change standard
     # modules, and Ext between surviving simples is sampled on both sides
     bound = 2 * len(kept)
@@ -474,63 +473,56 @@ def _truncation(h: HighestWeightStructure, gamma: list[str]) -> _Truncation:
         for i, bi in enumerate(algebra.basis):
             if bi.dst != mu:
                 continue
-            vi = algebra.basis_vector(i)
             for j, bj in enumerate(algebra.basis):
                 if bj.src == mu:
-                    products.append(algebra.multiply(vi, algebra.basis_vector(j)))
-    ideal = row_space(f, products, algebra.dim)
-    keep_pos = [k for k in range(algebra.dim) if k not in set(ideal.pivots)]
+                    products.append(algebra.mult_basis(i, j))
+    ideal = Subspace.spanned(f, algebra.dim, products)
+    # A/J has the basis of the ambient positions off the ideal's pivots
+    keep_pos = [k for k in range(algebra.dim) if k not in ideal.rref]
+    position = {k: i for i, k in enumerate(keep_pos)}
     dim_b = len(keep_pos)
 
-    def project(vec: list) -> list:
-        red = ideal.reduce(vec)
-        return [red[k] for k in keep_pos]
+    def project(vec: dict) -> dict:
+        # the residual modulo the ideal is zero at every pivot of its RREF
+        return {position[k]: x for k, x in ideal.reduce(vec).items()}
 
-    def lift(coords: list) -> list:
-        out = [f.zero] * algebra.dim
-        for k, c in zip(keep_pos, coords):
-            out[k] = c
-        return out
-
-    def mult_b(x: list, y: list) -> list:
-        return project(algebra.multiply(lift(x), lift(y)))
+    def lift(vec: dict) -> dict:
+        return {keep_pos[i]: x for i, x in vec.items()}
 
     idem = {}
     for v in kept:
         pv = project(algebra.basis_vector(algebra.vertex_index[v]))
-        require(any(pv), f"the trace ideal swallows the surviving weight {v!r}")
+        require(bool(pv), f"the trace ideal swallows the surviving weight {v!r}")
         idem[v] = pv
     for mu in dropped:
         gone = project(algebra.basis_vector(algebra.vertex_index[mu]))
-        check(not any(gone), f"dropped idempotent at {mu!r} survived its own trace ideal")
+        check(not gone, f"dropped idempotent at {mu!r} survived its own trace ideal")
 
     # rad(A/J) is the image of rad(A) for any ideal J of a f.d. algebra
-    rad_b = [project(r) for r in algebra.radical().rows]
+    rad_b = [project(r) for r in algebra.radical().sparse_rows]
     preferred = []
     for name, u, v in algebra.presentation.arrows:
         if u in kept_set and v in kept_set:
             vec = project(algebra.basis_vector(algebra.arrow_index[name]))
-            if any(vec):
+            if vec:
                 preferred.append((name, u, v, vec))
-    conc = ConcreteAlgebra(f, dim_b, mult_b, idem, rad_b)
+    # the product of two basis elements of A/J is that of their lifts, projected
+    table_b = [[project(algebra.mult_basis(i, j)) for j in keep_pos] for i in keep_pos]
+    conc = ConcreteAlgebra(f, dim_b, table_b, idem, rad_b)
     _, rebuilt, path_vectors, _ = presentation_from_concrete(conc, kept, preferred)
 
-    from_conc = invert(MatrixExact(f, path_vectors, dim_b).transpose())
-    check(from_conc is not None, "the rebuilt paths are not a basis of the quotient")
-    to_rebuilt = from_conc.apply
+    to_rebuilt = _coordinates_in(f, path_vectors)
+    check(to_rebuilt is not None, "the rebuilt paths are not a basis of the quotient")
 
     proj_coords = [
-        to_rebuilt(project(algebra.basis_vector(i))) for i in range(algebra.dim)
+        _push(f.char, to_rebuilt, project(algebra.basis_vector(i))) for i in range(algebra.dim)
     ]
     duality_b = None
     if h.duality is not None:
         # the duality fixes idempotents, hence preserves the trace ideal and
         # descends; transport it through compatible lifts
-        cols = []
-        for k in range(rebuilt.dim):
-            img = project(h.duality.apply(lift(path_vectors[k])))
-            cols.append(to_rebuilt(img))
-        duality_b = MatrixExact(f, cols, rebuilt.dim).transpose()
+        duality_b = [_push(f.char, to_rebuilt, project(_push(f.char, h.duality, lift(vec))))
+                     for vec in path_vectors]
     hb = standard_modules(rebuilt, poset.restrict(kept), duality=duality_b)
     _verify_truncation(h, hb, kept, proj_coords)
     return _Truncation(hb, kept, proj_coords, False)
@@ -875,10 +867,10 @@ def _tight_with_idempotent_degree_zero(emb: SubalgebraEmbedding) -> bool:
     of the ambient vertex idempotents (so semisimple)?"""
     tight, grades, _ = tight_subalgebra_check(emb)
     ambient = emb.ambient
-    idempotents = row_space(ambient.field, [ambient.basis_vector(i)
-                                            for i in ambient.vertex_index.values()], ambient.dim)
+    idempotents = Subspace.spanned(ambient.field, ambient.dim, [
+        ambient.basis_vector(i) for i in ambient.vertex_index.values()])
     return tight and all(idempotents.contains(row)
-                         for row, g in zip(emb.space.rows, grades) if g == 0)
+                         for row, g in zip(emb.space.sparse_rows, grades) if g == 0)
 
 
 def _sub_koszul_verdict(emb: SubalgebraEmbedding, notes: list[str],
@@ -1030,11 +1022,8 @@ def pipeline_checks(h: HighestWeightStructure, sub: SubalgebraEmbedding,
         bsub = sub
         bsub_koszul = sub_koszul
     else:
-        image = [
-            _project_vector(f, row, trunc.proj_coords, hb.algebra.dim)
-            for row in sub.space.rows
-        ]
-        bsub = SubalgebraEmbedding(hb.algebra, row_space(f, image, hb.algebra.dim))
+        image = [_push(f.char, trunc.proj_coords, row) for row in sub.space.sparse_rows]
+        bsub = SubalgebraEmbedding(hb.algebra, Subspace.spanned(f, hb.algebra.dim, image))
         bsub_koszul = _sub_koszul_verdict(bsub, notes, "of the truncation")
     radgen_b = radical_generation_check(bsub).generates
     regular = direct_sum(*[hb.projectives[v] for v in kept])

@@ -110,19 +110,19 @@ class Representation:
         block vector at its target."""
         return _push(self.algebra.field.char, self.columns[name], vec)
 
-    def act_element(self, coords: list, vec: dict) -> dict:
-        """x.c for a sparse total-space vector x and an algebra element c in
-        basis coordinates: the idempotent e_v keeps the block of v, and a
-        path walks `act` from its source block to its target block."""
-        f, out, blocks = self.algebra.field, {}, {}
-        for c, bp in zip(map(f.coerce, coords), self.algebra.basis):
-            if c:
-                if bp.src not in blocks:
-                    blocks[bp.src] = self.block(vec, bp.src)
-                img = blocks[bp.src]
-                for name in bp.arrows:
-                    img = self.act(name, img)
-                _add_multiple(f.char, out, c, self.place(bp.dst, img))
+    def act_element(self, element: dict, vec: dict) -> dict:
+        """x.c for a sparse total-space vector x and a sparse algebra element
+        c ({basis index: scalar}): the idempotent e_v keeps the block of v,
+        and a path walks `act` from its source block to its target block."""
+        char, basis, out, blocks = self.algebra.field.char, self.algebra.basis, {}, {}
+        for i, c in element.items():
+            bp = basis[i]
+            if bp.src not in blocks:
+                blocks[bp.src] = self.block(vec, bp.src)
+            img = blocks[bp.src]
+            for name in bp.arrows:
+                img = self.act(name, img)
+            _add_multiple(char, out, c, self.place(bp.dst, img))
         return out
 
     def path_images(self, vertex: str, block_vec: dict) -> dict[int, dict]:
@@ -222,7 +222,7 @@ def projective_rep(algebra: FiniteDimAlgebra, vertex: str) -> Representation:
         # column i is the product of basis path i with the arrow
         arrow_idx = algebra.arrow_index[name]
         position = {k: r for r, k in enumerate(per_vertex[dst])}
-        columns[name] = [{position[k]: c for k, c in algebra.mult_basis(i, arrow_idx) if c}
+        columns[name] = [{position[k]: c for k, c in algebra.mult_basis(i, arrow_idx).items()}
                          for i in per_vertex[src]]
     return Representation(algebra, dims, columns)
 
@@ -932,8 +932,8 @@ def _ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
                                  for row in h.rows for col in res.maps[i]])
             check(coords is not None, "hom image left the hom space")
             mat_rows.append(_sparse_row(coords))
-        rank, _ = rank_kernel(f, mat_rows, len(cur))
-        ranks.append(rank)
+        # the rank of the coordinate matrix is the size of its row span
+        ranks.append(len(Subspace.spanned(f, len(cur), mat_rows)))
     out = []
     for i in range(n_max + 1):
         dim_h = len(hom_bases[i]) if i < len(hom_bases) else 0
@@ -1239,8 +1239,7 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
     # block parts of the radical rows are homogeneous and as_algebra's
     # arrows, chosen off (rad a)^2 = grades >= 2, have grade 1: each arrow's
     # own action on M|a sends radical layer g into layer g + 1
-    check(all(g == 1 for vec in arrow_vectors.values()
-              for c, g in zip(emb.space.coords(vec), sub_grades) if c),
+    check(all(sub_grades[k] == 1 for vec in arrow_vectors.values() for k in emb.coords(vec)),
           "a subalgebra arrow is not homogeneous of grade 1")
     res = restrict_rep(m, emb)
     n = res.total_dim

@@ -12,7 +12,14 @@ test oracles.
   as a dense matrix; `dense_map` is the dense matrix of a module map given
   by sparse columns.
 - `solve`: one solution of a dense linear system by echelon form.
-- `total_action`, `path_total`, `element_total` and `relation_failure`: a
+- `apply`, `mul` and `invert`: a dense matrix times a dense vector, the
+  product of two dense matrices and the inverse of a square one, from
+  before every map outside module homomorphisms became sparse columns.
+- `dense_multiply`: the product of two algebra elements as dense coordinate
+  lists, from before algebra elements became sparse dicts; `dense_element`
+  writes a sparse element out densely.
+- `total_action`, `path_total`, `element_total` (of a sparse algebra
+  element) and `relation_failure`: a
   module's action as dense total-space matrices, and the relation check of
   `make_representation` as a sum of path matrices, from before a module
   stored only its sparse columns.  `embed` and `block` move dense vectors
@@ -24,6 +31,7 @@ inputs.
 """
 
 from bisect import bisect_left
+from itertools import compress
 
 from grkoszul.errors import InputFormatError, check
 from grkoszul.exactlin import FieldSpec, MatrixExact, _dense_row, _sparse_row, echelon, rank_kernel
@@ -156,8 +164,77 @@ def solve(a: MatrixExact, b: list) -> list | None:
     x = [f.zero] * a.ncols
     for rowidx, pcol in enumerate(pivots):
         x[pcol] = red.rows[rowidx][a.ncols]
-    check(a.apply(x) == f.coerce_row(b), "solve produced a non-solution")
+    check(apply(a, x) == f.coerce_row(b), "solve produced a non-solution")
     return x
+
+
+def apply(m: MatrixExact, vec: list) -> list:
+    """m * vec for a dense vector taken as it is, the output canonical."""
+    if len(vec) != m.ncols:
+        raise InputFormatError("vector length does not match column count")
+    support = [(j, x) for j, x in enumerate(vec) if x]
+    out = []
+    for row in m.rows:
+        s = 0
+        for j, x in support:
+            if row[j]:
+                s += row[j] * x
+        out.append(s)
+    return m.field.coerce_row(out)
+
+
+def mul(a: MatrixExact, b: MatrixExact) -> MatrixExact:
+    """a * b; row i of the product combines the rows of b over row i's
+    nonzero entries, each over its own nonzero entries."""
+    if a.ncols != b.nrows:
+        raise InputFormatError(f"shape mismatch in product: {a.shape} * {b.shape}")
+    f, char, n = a.field, a.field.char, b.ncols
+    supports = [list(compress(range(n), brow)) for brow in b.rows]
+    rows = []
+    for row in a.rows:
+        acc = [0] * n
+        for j in compress(range(a.ncols), row):
+            x, brow = row[j], b.rows[j]
+            for k in supports[j]:
+                acc[k] += x * brow[k]
+        rows.append([s % char for s in acc] if char else f.coerce_row(acc))
+    return MatrixExact.trusted(f, rows, n)
+
+
+def invert(m: MatrixExact) -> MatrixExact | None:
+    """The inverse of a square matrix, or None when it is singular: one
+    elimination of (m | I), which reduces to (I | m^-1) exactly when its
+    pivots are the columns 0..n-1."""
+    n, f = m.nrows, m.field
+    if m.ncols != n:
+        raise InputFormatError(f"only a square matrix has an inverse, got {m.nrows}x{m.ncols}")
+    joint = DenseSubspace(f, 2 * n, [row + unit for row, unit
+                                     in zip(m.rows, MatrixExact.identity(f, n).rows)])
+    if joint.pivots != list(range(n)):
+        return None
+    return MatrixExact.trusted(f, [row[n:] for row in joint.rows], n)
+
+
+# -- dense algebra elements -----------------------------------------------------
+
+
+def dense_element(algebra, element: dict) -> list:
+    """A sparse algebra element as its dense coordinate list."""
+    return _dense_row(element, algebra.dim)
+
+
+def dense_multiply(algebra, x: list, y: list) -> list:
+    """x * y for dense coordinate lists, over the basis products of the
+    nonzero entries of x and y."""
+    f = algebra.field
+    out = [f.zero] * algebra.dim
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for i, a in enumerate(x):
+        if a:
+            for j, b in ys:
+                for k, c in algebra.mult_basis(i, j).items():
+                    out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
+    return out
 
 
 # -- dense module actions -----------------------------------------------------
@@ -201,19 +278,18 @@ def path_total(rep, path: tuple[str, ...]) -> MatrixExact:
     out = None
     for name in path:
         step = total_action(rep, name)
-        out = step if out is None else step.mul(out)
+        out = step if out is None else mul(step, out)
     check(out is not None, "empty path has no total action")
     return out
 
 
-def element_total(rep, coords: list) -> MatrixExact:
-    """Action of an algebra element given in algebra coordinates."""
+def element_total(rep, element: dict) -> MatrixExact:
+    """Action of a sparse algebra element, {basis index: scalar}."""
     f = rep.algebra.field
     n = rep.total_dim
     out = MatrixExact.zero(f, n, n)
-    for c, bp in zip(coords, rep.algebra.basis):
-        if not c:
-            continue
+    for i, c in element.items():
+        bp = rep.algebra.basis[i]
         if bp.arrows:
             out = out.add(path_total(rep, bp.arrows).scale(c))
             continue

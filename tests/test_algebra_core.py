@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import kernel_matrix
+from dense_oracle import dense_element, dense_multiply, kernel_matrix
+from test_qha_engine import a1_chain_with_duality
+from test_rep_homology import monomial_quiver_algebra
 from grkoszul.errors import InputFormatError, PreconditionError
-from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, echelon, row_space
+from grkoszul.exactlin import QQ, FieldSpec, MatrixExact, echelon, row_space, _push, _sparse_row
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -67,10 +69,10 @@ def test_two_vertex_cycle_multiplication_frozen():
     alg = build_algebra(two_vertex_cycle())
     ia, ib = alg.index[("1", ("a",))], alg.index[("2", ("b",))]
     iab = alg.index[("1", ("a", "b"))]
-    unit = lambda i: [QQ.one if k == i else QQ.zero for k in range(alg.dim)]
+    unit = alg.basis_vector
     # a then b survives, b then a is the relation
-    assert alg.multiply(unit(ia), unit(ib)) == unit(iab)
-    assert alg.multiply(unit(ib), unit(ia)) == [QQ.zero] * alg.dim
+    assert alg.multiply(unit(ia), unit(ib)) == unit(iab) == {iab: 1}
+    assert alg.multiply(unit(ib), unit(ia)) == {}
 
 
 def test_truncated_polynomial_dims():
@@ -251,7 +253,7 @@ def test_gr_arrow_representatives_lift_correctly():
             for k, p in enumerate(alg.basis)
             if len(p.arrows) == 1 and p.arrows[0] == name
         )
-        assert vec[i] == QQ.one
+        assert vec == {i: QQ.one}
 
 
 # -- opposite algebra --------------------------------------------------------------
@@ -262,9 +264,9 @@ def test_opposite_two_vertex_cycle():
     op, to_op, from_op = opposite_algebra(alg)
     assert op.dim == 5
     assert [p.label() for p in op.basis] == ["e_1", "e_2", "b", "a", "b*a"]
-    unit = lambda i: [QQ.one if k == i else QQ.zero for k in range(5)]
+    assert to_op == [{0: 1}, {1: 1}, {3: 1}, {2: 1}, {4: 1}]
     for i in range(5):
-        assert from_op.apply(to_op.apply(unit(i))) == unit(i)
+        assert _push(0, from_op, to_op[i]) == {i: 1}
 
 
 # -- subalgebras -------------------------------------------------------------------
@@ -272,10 +274,10 @@ def test_opposite_two_vertex_cycle():
 
 def test_subalgebra_of_truncated_polynomial():
     alg = build_algebra(truncated_polynomial(3))
-    xsq = [QQ.zero, QQ.zero, QQ.one]
+    xsq = {2: QQ.one}
     emb = subalgebra_from_generators(alg, [xsq])
     assert emb.dim == 2
-    assert emb.radical().rows == [xsq]
+    assert emb.radical().sparse_rows == [xsq]
     assert emb.is_normal()
     report = radical_generation_check(emb)
     assert not report.generates
@@ -288,7 +290,7 @@ def test_subalgebra_of_truncated_polynomial():
 
 def test_subalgebra_generated_by_arrow_recovers_radical():
     alg = build_algebra(truncated_polynomial(3))
-    x = [QQ.zero, QQ.one, QQ.zero]
+    x = {1: QQ.one}
     emb = subalgebra_from_generators(alg, [x])
     assert emb.dim == 3
     report = radical_generation_check(emb)
@@ -301,7 +303,7 @@ def test_subalgebra_generated_by_arrow_recovers_radical():
 
 def test_non_normal_subalgebra_detected():
     alg = build_algebra(two_vertex_cycle())
-    a_vec = [QQ.zero, QQ.zero, QQ.one, QQ.zero, QQ.zero]
+    a_vec = {2: QQ.one}
     emb = subalgebra_from_generators(alg, [a_vec])
     assert emb.dim == 2
     assert not emb.is_normal()
@@ -309,14 +311,14 @@ def test_non_normal_subalgebra_detected():
 
 def test_subalgebra_radical_is_its_meet_with_the_ambient_radical():
     alg = build_algebra(truncated_polynomial(3))
-    x = [QQ.zero, QQ.one, QQ.zero]
+    x = {1: QQ.one}
     emb = subalgebra_from_generators(alg, [x])
     assert len(emb.radical()) == 2 and emb.radical() == alg.radical()
 
 
 def test_embedded_algebra_is_built_once_per_embedding():
     alg = build_algebra(truncated_polynomial(3))
-    xsq = [QQ.zero, QQ.zero, QQ.one]
+    xsq = {2: QQ.one}
     emb = subalgebra_from_generators(alg, [xsq])
     first = emb.as_algebra()
     sub_alg, classes, arrows = first
@@ -390,11 +392,11 @@ def radical_from_trace_form(field, dim, multiply):
     """
     if field.char != 0:
         raise PreconditionError("trace-form radical is only valid in characteristic 0")
-    basis = [[field.one if k == i else field.zero for k in range(dim)] for i in range(dim)]
+    basis = [{i: field.one} for i in range(dim)]
 
     def left_matrix(x):
         cols = [multiply(x, basis[j]) for j in range(dim)]
-        return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+        return [[cols[j].get(i, field.zero) for j in range(dim)] for i in range(dim)]
 
     mats = [left_matrix(b) for b in basis]
     gram = []
@@ -430,9 +432,10 @@ def re_echelon_subalgebra(algebra, generators):
     together with all products of its basis on every round until its
     dimension stops growing."""
     f, n = algebra.field, algebra.dim
-    rows = echelon(MatrixExact(f, [algebra.unit_vector()] + generators, n))[0].rows
+    rows = echelon(MatrixExact(f, [dense_element(algebra, algebra.unit_vector())] + generators,
+                               n))[0].rows
     while True:
-        products = [algebra.multiply(x, y) for x in rows for y in rows]
+        products = [dense_multiply(algebra, x, y) for x in rows for y in rows]
         grown = echelon(MatrixExact(f, rows + products, n))[0].rows
         if len(grown) == len(rows):
             return grown
@@ -454,7 +457,7 @@ def test_subalgebra_from_generators_matches_the_re_echelon_loop(field, kind, dat
     vector = st.lists(st.integers(min_value=-2, max_value=2), min_size=alg.dim,
                       max_size=alg.dim)
     generators = data.draw(st.lists(vector, max_size=3))
-    emb = subalgebra_from_generators(alg, generators)
+    emb = subalgebra_from_generators(alg, [_sparse_row(field.coerce_row(g)) for g in generators])
     assert emb.space.rows == re_echelon_subalgebra(alg, generators)
     assert emb.space == row_space(field, emb.space.rows, alg.dim)
 
@@ -477,8 +480,7 @@ def monomial_two_loop_algebra(draw):
 @settings(max_examples=25, deadline=None)
 @given(monomial_two_loop_algebra())
 def test_multiplication_is_associative(alg):
-    f = alg.field
-    unit = lambda i: [f.one if k == i else f.zero for k in range(alg.dim)]
+    unit = alg.basis_vector
     for i in range(alg.dim):
         for j in range(alg.dim):
             ij = alg.multiply(unit(i), unit(j))
@@ -502,3 +504,40 @@ def test_monomial_algebras_are_tightly_graded(alg):
 def test_opposite_preserves_radical_layer_dims(alg):
     op, to_op, from_op = opposite_algebra(alg)
     assert op.graded_dims() == alg.graded_dims()
+    # from_op and to_op are inverse on every basis element of either side
+    char = alg.field.char
+    for i in range(alg.dim):
+        assert _push(char, from_op, to_op[i]) == alg.basis_vector(i)
+        assert _push(char, to_op, from_op[i]) == op.basis_vector(i)
+
+
+def chain_algebra(n, field):
+    return build_algebra(a1_chain_with_duality(n, field))
+
+
+def quiver_algebras():
+    """The random monomial quiver algebras of the module tests, and the A1
+    chains n = 2, 3, 4, over Q, F_2 and F_3."""
+    chains = st.builds(chain_algebra, st.integers(2, 4), st.sampled_from([QQ, F2, FieldSpec(3)]))
+    return st.one_of(monomial_quiver_algebra(), chains)
+
+
+@settings(max_examples=80, deadline=None)
+@given(quiver_algebras(), st.data())
+def test_sparse_multiply_matches_the_dense_oracle(alg, data):
+    """multiply on sparse elements against the dense product loop, on random
+    elements with entries in -3..3 (zero, sparse and full ones): the same
+    product, with canonical nonzero entries only."""
+    f = alg.field
+    element = st.lists(st.integers(-3, 3).map(f.coerce), min_size=alg.dim, max_size=alg.dim)
+    for x, y in data.draw(st.lists(st.tuples(element, element), min_size=1, max_size=4)):
+        product = alg.multiply(_sparse_row(x), _sparse_row(y))
+        assert product == _sparse_row(dense_multiply(alg, x, y))
+        assert all(c and type(c) is type(f.coerce(c)) and c == f.coerce(c)
+                   for c in product.values())
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert alg.multiply(alg.basis_vector(i), alg.basis_vector(j)) \
+                == alg.mult_basis(i, j) \
+                == _sparse_row(dense_multiply(alg, dense_element(alg, {i: 1}),
+                                              dense_element(alg, {j: 1})))

@@ -19,12 +19,15 @@ ideal {1, 2} reproduces the two-vertex cycle (dimension 5, graded dimensions
 2, 2, 1).
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import dense_map, mul
 from grkoszul.errors import InputFormatError, InternalCheckError, PreconditionError
-from grkoszul.exactlin import QQ, MatrixExact
+from grkoszul.exactlin import QQ, MatrixExact, _push
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -215,7 +218,10 @@ def test_reversed_order_gives_largest_quotients(cycle):
 
 def test_duality_matrix_is_antiinvolution(cycle, cycle_hw):
     d = duality_matrix_from_presentation(cycle)
-    assert d.mul(d) == MatrixExact.identity(QQ, cycle.dim)
+    # the columns square to the identity, pushed and as dense matrices
+    assert [_push(0, d, col) for col in d] == [cycle.basis_vector(i) for i in range(cycle.dim)]
+    dense = dense_map(QQ, d, cycle.dim)
+    assert mul(dense, dense) == MatrixExact.identity(QQ, cycle.dim)
     for v in "12":
         assert is_isomorphic(dualize(cycle_hw, cycle_hw.standards[v]),
                              cycle_hw.costandards[v])[0]
@@ -224,15 +230,22 @@ def test_duality_matrix_is_antiinvolution(cycle, cycle_hw):
 
 
 def test_duality_validation(cycle, cycle_poset):
-    broken = MatrixExact.identity(QQ, cycle.dim)
-    broken.rows[2][2] = QQ.coerce(0)
+    # the identity's columns with the entry (2, 2) zeroed
+    broken = [cycle.basis_vector(i) for i in range(cycle.dim)]
+    broken[2] = {}
     with pytest.raises(InputFormatError):
         standard_modules(cycle, cycle_poset, duality=broken)
     # the identity fixes idempotents and squares to itself but does not
     # reverse products on a noncommutative algebra
     with pytest.raises(InputFormatError):
         standard_modules(cycle, cycle_poset,
-                         duality=MatrixExact.identity(QQ, cycle.dim))
+                         duality=[cycle.basis_vector(i) for i in range(cycle.dim)])
+    # columns of integral Fractions and explicit zeros are held canonical
+    d = duality_matrix_from_presentation(cycle)
+    loose = [{k: Fraction(x) for k, x in col.items()} for col in d]
+    loose[0] = {**loose[0], 1: 0}
+    held = standard_modules(cycle, cycle_poset, duality=loose).duality
+    assert held == d and all(type(x) is int for col in held for x in col.values())
 
 
 def test_dualize_needs_duality(cycle, cycle_poset):
@@ -472,17 +485,17 @@ def test_pipeline_three_weight_proper_ideal(weight3, weight3_hw):
     assert report.koszul_pipeline.implied and report.koszul_pipeline.gr_koszul
 
 
-def a1_chain_with_duality(n):
+def a1_chain_with_duality(n, field=QQ):
     """The double chain 1 <-> ... <-> n of the A1 family (a_i: i -> i+1,
     b_i: i+1 -> i, a1*b1 = 0, a_i*b_i = b_(i-1)*a_(i-1)) with the duality
-    a_i <-> b_i."""
+    a_i <-> b_i, over the given field."""
     arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
     arrows += [(f"b{i}", str(i + 1), str(i)) for i in range(1, n)]
     relations = [[(1, ("a1", "b1"))]]
     relations += [[(1, (f"a{i}", f"b{i}")), (-1, (f"b{i - 1}", f"a{i - 1}"))]
                   for i in range(2, n)]
     duality = [(f"{x}{i}", 1, f"{y}{i}") for i in range(1, n) for x, y in ("ab", "ba")]
-    return QuiverPresentation(QQ, [str(i) for i in range(1, n + 1)], arrows,
+    return QuiverPresentation(field, [str(i) for i in range(1, n + 1)], arrows,
                               relations, duality=duality)
 
 
@@ -496,11 +509,8 @@ def test_pipeline_a1_chain_parity_subalgebra():
     h = standard_modules(alg, poset, duality=duality_matrix_from_presentation(alg))
 
     def element(*names):
-        vec = alg.zero_vector()
-        for name in names:
-            i = alg.vertex_index[name] if name.isdigit() else alg.arrow_index[name]
-            vec[i] = 1
-        return vec
+        return {alg.vertex_index[name] if name.isdigit() else alg.arrow_index[name]: 1
+                for name in names}
 
     emb = subalgebra_from_generators(
         alg, [element("1", "3"), element("2"), element("a1", "a2"), element("b1", "b2")])
