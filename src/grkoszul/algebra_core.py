@@ -465,13 +465,7 @@ def _validate_duality(algebra: FiniteDimAlgebra) -> None:
     for rel in pres.relations:
         vec = {}
         for coeff, path in rel:
-            total_sign = 1
-            image_path = []
-            for a in reversed(path):
-                s, img = mapping[a]
-                total_sign *= s
-                image_path.append(img)
-            image_path = tuple(image_path)
+            total_sign, image_path = apply_duality_to_path(pres, path)
             src = pres.arrow_endpoints(image_path[0])[0]
             c = f.mul(f.coerce(coeff), f.coerce(total_sign))
             _add_multiple(f.char, vec, c, algebra.path_to_vector(src, image_path))
@@ -1002,11 +996,7 @@ class SubalgebraEmbedding(_Memoized):
 
     def structure_constants(self) -> list[list[dict]]:
         """Multiplication table in the subalgebra basis: [i][j] is basis
-        element i times basis element j, in sparse coordinates.  Built once
-        per embedding and shared, so read-only."""
-        return self.memoized("table", self._structure_constants)
-
-    def _structure_constants(self) -> list[list[dict]]:
+        element i times basis element j, in sparse coordinates."""
         table = []
         for x in self.space.sparse_rows:
             row = []

@@ -240,6 +240,12 @@ def test_duality_validation(cycle, cycle_poset):
     with pytest.raises(InputFormatError):
         standard_modules(cycle, cycle_poset,
                          duality=[cycle.basis_vector(i) for i in range(cycle.dim)])
+    # a -> 2b, b -> a, a*b -> 2 a*b fixes the idempotents and reverses
+    # products, but its square doubles a
+    assert [p.label() for p in cycle.basis] == ["e_1", "e_2", "a", "b", "a*b"]
+    with pytest.raises(InputFormatError, match="square to the identity"):
+        standard_modules(cycle, cycle_poset,
+                         duality=[{0: 1}, {1: 1}, {3: 2}, {2: 1}, {4: 2}])
     # columns of integral Fractions and explicit zeros are held canonical
     d = duality_matrix_from_presentation(cycle)
     loose = [{k: Fraction(x) for k, x in col.items()} for col in d]
