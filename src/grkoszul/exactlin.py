@@ -395,7 +395,7 @@ class Subspace:
     def coords_canonical(self, vec) -> list | None:
         """`coords` of a vector of canonical scalars, a dense list or a
         sparse dict, taken as it is."""
-        entries = self.pivot_entries(self._sparse(vec))
+        entries = self.pivot_entries(vec if type(vec) is dict else self._sparse(vec))
         return None if entries is None else [entries.get(p, 0) for p in self.pivots]
 
     def pivot_entries(self, vec: dict) -> dict | None:
@@ -414,7 +414,7 @@ class Subspace:
     def add_canonical(self, vec) -> bool:
         """`add` of a vector of canonical scalars, a dense list or a sparse
         dict, taken as it is (not kept)."""
-        vec = self._sparse(vec)
+        vec = vec if type(vec) is dict else self._sparse(vec)
         res = self._residual(vec)
         if not res:
             return False
