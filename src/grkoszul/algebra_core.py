@@ -823,7 +823,8 @@ def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
     check(len(adapted) == algebra.dim, "adapted basis has wrong size")
 
     # the adapted coordinates of an element v are its image under to_adapted
-    to_adapted = _coordinates_in(f, [vec for _, vec in adapted])
+    source = [vec for _, vec in adapted]
+    to_adapted = _coordinates_in(f, source)
     check(to_adapted is not None, "adapted vectors are not a basis")
     # the graded product of two adapted basis elements: their product in the
     # source, in adapted coordinates, keeping only the expected grade
@@ -857,7 +858,6 @@ def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
     pres.weights = dict(algebra.presentation.weights)
     new_grades = [len(bp.arrows) for bp in rebuilt.basis]
     # arrow representative back in source coordinates
-    source = [vec for _, vec in adapted]
     arrow_reps = {name: _push(f.char, source, vec) for name, vec in arrow_vecs.items()}
     report = tight_grading_check(rebuilt, new_grades)
     check(report.passed, f"gr algebra is not tightly graded: {report.failures}")
@@ -957,7 +957,8 @@ class SubalgebraEmbedding(_Memoized):
         entries = self.space.pivot_entries(vec)
         if entries is None:
             return None
-        position = self.memoized("positions", lambda: {p: k for k, p in enumerate(self.space.pivots)})
+        position = self.memoized("positions",
+                                 lambda: {p: k for k, p in enumerate(self.space.pivots)})
         return {position[p]: x for p, x in sorted(entries.items())}
 
     def _build_algebra(self):
