@@ -19,12 +19,12 @@ test oracles.
   lists, from before algebra elements became sparse dicts; `dense_element`
   writes a sparse element out densely.
 - `total_action`, `path_total`, `element_total` (of a sparse algebra
-  element) and `relation_failure`: a
-  module's action as dense total-space matrices, and the relation check of
-  `make_representation` as a sum of path matrices, from before a module
-  stored only its sparse columns.  `embed` and `block` move dense vectors
-  between a vertex block and the total space; `columns_of` turns dense
-  arrow blocks into the sparse columns `make_representation` takes.
+  element) and `relation_failure`: a module's action as dense total-space
+  matrices, and the relation check of `make_representation` as a sum of
+  path matrices, from before a module stored only its sparse columns.
+  `embed` and `block` move dense vectors between a vertex block and the
+  total space; `columns_of` turns dense arrow blocks into the sparse
+  columns `make_representation` takes.
 
 The tests hold the sparse implementation to these results on the same
 inputs.

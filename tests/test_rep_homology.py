@@ -1402,10 +1402,12 @@ def cover_columns_by_path_total(rep, generators, totals):
     (`totals`, from `path_totals`) to each generator, in the direct-sum
     layout."""
     f = rep.algebra.field
+    # each generator's unit vector, built once
+    units = [embed(rep, v, [f.one if k == j else f.zero for k in range(rep.dims[v])])
+             for v, j in generators]
     cols = []
     for u in rep.vertices:
-        for v, j in generators:
-            gen = embed(rep, v, MatrixExact.identity(f, rep.dims[v]).rows[j])
+        for (v, _), gen in zip(generators, units):
             for bp in rep.algebra.basis:
                 if bp.src != v or bp.dst != u:
                     continue
