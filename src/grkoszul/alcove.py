@@ -811,8 +811,21 @@ class FattenReport:
 
     stages: tuple[WeightIdealSet, ...]
     a1_values: tuple[int, ...]
-    efat_literal: bool
-    efat_operational: bool
+
+    @cached_property
+    def efat_literal(self) -> bool:
+        """Computed on first read, like `efat_operational`, from the final
+        stage's datum and e."""
+        final = self.stages[-1]
+        rd, e = final.datum, final.e
+        shift = (e - 1) * rd.rho
+        return all((lam + shift) in final for lam in gamma_res_reg(rd, e).weights)
+
+    @cached_property
+    def efat_operational(self) -> bool:
+        final = self.stages[-1]
+        rd, e = final.datum, final.e
+        return all(fe_image(rd, e, lam) in final for lam in gamma_res_reg(rd, e).weights)
 
 
 def fatten(rd: RootDatum, e: int, psi: WeightIdealSet, n: int) -> FattenReport:
@@ -835,16 +848,9 @@ def fatten(rd: RootDatum, e: int, psi: WeightIdealSet, n: int) -> FattenReport:
         stage = ideal_closure(rd, e, gens, psi.regular_only)
         stages.append(stage)
 
-    final = stages[-1]
-    shift = (e - 1) * rd.rho
-    reference = gamma_res_reg(rd, e)
-    literal = all((lam + shift) in final for lam in reference.weights)
-    operational = all(fe_image(rd, e, lam) in final for lam in reference.weights)
     return FattenReport(
         stages=tuple(stages),
         a1_values=tuple(a1_value(rd, e, s.weights) for s in stages),
-        efat_literal=literal,
-        efat_operational=operational,
     )
 
 

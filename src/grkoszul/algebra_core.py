@@ -997,7 +997,11 @@ class SubalgebraEmbedding(_Memoized):
 
     def structure_constants(self) -> list[list[dict]]:
         """Multiplication table in the subalgebra basis: [i][j] is basis
-        element i times basis element j, in sparse coordinates."""
+        element i times basis element j, in sparse coordinates; built once
+        per embedding, so callers must not change it."""
+        return self.memoized("structure constants", self._structure_constants)
+
+    def _structure_constants(self) -> list[list[dict]]:
         table = []
         for x in self.space.sparse_rows:
             row = []

@@ -3,18 +3,19 @@
 Scalars over Q are plain ints when integral and `fractions.Fraction`
 instances with denominator > 1 otherwise, so 0/1 matrices never leave machine
 integers; over F_p they are ints reduced to [0, p).  No floats anywhere.
-A `MatrixExact` is a list of dense rows, the form of module homomorphisms
-and of determinants; every other linear map, of modules or of algebras, is
-the list of its sparse columns, {row: scalar} dicts that `_push` combines.
+A `MatrixExact` is a list of dense rows, left for the file parsers, the
+dense `Representation.action` view and `echelon`; every linear map, of
+modules or of algebras, module homomorphisms included, is the list of its
+sparse columns, {row: scalar} dicts that `_push` combines.
 A `Subspace` keeps its RREF sparse, one {column: scalar} dict of nonzero
 entries per pivot (`_sparse_row`, `_dense_row` convert), so eliminating a
 vector touches only its nonzero entries and the rows of the pivots among
 them.
 
 Pivoting rule: echelon reduction (`Subspace.add`, which `row_space` and
-`echelon` run row by row, and `Subspace.add_canonical`, which `rank_kernel`
-runs on its sparse rows) always selects the leftmost nonzero entry of the reduced row (no
-magnitude heuristics), then removes that column from the rows kept so far.
+`echelon` run row by row, and `rank_kernel` on its sparse rows) always
+selects the leftmost nonzero entry of the reduced row (no magnitude
+heuristics), then removes that column from the rows kept so far.
 The reduced row echelon form is fully normalized (pivots 1, pivot columns
 cleared, rows sorted by pivot column), hence canonical for the row space.
 
@@ -26,12 +27,11 @@ their RREFs are, which `Subspace.__eq__` compares.
 Scalars are canonicalised at the boundary only: the public `MatrixExact(...)`
 constructor, the scalar parsers and every dense vector given to a public
 `Subspace` method run `coerce_row`, while a sparse dict given to one is taken
-as canonical.  Producers whose output is canonical by construction (`zero`,
-`identity`, `transpose`, `add`, `scale`) build it with `MatrixExact.trusted`;
-rows already in canonical RREF, dense or sparse, become a `Subspace` through
-`Subspace.from_rref`, and other canonical vectors, dense or sparse, enter one
-through `add_canonical`, `coords_canonical` and `pivot_entries`, with no
-coercion pass.
+as canonical.  A dense matrix that is canonical by construction (`echelon`'s
+RREF, the `action` view) is built with `MatrixExact.trusted`; rows already
+in canonical RREF, dense or sparse, become a `Subspace` through
+`Subspace.from_rref`, and other canonical vectors, as sparse dicts, enter
+one through `add`, `coords` and `pivot_entries`, with no coercion pass.
 
 `rank_kernel` takes a matrix as sparse rows of canonical scalars and
 eliminates them once, with the columns reversed, so each pivot is its row's
@@ -134,9 +134,6 @@ class FieldSpec:
             raise ZeroDivisionError("inversion of zero field element")
         return pow(a, -1, self.char) if self.char else _integral_as_int(1 / Fraction(a))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- text form (used by .qrep files and reports) -------------------------
 
     def parse_scalar(self, token: str):
@@ -192,51 +189,11 @@ class MatrixExact:
         m.ncols = ncols
         return m
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    @classmethod
-    def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "MatrixExact":
-        return cls.trusted(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "MatrixExact":
-        one, zero = field.one, field.zero
-        return cls.trusted(field, [[one if i == j else zero for j in range(n)]
-                                   for i in range(n)], n)
-
-    def transpose(self) -> "MatrixExact":
-        if not self.nrows:
-            return MatrixExact.zero(self.field, self.ncols, 0)
-        return MatrixExact.trusted(self.field, [list(col) for col in zip(*self.rows)],
-                                   self.nrows)
-
-    def add(self, other: "MatrixExact") -> "MatrixExact":
-        if self.shape != other.shape:
-            raise InputFormatError("shape mismatch in sum")
-        f = self.field
-        return MatrixExact.trusted(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
-
-    def scale(self, scalar) -> "MatrixExact":
-        f = self.field
-        c = f.coerce(scalar)
-        return MatrixExact.trusted(
-            f, [[f.mul(c, a) for a in row] for row in self.rows], self.ncols
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatrixExact)
             and self.field == other.field
-            and self.shape == other.shape
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
             and self.rows == other.rows
         )
 
@@ -319,11 +276,11 @@ class Subspace:
 
     @classmethod
     def spanned(cls, field: FieldSpec, ambient: int, vectors) -> "Subspace":
-        """The span of vectors of canonical scalars, dense lists or sparse
-        dicts, each taken as it is (`add_canonical`)."""
+        """The span of vectors, dense lists or sparse dicts of canonical
+        scalars (see `_sparse`), each given to `add`."""
         space = cls(field, ambient)
         for vec in vectors:
-            space.add_canonical(vec)
+            space.add(vec)
         return space
 
     @classmethod
@@ -389,13 +346,9 @@ class Subspace:
         return not self._residual(self._sparse(vec))
 
     def coords(self, vec) -> list | None:
-        """Coordinates of vec in `rows`, or None when vec is outside."""
-        return self.coords_canonical(self._sparse(vec))
-
-    def coords_canonical(self, vec) -> list | None:
-        """`coords` of a vector of canonical scalars, a dense list or a
-        sparse dict, taken as it is."""
-        entries = self.pivot_entries(vec if type(vec) is dict else self._sparse(vec))
+        """Coordinates of vec, a dense list or a sparse dict of canonical
+        scalars (see `_sparse`), in `rows`, or None when vec is outside."""
+        entries = self.pivot_entries(self._sparse(vec))
         return None if entries is None else [entries.get(p, 0) for p in self.pivots]
 
     def pivot_entries(self, vec: dict) -> dict | None:
@@ -408,13 +361,10 @@ class Subspace:
         return {p: x for p, x in vec.items() if p in rref}
 
     def add(self, vec) -> bool:
-        """Extend the span by vec; False (and no change) if it is inside."""
-        return self.add_canonical(self._sparse(vec))
-
-    def add_canonical(self, vec) -> bool:
-        """`add` of a vector of canonical scalars, a dense list or a sparse
-        dict, taken as it is (not kept)."""
-        vec = vec if type(vec) is dict else self._sparse(vec)
+        """Extend the span by vec, a dense list or a sparse dict of canonical
+        scalars (see `_sparse`) that is not kept; False (and no change) if
+        it is inside."""
+        vec = self._sparse(vec)
         res = self._residual(vec)
         if not res:
             return False
@@ -485,26 +435,3 @@ def intersect_spaces(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_rref(a.field, n, [{j - n: x for j, x in joint.rref[p].items()}
                                            for p in meet], [p - n for p in meet])
 
-
-def determinant(m: MatrixExact):
-    """Determinant by exact Gaussian elimination."""
-    if m.nrows != m.ncols:
-        raise InputFormatError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
-    f = m.field
-    n = m.nrows
-    rows = [list(r) for r in m.rows]
-    det = f.one
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col] != f.zero), None)
-        if pivot_row is None:
-            return f.zero
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = f.neg(det)
-        pivot = rows[col][col]
-        det = f.mul(det, pivot)
-        for r in range(col + 1, n):
-            if rows[r][col] != f.zero:
-                factor = f.div(rows[r][col], pivot)
-                rows[r] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[r], rows[col])]
-    return det

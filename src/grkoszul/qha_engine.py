@@ -214,7 +214,7 @@ def _standard_family(algebra: FiniteDimAlgebra, poset: WeightPosetIdeal,
             if poset.leq(mu, lam):
                 continue
             for phi in hom_space(projectives[mu], p):
-                trace.extend(zip(*phi.rows))  # the images of P(mu)'s basis
+                trace.extend(phi)  # the images of P(mu)'s basis
         delta, _ = quotient_rep(p, trace)
         check(
             head_multiplicities(delta) == {v: 1 if v == lam else 0 for v in delta.vertices},

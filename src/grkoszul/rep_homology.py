@@ -9,8 +9,9 @@ a path acts by applying its arrows in traversal order, so m.(p*q) =
 algebra's vertex list, sparse ones as {coordinate: scalar} dicts; inside
 P(v) the basis paths keep the algebra's basis order.
 
-A module map (cover, syzygy inclusion, quotient projection, resolution map)
-is its sparse columns: the image of each source basis vector in the target.
+A module map (cover, syzygy inclusion, quotient projection, resolution map,
+homomorphism) is its sparse columns: the image of each source basis vector
+in the target.
 
 Module gradings are recorded as one grade per coordinate of each vertex
 block.  gr M is graded by radical layers with the head in grade 0; the
@@ -25,7 +26,6 @@ from .exactlin import (
     FieldSpec,
     MatrixExact,
     Subspace,
-    determinant,
     echelon,
     intersect_spaces,
     rank_kernel,
@@ -33,7 +33,6 @@ from .exactlin import (
     _add_multiple,
     _dense_row,
     _push,
-    _sparse_row,
 )
 from .algebra_core import (
     FiniteDimAlgebra,
@@ -45,8 +44,9 @@ from .algebra_core import (
     tight_subalgebra_check,
 )
 
-# Hard ceiling on the number of determinant evaluations one isomorphism
-# search may spend; beyond it the instance is not desk-scale.
+# Hard ceiling on the number of determinant evaluations (each a rank test,
+# see `_invertible_combination`) one isomorphism search may spend; beyond it
+# the instance is not desk-scale.
 ISO_SEARCH_CAP = 200_000
 
 
@@ -320,8 +320,9 @@ def sub_rep(rep: Representation, rows) -> tuple[Representation, list[dict]]:
                  for p in per_vertex[v].pivots]
 
 
-def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation, list[dict]]:
-    """The quotient by the submodule spanned by rows.
+def quotient_rep(rep: Representation, rows) -> tuple[Representation, list[dict]]:
+    """The quotient by the submodule spanned by rows, dense lists or sparse
+    dicts (or a `Subspace`, see `_split_rows_by_vertex`).
 
     Returns (Q, proj) with proj the columns (dim Q rows, one per basis
     vector of M) of the projection.
@@ -338,10 +339,12 @@ def quotient_rep(rep: Representation, rows: list[list]) -> tuple[Representation,
     }
     qdims = {v: len(free[v]) for v in rep.vertices}
 
+    position = {v: {j: k for k, j in enumerate(free[v])} for v in rep.vertices}
+
     def project(v, block_vec):
-        """The quotient coordinates of a sparse block vector at v, sparse."""
-        red = per_vertex[v].reduce(_dense_row(block_vec, rep.dims[v]))
-        return {k: red[j] for k, j in enumerate(free[v]) if red[j]}
+        """The quotient coordinates of a sparse block vector at v, sparse:
+        its residual is 0 at every pivot, so it lives on free[v]."""
+        return {position[v][j]: x for j, x in per_vertex[v].reduce(block_vec).items()}
 
     # the quotient basis at src is the images of the units at free[src]
     columns = {name: [project(dst, rep.columns[name][j]) for j in free[src]]
@@ -398,7 +401,7 @@ def socle_series(rep: Representation) -> list[Subspace]:
         for name, src, dst in rep.algebra.presentation.arrows:
             cols = [{} for _ in range(n)]
             for j, col in enumerate(rep.columns[name], rep.offset(src)):
-                cols[j] = _sparse_row(current.reduce(_dense_row(rep.place(dst, col), n)))
+                cols[j] = current.reduce(rep.place(dst, col))
             stacked += _sparse_rows(cols, n)
         # the kernel rows of rank_kernel are already its canonical RREF (with
         # no rows, the unit vectors of the whole space)
@@ -439,11 +442,12 @@ def filtration_slice(rep: Representation, r: int, s: int | None = None) -> Repre
         return sub
     # re-express the lower power inside the sub coordinates: the basis of sub
     # is the RREF of rad^r M split by vertex, so in the order of its pivots
+    position = {p: k for k, p in enumerate(term(r).pivots)}
     inner = []
     for p in term(s).pivots:
-        coords = term(r).coords_canonical(term(s).rref[p])
+        coords = term(r).pivot_entries(term(s).rref[p])
         check(coords is not None, "radical powers are not nested")
-        inner.append(coords)
+        inner.append({position[q]: x for q, x in coords.items()})
     quot, _ = quotient_rep(sub, inner)
     return quot
 
@@ -488,46 +492,43 @@ def grade_zero_graded(rep: Representation) -> GradedRepresentation:
 class _Slices:
     """Graded coordinates for a chain V_0 >= V_1 >= ... >= V_L = 0 in field^n.
 
-    `pieces` lists (g, row) in flat order, grade by grade: the rows of V_g
-    that complete V_(g+1) to it.  vector(g, vec) writes a vector of V_g by
-    its slice-g coordinates modulo V_(g+1), placed at their flat positions;
-    one reduction against V_(g+1) and the slice rows finds them, each slice
-    row carrying a unit tag that collects its coefficient.
+    `pieces` lists (g, row) in flat order, grade by grade: the sparse rows
+    of V_g that complete V_(g+1) to it (shared with the chain: read only).
+    vector(g, vec) writes a sparse vector of V_g by its slice-g coordinates
+    modulo V_(g+1), sparse too, placed at their flat positions; one
+    reduction against V_(g+1) and the slice rows finds them, each slice row
+    carrying a unit tag that collects its coefficient.
     """
 
     def __init__(self, field: FieldSpec, n: int, chain: list[Subspace]):
         self.field = field
         self.n = n
-        self.pieces: list[tuple[int, list]] = []
+        self.pieces: list[tuple[int, dict]] = []
         self._starts: list[int] = []
         self._tagged: list[Subspace] = []
         for g in range(len(chain) - 1):
             below = chain[g + 1]
             grown = below.copy()
-            rows = [cand for cand in chain[g].rows if grown.add(cand)]
+            rows = [cand for cand in chain[g].sparse_rows if grown.add(cand)]
             self._starts.append(len(self.pieces))
             self.pieces += [(g, r) for r in rows]
             # V_(g+1), its sparse rows read in the wider space, is already in
             # RREF; the rows join it, each tagged with a unit of its own
-            tagged = Subspace.from_rref(field, n + len(rows),
-                                        [below.rref[p] for p in below.pivots], below.pivots)
+            tagged = Subspace.from_rref(field, n + len(rows), below.sparse_rows, below.pivots)
             for k, r in enumerate(rows):
-                tagged.add_canonical({**_sparse_row(r), n + k: field.one})
+                tagged.add({**r, n + k: field.one})
             self._tagged.append(tagged)
         self.grades = [g for g, _ in self.pieces]
 
-    def vector(self, g: int, vec: list) -> list:
-        f = self.field
-        out = [f.zero] * len(self.pieces)
+    def vector(self, g: int, vec: dict) -> dict:
         if g >= len(self._tagged):
-            check(not any(vec), "filtration image escaped the expected layer")
-            return out
-        space = self._tagged[g]
-        red = space.reduce(list(vec) + [f.zero] * (space.ambient - self.n))
-        check(not any(red[: self.n]), "filtration image escaped the expected layer")
-        for k, val in enumerate(red[self.n :]):
-            out[self._starts[g] + k] = f.neg(val)
-        return out
+            check(not vec, "filtration image escaped the expected layer")
+            return {}
+        n, neg = self.n, self.field.neg
+        red = self._tagged[g].reduce(vec)
+        check(min(red, default=n) >= n, "filtration image escaped the expected layer")
+        start = self._starts[g] - n
+        return {start + j: neg(x) for j, x in red.items()}
 
 
 def _slice_data(rep: Representation, series: list[Subspace]) -> dict[str, _Slices]:
@@ -555,9 +556,8 @@ def _gr_from_series(rep: Representation, target: FiniteDimAlgebra, lift,
     for name, src, dst in target.presentation.arrows:
         columns[name] = []
         for g, brow in slices[src].pieces:
-            img = rep.block(lift(name, rep.place(src, _sparse_row(brow))), dst)
-            columns[name].append(
-                _sparse_row(slices[dst].vector(g + 1, _dense_row(img, rep.dims[dst]))))
+            img = rep.block(lift(name, rep.place(src, brow)), dst)
+            columns[name].append(slices[dst].vector(g + 1, img))
     out = make_representation(target, dims, columns)
     return GradedRepresentation(out, {v: slices[v].grades for v in rep.vertices})
 
@@ -590,8 +590,8 @@ def gr_of_surjection(m: Representation, n: Representation, proj: list[dict],
     columns (dim N rows, one per basis vector of M, as `quotient_rep`
     returns them).
 
-    Returns (gr M, gr N, matrix of gr proj, surjective flag) with the
-    matrix written in the flat coordinates of the two graded modules.
+    Returns (gr M, gr N, gr proj, surjective flag) with gr proj as its
+    sparse columns, in the flat coordinates of the two graded modules.
     """
     require(m.algebra is n.algebra, "the map must connect modules over one algebra")
     f = m.algebra.field
@@ -616,27 +616,29 @@ def gr_of_surjection(m: Representation, n: Representation, proj: list[dict],
     cols = []
     for v in m.vertices:
         for g, brow in m_slices[v].pieces:
-            img = _push(f.char, images, m.place(v, _sparse_row(brow)))
-            cols.append([x for u in n.vertices for x in
-                         n_slices[u].vector(g, _dense_row(n.block(img, u), n.dims[u]))])
-    mat = MatrixExact(f, cols, gn.rep.total_dim).transpose()
-    return gm, gn, mat, len(Subspace.spanned(f, gn.rep.total_dim, cols)) == gn.rep.total_dim
+            img = _push(f.char, images, m.place(v, brow))
+            col = {}
+            for u in n.vertices:
+                col.update(gn.rep.place(u, n_slices[u].vector(g, n.block(img, u))))
+            cols.append(col)
+    return gm, gn, cols, len(Subspace.spanned(f, gn.rep.total_dim, cols)) == gn.rep.total_dim
 
 
 # -- hom spaces and isomorphism -------------------------------------------------------
 
 
-def hom_space(m: Representation, n: Representation) -> list[MatrixExact]:
-    """Basis of the module homomorphisms as total matrices (dim N x dim M)."""
+def hom_space(m: Representation, n: Representation) -> list[list[dict]]:
+    """Basis of the module homomorphisms M -> N, each as its sparse columns
+    (dim N rows, one per basis vector of M)."""
     require(m.algebra is n.algebra, "hom needs modules over the same algebra")
     f = m.algebra.field
     pos = {}
-    count = 0
+    where = []  # (row in N, column in M) of each unknown
     for v in m.vertices:
         for i in range(n.dims[v]):
             for j in range(m.dims[v]):
-                pos[(v, i, j)] = count
-                count += 1
+                pos[(v, i, j)] = len(where)
+                where.append((n.offset(v) + i, m.offset(v) + j))
     rows = []
     for name, src, dst in m.algebra.presentation.arrows:
         a_m = m.columns[name]
@@ -650,20 +652,26 @@ def hom_space(m: Representation, n: Representation) -> list[MatrixExact]:
                               {pos[(src, k, j)]: x for k, x in a_n[i].items()})
                 if row:
                     rows.append(row)
-    _, sols = rank_kernel(f, rows, count)
+    _, sols = rank_kernel(f, rows, len(where))
     out = []
     for sol in sols:
-        mat = MatrixExact.zero(f, n.total_dim, m.total_dim)
-        for (v, i, j), idx in pos.items():
-            if idx in sol:
-                mat.rows[n.offset(v) + i][m.offset(v) + j] = sol[idx]
-        out.append(mat)
+        cols = [{} for _ in range(m.total_dim)]
+        for idx, x in sol.items():
+            r, c = where[idx]
+            cols[c][r] = x
+        out.append(cols)
     return out
 
 
+def _combination(char: int, maps: list[list[dict]], coeffs: dict, width: int) -> list[dict]:
+    """sum_k coeffs[k] * maps[k] for maps given by `width` sparse columns
+    each and sparse coefficients {k: scalar}, over Q (char 0) or F_char."""
+    return [_push(char, [h[j] for h in maps], coeffs) for j in range(width)]
+
+
 def graded_hom_space(m: GradedRepresentation, n: GradedRepresentation,
-                     degree: int = 0) -> list[MatrixExact]:
-    """Module maps sending grade g into grade g + degree."""
+                     degree: int = 0) -> list[list[dict]]:
+    """Module maps sending grade g into grade g + degree, as sparse columns."""
     homs = hom_space(m.rep, n.rep)
     f = m.rep.algebra.field
     bad_positions = [
@@ -676,44 +684,43 @@ def graded_hom_space(m: GradedRepresentation, n: GradedRepresentation,
     if not bad_positions:
         return homs
     # one condition per bad position: the combination of the homs is 0 there
-    conditions = [{k: h.rows[r][c] for k, h in enumerate(homs) if h.rows[r][c]}
+    conditions = [{k: h[c][r] for k, h in enumerate(homs) if r in h[c]}
                   for r, c in bad_positions]
     _, kernel = rank_kernel(f, conditions, len(homs))
-    out = []
-    for coeffs in kernel:
-        acc = MatrixExact.zero(f, n.rep.total_dim, m.rep.total_dim)
-        for k, c in coeffs.items():
-            acc = acc.add(homs[k].scale(c))
-        out.append(acc)
-    return out
+    return [_combination(f.char, homs, coeffs, m.rep.total_dim) for coeffs in kernel]
 
 
-def _invertible_combination(field: FieldSpec, homs: list[MatrixExact], n: int,
+def _invertible_combination(field: FieldSpec, homs: list[list[dict]], n: int,
                             endomorphisms=None):
-    """Search the span of homs for an invertible matrix; exact both ways.
+    """Search the span of homs, maps of n sparse columns each into an
+    n-dimensional space, for an invertible one; exact both ways.
 
-    det of a combination has degree <= n in each coefficient, so over Q a
-    grid of n+1 integer values per coefficient decides whether it vanishes
-    identically; over F_p the whole span is enumerated.  Either way a
-    returned witness is checked invertible and absence is a proof.
+    A combination is invertible when its columns span the whole space,
+    which is det != 0.  det of a combination has degree <= n in each
+    coefficient, so over Q a grid of n+1 integer values per coefficient
+    decides whether it vanishes identically; over F_p the whole span is
+    enumerated.  Either way a returned witness (its columns) is invertible
+    and absence is a proof.
 
     endomorphisms() may give (dim End(M), dim End(N)) for homs a basis of
     Hom(M, N): M and N isomorphic forces both to be len(homs), so a
     difference refutes an isomorphism before the grid.
     """
     if n == 0:
-        return MatrixExact.zero(field, 0, 0)
+        return []
     if not homs:
         return None
     k = len(homs)
+
+    def invertible(cols):
+        return len(Subspace.spanned(field, n, cols)) == n
+
     # cheap pre-pass: single basis maps, then the all-ones combination
     for cand in homs:
-        if determinant(cand) != field.zero:
+        if invertible(cand):
             return cand
-    acc = MatrixExact.zero(field, n, n)
-    for h in homs:
-        acc = acc.add(h)
-    if determinant(acc) != field.zero:
+    acc = _combination(field.char, homs, dict.fromkeys(range(k), field.one), n)
+    if invertible(acc):
         return acc
     if endomorphisms is not None and any(d != k for d in endomorphisms()):
         return None
@@ -731,21 +738,20 @@ def _invertible_combination(field: FieldSpec, homs: list[MatrixExact], n: int,
     for coeffs in iter_product(values, repeat=k):
         if not any(coeffs):
             continue
-        cand = MatrixExact.zero(field, n, n)
-        for c, h in zip(coeffs, homs):
-            if c:
-                cand = cand.add(h.scale(field.coerce(c)))
-        if determinant(cand) != field.zero:
+        cand = _combination(field.char, homs, {i: c for i, c in enumerate(coeffs) if c}, n)
+        if invertible(cand):
             return cand
     return None
 
 
-def is_isomorphic(m: Representation, n: Representation) -> tuple[bool, MatrixExact | None]:
-    """Exact isomorphism test; returns an invertible witness on success."""
+def is_isomorphic(m: Representation, n: Representation) -> tuple[bool, list[dict] | None]:
+    """Exact isomorphism test; returns an invertible witness, as its sparse
+    columns, on success."""
     require(m.algebra is n.algebra, "isomorphism test needs one algebra")
     f = m.algebra.field
+    identity = [{j: f.one} for j in range(m.total_dim)]
     if m is n:
-        return True, MatrixExact.identity(f, m.total_dim)
+        return True, identity
     if any(m.dims[v] != n.dims[v] for v in m.vertices):
         return False, None
     layers = layer_dims(m)
@@ -753,7 +759,7 @@ def is_isomorphic(m: Representation, n: Representation) -> tuple[bool, MatrixExa
         return False, None
     if len(layers) <= 1:
         # both semisimple with matching vertex dimensions
-        return True, MatrixExact.identity(f, m.total_dim)
+        return True, identity
     homs = hom_space(m, n)
     witness = _invertible_combination(
         f, homs, m.total_dim, lambda: (len(hom_space(m, m)), len(hom_space(n, n))))
@@ -810,7 +816,7 @@ def projective_cover(rep: Representation) -> Cover:
     # each unit outside the radical plus the units chosen before it
     grown = radical_space(rep)
     generators = [(v, j) for v in rep.vertices for j in range(rep.dims[v])
-                  if grown.add_canonical(rep.place(v, {j: f.one}))]
+                  if grown.add(rep.place(v, {j: f.one}))]
     summands = [v for v, _ in generators]
     head = {v: summands.count(v) for v in rep.vertices}
     parts = [_projective_with_head(rep.algebra, v) for v in summands]
@@ -916,6 +922,11 @@ def _ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
     res = minimal_resolution(m, n_max + 1)
     f = m.algebra.field
     hom_bases = [hom_space(p, n) for p in res.terms]
+
+    def flat(h):
+        """A map into N as one sparse vector, column after column."""
+        return {j * n.total_dim + r: x for j, col in enumerate(h) for r, x in col.items()}
+
     ranks = []
     for i in range(1, len(res.terms)):
         basis_prev = hom_bases[i - 1]
@@ -923,17 +934,16 @@ def _ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
         if not basis_prev or not basis_cur:
             ranks.append(0)
             continue
-        cur_flat = [[x for row in h.rows for x in row] for h in basis_cur]
-        cur = row_space(f, cur_flat, len(cur_flat[0]))
-        mat_rows = []
+        width = res.terms[i].total_dim * n.total_dim
+        cur = Subspace.spanned(f, width, map(flat, basis_cur))
+        images = []
         for h in basis_prev:
-            # h composed with maps[i], row by row: each row of h times each column
-            coords = cur.coords([sum(row[k] * x for k, x in col.items())
-                                 for row in h.rows for col in res.maps[i]])
-            check(coords is not None, "hom image left the hom space")
-            mat_rows.append(_sparse_row(coords))
-        # the rank of the coordinate matrix is the size of its row span
-        ranks.append(len(Subspace.spanned(f, len(cur), mat_rows)))
+            # h composed with maps[i]: each column of maps[i] pushed through h
+            image = flat([_push(f.char, h, col) for col in res.maps[i]])
+            check(cur.contains(image), "hom image left the hom space")
+            images.append(image)
+        # the rank of the composition map is the size of the images' span
+        ranks.append(len(Subspace.spanned(f, width, images)))
     out = []
     for i in range(n_max + 1):
         dim_h = len(hom_bases[i]) if i < len(hom_bases) else 0
@@ -1248,13 +1258,10 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
     order = [i for c in res.vertices for i in coords[c]]
 
     def in_m(row):
-        out = [f.zero] * n
-        for j, i in enumerate(order):
-            out[i] = row[j]
-        return out
+        return {order[j]: x for j, x in row.items()}
 
     series = radical_series(res)
-    agrees = radical_series(m) == [Subspace(f, n, [in_m(r) for r in term.rows])
+    agrees = radical_series(m) == [Subspace(f, n, [in_m(r) for r in term.sparse_rows])
                                    for term in series]
     arrows = {name: sub_algebra.basis_vector(sub_algebra.arrow_index[name])
               for name, _, _ in sub_algebra.presentation.arrows}

@@ -8,6 +8,13 @@ test oracles.
   rows kept so far.
 - `is_zero`: the zero test of a dense matrix, from before the resolution
   maps became sparse columns.
+- `zero`, `identity`, `transpose`, `add` and `scale`: the dense matrix
+  builders that `MatrixExact` had as methods, from before module
+  homomorphisms became sparse columns.
+- `determinant`, `invertible_by_determinant_grid` and `dense_hom_space`:
+  the determinant by exact elimination, the isomorphism search over the
+  span of dense homs that decided invertibility by it, and Hom(M, N) as
+  the dense solutions F of F T = T' F for every arrow and idempotent.
 - `kernel_matrix`: `rank_kernel` on a dense matrix, its kernel read back
   as a dense matrix; `dense_map` is the dense matrix of a module map given
   by sparse columns.
@@ -33,7 +40,9 @@ inputs.
 from bisect import bisect_left
 from itertools import compress
 
-from grkoszul.errors import InputFormatError, check
+from itertools import product as iter_product
+
+from grkoszul.errors import InputFormatError, check, require
 from grkoszul.exactlin import FieldSpec, MatrixExact, _dense_row, _sparse_row, echelon, rank_kernel
 
 
@@ -116,6 +125,132 @@ def is_zero(m: MatrixExact) -> bool:
     return not any(map(any, m.rows))
 
 
+def zero(field: FieldSpec, nrows: int, ncols: int) -> MatrixExact:
+    return MatrixExact.trusted(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
+
+
+def identity(field: FieldSpec, n: int) -> MatrixExact:
+    one, nought = field.one, field.zero
+    return MatrixExact.trusted(field, [[one if i == j else nought for j in range(n)]
+                                       for i in range(n)], n)
+
+
+def transpose(m: MatrixExact) -> MatrixExact:
+    if not m.nrows:
+        return zero(m.field, m.ncols, 0)
+    return MatrixExact.trusted(m.field, [list(col) for col in zip(*m.rows)], m.nrows)
+
+
+def add(a: MatrixExact, b: MatrixExact) -> MatrixExact:
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise InputFormatError("shape mismatch in sum")
+    f = a.field
+    return MatrixExact.trusted(f, [[f.add(x, y) for x, y in zip(r1, r2)]
+                                   for r1, r2 in zip(a.rows, b.rows)], a.ncols)
+
+
+def scale(m: MatrixExact, scalar) -> MatrixExact:
+    f = m.field
+    c = f.coerce(scalar)
+    return MatrixExact.trusted(f, [[f.mul(c, x) for x in row] for row in m.rows], m.ncols)
+
+
+def determinant(m: MatrixExact):
+    """Determinant by exact Gaussian elimination."""
+    if m.nrows != m.ncols:
+        raise InputFormatError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
+    f = m.field
+    n = m.nrows
+    rows = [list(r) for r in m.rows]
+    det = f.one
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col] != f.zero), None)
+        if pivot_row is None:
+            return f.zero
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = f.neg(det)
+        pivot = rows[col][col]
+        det = f.mul(det, pivot)
+        for r in range(col + 1, n):
+            if rows[r][col] != f.zero:
+                factor = f.mul(rows[r][col], f.inv(pivot))
+                rows[r] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def invertible_by_determinant_grid(field: FieldSpec, homs: list[MatrixExact], n: int, cap: int,
+                                   endomorphisms=None):
+    """An invertible matrix in the span of dense n x n homs, or None: single
+    homs, their sum, then (after the dimension refutation of
+    `endomorphisms()`, as in `rep_homology._invertible_combination`) a grid
+    of n+1 integer values per coefficient over Q, or the whole span over
+    F_p, each candidate judged by its determinant; at most cap of them."""
+    if n == 0:
+        return zero(field, 0, 0)
+    if not homs:
+        return None
+    k = len(homs)
+    for cand in homs:
+        if determinant(cand) != field.zero:
+            return cand
+    acc = zero(field, n, n)
+    for h in homs:
+        acc = add(acc, h)
+    if determinant(acc) != field.zero:
+        return acc
+    if endomorphisms is not None and any(d != k for d in endomorphisms()):
+        return None
+    values = range(n + 1) if field.char == 0 else range(field.char)
+    total = len(values) ** k
+    require(total <= cap, f"isomorphism search needs {total} determinant evaluations,"
+            f" beyond the desk-scale cap {cap}")
+    for coeffs in iter_product(values, repeat=k):
+        if not any(coeffs):
+            continue
+        cand = zero(field, n, n)
+        for c, h in zip(coeffs, homs):
+            if c:
+                cand = add(cand, scale(h, c))
+        if determinant(cand) != field.zero:
+            return cand
+    return None
+
+
+def dense_hom_space(m, n) -> list[MatrixExact]:
+    """Basis of Hom(M, N) as dense dim N x dim M matrices F: the dense
+    kernel of F T_a(M) - T_a(N) F = 0 for every arrow a and F E_v(M) -
+    E_v(N) F = 0 for every vertex v, E_v the projection onto the block of v,
+    in the unknowns F[r][c] at position r * dim M + c."""
+    f = m.algebra.field
+    rows_n, cols_m = n.total_dim, m.total_dim
+    width = rows_n * cols_m
+    if not width:
+        return []
+
+    def projection(rep, v):
+        mat = zero(f, rep.total_dim, rep.total_dim)
+        for k in range(rep.offset(v), rep.offset(v) + rep.dims[v]):
+            mat.rows[k][k] = f.one
+        return mat
+
+    pairs = [(total_action(m, a), total_action(n, a)) for a, _, _ in m.algebra.presentation.arrows]
+    pairs += [(projection(m, v), projection(n, v)) for v in m.vertices]
+    equations = []
+    for t_m, t_n in pairs:
+        for r in range(rows_n):
+            for c in range(cols_m):
+                eq = [f.zero] * width
+                for k in range(cols_m):  # (F T_m)[r][c]
+                    eq[r * cols_m + k] = f.add(eq[r * cols_m + k], t_m.rows[k][c])
+                for k in range(rows_n):  # - (T_n F)[r][c]
+                    eq[k * cols_m + c] = f.sub(eq[k * cols_m + c], t_n.rows[r][k])
+                equations.append(eq)
+    _, kernel = dense_rank_kernel(MatrixExact.trusted(f, equations, width))
+    return [MatrixExact.trusted(f, [vec[r * cols_m:(r + 1) * cols_m] for r in range(rows_n)],
+                                cols_m) for vec in kernel.rows]
+
+
 def kernel_matrix(m: MatrixExact) -> tuple[int, MatrixExact]:
     """`rank_kernel` of a dense matrix: its rank and the kernel RREF as a
     dense matrix."""
@@ -187,7 +322,8 @@ def mul(a: MatrixExact, b: MatrixExact) -> MatrixExact:
     """a * b; row i of the product combines the rows of b over row i's
     nonzero entries, each over its own nonzero entries."""
     if a.ncols != b.nrows:
-        raise InputFormatError(f"shape mismatch in product: {a.shape} * {b.shape}")
+        raise InputFormatError(f"shape mismatch in product: {a.nrows}x{a.ncols}"
+                               f" * {b.nrows}x{b.ncols}")
     f, char, n = a.field, a.field.char, b.ncols
     supports = [list(compress(range(n), brow)) for brow in b.rows]
     rows = []
@@ -209,7 +345,7 @@ def invert(m: MatrixExact) -> MatrixExact | None:
     if m.ncols != n:
         raise InputFormatError(f"only a square matrix has an inverse, got {m.nrows}x{m.ncols}")
     joint = DenseSubspace(f, 2 * n, [row + unit for row, unit
-                                     in zip(m.rows, MatrixExact.identity(f, n).rows)])
+                                     in zip(m.rows, identity(f, n).rows)])
     if joint.pivots != list(range(n)):
         return None
     return MatrixExact.trusted(f, [row[n:] for row in joint.rows], n)
@@ -261,15 +397,16 @@ def block(rep, vec: list, vertex: str) -> list:
 
 
 def total_action(rep, name: str) -> MatrixExact:
-    """The arrow's action on the full space (other blocks mapped to 0)."""
+    """The arrow's action on the full space (other blocks mapped to 0),
+    written from that arrow's sparse columns alone."""
     f = rep.algebra.field
     n = rep.total_dim
     src, dst = rep.algebra.presentation.arrow_endpoints(name)
     mat = [[f.zero] * n for _ in range(n)]
-    small = rep.action[name]
     ro, co = rep.offset(dst), rep.offset(src)
-    for i, row in enumerate(small.rows):
-        mat[ro + i][co : co + small.ncols] = row
+    for j, col in enumerate(rep.columns[name], co):
+        for i, x in col.items():
+            mat[ro + i][j] = x
     return MatrixExact.trusted(f, mat, n)
 
 
@@ -287,11 +424,11 @@ def element_total(rep, element: dict) -> MatrixExact:
     """Action of a sparse algebra element, {basis index: scalar}."""
     f = rep.algebra.field
     n = rep.total_dim
-    out = MatrixExact.zero(f, n, n)
+    out = zero(f, n, n)
     for i, c in element.items():
         bp = rep.algebra.basis[i]
         if bp.arrows:
-            out = out.add(path_total(rep, bp.arrows).scale(c))
+            out = add(out, scale(path_total(rep, bp.arrows), c))
             continue
         start = rep.offset(bp.src)  # e_v acts as the projection to its block
         for k in range(start, start + rep.dims[bp.src]):
@@ -304,9 +441,9 @@ def relation_failure(rep) -> str | None:
     defining relation, by summing the relation's path matrices; else None."""
     f = rep.algebra.field
     for rel in rep.algebra.presentation.relations:
-        acc = MatrixExact.zero(f, rep.total_dim, rep.total_dim)
+        acc = zero(f, rep.total_dim, rep.total_dim)
         for coeff, path in rel:
-            acc = acc.add(path_total(rep, tuple(path)).scale(f.coerce(coeff)))
+            acc = add(acc, scale(path_total(rep, tuple(path)), f.coerce(coeff)))
         if not is_zero(acc):
             return "action does not satisfy a defining relation"
     return None

@@ -19,8 +19,8 @@ from grkoszul.exactlin import (
     _sparse_row,
 )
 
-from dense_oracle import (DenseSubspace, apply, dense_rank_kernel, invert, is_zero, kernel_matrix,
-                          mul, solve)
+from dense_oracle import (DenseSubspace, add, apply, dense_rank_kernel, determinant, identity,
+                          invert, is_zero, kernel_matrix, mul, scale, solve, transpose, zero)
 
 try:  # sympy is an optional, independent elimination oracle
     from sympy import GF
@@ -81,8 +81,8 @@ def test_echelon_is_canonical_rref():
 
 def test_identity_and_mul():
     m = MatrixExact(F5, [[1, 2], [3, 4]])
-    assert mul(MatrixExact.identity(F5, 2), m).rows == m.rows
-    assert mul(m, MatrixExact.identity(F5, 2)).rows == m.rows
+    assert mul(identity(F5, 2), m).rows == m.rows
+    assert mul(m, identity(F5, 2)).rows == m.rows
 
 
 def test_span_utilities():
@@ -114,7 +114,7 @@ def test_rank_nullity_and_kernel_annihilation(m):
     rank, kernel = kernel_matrix(m)
     assert rank + kernel.nrows == m.ncols
     if kernel.nrows:
-        assert is_zero(mul(m, kernel.transpose()))
+        assert is_zero(mul(m, transpose(kernel)))
 
 
 def _two_echelon_kernel(m):
@@ -148,7 +148,7 @@ def test_one_sided_kernel_matches_the_two_echelon_construction(case):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([QQ, F2, F5]).flatmap(matrices))
 def test_rank_equals_transpose_rank(m):
-    assert kernel_matrix(m)[0] == kernel_matrix(m.transpose())[0]
+    assert kernel_matrix(m)[0] == kernel_matrix(transpose(m))[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,13 +188,13 @@ def square_matrices(field):
 def test_invert_is_a_two_sided_inverse_or_none_when_singular(m):
     # oracle: one solve per unit vector, the columns of the inverse
     inv = invert(m)
-    ident = MatrixExact.identity(m.field, m.nrows)
+    ident = identity(m.field, m.nrows)
     columns = [solve(m, unit) for unit in ident.rows]
     if kernel_matrix(m)[0] < m.nrows:
         assert inv is None
         return
     assert mul(m, inv) == ident and mul(inv, m) == ident
-    assert inv == MatrixExact(m.field, columns).transpose()
+    assert inv == transpose(MatrixExact(m.field, columns))
     if m.field == QQ:
         assert all_canonical(inv.rows)
 
@@ -205,8 +205,6 @@ def test_invert_rejects_a_non_square_matrix():
 
 
 def test_determinant_frozen():
-    from grkoszul.exactlin import determinant
-
     assert determinant(MatrixExact(QQ, [[1, 2], [3, 4]])) == Fraction(-2)
     assert determinant(MatrixExact(QQ, [[1, 2], [2, 4]])) == 0
     assert determinant(MatrixExact(F5, [[2, 0], [0, 3]])) == 1
@@ -225,8 +223,6 @@ def test_determinant_frozen():
     )
 )
 def test_determinant_zero_iff_singular(rows):
-    from grkoszul.exactlin import determinant
-
     m = MatrixExact(QQ, rows)
     rank, _ = kernel_matrix(m)
     if rank == m.nrows:
@@ -287,7 +283,7 @@ def test_subspace_agrees_with_row_space_and_span_queries(case):
     # the RREF rows are independent, so a solution of (rows)^T x = vec is
     # unique: it is the coordinate vector, found by elimination of the
     # augmented matrix instead of reduction against the rows
-    basis = MatrixExact(f, space.rows, n).transpose()
+    basis = transpose(MatrixExact(f, space.rows, n))
     combination = [sum(col) for col in zip(*vectors)] if vectors else [0] * n
     for vec in probes + vectors + [combination]:
         coords = solve(basis, vec)
@@ -373,8 +369,8 @@ def test_q_outputs_hold_only_ints_and_proper_fractions(rows, data):
     assert all_canonical(m.rows)
     assert all_canonical(echelon(m)[0].rows)
     assert all_canonical(kernel_matrix(m)[1].rows)
-    assert all_canonical(m.transpose().rows)
-    assert all_canonical(mul(m, m.transpose()).rows)
+    assert all_canonical(transpose(m).rows)
+    assert all_canonical(mul(m, transpose(m)).rows)
     b = data.draw(st.lists(rational, min_size=m.nrows, max_size=m.nrows))
     x = solve(m, b)
     assert x is None or all_canonical([x])
@@ -438,7 +434,7 @@ def test_q_inverse_is_exact():
     assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
     assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
     assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
-    assert QQ.div(3, 6) == Fraction(1, 2)
+    assert QQ.mul(3, QQ.inv(6)) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
 
@@ -492,7 +488,7 @@ def test_coerce_row_rejects_denominators_divisible_by_p(f):
 def _kernel_meet(f, rows_a, rows_b, n):
     """Test-only intersection oracle: combinations sum c_a a = -sum c_b b read
     off the right kernel of the stacked spanning rows."""
-    _, kernel = kernel_matrix(MatrixExact(f, list(rows_a) + list(rows_b), n).transpose())
+    _, kernel = kernel_matrix(transpose(MatrixExact(f, list(rows_a) + list(rows_b), n)))
     vectors = [
         [sum(c * a for c, a in zip(coeffs, col)) for col in zip(*rows_a)]
         for coeffs in (row[: len(rows_a)] for row in kernel.rows)
@@ -519,9 +515,10 @@ def test_intersect_spaces_matches_kernel_oracle(case, data):
 
 # -- canonical output of the trusted producers --------------------------------------
 #
-# zero, identity, transpose, mul, add, scale, echelon and rank_kernel build
-# their matrices without a coercion pass (`MatrixExact.trusted`); these tests
-# are the check that what they build is canonical all the same.
+# echelon and rank_kernel, and the oracles zero, identity, transpose, mul,
+# add and scale, build their matrices without a coercion pass
+# (`MatrixExact.trusted`); these tests are the check that what they build is
+# canonical all the same.
 
 
 def is_canonical(field, x):
@@ -565,16 +562,16 @@ def test_trusted_producers_return_canonical_scalars(case):
     f, rows, scalar = case
     m = MatrixExact(f, rows)
     assert canonical_rows(f, m.rows)
-    t = m.transpose()
-    assert t.shape == (m.ncols, m.nrows) and t.transpose() == m
+    t = transpose(m)
+    assert (t.nrows, t.ncols) == (m.ncols, m.nrows) and transpose(t) == m
     produced = {
-        "zero": MatrixExact.zero(f, m.nrows, m.ncols),
-        "identity": MatrixExact.identity(f, m.ncols),
+        "zero": zero(f, m.nrows, m.ncols),
+        "identity": identity(f, m.ncols),
         "transpose": t,
         "mul": mul(m, t),
         "mul-t": mul(t, m),
-        "add": m.add(m),
-        "scale": m.scale(scalar),
+        "add": add(m, m),
+        "scale": scale(m, scalar),
         "echelon": echelon(m)[0],
         "kernel": kernel_matrix(m)[1],
         "kernel-t": kernel_matrix(t)[1],
@@ -591,10 +588,13 @@ def test_trusted_producers_return_canonical_scalars(case):
 
 
 def test_trusted_transpose_keeps_empty_shapes():
+    def shape(m):
+        return (m.nrows, m.ncols)
+
     empty = MatrixExact(QQ, [], 3)
-    assert empty.transpose().shape == (3, 0)
-    assert empty.transpose().transpose().shape == (0, 3)
-    assert MatrixExact.zero(F2, 2, 0).transpose().shape == (0, 2)
+    assert shape(transpose(empty)) == (3, 0)
+    assert shape(transpose(transpose(empty))) == (0, 3)
+    assert shape(transpose(zero(F2, 2, 0))) == (0, 2)
 
 
 def test_public_constructor_still_canonicalises():
@@ -640,7 +640,7 @@ def test_public_subspace_path_coerces_every_input_form(case):
     canon = [f.coerce_row(row) for row in rows]
     trusted = Subspace(f, n)
     for row in canon:
-        trusted.add_canonical(row)
+        trusted.add(_sparse_row(row))
     built = Subspace(f, n, rows)
     assert built == trusted == row_space(f, rows, n) == Subspace(f, n, canon)
     assert canonical_rows(f, built.rows)
@@ -649,7 +649,7 @@ def test_public_subspace_path_coerces_every_input_form(case):
         probe_canon = f.coerce_row(probe)
         assert built.contains(probe) == built.contains(probe_canon)
         assert built.coords(probe) == built.coords(probe_canon) \
-            == trusted.coords_canonical(probe_canon)
+            == trusted.coords(_sparse_row(probe_canon))
         assert built.reduce(probe) == built.reduce(probe_canon)
         assert canonical_rows(f, [built.reduce(probe)])
 
@@ -737,7 +737,7 @@ def test_mul_matches_the_entrywise_definition(case):
     f, (rows_a, rows_b) = case
     a, b = MatrixExact(f, rows_a), MatrixExact(f, rows_b)
     product = mul(a, b)
-    assert product.shape == (a.nrows, b.ncols)
+    assert (product.nrows, product.ncols) == (a.nrows, b.ncols)
     assert product.rows == naive_product(a, b)
     assert canonical_rows(f, product.rows)
 
@@ -778,8 +778,7 @@ def test_sparse_subspace_matches_the_dense_oracle(case):
         assert space.coords(vec) == oracle.coords(vec)
         assert space.reduce(vec) == oracle.reduce(vec)
         canon = f.coerce_row(vec)
-        assert space.coords_canonical(_sparse_row(canon)) == space.coords_canonical(canon) \
-            == oracle.coords(vec)
+        assert space.coords(_sparse_row(canon)) == space.coords(canon) == oracle.coords(vec)
     other = Subspace(f, n, probes)
     assert (space == other) == (oracle == DenseSubspace(f, n, probes)) == (other == space)
     # a copy grows on its own; sparse canonical rows reach the same RREF
@@ -789,7 +788,7 @@ def test_sparse_subspace_matches_the_dense_oracle(case):
     assert (space.rows, space.pivots) == (oracle.rows, oracle.pivots)
     trusted = Subspace(f, n)
     for vec in vectors:
-        trusted.add_canonical(_sparse_row(f.coerce_row(vec)))
+        trusted.add(_sparse_row(f.coerce_row(vec)))
     assert trusted == space
 
 
@@ -810,7 +809,7 @@ def test_rank_kernel_matches_the_dense_oracle(case):
     """The one kernel routine, on sparse rows, against the dense mirrored
     elimination: the same rank and the same RREF rows of the kernel."""
     f, (n, rows, full) = case
-    m = MatrixExact(f, rows + (MatrixExact.identity(f, n).rows if full else []), n)
+    m = MatrixExact(f, rows + (identity(f, n).rows if full else []), n)
     rank, kernel = rank_kernel(f, [_sparse_row(row) for row in m.rows], n)
     expected_rank, expected = dense_rank_kernel(m)
     assert (rank, kernel) == (expected_rank, [_sparse_row(row) for row in expected.rows])
@@ -833,7 +832,7 @@ def test_rank_kernel_refuses_a_changed_kernel_vector(case):
     RREF row, and raising an entry of that row off its pivot by one changes
     one entry of one kernel vector, which the A*k = 0 check refuses."""
     f, (n, row) = case
-    real = Subspace.add_canonical
+    real = Subspace.add
 
     def perturbed(space, vec):
         added = real(space, vec)
@@ -848,6 +847,6 @@ def test_rank_kernel_refuses_a_changed_kernel_vector(case):
 
     assert rank_kernel(f, [row], n)[0] == 1
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Subspace, "add_canonical", perturbed)
+        patch.setattr(Subspace, "add", perturbed)
         with pytest.raises(InternalCheckError, match="kernel basis fails A\\*k = 0"):
             rank_kernel(f, [row], n)

@@ -25,9 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_map, mul
+from dense_oracle import dense_map, identity, mul
 from grkoszul.errors import InputFormatError, InternalCheckError, PreconditionError
-from grkoszul.exactlin import QQ, MatrixExact, _push
+from grkoszul.exactlin import QQ, _push
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -221,7 +221,7 @@ def test_duality_matrix_is_antiinvolution(cycle, cycle_hw):
     # the columns square to the identity, pushed and as dense matrices
     assert [_push(0, d, col) for col in d] == [cycle.basis_vector(i) for i in range(cycle.dim)]
     dense = dense_map(QQ, d, cycle.dim)
-    assert mul(dense, dense) == MatrixExact.identity(QQ, cycle.dim)
+    assert mul(dense, dense) == identity(QQ, cycle.dim)
     for v in "12":
         assert is_isomorphic(dualize(cycle_hw, cycle_hw.standards[v]),
                              cycle_hw.costandards[v])[0]

@@ -16,12 +16,13 @@ from itertools import combinations
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import (DenseSubspace, apply, block, columns_of, dense_map, element_total,
-                          embed, is_zero, kernel_matrix, mul, path_total, relation_failure,
-                          total_action)
+from dense_oracle import (DenseSubspace, add, apply, block, columns_of, dense_hom_space,
+                          dense_map, determinant, element_total, embed, identity, invert,
+                          invertible_by_determinant_grid, is_zero, kernel_matrix, mul,
+                          path_total, relation_failure, scale, total_action, transpose, zero)
 from grkoszul import rep_homology
 from grkoszul.errors import (
     GrkoszulError,
@@ -31,7 +32,7 @@ from grkoszul.errors import (
     check,
 )
 from grkoszul.exactlin import (QQ, FieldSpec, MatrixExact, Subspace, row_space, _dense_row,
-                               _sparse_row)
+                               _push, _sparse_row)
 from grkoszul.algebra_core import (
     QuiverPresentation,
     build_algebra,
@@ -39,6 +40,7 @@ from grkoszul.algebra_core import (
     opposite_algebra,
     radical_generation_check,
     subalgebra_from_generators,
+    tight_grading_check,
     tight_subalgebra_check,
 )
 from grkoszul.rep_homology import (
@@ -234,13 +236,14 @@ def test_isomorphism_finds_witness_across_basis_change(cycle, cycle_mods):
     scaled = make_representation(
         cycle,
         p1.dims,
-        columns_of({"a": p1.action["a"].scale(QQ.coerce(3)), "b": p1.action["b"]}),
+        columns_of({"a": scale(p1.action["a"], 3), "b": p1.action["b"]}),
     )
     ok, witness = is_isomorphic(p1, scaled)
     assert ok
-    for name in p1.action:
-        lhs = mul(witness, total_action(p1, name))
-        rhs = mul(total_action(scaled, name), witness)
+    dense = dense_map(QQ, witness, p1.total_dim)
+    for name in p1.columns:
+        lhs = mul(dense, total_action(p1, name))
+        rhs = mul(total_action(scaled, name), dense)
         assert lhs == rhs
 
 
@@ -261,10 +264,19 @@ def test_isomorphism_over_f2_enumerates_field(cycle_mods):
 
 
 def test_invertible_combination_cap_and_completeness():
-    e11 = MatrixExact(QQ, [[QQ.one, QQ.zero], [QQ.zero, QQ.zero]], 2)
-    e12 = MatrixExact(QQ, [[QQ.zero, QQ.one], [QQ.zero, QQ.zero]], 2)
+    # the matrix units E_11 and E_12 as their sparse columns
+    e11 = [{0: QQ.one}, {}]
+    e12 = [{}, {0: QQ.one}]
     # no invertible combination exists; the full grid proves it
     assert _invertible_combination(QQ, [e11, e12], 2) is None
+    # det(a h1 + b h2) = ab(a - b): neither map nor their sum is invertible,
+    # and the grid finds h1 + 2 h2, as the determinant grid does
+    h1 = [{0: 1}, {}, {2: 1}]
+    h2 = [{}, {1: 1}, {2: -1}]
+    witness = _invertible_combination(QQ, [h1, h2], 3)
+    assert witness == [{0: 1}, {1: 2}, {2: -1}]
+    assert dense_map(QQ, witness, 3) == invertible_by_determinant_grid(
+        QQ, [dense_map(QQ, h, 3) for h in (h1, h2)], 3, rep_homology.ISO_SEARCH_CAP)
     import grkoszul.rep_homology as rh
 
     old = rh.ISO_SEARCH_CAP
@@ -672,7 +684,7 @@ def cocycle_data(field, table, act_m, act_n):
         _, kernel = kernel_matrix(MatrixExact(field, rows, width))
         z_basis = list(kernel.rows)
     else:
-        z_basis = MatrixExact.identity(field, width).rows
+        z_basis = identity(field, width).rows
     b_basis = row_space(field, delta0(field, act_m, act_n).rows, width).rows
     return z_basis, b_basis, width
 
@@ -927,11 +939,11 @@ def test_delta0_kernel_is_hom_over_the_whole_algebra(case):
     alg, m, n = case
     whole = whole_algebra(alg)
     delta = delta0(alg.field, restrict_action(m, whole), restrict_action(n, whole))
-    _, kernel = kernel_matrix(delta.transpose())
+    _, kernel = kernel_matrix(transpose(delta))
     homs = hom_space(m, n)
     assert kernel.nrows == len(homs)
     # the same space, not only the same dimension: F flattened row by row
-    flat = [[x for row in h.rows for x in row] for h in homs]
+    flat = [[x for row in dense_map(alg.field, h, n.total_dim).rows for x in row] for h in homs]
     assert kernel.rows == row_space(alg.field, flat, n.total_dim * m.total_dim).rows
 
 
@@ -1251,7 +1263,7 @@ def three_vertex_line(field):
 def blank_module(pres, dims):
     """A module with the given vertex dimensions on which every arrow acts by 0."""
     alg = build_algebra(pres)
-    action = {name: MatrixExact.zero(alg.field, dims[dst], dims[src])
+    action = {name: zero(alg.field, dims[dst], dims[src])
               for name, src, dst in pres.arrows}
     return make_representation(alg, dims, columns_of(action))
 
@@ -1458,9 +1470,9 @@ def sub_rep_by_dense_oracle(m, rows):
     dims = [sum(1 for p in span.pivots if m.offset(v) <= p < m.offset(v) + m.dims[v])
             for v in m.vertices]
     incl = [_sparse_row(row) for row in span.rows]
-    actions = {a: MatrixExact(f, [span.coords(apply(total_action(m, a), row)) for row in span.rows],
-                              len(span)).transpose() if span.rows else MatrixExact.zero(f, 0, 0)
-               for a in m.action}
+    actions = {a: transpose(MatrixExact(f, [span.coords(apply(total_action(m, a), row))
+                                            for row in span.rows], len(span)))
+               if span.rows else zero(f, 0, 0) for a in m.action}
     return dims, incl, actions
 
 
@@ -1550,6 +1562,132 @@ def test_head_of_a_direct_sum_is_the_sum_of_the_heads(alg, data):
     heads = [head_multiplicities(m) for m in picked]
     assert head_multiplicities(direct_sum(*picked)) == \
         {v: sum(h[v] for h in heads) for v in alg.presentation.vertices}
+
+
+def small_modules(alg):
+    """The modules of `cover_path_modules` at degree 1, the tops P/rad^2 P
+    of the projectives, and the sums of two of these, of total dimension at
+    most 5."""
+    tops = [filtration_slice(projective_rep(alg, v), 0, 2) for v in alg.presentation.vertices]
+    small = [m for m in cover_path_modules(alg, degree=1) + tops if m.total_dim <= 5]
+    return small + [direct_sum(a, b) for a, b in combinations(small, 2)
+                    if a.total_dim + b.total_dim <= 5]
+
+
+def change_of_basis(m, data):
+    """M in another basis: each vertex block moved by a random invertible
+    upper triangular matrix g_v, so arrow a: u -> v acts by g_v A g_u^-1."""
+    f = m.algebra.field
+    units = st.sampled_from([x for x in map(f.coerce, range(1, 8)) if x])
+    g = {v: MatrixExact(f, [[data.draw(units) if i == j else
+                             data.draw(st.integers(-2, 2).map(f.coerce)) if i < j else 0
+                             for j in range(m.dims[v])] for i in range(m.dims[v])], m.dims[v])
+         for v in m.vertices}
+    return make_representation(m.algebra, m.dims, columns_of({
+        a: mul(mul(g[dst], m.action[a]), invert(g[src])) if m.dims[src] and m.dims[dst]
+        else m.action[a] for a, src, dst in m.algebra.presentation.arrows}))
+
+
+def flat_hom(h):
+    """A hom given by sparse columns as one sparse vector, entry (r, c) at
+    r * len(h) + c, the order of `dense_hom_space`."""
+    return {r * len(h) + c: x for c, col in enumerate(h) for r, x in col.items()}
+
+
+ISO_TEST_CAP = 1000  # grid points per isomorphism search in the test below
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_quiver_algebra(), st.data())
+def test_sparse_homs_match_the_dense_oracle(alg, data):
+    """hom_space(M, N) against `dense_hom_space`: every hom keeps the vertex
+    blocks and commutes with every arrow on unit vectors (through `_push`
+    and `act`), and the homs are a basis of the dense kernel.  With N M in
+    another basis, or a module of M's dimension, or any,
+    `_invertible_combination` and `is_isomorphic` agree with the
+    determinant grid, and a witness is invertible."""
+    f = alg.field
+    char, one = f.char, f.one
+    modules = small_modules(alg)
+    m = data.draw(st.sampled_from(modules))
+    how = data.draw(st.sampled_from(["basis", "dimension", "any"]))
+    if how == "basis":
+        n = change_of_basis(m, data)
+    else:
+        n = data.draw(st.sampled_from([x for x in modules
+                                       if how == "any" or x.total_dim == m.total_dim]))
+    homs = hom_space(m, n)
+    for h in homs:
+        assert len(h) == m.total_dim
+        for v in m.vertices:
+            for j in range(m.dims[v]):
+                image = _push(char, h, m.place(v, {j: one}))
+                assert n.place(v, n.block(image, v)) == image
+        for a, src, dst in alg.presentation.arrows:
+            for j in range(m.dims[src]):
+                lhs = _push(char, h, m.place(dst, m.act(a, {j: one})))
+                image = n.block(_push(char, h, m.place(src, {j: one})), src)
+                assert lhs == n.place(dst, n.act(a, image))
+    width = m.total_dim * n.total_dim
+    dense = dense_hom_space(m, n)
+    span = Subspace(f, width, [flat_hom(h) for h in homs])
+    assert len(span) == len(homs) == len(dense)
+    assert span == Subspace(f, width, [[x for row in d.rows for x in row] for d in dense])
+    if m.total_dim != n.total_dim:
+        return
+    size = m.total_dim
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rep_homology, "ISO_SEARCH_CAP", ISO_TEST_CAP)
+        expected = outcome(lambda: invertible_by_determinant_grid(
+            f, dense, size, ISO_TEST_CAP,
+            lambda: (len(dense_hom_space(m, m)), len(dense_hom_space(n, n)))) is not None)
+        assert outcome(lambda: _invertible_combination(
+            f, homs, size, lambda: (len(hom_space(m, m)), len(hom_space(n, n)))) is not None) \
+            == expected
+        try:
+            ok, witness = is_isomorphic(m, n)
+        except PreconditionError as exc:  # the grid would pass the cap
+            assert expected == f"PreconditionError: {exc}"
+            return
+    assert expected not in ("True", "False") or repr(ok) == expected
+    if ok:
+        w = dense_map(f, witness, size)
+        assert size == 0 or determinant(w) != f.zero
+        for a in m.columns:
+            assert mul(w, total_action(m, a)) == mul(total_action(n, a), w)
+    else:
+        assert witness is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_quiver_algebra(), st.data())
+def test_graded_homs_are_homogeneous_and_split_the_homs(alg, data):
+    """M and N in their radical-layer gradings (gr M and gr N, read back
+    over the radically graded algebra): each graded hom of degree d sends
+    grade g into grade g + d and is a hom, the graded homs of each degree
+    are independent, and their counts over all degrees add up to
+    dim Hom(M, N)."""
+    f = alg.field
+    assume(tight_grading_check(alg).passed)
+    graded = gr_algebra(alg)
+    modules = small_modules(alg)
+    gm, gn = (GradedRepresentation(make_representation(alg, g.rep.dims, g.rep.columns), g.grades)
+              for g in (gr_rep(data.draw(st.sampled_from(modules)), graded) for _ in "mn"))
+    flat_m, flat_n = ([x for v in alg.presentation.vertices for x in g.grades[v]]
+                      for g in (gm, gn))
+    width = len(flat_m) * len(flat_n)
+    homs = Subspace(f, width, [flat_hom(h) for h in hom_space(gm.rep, gn.rep)])
+    top = max(flat_m + flat_n + [0])
+    count = 0
+    for d in range(-top, top + 1):
+        degree_d = graded_hom_space(gm, gn, d)
+        for h in degree_d:
+            assert all(flat_n[r] == flat_m[c] + d for c, col in enumerate(h) for r in col)
+            assert homs.contains(flat_hom(h))
+        assert len(Subspace(f, width, [flat_hom(h) for h in degree_d])) \
+            == len(degree_d)
+        count += len(degree_d)
+    assert count == len(homs)
 
 
 def test_projectives_and_heads_are_memoised_on_the_algebra():
@@ -1698,10 +1836,10 @@ def restrict_iso_check_by_oracle(m, emb):
         # the radical rows of a, acting through the actions of the a-basis
         out = []
         for coords in rad_coords:
-            mat = MatrixExact.zero(f, n, n)
+            mat = zero(f, n, n)
             for c, a in zip(coords, basis_acts):
                 if c:
-                    mat = mat.add(a.scale(c))
+                    mat = add(mat, scale(a, c))
             out.append(mat)
         return out
 
@@ -1710,17 +1848,17 @@ def restrict_iso_check_by_oracle(m, emb):
         if is_zero(delta):
             # every b acts on both sides by one scalar: the identity is a witness
             return True
-        _, kernel = kernel_matrix(delta.transpose())
+        _, kernel = kernel_matrix(transpose(delta))
         homs = [MatrixExact(f, [vec[r * n : (r + 1) * n] for r in range(n)], n)
                 for vec in kernel.rows]
-        return _invertible_combination(f, homs, n) is not None
+        return invertible_by_determinant_grid(f, homs, n, rep_homology.ISO_SEARCH_CAP) is not None
 
     sub_series = radical_row_series(f, radical_actions(acts), n)
     agrees = radical_series(m) == sub_series
     slices = rep_homology._Slices(f, n, sub_series)
     gr_acts = [
-        MatrixExact(f, [slices.vector(g + g_b, apply(act, row)) for g, row in slices.pieces],
-                    n).transpose()
+        dense_map(f, [slices.vector(g + g_b, _sparse_row(apply(act, _dense_row(row, n))))
+                      for g, row in slices.pieces], n)
         for act, g_b in zip(acts, sub_grades)
     ]
     gr_series = radical_row_series(f, radical_actions(gr_acts), n)
@@ -1767,7 +1905,7 @@ def modules_and_subalgebras(draw):
                                   lambda f: truncated_polynomial(3, f)]))
     alg = build_algebra(maker(field))
     scalars = st.integers(-2, 2).map(field.coerce)
-    units = MatrixExact.identity(field, alg.dim).rows
+    units = identity(field, alg.dim).rows
     radical = [units[i] for i, bp in enumerate(alg.basis) if bp.arrows]
     mixed = st.lists(scalars, min_size=len(radical), max_size=len(radical)).map(
         lambda cs: combination(field, cs, radical, alg.dim))
@@ -1821,7 +1959,7 @@ def test_sparse_module_path_matches_the_dense_oracle(case, data):
         rep_homology._content(Representation(alg, m.dims, reordered))
     elements = emb.space.sparse_rows + [
         _sparse_row(data.draw(st.lists(scalars, min_size=alg.dim, max_size=alg.dim)))]
-    vectors = [MatrixExact.identity(f, n).rows[k] for k in range(n)] + [
+    vectors = [identity(f, n).rows[k] for k in range(n)] + [
         data.draw(st.lists(scalars, min_size=n, max_size=n))]
     for coords in elements:
         dense = element_total(rep, coords)
