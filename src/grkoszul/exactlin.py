@@ -276,8 +276,8 @@ class Subspace:
 
     @classmethod
     def spanned(cls, field: FieldSpec, ambient: int, vectors) -> "Subspace":
-        """The span of vectors, dense lists or sparse dicts of canonical
-        scalars (see `_sparse`), each given to `add`."""
+        """The span of vectors, dense lists (coerced) or sparse dicts of
+        canonical scalars (taken as they are), each given to `add`."""
         space = cls(field, ambient)
         for vec in vectors:
             space.add(vec)
@@ -346,8 +346,9 @@ class Subspace:
         return not self._residual(self._sparse(vec))
 
     def coords(self, vec) -> list | None:
-        """Coordinates of vec, a dense list or a sparse dict of canonical
-        scalars (see `_sparse`), in `rows`, or None when vec is outside."""
+        """Coordinates of vec, a dense list (coerced) or a sparse dict of
+        canonical scalars (taken as it is), in `rows`, or None when vec is
+        outside."""
         entries = self.pivot_entries(self._sparse(vec))
         return None if entries is None else [entries.get(p, 0) for p in self.pivots]
 
@@ -361,9 +362,9 @@ class Subspace:
         return {p: x for p, x in vec.items() if p in rref}
 
     def add(self, vec) -> bool:
-        """Extend the span by vec, a dense list or a sparse dict of canonical
-        scalars (see `_sparse`) that is not kept; False (and no change) if
-        it is inside."""
+        """Extend the span by vec, a dense list (coerced) or a sparse dict of
+        canonical scalars (taken as it is, not kept); False (and no change)
+        if it is inside."""
         vec = self._sparse(vec)
         res = self._residual(vec)
         if not res:
@@ -434,4 +435,3 @@ def intersect_spaces(a: Subspace, b: Subspace) -> Subspace:
     meet = [p for p in joint.pivots if p >= n]
     return Subspace.from_rref(a.field, n, [{j - n: x for j, x in joint.rref[p].items()}
                                            for p in meet], [p - n for p in meet])
-
