@@ -337,8 +337,8 @@ class FiniteDimAlgebra(_Memoized, _SparseAlgebra):
         # k + 1 or more is one of length k or more followed by its last arrow
         while chain[-1]:
             prev = chain[-1]
-            nxt = Subspace.spanned(f, self.dim, (self.multiply(row, {a: f.one})
-                                                 for row in prev.rref.values() for a in arrows))
+            nxt = Subspace(f, self.dim, (self.multiply(row, {a: f.one})
+                                         for row in prev.rref.values() for a in arrows))
             if len(nxt) == len(prev):
                 raise InputFormatError(
                     "arrow ideal is not nilpotent: presentation is not admissible"
@@ -564,16 +564,16 @@ def tight_grading_check(algebra: FiniteDimAlgebra,
     # positive part equals radical
     pos_rows = [v for g in by_grade if g > 0 for v in grade_rows(g)]
     # canonical RREFs are equal exactly when the spans are
-    positive_part_is_radical = Subspace.spanned(f, algebra.dim, pos_rows) == algebra.radical()
+    positive_part_is_radical = Subspace(f, algebra.dim, pos_rows) == algebra.radical()
     if not positive_part_is_radical:
         failures.append("positive part does not equal the radical")
     # tightness: A_n = (A_1)^n
     tight = True
     power_rows = grade_rows(1)
     for n in range(2, top + 1):
-        power = Subspace.spanned(f, algebra.dim, [algebra.multiply(row, one) for row in power_rows
-                                                  for one in grade_rows(1)])
-        expected = Subspace.spanned(f, algebra.dim, grade_rows(n))
+        power = Subspace(f, algebra.dim, [algebra.multiply(row, one) for row in power_rows
+                                          for one in grade_rows(1)])
+        expected = Subspace(f, algebra.dim, grade_rows(n))
         if power != expected:
             tight = False
             failures.append(
@@ -630,9 +630,9 @@ def presentation_from_concrete(
     """
     f = conc.field
     preferred = preferred_arrows or []
-    rad = Subspace.spanned(f, conc.dim, conc.radical_rows)
-    rad2 = Subspace.spanned(f, conc.dim, [conc.multiply(x, y) for x in rad.sparse_rows
-                                          for y in rad.sparse_rows])
+    rad = Subspace(f, conc.dim, conc.radical_rows)
+    rad2 = Subspace(f, conc.dim, [conc.multiply(x, y) for x in rad.sparse_rows
+                                  for y in rad.sparse_rows])
 
     # choose arrow representatives block by block
     arrows: list[tuple[str, str, str]] = []
@@ -648,8 +648,7 @@ def presentation_from_concrete(
                 if chosen.add(bvec):
                     arrows.append((name, u, v))
                     arrow_vectors[name] = bvec
-            block = Subspace.spanned(f, conc.dim, [_block_project(conc, u, v, r)
-                                                   for r in rad.sparse_rows])
+            block = Subspace(f, conc.dim, [_block_project(conc, u, v, r) for r in rad.sparse_rows])
             for vec in block.sparse_rows:
                 if chosen.add(vec):
                     name = f"q{next(counter)}"
@@ -735,7 +734,7 @@ def presentation_from_concrete(
                 vec = conc.multiply(vec, arrow_vectors[name])
             path_vectors.append(vec)
     # the path elements span, so the map is bijective (the dimensions agree)
-    check(len(Subspace.spanned(f, conc.dim, path_vectors)) == conc.dim,
+    check(len(Subspace(f, conc.dim, path_vectors)) == conc.dim,
           "path evaluation map is not bijective")
     # structure constants must agree
     for i in range(rebuilt.dim):
@@ -789,8 +788,7 @@ def _coordinates_in(field: FieldSpec, basis: list[dict]) -> list[dict] | None:
     RREF is (I | C) exactly for a basis, and row i of C holds the coordinates
     of e_i."""
     n = len(basis)
-    tagged = Subspace.spanned(field, 2 * n, ({**vec, n + k: field.one}
-                                             for k, vec in enumerate(basis)))
+    tagged = Subspace(field, 2 * n, ({**vec, n + k: field.one} for k, vec in enumerate(basis)))
     if tagged.pivots != list(range(n)):
         return None
     return [{j - n: x for j, x in tagged.rref[i].items() if j >= n} for i in range(n)]
@@ -1022,8 +1020,8 @@ class SubalgebraEmbedding(_Memoized):
         ]
         left = [self.ambient.multiply(x, b) for x in aug for b in ambient_basis]
         right = [self.ambient.multiply(b, x) for x in aug for b in ambient_basis]
-        return (Subspace.spanned(f, self.ambient.dim, left)
-                == Subspace.spanned(f, self.ambient.dim, right))
+        return (Subspace(f, self.ambient.dim, left)
+                == Subspace(f, self.ambient.dim, right))
 
     def grades(self) -> list[int]:
         """Grades of the subalgebra basis from the ambient radical filtration;
@@ -1037,7 +1035,7 @@ def subalgebra_from_generators(algebra: FiniteDimAlgebra,
     """Smallest unital subalgebra containing the generators, elements of the
     algebra: their span with the unit, grown by the products of its basis
     until none is new."""
-    space = Subspace.spanned(algebra.field, algebra.dim, [algebra.unit_vector()] + list(generators))
+    space = Subspace(algebra.field, algebra.dim, [algebra.unit_vector()] + list(generators))
     grown = True
     while grown:
         basis = space.sparse_rows
@@ -1071,9 +1069,9 @@ def _radical_generation(emb: SubalgebraEmbedding) -> RadicalGenerationReport:
     left = sub_rad  # (rad a)^n as spanning rows
     for power in range(1, algebra.radical_length + 1):
         prods = [algebra.multiply(x, b) for x in left for b in ambient_basis]
-        per_power.append(Subspace.spanned(f, algebra.dim, prods) == algebra.radical(power))
+        per_power.append(Subspace(f, algebra.dim, prods) == algebra.radical(power))
         nxt = [algebra.multiply(x, y) for x in left for y in sub_rad]
-        left = Subspace.spanned(f, algebra.dim, nxt).sparse_rows
+        left = Subspace(f, algebra.dim, nxt).sparse_rows
     generates = per_power[0] if per_power else True
     return RadicalGenerationReport(generates, per_power)
 
@@ -1116,8 +1114,8 @@ def _tight_subalgebra(emb: SubalgebraEmbedding) -> tuple[bool, list[int], list[s
     ones = [rows[i] for i in by_grade.get(1, [])]
     cur = ones
     for n in range(2, top + 1):
-        power = Subspace.spanned(f, ambient.dim, [ambient.multiply(x, y) for x in cur for y in ones])
-        if power != Subspace.spanned(f, ambient.dim, [rows[i] for i in by_grade.get(n, [])]):
+        power = Subspace(f, ambient.dim, [ambient.multiply(x, y) for x in cur for y in ones])
+        if power != Subspace(f, ambient.dim, [rows[i] for i in by_grade.get(n, [])]):
             failures.append(f"subalgebra grade {n} is not (grade 1)^{n}")
         cur = power.sparse_rows
     return (not failures, grades, failures)

@@ -253,6 +253,8 @@ class Subspace:
     __slots__ = ("field", "ambient", "rref", "pivots", "_dense")
 
     def __init__(self, field: FieldSpec, ambient: int, vectors=()):
+        """The span of vectors, dense lists (coerced) or sparse dicts of
+        canonical scalars (taken as they are), each given to `add`."""
         self.field = field
         self.ambient = ambient
         self.rref: dict[int, dict] = {}
@@ -272,15 +274,6 @@ class Subspace:
             rows = [_sparse_row(row) for row in rows]
         space.pivots = list(pivots) if pivots is not None else [min(row) for row in rows]
         space.rref = dict(zip(space.pivots, rows))
-        return space
-
-    @classmethod
-    def spanned(cls, field: FieldSpec, ambient: int, vectors) -> "Subspace":
-        """The span of vectors, dense lists (coerced) or sparse dicts of
-        canonical scalars (taken as they are), each given to `add`."""
-        space = cls(field, ambient)
-        for vec in vectors:
-            space.add(vec)
         return space
 
     @classmethod
@@ -399,7 +392,7 @@ def rank_kernel(field: FieldSpec, rows: list[dict], n: int) -> tuple[int, list[d
     """Rank of the matrix with these sparse rows ({column: scalar} of its
     nonzero entries, canonical scalars, n columns) and the canonical RREF of
     its right kernel, as sparse rows in pivot order."""
-    mirrored = Subspace.spanned(field, n, ({n - 1 - j: x for j, x in row.items()} for row in rows))
+    mirrored = Subspace(field, n, ({n - 1 - j: x for j, x in row.items()} for row in rows))
     # the kernel vector of free column j: 1 at j, and minus row[j] at the
     # pivot of each RREF row; a fully reduced row is 0 at every other pivot
     pivots = {n - 1 - p for p in mirrored.pivots}
@@ -430,8 +423,8 @@ def intersect_spaces(a: Subspace, b: Subspace) -> Subspace:
     the rows (a | a) and (b | 0), the rows with a pivot in the right half are
     0 on the left and their right halves are the RREF of the meet."""
     n = a.ambient
-    joint = Subspace.spanned(a.field, 2 * n, [{**r, **{n + j: x for j, x in r.items()}}
-                                              for r in a.sparse_rows] + b.sparse_rows)
+    joint = Subspace(a.field, 2 * n, [{**r, **{n + j: x for j, x in r.items()}}
+                                      for r in a.sparse_rows] + b.sparse_rows)
     meet = [p for p in joint.pivots if p >= n]
     return Subspace.from_rref(a.field, n, [{j - n: x for j, x in joint.rref[p].items()}
                                            for p in meet], [p - n for p in meet])

@@ -311,7 +311,7 @@ def _delta_filtration(h: HighestWeightStructure, m: Representation) -> list[str]
         if delta.dims[mu] != 1:
             continue
         count = m.dims[mu]
-        span = Subspace.spanned(h.algebra.field, m.total_dim, (
+        span = Subspace(h.algebra.field, m.total_dim, (
             m.place(h.algebra.basis[i].dst, block) for k in range(count)
             for i, block in m.path_images(mu, {k: h.algebra.field.one}).items()))
         bottom, _ = sub_rep(m, span)
@@ -350,10 +350,10 @@ def _heredity_chain(h: HighestWeightStructure) -> list[HeredityStep]:
             for j, bj in enumerate(algebra.basis):
                 if bj.src == bi.dst:
                     products.append(algebra.mult_basis(i, j))
-        ideal = Subspace.spanned(f, algebra.dim, products)
+        ideal = Subspace(f, algebra.dim, products)
         rows = ideal.sparse_rows
         squares = [algebra.multiply(x, y) for x in rows for y in rows]
-        check(Subspace.spanned(f, algebra.dim, squares) == ideal,
+        check(Subspace(f, algebra.dim, squares) == ideal,
               f"trace ideal at {mu!r} is not idempotent")
         steps.append(HeredityStep(mu, len(ideal), ideal))
     return steps
@@ -476,7 +476,7 @@ def _truncation(h: HighestWeightStructure, gamma: list[str]) -> _Truncation:
             for j, bj in enumerate(algebra.basis):
                 if bj.src == mu:
                     products.append(algebra.mult_basis(i, j))
-    ideal = Subspace.spanned(f, algebra.dim, products)
+    ideal = Subspace(f, algebra.dim, products)
     # A/J has the basis of the ambient positions off the ideal's pivots
     keep_pos = [k for k in range(algebra.dim) if k not in ideal.rref]
     position = {k: i for i, k in enumerate(keep_pos)}
@@ -586,7 +586,8 @@ def orthogonality_reciprocity_check(h: HighestWeightStructure) -> OrthogonalityR
     The reciprocity side needs a tightly graded algebra; injectives are
     graded with socle in grade 0, so [Q(mu) : costandard(tau) shifted by s]
     is the dimension of the degree-0 graded homs out of the shifted graded
-    standard, compared against the grade (-s) piece of it at mu.
+    standard, compared against the grade (-s) piece of it at mu; one split
+    of the homs out of the standard by degree gives every shift.
     """
     bound, exact = _global_dimension(h.algebra)
     failures: list[str] = []
@@ -615,8 +616,10 @@ def orthogonality_reciprocity_check(h: HighestWeightStructure) -> OrthogonalityR
             for tau in h.poset.elements:
                 gd = gdeltas[tau]
                 top = max(g for gs in gd.grades.values() for g in gs)
+                # the degree-0 homs out of gd.shift(s) are the degree-s homs out of gd
+                homs = graded_hom_space(gd, injective)
                 for s in range(-top - 1, 2):
-                    found = len(graded_hom_space(gd.shift(s), injective, 0))
+                    found = len(homs.get(s, []))
                     expected = gd.piece_dims().get(-s, {}).get(mu, 0)
                     if found != expected:
                         reciprocity_ok = False
@@ -867,7 +870,7 @@ def _tight_with_idempotent_degree_zero(emb: SubalgebraEmbedding) -> bool:
     of the ambient vertex idempotents (so semisimple)?"""
     tight, grades, _ = tight_subalgebra_check(emb)
     ambient = emb.ambient
-    idempotents = Subspace.spanned(ambient.field, ambient.dim, [
+    idempotents = Subspace(ambient.field, ambient.dim, [
         ambient.basis_vector(i) for i in ambient.vertex_index.values()])
     return tight and all(idempotents.contains(row)
                          for row, g in zip(emb.space.sparse_rows, grades) if g == 0)
@@ -1023,7 +1026,7 @@ def pipeline_checks(h: HighestWeightStructure, sub: SubalgebraEmbedding,
         bsub_koszul = sub_koszul
     else:
         image = [_push(f.char, trunc.proj_coords, row) for row in sub.space.sparse_rows]
-        bsub = SubalgebraEmbedding(hb.algebra, Subspace.spanned(f, hb.algebra.dim, image))
+        bsub = SubalgebraEmbedding(hb.algebra, Subspace(f, hb.algebra.dim, image))
         bsub_koszul = _sub_koszul_verdict(bsub, notes, "of the truncation")
     radgen_b = radical_generation_check(bsub).generates
     regular = direct_sum(*[hb.projectives[v] for v in kept])

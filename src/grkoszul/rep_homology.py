@@ -359,7 +359,7 @@ def quotient_rep(rep: Representation, rows) -> tuple[Representation, list[dict]]
 
 def radical_space(rep: Representation) -> Subspace:
     """M rad A, the sum of the arrow images, as the canonical RREF."""
-    return Subspace.spanned(rep.algebra.field, rep.total_dim, (
+    return Subspace(rep.algebra.field, rep.total_dim, (
         rep.place(dst, col) for name, _, dst in rep.algebra.presentation.arrows
         for col in rep.columns[name]))
 
@@ -378,7 +378,7 @@ def radical_series(rep: Representation) -> list[Subspace]:
         # rad^(k+1) M is spanned by the arrow images of rad^k M, as x.a.p =
         # (x.a.p').b for a path p = p'b
         current, split = series[-1], _split_rows_by_vertex(rep, series[-1])
-        nxt = Subspace.spanned(rep.algebra.field, rep.total_dim, (
+        nxt = Subspace(rep.algebra.field, rep.total_dim, (
             rep.place(dst, rep.act(name, row)) for name, src, dst in rep.algebra.presentation.arrows
             for row in split[src].rref.values()))
         check(len(nxt) < len(current), "radical series stalled: action not nilpotent")
@@ -605,7 +605,7 @@ def gr_of_surjection(m: Representation, n: Representation, proj: list[dict],
             image = _push(f.char, images, m.act_element(arrow, {k: f.one}))
             if image != n.act_element(arrow, images[k]):
                 raise InputFormatError("matrix is not a module homomorphism")
-    if len(Subspace.spanned(f, n.total_dim, images)) != n.total_dim:
+    if len(Subspace(f, n.total_dim, images)) != n.total_dim:
         raise InputFormatError("map is not surjective")
     if graded is None:
         graded = gr_algebra(m.algebra)
@@ -621,7 +621,7 @@ def gr_of_surjection(m: Representation, n: Representation, proj: list[dict],
             for u in n.vertices:
                 col.update(gn.rep.place(u, n_slices[u].vector(g, n.block(img, u))))
             cols.append(col)
-    return gm, gn, cols, len(Subspace.spanned(f, gn.rep.total_dim, cols)) == gn.rep.total_dim
+    return gm, gn, cols, len(Subspace(f, gn.rep.total_dim, cols)) == gn.rep.total_dim
 
 
 # -- hom spaces and isomorphism -------------------------------------------------------
@@ -669,25 +669,24 @@ def _combination(char: int, maps: list[list[dict]], coeffs: dict, width: int) ->
     return [_push(char, [h[j] for h in maps], coeffs) for j in range(width)]
 
 
-def graded_hom_space(m: GradedRepresentation, n: GradedRepresentation,
-                     degree: int = 0) -> list[list[dict]]:
-    """Module maps sending grade g into grade g + degree, as sparse columns."""
-    homs = hom_space(m.rep, n.rep)
-    f = m.rep.algebra.field
-    bad_positions = [
-        (n.rep.offset(v) + i, m.rep.offset(v) + j)
-        for v in m.rep.vertices
-        for i in range(n.rep.dims[v])
-        for j in range(m.rep.dims[v])
-        if n.grades[v][i] != m.grades[v][j] + degree
-    ]
-    if not bad_positions:
-        return homs
-    # one condition per bad position: the combination of the homs is 0 there
-    conditions = [{k: h[c][r] for k, h in enumerate(homs) if r in h[c]}
-                  for r, c in bad_positions]
-    _, kernel = rank_kernel(f, conditions, len(homs))
-    return [_combination(f.char, homs, coeffs, m.rep.total_dim) for coeffs in kernel]
+def graded_hom_space(m: GradedRepresentation,
+                     n: GradedRepresentation) -> dict[int, list[list[dict]]]:
+    """The basis of `hom_space` split by degree, {d: the basis maps sending
+    grade g into grade g + d}, as sparse columns.
+
+    Each basis map is homogeneous: the equation of entry (i, j) of
+    F a_M - a_N F involves only unknowns of degree grade_N(i) - grade_M(j) - 1,
+    as arrows raise grades by one, so the system is block-diagonal by degree
+    and its canonical RREF, and so `rank_kernel`'s kernel basis, is a union
+    of per-degree bases.
+    """
+    flat_m, flat_n = ([g for v in x.rep.vertices for g in x.grades[v]] for x in (m, n))
+    out: dict[int, list[list[dict]]] = {}
+    for h in hom_space(m.rep, n.rep):
+        degrees = {flat_n[r] - flat_m[c] for c, col in enumerate(h) for r in col}
+        check(len(degrees) == 1, "hom basis vector is not homogeneous")
+        out.setdefault(degrees.pop(), []).append(h)
+    return out
 
 
 def _invertible_combination(field: FieldSpec, homs: list[list[dict]], n: int,
@@ -713,7 +712,7 @@ def _invertible_combination(field: FieldSpec, homs: list[list[dict]], n: int,
     k = len(homs)
 
     def invertible(cols):
-        return len(Subspace.spanned(field, n, cols)) == n
+        return len(Subspace(field, n, cols)) == n
 
     # cheap pre-pass: single basis maps, then the all-ones combination
     for cand in homs:
@@ -772,10 +771,11 @@ def graded_is_isomorphic(m: GradedRepresentation, n: GradedRepresentation,
     shifted = n.shift(shift)
     if m.piece_dims() != shifted.piece_dims():
         return False
-    homs = graded_hom_space(m, shifted, degree=0)
-    return _invertible_combination(
-        m.rep.algebra.field, homs, m.rep.total_dim,
-        lambda: (len(graded_hom_space(m, m)), len(graded_hom_space(shifted, shifted)))) is not None
+    def ends():
+        return tuple(len(graded_hom_space(x, x).get(0, [])) for x in (m, shifted))
+
+    homs = graded_hom_space(m, shifted).get(0, [])
+    return _invertible_combination(m.rep.algebra.field, homs, m.rep.total_dim, ends) is not None
 
 
 # -- projective covers and minimal resolutions -----------------------------------------
@@ -837,14 +837,26 @@ def projective_cover(rep: Representation) -> Cover:
 
 @dataclass
 class ResolutionData:
-    """A minimal projective resolution up to a homological degree bound."""
+    """A minimal projective resolution up to a homological degree bound:
+    covers[0] covers M and covers[i] the syzygy of covers[i - 1]; the terms,
+    syzygies and summand vertices are read off them."""
 
-    terms: list[Representation]
+    covers: list[Cover]
     maps: list[list[dict]]  # columns of maps[0]: P_0 -> M, maps[i]: P_i -> P_(i-1)
-    syzygies: list[Representation]
-    summand_vertices: list[list[str]]
     finite: bool
     projective_dimension: int | None
+
+    @property
+    def terms(self) -> list[Representation]:
+        return [c.projective for c in self.covers]
+
+    @property
+    def syzygies(self) -> list[Representation]:
+        return [c.syzygy for c in self.covers]
+
+    @property
+    def summand_vertices(self) -> list[list[str]]:
+        return [c.summands for c in self.covers]
 
 
 def _content(rep: Representation) -> tuple:
@@ -862,28 +874,22 @@ def minimal_resolution(rep: Representation, n_max: int) -> ResolutionData:
 
 
 def _resolve(rep: Representation, n_max: int) -> ResolutionData:
-    terms: list[Representation] = []
+    covers: list[Cover] = []
     maps: list[list[dict]] = []
-    syzygies: list[Representation] = []
-    summand_vertices: list[list[str]] = []
     current = rep
-    prev_incl = None
-    for i in range(n_max + 1):
+    for _ in range(n_max + 1):
         if current.total_dim == 0:
             break
         cov = projective_cover(current)
-        terms.append(cov.projective)
-        summand_vertices.append(cov.summands)
         # each cover column pushed through the previous syzygy's inclusion
-        maps.append(cov.map if i == 0 else
-                    [_push(rep.algebra.field.char, prev_incl, col) for col in cov.map])
-        syzygies.append(cov.syzygy)
-        prev_incl = cov.syzygy_inclusion
+        maps.append([_push(rep.algebra.field.char, covers[-1].syzygy_inclusion, col)
+                     for col in cov.map] if covers else cov.map)
+        covers.append(cov)
         current = cov.syzygy
     finite = current.total_dim == 0
-    pd = len(terms) - 1 if finite else None
-    _check_exactness(rep, terms, maps)
-    return ResolutionData(terms, maps, syzygies, summand_vertices, finite, pd)
+    pd = len(covers) - 1 if finite else None
+    _check_exactness(rep, [c.projective for c in covers], maps)
+    return ResolutionData(covers, maps, finite, pd)
 
 
 def _check_exactness(rep, terms, maps):
@@ -897,7 +903,7 @@ def _check_exactness(rep, terms, maps):
         return
     f, n = rep.algebra.field, rep.total_dim
     ranks = [len(echelon(MatrixExact.trusted(f, [_dense_row(c, n) for c in maps[0]], n))[1])]
-    ranks += [len(Subspace.spanned(f, t.total_dim, m)) for m, t in zip(maps[1:], terms)]
+    ranks += [len(Subspace(f, t.total_dim, m)) for m, t in zip(maps[1:], terms)]
     check(ranks[0] == rep.total_dim, "resolution is not exact at the target")
     for i in range(1, len(terms)):
         check(
@@ -921,21 +927,22 @@ def ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
 def _ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
     res = minimal_resolution(m, n_max + 1)
     f = m.algebra.field
-    hom_bases = [hom_space(p, n) for p in res.terms]
+    terms = res.terms
+    hom_bases = [hom_space(p, n) for p in terms]
 
     def flat(h):
         """A map into N as one sparse vector, column after column."""
         return {j * n.total_dim + r: x for j, col in enumerate(h) for r, x in col.items()}
 
     ranks = []
-    for i in range(1, len(res.terms)):
+    for i in range(1, len(terms)):
         basis_prev = hom_bases[i - 1]
         basis_cur = hom_bases[i]
         if not basis_prev or not basis_cur:
             ranks.append(0)
             continue
-        width = res.terms[i].total_dim * n.total_dim
-        cur = Subspace.spanned(f, width, map(flat, basis_cur))
+        width = terms[i].total_dim * n.total_dim
+        cur = Subspace(f, width, map(flat, basis_cur))
         images = []
         for h in basis_prev:
             # h composed with maps[i]: each column of maps[i] pushed through h
@@ -943,7 +950,7 @@ def _ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
             check(cur.contains(image), "hom image left the hom space")
             images.append(image)
         # the rank of the composition map is the size of the images' span
-        ranks.append(len(Subspace.spanned(f, width, images)))
+        ranks.append(len(Subspace(f, width, images)))
     out = []
     for i in range(n_max + 1):
         dim_h = len(hom_bases[i]) if i < len(hom_bases) else 0
@@ -957,8 +964,9 @@ def _ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
 # -- graded covers and resolutions ------------------------------------------------------
 
 
-def graded_projective_cover(grep: GradedRepresentation):
-    """Projective cover in the graded category.
+def _graded_cover(grep: GradedRepresentation, cov: Cover):
+    """The projective cover in the graded category, from `cov`, the cover of
+    a module equal to grep's.
 
     Each summand P(v) is shifted so its generator sits at the grade of the
     head vector it covers; the syzygy inherits a grading, with every basis
@@ -967,7 +975,6 @@ def graded_projective_cover(grep: GradedRepresentation):
     """
     rep = grep.rep
     alg = rep.algebra
-    cov = projective_cover(rep)
     heads = [(v, grep.grades[v][j]) for v, j in cov.generators]
     alg_grades = alg.grades()
     grades: dict[str, list[int]] = {v: [] for v in rep.vertices}
@@ -992,39 +999,30 @@ def graded_projective_cover(grep: GradedRepresentation):
 @dataclass
 class GradedResolution:
     terms: list[GradedRepresentation]
-    generation: list[list[int]]  # sorted head grades of each term
     syzygies: list[GradedRepresentation]
     heads: list[list[tuple[str, int]]]  # (vertex, grade) per summand of each term
     finite: bool
     projective_dimension: int | None
 
+    @property
+    def generation(self) -> list[list[int]]:
+        """The sorted head grades of each term."""
+        return [sorted(g for _, g in hs) for hs in self.heads]
+
 
 def graded_minimal_resolution(grep: GradedRepresentation, n_max: int) -> GradedResolution:
-    """Memoised like `minimal_resolution`, by content, grading and bound."""
-    require(n_max >= 0, "resolution bound must be non-negative")
-    grading = tuple(tuple(grep.grades[v]) for v in grep.rep.vertices)
-    key = ("graded resolution", _content(grep.rep), grading, n_max)
-    return grep.rep.algebra.memoized(key, lambda: _graded_resolve(grep, n_max))
-
-
-def _graded_resolve(grep: GradedRepresentation, n_max: int) -> GradedResolution:
-    terms = []
-    generation = []
-    syzygies = []
-    heads = []
+    """The grading that grep's grades induce, cover by cover, on
+    `minimal_resolution(grep.rep, n_max)`, which is memoised and checked
+    exact there; the graded terms and syzygies share its modules."""
+    res = minimal_resolution(grep.rep, n_max)
+    terms, syzygies, heads = [], [], []
     current = grep
-    for _ in range(n_max + 1):
-        if current.rep.total_dim == 0:
-            break
-        term_heads, gproj, gsyz = graded_projective_cover(current)
+    for cov in res.covers:
+        term_heads, gproj, current = _graded_cover(current, cov)
         terms.append(gproj)
-        generation.append(sorted(g for _, g in term_heads))
+        syzygies.append(current)
         heads.append(term_heads)
-        syzygies.append(gsyz)
-        current = gsyz
-    finite = current.rep.total_dim == 0
-    pd = len(terms) - 1 if finite else None
-    return GradedResolution(terms, generation, syzygies, heads, finite, pd)
+    return GradedResolution(terms, syzygies, heads, res.finite, res.projective_dimension)
 
 
 # -- Ext tables --------------------------------------------------------------------------
@@ -1046,42 +1044,35 @@ class ExtTable:
 
 
 def ext_table(m: Representation, n_max: int, graded: bool = False) -> ExtTable:
+    """The entries come from the minimal resolution of M itself; the graded
+    refinement from the graded resolution of gr M read over the algebra,
+    isomorphic to M, and checked to sum to them."""
     require(n_max >= 0, "ext table needs a non-negative bound")
-    if not graded:
-        res = minimal_resolution(m, n_max)
-        entries = {}
-        for i in range(n_max + 1):
-            verts = res.summand_vertices[i] if i < len(res.summand_vertices) else []
-            for v in m.vertices:
-                entries[(v, i)] = verts.count(v)
-        return ExtTable(entries, None, res.finite, res.projective_dimension)
-    if not tight_grading_check(m.algebra).passed:
-        raise InputFormatError("graded ext table needs a tightly graded algebra")
-    graded_alg = gr_algebra(m.algebra)
-    gm = gr_rep(m, graded_alg)
-    regraded = make_representation(m.algebra, gm.rep.dims, gm.rep.columns)
-    gradable, _ = is_isomorphic(m, regraded)
-    if not gradable:
-        raise InputFormatError(
-            "module admits no grading: it is not isomorphic to its gr"
-        )
-    gm_over_m = GradedRepresentation(regraded, gm.grades)
-    gres = graded_minimal_resolution(gm_over_m, n_max)
-    entries = {}
-    graded_entries: dict[tuple[str, int, int], int] = {}
-    for i in range(n_max + 1):
-        heads = gres.heads[i] if i < len(gres.heads) else []
-        for v in m.vertices:
-            entries[(v, i)] = sum(1 for u, _ in heads if u == v)
-        for v, g in heads:
-            key = (v, i, g)
-            graded_entries[key] = graded_entries.get(key, 0) + 1
-    sums: dict[tuple[str, int], int] = {}
-    for (v, i, _), d in graded_entries.items():
-        sums[(v, i)] = sums.get((v, i), 0) + d
-    for key, total in sums.items():
-        check(entries[key] == total, "graded refinement does not sum to the ungraded entry")
-    return ExtTable(entries, graded_entries, gres.finite, gres.projective_dimension)
+    graded_entries = None
+    if graded:
+        if not tight_grading_check(m.algebra).passed:
+            raise InputFormatError("graded ext table needs a tightly graded algebra")
+        gm = gr_rep(m, gr_algebra(m.algebra))
+        regraded = make_representation(m.algebra, gm.rep.dims, gm.rep.columns)
+        gradable, _ = is_isomorphic(m, regraded)
+        if not gradable:
+            raise InputFormatError(
+                "module admits no grading: it is not isomorphic to its gr"
+            )
+        gres = graded_minimal_resolution(GradedRepresentation(regraded, gm.grades), n_max)
+        graded_entries = {}
+        for i, heads in enumerate(gres.heads):
+            for v, g in heads:
+                graded_entries[(v, i, g)] = graded_entries.get((v, i, g), 0) + 1
+    res = minimal_resolution(m, n_max)
+    summands = res.summand_vertices + [[]] * (n_max + 1 - len(res.covers))
+    entries = {(v, i): summands[i].count(v) for i in range(n_max + 1) for v in m.vertices}
+    if graded_entries is not None:
+        sums = dict.fromkeys(entries, 0)
+        for (v, i, _), d in graded_entries.items():
+            sums[(v, i)] += d
+        check(sums == entries, "graded refinement does not sum to the ungraded entry")
+    return ExtTable(entries, graded_entries, res.finite, res.projective_dimension)
 
 
 # -- the gr-construction Ext^1 comparison -----------------------------------------------

@@ -538,9 +538,10 @@ def _module_content(rep):
 
 
 def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
-    """Every resolution, graded resolution and Ext list that pipeline_checks
-    memoised, and so shared between its callers, still equals a computation
-    with no memo at all afterwards: no caller changed a shared result."""
+    """Every resolution and Ext list that pipeline_checks memoised, and so
+    shared between its callers (graded resolutions grade the memoised
+    covers), still equals a computation with no memo at all afterwards: no
+    caller changed a shared result."""
     import grkoszul.rep_homology as rh
     from grkoszul.algebra_core import FiniteDimAlgebra
 
@@ -553,7 +554,7 @@ def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
             return out
         return call
 
-    for name in ("_resolve", "_graded_resolve", "_ext_groups"):
+    for name in ("_resolve", "_ext_groups"):
         monkeypatch.setattr(rh, name, recording(name, getattr(rh, name)))
     weight3 = build_algebra(three_weight_cycle())
     hw = standard_modules(weight3, WeightPosetIdeal(
@@ -561,22 +562,19 @@ def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
         duality=duality_matrix_from_presentation(weight3))
     assert pipeline_checks(hw, whole_algebra_embedding(weight3), ["1", "2"]).pair.passed
     monkeypatch.undo()
-    assert {name for name, _, _ in built} == {"_resolve", "_graded_resolve", "_ext_groups"}
+    assert {name for name, _, _ in built} == {"_resolve", "_ext_groups"}
     monkeypatch.setattr(FiniteDimAlgebra, "memoized", lambda self, key, build: build())
     for name, args, kept in built:
         fresh = getattr(rh, name)(*args)
         if name == "_ext_groups":
             assert kept == fresh
-        elif name == "_resolve":
+        else:
             assert (kept.summand_vertices, kept.finite, kept.projective_dimension, kept.maps) \
                 == (fresh.summand_vertices, fresh.finite, fresh.projective_dimension, fresh.maps)
             assert [_module_content(m) for m in kept.terms + kept.syzygies] \
                 == [_module_content(m) for m in fresh.terms + fresh.syzygies]
-        else:
-            assert (kept.generation, kept.heads, kept.finite, kept.projective_dimension) \
-                == (fresh.generation, fresh.heads, fresh.finite, fresh.projective_dimension)
-            assert [(_module_content(g.rep), g.grades) for g in kept.terms + kept.syzygies] \
-                == [(_module_content(g.rep), g.grades) for g in fresh.terms + fresh.syzygies]
+            assert [(c.generators, c.syzygy_inclusion, c.map, c.head) for c in kept.covers] \
+                == [(c.generators, c.syzygy_inclusion, c.map, c.head) for c in fresh.covers]
 
 
 def test_pipeline_needs_lengths(cycle, cycle_poset):

@@ -311,7 +311,8 @@ def test_hom_dimensions_refute_an_isomorphism_before_the_grid(monkeypatch):
     monkeypatch.setattr(rep_homology, "ISO_SEARCH_CAP", 0)
     assert is_isomorphic(m0, m1) == (False, None)
     g0, g1 = (GradedRepresentation(x, {"1": [0, 1, 1]}) for x in (m0, m1))
-    assert (len(graded_hom_space(g0, g1)), len(graded_hom_space(g0, g0))) == (2, 3)
+    assert (len(graded_hom_space(g0, g1).get(0, [])),
+            len(graded_hom_space(g0, g0).get(0, []))) == (2, 3)
     assert not graded_is_isomorphic(g0, g1)
     # an isomorphic pair still finds its witness
     assert is_isomorphic(m1, m(1))[0]
@@ -387,12 +388,26 @@ def test_gr_of_surjection_refuses_exactly_the_non_homomorphisms(cycle, cycle_mod
 def test_graded_hom_space_degrees(cycle, cycle_mods):
     graded = gr_algebra(cycle)
     g1 = gr_rep(cycle_mods["P1"], graded)
-    assert len(graded_hom_space(g1, g1, degree=0)) == 1
-    assert len(graded_hom_space(g1, g1, degree=2)) == 1
-    assert len(graded_hom_space(g1, g1, degree=1)) == 0
+    split = graded_hom_space(g1, g1)
+    assert len(split.get(0, [])) == 1
+    assert len(split.get(2, [])) == 1
+    assert len(split.get(1, [])) == 0
     assert graded_is_isomorphic(g1, g1)
     assert not graded_is_isomorphic(g1, g1.shift(1))
     assert graded_is_isomorphic(g1.shift(3), g1, shift=3)
+
+
+def test_graded_hom_space_rejects_an_inhomogeneous_basis_hom(monkeypatch, cycle, cycle_mods):
+    """A hom basis holding the sum of the degree-0 and degree-2 endomorphisms
+    of gr P(1) cannot be split by degree."""
+    g1 = gr_rep(cycle_mods["P1"], gr_algebra(cycle))
+    real = rep_homology.hom_space
+    homs = real(g1.rep, g1.rep)
+    assert sorted(graded_hom_space(g1, g1)) == [0, 2] and len(homs) == 2
+    mixed = rep_homology._combination(QQ.char, homs, {0: 1, 1: 1}, g1.rep.total_dim)
+    monkeypatch.setattr(rep_homology, "hom_space", lambda m, n: [mixed])
+    with pytest.raises(InternalCheckError, match="not homogeneous"):
+        graded_hom_space(g1, g1)
 
 
 # -- covers and resolutions -------------------------------------------------------------
@@ -472,18 +487,34 @@ def test_equal_modules_share_one_resolution_and_ext(monkeypatch):
     alg = build_algebra(truncated_polynomial(3))
     resolves = _counting(monkeypatch, "_resolve")
     exts = _counting(monkeypatch, "_ext_groups")
-    graded = _counting(monkeypatch, "_graded_resolve")
     a, b = _x_module(alg, 1), _x_module(alg, Fraction(2, 2))
     assert a is not b
     assert minimal_resolution(a, 3) is minimal_resolution(b, 3)
     assert ext_groups(a, simple_rep(alg, "1"), 2) == ext_groups(b, simple_rep(alg, "1"), 2)
     ga, gb = (GradedRepresentation(m, {"1": [0, 1]}) for m in (a, b))
-    assert graded_minimal_resolution(ga, 2) is graded_minimal_resolution(gb, 2)
-    # one build each; ext resolves a to degree 3, which the first call made
-    assert len(resolves) == len(exts) == len(graded) == 1
+    assert graded_minimal_resolution(ga, 3).heads == graded_minimal_resolution(gb, 3).heads
+    # one build each; ext and the graded resolutions read a's resolution to
+    # degree 3, which the first call made
+    assert len(resolves) == len(exts) == 1
     # a returned Ext list is the caller's own
     ext_groups(a, simple_rep(alg, "1"), 2).append(7)
     assert ext_groups(b, simple_rep(alg, "1"), 2) == [1, 1, 1]
+
+
+def test_graded_and_ungraded_resolutions_share_their_covers(monkeypatch):
+    """A graded resolution grades the covers of the ungraded one of an equal
+    module at the same bound: one `_resolve`, and no cover built again."""
+    alg = build_algebra(truncated_polynomial(3))
+    resolves = _counting(monkeypatch, "_resolve")
+    covers = _counting(monkeypatch, "projective_cover")
+    a, b = _x_module(alg, 1), _x_module(alg, Fraction(2, 2))
+    res = minimal_resolution(a, 2)
+    built = len(covers)
+    gres = graded_minimal_resolution(GradedRepresentation(b, {"1": [0, 1]}), 2)
+    assert len(resolves) == 1 and len(covers) == built == len(res.covers)
+    assert all(g.rep is t for g, t in zip(gres.terms + gres.syzygies, res.terms + res.syzygies))
+    # the syzygies are x^2 P in grade 2, then x P(2) + x^2 P(2) from grade 3
+    assert gres.heads == [[("1", 0)], [("1", 2)], [("1", 3)]]
 
 
 def test_different_modules_do_not_share_a_resolution(monkeypatch):
@@ -560,6 +591,34 @@ def test_ext_table_graded_refines_ungraded(cycle_mods):
         ("1", 1, 1): 1,
         ("2", 2, 2): 1,
     }
+
+
+def test_ext_table_checks_the_graded_refinement_against_the_resolution(monkeypatch, cycle_mods):
+    """The ungraded entries come from M's own resolution, so a graded
+    resolution that lost a head no longer sums to them."""
+    real = rep_homology.graded_minimal_resolution
+
+    def dropped(grep, n_max):
+        res = real(grep, n_max)
+        res.heads[1].pop()
+        return res
+
+    monkeypatch.setattr(rep_homology, "graded_minimal_resolution", dropped)
+    with pytest.raises(InternalCheckError, match="graded refinement does not sum"):
+        ext_table(cycle_mods["L2"], 2, graded=True)
+
+
+def test_ext_table_refuses_before_it_resolves(monkeypatch, cycle_mods):
+    """The tightness and gradability errors come before any resolution."""
+    resolves = _counting(monkeypatch, "_resolve")
+    monkeypatch.setattr(rep_homology, "is_isomorphic", lambda m, n: (False, None))
+    with pytest.raises(InputFormatError, match="admits no grading"):
+        ext_table(cycle_mods["L2"], 2, graded=True)
+    monkeypatch.setattr(rep_homology, "tight_grading_check",
+                        lambda alg: type("Report", (), {"passed": False})())
+    with pytest.raises(InputFormatError, match="tightly graded"):
+        ext_table(cycle_mods["L2"], 2, graded=True)
+    assert resolves == []
 
 
 def test_ext_table_graded_needs_tight_algebra():
@@ -1679,15 +1738,16 @@ def test_graded_homs_are_homogeneous_and_split_the_homs(alg, data):
     homs = Subspace(f, width, [flat_hom(h) for h in hom_space(gm.rep, gn.rep)])
     top = max(flat_m + flat_n + [0])
     count = 0
+    split = graded_hom_space(gm, gn)
     for d in range(-top, top + 1):
-        degree_d = graded_hom_space(gm, gn, d)
+        degree_d = split.get(d, [])
         for h in degree_d:
             assert all(flat_n[r] == flat_m[c] + d for c, col in enumerate(h) for r in col)
             assert homs.contains(flat_hom(h))
         assert len(Subspace(f, width, [flat_hom(h) for h in degree_d])) \
             == len(degree_d)
         count += len(degree_d)
-    assert count == len(homs)
+    assert count == len(homs) and set(split) <= set(range(-top, top + 1))
 
 
 def test_projectives_and_heads_are_memoised_on_the_algebra():
@@ -1767,6 +1827,17 @@ def test_perturbed_cover_fails_exactness(monkeypatch, index, attribute, how, mes
     perturb_cover(monkeypatch, index, attribute, how)
     with pytest.raises(InternalCheckError, match=message):
         minimal_resolution(simple_rep(alg, "1"), 3)
+
+
+@pytest.mark.parametrize("index, attribute, how, message", EXACTNESS_PERTURBATIONS)
+def test_perturbed_cover_fails_exactness_of_a_graded_resolution(monkeypatch, index, attribute,
+                                                                how, message):
+    """A graded resolution grades the checked ungraded one, so it inherits
+    the exactness certificate."""
+    alg = build_algebra(all_cubes(QQ))
+    perturb_cover(monkeypatch, index, attribute, how)
+    with pytest.raises(InternalCheckError, match=message):
+        graded_minimal_resolution(grade_zero_graded(simple_rep(alg, "1")), 3)
 
 
 # -- Ext^1 over a subalgebra from the cover of the restriction ------------------------
