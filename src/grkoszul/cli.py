@@ -811,7 +811,7 @@ def _cmd_qha_pipeline(args) -> Report:
     rp.add("graded_transfer.standards_linear", report.graded_transfer.standards_linear)
     rp.add("graded_transfer.polynomials_match", report.graded_transfer.polynomials_match)
     rp.add("graded_transfer.holds", report.graded_transfer.holds)
-    rp.add("koszul.sub_koszul", report.koszul_pipeline.sub_koszul)
+    rp.add("koszul.sub_koszul", report.koszul_pipeline.truncation_sub_koszul)
     rp.add("koszul.radical_generation", report.koszul_pipeline.radical_generation)
     rp.add("koszul.regular_restricts", report.koszul_pipeline.regular_restricts)
     rp.add("koszul.implied", report.koszul_pipeline.implied)
@@ -1227,9 +1227,10 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print("error (internal invariant): %s" % exc, file=sys.stderr)
         return 4
-    except MemoryError:
+    except MemoryError as exc:
         command = " ".join(filter(None, (args.group, getattr(args, "action", None))))
-        print("error (resources): out of memory in %s" % command, file=sys.stderr)
+        stage = " (%s)" % exc if str(exc) else ""
+        print("error (resources): out of memory in %s%s" % (command, stage), file=sys.stderr)
         return 3
 
 

@@ -545,16 +545,9 @@ def _global_dimension(algebra: FiniteDimAlgebra) -> tuple[int, bool]:
     """(bound, exact): the global dimension when every simple has finite
     projective dimension within dim + 1 steps, else the cap with exact False."""
     cap = algebra.dim + 1
-    worst = 0
-    exact = True
-    for v in algebra.presentation.vertices:
-        res = minimal_resolution(simple_rep(algebra, v), cap)
-        if res.projective_dimension is None:
-            exact = False
-            worst = cap
-        else:
-            worst = max(worst, res.projective_dimension)
-    return worst, exact
+    dims = [minimal_resolution(simple_rep(algebra, v), cap).projective_dimension
+            for v in algebra.presentation.vertices]
+    return (cap, False) if None in dims else (max([0, *dims]), True)
 
 
 def _graded_projective(algebra: FiniteDimAlgebra, vertex: str) -> GradedRepresentation:
@@ -847,7 +840,7 @@ class GradedTransferReport:
 
 @dataclass
 class KoszulPipelineReport:
-    sub_koszul: bool | None
+    truncation_sub_koszul: bool | None  # the subalgebra's image in the truncation
     radical_generation: bool
     regular_restricts: bool
     implied: bool
@@ -927,14 +920,7 @@ def pipeline_checks(h: HighestWeightStructure, sub: SubalgebraEmbedding,
             f"global dimension of the truncation not reached within {bound}; "
             "homological sweeps are bounded"
         )
-    proj_over_sub: dict[str, bool] = {}
-
-    def vertex_restricts(v: str) -> bool:
-        if v not in proj_over_sub:
-            proj_over_sub[v] = restricts_projectively(h.projectives[v], sub)
-        return proj_over_sub[v]
-
-    projectives_restrict = {v: vertex_restricts(v) for v in kept}
+    projectives_restrict = {v: restricts_projectively(h.projectives[v], sub) for v in kept}
     resolution_restrict = {}
     for nu in kept:
         if bound <= 1:
@@ -942,7 +928,8 @@ def pipeline_checks(h: HighestWeightStructure, sub: SubalgebraEmbedding,
             continue
         res = minimal_resolution(h.simples[nu], bound - 2)
         needed = sorted({w for vs in res.summand_vertices for w in vs})
-        resolution_restrict[nu] = all(vertex_restricts(w) for w in needed)
+        resolution_restrict[nu] = all(restricts_projectively(h.projectives[w], sub)
+                                      for w in needed)
     restriction = RestrictionHypothesisReport(
         projectives_restrict, resolution_restrict, bound, exact,
         passed=pair.passed

@@ -867,53 +867,66 @@ def _content(rep: Representation) -> tuple:
         for a, _, _ in rep.algebra.presentation.arrows))
 
 
+def _cover(rep: Representation) -> Cover:
+    """`projective_cover`, built and checked once per module content on the
+    algebra; every cover the package reads comes from here."""
+    return rep.algebra.memoized(("cover", _content(rep)), lambda: projective_cover(rep))
+
+
 def minimal_resolution(rep: Representation, n_max: int) -> ResolutionData:
-    """Built and checked once per module content and bound, on the algebra."""
+    """The first n_max + 1 terms of M's minimal resolution, fewer when a
+    syzygy vanishes sooner; finite when the last syzygy read (M's own, with
+    no term) is zero.
+
+    Each module content has one chain on the algebra, the (memoised cover,
+    map, rank of the map) of each degree, grown on demand, so every bound
+    reads a prefix of it; a degree joins once checked exact.  Out of memory,
+    the error names the degree and the dimension of the module being covered.
+    """
     require(n_max >= 0, "resolution bound must be non-negative")
-    return rep.algebra.memoized(("resolution", _content(rep), n_max), lambda: _resolve(rep, n_max))
-
-
-def _resolve(rep: Representation, n_max: int) -> ResolutionData:
-    covers: list[Cover] = []
-    maps: list[list[dict]] = []
-    current = rep
-    for _ in range(n_max + 1):
+    steps = rep.algebra.memoized(("resolution", _content(rep)), list)
+    while len(steps) <= n_max:
+        current = steps[-1][0].syzygy if steps else rep
         if current.total_dim == 0:
             break
-        cov = projective_cover(current)
-        # each cover column pushed through the previous syzygy's inclusion
-        maps.append([_push(rep.algebra.field.char, covers[-1].syzygy_inclusion, col)
-                     for col in cov.map] if covers else cov.map)
-        covers.append(cov)
-        current = cov.syzygy
-    finite = current.total_dim == 0
-    pd = len(covers) - 1 if finite else None
-    _check_exactness(rep, [c.projective for c in covers], maps)
-    return ResolutionData(covers, maps, finite, pd)
+        try:
+            cov = _cover(current)
+            # each cover column pushed through the previous syzygy's inclusion
+            new = [_push(rep.algebra.field.char, steps[-1][0].syzygy_inclusion, col)
+                   for col in cov.map] if steps else cov.map
+            steps.append((cov, new, _check_exactness(rep, steps, new)))
+        except MemoryError:
+            raise MemoryError(f"minimal resolution, degree {len(steps)}, "
+                              f"module dimension {current.total_dim}") from None
+    covers = [cov for cov, _, _ in steps[:n_max + 1]]
+    finite = (covers[-1].syzygy if covers else rep).total_dim == 0
+    return ResolutionData(covers, [m for _, m, _ in steps[:n_max + 1]], finite,
+                          len(covers) - 1 if finite else None)
 
 
-def _check_exactness(rep, terms, maps):
-    """maps[0] is onto M, and at each interior term the maps compose to zero
-    with rank(in) + rank(out) = dim, so image = kernel.  The rank of maps[0]
-    (dim M rows at every degree) is its pivot count under `echelon`, the
-    elimination the benchmark's tracer counts per resolution; each later
-    rank is the size of a `Subspace` grown from the map's columns, and each
-    composite pushes every column of maps[i] through maps[i - 1]."""
-    if not terms:
-        return
-    f, n = rep.algebra.field, rep.total_dim
-    ranks = [len(echelon(MatrixExact.trusted(f, [_dense_row(c, n) for c in maps[0]], n))[1])]
-    ranks += [len(Subspace(f, t.total_dim, m)) for m, t in zip(maps[1:], terms)]
-    check(ranks[0] == rep.total_dim, "resolution is not exact at the target")
-    for i in range(1, len(terms)):
-        check(
-            not any(_push(f.char, maps[i - 1], col) for col in maps[i]),
-            "consecutive resolution maps do not compose to zero",
-        )
-        check(
-            ranks[i] + ranks[i - 1] == terms[i - 1].total_dim,
-            "resolution is not exact at an interior term",
-        )
+def _check_exactness(rep: Representation, steps: list[tuple], new: list[dict]) -> int:
+    """The rank of `new`, checked to extend the resolution in `steps`
+    exactly: maps[0] is onto M, and at each interior term the maps compose
+    to zero with rank(in) + rank(out) = dim, so image = kernel.  Exactness
+    at P_(i-1) reads only maps[i - 1], its rank and maps[i], so each degree
+    is checked once, as it joins.  The rank of maps[0] (dim M rows) is its
+    pivot count under `echelon`, the elimination the benchmark's tracer
+    counts, once per module; each later rank is the size of a `Subspace`
+    grown from the map's columns, and each composite pushes every column of
+    maps[i] through maps[i - 1]."""
+    f = rep.algebra.field
+    if not steps:
+        n = rep.total_dim
+        rank = len(echelon(MatrixExact.trusted(f, [_dense_row(c, n) for c in new], n))[1])
+        check(rank == n, "resolution is not exact at the target")
+        return rank
+    cov, last, last_rank = steps[-1]
+    rank = len(Subspace(f, cov.projective.total_dim, new))
+    check(not any(_push(f.char, last, col) for col in new),
+          "consecutive resolution maps do not compose to zero")
+    check(rank + last_rank == cov.projective.total_dim,
+          "resolution is not exact at an interior term")
+    return rank
 
 
 def ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
@@ -1099,7 +1112,7 @@ class GrExt1Report:
 def _head_and_ext1(rep: Representation) -> tuple[dict[str, int], dict[str, int]]:
     """(h, e) with h[v] = dim Hom(M, L_v), the head multiplicity of M, and
     e[v] = dim Ext^1(M, L_v), that of its syzygy: the cover is minimal."""
-    cov = projective_cover(rep)
+    cov = _cover(rep)
     return cov.head, head_multiplicities(cov.syzygy)
 
 
@@ -1119,7 +1132,7 @@ def gr_ext1_compare(m: Representation, sub: SubalgebraEmbedding | None = None,
     if graded is None:
         graded = gr_algebra(m.algebra)
     gm = gr_rep(m, graded)
-    cov = projective_cover(m)
+    cov = _cover(m)
     amb = head_multiplicities(cov.syzygy)
     grd = _head_and_ext1(gm.rep)[1]
     sub_dims: dict[str, int] = {}
@@ -1206,7 +1219,7 @@ def restricts_projectively(m: Representation, emb: SubalgebraEmbedding) -> bool:
     """Is the restriction M|a projective?  Exactly when the syzygy of its
     minimal cover vanishes, that is when Ext^1_a into every simple of a, one
     per vertex of `as_algebra`, vanishes."""
-    return projective_cover(restrict_rep(m, emb)).syzygy.total_dim == 0
+    return _cover(restrict_rep(m, emb)).syzygy.total_dim == 0
 
 
 @dataclass
@@ -1259,8 +1272,7 @@ def restrict_iso_check(m: Representation, emb: SubalgebraEmbedding) -> Restricti
     gr = _gr_from_series(res, sub_algebra, lambda name, vec: res.act_element(arrows[name], vec),
                          series)
     iso, _ = is_isomorphic(res, gr.rep)
-    projective = projective_cover(res).syzygy.total_dim == 0
-    return RestrictionReport(agrees, iso, projective, len(classes))
+    return RestrictionReport(agrees, iso, _cover(res).syzygy.total_dim == 0, len(classes))
 
 
 # -- Koszulity ----------------------------------------------------------------------------

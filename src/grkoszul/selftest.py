@@ -429,7 +429,7 @@ def criterion_pipeline():
     b5_ok = (
         rep.pair.passed
         and rep.restriction.passed
-        and rep.koszul_pipeline.sub_koszul is True
+        and rep.koszul_pipeline.truncation_sub_koszul is True
         and rep.koszul_pipeline.implied
         and rep.koszul_pipeline.gr_koszul is True
     )
@@ -444,7 +444,7 @@ def criterion_pipeline():
     details = [
         "pair_hypotheses=" + _flag(rep.pair.passed),
         "restriction_hypotheses=" + _flag(rep.restriction.passed),
-        "sub_koszul=" + _flag(rep.koszul_pipeline.sub_koszul is True),
+        "sub_koszul=" + _flag(rep.koszul_pipeline.truncation_sub_koszul is True),
         "gr_koszul=" + _flag(rep.koszul_pipeline.gr_koszul is True),
         "cubic_first_hypothesis=" + _flag(bool(repc.pair.ambient_qha)),
         "cubic_implied=" + _flag(bool(repc.koszul_pipeline.implied)),

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from grkoszul import selftest
+from grkoszul import rep_homology, selftest
 from grkoszul.selftest import run_selftest
 
 
@@ -80,6 +80,29 @@ def test_criterion_5_rejects_an_exponent_that_is_not_a_natural_int(monkeypatch, 
     passed, details = selftest.criterion_kl_engine()
     assert not passed
     assert all(d.endswith("shape=true parity=false") for d in details)
+
+
+# criterion -> the distinct modules, (algebra object, content), it covers in
+# one round; the criteria not named cover none
+COVERED_MODULES = {1: 8, 2: 9, 3: 3, 4: 18, 7: 12, 9: 29}
+
+
+def test_each_criterion_covers_each_distinct_module_once(monkeypatch):
+    """Covers are memoised per module content on the algebra, and every
+    resolution grows from them, so one round builds each cover once."""
+    real = rep_homology.projective_cover
+    built = []
+
+    def counting(rep):
+        built.append((rep.algebra, rep_homology._content(rep)))
+        return real(rep)
+
+    monkeypatch.setattr(rep_homology, "projective_cover", counting)
+    for number, name, criterion in selftest.CRITERIA:
+        built.clear()
+        assert criterion()[0], name
+        distinct = {(id(algebra), content) for algebra, content in built}
+        assert len(built) == len(distinct) == COVERED_MODULES.get(number, 0), name
 
 
 def test_full_battery_runtime_budget(battery):

@@ -290,6 +290,32 @@ def test_exit_3_when_memory_runs_out(b5_path, monkeypatch, capsys):
     assert captured.err == "error (resources): out of memory in algebra koszul-check\n"
 
 
+def test_exit_3_names_the_degree_when_a_resolution_runs_out_of_memory(
+        monkeypatch, tmp_path, capsys):
+    from grkoszul import rep_homology
+
+    real = rep_homology.projective_cover
+    covers = []
+
+    def exhausted_at_the_third(rep):
+        covers.append(rep)
+        if len(covers) == 3:
+            raise MemoryError
+        return real(rep)
+
+    monkeypatch.setattr(rep_homology, "projective_cover", exhausted_at_the_third)
+    cube = tmp_path / "cube.qalg"
+    cube.write_text(cube_qalg("field Q"))
+    simple = tmp_path / "simple.qrep"
+    simple.write_text(CUBE_SIMPLE_QREP)
+    status = cli.main(["module", "resolve", str(cube), str(simple), "--max-degree", "3"])
+    captured = capsys.readouterr()
+    assert status == 3 and captured.out == ""
+    # the third cover is of the second syzygy of the simple, of dimension 8
+    assert captured.err == ("error (resources): out of memory in module resolve"
+                            " (minimal resolution, degree 2, module dimension 8)\n")
+
+
 @pytest.mark.parametrize("attribute, message", [
     ("map", "resolution is not exact at an interior term"),
     ("syzygy_inclusion", "consecutive resolution maps do not compose to zero"),

@@ -472,7 +472,7 @@ def test_pipeline_cubic_truncation_fails_koszul_clause():
     alg = build_algebra(truncated_polynomial(3))
     h = standard_modules(alg, WeightPosetIdeal(["v"], [], {"v": 0}))
     report = pipeline_checks(h, whole_algebra_embedding(alg))
-    assert report.koszul_pipeline.sub_koszul is False
+    assert report.koszul_pipeline.truncation_sub_koszul is False
     assert not report.koszul_pipeline.implied
     assert report.koszul_pipeline.gr_koszul is False
     assert not report.pair.passed  # not quasi-hereditary either
@@ -525,7 +525,7 @@ def test_pipeline_a1_chain_parity_subalgebra():
     assert report.pair.passed
     assert not report.restriction.passed
     k = report.koszul_pipeline
-    assert (k.sub_koszul, k.radical_generation, k.regular_restricts, k.implied,
+    assert (k.truncation_sub_koszul, k.radical_generation, k.regular_restricts, k.implied,
             k.gr_koszul) == (True, True, True, True, True)
     g = report.graded_structure
     assert (g.implied, g.gr_qha, g.standards_match, g.standards_restrict_iso, g.holds) \
@@ -538,10 +538,11 @@ def _module_content(rep):
 
 
 def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
-    """Every resolution and Ext list that pipeline_checks memoised, and so
-    shared between its callers (graded resolutions grade the memoised
-    covers), still equals a computation with no memo at all afterwards: no
-    caller changed a shared result."""
+    """Every cover, resolution chain and Ext list that pipeline_checks
+    memoised, and so shared between its callers (a resolution is a prefix of
+    one chain of memoised covers, and graded resolutions grade them), still
+    equals a computation with no memo at all afterwards: no caller changed a
+    shared result."""
     import grkoszul.rep_homology as rh
     from grkoszul.algebra_core import FiniteDimAlgebra
 
@@ -554,7 +555,7 @@ def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
             return out
         return call
 
-    for name in ("_resolve", "_ext_groups"):
+    for name in ("projective_cover", "_ext_groups"):
         monkeypatch.setattr(rh, name, recording(name, getattr(rh, name)))
     weight3 = build_algebra(three_weight_cycle())
     hw = standard_modules(weight3, WeightPosetIdeal(
@@ -562,19 +563,31 @@ def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
         duality=duality_matrix_from_presentation(weight3))
     assert pipeline_checks(hw, whole_algebra_embedding(weight3), ["1", "2"]).pair.passed
     monkeypatch.undo()
-    assert {name for name, _, _ in built} == {"_resolve", "_ext_groups"}
+    assert {name for name, _, _ in built} == {"projective_cover", "_ext_groups"}
+    # each memoised chain, the (cover, map, rank) of each degree, with a module
+    # of its content: the chain's first cover was built for one
+    covered = {(id(args[0].algebra), rh._content(args[0])): args[0]
+               for name, args, _ in built if name == "projective_cover"}
+    algebras = {id(m.algebra): m.algebra for m in covered.values()}
+    chains = [(covered[id(alg), key[1]], steps) for alg in algebras.values()
+              for key, steps in alg._memo.items() if key[0] == "resolution" and steps]
+    assert chains
     monkeypatch.setattr(FiniteDimAlgebra, "memoized", lambda self, key, build: build())
     for name, args, kept in built:
         fresh = getattr(rh, name)(*args)
         if name == "_ext_groups":
             assert kept == fresh
         else:
-            assert (kept.summand_vertices, kept.finite, kept.projective_dimension, kept.maps) \
-                == (fresh.summand_vertices, fresh.finite, fresh.projective_dimension, fresh.maps)
-            assert [_module_content(m) for m in kept.terms + kept.syzygies] \
-                == [_module_content(m) for m in fresh.terms + fresh.syzygies]
-            assert [(c.generators, c.syzygy_inclusion, c.map, c.head) for c in kept.covers] \
-                == [(c.generators, c.syzygy_inclusion, c.map, c.head) for c in fresh.covers]
+            assert (kept.generators, kept.map, kept.syzygy_inclusion, kept.head) \
+                == (fresh.generators, fresh.map, fresh.syzygy_inclusion, fresh.head)
+            assert [_module_content(m) for m in (kept.projective, kept.syzygy)] \
+                == [_module_content(m) for m in (fresh.projective, fresh.syzygy)]
+    for m, steps in chains:
+        fresh = rh.minimal_resolution(m, len(steps) - 1)
+        assert [(cov.summands, cols) for cov, cols, _ in steps] \
+            == list(zip(fresh.summand_vertices, fresh.maps, strict=True))
+        assert [_module_content(cov.syzygy) for cov, _, _ in steps] \
+            == [_module_content(syz) for syz in fresh.syzygies]
 
 
 def test_pipeline_needs_lengths(cycle, cycle_poset):

@@ -34,6 +34,7 @@ from grkoszul.errors import (
 from grkoszul.exactlin import (QQ, FieldSpec, MatrixExact, Subspace, row_space, _dense_row,
                                _push, _sparse_row)
 from grkoszul.algebra_core import (
+    FiniteDimAlgebra,
     QuiverPresentation,
     build_algebra,
     gr_algebra,
@@ -485,17 +486,22 @@ def _x_module(alg, entry):
 
 def test_equal_modules_share_one_resolution_and_ext(monkeypatch):
     alg = build_algebra(truncated_polynomial(3))
-    resolves = _counting(monkeypatch, "_resolve")
+    covers = _counting(monkeypatch, "projective_cover")
     exts = _counting(monkeypatch, "_ext_groups")
     a, b = _x_module(alg, 1), _x_module(alg, Fraction(2, 2))
     assert a is not b
-    assert minimal_resolution(a, 3) is minimal_resolution(b, 3)
+    res_a, res_b = minimal_resolution(a, 3), minimal_resolution(b, 3)
+    assert len(res_a.covers) == 4
+    assert all(x is y for x, y in zip(res_a.covers, res_b.covers, strict=True))
+    assert res_a.maps == res_b.maps
     assert ext_groups(a, simple_rep(alg, "1"), 2) == ext_groups(b, simple_rep(alg, "1"), 2)
     ga, gb = (GradedRepresentation(m, {"1": [0, 1]}) for m in (a, b))
     assert graded_minimal_resolution(ga, 3).heads == graded_minimal_resolution(gb, 3).heads
-    # one build each; ext and the graded resolutions read a's resolution to
-    # degree 3, which the first call made
-    assert len(resolves) == len(exts) == 1
+    # the second syzygy x P has a's content, so the chain repeats a's cover and
+    # two covers serve four terms; ext and the graded resolutions read a's
+    # resolution to degree 3, which the first call made
+    assert res_a.covers[2] is res_a.covers[0] and res_a.covers[3] is res_a.covers[1]
+    assert len(covers) == 2 and len(exts) == 1
     # a returned Ext list is the caller's own
     ext_groups(a, simple_rep(alg, "1"), 2).append(7)
     assert ext_groups(b, simple_rep(alg, "1"), 2) == [1, 1, 1]
@@ -503,15 +509,16 @@ def test_equal_modules_share_one_resolution_and_ext(monkeypatch):
 
 def test_graded_and_ungraded_resolutions_share_their_covers(monkeypatch):
     """A graded resolution grades the covers of the ungraded one of an equal
-    module at the same bound: one `_resolve`, and no cover built again."""
+    module at the same bound: no cover is built again."""
     alg = build_algebra(truncated_polynomial(3))
-    resolves = _counting(monkeypatch, "_resolve")
     covers = _counting(monkeypatch, "projective_cover")
     a, b = _x_module(alg, 1), _x_module(alg, Fraction(2, 2))
     res = minimal_resolution(a, 2)
     built = len(covers)
     gres = graded_minimal_resolution(GradedRepresentation(b, {"1": [0, 1]}), 2)
-    assert len(resolves) == 1 and len(covers) == built == len(res.covers)
+    # the third cover is the first again: the second syzygy has a's content
+    assert len(covers) == built == len({id(c) for c in res.covers}) == 2
+    assert all(g is c for g, c in zip(minimal_resolution(b, 2).covers, res.covers, strict=True))
     assert all(g.rep is t for g, t in zip(gres.terms + gres.syzygies, res.terms + res.syzygies))
     # the syzygies are x^2 P in grade 2, then x P(2) + x^2 P(2) from grade 3
     assert gres.heads == [[("1", 0)], [("1", 2)], [("1", 3)]]
@@ -519,22 +526,70 @@ def test_graded_and_ungraded_resolutions_share_their_covers(monkeypatch):
 
 def test_different_modules_do_not_share_a_resolution(monkeypatch):
     alg = build_algebra(truncated_polynomial(3))
-    resolves = _counting(monkeypatch, "_resolve")
+    covers = _counting(monkeypatch, "projective_cover")
     exts = _counting(monkeypatch, "_ext_groups")
     a, c = _x_module(alg, 1), _x_module(alg, 2)  # isomorphic, one action entry apart
     other = build_algebra(truncated_polynomial(3))
     d = _x_module(other, 1)  # the same content over another algebra object
     results = [minimal_resolution(m, 3) for m in (a, c, d)]
-    assert len(resolves) == 3
+    # a and d two covers each, c one of its own: its first syzygy has the
+    # content of a's
+    assert len(covers) == 5
+    assert results[0].covers[0] is not results[1].covers[0]
+    assert results[1].covers[1] is results[0].covers[1]
     assert results[0].maps != results[1].maps
     assert results[0].summand_vertices == results[1].summand_vertices
     assert results[2].terms[0].algebra is other
-    assert minimal_resolution(a, 2) is not results[0] and len(resolves) == 4
+    assert results[2].covers[0] is not results[0].covers[0]
+    # a lower bound reads a prefix of the chain and builds no cover
+    lower = minimal_resolution(a, 2)
+    assert len(covers) == 5
+    assert all(x is y for x, y in zip(lower.covers, results[0].covers[:3], strict=True))
+    assert lower.maps == results[0].maps[:3]
     for m in (a, c):
         ext_groups(m, simple_rep(alg, "1"), 1)
     assert len(exts) == 2
     with pytest.raises(PreconditionError):
         ext_groups(a, simple_rep(other, "1"), 1)
+
+
+def _resolution_facts(res):
+    return (res.summand_vertices, res.maps, res.finite, res.projective_dimension,
+            [rep_homology._content(m) for m in res.terms + res.syzygies])
+
+
+def _fresh_resolution(m, bound):
+    """`minimal_resolution` with every memo disabled: built from scratch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FiniteDimAlgebra, "memoized", lambda self, key, build: build())
+        return minimal_resolution(m, bound)
+
+
+def _grown_in_every_order(m, top, shuffled):
+    """Ask for m's resolution at the bounds 0..top in ascending, descending
+    and shuffled order, each time over a new copy of the algebra, so from an
+    empty memo.  Every answer equals a fresh build at its bound, and its
+    covers are a prefix of the covers at the top bound."""
+    fresh = [_resolution_facts(_fresh_resolution(m, b)) for b in range(top + 1)]
+    for order in (range(top + 1), range(top, -1, -1), shuffled):
+        copy = make_representation(build_algebra(m.algebra.presentation), m.dims, m.columns)
+        results = {b: minimal_resolution(copy, b) for b in order}
+        for b, res in results.items():
+            assert _resolution_facts(res) == fresh[b]
+            assert all(x is y for x, y in zip(res.covers, results[top].covers[:b + 1],
+                                              strict=True))
+
+
+@pytest.mark.parametrize("field", [QQ, F2, FieldSpec(3), FieldSpec(5)],
+                         ids=["Q", "F2", "F3", "F5"])
+def test_grown_resolutions_match_fresh_builds_on_the_battery(field):
+    """A resolution is a prefix of one chain grown on demand, so the order in
+    which bounds are asked for must not show in any answer."""
+    for pres, top, shuffled in ((two_vertex_cycle(field), 4, [2, 0, 4, 1, 3]),
+                                (truncated_polynomial(3, field), 4, [3, 1, 4, 0, 2]),
+                                (all_cubes(field), 3, [1, 3, 0, 2])):
+        for _, m in truncations(build_algebra(pres)):
+            _grown_in_every_order(m, top, shuffled)
 
 
 def test_rep_homology_holds_no_module_level_dict():
@@ -610,7 +665,7 @@ def test_ext_table_checks_the_graded_refinement_against_the_resolution(monkeypat
 
 def test_ext_table_refuses_before_it_resolves(monkeypatch, cycle_mods):
     """The tightness and gradability errors come before any resolution."""
-    resolves = _counting(monkeypatch, "_resolve")
+    covers = _counting(monkeypatch, "projective_cover")
     monkeypatch.setattr(rep_homology, "is_isomorphic", lambda m, n: (False, None))
     with pytest.raises(InputFormatError, match="admits no grading"):
         ext_table(cycle_mods["L2"], 2, graded=True)
@@ -618,7 +673,7 @@ def test_ext_table_refuses_before_it_resolves(monkeypatch, cycle_mods):
                         lambda alg: type("Report", (), {"passed": False})())
     with pytest.raises(InputFormatError, match="tightly graded"):
         ext_table(cycle_mods["L2"], 2, graded=True)
-    assert resolves == []
+    assert covers == []
 
 
 def test_ext_table_graded_needs_tight_algebra():
@@ -1487,11 +1542,11 @@ def cover_columns_by_path_total(rep, generators, totals):
 
 
 @st.composite
-def monomial_quiver_algebra(draw):
+def monomial_quiver_algebra(draw, fields=(QQ, F2, FieldSpec(3))):
     """Two or three vertices and one to four arrows between random ends
-    (loops allowed); every path of length 3 is zero and so is a random set
-    of the length-2 paths."""
-    field = draw(st.sampled_from([QQ, F2, FieldSpec(3)]))
+    (loops allowed) over one of the fields; every path of length 3 is zero
+    and so is a random set of the length-2 paths."""
+    field = draw(st.sampled_from(fields))
     vertices = ["1", "2", "3"][: draw(st.integers(2, 3))]
     ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
                          min_size=1, max_size=4))
@@ -1513,6 +1568,15 @@ def cover_path_modules(alg, degree=2):
         res = minimal_resolution(simple_rep(alg, v), degree)
         out += [projective_rep(alg, v), simple_rep(alg, v)] + res.terms + res.syzygies
     return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_quiver_algebra(fields=(QQ, F2, FieldSpec(3), FieldSpec(5))), st.data())
+def test_grown_resolutions_match_fresh_builds_on_random_quivers(alg, data):
+    for v in alg.presentation.vertices:
+        shuffled = data.draw(st.permutations(range(4)))
+        for m in (simple_rep(alg, v), filtration_slice(projective_rep(alg, v), 0, 2)):
+            _grown_in_every_order(m, 3, shuffled)
 
 
 def sub_rep_by_dense_oracle(m, rows):
@@ -1827,6 +1891,28 @@ def test_perturbed_cover_fails_exactness(monkeypatch, index, attribute, how, mes
     perturb_cover(monkeypatch, index, attribute, how)
     with pytest.raises(InternalCheckError, match=message):
         minimal_resolution(simple_rep(alg, "1"), 3)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("attribute, how, extension, message", [
+    ("map", "zero", 1, "not exact at an interior term"),
+    ("syzygy_inclusion", "add", 2, "do not compose to zero"),
+])
+def test_perturbed_cover_fails_exactness_when_a_memoised_resolution_grows(
+        monkeypatch, degree, attribute, how, extension, message):
+    """A resolution memoised to one bound and then extended checks each new
+    degree: a cover perturbed at degree + 1 fails the check of the degree
+    that reads it (its own map, or the next map through its syzygy
+    inclusion), that degree never joins the chain, and the memoised prefix
+    still reads as before."""
+    alg = build_algebra(all_cubes(QQ))
+    simple = simple_rep(alg, "1")
+    before = _resolution_facts(minimal_resolution(simple, degree))
+    perturb_cover(monkeypatch, 0, attribute, how)
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match=message):
+            minimal_resolution(simple, degree + extension)
+    assert _resolution_facts(minimal_resolution(simple, degree)) == before
 
 
 @pytest.mark.parametrize("index, attribute, how, message", EXACTNESS_PERTURBATIONS)
