@@ -44,7 +44,6 @@ from .rep_homology import (
     graded_hom_space,
     graded_minimal_resolution,
     head_multiplicities,
-    hom_space,
     is_isomorphic,
     koszul_check,
     make_representation,
@@ -198,6 +197,16 @@ def duality_matrix_from_presentation(algebra: FiniteDimAlgebra) -> list[dict]:
     return cols
 
 
+def _trace(m: Representation, vertices: list[str]) -> Subspace:
+    """The trace in M of the projectives at the vertices, the sum of the
+    images of all maps from them: by Yoneda the submodule generated by M's
+    blocks at the vertices, spanned by the path images of their units."""
+    one, basis = m.algebra.field.one, m.algebra.basis
+    return Subspace(m.algebra.field, m.total_dim, (
+        m.place(basis[i].dst, block) for mu in vertices for k in range(m.dims[mu])
+        for i, block in m.path_images(mu, {k: one}).items()))
+
+
 def _standard_family(algebra: FiniteDimAlgebra, poset: WeightPosetIdeal,
                      projectives: dict[str, Representation]) -> dict[str, Representation]:
     """Largest quotients of the projectives with factors bounded by the weight.
@@ -209,13 +218,8 @@ def _standard_family(algebra: FiniteDimAlgebra, poset: WeightPosetIdeal,
     out = {}
     for lam in poset.elements:
         p = projectives[lam]
-        trace = []
-        for mu in poset.elements:
-            if poset.leq(mu, lam):
-                continue
-            for phi in hom_space(projectives[mu], p):
-                trace.extend(phi)  # the images of P(mu)'s basis
-        delta, _ = quotient_rep(p, trace)
+        delta, _ = quotient_rep(p, _trace(p, [mu for mu in poset.elements
+                                              if not poset.leq(mu, lam)]))
         check(
             head_multiplicities(delta) == {v: 1 if v == lam else 0 for v in delta.vertices},
             f"standard module at {lam!r} lost its simple head",
@@ -311,9 +315,7 @@ def _delta_filtration(h: HighestWeightStructure, m: Representation) -> list[str]
         if delta.dims[mu] != 1:
             continue
         count = m.dims[mu]
-        span = Subspace(h.algebra.field, m.total_dim, (
-            m.place(h.algebra.basis[i].dst, block) for k in range(count)
-            for i, block in m.path_images(mu, {k: h.algebra.field.one}).items()))
+        span = _trace(m, [mu])
         bottom, _ = sub_rep(m, span)
         if bottom.total_dim != count * delta.total_dim:
             continue
@@ -324,6 +326,16 @@ def _delta_filtration(h: HighestWeightStructure, m: Representation) -> list[str]
         if rest is not None:
             return rest + [mu] * count
     return None
+
+
+def _trace_ideal(algebra: FiniteDimAlgebra, vertices: set[str] | list[str]) -> Subspace:
+    """The two-sided ideal generated by the idempotents at the vertices,
+    spanned by products (basis path into one) * (basis path out of it)
+    because rewriting can move interior vertices of a path."""
+    basis = algebra.basis
+    return Subspace(algebra.field, algebra.dim, (
+        algebra.mult_basis(i, j) for i, bi in enumerate(basis) if bi.dst in vertices
+        for j, bj in enumerate(basis) if bj.src == bi.dst))
 
 
 def _heredity_chain(h: HighestWeightStructure) -> list[HeredityStep]:
@@ -343,14 +355,7 @@ def _heredity_chain(h: HighestWeightStructure) -> list[HeredityStep]:
         mu = h.poset.maximal_in(remaining)[0]
         remaining.remove(mu)
         absorbed.add(mu)
-        products = []
-        for i, bi in enumerate(algebra.basis):
-            if bi.dst not in absorbed:
-                continue
-            for j, bj in enumerate(algebra.basis):
-                if bj.src == bi.dst:
-                    products.append(algebra.mult_basis(i, j))
-        ideal = Subspace(f, algebra.dim, products)
+        ideal = _trace_ideal(algebra, absorbed)
         rows = ideal.sparse_rows
         squares = [algebra.multiply(x, y) for x in rows for y in rows]
         check(Subspace(f, algebra.dim, squares) == ideal,
@@ -465,18 +470,8 @@ def _truncation(h: HighestWeightStructure, gamma: list[str]) -> _Truncation:
         ident = [algebra.basis_vector(i) for i in range(algebra.dim)]
         return _Truncation(h, kept, ident, True)
 
-    # the ideal generated by the dropped idempotents, spanned by products
-    # because rewriting can move interior vertices of a path
     dropped = [v for v in poset.elements if v not in kept_set]
-    products = []
-    for mu in dropped:
-        for i, bi in enumerate(algebra.basis):
-            if bi.dst != mu:
-                continue
-            for j, bj in enumerate(algebra.basis):
-                if bj.src == mu:
-                    products.append(algebra.mult_basis(i, j))
-    ideal = Subspace(f, algebra.dim, products)
+    ideal = _trace_ideal(algebra, dropped)
     # A/J has the basis of the ambient positions off the ideal's pivots
     keep_pos = [k for k in range(algebra.dim) if k not in ideal.rref]
     position = {k: i for i, k in enumerate(keep_pos)}

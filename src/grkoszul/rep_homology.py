@@ -761,7 +761,7 @@ def is_isomorphic(m: Representation, n: Representation) -> tuple[bool, list[dict
         return True, identity
     homs = hom_space(m, n)
     witness = _invertible_combination(
-        f, homs, m.total_dim, lambda: (len(hom_space(m, m)), len(hom_space(n, n))))
+        f, homs, m.total_dim, lambda: (_hom_dim(m, m), _hom_dim(n, n)))
     return (witness is not None), witness
 
 
@@ -929,47 +929,33 @@ def _check_exactness(rep: Representation, steps: list[tuple], new: list[dict]) -
     return rank
 
 
+def _hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(M, N), solved once per pair of module contents on the algebra:
+    the only memo that Ext reads, so every bound reads the same numbers."""
+    return m.algebra.memoized(("hom dim", _content(m), _content(n)),
+                              lambda: len(hom_space(m, n)))
+
+
 def ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
-    """dim Ext^i(M, N) for 0 <= i <= n_max, from the Hom complex; memoised."""
+    """dim Ext^i(M, N) for 0 <= i <= n_max, by dimension shifting along the
+    minimal resolution of M to degree n_max - 1.
+
+    With Omega^0 = M, the sequence 0 -> Omega^i -> P_(i-1) -> Omega^(i-1) -> 0
+    and Ext^1(P_(i-1), N) = 0 give dim Ext^i(M, N) = hom(Omega^i, N) -
+    hom(P_(i-1), N) + hom(Omega^(i-1), N) for i >= 1, where hom(P(v), N) is
+    dims[v] of N by Yoneda; past a vanishing syzygy every Ext is zero.
+    """
     require(n_max >= 0, "ext needs a non-negative bound")
     require(m.algebra is n.algebra, "ext needs modules over the same algebra")
-    key = ("ext", _content(m), _content(n), n_max)
-    return list(m.algebra.memoized(key, lambda: tuple(_ext_groups(m, n, n_max))))
-
-
-def _ext_groups(m: Representation, n: Representation, n_max: int) -> list[int]:
-    res = minimal_resolution(m, n_max + 1)
-    f = m.algebra.field
-    terms = res.terms
-    hom_bases = [hom_space(p, n) for p in terms]
-
-    def flat(h):
-        """A map into N as one sparse vector, column after column."""
-        return {j * n.total_dim + r: x for j, col in enumerate(h) for r, x in col.items()}
-
-    ranks = []
-    for i in range(1, len(terms)):
-        basis_prev = hom_bases[i - 1]
-        basis_cur = hom_bases[i]
-        if not basis_prev or not basis_cur:
-            ranks.append(0)
-            continue
-        width = terms[i].total_dim * n.total_dim
-        cur = Subspace(f, width, map(flat, basis_cur))
-        images = []
-        for h in basis_prev:
-            # h composed with maps[i]: each column of maps[i] pushed through h
-            image = flat([_push(f.char, h, col) for col in res.maps[i]])
-            check(cur.contains(image), "hom image left the hom space")
-            images.append(image)
-        # the rank of the composition map is the size of the images' span
-        ranks.append(len(Subspace(f, width, images)))
-    out = []
-    for i in range(n_max + 1):
-        dim_h = len(hom_bases[i]) if i < len(hom_bases) else 0
-        r_in = ranks[i - 1] if 1 <= i <= len(ranks) else 0
-        r_out = ranks[i] if i < len(ranks) else 0
-        out.append(dim_h - r_in - r_out)
+    covers = minimal_resolution(m, n_max - 1).covers if n_max else []
+    homs = [_hom_dim(x, n) for x in [m] + [cov.syzygy for cov in covers]]
+    out = homs[:1]
+    for i, cov in enumerate(covers, 1):
+        hom_p = sum(n.dims[v] for v in cov.summands)
+        # Hom(Omega^(i-1), N) embeds in Hom(P_(i-1), N): P_(i-1) maps onto Omega^(i-1)
+        check(homs[i - 1] <= hom_p, "hom from a module exceeds hom from its cover")
+        out.append(homs[i] - hom_p + homs[i - 1])
+    out += [0] * (n_max + 1 - len(out))
     check(all(x >= 0 for x in out), "negative ext dimension")
     return out
 

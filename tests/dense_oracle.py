@@ -32,6 +32,10 @@ test oracles.
   `embed` and `block` move dense vectors between a vertex block and the
   total space; `columns_of` turns dense arrow blocks into the sparse
   columns `make_representation` takes.
+- `_ext_groups`: dim Ext^i(M, N) as the cohomology of the Hom complex
+  Hom(P_., N) of M's minimal resolution, each differential's rank the span
+  of every basis hom composed with a resolution map, from before Ext went
+  by dimension shifting along the syzygies.
 
 The tests hold the sparse implementation to these results on the same
 inputs.
@@ -43,7 +47,9 @@ from itertools import compress
 from itertools import product as iter_product
 
 from grkoszul.errors import InputFormatError, check, require
-from grkoszul.exactlin import FieldSpec, MatrixExact, _dense_row, _sparse_row, echelon, rank_kernel
+from grkoszul.exactlin import (FieldSpec, MatrixExact, Subspace, _dense_row, _push, _sparse_row,
+                               echelon, rank_kernel)
+from grkoszul.rep_homology import hom_space, minimal_resolution
 
 
 def _minus_multiple(char: int, vec: list, c, row: list) -> list:
@@ -447,3 +453,40 @@ def relation_failure(rep) -> str | None:
         if not is_zero(acc):
             return "action does not satisfy a defining relation"
     return None
+
+
+def _ext_groups(m, n, n_max: int) -> list[int]:
+    res = minimal_resolution(m, n_max + 1)
+    f = m.algebra.field
+    terms = res.terms
+    hom_bases = [hom_space(p, n) for p in terms]
+
+    def flat(h):
+        """A map into N as one sparse vector, column after column."""
+        return {j * n.total_dim + r: x for j, col in enumerate(h) for r, x in col.items()}
+
+    ranks = []
+    for i in range(1, len(terms)):
+        basis_prev = hom_bases[i - 1]
+        basis_cur = hom_bases[i]
+        if not basis_prev or not basis_cur:
+            ranks.append(0)
+            continue
+        width = terms[i].total_dim * n.total_dim
+        cur = Subspace(f, width, map(flat, basis_cur))
+        images = []
+        for h in basis_prev:
+            # h composed with maps[i]: each column of maps[i] pushed through h
+            image = flat([_push(f.char, h, col) for col in res.maps[i]])
+            check(cur.contains(image), "hom image left the hom space")
+            images.append(image)
+        # the rank of the composition map is the size of the images' span
+        ranks.append(len(Subspace(f, width, images)))
+    out = []
+    for i in range(n_max + 1):
+        dim_h = len(hom_bases[i]) if i < len(hom_bases) else 0
+        r_in = ranks[i - 1] if 1 <= i <= len(ranks) else 0
+        r_out = ranks[i] if i < len(ranks) else 0
+        out.append(dim_h - r_in - r_out)
+    check(all(x >= 0 for x in out), "negative ext dimension")
+    return out

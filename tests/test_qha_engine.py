@@ -538,11 +538,11 @@ def _module_content(rep):
 
 
 def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
-    """Every cover, resolution chain and Ext list that pipeline_checks
+    """Every cover, resolution chain and Hom dimension that pipeline_checks
     memoised, and so shared between its callers (a resolution is a prefix of
-    one chain of memoised covers, and graded resolutions grade them), still
-    equals a computation with no memo at all afterwards: no caller changed a
-    shared result."""
+    one chain of memoised covers, graded resolutions grade them, and Ext
+    reads the Hom dimensions), still equals a computation with no memo at
+    all afterwards: no caller changed a shared result."""
     import grkoszul.rep_homology as rh
     from grkoszul.algebra_core import FiniteDimAlgebra
 
@@ -555,7 +555,7 @@ def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
             return out
         return call
 
-    for name in ("projective_cover", "_ext_groups"):
+    for name in ("projective_cover", "hom_space"):
         monkeypatch.setattr(rh, name, recording(name, getattr(rh, name)))
     weight3 = build_algebra(three_weight_cycle())
     hw = standard_modules(weight3, WeightPosetIdeal(
@@ -563,21 +563,24 @@ def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
         duality=duality_matrix_from_presentation(weight3))
     assert pipeline_checks(hw, whole_algebra_embedding(weight3), ["1", "2"]).pair.passed
     monkeypatch.undo()
-    assert {name for name, _, _ in built} == {"projective_cover", "_ext_groups"}
+    assert {name for name, _, _ in built} == {"projective_cover", "hom_space"}
     # each memoised chain, the (cover, map, rank) of each degree, with a module
-    # of its content: the chain's first cover was built for one
+    # of its content: the chain's first cover was built for one; each memoised
+    # Hom dimension with a pair of modules of its contents, solved for it
     covered = {(id(args[0].algebra), rh._content(args[0])): args[0]
                for name, args, _ in built if name == "projective_cover"}
-    algebras = {id(m.algebra): m.algebra for m in covered.values()}
+    solved = {(id(args[0].algebra), rh._content(args[0]), rh._content(args[1])): args
+              for name, args, _ in built if name == "hom_space"}
+    algebras = {id(args[0].algebra): args[0].algebra for _, args, _ in built}
     chains = [(covered[id(alg), key[1]], steps) for alg in algebras.values()
               for key, steps in alg._memo.items() if key[0] == "resolution" and steps]
-    assert chains
+    hom_dims = [(solved[(id(alg),) + key[1:]], dim) for alg in algebras.values()
+                for key, dim in alg._memo.items() if key[0] == "hom dim"]
+    assert chains and hom_dims
     monkeypatch.setattr(FiniteDimAlgebra, "memoized", lambda self, key, build: build())
     for name, args, kept in built:
-        fresh = getattr(rh, name)(*args)
-        if name == "_ext_groups":
-            assert kept == fresh
-        else:
+        if name == "projective_cover":
+            fresh = rh.projective_cover(*args)
             assert (kept.generators, kept.map, kept.syzygy_inclusion, kept.head) \
                 == (fresh.generators, fresh.map, fresh.syzygy_inclusion, fresh.head)
             assert [_module_content(m) for m in (kept.projective, kept.syzygy)] \
@@ -588,6 +591,8 @@ def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
             == list(zip(fresh.summand_vertices, fresh.maps, strict=True))
         assert [_module_content(cov.syzygy) for cov, _, _ in steps] \
             == [_module_content(syz) for syz in fresh.syzygies]
+    for (m, n), dim in hom_dims:
+        assert dim == len(rh.hom_space(m, n))
 
 
 def test_pipeline_needs_lengths(cycle, cycle_poset):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import _ext_groups as hom_complex_ext_groups
 from dense_oracle import (DenseSubspace, add, apply, block, columns_of, dense_hom_space,
                           dense_map, determinant, element_total, embed, identity, invert,
                           invertible_by_determinant_grid, is_zero, kernel_matrix, mul,
@@ -487,7 +488,7 @@ def _x_module(alg, entry):
 def test_equal_modules_share_one_resolution_and_ext(monkeypatch):
     alg = build_algebra(truncated_polynomial(3))
     covers = _counting(monkeypatch, "projective_cover")
-    exts = _counting(monkeypatch, "_ext_groups")
+    homs = _counting(monkeypatch, "hom_space")
     a, b = _x_module(alg, 1), _x_module(alg, Fraction(2, 2))
     assert a is not b
     res_a, res_b = minimal_resolution(a, 3), minimal_resolution(b, 3)
@@ -499,9 +500,13 @@ def test_equal_modules_share_one_resolution_and_ext(monkeypatch):
     assert graded_minimal_resolution(ga, 3).heads == graded_minimal_resolution(gb, 3).heads
     # the second syzygy x P has a's content, so the chain repeats a's cover and
     # two covers serve four terms; ext and the graded resolutions read a's
-    # resolution to degree 3, which the first call made
+    # resolution, which the first call made.  Ext to degree 2 reads Hom from
+    # a, x^2 P and x P into the simple: x^2 P is the simple and x P has a's
+    # content, so two Hom solves serve a and b
     assert res_a.covers[2] is res_a.covers[0] and res_a.covers[3] is res_a.covers[1]
-    assert len(covers) == 2 and len(exts) == 1
+    assert len(covers) == 2
+    assert [rep_homology._content(m) for m, _ in homs] \
+        == [rep_homology._content(m) for m in (a, simple_rep(alg, "1"))]
     # a returned Ext list is the caller's own
     ext_groups(a, simple_rep(alg, "1"), 2).append(7)
     assert ext_groups(b, simple_rep(alg, "1"), 2) == [1, 1, 1]
@@ -527,7 +532,7 @@ def test_graded_and_ungraded_resolutions_share_their_covers(monkeypatch):
 def test_different_modules_do_not_share_a_resolution(monkeypatch):
     alg = build_algebra(truncated_polynomial(3))
     covers = _counting(monkeypatch, "projective_cover")
-    exts = _counting(monkeypatch, "_ext_groups")
+    homs = _counting(monkeypatch, "hom_space")
     a, c = _x_module(alg, 1), _x_module(alg, 2)  # isomorphic, one action entry apart
     other = build_algebra(truncated_polynomial(3))
     d = _x_module(other, 1)  # the same content over another algebra object
@@ -546,9 +551,11 @@ def test_different_modules_do_not_share_a_resolution(monkeypatch):
     assert len(covers) == 5
     assert all(x is y for x, y in zip(lower.covers, results[0].covers[:3], strict=True))
     assert lower.maps == results[0].maps[:3]
+    # Ext to degree 1 reads Hom from each module and its first syzygy into
+    # the simple: a and c solve their own, and share the one from the syzygy
     for m in (a, c):
         ext_groups(m, simple_rep(alg, "1"), 1)
-    assert len(exts) == 2
+    assert [m for m, _ in homs] == [a, results[0].syzygies[0], c]
     with pytest.raises(PreconditionError):
         ext_groups(a, simple_rep(other, "1"), 1)
 
@@ -1780,6 +1787,38 @@ def test_sparse_homs_match_the_dense_oracle(alg, data):
             assert mul(w, total_action(m, a)) == mul(total_action(n, a), w)
     else:
         assert witness is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_quiver_algebra(), st.data())
+def test_ext_by_dimension_shifting_matches_the_hom_complex_oracle(alg, data):
+    """ext_groups against the Hom-complex oracle `_ext_groups` at bounds 0
+    to 3, for M and N any of `small_modules` (terms and syzygies of the
+    simples' resolutions, tops of the projectives and sums, of dimension at
+    most 5): a lower bound reads a prefix of a higher one."""
+    modules = small_modules(alg)
+    m = data.draw(st.sampled_from(modules))
+    n = data.draw(st.sampled_from(modules))
+    # the oracle solves Hom from every term of M's resolution to degree 4, and
+    # a term of thousands of dimensions costs it seconds
+    assume(sum(p.total_dim for p in minimal_resolution(m, 4).terms) <= 1000)
+    top = ext_groups(m, n, 3)
+    assert top == hom_complex_ext_groups(m, n, 3)
+    for bound in range(3):
+        assert ext_groups(m, n, bound) == hom_complex_ext_groups(m, n, bound) == top[:bound + 1]
+
+
+def test_ext_refuses_a_hom_from_a_module_beyond_hom_from_its_cover(monkeypatch):
+    """Hom(M, N) embeds in Hom(P_0, N), P_0 the cover of M: one Hom solve
+    from M inflated to two homs trips that check, though no Ext it would
+    give is negative (Ext^1 = 1 - 1 + 2)."""
+    alg = build_algebra(truncated_polynomial(3))
+    a = _x_module(alg, 1)
+    real = rep_homology.hom_space
+    monkeypatch.setattr(rep_homology, "hom_space",
+                        lambda m, n: real(m, n) * (2 if m is a else 1))
+    with pytest.raises(InternalCheckError, match="exceeds hom from its cover"):
+        ext_groups(a, simple_rep(alg, "1"), 2)
 
 
 @settings(max_examples=80, deadline=None)
