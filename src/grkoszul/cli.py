@@ -40,68 +40,17 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import selftest as selftest_battery
-from .alcove import (
-    RootDatum,
-    Weight,
-    bounds_report,
-    dominance_and_regularity,
-    fatten,
-    ideal_closure,
-    linkage,
-    partition_translate,
-    root_datum_build,
-)
-from .algebra_core import (
-    FiniteDimAlgebra,
-    QuiverPresentation,
-    build_algebra,
-    gr_algebra,
-    radical_generation_check,
-    subalgebra_from_generators,
-    tight_subalgebra_check,
-)
-from .errors import (
-    InputFormatError,
-    InternalCheckError,
-    PreconditionError,
-    require,
-)
-from .exactlin import QQ, FieldSpec, _sparse_row
-from .klpoly import (
-    lcf_character,
-    load_or_build_tables,
-    predict_layers,
-    weight_polynomials,
-)
-from .qha_engine import (
-    WeightPosetIdeal,
-    _global_dimension,
-    category_kl_and_dual,
-    duality_matrix_from_presentation,
-    dualize,
-    orthogonality_reciprocity_check,
-    parity_checks,
-    pipeline_checks,
-    qha_check,
-    standard_modules,
-    truncate,
-)
-from .rep_homology import (
-    Representation,
-    ext_table,
-    gr_ext1_compare,
-    is_isomorphic,
-    koszul_check,
-    layer_dims,
-    make_representation,
-    minimal_resolution,
-    restrict_iso_check,
-    socle_series,
-    sub_rep,
-)
+from .errors import InputFormatError, InternalCheckError, PreconditionError, require
+
+# Handlers import the layers they run when they run; these names are for annotations.
+if TYPE_CHECKING:
+    from .alcove import RootDatum, Weight
+    from .algebra_core import FiniteDimAlgebra, QuiverPresentation
+    from .qha_engine import WeightPosetIdeal
+    from .rep_homology import Representation
 
 
 # -- file formats --------------------------------------------------------------------
@@ -128,6 +77,8 @@ def _parse_int(source: str, number: int, token: str) -> int:
 
 def parse_qalg(text: str, source: str = "<qalg>") -> QuiverPresentation:
     """Parse a `.qalg` presentation; errors carry file:line locations."""
+    from .algebra_core import QuiverPresentation
+    from .exactlin import QQ, FieldSpec
     field = None
     vertices: list[str] = []
     arrows: list[tuple[str, str, str]] = []
@@ -255,6 +206,8 @@ def write_qalg(pres: QuiverPresentation) -> str:
 def parse_qrep(text: str, algebra: FiniteDimAlgebra,
                source: str = "<qrep>") -> Representation:
     """Parse a `.qrep` module over the given algebra."""
+    from .exactlin import _sparse_row
+    from .rep_homology import make_representation
     pres = algebra.presentation
     field = algebra.field
     dims: dict[str, int] = {}
@@ -317,6 +270,7 @@ def parse_qrep(text: str, algebra: FiniteDimAlgebra,
 
 def parse_weight_list(text: str, rank: int, source: str = "<weights>") -> list[Weight]:
     """One weight per line, whitespace-separated fundamental coordinates."""
+    from .alcove import Weight
     out = []
     for number, line in _content_lines(text):
         coords = tuple(_parse_int(source, number, tok) for tok in line.split())
@@ -337,8 +291,9 @@ def _value_text(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "none"
-    if isinstance(value, Weight):
-        return ",".join(str(c) for c in value.coordinates)
+    coordinates = getattr(value, "coordinates", None)  # a Weight
+    if coordinates is not None:
+        return ",".join(str(c) for c in coordinates)
     if isinstance(value, (list, tuple)):
         return ",".join(_value_text(v) for v in value)
     return str(value)
@@ -393,6 +348,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_algebra(path: str) -> tuple[QuiverPresentation, FiniteDimAlgebra]:
+    from .algebra_core import build_algebra
     pres = parse_qalg(_read_text(path), source=path)
     return pres, build_algebra(pres)
 
@@ -402,6 +358,7 @@ def _load_module(path: str, algebra: FiniteDimAlgebra) -> Representation:
 
 
 def _poset_from(pres: QuiverPresentation) -> WeightPosetIdeal:
+    from .qha_engine import WeightPosetIdeal
     lengths = dict(pres.lengths) if pres.lengths else None
     if lengths is not None and set(lengths) != set(pres.vertices):
         lengths = None
@@ -409,6 +366,7 @@ def _poset_from(pres: QuiverPresentation) -> WeightPosetIdeal:
 
 
 def _structure(pres: QuiverPresentation, algebra: FiniteDimAlgebra):
+    from .qha_engine import duality_matrix_from_presentation, standard_modules
     duality = duality_matrix_from_presentation(algebra) if pres.duality else None
     return standard_modules(algebra, _poset_from(pres), duality)
 
@@ -424,6 +382,7 @@ def _embedding(algebra: FiniteDimAlgebra, spec: str | None):
     """Subalgebra from comma-separated generator tokens: a vertex label for
     its idempotent, or a *-joined arrow path.  No spec means the whole
     algebra."""
+    from .algebra_core import subalgebra_from_generators
     if spec is None:
         return subalgebra_from_generators(
             algebra, [algebra.basis_vector(i) for i in range(algebra.dim)]
@@ -450,10 +409,12 @@ def _embedding(algebra: FiniteDimAlgebra, spec: str | None):
 
 
 def _datum(args) -> RootDatum:
+    from .alcove import root_datum_build
     return root_datum_build(args.type.upper(), args.rank)
 
 
 def _weight_arg(text: str, rank: int, flag: str) -> Weight:
+    from .alcove import Weight
     try:
         coords = tuple(int(tok) for tok in text.split(","))
     except ValueError:
@@ -496,6 +457,7 @@ def _cmd_algebra_build(args) -> Report:
 
 
 def _cmd_algebra_gr(args) -> Report:
+    from .algebra_core import gr_algebra
     pres, algebra = _load_algebra(args.input)
     graded = gr_algebra(algebra)
     rp = Report("algebra gr", [("input", args.input), ("emit", args.emit)])
@@ -513,6 +475,7 @@ def _cmd_algebra_gr(args) -> Report:
 
 
 def _cmd_algebra_koszul(args) -> Report:
+    from .rep_homology import _global_dimension, koszul_check
     pres, algebra = _load_algebra(args.input)
     report = koszul_check(algebra, bound=args.max_degree)
     bound, exact = _global_dimension(algebra)
@@ -531,6 +494,7 @@ def _cmd_algebra_koszul(args) -> Report:
 
 
 def _cmd_algebra_subalgebra(args) -> Report:
+    from .algebra_core import tight_subalgebra_check
     pres, algebra = _load_algebra(args.input)
     emb = _embedding(algebra, args.generators)
     tight, grades, failures = tight_subalgebra_check(emb)
@@ -548,6 +512,7 @@ def _cmd_algebra_subalgebra(args) -> Report:
 
 
 def _cmd_algebra_radgen(args) -> Report:
+    from .algebra_core import radical_generation_check
     pres, algebra = _load_algebra(args.input)
     emb = _embedding(algebra, args.generators)
     report = radical_generation_check(emb)
@@ -564,6 +529,7 @@ def _cmd_algebra_radgen(args) -> Report:
 
 
 def _cmd_module_slices(args) -> Report:
+    from .rep_homology import layer_dims, socle_series, sub_rep
     pres, algebra = _load_algebra(args.algebra)
     rep = _load_module(args.module, algebra)
     rp = Report("module slices",
@@ -586,6 +552,7 @@ def _cmd_module_slices(args) -> Report:
 
 
 def _cmd_module_resolve(args) -> Report:
+    from .rep_homology import minimal_resolution
     pres, algebra = _load_algebra(args.algebra)
     rep = _load_module(args.module, algebra)
     res = minimal_resolution(rep, args.max_degree)
@@ -600,6 +567,7 @@ def _cmd_module_resolve(args) -> Report:
 
 
 def _cmd_module_ext(args) -> Report:
+    from .rep_homology import ext_table
     pres, algebra = _load_algebra(args.algebra)
     rep = _load_module(args.module, algebra)
     table = ext_table(rep, args.max_degree, graded=args.graded)
@@ -619,6 +587,7 @@ def _cmd_module_ext(args) -> Report:
 
 
 def _cmd_module_grcompare(args) -> Report:
+    from .rep_homology import gr_ext1_compare
     pres, algebra = _load_algebra(args.algebra)
     rep = _load_module(args.module, algebra)
     report = gr_ext1_compare(rep)
@@ -637,6 +606,7 @@ def _cmd_module_grcompare(args) -> Report:
 
 
 def _cmd_module_restrict(args) -> Report:
+    from .rep_homology import restrict_iso_check
     pres, algebra = _load_algebra(args.algebra)
     rep = _load_module(args.module, algebra)
     emb = _embedding(algebra, args.generators)
@@ -669,6 +639,7 @@ def _cmd_qha_standard(args) -> Report:
 
 
 def _cmd_qha_check(args) -> Report:
+    from .qha_engine import qha_check
     pres, algebra = _load_algebra(args.input)
     h = _structure(pres, algebra)
     report = qha_check(h)
@@ -686,6 +657,7 @@ def _cmd_qha_check(args) -> Report:
 
 
 def _cmd_qha_truncate(args) -> Report:
+    from .qha_engine import qha_check, truncate
     pres, algebra = _load_algebra(args.input)
     h = _structure(pres, algebra)
     kept = [v for v in args.keep.split(",") if v]
@@ -701,6 +673,7 @@ def _cmd_qha_truncate(args) -> Report:
 
 
 def _cmd_qha_reciprocity(args) -> Report:
+    from .qha_engine import orthogonality_reciprocity_check
     pres, algebra = _load_algebra(args.input)
     h = _structure(pres, algebra)
     report = orthogonality_reciprocity_check(h)
@@ -718,6 +691,7 @@ def _cmd_qha_reciprocity(args) -> Report:
 
 
 def _cmd_qha_parity(args) -> Report:
+    from .qha_engine import parity_checks
     pres, algebra = _load_algebra(args.input)
     h = _structure(pres, algebra)
     lengths = _vertex_lengths(pres)
@@ -736,6 +710,7 @@ def _cmd_qha_parity(args) -> Report:
 
 
 def _cmd_qha_klpoly(args) -> Report:
+    from .qha_engine import category_kl_and_dual
     pres, algebra = _load_algebra(args.input)
     h = _structure(pres, algebra)
     lengths = _vertex_lengths(pres)
@@ -757,6 +732,8 @@ def _cmd_qha_klpoly(args) -> Report:
 
 
 def _cmd_qha_dual(args) -> Report:
+    from .qha_engine import dualize
+    from .rep_homology import is_isomorphic
     pres, algebra = _load_algebra(args.input)
     require(bool(pres.duality), "the presentation declares no duality")
     h = _structure(pres, algebra)
@@ -774,6 +751,7 @@ def _cmd_qha_dual(args) -> Report:
 
 
 def _cmd_qha_pipeline(args) -> Report:
+    from .qha_engine import pipeline_checks
     pres, algebra = _load_algebra(args.input)
     h = _structure(pres, algebra)
     emb = _embedding(algebra, args.generators)
@@ -843,6 +821,7 @@ def _cmd_alcove_roots(args) -> Report:
 
 
 def _cmd_alcove_linkage(args) -> Report:
+    from .alcove import dominance_and_regularity, linkage
     rd = _datum(args)
     weight = _weight_arg(args.lam, rd.rank, "--lambda")
     info = dominance_and_regularity(rd, args.e, weight)
@@ -868,6 +847,7 @@ def _cmd_alcove_linkage(args) -> Report:
 
 
 def _cmd_alcove_fatten(args) -> Report:
+    from .alcove import fatten, ideal_closure
     rd = _datum(args)
     gens = _generator_weights(args, rd)
     ideal = ideal_closure(rd, args.e, gens, regular_only=args.regular)
@@ -887,6 +867,7 @@ def _cmd_alcove_fatten(args) -> Report:
 
 
 def _cmd_alcove_bounds(args) -> Report:
+    from .alcove import bounds_report, ideal_closure
     rd = _datum(args)
     gens = _generator_weights(args, rd)
     ideal = ideal_closure(rd, args.e, gens, regular_only=args.regular)
@@ -926,6 +907,7 @@ def _cmd_alcove_bounds(args) -> Report:
 
 
 def _cmd_alcove_partition(args) -> Report:
+    from .alcove import partition_translate
     try:
         parts = [int(tok) for tok in args.parts.split(",") if tok]
     except ValueError:
@@ -943,6 +925,7 @@ def _cmd_alcove_partition(args) -> Report:
 
 
 def _kl_rows_report(args, command: str, letter: str) -> Report:
+    from .klpoly import load_or_build_tables
     rd = _datum(args)
     tables = load_or_build_tables(rd, args.e, args.max_length)
     rp = Report(command,
@@ -968,6 +951,7 @@ def _cmd_kl_inverse(args) -> Report:
 
 
 def _cmd_kl_weightpoly(args) -> Report:
+    from .klpoly import weight_polynomials
     rd = _datum(args)
     lam = _weight_arg(args.lam, rd.rank, "--lambda")
     mu = _weight_arg(args.mu, rd.rank, "--mu")
@@ -984,6 +968,8 @@ def _cmd_kl_weightpoly(args) -> Report:
 
 
 def _cmd_kl_predict(args) -> Report:
+    from .alcove import ideal_closure
+    from .klpoly import predict_layers
     rd = _datum(args)
     lam = _weight_arg(args.lam, rd.rank, "--lambda")
     gamma = None
@@ -1008,6 +994,7 @@ def _cmd_kl_predict(args) -> Report:
 
 
 def _cmd_kl_lcf(args) -> Report:
+    from .klpoly import lcf_character
     rd = _datum(args)
     lam = _weight_arg(args.lam, rd.rank, "--lambda")
     report = lcf_character(rd, args.e, lam)
@@ -1032,8 +1019,9 @@ def _cmd_kl_lcf(args) -> Report:
 
 
 def _cmd_selftest(args) -> Report:
+    from .selftest import run_selftest
     numbers = args.criterion or None
-    results = selftest_battery.run_selftest(numbers)
+    results = run_selftest(numbers)
     rp = Report("selftest",
                 [("criterion", ",".join(map(str, numbers)) if numbers else "all")])
     for res in results:
@@ -1063,7 +1051,8 @@ class _CriterionNumbers:
     lists a `--criterion` value, so a reused parser follows the battery."""
 
     def __iter__(self):  # `in` falls back to iteration
-        return iter([number for number, _, _ in selftest_battery.CRITERIA])
+        from .selftest import CRITERIA
+        return iter([number for number, _, _ in CRITERIA])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1195,11 +1184,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = groups.add_parser("selftest", parents=[common])
     p.set_defaults(handler=_cmd_selftest)
-    p.add_argument("--criterion", type=int, action="append", default=None,
-                   choices=_CriterionNumbers(),
-                   help="run one criterion (repeatable); default all")
+    criterion = p.add_argument("--criterion", type=int, action="append", default=None,
+                               help="run one criterion (repeatable); default all")
+    # set after add_argument, whose metavar check would list (import) the battery
+    criterion.choices = _CriterionNumbers()
 
     return parser
+
+
+def _leave_layers_findable() -> None:
+    """Put each layer not loaded yet in `sys.modules` as a lazy module, run on
+    first use: tools that wrap every layer after a command (perfbench's tracer)
+    find all six, and `-X importtime` still shows what the command loaded."""
+    import importlib.util
+    for layer in ("exactlin", "algebra_core", "rep_homology", "qha_engine", "alcove", "klpoly"):
+        if "grkoszul." + layer not in sys.modules:
+            spec = importlib.util.find_spec("grkoszul." + layer)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+            setattr(sys.modules["grkoszul"], layer, module)
+            spec.loader.exec_module(module)
 
 
 @functools.cache
@@ -1232,6 +1236,8 @@ def main(argv=None) -> int:
         stage = " (%s)" % exc if str(exc) else ""
         print("error (resources): out of memory in %s%s" % (command, stage), file=sys.stderr)
         return 3
+    finally:
+        _leave_layers_findable()
 
 
 if __name__ == "__main__":

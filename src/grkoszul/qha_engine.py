@@ -56,6 +56,7 @@ from .rep_homology import (
     simple_rep,
     socle_series,
     sub_rep,
+    _global_dimension,
     _sparse_rows,
 )
 
@@ -534,15 +535,6 @@ def truncate(h: HighestWeightStructure, gamma: list[str]) -> HighestWeightStruct
 
 
 # -- orthogonality and graded reciprocity ---------------------------------------------
-
-
-def _global_dimension(algebra: FiniteDimAlgebra) -> tuple[int, bool]:
-    """(bound, exact): the global dimension when every simple has finite
-    projective dimension within dim + 1 steps, else the cap with exact False."""
-    cap = algebra.dim + 1
-    dims = [minimal_resolution(simple_rep(algebra, v), cap).projective_dimension
-            for v in algebra.presentation.vertices]
-    return (cap, False) if None in dims else (max([0, *dims]), True)
 
 
 def _graded_projective(algebra: FiniteDimAlgebra, vertex: str) -> GradedRepresentation:

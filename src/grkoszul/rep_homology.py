@@ -861,10 +861,13 @@ class ResolutionData:
 
 def _content(rep: Representation) -> tuple:
     """The memo key of a module: dims by vertex, then the sorted entries of
-    each column by arrow, so equal modules give equal keys."""
-    return (tuple(rep.dims[v] for v in rep.vertices), tuple(
-        tuple(tuple(sorted(col.items())) for col in rep.columns[a])
-        for a, _, _ in rep.algebra.presentation.arrows))
+    each column by arrow, so equal modules give equal keys.  Built once and
+    kept in the module's `_cache`, as its dims and columns never change."""
+    if "content" not in rep._cache:
+        rep._cache["content"] = (tuple(rep.dims[v] for v in rep.vertices), tuple(
+            tuple(tuple(sorted(col.items())) for col in rep.columns[a])
+            for a, _, _ in rep.algebra.presentation.arrows))
+    return rep._cache["content"]
 
 
 def _cover(rep: Representation) -> Cover:
@@ -927,6 +930,15 @@ def _check_exactness(rep: Representation, steps: list[tuple], new: list[dict]) -
     check(rank + last_rank == cov.projective.total_dim,
           "resolution is not exact at an interior term")
     return rank
+
+
+def _global_dimension(algebra: FiniteDimAlgebra) -> tuple[int, bool]:
+    """(bound, exact): the global dimension when every simple has finite
+    projective dimension within dim + 1 steps, else the cap with exact False."""
+    cap = algebra.dim + 1
+    dims = [minimal_resolution(simple_rep(algebra, v), cap).projective_dimension
+            for v in algebra.presentation.vertices]
+    return (cap, False) if None in dims else (max([0, *dims]), True)
 
 
 def _hom_dim(m: Representation, n: Representation) -> int:

@@ -40,7 +40,6 @@ from .klpoly import (
 )
 from .qha_engine import (
     WeightPosetIdeal,
-    _global_dimension,
     category_kl_and_dual,
     duality_matrix_from_presentation,
     orthogonality_reciprocity_check,
@@ -55,6 +54,7 @@ from .rep_homology import (
     koszul_check,
     layer_dims,
     projective_rep,
+    _global_dimension,
 )
 
 

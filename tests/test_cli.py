@@ -279,10 +279,13 @@ def test_exit_4_on_internal_failure(monkeypatch, capsys):
 
 
 def test_exit_3_when_memory_runs_out(b5_path, monkeypatch, capsys):
+    from grkoszul import rep_homology
+
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "koszul_check", exhausted)
+    # the handler imports koszul_check from rep_homology when it runs
+    monkeypatch.setattr(rep_homology, "koszul_check", exhausted)
     status = cli.main(["algebra", "koszul-check", str(b5_path)])
     captured = capsys.readouterr()
     assert status == 3
@@ -488,16 +491,21 @@ def test_selftest_rejects_unknown_criterion_with_exit_2(capsys, number):
     with pytest.raises(SystemExit) as exc:
         cli.main(["selftest", "--criterion", number])
     assert exc.value.code == 2
-    assert "--criterion" in capsys.readouterr().err
+    assert ("argument --criterion: invalid choice: %s (choose from 1, 2, 3, 4, 5, 6, 7, 8, 9)"
+            % number) in capsys.readouterr().err
+
+
+def child_env():
+    """This environment with the package's source directory on PYTHONPATH."""
+    src = str(Path(grkoszul.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def fresh_process(args):
     """(exit status, stdout, stderr) of one command in a new interpreter."""
-    src = str(Path(grkoszul.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "grkoszul", *map(str, args)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -533,6 +541,71 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     assert status == 0 and list(tmp_path.iterdir()) == []
     monkeypatch.delenv("GRKOSZUL_CACHE_DIR")
     assert run_cli(args, capsys) == (0, with_var)
+
+
+# Prints the grkoszul modules loaded by importing the CLI and, given
+# arguments, by one command run through it; then every grkoszul module in
+# sys.modules, which adds the layers left there unloaded (lazy) after a command.
+LOADED_MODULES = """\
+import sys
+from types import ModuleType
+from grkoszul import cli
+if sys.argv[1:]:
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+names = sorted(name for name in sys.modules if name.startswith("grkoszul"))
+print(*[name for name in names if type(sys.modules[name]) is ModuleType])
+print(*names)
+"""
+FRONT_END = {"grkoszul", "grkoszul.cli", "grkoszul.errors"}
+MODULE_STACK = {"grkoszul.exactlin", "grkoszul.algebra_core", "grkoszul.rep_homology"}
+KL_STACK = {"grkoszul.alcove", "grkoszul.klpoly"}
+LAYERS = MODULE_STACK | KL_STACK | {"grkoszul.qha_engine"}
+
+
+def loaded_modules(args, paths, script=LOADED_MODULES):
+    argv = [str(paths.get(a, a)) for a in args]
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=child_env(), check=True)
+    return [set(line.split()) for line in proc.stdout.splitlines()]
+
+
+@pytest.mark.parametrize("args, loaded, present", [
+    ([], FRONT_END, FRONT_END),
+    (["--version"], FRONT_END, FRONT_END),
+    (["module", "resolve", "CUBIC", "SIMPLE", "--max-degree", "2"],
+     FRONT_END | MODULE_STACK, FRONT_END | LAYERS),
+    (["algebra", "koszul-check", "B5"], FRONT_END | MODULE_STACK, FRONT_END | LAYERS),
+    (["kl", "table", "--type", "A", "--rank", "2", "--e", "3", "--max-length", "3"],
+     FRONT_END | KL_STACK, FRONT_END | LAYERS),
+    (["selftest", "--criterion", "8"],
+     FRONT_END | LAYERS | {"grkoszul.selftest"}, FRONT_END | LAYERS | {"grkoszul.selftest"}),
+], ids=["import", "version", "module-resolve", "koszul-check", "kl-table", "selftest"])
+def test_each_command_loads_only_the_layers_it_runs(cubic_path, b5_path, tmp_path,
+                                                    args, loaded, present):
+    simple = tmp_path / "simple.qrep"
+    simple.write_text("vertexdim v 1\nmatrix x\n0\n")
+    paths = {"CUBIC": cubic_path, "SIMPLE": simple, "B5": b5_path}
+    assert loaded_modules(args, paths)[-2:] == [loaded, present]
+
+
+def test_layers_left_unloaded_by_a_command_load_on_first_use(b5_path):
+    """perfbench's tracer wraps the functions of all six layers after a
+    command has run; the ones the command never loaded must load then."""
+    script = LOADED_MODULES + """\
+import grkoszul.klpoly
+from grkoszul.alcove import Weight
+assert grkoszul.klpoly.predict_layers.__module__ == "grkoszul.klpoly"
+assert Weight((1, 0)).coordinates == (1, 0)
+assert "pipeline_checks" in vars(sys.modules["grkoszul.qha_engine"])
+print(*sorted(name for name in sys.modules if name.startswith("grkoszul")
+              and type(sys.modules[name]) is ModuleType))
+"""
+    lines = loaded_modules(["algebra", "koszul-check", "B5"], {"B5": b5_path}, script)
+    assert lines[-3] == FRONT_END | MODULE_STACK
+    assert lines[-1] == FRONT_END | LAYERS
 
 
 def test_module_entry_point():

@@ -41,11 +41,11 @@ from grkoszul.rep_homology import (
     is_isomorphic,
     projective_rep,
     simple_rep,
+    _global_dimension,
 )
 from grkoszul.qha_engine import (
     HighestWeightStructure,
     WeightPosetIdeal,
-    _global_dimension,
     category_kl_and_dual,
     duality_matrix_from_presentation,
     dualize,
