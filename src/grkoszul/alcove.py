@@ -659,22 +659,18 @@ def _linkage(rd: RootDatum, e: int, weight: Weight) -> LinkageResult:
     )
 
 
-def _closure_set(rd: RootDatum, e: int, generators, regular_only: bool) -> tuple[Weight, ...]:
-    """All dominant weights below a generator: breadth-first subtraction of
-    simple roots, pruning states with a negative simple-root coordinate
-    (every path to a dominant weight keeps those coordinates non-negative).
-    Simple-root coordinates are carried scaled by d (see _root_lattice)."""
+def _closure_set(rd: RootDatum, e: int, gen: Weight, regular_only: bool) -> frozenset[Weight]:
+    """All dominant weights below a generator (its e-regular ones when
+    regular_only): breadth-first subtraction of simple roots, pruning states
+    with a negative simple-root coordinate (every path to a dominant weight
+    keeps those coordinates non-negative).  Simple-root coordinates are
+    carried scaled by d (see _root_lattice)."""
+    if not gen.is_dominant:
+        raise InputFormatError(f"ideal generators must be dominant, got {gen.coordinates}")
     d = rd._root_lattice[0]
     simple = [rd.simple_root(i).coordinates for i in range(rd.rank)]
-    seen: set[tuple[int, ...]] = set()
-    frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for gen in generators:
-        if not gen.is_dominant:
-            raise InputFormatError(f"ideal generators must be dominant, got {gen.coordinates}")
-        v = gen.coordinates
-        if v not in seen:
-            seen.add(v)
-            frontier.append((v, rd.scaled_root_coords(gen)))
+    seen = {gen.coordinates}
+    frontier = [(gen.coordinates, rd.scaled_root_coords(gen))]
     for v, c in frontier:  # breadth-first: the list grows while it is walked
         for i, alpha in enumerate(simple):
             if c[i] >= d:
@@ -682,10 +678,8 @@ def _closure_set(rd: RootDatum, e: int, generators, regular_only: bool) -> tuple
                 if image not in seen:
                     seen.add(image)
                     frontier.append((image, c[:i] + (c[i] - d,) + c[i + 1:]))
-    collected = [Weight(v) for v in seen if min(v) >= 0]
-    if regular_only:
-        collected = [w for w in collected if is_regular(rd, e, w)]
-    return tuple(sorted(collected, key=lambda w: w.coordinates))
+    collected = (Weight(v) for v in seen if min(v) >= 0)
+    return frozenset(w for w in collected if not regular_only or is_regular(rd, e, w))
 
 
 def _positive_root_closure(rd: RootDatum, weights) -> set[tuple[int, ...]]:
@@ -743,6 +737,10 @@ class WeightIdealSet:
     def _index(self) -> frozenset:
         return frozenset(self.weights)
 
+    @cached_property
+    def _a1(self) -> int:
+        return a1_value(self.datum, self.e, self.weights)
+
     def __contains__(self, weight: Weight) -> bool:
         return weight in self._index
 
@@ -752,9 +750,18 @@ class WeightIdealSet:
 
 def ideal_closure(rd: RootDatum, e: int, generators,
                   regular_only: bool = False) -> WeightIdealSet:
-    """The order ideal generated by the given dominant weights."""
-    weights = _closure_set(rd, e, generators, regular_only)
-    return WeightIdealSet(rd, e, weights, closed=True, regular_only=regular_only)
+    """The order ideal generated by the given dominant weights: the union of
+    the principal ideals below them, each walked once per datum, skipping a
+    generator the union already holds.  The ideal is interned on the datum
+    by content, so each distinct one is sorted and verified once."""
+    union: set[Weight] = set()
+    for gen in generators:
+        if gen not in union:  # an order ideal holding gen holds all below it
+            union.update(rd.memoized(("principal", e, regular_only, gen.coordinates),
+                                     lambda: _closure_set(rd, e, gen, regular_only)))
+    content = frozenset(union)
+    return rd.memoized(("ideal", e, regular_only, content), lambda: WeightIdealSet(
+        rd, e, tuple(content), closed=True, regular_only=regular_only))
 
 
 def restricted_weights(rd: RootDatum, e: int) -> tuple[Weight, ...]:
@@ -850,7 +857,7 @@ def fatten(rd: RootDatum, e: int, psi: WeightIdealSet, n: int) -> FattenReport:
 
     return FattenReport(
         stages=tuple(stages),
-        a1_values=tuple(a1_value(rd, e, s.weights) for s in stages),
+        a1_values=tuple(s._a1 for s in stages),
     )
 
 

@@ -482,7 +482,7 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> CharacterVector:
     """Freudenthal on integers: (lam+rho)^2 - (mu+rho)^2 = (lam-mu, lam+mu+2rho)
     is taken d times, from the d-scaled root coordinates of lam - mu."""
     d = rd._root_lattice[0]
-    domain = _closure_set(rd, 1, [lam], False)
+    domain = _closure_set(rd, 1, lam, False)
     order = sorted(domain, key=lambda w: (sum(rd.scaled_root_coords(w)), w.coordinates),
                    reverse=True)
     lam_rho = lam + rd.rho

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from grkoszul import rep_homology, selftest
+from grkoszul import alcove, rep_homology, selftest
 from grkoszul.selftest import run_selftest
 
 
@@ -103,6 +103,25 @@ def test_each_criterion_covers_each_distinct_module_once(monkeypatch):
         assert criterion()[0], name
         distinct = {(id(algebra), content) for algebra, content in built}
         assert len(built) == len(distinct) == COVERED_MODULES.get(number, 0), name
+
+
+def test_bound_battery_verifies_each_distinct_ideal_once(monkeypatch):
+    """Weight ideals are interned on their root datum, so one call of
+    criterion 7 proves each distinct ideal closed once: 123 ideals, where
+    closing every requested ideal afresh verified 226.  The second call
+    repeats the count, so nothing outlives the data a call builds."""
+    real = alcove._positive_root_closure
+    verified = []
+
+    def counting(rd, weights):
+        verified.append((rd.cartan_type, rd.rank, frozenset(weights)))
+        return real(rd, weights)
+
+    monkeypatch.setattr(alcove, "_positive_root_closure", counting)
+    for _ in range(2):
+        verified.clear()
+        assert selftest.criterion_bound_battery()[0]
+        assert len(verified) == len(set(verified)) == 123
 
 
 def test_full_battery_runtime_budget(battery):

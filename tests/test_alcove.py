@@ -639,6 +639,18 @@ class TestIntegerGeometry:
                                     for root in rd.positive_roots)
 
 
+def _brute_below(rd, gen, regular):
+    """Every dominant weight below gen (the 5-regular ones when regular), by
+    testing dominance on the whole box the maximal short coroot bounds."""
+    bound = rd.pairing(gen, rd.max_short_root)
+    return {Weight(v) for v in product(range(bound + 1), repeat=rd.rank)
+            if dominance_leq(rd, Weight(v), gen)
+            and (not regular or is_regular(rd, 5, Weight(v)))}
+
+
+_small_gens = st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), max_size=4)
+
+
 class TestClosureOracles:
     @given(name=st.sampled_from(["A1", "A2", "B2", "G2"]),
            coords=st.lists(st.integers(0, 4), min_size=2, max_size=2),
@@ -647,13 +659,39 @@ class TestClosureOracles:
     def test_closure_matches_brute_force(self, name, coords, regular):
         rd = _DATA[name]
         gen = Weight(tuple(coords[:rd.rank]))
-        bound = rd.pairing(gen, rd.max_short_root)
-        brute = sorted(
-            (Weight(v) for v in product(range(bound + 1), repeat=rd.rank)
-             if dominance_leq(rd, Weight(v), gen)
-             and (not regular or is_regular(rd, 5, Weight(v)))),
-            key=lambda x: x.coordinates)
-        assert list(_closure_set(rd, 5, [gen], regular)) == brute
+        brute = sorted(_brute_below(rd, gen, regular), key=lambda x: x.coordinates)
+        assert sorted(_closure_set(rd, 5, gen, regular), key=lambda x: x.coordinates) == brute
+
+    @given(name=st.sampled_from(["A1", "A2", "B2", "G2"]),
+           queries=st.lists(st.tuples(_small_gens, st.booleans()), min_size=1, max_size=6),
+           bad=st.lists(st.integers(-3, 2), min_size=2, max_size=2),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_interned_closure_matches_brute_force(self, name, queries, bad, data):
+        """Many closures on one fresh datum, in any order and with duplicate,
+        nested and no generators, each equal to the union of the brute-force
+        ideals below its generators; a query whose generators differ but
+        whose ideal is the same gets the same interned object."""
+        rd = root_datum_build(name[0], int(name[1:]))
+        bad = tuple(bad[:rd.rank])
+        bad = Weight(bad if min(bad) < 0 else (-1,) * rd.rank)
+        for coords, regular in queries:
+            gens = [Weight(tuple(c[:rd.rank])) for c in coords]
+            if gens:  # repeat some generators
+                gens += data.draw(st.lists(st.sampled_from(gens), max_size=3))
+            gens = data.draw(st.permutations(gens))
+            expected = set().union(*(_brute_below(rd, g, regular) for g in gens))
+            ideal = ideal_closure(rd, 5, gens, regular_only=regular)
+            assert (ideal.datum, ideal.e, ideal.regular_only) == (rd, 5, regular)
+            assert set(ideal.weights) == expected
+            assert list(ideal.weights) == sorted(expected, key=lambda x: x.coordinates)
+            nested = data.draw(st.permutations(list(ideal.weights) + gens))
+            assert ideal_closure(rd, 5, nested, regular_only=regular) is ideal
+            # a non-dominant generator after dominant ones names itself
+            with pytest.raises(InputFormatError, match=re.escape(
+                    f"ideal generators must be dominant, got {bad.coordinates}")):
+                ideal_closure(rd, 5, gens + [bad, Weight((-2,) * rd.rank)],
+                              regular_only=regular)
 
     def test_closed_check_rejects_one_missing_weight(self):
         rd = _DATA["B2"]

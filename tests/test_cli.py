@@ -650,21 +650,59 @@ GOLDEN_REPORTS = [
      "b94d32d9d3be9fbb4080c626b219383ee22a7ce40a0c5385a7c4814b19f71f8e"),
     (["kl", "predict", "--type", "B", "--rank", "2", "--e", "7", "--lambda", "9,9"],
      "e90d4813d6f1e0113a89b1e256854ad78218142cf53b9847e50e0507b1ef284f"),
+    # recorded before ideals became unions of memoised principal ideals,
+    # interned on the datum
+    (["alcove", "fatten", "--type", "A", "--rank", "2", "--e", "5",
+      "--weights", "gens.weights", "--stages", "2"],
+     "37d541f5cfb1db617ca10797ad01419c336145e47ed019bbda1cb93d815c403f"),
+    (["alcove", "fatten", "--type", "A", "--rank", "2", "--e", "5",
+      "--weights", "gens.weights", "--stages", "2", "--regular"],
+     "d5ff9c7ed79ebd0e3e61dcf3b0a0427427ee003543c21a3d8e32971304d5e1d4"),
+    (["alcove", "bounds", "--type", "A", "--rank", "2", "--e", "5",
+      "--weights", "gens.weights", "--m-max", "1", "--regular"],
+     "dd66cadb149145d9c894cae996819c39f3efde17cf4c9d11df1dc81ba9819cc9"),
 ]
+
+# Weight files the golden reports read, written to the working directory so
+# that the `arg.weights` line is the same on every run.  (2, 0) lies below
+# (3, 1), and (0, 2) is listed twice.
+GOLDEN_WEIGHT_FILES = {"gens.weights": "3 1\n0 2\n1 1\n2 0\n0 2\n"}
 
 
 def _golden_id(args):
-    """Command, type and rank; a `--mu` value tells weightpoly pairs apart."""
+    """Command, type and rank; a `--mu` value tells weightpoly pairs apart,
+    and a weight file plus `--regular` the weight-file reports."""
     tail = args[args.index("--mu") + 1:] if "--mu" in args else []
+    if "--weights" in args:
+        tail = [args[args.index("--weights") + 1]] + ["regular"] * ("--regular" in args)
     return "-".join(args[:2] + args[3:6:2] + tail)
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN_REPORTS,
                          ids=[_golden_id(a) for a, _ in GOLDEN_REPORTS])
-def test_golden_report_digest(args, digest, capsys):
+def test_golden_report_digest(args, digest, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_WEIGHT_FILES.items():
+        (tmp_path / name).write_text(text)
     status, out = run_cli(args, capsys)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["fatten", "bounds"])
+@pytest.mark.parametrize("regular", [False, True])
+def test_non_dominant_generator_after_dominant_ones(command, regular, tmp_path, capsys):
+    """The generators are checked in file order: a non-dominant one after
+    dominant ones exits 2 with one stderr line and no report."""
+    gens = tmp_path / "bad.weights"
+    gens.write_text("3 1\n2 0\n-1 2\n0 2\n")
+    args = ["alcove", command, "--type", "A", "--rank", "2", "--e", "5",
+            "--weights", gens] + ["--regular"] * regular
+    status = cli.main([str(a) for a in args])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error (input): ideal generators must be dominant, got (-1, 2)\n"
 
 
 def body_digest(text):

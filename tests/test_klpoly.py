@@ -451,7 +451,7 @@ def _freudenthal_fractions(rd, lam):
 
     from grkoszul.alcove import _closure_set, dominant_conjugate
 
-    domain = _closure_set(rd, 1, [lam], False)
+    domain = _closure_set(rd, 1, lam, False)
     order = sorted(domain, key=lambda x: (sum(rd.to_root_coords(x)), x.coordinates),
                    reverse=True)
     lam_rho = lam + rd.rho
