@@ -701,17 +701,16 @@ def _positive_root_closure(rd: RootDatum, weights) -> set[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class WeightIdealSet:
-    """Explicit finite set of dominant weights for one root datum and one e.
+    """Finite order ideal of dominant weights for one root datum and one e.
 
     regular_only marks sets living inside the e-regular weights (order
-    ideals are then taken within that universe).  The closed flag claims
-    downward closure and is verified on construction.
+    ideals are then taken within that universe).  Downward closure is
+    verified on construction.
     """
 
     datum: RootDatum
     e: int
     weights: tuple[Weight, ...]
-    closed: bool
     regular_only: bool = False
 
     def __post_init__(self) -> None:
@@ -724,14 +723,13 @@ class WeightIdealSet:
             if self.regular_only and not is_regular(self.datum, self.e, w):
                 raise InputFormatError(
                     f"weight {w.coordinates} is singular in a regular-only set")
-        if self.closed:
-            present = {w.coordinates for w in normalized}
-            missing = sorted(
-                v for v in _positive_root_closure(self.datum, normalized) - present
-                if not self.regular_only or is_regular(self.datum, self.e, Weight(v)))
-            if missing:
-                raise InputFormatError(
-                    f"set marked closed is not an order ideal; missing {missing}")
+        present = {w.coordinates for w in normalized}
+        missing = sorted(
+            v for v in _positive_root_closure(self.datum, normalized) - present
+            if not self.regular_only or is_regular(self.datum, self.e, Weight(v)))
+        if missing:
+            raise InputFormatError(
+                f"weight set is not an order ideal; missing {missing}")
 
     @cached_property
     def _index(self) -> frozenset:
@@ -761,7 +759,7 @@ def ideal_closure(rd: RootDatum, e: int, generators,
                                      lambda: _closure_set(rd, e, gen, regular_only)))
     content = frozenset(union)
     return rd.memoized(("ideal", e, regular_only, content), lambda: WeightIdealSet(
-        rd, e, tuple(content), closed=True, regular_only=regular_only))
+        rd, e, tuple(content), regular_only=regular_only))
 
 
 def restricted_weights(rd: RootDatum, e: int) -> tuple[Weight, ...]:
@@ -836,24 +834,22 @@ class FattenReport:
 
 
 def fatten(rd: RootDatum, e: int, psi: WeightIdealSet, n: int) -> FattenReport:
-    """Iterated fattening: stage -1 is the ideal closure of psi (psi itself
-    when it is closed, which its construction verified), stage k the ideal
-    generated by the fattening images of stage k-1."""
+    """Iterated fattening: stage -1 is psi itself, an order ideal by
+    construction, stage k the ideal generated by the fattening images of
+    stage k-1."""
     require(n >= -1, "fattening depth must be at least -1")
     require(psi.datum == rd and psi.e == e, "ideal set must match the root datum and e")
     require(len(psi.weights) > 0, "fattening is defined for nonempty sets")
-    stage = psi if psi.closed else ideal_closure(rd, e, psi.weights, psi.regular_only)
-    stages = [stage]
+    stages = [psi]
     for _ in range(n + 1):
         gens = []
-        for xi in stage.weights:
+        for xi in stages[-1].weights:
             image = fe_image(rd, e, xi)
             if is_regular(rd, e, xi):
                 check(is_regular(rd, e, image),
                       "fattening must preserve e-regularity")
             gens.append(image)
-        stage = ideal_closure(rd, e, gens, psi.regular_only)
-        stages.append(stage)
+        stages.append(ideal_closure(rd, e, gens, psi.regular_only))
 
     return FattenReport(
         stages=tuple(stages),

@@ -13,7 +13,7 @@ Conventions, fixed once for the whole package:
 * Relation reduction uses the length-then-lexicographic order on arrow-name
   tuples; the leading term of a relation is its largest path.  Completion of
   the rewriting system (noncommutative Groebner) runs with a hard cap on the
-  leading-term length, default 32.
+  leading-term length, the constant PATH_CAP = 32.
 * An algebra element is a sparse {basis index: scalar} dict of its nonzero
   canonical scalars.  One routine, `multiply`, takes products, over the
   basis products `mult_basis` of a based or a concrete algebra; a linear
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import InputFormatError, InternalCheckError, check, require
 from .exactlin import FieldSpec, Subspace, intersect_spaces, _add_multiple, _push
 
-DEFAULT_PATH_CAP = 32
+PATH_CAP = 32
 
 
 @dataclass
@@ -115,9 +115,8 @@ def _path_key(path: tuple[str, ...]):
 class RewriteSystem:
     """Rewriting rules leading-term -> lower terms, completed to confluence."""
 
-    def __init__(self, field: FieldSpec, cap: int = DEFAULT_PATH_CAP):
+    def __init__(self, field: FieldSpec):
         self.field = field
-        self.cap = cap
         self.rules: dict[tuple[str, ...], dict[tuple[str, ...], object]] = {}
 
     def _reduce_once(self, poly: dict) -> dict | None:
@@ -154,9 +153,9 @@ class RewriteSystem:
         if not poly:
             return False
         lead = max(poly, key=_path_key)
-        if len(lead) > self.cap:
+        if len(lead) > PATH_CAP:
             raise InputFormatError(
-                f"relation completion exceeded the path-length cap {self.cap}"
+                f"relation completion exceeded the path-length cap {PATH_CAP}"
             )
         inv = self.field.inv(poly[lead])
         rest = {
@@ -384,10 +383,9 @@ class FiniteDimAlgebra(_Memoized, _SparseAlgebra):
         )
 
 
-def build_algebra(presentation: QuiverPresentation,
-                  cap: int = DEFAULT_PATH_CAP) -> FiniteDimAlgebra:
+def build_algebra(presentation: QuiverPresentation) -> FiniteDimAlgebra:
     """Construct the algebra: complete relations, enumerate normal paths."""
-    rewrite = RewriteSystem(presentation.field, cap)
+    rewrite = RewriteSystem(presentation.field)
     for rel in presentation.relations:
         poly: dict[tuple[str, ...], object] = {}
         f = presentation.field
@@ -407,9 +405,9 @@ def build_algebra(presentation: QuiverPresentation,
     while frontier:
         basis.extend(frontier)
         length += 1
-        if length > cap:
+        if length > PATH_CAP:
             raise InputFormatError(
-                f"path enumeration exceeded cap {cap}: "
+                f"path enumeration exceeded cap {PATH_CAP}: "
                 "the presented algebra is infinite-dimensional or too large"
             )
         new_frontier = []
@@ -506,28 +504,22 @@ class TightGradingReport:
         )
 
 
-def grades_from_arrow_degrees(algebra: FiniteDimAlgebra,
-                              arrow_degrees: dict[str, int] | None = None) -> list[int]:
-    """Grade of each basis path as the sum of its arrow degrees (default 1)."""
-    arrow_degrees = arrow_degrees or {}
-    out = []
-    for bp in algebra.basis:
-        out.append(sum(arrow_degrees.get(a, 1) for a in bp.arrows))
-    return out
+def grades_from_arrow_degrees(algebra: FiniteDimAlgebra) -> list[int]:
+    """Grade of each basis path as the sum of its arrow degrees, each 1:
+    the path-length grading."""
+    return [len(bp.arrows) for bp in algebra.basis]
 
 
-def tight_grading_check(algebra: FiniteDimAlgebra,
-                        grades: list[int] | None = None) -> TightGradingReport:
-    """Check that the grade assignment makes the algebra tightly graded.
+def tight_grading_check(algebra: FiniteDimAlgebra) -> TightGradingReport:
+    """Check that the path-length grading makes the algebra tightly graded.
 
     Clauses: the grading is multiplicative; the degree-0 part is semisimple;
     the positive part equals the radical; and grade n equals (grade 1)^n.
+    Under path length the middle two hold by construction; they stay as
+    self-checks.
     """
     f = algebra.field
-    if grades is None:
-        grades = grades_from_arrow_degrees(algebra)
-    if len(grades) != algebra.dim or any(g < 0 for g in grades):
-        raise InputFormatError("grade list must assign a grade >= 0 per basis element")
+    grades = grades_from_arrow_degrees(algebra)
     failures: list[str] = []
     by_grade: dict[int, list[int]] = {}
     for i, g in enumerate(grades):
@@ -616,7 +608,6 @@ def presentation_from_concrete(
     conc: ConcreteAlgebra,
     vertex_order: list[str],
     preferred_arrows: list[tuple[str, str, str, dict]] | None = None,
-    cap: int = DEFAULT_PATH_CAP,
 ) -> tuple[QuiverPresentation, FiniteDimAlgebra, list[dict], dict[str, dict]]:
     """Rebuild a quiver presentation of a concrete basic algebra.
 
@@ -686,7 +677,7 @@ def presentation_from_concrete(
     length = 1
     while frontier:
         length += 1
-        if length > cap:
+        if length > PATH_CAP:
             raise InternalCheckError("presentation reconstruction exceeded cap")
         candidates = []
         for path, src, dst in frontier:
@@ -719,7 +710,7 @@ def presentation_from_concrete(
     pres = QuiverPresentation(
         field=f, vertices=list(vertex_order), arrows=arrows, relations=relations
     )
-    rebuilt = build_algebra(pres, cap)
+    rebuilt = build_algebra(pres)
     check(rebuilt.dim == conc.dim, "rebuilt presentation has wrong dimension")
 
     # evaluate every normal path in the concrete algebra and verify the
@@ -767,9 +758,9 @@ class GradedAlgebra:
         return out
 
 
-def gr_algebra(algebra: FiniteDimAlgebra, cap: int = DEFAULT_PATH_CAP) -> GradedAlgebra:
+def gr_algebra(algebra: FiniteDimAlgebra) -> GradedAlgebra:
     """The associated graded algebra of the radical filtration, built once per
-    algebra and cap.
+    algebra.
 
     An adapted basis of the source is chosen (vertex idempotents in grade 0,
     unit basis paths preferred in higher grades), the graded multiplication is
@@ -777,7 +768,7 @@ def gr_algebra(algebra: FiniteDimAlgebra, cap: int = DEFAULT_PATH_CAP) -> Graded
     and a fresh quiver presentation of the result is reconstructed; path
     length is then the grade.
     """
-    return algebra.memoized(("gr", cap), lambda: _gr_algebra(algebra, cap))
+    return algebra.memoized("gr", lambda: _gr_algebra(algebra))
 
 
 def _coordinates_in(field: FieldSpec, basis: list[dict]) -> list[dict] | None:
@@ -794,7 +785,7 @@ def _coordinates_in(field: FieldSpec, basis: list[dict]) -> list[dict] | None:
     return [{j - n: x for j, x in tagged.rref[i].items() if j >= n} for i in range(n)]
 
 
-def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
+def _gr_algebra(algebra: FiniteDimAlgebra) -> GradedAlgebra:
     f = algebra.field
     chain = algebra.radical_chain()
     grades = algebra.grades()
@@ -848,7 +839,7 @@ def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
         if vec:
             preferred.append((name, src, dst, vec))
     pres, rebuilt, path_vectors, arrow_vecs = presentation_from_concrete(
-        conc, list(algebra.presentation.vertices), preferred, cap
+        conc, list(algebra.presentation.vertices), preferred
     )
     # carry decorations over; relations were recomputed
     pres.order_pairs = list(algebra.presentation.order_pairs)
@@ -857,7 +848,7 @@ def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
     new_grades = [len(bp.arrows) for bp in rebuilt.basis]
     # arrow representative back in source coordinates
     arrow_reps = {name: _push(f.char, source, vec) for name, vec in arrow_vecs.items()}
-    report = tight_grading_check(rebuilt, new_grades)
+    report = tight_grading_check(rebuilt)
     check(report.passed, f"gr algebra is not tightly graded: {report.failures}")
     check(
         rebuilt.graded_dims() == algebra.graded_dims(),
@@ -869,8 +860,7 @@ def _gr_algebra(algebra: FiniteDimAlgebra, cap: int) -> GradedAlgebra:
 # -- opposite algebra ------------------------------------------------------------
 
 
-def opposite_algebra(algebra: FiniteDimAlgebra,
-                     cap: int = DEFAULT_PATH_CAP) -> tuple[FiniteDimAlgebra, list[dict], list[dict]]:
+def opposite_algebra(algebra: FiniteDimAlgebra) -> tuple[FiniteDimAlgebra, list[dict], list[dict]]:
     """The opposite algebra, presented on the reversed quiver.
 
     Returns (A_op, to_op, from_op) where to_op maps elements of A to
@@ -895,7 +885,7 @@ def opposite_algebra(algebra: FiniteDimAlgebra,
         weights=dict(pres.weights),
         duality=duality,
     )
-    op = build_algebra(op_pres, cap)
+    op = build_algebra(op_pres)
     check(op.dim == algebra.dim, "opposite algebra dimension mismatch")
     f = algebra.field
     to_op = []

@@ -332,8 +332,7 @@ class WeightPolyReport:
     q_poly: dict[int, int]
 
 
-def weight_polynomials(rd: RootDatum, e: int, nu: Weight, lam: Weight,
-                       tables: KlTables | None = None) -> WeightPolyReport:
+def weight_polynomials(rd: RootDatum, e: int, nu: Weight, lam: Weight) -> WeightPolyReport:
     """KL and inverse polynomials attached to a pair of weights: the pair of
     minimal carriers when both weights fold to the same antidominant
     representative, zero otherwise."""
@@ -344,8 +343,7 @@ def weight_polynomials(rd: RootDatum, e: int, nu: Weight, lam: Weight,
         return WeightPolyReport(nu=nu, lam=lam, same_class=False,
                                 nu_length=link_nu.length, lam_length=link_lam.length,
                                 p_poly={}, q_poly={})
-    if tables is None:
-        tables = load_or_build_tables(rd, e, max(link_nu.length, link_lam.length))
+    tables = load_or_build_tables(rd, e, max(link_nu.length, link_lam.length))
     return WeightPolyReport(
         nu=nu, lam=lam, same_class=True,
         nu_length=link_nu.length, lam_length=link_lam.length,
@@ -374,8 +372,7 @@ class LayerPrediction:
 
 
 def predict_layers(rd: RootDatum, e: int, lam: Weight,
-                   gamma: WeightIdealSet | None = None,
-                   tables: KlTables | None = None) -> LayerPrediction:
+                   gamma: WeightIdealSet | None = None) -> LayerPrediction:
     """Predict layer multiplicities from inverse KL polynomials.
 
     The multiplicity of nu in layer n is the coefficient of
@@ -387,8 +384,7 @@ def predict_layers(rd: RootDatum, e: int, lam: Weight,
     """
     require(lam.is_dominant, "layer predictions are for dominant weights")
     link = linkage(rd, e, lam)
-    if tables is None:
-        tables = load_or_build_tables(rd, e, link.length)
+    tables = load_or_build_tables(rd, e, link.length)
     table = tables.table
     wi = table.index.get(link.w)
     require(wi is not None, "table length bound is too small for this weight")
@@ -541,14 +537,12 @@ class LcfReport:
     negative_entries: tuple[tuple[Weight, int], ...]
 
 
-def lcf_character(rd: RootDatum, e: int, lam: Weight,
-                  tables: KlTables | None = None) -> LcfReport:
+def lcf_character(rd: RootDatum, e: int, lam: Weight) -> LcfReport:
     """Alternating sum of Weyl characters against KL values at 1 over the
     elements below the carrier with dominant dot-image."""
     require(lam.is_dominant, "the character formula is for dominant weights")
     link = linkage(rd, e, lam)
-    if tables is None:
-        tables = load_or_build_tables(rd, e, link.length)
+    tables = load_or_build_tables(rd, e, link.length)
     table = tables.table
     wi = table.index.get(link.w)
     require(wi is not None, "table length bound is too small for this weight")

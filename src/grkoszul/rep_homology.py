@@ -690,7 +690,7 @@ def graded_hom_space(m: GradedRepresentation,
 
 
 def _invertible_combination(field: FieldSpec, homs: list[list[dict]], n: int,
-                            endomorphisms=None):
+                            endomorphisms):
     """Search the span of homs, maps of n sparse columns each into an
     n-dimensional space, for an invertible one; exact both ways.
 
@@ -701,7 +701,7 @@ def _invertible_combination(field: FieldSpec, homs: list[list[dict]], n: int,
     enumerated.  Either way a returned witness (its columns) is invertible
     and absence is a proof.
 
-    endomorphisms() may give (dim End(M), dim End(N)) for homs a basis of
+    endomorphisms() gives (dim End(M), dim End(N)) for homs a basis of
     Hom(M, N): M and N isomorphic forces both to be len(homs), so a
     difference refutes an isomorphism before the grid.
     """
@@ -721,7 +721,7 @@ def _invertible_combination(field: FieldSpec, homs: list[list[dict]], n: int,
     acc = _combination(field.char, homs, dict.fromkeys(range(k), field.one), n)
     if invertible(acc):
         return acc
-    if endomorphisms is not None and any(d != k for d in endomorphisms()):
+    if any(d != k for d in endomorphisms()):
         return None
     if field.char == 0:
         values = range(n + 1)
@@ -842,7 +842,6 @@ class ResolutionData:
     syzygies and summand vertices are read off them."""
 
     covers: list[Cover]
-    maps: list[list[dict]]  # columns of maps[0]: P_0 -> M, maps[i]: P_i -> P_(i-1)
     finite: bool
     projective_dimension: int | None
 
@@ -903,8 +902,7 @@ def minimal_resolution(rep: Representation, n_max: int) -> ResolutionData:
                               f"module dimension {current.total_dim}") from None
     covers = [cov for cov, _, _ in steps[:n_max + 1]]
     finite = (covers[-1].syzygy if covers else rep).total_dim == 0
-    return ResolutionData(covers, [m for _, m, _ in steps[:n_max + 1]], finite,
-                          len(covers) - 1 if finite else None)
+    return ResolutionData(covers, finite, len(covers) - 1 if finite else None)
 
 
 def _check_exactness(rep: Representation, steps: list[tuple], new: list[dict]) -> int:
@@ -1095,7 +1093,7 @@ class Ext1Row:
     dim_ambient: int
     dim_graded: int
     equal: bool
-    dim_sub: int | None = None
+    dim_sub: int | None  # None without a subalgebra
 
 
 @dataclass
@@ -1147,9 +1145,8 @@ def gr_ext1_compare(m: Representation, sub: SubalgebraEmbedding | None = None,
     for v in m.vertices:
         da, dg = amb[v], grd[v]
         check(da <= dg, "gr-construction comparison lost an extension")
-        row = Ext1Row(v, da, dg, da == dg)
+        row = Ext1Row(v, da, dg, da == dg, sub_dims.get(v))
         if sub is not None:
-            row.dim_sub = sub_dims[v]
             check(da <= sub_dims[v], "restriction to the subalgebra lost an extension")
         rows.append(row)
     all_equal = all(r.equal for r in rows)

@@ -36,6 +36,9 @@ test oracles.
   Hom(P_., N) of M's minimal resolution, each differential's rank the span
   of every basis hom composed with a resolution map, from before Ext went
   by dimension shifting along the syzygies.
+- `resolution_maps`: the maps of a minimal resolution as sparse columns,
+  maps[0]: P_0 -> M and maps[i]: P_i -> P_(i-1), rebuilt from its covers,
+  from before `ResolutionData` stopped keeping them.
 
 The tests hold the sparse implementation to these results on the same
 inputs.
@@ -455,8 +458,22 @@ def relation_failure(rep) -> str | None:
     return None
 
 
+def resolution_maps(res) -> list[list[dict]]:
+    """maps[0] is covers[0].map; maps[i] is covers[i].map pushed through
+    covers[i - 1].syzygy_inclusion."""
+    maps = []
+    for i, cov in enumerate(res.covers):
+        if i == 0:
+            maps.append(cov.map)
+        else:
+            incl = res.covers[i - 1].syzygy_inclusion
+            maps.append([_push(cov.projective.algebra.field.char, incl, col) for col in cov.map])
+    return maps
+
+
 def _ext_groups(m, n, n_max: int) -> list[int]:
     res = minimal_resolution(m, n_max + 1)
+    maps = resolution_maps(res)
     f = m.algebra.field
     terms = res.terms
     hom_bases = [hom_space(p, n) for p in terms]
@@ -477,7 +494,7 @@ def _ext_groups(m, n, n_max: int) -> list[int]:
         images = []
         for h in basis_prev:
             # h composed with maps[i]: each column of maps[i] pushed through h
-            image = flat([_push(f.char, h, col) for col in res.maps[i]])
+            image = flat([_push(f.char, h, col) for col in maps[i]])
             check(cur.contains(image), "hom image left the hom space")
             images.append(image)
         # the rank of the composition map is the size of the images' span

@@ -120,11 +120,11 @@ def jantzen_region(rd, p):
     cv = rd.coroot(rd.max_short_root)
     rho_pairing = sum(cv)
     if bound < rho_pairing:
-        return WeightIdealSet(rd, p, (), closed=True)
+        return WeightIdealSet(rd, p, ())
     ranges = [range((bound - rho_pairing) // cv[i] + 1) for i in range(rd.rank)]
     weights = [Weight(v) for v in product(*ranges)
                if sum((x + 1) * c for x, c in zip(v, cv)) <= bound]
-    return WeightIdealSet(rd, p, tuple(weights), closed=True)
+    return WeightIdealSet(rd, p, tuple(weights))
 
 
 class TestRootData:
@@ -378,19 +378,21 @@ class TestIdealsAndClosure:
         again = ideal_closure(a2, 3, ideal.weights)
         assert again.weights == ideal.weights
 
-    def test_closed_flag_is_verified(self, a1):
-        with pytest.raises(InputFormatError):
-            WeightIdealSet(a1, 5, (w(2),), closed=True)
-        ok = WeightIdealSet(a1, 5, (w(2),), closed=False)
-        assert w(2) in ok and w(0) not in ok
+    def test_every_construction_verifies_closure(self, a1):
+        with pytest.raises(InputFormatError, match="not an order ideal"):
+            WeightIdealSet(a1, 5, (w(2),))
+        with pytest.raises(InputFormatError, match="not an order ideal"):
+            WeightIdealSet(a1, 5, (w(8),), regular_only=True)
+        ok = WeightIdealSet(a1, 5, (w(2), w(1), w(0)))
+        assert w(2) in ok and ok.weights == (w(0), w(1), w(2))
 
     def test_regular_only_rejects_singular_members(self, a1):
         with pytest.raises(InputFormatError):
-            WeightIdealSet(a1, 5, (w(4),), closed=False, regular_only=True)
+            WeightIdealSet(a1, 5, (w(4),), regular_only=True)
 
     def test_nondominant_weights_rejected(self, a1):
         with pytest.raises(InputFormatError):
-            WeightIdealSet(a1, 5, (w(-1),), closed=False)
+            WeightIdealSet(a1, 5, (w(-1),))
         with pytest.raises(InputFormatError):
             ideal_closure(a1, 5, [w(-2)])
 
@@ -450,11 +452,10 @@ class TestFattening:
         if regular and not is_regular(rd, 5, w(a, b)):
             return
         psi = ideal_closure(rd, 5, [w(a, b)], regular_only=regular)
-        open_psi = WeightIdealSet(rd, 5, psi.weights + (w(a, b),), closed=False,
-                                  regular_only=regular)
+        again = WeightIdealSet(rd, 5, psi.weights + (w(a, b),), regular_only=regular)
         stage = fatten(rd, 5, psi, -1).stages[0]
         assert stage is psi
-        assert fatten(rd, 5, open_psi, -1).stages[0] == psi
+        assert fatten(rd, 5, again, -1).stages[0] == psi
         assert stage == ideal_closure(rd, 5, psi.weights, regular_only=regular)
 
     def test_restricted_ideals_are_kept_per_datum(self):
@@ -479,7 +480,7 @@ class TestFattening:
 class TestBounds:
     def test_a1_regular_ideal_battery(self, a1):
         gamma = WeightIdealSet(a1, 5, tuple(w(c) for c in (0, 1, 2, 3, 5, 6, 7, 8)),
-                               closed=True, regular_only=True)
+                               regular_only=True)
         report = bounds_report(a1, 5, gamma)
         assert report.jantzen_bound == 25
         assert all(ok for _, ok in report.jantzen_membership)
@@ -702,7 +703,7 @@ class TestClosureOracles:
                 continue
             kept = tuple(x for x in ideal.weights if x != drop)
             with pytest.raises(InputFormatError, match=re.escape(str(drop.coordinates))):
-                WeightIdealSet(rd, 5, kept, closed=True)
+                WeightIdealSet(rd, 5, kept)
 
     def test_closed_check_rejects_one_missing_regular_weight(self):
         rd = _DATA["A2"]
@@ -714,7 +715,7 @@ class TestClosureOracles:
                 continue
             kept = tuple(x for x in ideal.weights if x != drop)
             with pytest.raises(InputFormatError, match=re.escape(str(drop.coordinates))):
-                WeightIdealSet(rd, 5, kept, closed=True, regular_only=True)
+                WeightIdealSet(rd, 5, kept, regular_only=True)
         # the regular ideal skips the singular weights below (3, 2)
         assert all(is_regular(rd, 5, x) for x in ideal.weights)
         assert len(ideal) < len(ideal_closure(rd, 5, [w(3, 2)]))

@@ -98,3 +98,144 @@ def test_every_public_function_is_called_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
     found = unreferenced_functions(sources)
     assert sorted(name.split(":")[1] for name in found) == sorted(ADVERTISED_ENTRY_POINTS)
+
+
+# Defaulted parameters that no package call sets, each kept on purpose.
+OPTIONAL_PARAMETER_EXEMPTIONS = {
+    # the entry point: perfbench and the tests drive it with an explicit argv
+    "cli.py:main(argv)",
+    # the benchmark's tracer builds matrices with an explicit column count
+    "exactlin.py:MatrixExact.__init__(ncols)",
+    # ROADMAP item 5 decides whether the subalgebra comparison and the
+    # graded surjection stay
+    "rep_homology.py:gr_ext1_compare(sub)",
+    "rep_homology.py:gr_of_surjection(graded)",
+}
+
+
+def _decorators(node) -> set:
+    """The names a definition is decorated with, `@dataclass(frozen=True)`
+    and `@functools.cache` giving dataclass and cache."""
+    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return {t.id if isinstance(t, ast.Name) else getattr(t, "attr", None) for t in targets}
+
+
+def _init_field(item) -> bool:
+    """An annotated class attribute that a dataclass's __init__ takes."""
+    value = item.value
+    return not (isinstance(value, ast.Call) and any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords))
+
+
+def optional_parameters(sources: dict[str, str]) -> dict[str, bool]:
+    """module:qualname(param) of each defaulted parameter of a function,
+    method or constructor, mapped to whether some call in the sources sets
+    it.
+
+    Calls are matched by name: f(...) and x.f(...) reach every function or
+    method called f, and C(...) reaches C's __init__, for a dataclass its
+    fields.  An argument that passes the caller's own same-named parameter
+    straight through sets the callee's only if the caller's is required or
+    is itself set somewhere."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    callees: dict[str, list] = {}  # called name -> [(label, positional names, skipped)]
+    optional: set[tuple[str, str]] = set()
+    labels: dict[ast.AST, str] = {}
+
+    def define(body, module, prefix, cls=None):
+        for node in body:
+            if isinstance(node, ast.FunctionDef):
+                label = labels[node] = f"{module}:{prefix}{node.name}"
+                a = node.args
+                positional = [x.arg for x in a.posonlyargs + a.args]
+                optional.update((label, p) for p in positional[len(positional) - len(a.defaults):])
+                optional.update((label, kw.arg) for kw, d in zip(a.kwonlyargs, a.kw_defaults)
+                                if d is not None)
+                method = cls is not None and "staticmethod" not in _decorators(node)
+                name = cls if method and node.name == "__init__" else node.name
+                callees.setdefault(name, []).append((label, positional, int(method)))
+                define(node.body, module, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.ClassDef):
+                if "dataclass" in _decorators(node):
+                    fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name) and _init_field(item)]
+                    init = f"{module}:{prefix}{node.name}.__init__"
+                    optional.update((init, f.target.id) for f in fields if f.value is not None)
+                    callees.setdefault(node.name, []).append(
+                        (init, [f.target.id for f in fields], 0))
+                define(node.body, module, f"{prefix}{node.name}.", node.name)
+
+    for module, tree in trees.items():
+        define(tree.body, module, "")
+
+    settings: set[tuple[str, str]] = set()
+    passed_through: list[tuple[tuple[str, str], tuple[str, str]]] = []  # (caller's, callee's)
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = scope + [node]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for label, positional, skipped in callees.get(name, []):
+                given = list(zip(positional[skipped:], node.args))
+                given += [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
+                for param, value in given:
+                    owner = next((f for f in reversed(scope) if param in _parameters(f)), None)
+                    if (isinstance(value, ast.Name) and value.id == param
+                            and owner is not None):
+                        passed_through.append(((labels[owner], param), (label, param)))
+                    else:
+                        settings.add((label, param))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for tree in trees.values():
+        visit(tree, [])
+    grown = True
+    while grown:
+        grown = False
+        for caller, callee in passed_through:
+            if callee not in settings and (caller not in optional or caller in settings):
+                settings.add(callee)
+                grown = True
+    return {f"{label}({param})": (label, param) in settings for label, param in sorted(optional)}
+
+
+def unset_optional_parameters(sources: dict[str, str]) -> list[str]:
+    return [name for name, is_set in optional_parameters(sources).items() if not is_set]
+
+
+def _parameters(func: ast.FunctionDef) -> set:
+    a = func.args
+    return {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+
+
+def test_optional_parameter_detector_flags_only_unset_defaults():
+    source = ("from dataclasses import dataclass, field\n"
+              "def f(a, b=1, *, c=2):\n    return g(a, b) + g(a, c=c)\n"
+              "def g(a, b=0, c=0):\n    return h(b) + h(c)\n"
+              "def h(b=0, c=3):\n    return k(c)\n"
+              "def k(c=0):\n    return c\n"
+              "class C:\n"
+              "    def __init__(self, x=0, y=0):\n        self.m(1)\n"
+              "    def m(self, u, v=0):\n        pass\n"
+              "def j(x):\n    return C(x=x)\n"
+              "@dataclass\nclass D:\n"
+              "    a: int\n    b: int = 0\n    c: int = 1\n"
+              "    d: dict = field(default_factory=dict, init=False)\n"
+              "f(1)\nC(y=2)\nD(1, 2)\n")
+    # f's b and c are never set, so passing them on sets neither g(b) nor
+    # g(c), nor h(c) on to k(c); h(c) in g passes g's c as h's b, which sets
+    # it, and h's own c no call sets.  j passes its required x on, which
+    # sets C's.  C(...) reaches __init__ past self, as self.m(1) reaches m,
+    # and D's init=False field is no parameter
+    assert unset_optional_parameters({"m.py": source}) == [
+        "m.py:C.m(v)", "m.py:D.__init__(c)", "m.py:f(b)", "m.py:f(c)",
+        "m.py:g(b)", "m.py:g(c)", "m.py:h(c)", "m.py:k(c)"]
+
+
+def test_every_optional_parameter_is_set_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert unset_optional_parameters(sources) == sorted(OPTIONAL_PARAMETER_EXEMPTIONS)

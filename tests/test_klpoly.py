@@ -361,6 +361,22 @@ class TestCaching:
         assert load_or_build_tables(rd, 5, 3) is not first
         assert load_or_build_tables(fresh_a1(), 5, 4) is not first
 
+    @pytest.mark.parametrize("rank, e, bound, larger", [(1, 5, 4, 8), (2, 3, 3, 6)])
+    def test_a_shorter_bound_reads_the_same_entries(self, rank, e, bound, larger):
+        # predictions read the tables built to the carrier's own length, so
+        # each entry there must be the entry a longer enumeration holds
+        rd = root_datum_build("A", rank)
+        short, long = load_or_build_tables(rd, e, bound), load_or_build_tables(rd, e, larger)
+        elements = short.table.elements
+        assert elements == tuple(x for x in long.table.elements if x.length <= bound)
+        to_long = [long.table.index[x] for x in elements]
+        for store in ("kl", "inverse"):
+            entries = getattr(short, store)
+            assert entries == {pair: getattr(long, store)[(to_long[pair[0]], to_long[pair[1]])]
+                               for pair in entries}
+            assert sorted(entries) == sorted(
+                (xi, wi) for wi in range(len(elements)) for xi in short.table.lower_sets[wi])
+
     def test_no_cache_dir_means_no_files(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GRKOSZUL_CACHE_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
@@ -369,20 +385,20 @@ class TestCaching:
 
 
 class TestWeightPolynomials:
-    def test_same_class_pair(self, a1, a1_tables):
-        report = weight_polynomials(a1, 5, w(3), w(5), tables=a1_tables)
+    def test_same_class_pair(self, a1):
+        report = weight_polynomials(a1, 5, w(3), w(5))
         assert report.same_class
         assert report.nu_length == 1 and report.lam_length == 2
         assert report.p_poly == {0: 1}
         assert report.q_poly == {0: 1}
 
-    def test_cross_class_pair_vanishes(self, a1, a1_tables):
-        report = weight_polynomials(a1, 5, w(1), w(5), tables=a1_tables)
+    def test_cross_class_pair_vanishes(self, a1):
+        report = weight_polynomials(a1, 5, w(1), w(5))
         assert not report.same_class
         assert report.p_poly == {} and report.q_poly == {}
 
-    def test_diagonal(self, a1, a1_tables):
-        report = weight_polynomials(a1, 5, w(5), w(5), tables=a1_tables)
+    def test_diagonal(self, a1):
+        report = weight_polynomials(a1, 5, w(5), w(5))
         assert report.p_poly == {0: 1}
 
     def test_linkage_length_matches_table_length(self, a1, a1_tables):
@@ -396,43 +412,43 @@ class TestWeightPolynomials:
 
 
 class TestLayerPrediction:
-    def test_a1_two_layer_table(self, a1, a1_tables):
-        pred = predict_layers(a1, 5, w(5), tables=a1_tables)
+    def test_a1_two_layer_table(self, a1):
+        pred = predict_layers(a1, 5, w(5))
         assert pred.carrier_length == 2
         assert not pred.singular
         assert pred.support == (w(3), w(5))
         assert pred.layers == (((w(5), 1),), ((w(3), 1),))
 
-    def test_a1_lowest_cell_single_layer(self, a1, a1_tables):
-        pred = predict_layers(a1, 5, w(3), tables=a1_tables)
+    def test_a1_lowest_cell_single_layer(self, a1):
+        pred = predict_layers(a1, 5, w(3))
         assert pred.layers == (((w(3), 1),),)
 
-    def test_a1_second_cell_weight(self, a1, a1_tables):
-        pred = predict_layers(a1, 5, w(7), tables=a1_tables)
+    def test_a1_second_cell_weight(self, a1):
+        pred = predict_layers(a1, 5, w(7))
         assert pred.layers == (((w(7), 1),), ((w(1), 1),))
 
-    def test_a1_singular_weight_is_semisimple(self, a1, a1_tables):
-        pred = predict_layers(a1, 5, w(4), tables=a1_tables)
+    def test_a1_singular_weight_is_semisimple(self, a1):
+        pred = predict_layers(a1, 5, w(4))
         assert pred.singular
         assert pred.layers == (((w(4), 1),),)
 
-    def test_gamma_context_membership(self, a1, a1_tables):
+    def test_gamma_context_membership(self, a1):
         gamma = ideal_closure(a1, 5, [w(5)])
-        pred = predict_layers(a1, 5, w(5), gamma=gamma, tables=a1_tables)
+        pred = predict_layers(a1, 5, w(5), gamma=gamma)
         assert pred.support == (w(3), w(5))
         with pytest.raises(PreconditionError):
-            predict_layers(a1, 5, w(7), gamma=gamma, tables=a1_tables)
+            predict_layers(a1, 5, w(7), gamma=gamma)
 
-    def test_a2_regular_prediction_is_consistent(self, a2, a2_tables):
+    def test_a2_regular_prediction_is_consistent(self, a2):
         lam = w(1, 1)
-        pred = predict_layers(a2, 3, lam, tables=a2_tables)
+        pred = predict_layers(a2, 3, lam)
         assert pred.layers[0] == ((lam, 1),)
         total = sum(m for layer in pred.layers for _, m in layer)
         assert total >= len(pred.support)
 
-    def test_nondominant_weight_rejected(self, a1, a1_tables):
+    def test_nondominant_weight_rejected(self, a1):
         with pytest.raises(PreconditionError):
-            predict_layers(a1, 5, w(-2), tables=a1_tables)
+            predict_layers(a1, 5, w(-2))
 
 
 def _inner_fractions(rd, a, b):
@@ -539,8 +555,8 @@ class TestWeylCharacters:
 
 
 class TestCharacterFormula:
-    def test_a1_e5_second_cell(self, a1, a1_tables):
-        report = lcf_character(a1, 5, w(5), tables=a1_tables)
+    def test_a1_e5_second_cell(self, a1):
+        report = lcf_character(a1, 5, w(5))
         assert report.dimension == 2
         assert len(report.terms) == 2
         assert report.character.multiplicity(w(5)) == 1
@@ -548,8 +564,8 @@ class TestCharacterFormula:
         assert report.character.multiplicity(w(1)) == 0
         assert report.non_negative and report.negative_entries == ()
 
-    def test_a1_e5_lowest_cell_equals_weyl(self, a1, a1_tables):
-        report = lcf_character(a1, 5, w(3), tables=a1_tables)
+    def test_a1_e5_lowest_cell_equals_weyl(self, a1):
+        report = lcf_character(a1, 5, w(3))
         assert len(report.terms) == 1
         assert (report.character.dominant_multiplicities
                 == weyl_character(a1, w(3)).dominant_multiplicities)
@@ -560,8 +576,8 @@ class TestCharacterFormula:
         assert report.character.multiplicity(w(3)) == 1
         assert report.character.multiplicity(w(1)) == 0
 
-    def test_a1_e5_steinberg_like_singular(self, a1, a1_tables):
-        report = lcf_character(a1, 5, w(4), tables=a1_tables)
+    def test_a1_e5_steinberg_like_singular(self, a1):
+        report = lcf_character(a1, 5, w(4))
         assert report.singular
         assert report.dimension == 5
         assert (report.character.dominant_multiplicities

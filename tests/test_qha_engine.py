@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_map, identity, mul
+from dense_oracle import dense_map, identity, mul, resolution_maps
 from grkoszul.errors import InputFormatError, InternalCheckError, PreconditionError
 from grkoszul.exactlin import QQ, _push
 from grkoszul.algebra_core import (
@@ -588,7 +588,7 @@ def test_pipeline_leaves_its_memoised_resolutions_as_built(monkeypatch):
     for m, steps in chains:
         fresh = rh.minimal_resolution(m, len(steps) - 1)
         assert [(cov.summands, cols) for cov, cols, _ in steps] \
-            == list(zip(fresh.summand_vertices, fresh.maps, strict=True))
+            == list(zip(fresh.summand_vertices, resolution_maps(fresh), strict=True))
         assert [_module_content(cov.syzygy) for cov, _, _ in steps] \
             == [_module_content(syz) for syz in fresh.syzygies]
     for (m, n), dim in hom_dims:

@@ -23,7 +23,8 @@ from dense_oracle import _ext_groups as hom_complex_ext_groups
 from dense_oracle import (DenseSubspace, add, apply, block, columns_of, dense_hom_space,
                           dense_map, determinant, element_total, embed, identity, invert,
                           invertible_by_determinant_grid, is_zero, kernel_matrix, mul,
-                          path_total, relation_failure, scale, total_action, transpose, zero)
+                          path_total, relation_failure, resolution_maps, scale, total_action,
+                          transpose, zero)
 from grkoszul import rep_homology
 from grkoszul.errors import (
     GrkoszulError,
@@ -269,13 +270,16 @@ def test_invertible_combination_cap_and_completeness():
     # the matrix units E_11 and E_12 as their sparse columns
     e11 = [{0: QQ.one}, {}]
     e12 = [{}, {0: QQ.one}]
+    # End(M) and End(N) as large as the two-map Hom space refute nothing,
+    # so each search below reaches its grid
+    unrefuted = lambda: (2, 2)
     # no invertible combination exists; the full grid proves it
-    assert _invertible_combination(QQ, [e11, e12], 2) is None
+    assert _invertible_combination(QQ, [e11, e12], 2, unrefuted) is None
     # det(a h1 + b h2) = ab(a - b): neither map nor their sum is invertible,
     # and the grid finds h1 + 2 h2, as the determinant grid does
     h1 = [{0: 1}, {}, {2: 1}]
     h2 = [{}, {1: 1}, {2: -1}]
-    witness = _invertible_combination(QQ, [h1, h2], 3)
+    witness = _invertible_combination(QQ, [h1, h2], 3, unrefuted)
     assert witness == [{0: 1}, {1: 2}, {2: -1}]
     assert dense_map(QQ, witness, 3) == invertible_by_determinant_grid(
         QQ, [dense_map(QQ, h, 3) for h in (h1, h2)], 3, rep_homology.ISO_SEARCH_CAP)
@@ -285,7 +289,7 @@ def test_invertible_combination_cap_and_completeness():
     rh.ISO_SEARCH_CAP = 2
     try:
         with pytest.raises(PreconditionError):
-            _invertible_combination(QQ, [e11, e12], 2)
+            _invertible_combination(QQ, [e11, e12], 2, unrefuted)
     finally:
         rh.ISO_SEARCH_CAP = old
 
@@ -494,7 +498,7 @@ def test_equal_modules_share_one_resolution_and_ext(monkeypatch):
     res_a, res_b = minimal_resolution(a, 3), minimal_resolution(b, 3)
     assert len(res_a.covers) == 4
     assert all(x is y for x, y in zip(res_a.covers, res_b.covers, strict=True))
-    assert res_a.maps == res_b.maps
+    assert resolution_maps(res_a) == resolution_maps(res_b)
     assert ext_groups(a, simple_rep(alg, "1"), 2) == ext_groups(b, simple_rep(alg, "1"), 2)
     ga, gb = (GradedRepresentation(m, {"1": [0, 1]}) for m in (a, b))
     assert graded_minimal_resolution(ga, 3).heads == graded_minimal_resolution(gb, 3).heads
@@ -542,7 +546,7 @@ def test_different_modules_do_not_share_a_resolution(monkeypatch):
     assert len(covers) == 5
     assert results[0].covers[0] is not results[1].covers[0]
     assert results[1].covers[1] is results[0].covers[1]
-    assert results[0].maps != results[1].maps
+    assert resolution_maps(results[0]) != resolution_maps(results[1])
     assert results[0].summand_vertices == results[1].summand_vertices
     assert results[2].terms[0].algebra is other
     assert results[2].covers[0] is not results[0].covers[0]
@@ -550,7 +554,7 @@ def test_different_modules_do_not_share_a_resolution(monkeypatch):
     lower = minimal_resolution(a, 2)
     assert len(covers) == 5
     assert all(x is y for x, y in zip(lower.covers, results[0].covers[:3], strict=True))
-    assert lower.maps == results[0].maps[:3]
+    assert resolution_maps(lower) == resolution_maps(results[0])[:3]
     # Ext to degree 1 reads Hom from each module and its first syzygy into
     # the simple: a and c solve their own, and share the one from the syzygy
     for m in (a, c):
@@ -561,7 +565,7 @@ def test_different_modules_do_not_share_a_resolution(monkeypatch):
 
 
 def _resolution_facts(res):
-    return (res.summand_vertices, res.maps, res.finite, res.projective_dimension,
+    return (res.summand_vertices, resolution_maps(res), res.finite, res.projective_dimension,
             [rep_homology._content(m) for m in res.terms + res.syzygies])
 
 
@@ -1158,7 +1162,7 @@ def resolution_battery():
                              f" {res.projective_dimension}")
                 # each map and inclusion printed as the dense matrix of its columns
                 lines += [f"{head} map {i} {dense_map(field, cols, target.total_dim)!r}"
-                          for i, (cols, target) in enumerate(zip(res.maps, [m] + res.terms))]
+                          for i, (cols, target) in enumerate(zip(resolution_maps(res), [m] + res.terms))]
                 for i, (source, syz) in enumerate(zip([m] + res.syzygies, res.syzygies)):
                     lines.append(f"{head} syzygy {i} {syz.dims} {syz.action!r}")
                     cov = projective_cover(source)
@@ -1509,7 +1513,7 @@ def test_cover_path_outputs_are_canonical(alg):
         res = minimal_resolution(simple_rep(alg, v), 2)
         for m in res.terms + res.syzygies:
             assert_cover_path_canonical(m)
-        assert all(is_canonical(alg.field, x) for cols in res.maps
+        assert all(is_canonical(alg.field, x) for cols in resolution_maps(res)
                    for col in cols for x in col.values())
 
 
