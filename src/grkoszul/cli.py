@@ -733,7 +733,6 @@ def _cmd_qha_klpoly(args) -> Report:
 
 def _cmd_qha_dual(args) -> Report:
     from .qha_engine import dualize
-    from .rep_homology import is_isomorphic
     pres, algebra = _load_algebra(args.input)
     require(bool(pres.duality), "the presentation declares no duality")
     h = _structure(pres, algebra)
@@ -744,9 +743,10 @@ def _cmd_qha_dual(args) -> Report:
         sign = "-" if image[k] < 0 else ""
         rp.add("dual.%s" % bp.label(), sign + algebra.basis[k].label())
     for v in pres.vertices:
+        # the dual of the standard has socle L(v) and factors <= v: a submodule
+        # of the costandard, so equal to it exactly when the dimensions agree
         flipped = dualize(h, h.standards[v])
-        ok, _ = is_isomorphic(flipped, h.costandards[v])
-        rp.add("standard_dual_is_costandard.%s" % v, ok)
+        rp.add("standard_dual_is_costandard.%s" % v, flipped.dims == h.costandards[v].dims)
     return rp
 
 

@@ -386,8 +386,7 @@ def predict_layers(rd: RootDatum, e: int, lam: Weight,
     link = linkage(rd, e, lam)
     tables = load_or_build_tables(rd, e, link.length)
     table = tables.table
-    wi = table.index.get(link.w)
-    require(wi is not None, "table length bound is too small for this weight")
+    wi = table.index[link.w]
 
     if gamma is not None:
         require(gamma.datum == rd and gamma.e == e,
@@ -544,8 +543,7 @@ def lcf_character(rd: RootDatum, e: int, lam: Weight) -> LcfReport:
     link = linkage(rd, e, lam)
     tables = load_or_build_tables(rd, e, link.length)
     table = tables.table
-    wi = table.index.get(link.w)
-    require(wi is not None, "table length bound is too small for this weight")
+    wi = table.index[link.w]
 
     terms = []
     combined: dict[tuple[int, ...], int] = {}

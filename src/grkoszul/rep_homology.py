@@ -1118,7 +1118,9 @@ def gr_ext1_compare(m: Representation, sub: SubalgebraEmbedding | None = None,
 
     The graded dimension always dominates (the comparison map is injective);
     equality certifies the gr-construction loses nothing here, and is
-    asserted when M is a radical truncation of its projective cover.  For
+    asserted when M is a radical truncation P/rad^r P of its projective
+    cover P, r its Loewy length: M is a quotient of P/rad^r P, so equal to it
+    exactly when dim M = dim P - dim rad^r P.  For
     truncations the pullback of Ext^1 to the last radical layer is asserted
     injective as a rank condition.  With a subalgebra whose radical generates
     the ambient radical, dim Ext^1_A(M, L) <= dim Ext^1_a(M, L) is asserted
@@ -1150,15 +1152,12 @@ def gr_ext1_compare(m: Representation, sub: SubalgebraEmbedding | None = None,
             check(da <= sub_dims[v], "restriction to the subalgebra lost an extension")
         rows.append(row)
     all_equal = all(r.equal for r in rows)
-    # is M the radical truncation P/rad^r P of its projective cover?
+    # is M the radical truncation P/rad^r P of its projective cover?  M is a
+    # quotient of P with rad^r M = 0, so of P/rad^r P: equal dimensions decide
     series = radical_series(m)
     r = len(series) - 1
-    truncation = False
-    if m.total_dim:
-        p_series = radical_series(cov.projective)
-        cut = p_series[r] if r < len(p_series) else []
-        candidate, _ = quotient_rep(cov.projective, cut)
-        truncation, _ = is_isomorphic(m, candidate)
+    truncation = bool(m.total_dim) and (
+        m.total_dim == cov.projective.total_dim - len(radical_series(cov.projective)[r]))
     pullback = None
     pb_injective = None
     if m.total_dim and r >= 1:

@@ -39,6 +39,11 @@ test oracles.
 - `resolution_maps`: the maps of a minimal resolution as sparse columns,
   maps[0]: P_0 -> M and maps[i]: P_i -> P_(i-1), rebuilt from its covers,
   from before `ResolutionData` stopped keeping them.
+- `delta_filtration_by_search` and `truncation_by_search`: the standard
+  filtration of `qha_engine._delta_filtration` and the radical truncation
+  flag of `gr_ext1_compare`, each isomorphism decided by `is_isomorphic`'s
+  hom solve and determinant-grid search, from before both compared
+  dimension vectors.
 
 The tests hold the sparse implementation to these results on the same
 inputs.
@@ -52,7 +57,9 @@ from itertools import product as iter_product
 from grkoszul.errors import InputFormatError, check, require
 from grkoszul.exactlin import (FieldSpec, MatrixExact, Subspace, _dense_row, _push, _sparse_row,
                                echelon, rank_kernel)
-from grkoszul.rep_homology import hom_space, minimal_resolution
+from grkoszul.qha_engine import _trace
+from grkoszul.rep_homology import (_cover, direct_sum, hom_space, is_isomorphic,
+                                   minimal_resolution, quotient_rep, radical_series, sub_rep)
 
 
 def _minus_multiple(char: int, vec: list, c, row: list) -> list:
@@ -507,3 +514,42 @@ def _ext_groups(m, n, n_max: int) -> list[int]:
         out.append(dim_h - r_in - r_out)
     check(all(x >= 0 for x in out), "negative ext dimension")
     return out
+
+
+def delta_filtration_by_search(h, m) -> list[str] | None:
+    """Section weights of a filtration of M by standard modules, top-down,
+    or None: the submodule generated by the block of a maximal weight mu of
+    the support must be isomorphic to dims[mu] copies of the standard at mu,
+    tried for every maximal mu (backtracking).  Raises PreconditionError
+    where the search exceeds its cap."""
+    if m.total_dim == 0:
+        return []
+    support = [v for v in h.poset.elements if m.dims[v]]
+    for mu in h.poset.maximal_in(support):
+        delta = h.standards[mu]
+        if delta.dims[mu] != 1:
+            continue
+        count = m.dims[mu]
+        span = _trace(m, [mu])
+        bottom, _ = sub_rep(m, span)
+        if bottom.total_dim != count * delta.total_dim:
+            continue
+        if not is_isomorphic(bottom, direct_sum(*([delta] * count)))[0]:
+            continue
+        rest = delta_filtration_by_search(h, quotient_rep(m, span)[0])
+        if rest is not None:
+            return rest + [mu] * count
+    return None
+
+
+def truncation_by_search(m) -> bool:
+    """Is M isomorphic to P/rad^r P, for P its projective cover and r its
+    Loewy length?  False for M = 0.  Raises PreconditionError where the
+    search exceeds its cap."""
+    if not m.total_dim:
+        return False
+    r = len(radical_series(m)) - 1
+    projective = _cover(m).projective
+    p_series = radical_series(projective)
+    candidate, _ = quotient_rep(projective, p_series[r] if r < len(p_series) else [])
+    return is_isomorphic(m, candidate)[0]

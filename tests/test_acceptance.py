@@ -105,6 +105,30 @@ def test_each_criterion_covers_each_distinct_module_once(monkeypatch):
         assert len(built) == len(distinct) == COVERED_MODULES.get(number, 0), name
 
 
+# one round; the criteria not named solve none
+SOLVED_HOM_PAIRS = {1: 20, 2: 31, 3: 1, 9: 39}
+
+
+def test_each_criterion_solves_each_distinct_hom_pair_once(monkeypatch):
+    """Hom dimensions are memoised per pair of module contents, and a module
+    known to be a quotient (or a submodule) of another is compared with it
+    by dimension vectors, not by an isomorphism search, so one round solves
+    each Hom space once."""
+    real = rep_homology.hom_space
+    solved = []
+
+    def counting(m, n):
+        solved.append((m.algebra, rep_homology._content(m), rep_homology._content(n)))
+        return real(m, n)
+
+    monkeypatch.setattr(rep_homology, "hom_space", counting)
+    for number, name, criterion in selftest.CRITERIA:
+        solved.clear()
+        assert criterion()[0], name
+        distinct = {(id(algebra), m, n) for algebra, m, n in solved}
+        assert len(solved) == len(distinct) == SOLVED_HOM_PAIRS.get(number, 0), name
+
+
 def test_bound_battery_verifies_each_distinct_ideal_once(monkeypatch):
     """Weight ideals are interned on their root datum, so one call of
     criterion 7 proves each distinct ideal closed once: 123 ideals, where

@@ -441,6 +441,62 @@ def test_qha_check_b5(b5_path, capsys):
     assert pairs["filtration.2"] == "2"
 
 
+# three parallel arrows into 3: P(1) has three copies of the standard at 3
+# under its top, and deciding that by search takes 7^9 determinants over a
+# 9-dimensional Hom space
+THREE_ARROW_QALG = """\
+field Q
+vertex 1
+vertex 2
+vertex 3
+arrow a1 1 3
+arrow a2 1 3
+arrow a3 1 3
+arrow c 3 2
+order 1 < 2
+order 2 < 3
+"""
+
+A2_QALG = "field Q\nvertex 1\nvertex 2\narrow a 1 2\n"
+
+P1_CUBED_QREP = "vertexdim 1 3\nvertexdim 2 3\nmatrix a\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+def test_qha_check_three_parallel_arrows(tmp_path, capsys):
+    path = tmp_path / "three.qalg"
+    path.write_text(THREE_ARROW_QALG)
+    status, out = run_cli(["qha", "check", path], capsys)
+    pairs = report_map(out)
+    assert status == 0
+    assert pairs["quasi_hereditary"] == "true"
+    assert pairs["filtration.1"] == "1,3,3,3"
+
+
+def test_grcompare_sees_a_cubed_projective_as_its_own_truncation(tmp_path, capsys):
+    alg, rep = tmp_path / "a2.qalg", tmp_path / "p1cubed.qrep"
+    alg.write_text(A2_QALG)
+    rep.write_text(P1_CUBED_QREP)
+    status, out = run_cli(["module", "grcompare", alg, rep], capsys)
+    assert status == 0
+    assert report_map(out)["truncation_of_projective"] == "true"
+
+
+def test_qha_dual_reports_a_dual_that_is_not_the_costandard(b5_path, monkeypatch, capsys):
+    # a dualize that returns the head of the dual: right at 1, where
+    # Delta(1) = L(1), wrong at 2, where Delta(2) = [2; 1]
+    from grkoszul import qha_engine
+    from grkoszul.rep_homology import filtration_slice
+
+    real = qha_engine.dualize
+    monkeypatch.setattr(qha_engine, "dualize",
+                        lambda h, rep: filtration_slice(real(h, rep), 0, 1))
+    status, out = run_cli(["qha", "dual", b5_path], capsys)
+    pairs = report_map(out)
+    assert status == 0
+    assert (pairs["standard_dual_is_costandard.1"],
+            pairs["standard_dual_is_costandard.2"]) == ("true", "false")
+
+
 def test_module_slices_delta2(b5_path, delta2_path, capsys):
     _, out = run_cli(["module", "slices", b5_path, delta2_path], capsys)
     pairs = report_map(out)

@@ -27,6 +27,8 @@ Freudenthal checks: the adjoint character of A2 has dominant multiplicities
 {(2,1): 1, (0,2): 1, (1,0): 2} and dimension 15.
 """
 
+from itertools import product as iter_product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -409,6 +411,22 @@ class TestWeightPolynomials:
             link = linkage(a1, 5, lam)
             wi = a1_tables.table.index[link.w]
             assert a1_tables.table.elements[wi].length == link.length
+
+    @pytest.mark.parametrize("kind, rank, es", [
+        ("A", 1, (1, 2, 3, 5)), ("A", 2, (1, 2, 3)), ("B", 2, (1, 2, 3))])
+    def test_carrier_is_in_the_table_built_to_its_length(self, kind, rank, es):
+        # predict_layers and lcf_character look the carrier up in the table
+        # built to the carrier's own length, with no guard: over every
+        # dominant weight of a box, it is there, at that length
+        rd = root_datum_build(kind, rank)
+        for e in es:
+            tables = {}
+            for coords in iter_product(range(2 * e + 2), repeat=rank):
+                link = linkage(rd, e, Weight(coords))
+                if link.length not in tables:
+                    tables[link.length] = coxeter_enumerate(rd, e, link.length)
+                table = tables[link.length]
+                assert table.elements[table.index[link.w]].length == link.length
 
 
 class TestLayerPrediction:

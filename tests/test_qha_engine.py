@@ -25,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_map, identity, mul, resolution_maps
+from dense_oracle import delta_filtration_by_search, dense_map, identity, mul, resolution_maps
+from test_rep_homology import monomial_quiver_algebra
 from grkoszul.errors import InputFormatError, InternalCheckError, PreconditionError
 from grkoszul.exactlin import QQ, _push
 from grkoszul.algebra_core import (
@@ -34,12 +35,15 @@ from grkoszul.algebra_core import (
     gr_algebra,
     subalgebra_from_generators,
 )
+from grkoszul import qha_engine
 from grkoszul.rep_homology import (
     ext_groups,
     filtration_slice,
     gr_rep,
     is_isomorphic,
     projective_rep,
+    quotient_rep,
+    radical_series,
     simple_rep,
     _global_dimension,
 )
@@ -55,6 +59,10 @@ from grkoszul.qha_engine import (
     qha_check,
     standard_modules,
     truncate,
+    _delta_filtration,
+    _inflate,
+    _trace,
+    _truncation,
 )
 
 
@@ -606,12 +614,188 @@ def test_pipeline_rejects_non_ideal(cycle, cycle_hw):
         pipeline_checks(cycle_hw, whole_algebra_embedding(cycle), ["2"])
 
 
+# -- fixture structures for the isomorphism-search oracles -------------------------
+
+
+def _structure_with_duality(pres, order):
+    alg = build_algebra(pres)
+    return standard_modules(alg, WeightPosetIdeal(pres.vertices, order),
+                            duality=duality_matrix_from_presentation(alg))
+
+
+def _chain_structure(n):
+    return _structure_with_duality(a1_chain_with_duality(n),
+                                   [(str(i + 1), str(i)) for i in range(1, n)])
+
+
+def _b5_structure():
+    from grkoszul import cli
+    from test_cli import B5_QALG
+
+    pres = cli.parse_qalg(B5_QALG)
+    return cli._structure(pres, build_algebra(pres))
+
+
+FIXTURE_STRUCTURES = {
+    "cycle": lambda: _structure_with_duality(two_vertex_cycle(), [("1", "2")]),
+    "three-weight": lambda: _structure_with_duality(three_weight_cycle(),
+                                                    [("1", "2"), ("2", "3")]),
+    "B5": _b5_structure,
+    "chain2": lambda: _chain_structure(2),
+    "chain3": lambda: _chain_structure(3),
+    "chain4": lambda: _chain_structure(4),
+}
+
+
 # -- gr standards match standards over gr ---------------------------------------------
 
 
-def test_gr_standards_agree_with_standards_over_gr(cycle, cycle_poset, cycle_hw):
-    graded = gr_algebra(cycle)
-    h_gr = standard_modules(graded.algebra, cycle_poset)
-    for lam in "12":
-        transported = gr_rep(cycle_hw.standards[lam], graded)
-        assert is_isomorphic(h_gr.standards[lam], transported.rep)[0]
+def test_gr_standards_agree_with_standards_over_gr():
+    # the isomorphism search agrees with pipeline_checks' dimension comparison
+    for build in FIXTURE_STRUCTURES.values():
+        h = build()
+        graded = gr_algebra(h.algebra)
+        h_gr = standard_modules(graded.algebra, h.poset)
+        for lam in h.poset.elements:
+            transported = gr_rep(h.standards[lam], graded)
+            assert is_isomorphic(h_gr.standards[lam], transported.rep)[0]
+            assert h_gr.standards[lam].dims == h.standards[lam].dims
+
+
+def algebra_with_a_gr_gap():
+    """Paths a*c, a2*c2, b*d and b*g*h from 1 to 4 with a*c = b*d + b*g*h and
+    a2*c2 = b*d: over the algebra the trace of P(2) + P(5) in P(1) holds a*c
+    and a2*c2, so b*d and b*g*h too; over gr the relations read a*c = b*d =
+    a2*c2, and b*g*h survives in the standard at 1."""
+    return QuiverPresentation(
+        QQ, ["1", "2", "3", "4", "5", "6"],
+        [("a", "1", "2"), ("c", "2", "4"), ("a2", "1", "5"), ("c2", "5", "4"),
+         ("b", "1", "3"), ("d", "3", "4"), ("g", "3", "6"), ("h", "6", "4")],
+        [[(1, ("a", "c")), (-1, ("b", "d")), (-1, ("b", "g", "h"))],
+         [(1, ("a2", "c2")), (-1, ("b", "d"))]])
+
+
+def test_gr_standard_can_be_smaller_than_the_standard_over_gr():
+    alg = build_algebra(algebra_with_a_gr_gap())
+    poset = WeightPosetIdeal(list("123456"),
+                             [("3", "1"), ("4", "3"), ("6", "3"), ("1", "2"), ("1", "5")],
+                             dict.fromkeys("123456", 0))
+    h = standard_modules(alg, poset)
+    graded = gr_algebra(alg)
+    h_gr = standard_modules(graded.algebra, poset)
+    assert h.standards["1"].dims == {"1": 1, "2": 0, "3": 1, "4": 0, "5": 0, "6": 1}
+    assert h_gr.standards["1"].dims["4"] == 1
+    # the isomorphism search agrees with the dimension comparison
+    for lam in poset.elements:
+        transported = gr_rep(h.standards[lam], graded)
+        assert is_isomorphic(h_gr.standards[lam], transported.rep)[0] is (lam != "1")
+    report = pipeline_checks(h, whole_algebra_embedding(alg))
+    assert not report.graded_structure.standards_match
+    assert not report.graded_structure.holds
+    assert "gr standard at '1' differs from the standard over gr" in report.notes
+
+
+# -- certificates held to the isomorphism search ------------------------------------
+
+
+def _filtration_candidates(h):
+    """Projectives, standards, costandards, injectives and simples, every
+    P/rad^r P, and each projective modulo the trace of each other vertex."""
+    out = []
+    for v in h.poset.elements:
+        p = h.projectives[v]
+        out += [p, h.standards[v], h.costandards[v], h.injectives[v], h.simples[v]]
+        out += [filtration_slice(p, 0, r) for r in range(1, len(radical_series(p)) - 1)]
+        out += [quotient_rep(p, _trace(p, [u]))[0] for u in h.poset.elements if u != v]
+    return out
+
+
+def _assert_filtrations_match_the_search(h) -> int:
+    """_delta_filtration against the isomorphism search on every candidate
+    module whose search fits under its cap; returns how many were compared."""
+    compared = 0
+    for m in _filtration_candidates(h):
+        try:
+            expected = delta_filtration_by_search(h, m)
+        except PreconditionError:
+            continue
+        assert _delta_filtration(h, m) == expected
+        compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_STRUCTURES))
+def test_delta_filtrations_match_the_isomorphism_search_on_fixtures(name):
+    h = FIXTURE_STRUCTURES[name]()
+    assert _assert_filtrations_match_the_search(h) == len(_filtration_candidates(h))
+
+
+@st.composite
+def weighted_monomial_structure(draw):
+    """A random monomial quiver algebra with a random weight order on its
+    vertices, each pair drawn in the order of a random ranking."""
+    alg = draw(monomial_quiver_algebra())
+    ranked = draw(st.permutations(alg.presentation.vertices))
+    pairs = [(x, y) for i, x in enumerate(ranked) for y in ranked[i + 1:]]
+    order = draw(st.sets(st.sampled_from(pairs)))
+    return standard_modules(alg, WeightPosetIdeal(list(alg.presentation.vertices),
+                                                  sorted(order)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_monomial_structure())
+def test_delta_filtrations_match_the_isomorphism_search_on_random_quivers(h):
+    _assert_filtrations_match_the_search(h)
+
+
+def test_delta_filtration_needs_the_dimension_vector_not_the_total():
+    """k(3 -> 1, 3 -> 2) with 1 < 3 only: Delta(3) = [3; 1], and
+    M = P(3)/(the arrow into 1) = [3; 2] has its total dimension but not its
+    dimension vector, so M has no standard filtration."""
+    alg = build_algebra(QuiverPresentation(QQ, ["1", "2", "3"],
+                                           [("a", "3", "1"), ("b", "3", "2")], []))
+    h = standard_modules(alg, WeightPosetIdeal(["1", "2", "3"], [("1", "3")]))
+    p3 = h.projectives["3"]
+    m, _ = quotient_rep(p3, [p3.place("1", {0: QQ.one})])
+    assert m.dims == {"1": 0, "2": 1, "3": 1}
+    assert m.total_dim == h.standards["3"].total_dim
+    assert delta_filtration_by_search(h, m) is None
+    assert _delta_filtration(h, m) is None
+
+
+def _proper_ideals(h):
+    """The downward closed proper subsets that each weight generates."""
+    below = [sorted(u for u in h.poset.elements if u == v or h.poset.lt(u, v))
+             for v in h.poset.elements]
+    return [g for g in {tuple(b) for b in below} if len(g) < len(h.poset.elements)]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_STRUCTURES))
+def test_truncated_standards_match_the_isomorphism_search(name):
+    h = FIXTURE_STRUCTURES[name]()
+    for gamma in _proper_ideals(h):
+        trunc = _truncation(h, list(gamma))
+        for lam in trunc.kept:
+            inflated = _inflate(trunc.structure.standards[lam], h, trunc.kept,
+                                trunc.proj_coords)
+            assert is_isomorphic(inflated, h.standards[lam])[0]
+
+
+def test_truncation_refuses_an_inflation_that_is_not_the_ambient_standard(
+        monkeypatch, weight3_hw):
+    # the head of each inflated standard: right at 1, where Delta(1) = L(1),
+    # wrong at 2, where Delta(2) = [2; 1] is not simple
+    real = qha_engine._inflate
+    monkeypatch.setattr(qha_engine, "_inflate",
+                        lambda *args: filtration_slice(real(*args), 0, 1))
+    with pytest.raises(InternalCheckError, match="at '2' changed under truncation"):
+        truncate(weight3_hw, ["1", "2"])
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_STRUCTURES))
+def test_dual_standards_match_the_isomorphism_search(name):
+    h = FIXTURE_STRUCTURES[name]()
+    for v in h.poset.elements:
+        flipped = dualize(h, h.standards[v])
+        assert is_isomorphic(flipped, h.costandards[v])[0]
+        assert flipped.dims == h.costandards[v].dims

@@ -24,7 +24,7 @@ from dense_oracle import (DenseSubspace, add, apply, block, columns_of, dense_ho
                           dense_map, determinant, element_total, embed, identity, invert,
                           invertible_by_determinant_grid, is_zero, kernel_matrix, mul,
                           path_total, relation_failure, resolution_maps, scale, total_action,
-                          transpose, zero)
+                          transpose, truncation_by_search, zero)
 from grkoszul import rep_homology
 from grkoszul.errors import (
     GrkoszulError,
@@ -2310,3 +2310,56 @@ def test_ext1_over_a1_chain_subalgebras_matches_the_cocycle_oracle(chain3, gens)
         for m in (projective_rep(chain3, v), simple_rep(chain3, v)):
             assert ext1_over_sub(m, emb) == ext1_over_sub_by_oracle(m, emb)
 
+
+
+# -- the radical truncation flag against the isomorphism search ------------------------------
+
+
+def truncation_candidates(alg):
+    """The truncations of `truncations`, and the sum of each consecutive pair
+    of them, which is a radical truncation only when both summands are cut at
+    the same Loewy length."""
+    modules = [m for _, m in truncations(alg)]
+    return modules + [direct_sum(x, y) for x, y in zip(modules, modules[1:])]
+
+
+def assert_truncation_flags_match_the_search(alg) -> int:
+    """gr_ext1_compare's flag against the isomorphism search on every
+    candidate whose search fits under its cap; returns how many were compared."""
+    compared = 0
+    for m in truncation_candidates(alg):
+        try:
+            expected = truncation_by_search(m)
+        except PreconditionError:
+            continue
+        assert gr_ext1_compare(m).quotient_of_projective is expected
+        compared += 1
+    return compared
+
+
+def test_gr_ext1_compare_sees_a_sum_that_is_no_truncation():
+    # k[x]/(x^2) + k has Loewy length 2 and cover P + P, whose radical
+    # truncation P/rad^2 P + P/rad^2 P has dimension 4, not 3
+    alg = build_algebra(truncated_polynomial(3))
+    m = direct_sum(filtration_slice(projective_rep(alg, "1"), 0, 2), simple_rep(alg, "1"))
+    assert truncation_by_search(m) is False
+    assert gr_ext1_compare(m).quotient_of_projective is False
+    # (k[x]/(x^2))^3 is one, though the search is beyond its cap
+    cubed = direct_sum(*[filtration_slice(projective_rep(alg, "1"), 0, 2)] * 3)
+    with pytest.raises(PreconditionError, match="desk-scale cap"):
+        truncation_by_search(cubed)
+    assert gr_ext1_compare(cubed).quotient_of_projective is True
+
+
+@pytest.mark.parametrize("alg", [build_algebra(two_vertex_cycle()),
+                                 build_algebra(truncated_polynomial(3)),
+                                 a1_chain(2), a1_chain(3), a1_chain(4)],
+                         ids=["cycle", "x^3", "chain2", "chain3", "chain4"])
+def test_truncation_flags_match_the_isomorphism_search_on_fixtures(alg):
+    assert assert_truncation_flags_match_the_search(alg) == len(truncation_candidates(alg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_quiver_algebra())
+def test_truncation_flags_match_the_isomorphism_search_on_random_quivers(alg):
+    assert_truncation_flags_match_the_search(alg)
